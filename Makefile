@@ -6,7 +6,7 @@
 PYTHON ?= python
 
 .PHONY: check lint lint-graph test golden bench-shard bench-streaming \
-	bench-alerts bench-trend
+	bench-alerts bench-trend perfbench perfbench-trace
 
 check:
 	$(PYTHON) scripts/check.py
@@ -38,3 +38,17 @@ bench-alerts:
 # Perf-trend gate: fresh batch + streaming ratios vs the committed anchors.
 bench-trend:
 	$(PYTHON) scripts/bench_trend.py
+
+# End-to-end benchmark of the BENCHMARK.json workloads (medians, untraced).
+PERFBENCH_WORKLOADS = monitored-campaign faulty-campaign
+
+perfbench:
+	for w in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --trace 0 || exit 1; \
+	done
+
+# One untraced and one traced run per workload: per-layer calls and times.
+perfbench-trace:
+	for w in $(PERFBENCH_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --trace 1 || exit 1; \
+	done

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from .. import obs
 from ..cloud.api import CloudPlatform
 from ..cloud.billing import CostTracker
 from ..cloud.providers import get_provider
@@ -128,6 +129,7 @@ class Clasp:
         src_pop = self.platform.region_pop(region)
         selection = selector.run(region, src_pop.pop_id, ts)
         self._topology_selections[region] = selection
+        self._publish_memo_counts()
         return selection
 
     def speedchecker_medians(self, regions: Sequence[str],
@@ -205,12 +207,28 @@ class Clasp:
             dataset, _report = run_sharded(
                 self.runner, plans, config, observers=observers,
                 shards=shards, batch=batch, processes=shard_processes)
-            return dataset
-        if batch:
+        elif batch:
             from ..shard import batch_executor_factory
-            return self.runner.run(plans, config, observers=observers,
-                                   executor_factory=batch_executor_factory)
-        return self.runner.run(plans, config, observers=observers)
+            dataset = self.runner.run(
+                plans, config, observers=observers,
+                executor_factory=batch_executor_factory)
+        else:
+            dataset = self.runner.run(plans, config, observers=observers)
+        self._publish_memo_counts()
+        return dataset
+
+    def _publish_memo_counts(self) -> None:
+        """Fold the pure-lookup memos' hit/miss totals into obs counters.
+
+        Called once per stage, so the lookups themselves gain no call.
+        """
+        for prefix, memo_owner in (
+                ("netsim.linkstate.memo", self.platform.evaluator),
+                ("netsim.routing.border_memo", self.platform.router),
+                ("tools.prefix2as.memo", self.prefix2as)):
+            hits, misses = memo_owner.take_memo_counts()
+            obs.inc(f"{prefix}_hits", hits)
+            obs.inc(f"{prefix}_misses", misses)
 
     # ------------------------------------------------------------------
     # analysis

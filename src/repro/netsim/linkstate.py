@@ -21,7 +21,7 @@ along a route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from .topology import Link, LinkKind
 from .traffic import UtilizationModel
@@ -90,12 +90,27 @@ FlapHook = Callable[[int, int, float], Optional[float]]
 
 
 class LinkStateEvaluator:
-    """Computes :class:`LinkObservation` records from the traffic model."""
+    """Computes :class:`LinkObservation` records from the traffic model.
+
+    An observation is a pure function of the link, the direction, the
+    instant, the utilization profiles and the flap hook, so
+    :meth:`observe` memoizes the observations of the current instant by
+    ``(link_id, direction)``.  The memo is dropped when *ts* changes,
+    when the flap hook is swapped and when a profile is set on the
+    utilization model (its :attr:`~UtilizationModel.version`); an entry
+    whose link has since changed capacity or burst loss is recomputed.
+    It therefore never holds more than one instant's entries.
+    """
 
     def __init__(self, utilization_model: UtilizationModel,
                  flap_hook: Optional[FlapHook] = None) -> None:
         self._util = utilization_model
         self._flap_hook = flap_hook
+        self._memo: Dict[Tuple[int, int], LinkObservation] = {}
+        self._memo_ts: Optional[float] = None
+        self._memo_version = utilization_model.version
+        self._memo_hits = 0
+        self._memo_misses = 0
 
     @property
     def utilization_model(self) -> UtilizationModel:
@@ -104,14 +119,35 @@ class LinkStateEvaluator:
     def set_flap_hook(self, hook: Optional[FlapHook]) -> None:
         """Install (or clear) a deterministic link-flap fault hook."""
         self._flap_hook = hook
+        self._memo.clear()
 
     @property
     def flap_hook(self) -> Optional[FlapHook]:
         """The installed flap hook (batch evaluators query it directly)."""
         return self._flap_hook
 
+    def take_memo_counts(self) -> Tuple[int, int]:
+        """(hits, misses) of the observation memo since the last take."""
+        counts = (self._memo_hits, self._memo_misses)
+        self._memo_hits = self._memo_misses = 0
+        return counts
+
     def observe(self, link: Link, direction: int, ts: float) -> LinkObservation:
         """Evaluate one link direction at simulated time *ts*."""
+        memo = self._memo
+        version = self._util.version
+        if ts != self._memo_ts or version != self._memo_version:
+            memo.clear()
+            self._memo_ts = ts
+            self._memo_version = version
+        key = (link.link_id, direction)
+        cached = memo.get(key)
+        if cached is not None and \
+                cached.capacity_mbps == link.capacity_mbps and \
+                cached.burst_loss == link.burst_loss:
+            self._memo_hits += 1
+            return cached
+        self._memo_misses += 1
         u = self._util.utilization(link.link_id, direction, ts)
         if self._flap_hook is not None:
             floor = self._flap_hook(link.link_id, direction, ts)
@@ -122,7 +158,7 @@ class LinkStateEvaluator:
         residual = self.residual_mbps(link.capacity_mbps, u)
         loss = self.loss_rate(u, link.kind)
         queue = self.queue_delay_ms(u, link.kind)
-        return LinkObservation(
+        observation = LinkObservation(
             link_id=link.link_id,
             direction=direction,
             capacity_mbps=link.capacity_mbps,
@@ -132,6 +168,8 @@ class LinkStateEvaluator:
             queue_delay_ms=queue,
             burst_loss=link.burst_loss,
         )
+        memo[key] = observation
+        return observation
 
     @staticmethod
     def residual_mbps(capacity_mbps: float, utilization: float) -> float:

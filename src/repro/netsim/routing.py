@@ -59,6 +59,9 @@ _CLS_CUSTOMER = 1
 _CLS_PEER = 2
 _CLS_PROVIDER = 3
 
+#: A border link candidate a->b: (record, link, near_pop, far_pop).
+_Candidate = Tuple[InterdomainLink, Link, int, int]
+
 
 @dataclass(frozen=True)
 class Route:
@@ -115,6 +118,12 @@ class Router:
         self._rib_cache: Dict[Tuple[int, GraphMode], Dict[int, Tuple[int, int, int]]] = {}
         # (asn, src_pop) -> {dst_pop: (prev_pop, link_id)}
         self._intra_cache: Dict[Tuple[int, int], Dict[int, Tuple[int, int]]] = {}
+        # (from_asn, to_asn) -> border candidates, near PoP in from_asn
+        self._border_cache: Dict[Tuple[int, int], Tuple[_Candidate, ...]] = {}
+        # (from_asn, to_asn, anchor_pop) -> border candidates tied nearest
+        self._ties_cache: Dict[Tuple[int, int, int], Tuple[_Candidate, ...]] = {}
+        self._border_memo_hits = 0
+        self._border_memo_misses = 0
         self._adj_full = self._build_adjacency(GraphMode.FULL)
         self._adj_std = self._build_adjacency(GraphMode.STANDARD)
 
@@ -312,8 +321,14 @@ class Router:
     # interdomain link choice & full expansion
 
     def _border_candidates(self, from_asn: int,
-                           to_asn: int) -> List[Tuple[InterdomainLink, Link, int, int]]:
+                           to_asn: int) -> Tuple[_Candidate, ...]:
         """(record, link, near_pop, far_pop) for each border link a->b."""
+        key = (from_asn, to_asn)
+        cached = self._border_cache.get(key)
+        if cached is not None:
+            self._border_memo_hits += 1
+            return cached
+        self._border_memo_misses += 1
         out = []
         for record in self._topo.interdomain_between(from_asn, to_asn):
             link = self._topo.link(record.link_id)
@@ -326,7 +341,9 @@ class Router:
                self._topo.pop(far).asn != to_asn:
                 continue
             out.append((record, link, near, far))
-        return out
+        candidates = tuple(out)
+        self._border_cache[key] = candidates
+        return candidates
 
     def _pop_distance_km(self, pop_a: int, pop_b: int) -> float:
         topo = self._topo
@@ -334,27 +351,54 @@ class Router:
         city_b = topo.city_of_pop(pop_b)
         return city_a.point.distance_km(city_b.point)
 
-    def _choose_border(self, candidates: List[Tuple[InterdomainLink, Link, int, int]],
-                       anchor_pop: int,
-                       flow_key: int) -> Tuple[InterdomainLink, Link, int, int]:
-        """Pick the border link closest to *anchor_pop*.
+    def _border_ties(self, from_asn: int, to_asn: int,
+                     anchor_pop: int) -> Tuple[_Candidate, ...]:
+        """Border candidates a->b within 1 km of the nearest to *anchor_pop*.
+
+        Sorted by (distance of the near PoP to the anchor, link id).
+        The directed AS pair fixes which end of each link is the near
+        PoP, so ``a->b`` and ``b->a`` never share an entry.
+        """
+        key = (from_asn, to_asn, anchor_pop)
+        cached = self._ties_cache.get(key)
+        if cached is not None:
+            self._border_memo_hits += 1
+            return cached
+        self._border_memo_misses += 1
+        candidates = self._border_candidates(from_asn, to_asn)
+        if not candidates:
+            raise NoRouteError(from_asn, to_asn)
+        scored = sorted(
+            ((self._pop_distance_km(c[2], anchor_pop), c[0].link_id, c)
+             for c in candidates),
+            key=lambda item: (item[0], item[1]))
+        best_distance = scored[0][0]
+        ties = tuple(c for dist, _lid, c in scored
+                     if dist <= best_distance + 1.0)
+        self._ties_cache[key] = ties
+        return ties
+
+    def _choose_border(self, from_asn: int, to_asn: int, anchor_pop: int,
+                       flow_key: int) -> _Candidate:
+        """Pick the border link a->b closest to *anchor_pop*.
 
         Parallel links at (essentially) the same distance are load
         balanced by a stable hash of the flow key, modelling ECMP over
         LAG members / parallel peering sessions.  Paris-traceroute keeps
         the flow key constant, so a given flow always sees one member.
         """
-        scored = sorted(
-            ((self._pop_distance_km(c[2], anchor_pop), c[0].link_id, c)
-             for c in candidates),
-            key=lambda item: (item[0], item[1]))
-        best_distance = scored[0][0]
-        ties = [c for dist, _lid, c in scored if dist <= best_distance + 1.0]
+        ties = self._border_ties(from_asn, to_asn, anchor_pop)
         if len(ties) == 1:
             return ties[0]
         idx = stable_hash64(
             f"ecmp:{flow_key}:{ties[0][0].link_id}:{len(ties)}") % len(ties)
         return ties[idx]
+
+    def take_memo_counts(self) -> Tuple[int, int]:
+        """(hits, misses) of the border memos since the last take."""
+        counts = (self._border_memo_hits, self._border_memo_misses)
+        self._border_memo_hits = self._border_memo_misses = 0
+        return counts
 
     def expand(self, as_path: Sequence[int], src_pop: int, dst_pop: int,
                first_as_policy: TierPolicy = TierPolicy.HOT_POTATO,
@@ -389,16 +433,14 @@ class Router:
         current = src_pop
         for i in range(len(as_path) - 1):
             here, there = as_path[i], as_path[i + 1]
-            candidates = self._border_candidates(here, there)
-            if not candidates:
-                raise NoRouteError(here, there)
             entering_last = (i == len(as_path) - 2)
             if i == 0 and first_as_policy is TierPolicy.COLD_POTATO:
-                chosen = self._choose_border(candidates, dst_pop, flow_key)
+                anchor = dst_pop
             elif entering_last and last_as_policy is TierPolicy.COLD_POTATO:
-                chosen = self._choose_border(candidates, dst_pop, flow_key)
+                anchor = dst_pop
             else:
-                chosen = self._choose_border(candidates, current, flow_key)
+                anchor = current
+            chosen = self._choose_border(here, there, anchor, flow_key)
             record, link, near_pop, far_pop = chosen
             intra_pops, intra_links = self._intra_path(here, current, near_pop)
             pops.extend(intra_pops[1:])
@@ -430,9 +472,12 @@ class Router:
                            mode=mode, flow_id=flow_id)
 
     def invalidate_caches(self) -> None:
-        """Drop all cached RIBs and intra-AS tables (topology changed)."""
+        """Drop all cached RIBs, intra-AS tables and border choices
+        (topology changed)."""
         self._rib_cache.clear()
         self._intra_cache.clear()
+        self._border_cache.clear()
+        self._ties_cache.clear()
         self._adj_full = self._build_adjacency(GraphMode.FULL)
         self._adj_std = self._build_adjacency(GraphMode.STANDARD)
 

@@ -152,10 +152,20 @@ class UtilizationModel:
         self._profiles: Dict[Tuple[int, int], DiurnalProfile] = {}
         self._noise: Dict[Tuple[int, int], np.ndarray] = {}
         self._default_profile = DiurnalProfile.quiet()
+        self._version = 0
 
     @property
     def origin_ts(self) -> float:
         return self._origin
+
+    @property
+    def version(self) -> int:
+        """Count of :meth:`set_profile` calls.
+
+        Readers that memoize utilization-derived values compare it to
+        detect stale entries.
+        """
+        return self._version
 
     def set_profile(self, link_id: int, direction: int,
                     profile: DiurnalProfile) -> None:
@@ -164,6 +174,7 @@ class UtilizationModel:
             raise ValidationError(f"direction must be 0 or 1, got {direction}")
         self._profiles[(link_id, direction)] = profile
         self._noise.pop((link_id, direction), None)
+        self._version += 1
 
     def set_profile_both(self, link_id: int, profile: DiurnalProfile,
                          reverse: Optional[DiurnalProfile] = None) -> None:

@@ -10,7 +10,7 @@ is what bdrmap exists to close.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..netsim.addressing import Prefix, PrefixTrie
 from ..netsim.topology import Topology
@@ -18,22 +18,47 @@ from ..errors import ValidationError
 
 __all__ = ["Prefix2AS", "build_prefix2as"]
 
+#: Memo sentinel: ``None`` is a valid (unrouted) lookup answer.
+_UNSEEN = object()
+
 
 class Prefix2AS:
-    """Longest-prefix-match dataset: IP -> origin ASN."""
+    """Longest-prefix-match dataset: IP -> origin ASN.
+
+    :meth:`lookup` memoizes its answer per IP (``None`` included); the
+    memo is dropped by :meth:`add`, and a lookup that raises is never
+    memoized.
+    """
 
     def __init__(self) -> None:
         self._trie: PrefixTrie[int] = PrefixTrie()
+        self._memo: Dict[int, Optional[int]] = {}
+        self._memo_hits = 0
+        self._memo_misses = 0
 
     def add(self, prefix: Prefix, asn: int) -> None:
         """Register an announced prefix."""
         if asn <= 0:
             raise ValidationError(f"ASN must be positive, got {asn}")
         self._trie.insert(prefix, asn)
+        self._memo.clear()
 
     def lookup(self, ip: int) -> Optional[int]:
         """Origin ASN of the most-specific covering prefix, or None."""
-        return self._trie.lookup(ip)
+        asn = self._memo.get(ip, _UNSEEN)
+        if asn is not _UNSEEN:
+            self._memo_hits += 1
+            return asn
+        self._memo_misses += 1
+        asn = self._trie.lookup(ip)
+        self._memo[ip] = asn
+        return asn
+
+    def take_memo_counts(self) -> Tuple[int, int]:
+        """(hits, misses) of the lookup memo since the last take."""
+        counts = (self._memo_hits, self._memo_misses)
+        self._memo_hits = self._memo_misses = 0
+        return counts
 
     def lookup_prefix(self, ip: int) -> Optional[Tuple[Prefix, int]]:
         """(prefix, ASN) of the most-specific match, or None."""

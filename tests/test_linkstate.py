@@ -108,3 +108,103 @@ def test_observe_reports_burst_loss(mini_world, seeds):
     evaluator = LinkStateEvaluator(UtilizationModel(seeds, CAMPAIGN_START))
     obs = evaluator.observe(link, 0, CAMPAIGN_START)
     assert obs.burst_loss == 0.12
+
+
+# ----------------------------------------------------------------------
+# the per-instant observation memo
+
+
+def _memo_rig(mini_world, seeds):
+    from repro.netsim.traffic import DiurnalProfile, UtilizationModel
+    from repro.simclock import CAMPAIGN_START
+    model = UtilizationModel(seeds, CAMPAIGN_START)
+    links = [mini_world.topology.link(lid)
+             for lid in sorted(mini_world.links.values())]
+    for index, link in enumerate(links):
+        model.set_profile(link.link_id, index % 2,
+                          DiurnalProfile.congested_evening())
+    return model, links, float(CAMPAIGN_START)
+
+
+def _flap(link_id, direction, ts):
+    return 1.4 if (link_id + direction + int(ts // 3600)) % 4 == 0 else None
+
+
+def test_observe_memo_matches_fresh_evaluation_call_for_call(
+        mini_world, seeds):
+    import random
+    model, links, start = _memo_rig(mini_world, seeds)
+    evaluator = LinkStateEvaluator(model, flap_hook=_flap)
+    draw = random.Random(17)
+    instants = [start + 3600.0 * h + 60.0 * m
+                for h in range(30) for m in (0, 7)]
+    ts = instants[0]
+    calls = 0
+    for _ in range(3000):
+        if draw.random() < 0.03:
+            # Revisit an earlier instant now and then: the memo must
+            # rebuild it rather than serve the previous instant.
+            ts = draw.choice(instants)
+        link = draw.choice(links)
+        direction = draw.randrange(2)
+        got = evaluator.observe(link, direction, ts)
+        fresh = LinkStateEvaluator(model, flap_hook=_flap)
+        assert got == fresh.observe(link, direction, ts)
+        calls += 1
+    hits, misses = evaluator.take_memo_counts()
+    assert hits + misses == calls
+    assert hits > misses > 0
+    assert evaluator.take_memo_counts() == (0, 0)
+
+
+def test_observe_memo_holds_one_instant(mini_world, seeds):
+    model, links, start = _memo_rig(mini_world, seeds)
+    evaluator = LinkStateEvaluator(model)
+    link = links[0]
+    evaluator.observe(link, 0, start)
+    evaluator.observe(link, 0, start)
+    later = evaluator.observe(link, 0, start + 7200.0)
+    evaluator.observe(link, 0, start)
+    assert evaluator.take_memo_counts() == (1, 3)
+    assert later == LinkStateEvaluator(model).observe(link, 0, start + 7200.0)
+
+
+def test_observe_memo_invalidated_by_flap_hook(mini_world, seeds):
+    model, links, start = _memo_rig(mini_world, seeds)
+    evaluator = LinkStateEvaluator(model)
+    link = links[0]
+    before = evaluator.observe(link, 0, start)
+    evaluator.set_flap_hook(lambda lid, d, ts: 1.5)
+    flapped = evaluator.observe(link, 0, start)
+    assert flapped.utilization == 1.5 != before.utilization
+    evaluator.set_flap_hook(None)
+    assert evaluator.observe(link, 0, start) == before
+
+
+def test_observe_memo_invalidated_by_profile_change(mini_world, seeds):
+    from repro.netsim.traffic import DiurnalProfile
+    model, links, start = _memo_rig(mini_world, seeds)
+    evaluator = LinkStateEvaluator(model)
+    link = links[0]
+    before = evaluator.observe(link, 0, start)
+    model.set_profile(link.link_id, 0,
+                      DiurnalProfile(base=0.97, noise_sigma=0.0))
+    after = evaluator.observe(link, 0, start)
+    assert after.utilization == 0.97 != before.utilization
+    assert after == LinkStateEvaluator(model).observe(link, 0, start)
+
+
+def test_observe_memo_invalidated_by_capacity_change(mini_world, seeds):
+    model, links, start = _memo_rig(mini_world, seeds)
+    evaluator = LinkStateEvaluator(model)
+    link = links[0]
+    before = evaluator.observe(link, 1, start)
+    # As the scenario builder squeezes a peering link after selection.
+    link.capacity_mbps = before.capacity_mbps / 4.0
+    after = evaluator.observe(link, 1, start)
+    assert after.capacity_mbps == before.capacity_mbps / 4.0
+    assert after == LinkStateEvaluator(model).observe(link, 1, start)
+    link.burst_loss = 0.1
+    lossy = evaluator.observe(link, 1, start)
+    assert lossy.burst_loss == 0.1
+    assert lossy == LinkStateEvaluator(model).observe(link, 1, start)

@@ -566,6 +566,16 @@ def test_instrumented_span_parents_resolve(instrumented_campaign):
         assert by_id[span.parent_id].name == "speedtest.run_test"
 
 
+def test_instrumented_snapshot_counts_lookup_memos(instrumented_campaign):
+    """Selection and campaign fold the pure-lookup memo totals in."""
+    counters = instrumented_campaign["snapshot"]["counters"]
+    for prefix in ("netsim.linkstate.memo", "netsim.routing.border_memo",
+                   "tools.prefix2as.memo"):
+        hits = counters[f"{prefix}_hits"]
+        misses = counters[f"{prefix}_misses"]
+        assert hits > misses > 0, prefix
+
+
 def test_instrumented_snapshot_exports_both_formats(
         instrumented_campaign):
     snap = instrumented_campaign["snapshot"]

@@ -112,3 +112,29 @@ def test_paris_flow_determinism(rig):
     t2 = scamper.trace(world.pops["cloud-west"], world.pops["ispb-south"],
                        CAMPAIGN_START, flow_id=9)
     assert t1.hop_ips() == t2.hop_ips()
+
+
+def test_prefix2as_memo_sees_later_more_specific(rig):
+    from repro.netsim.addressing import Prefix
+    _world, _topo, _router, p2a, _sc = rig
+    ip = parse_ip("10.40.77.9")
+    assert p2a.lookup(ip) == 400
+    assert p2a.lookup(ip) == 400
+    p2a.add(Prefix.parse("10.40.77.0/24"), 900)
+    assert p2a.lookup(ip) == 900
+    assert p2a.lookup(parse_ip("10.40.78.9")) == 400
+    assert p2a.take_memo_counts() == (1, 3)
+
+
+def test_prefix2as_memo_never_caches_errors(rig):
+    from repro.errors import AddressingError
+    _world, _topo, _router, p2a, _sc = rig
+    p2a.take_memo_counts()
+    for _ in range(3):
+        with pytest.raises(AddressingError):
+            p2a.lookup(2 ** 32)
+    assert p2a.take_memo_counts() == (0, 3)
+    # Unrouted space memoizes its ``None`` answer like any other.
+    assert p2a.lookup(parse_ip("203.0.113.1")) is None
+    assert p2a.lookup(parse_ip("203.0.113.1")) is None
+    assert p2a.take_memo_counts() == (1, 1)

@@ -167,3 +167,115 @@ def test_hosts_never_transit(router, mini_world):
                          first_as_policy=TierPolicy.HOT_POTATO)
     for pop_id in route.pops:
         assert not topo.pop(pop_id).is_host
+
+
+# ----------------------------------------------------------------------
+# border memos
+
+
+_POLICIES = [(first, last) for first in TierPolicy for last in TierPolicy]
+
+
+def _all_routes(router, mini_world, flow_id=0):
+    """Every routable (src, dst) in both directions under every policy."""
+    pops = sorted(mini_world.pops.values())
+    out = {}
+    for mode in GraphMode:
+        for first, last in _POLICIES:
+            for src in pops:
+                for dst in pops:
+                    if src == dst:
+                        continue
+                    try:
+                        out[(src, dst, mode, first, last)] = router.route(
+                            src, dst, mode=mode, first_as_policy=first,
+                            last_as_policy=last, flow_id=flow_id)
+                    except NoRouteError:
+                        out[(src, dst, mode, first, last)] = None
+    return out
+
+
+def _add_peering(topo, cloud_pop, isp_pop, near_ip, far_ip):
+    """A cloud-numbered peering link AS100 -> AS400, as the generator
+    (and ``add_cloud_wan``) registers them."""
+    from repro.netsim.addressing import parse_ip
+    from repro.netsim.topology import InterdomainLink, LinkKind
+    link = topo.add_link(LinkKind.INTERDOMAIN, cloud_pop, isp_pop,
+                         20000.0, 0.2, ip_a=parse_ip(near_ip),
+                         ip_b=parse_ip(far_ip), address_asn=100)
+    topo.register_interdomain(InterdomainLink(
+        link_id=link.link_id, near_asn=100, far_asn=400,
+        city_key=topo.pop(cloud_pop).city_key,
+        near_ip=parse_ip(near_ip), far_ip=parse_ip(far_ip)))
+    return link
+
+
+def _fresh_route(mini_world, key, flow_id=0):
+    src, dst, mode, first, last = key
+    fresh = Router(mini_world.topology, cloud_asn=mini_world.cloud_asn)
+    try:
+        return fresh.route(src, dst, mode=mode, first_as_policy=first,
+                           last_as_policy=last, flow_id=flow_id)
+    except NoRouteError:
+        return None
+
+
+def test_border_memo_is_direction_sensitive(router, mini_world):
+    """a->b and b->a cross the same links with near and far swapped; a
+    warm router must route both exactly as a fresh one does."""
+    routes = _all_routes(router, mini_world)
+    assert sum(route is not None for route in routes.values()) > 100
+    for key, route in routes.items():
+        assert route == _fresh_route(mini_world, key), key
+    hits, misses = router.take_memo_counts()
+    assert hits > misses > 0
+
+
+def test_border_memo_keeps_per_flow_ecmp(mini_world):
+    """A parallel peering link ties on distance; the flow id still picks
+    the member per flow, as on a fresh router."""
+    topo = mini_world.topology
+    pops = mini_world.pops
+    link = _add_peering(topo, pops["cloud-west"], pops["ispa-west"],
+                        "10.100.8.17", "10.100.8.18")
+    router = Router(topo, cloud_asn=mini_world.cloud_asn)
+    members = set()
+    for flow_id in range(16):
+        for key, route in _all_routes(router, mini_world, flow_id).items():
+            assert route == _fresh_route(mini_world, key, flow_id), key
+        route = router.route(pops["cloud-west"], pops["ispa-east"],
+                             first_as_policy=TierPolicy.HOT_POTATO,
+                             flow_id=flow_id)
+        members.add(route.border_crossings[0].link_id)
+    assert members == {mini_world.links["peer-aw"], link.link_id}
+
+
+def test_invalidate_caches_drops_border_memos(router, mini_world):
+    """A new border link (as ``add_cloud_wan`` adds) is seen after
+    ``invalidate_caches()`` by both the candidate and the tie memo."""
+    from repro.netsim.addressing import parse_ip
+    from repro.netsim.topology import LinkKind
+    topo = mini_world.topology
+    pops = mini_world.pops
+    _all_routes(router, mini_world)
+    # ISP Alpha opens a central PoP and peers with the cloud there.
+    central = topo.add_pop(400, topo.pop(pops["cloud-central"]).city_key,
+                           parse_ip("10.40.0.3"))
+    topo.add_link(LinkKind.BACKBONE, central.pop_id, pops["ispa-west"],
+                  400000.0, 10.0)
+    topo.add_link(LinkKind.BACKBONE, central.pop_id, pops["ispa-east"],
+                  400000.0, 10.0)
+    link = _add_peering(topo, pops["cloud-central"], central.pop_id,
+                        "10.100.8.21", "10.100.8.22")
+    router.invalidate_caches()
+    routes = _all_routes(router, mini_world)
+    for key, route in routes.items():
+        assert route == _fresh_route(mini_world, key), key
+    via_central = routes[(pops["cloud-central"], pops["ispa-east"],
+                          GraphMode.FULL, TierPolicy.HOT_POTATO,
+                          TierPolicy.HOT_POTATO)]
+    assert via_central.border_crossings[0].link_id == link.link_id
+    back = routes[(pops["ispa-east"], pops["cloud-central"],
+                   GraphMode.FULL, TierPolicy.HOT_POTATO,
+                   TierPolicy.COLD_POTATO)]
+    assert back.border_crossings[-1].link_id == link.link_id
