@@ -23,7 +23,7 @@ test:
 golden:
 	$(PYTHON) scripts/regen_golden.py
 
-# Regenerate BENCH_campaign.json (the shards x batch perf trajectory).
+# Regenerate BENCH_campaign.json (the batch off/on perf trajectory).
 bench-shard:
 	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider benchmarks/bench_shard_scale.py
 

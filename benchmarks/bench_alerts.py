@@ -8,7 +8,7 @@ fixed campaign twice through :meth:`~repro.core.clasp.Clasp.collector`
 - and holds the ruled run under a 1.1x budget, so "alerting is cheap
 enough to leave on" stays enforced rather than assumed.  The point
 lands in ``BENCH_campaign.json`` under the ``alerts_eval`` key
-(schema ``bench-campaign/v4``).
+(schema ``bench-campaign/v5``).
 
 Wall-clock timing is inherently nondeterministic; this file lives in
 ``benchmarks/`` (not ``src/repro``) exactly so the lint determinism
@@ -38,7 +38,7 @@ BEST_OF = 3
 
 BENCH_PATH = (pathlib.Path(__file__).resolve().parent.parent
               / "BENCH_campaign.json")
-SCHEMA = "bench-campaign/v4"
+SCHEMA = "bench-campaign/v5"
 LABEL = "alerts-v1 (rule evaluation riding the collector)"
 
 

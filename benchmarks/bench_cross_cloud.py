@@ -2,10 +2,10 @@
 
 Builds one scenario carrying all three providers (gcp + aws +
 openstack WANs in a shared Internet), times :func:`run_matrix` at
-``shards=4`` over two regions per provider, runs one provider-choice
-analysis, and records a ``cross_cloud_matrix`` point into
-``BENCH_campaign.json`` (schema ``bench-campaign/v4``, documented in
-``benchmarks/README.md``) alongside the shard-scaling rows - the
+two regions per provider, runs one provider-choice analysis, and
+records a ``cross_cloud_matrix`` point into ``BENCH_campaign.json``
+(schema ``bench-campaign/v5``, documented in
+``benchmarks/README.md``) alongside the batch-scaling rows - the
 existing keys in that file are preserved, so either bench can
 re-anchor its own point independently.
 
@@ -27,11 +27,10 @@ SEED = 7
 SCALE = 0.05
 PROVIDERS = ("aws", "openstack")  # joins the gcp primary
 REGIONS_PER_PROVIDER = 2
-SHARDS = 4
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
 
-SCHEMA = "bench-campaign/v4"
+SCHEMA = "bench-campaign/v5"
 
 
 def test_bench_cross_cloud(emit):
@@ -42,8 +41,7 @@ def test_bench_cross_cloud(emit):
 
     start = time.perf_counter()
     matrix = run_matrix(scenario.fleet,
-                        regions_per_provider=REGIONS_PER_PROVIDER,
-                        shards=SHARDS)
+                        regions_per_provider=REGIONS_PER_PROVIDER)
     matrix_wall = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -56,7 +54,6 @@ def test_bench_cross_cloud(emit):
     point = {
         "providers": list(scenario.fleet.names()),
         "regions_per_provider": REGIONS_PER_PROVIDER,
-        "shards": SHARDS,
         "endpoints": len(matrix.endpoints),
         "pairs": matrix.n_pairs,
         "reachable_pairs": reachable,
@@ -70,7 +67,7 @@ def test_bench_cross_cloud(emit):
     table = TextTable(
         ["metric", "value"],
         title=f"cross-cloud matrix: {point['endpoints']} endpoints / "
-              f"{point['pairs']} pairs at shards={SHARDS}")
+              f"{point['pairs']} pairs")
     for key in ("wall_s", "pairs_per_sec", "reachable_pairs",
                 "provider_choice_wall_s", "provider_choice_candidates"):
         table.add_row([key, point[key]])
@@ -78,7 +75,7 @@ def test_bench_cross_cloud(emit):
          + render_matrix(matrix))
 
     # Merge into the campaign trajectory file without clobbering the
-    # shard-scaling rows (and vice versa - see bench_shard_scale.py).
+    # batch-scaling rows (and vice versa - see bench_shard_scale.py).
     doc = {}
     if BENCH_PATH.exists():
         doc = json.loads(BENCH_PATH.read_text(encoding="utf-8"))

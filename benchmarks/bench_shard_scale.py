@@ -1,30 +1,28 @@
-"""Shard/batch scaling: the campaign hot loop across shards x batch.
+"""Batch scaling: the campaign hot loop with the vectorized path off/on.
 
-Runs one fixed multi-region campaign through every ``shards`` x
-``batch`` combination (shards in {1, 2, 4}, batch on/off), measures
-wall time, engine events/sec, completed tests/sec and the process RSS
-high-water mark, and records the matrix as the first point of the perf
+Runs one fixed multi-region campaign through the scalar stepper and
+the vectorized batch stepper, in one process, measures wall time,
+engine events/sec, completed tests/sec and the process RSS high-water
+mark, and records both rows as the campaign point of the perf
 trajectory in ``BENCH_campaign.json`` at the repo root (schema:
 ``benchmarks/README.md``).  Two assertions keep the trajectory honest:
 
-* the headline speedup - events/sec at shards=4 + batch must be at
-  least ``MIN_SPEEDUP``x the seed scalar path (shards=1, no batch) on
-  the same campaign;
+* the headline speedup - events/sec with batch on must be at least
+  ``MIN_SPEEDUP``x the scalar path on the same campaign;
 * the planet-scale demo - a campaign spanning 10 regions with a
   10x server budget (10x the default ``repro campaign`` shape in both
-  dimensions), run sharded + batched, must complete *more* tests in
-  *less* wall time than the scalar path needs for this bench's default
-  campaign.  That is the "wall-time budget of today's default
-  campaign": planet-scale coverage now fits in the time the seed path
-  spends on an ordinary run.
+  dimensions), run batched, must complete *more* tests in *less* wall
+  time than the scalar path needs for this bench's default campaign.
+  That is the "wall-time budget of today's default campaign":
+  planet-scale coverage fits in the time the scalar path spends on an
+  ordinary run.
 
 The expensive parts (scenario build + topology deploys, ~30s) run
-once; every matrix cell reuses the same deployed plans, so cells
-differ only in the execution strategy under test.  Billing is not
-charged on the timed runs so repeated campaigns cannot exhaust the
-scenario's cost budget mid-matrix.  Byte-identical digests across all
-cells are tier-1 guarantees (``tests/test_shard.py``), not re-proved
-here.
+once; both rows reuse the same deployed plans, so they differ only in
+the execution path under test.  Billing is not charged on the timed
+runs so repeated campaigns cannot exhaust the scenario's cost budget.
+Byte-identical digests with batch on and off are tier-1 guarantees
+(``tests/test_shard.py``), not re-proved here.
 
 Wall-clock timing is inherently nondeterministic; this file lives in
 ``benchmarks/`` (not ``src/repro``) exactly so the lint determinism
@@ -39,7 +37,7 @@ import time
 from repro.experiments.scenario import build_scenario
 from repro.report.tables import TextTable
 
-#: Default campaign for the matrix: six US regions, a 40-server budget
+#: Default campaign for both rows: six US regions, a 40-server budget
 #: each, two days.  Big enough that per-call overhead cannot hide the
 #: asymptotic behaviour, small enough for a per-PR benchmark run.
 SEED = 7
@@ -49,8 +47,8 @@ BUDGET_SERVERS = 40
 REGIONS = ("us-west1", "us-west2", "us-west4",
            "us-east1", "us-east4", "us-central1")
 
-#: Acceptance floor: events/sec at shards=4 + batch vs the seed scalar
-#: path (shards=1, batch off) on the same campaign.
+#: Acceptance floor: events/sec with batch on vs the scalar path on the
+#: same campaign.
 MIN_SPEEDUP = 3.0
 
 #: Planet-scale demo: 10x the regions and 10x the server budget of the
@@ -59,22 +57,20 @@ MIN_SPEEDUP = 3.0
 PLANET_REGIONS = 10
 PLANET_BUDGET_SERVERS = 80
 PLANET_SCALE = 0.05
-PLANET_SHARDS = 4
 
-#: Matrix order: the seed scalar path first (it is the baseline).
-MATRIX = ((1, False), (2, False), (4, False),
-          (1, True), (2, True), (4, True))
+#: Row order: the scalar path first (it is the baseline).
+BATCH_MODES = (False, True)
 
 BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
 
 #: Trajectory point label - bump when re-anchoring the perf curve.
 #: Previous points stay readable in the git history of the JSON file.
-LABEL = "shard-v2 (cross-cloud point rides along)"
+LABEL = "batch-v3 (one process; sharding removed)"
 
 
 class _EventCounter:
     """Counts every event the campaign bus emits (uniform accounting
-    across the scalar, batch, and sharded-replay paths)."""
+    across the scalar and batch paths)."""
 
     def __init__(self):
         self.n = 0
@@ -97,15 +93,13 @@ def _deploy(clasp, regions, budget_servers):
     return plans
 
 
-def _timed_run(clasp, plans, shards, batch):
+def _timed_run(clasp, plans, batch):
     counter = _EventCounter()
     start = time.perf_counter()
     dataset = clasp.run_campaign(plans, days=DAYS, charge_billing=False,
-                                 observers=[counter],
-                                 shards=shards, batch=batch)
+                                 observers=[counter], batch=batch)
     wall = time.perf_counter() - start
     return {
-        "shards": shards,
         "batch": batch,
         "wall_s": round(wall, 3),
         "events": counter.n,
@@ -120,19 +114,17 @@ def test_bench_shard_scale(emit):
     scenario = build_scenario(seed=SEED, scale=SCALE, faults=None)
     plans = _deploy(scenario.clasp, REGIONS, BUDGET_SERVERS)
 
-    rows = [_timed_run(scenario.clasp, plans, shards, batch)
-            for shards, batch in MATRIX]
-    baseline = rows[0]
-    best = next(r for r in rows if r["shards"] == 4 and r["batch"])
-    speedup = best["events_per_sec"] / baseline["events_per_sec"]
+    baseline, batched = [_timed_run(scenario.clasp, plans, batch)
+                         for batch in BATCH_MODES]
+    speedup = batched["events_per_sec"] / baseline["events_per_sec"]
 
     # Planet-scale demo: fresh scenario at the default demo scale so the
     # shape (10 regions x 80-server budget) matches "10x the default
-    # campaign" rather than "10x this bench's matrix campaign".
+    # campaign" rather than "10x this bench's campaign".
     planet = build_scenario(seed=SEED, scale=PLANET_SCALE, faults=None)
     regions = planet.clasp.platform.available_regions()[:PLANET_REGIONS]
     planet_plans = _deploy(planet.clasp, regions, PLANET_BUDGET_SERVERS)
-    demo = _timed_run(planet.clasp, planet_plans, PLANET_SHARDS, True)
+    demo = _timed_run(planet.clasp, planet_plans, True)
     demo_row = {
         "regions": len(planet_plans),
         "budget_servers": PLANET_BUDGET_SERVERS,
@@ -143,31 +135,30 @@ def test_bench_shard_scale(emit):
     }
 
     table = TextTable(
-        ["shards", "batch", "wall s", "events/s", "tests/s", "rss MiB"],
-        title=f"shard/batch scaling: {len(REGIONS)} regions x "
+        ["run", "wall s", "events/s", "tests/s", "rss MiB"],
+        title=f"batch scaling: {len(REGIONS)} regions x "
               f"{BUDGET_SERVERS} servers x {DAYS} days "
               f"({baseline['tests']} tests; speedup {speedup:.2f}x)")
-    for row in rows:
-        table.add_row([str(row["shards"]),
-                       "on" if row["batch"] else "off",
+    for row in (baseline, batched):
+        table.add_row(["batch on" if row["batch"] else "batch off",
                        f"{row['wall_s']:.2f}",
                        f"{row['events_per_sec']:.0f}",
                        f"{row['tests_per_sec']:.0f}",
                        f"{row['peak_rss_kb'] / 1024:.0f}"])
-    table.add_row(["planet", f"{demo_row['regions']}R x s{PLANET_SHARDS}",
+    table.add_row([f"planet {demo_row['regions']}R batch on",
                    f"{demo['wall_s']:.2f}",
                    f"{demo['events_per_sec']:.0f}",
                    f"{demo['tests_per_sec']:.0f}",
                    f"{demo['peak_rss_kb'] / 1024:.0f}"])
     emit("bench_shard_scale", table.render())
 
-    # Preserve the cross-cloud point (bench_cross_cloud.py) so the two
-    # benches can re-anchor their own sections independently.
+    # Preserve the other benches' points (cross-cloud, streaming,
+    # alerts) so each bench can re-anchor its own section independently.
     doc = {}
     if BENCH_PATH.exists():
         doc = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
     doc.update({
-        "schema": "bench-campaign/v4",
+        "schema": "bench-campaign/v5",
         "generated_by": "benchmarks/bench_shard_scale.py",
         "label": LABEL,
         "shape": {
@@ -175,16 +166,16 @@ def test_bench_shard_scale(emit):
             "regions": list(REGIONS),
             "budget_servers": BUDGET_SERVERS, "faults": "off",
         },
-        "rows": rows,
-        "speedup_shards4_batch_vs_scalar": round(speedup, 2),
+        "rows": [baseline, batched],
+        "speedup_batch_vs_scalar": round(speedup, 2),
         "planet_demo": demo_row,
     })
     BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n",
                           encoding="utf-8")
 
     assert speedup >= MIN_SPEEDUP, (
-        f"shards=4 + batch reached only {speedup:.2f}x the scalar "
-        f"events/sec (floor {MIN_SPEEDUP}x)")
+        f"batch reached only {speedup:.2f}x the scalar events/sec "
+        f"(floor {MIN_SPEEDUP}x)")
     # The demo must beat today's default campaign on both axes: more
     # completed tests, less wall time, despite covering 10x regions.
     assert demo["tests"] > baseline["tests"], (

@@ -16,7 +16,7 @@ A serving-load point rides along: :func:`~repro.serve.simulate_load`
 pushes ~1.2M cached dashboard queries through a
 :class:`~repro.serve.MonitorService` and records throughput, hit rate,
 and staleness.  The point lands in ``BENCH_campaign.json`` under the
-``streaming_detect`` key (schema ``bench-campaign/v4``,
+``streaming_detect`` key (schema ``bench-campaign/v5``,
 merge-preserving like the other campaign benches).
 
 Wall-clock timing is inherently nondeterministic; this file lives in
@@ -137,7 +137,7 @@ def test_bench_streaming(emit):
     doc = {}
     if BENCH_PATH.exists():
         doc = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
-    doc["schema"] = "bench-campaign/v4"
+    doc["schema"] = "bench-campaign/v5"
     doc["streaming_detect"] = {
         "generated_by": "benchmarks/bench_streaming.py",
         "label": LABEL,

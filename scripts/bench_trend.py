@@ -7,7 +7,7 @@ and fails when either has regressed by more than
 ``MAX_REGRESSION`` (default 20%):
 
 * the batch speedup - events/sec of the batch executor vs the scalar
-  path at shards=1, on the same campaign as the committed ``rows``;
+  path, on the same campaign as the committed ``rows``;
 * the streaming speedup - a full ``detect()`` rescan vs the per-hour
   incremental update, on the same campaign as the committed
   ``streaming_detect`` point.
@@ -17,6 +17,9 @@ robust to the host being faster or slower than the machine that
 committed the anchor point.  Each check appends one entry to the
 doc's ``history`` list - the in-file tail of the perf curve (the full
 curve stays in the git history of the JSON file).
+
+A missing, malformed or old-schema file fails fast - before any
+fresh run - with exit status 1 and one line naming the missing key.
 
 Opt-in from ``scripts/check.py`` via ``REPRO_BENCH_TREND=1`` - fresh
 campaign runs take ~15s, too slow for the default gate.
@@ -35,9 +38,25 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.core.congestion import detect  # noqa: E402
 from repro.core.streaming import (StreamingCongestionDetector,  # noqa: E402
                                   dataset_offsets, iter_hourly)
+from repro.errors import ConfigError, ReproError  # noqa: E402
 from repro.experiments.scenario import build_scenario  # noqa: E402
 
 BENCH_PATH = REPO_ROOT / "BENCH_campaign.json"
+
+#: The ``schema`` tag this gate reads (``benchmarks/README.md``).
+SCHEMA = "bench-campaign/v5"
+
+#: Every key the gate reads, as dotted paths into the doc.
+REQUIRED_KEYS = (
+    "schema",
+    "shape.seed", "shape.scale", "shape.days", "shape.regions",
+    "shape.budget_servers",
+    "rows",
+    "streaming_detect.shape.seed", "streaming_detect.shape.scale",
+    "streaming_detect.shape.days", "streaming_detect.shape.regions",
+    "streaming_detect.shape.budget_servers",
+    "streaming_detect.speedup_incremental_vs_rescan",
+)
 
 #: Fail when a fresh ratio drops below this fraction of the committed
 #: anchor (0.8 == a >20% regression fails the gate).
@@ -83,10 +102,51 @@ def fresh_batch_speedup(doc):
     return walls[False] / walls[True]
 
 
+def _missing(key):
+    return ConfigError(f"{BENCH_PATH.name} has no key {key!r}")
+
+
+def _require(doc, path):
+    """The value at dotted *path*; ConfigError names the first missing key."""
+    node = doc
+    parts = path.split(".")
+    for depth, part in enumerate(parts):
+        if not isinstance(node, dict) or part not in node:
+            raise _missing(".".join(parts[:depth + 1]))
+        node = node[part]
+    return node
+
+
 def committed_batch_speedup(doc):
-    per_sec = {row["batch"]: row["events_per_sec"]
-               for row in doc["rows"] if row["shards"] == 1}
+    """events/sec ratio of the committed batch-on row over batch-off."""
+    per_sec = {}
+    for index, row in enumerate(_require(doc, "rows")):
+        for key in ("batch", "events_per_sec"):
+            if not isinstance(row, dict) or key not in row:
+                raise _missing(f"rows[{index}].{key}")
+        per_sec[row["batch"]] = row["events_per_sec"]
+    for batch in (False, True):
+        if batch not in per_sec:
+            raise _missing(f"rows[batch={batch}]")
     return per_sec[True] / per_sec[False]
+
+
+def load_doc():
+    """Read and check the committed doc before any fresh run."""
+    name = BENCH_PATH.name
+    if not BENCH_PATH.exists():
+        raise ConfigError(f"no {name} to compare against")
+    try:
+        doc = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{name} is not JSON: {err}") from None
+    for key in REQUIRED_KEYS:
+        _require(doc, key)
+    if doc["schema"] != SCHEMA:
+        raise ConfigError(f"{name} has schema {doc['schema']!r}, "
+                          f"expected {SCHEMA!r}")
+    committed_batch_speedup(doc)
+    return doc
 
 
 def fresh_streaming_speedup(doc):
@@ -120,11 +180,11 @@ def fresh_streaming_speedup(doc):
 
 
 def main() -> int:
-    if not BENCH_PATH.exists():
-        print("bench-trend: no BENCH_campaign.json to compare against",
-              file=sys.stderr)
+    try:
+        doc = load_doc()
+    except ReproError as err:
+        print(f"bench-trend: {err}", file=sys.stderr)
         return 1
-    doc = json.loads(BENCH_PATH.read_text(encoding="utf-8"))
 
     checks = []  # (name, fresh, committed)
     print("== bench-trend: fresh batch point "

@@ -4,14 +4,14 @@
 This is what ``make check`` runs.  After the full lint pass, the
 cross-file rules (RPR009-RPR013) run once more as a
 focused ``--select`` step: that exercises RPR009's allowlist-liveness
-check against the :mod:`repro.shard` module in isolation, so a stale
-shared-state allowlist entry fails the build even if some other rule's
-cache masked it.  The shard-equivalence suite (``tests/test_shard.py``,
-byte-identical digests across shards x batch), the provider
+check in isolation, so a stale shared-state allowlist entry fails the
+build even if some other rule's cache masked it.  The batch-equivalence
+suite (``tests/test_shard.py``, byte-identical digests and event
+streams with the vectorized path on and off), the provider
 conformance suite (``tests/test_providers.py``, every registered
 cloud provider against the shared contract), and the streaming
 equivalence suite (``tests/test_streaming.py``, incremental detection
-== batch ``detect()`` across fault plans x shard counts) then gate
+== batch ``detect()`` across fault plans x execution paths) then gate
 the run before the full test suite.
 
 Coverage enforcement for ``repro.faults``, ``repro.engine``,
@@ -86,7 +86,7 @@ def main() -> int:
     if status != 0:
         return status
 
-    status = _run("shard equivalence gate", [
+    status = _run("batch equivalence gate", [
         sys.executable, "-m", "pytest", "-q", "-x", "tests/test_shard.py"])
     if status != 0:
         return status

@@ -134,8 +134,8 @@ class Collector:
         """One watermark step: seal, export, snapshot, evaluate.
 
         Unlike the bare detector (where a backwards ``advance`` is a
-        merged-replay no-op), daemon time moving *backwards* means
-        runs were replayed out of order and raises.
+        no-op), daemon time moving *backwards* means runs were fed out
+        of order and raises.
         """
         if ts < self.detector.watermark:
             raise ValidationError(
@@ -249,9 +249,8 @@ class Collector:
 class CollectorObserver(Observer):
     """Feeds a :class:`Collector` from the engine's event bus.
 
-    Works identically on the inline bus and on the merged shard
-    replay, exactly like
-    :class:`~repro.core.streaming.StreamingDetectorObserver`.
+    Works identically with the scalar and the batch stepper, exactly
+    like :class:`~repro.core.streaming.StreamingDetectorObserver`.
     """
 
     #: Kinds with no bearing on alerting state.

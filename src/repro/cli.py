@@ -112,15 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--metrics", action="store_true",
                         help="print engine event counts and billing "
                              "totals after the campaign")
-    p_camp.add_argument("--shards", type=int, default=1,
-                        help="partition lanes across N sharded "
-                             "executors (byte-identical dataset)")
     p_camp.add_argument("--batch", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="vectorize each hour's tests as numpy "
                              "batches (byte-identical dataset)")
-    p_camp.add_argument("--shard-processes", action="store_true",
-                        help="run each shard in a forked worker process")
     p_camp.add_argument("--provider", default="gcp",
                         help="cloud provider to run the campaign on "
                              "(gcp | aws | openstack); gcp reproduces "
@@ -159,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="simulated dashboard queries per hour")
     p_serve.add_argument("--ttl-hours", type=float, default=1.0,
                          help="snapshot cache TTL in simulated hours")
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="partition lanes across N sharded "
-                              "executors")
     p_serve.add_argument("--format",
                          choices=("summary", "state", "prom", "jsonl"),
                          default="summary", dest="fmt",
@@ -184,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_daemon.add_argument("--region", default="us-west1")
     p_daemon.add_argument("--servers", type=int, default=8,
                           help="server budget for each deployment")
-    p_daemon.add_argument("--shards", type=int, default=1,
-                          help="partition lanes across N sharded "
-                               "executors (byte-identical alerts)")
     p_daemon.add_argument("--rules", metavar="FILE",
                           help="JSON rules file (default: the shipped "
                                "rule set)")
@@ -380,9 +369,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         try:
             dataset = clasp.run_campaign([plan], days=args.days,
                                          observers=observers,
-                                         shards=args.shards,
-                                         batch=args.batch,
-                                         shard_processes=args.shard_processes)
+                                         batch=args.batch)
         finally:
             if trace is not None:
                 trace.close()
@@ -395,11 +382,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                       title=f"{provider.name}/{region}: {args.days}-day "
                             f"campaign (faults={args.faults})")
     table.add_row(["servers measured", len(plan.server_ids)])
-    if args.shards > 1 or args.batch or args.shard_processes:
-        table.add_row(["execution",
-                       f"shards={args.shards} "
-                       f"batch={'on' if args.batch else 'off'}"
-                       + (" processes" if args.shard_processes else "")])
     table.add_row(["tests completed", dataset.completed_tests])
     table.add_row(["tests failed", dataset.failed_tests])
     table.add_row(["tests retried", dataset.retried_tests])
@@ -465,7 +447,7 @@ def _cmd_matrix(args: argparse.Namespace, extras: tuple) -> int:
               "--providers, e.g. --providers aws,openstack",
               file=sys.stderr)
         return 2
-    matrix = run_matrix(fleet, shards=args.shards)
+    matrix = run_matrix(fleet)
     print(render_matrix(matrix))
     primary = fleet.names()[0]
     for other in fleet.names()[1:]:
@@ -509,7 +491,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                 SeedTree(args.seed).child("serve"),
                                 consumers_per_hour=args.consumers)
     clasp.run_campaign([plan], days=args.days,
-                       observers=[observer, load], shards=args.shards)
+                       observers=[observer, load])
     if args.fmt == "state":
         print(service.state_json(now_ts=detector.watermark))
         return 0
@@ -583,8 +565,7 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
                                               collector=collector)
         dataset = clasp.run_campaign([plan], days=args.days,
                                      start_ts=run_start,
-                                     observers=[observer],
-                                     shards=args.shards)
+                                     observers=[observer])
         datasets.append(dataset)
         watermarks.append(collector.detector.watermark)
     monotone = all(later > earlier for earlier, later

@@ -70,9 +70,8 @@ class StorageBucket:
             content_kind: str = "raw") -> StorageObject:
         """Store object metadata unconditionally (no fault hook).
 
-        This is the settled-state write: shard replay uses it to apply
-        uploads that already succeeded inside a worker, where the fault
-        decision (and its per-key attempt accounting) was made.
+        This is the settled-state write :meth:`upload` ends with, once
+        the fault decision for the attempt has passed.
         """
         if not key:
             raise StorageError("object key cannot be empty")

@@ -244,10 +244,9 @@ class LaneExecutor:
     lives on the :class:`~repro.engine.lanes.Lane`, campaign plumbing
     on the runner - which is what keeps lanes independently steppable.
 
-    The three protected seams - :meth:`_hour_slots`,
-    :meth:`_run_slot_test`, and :meth:`_bucket_for` - are where
-    :mod:`repro.shard` plugs in vectorized pre-computation and
-    shard-local storage without changing the event protocol.
+    The two protected seams - :meth:`_hour_slots` and
+    :meth:`_run_slot_test` - are where :mod:`repro.shard` plugs in
+    vectorized pre-computation without changing the event protocol.
     """
 
     def __init__(self, runner: "CampaignRunner", bus: EventBus) -> None:
@@ -266,10 +265,6 @@ class LaneExecutor:
         runner = self.runner
         return runner.browser.run_test(
             lane.vm, runner.catalog.get(slot.server_id), slot.ts)
-
-    def _bucket_for(self, lane: Lane):
-        """The bucket this lane's artefacts upload to."""
-        return lane.plan.bucket
 
     # ------------------------------------------------------------------
 
@@ -382,7 +377,7 @@ class LaneExecutor:
         if runner.injector is not None:
             attempts = runner.injector.plan.max_retries + 1
         key = f"{lane.vm.name}/{int(hour_start)}.tar.gz"
-        bucket = self._bucket_for(lane)
+        bucket = lane.plan.bucket
         ts = upload_ts
         for attempt in range(attempts):
             try:
@@ -455,12 +450,7 @@ class CampaignRunner:
 
     def build_lanes(self, plans: Sequence[DeploymentPlan],
                     start_ts: float) -> List[Lane]:
-        """One independent execution lane per (plan, VM) assignment.
-
-        Public: the sharded executor partitions exactly these lanes, in
-        exactly this order, so lane indices agree between the inline
-        and sharded runs.
-        """
+        """One independent execution lane per (plan, VM) assignment."""
         lanes = []
         for plan in plans:
             for vm, server_ids in plan.assignments:
@@ -500,18 +490,13 @@ class CampaignRunner:
     # ------------------------------------------------------------------
 
     def compose_bus(self, cfg: CampaignConfig, dataset: CampaignDataset,
-                    observers: Sequence[Any] = (),
-                    post_dataset: Sequence[Any] = ()) -> EventBus:
-        """The standard campaign bus: dataset observer, anything in
-        *post_dataset* (the shard replay inserts its upload-sync
-        observer here, ahead of billing), billing, the obs metrics
-        mirror, then caller *observers* - registration order is
+                    observers: Sequence[Any] = ()) -> EventBus:
+        """The standard campaign bus: dataset observer, billing, the obs
+        metrics mirror, then caller *observers* - registration order is
         dispatch order.
         """
         bus = EventBus()
         bus.subscribe(DatasetObserver(dataset))
-        for observer in post_dataset:
-            bus.subscribe(observer)
         if cfg.charge_billing:
             bus.subscribe(BillingObserver(self.platform, cfg, bus))
         if obs.enabled():

@@ -182,9 +182,7 @@ class Clasp:
                      start_ts: float = float(CAMPAIGN_START),
                      charge_billing: bool = True,
                      observers: Sequence[object] = (),
-                     shards: int = 1,
-                     batch: bool = False,
-                     shard_processes: bool = False) -> CampaignDataset:
+                     batch: bool = False) -> CampaignDataset:
         """Run the measurement campaign over the deployed plans.
 
         *observers* are subscribed to the campaign's event bus (after
@@ -192,22 +190,15 @@ class Clasp:
         :class:`~repro.engine.observers.MetricsObserver` or
         :class:`~repro.engine.observers.TraceObserver`.
 
-        *shards*, *batch*, and *shard_processes* route the run through
-        :mod:`repro.shard`: the dataset is byte-identical in every
-        combination, but ``batch=True`` precomputes each hour's tests
-        as vectorized numpy batches and ``shards > 1`` partitions the
-        lanes across executors (``shard_processes=True`` forks one
-        worker process per shard).  The imports are lazy so the core
-        layer has no module-level dependency on the shard layer.
+        ``batch=True`` routes the run through :mod:`repro.shard`'s
+        vectorized stepper, which precomputes each hour's tests as
+        numpy batches; the dataset is byte-identical either way.  The
+        import is lazy so the core layer has no module-level dependency
+        on the shard layer.
         """
         config = CampaignConfig(days=days, start_ts=start_ts,
                                 charge_billing=charge_billing)
-        if shards > 1 or shard_processes:
-            from ..shard import run_sharded
-            dataset, _report = run_sharded(
-                self.runner, plans, config, observers=observers,
-                shards=shards, batch=batch, processes=shard_processes)
-        elif batch:
+        if batch:
             from ..shard import batch_executor_factory
             dataset = self.runner.run(
                 plans, config, observers=observers,

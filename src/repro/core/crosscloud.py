@@ -6,8 +6,8 @@ simulated Internet (:class:`~repro.cloud.fleet.CloudFleet`):
 * :func:`run_matrix` - a CloudCast-style connectivity matrix: one VM
   per (provider, region) endpoint, every ordered pair evaluated for
   RTT, loss, and achievable multi-flow TCP throughput.  The
-  evaluation is pure path-model arithmetic (no RNG), so the matrix is
-  bit-identical however the pair list is sharded.
+  evaluation is pure path-model arithmetic (no RNG), so two
+  identically-built fleets give bit-identical matrices.
 * :func:`provider_choice` - the differential-selection methodology
   pointed at two *providers* instead of two *tiers*: probe the same
   vantage-point population against a VM in provider A and a VM in
@@ -176,8 +176,7 @@ def run_matrix(fleet: CloudFleet,
                start_ts: float = float(CAMPAIGN_START),
                samples: int = MATRIX_SAMPLES,
                sample_spacing_h: int = MATRIX_SAMPLE_SPACING_H,
-               n_flows: int = MATRIX_FLOWS,
-               shards: int = 1) -> CrossCloudMatrix:
+               n_flows: int = MATRIX_FLOWS) -> CrossCloudMatrix:
     """Evaluate every ordered endpoint pair in the fleet.
 
     One VM per (provider, region) endpoint - the provider's default
@@ -189,15 +188,12 @@ def run_matrix(fleet: CloudFleet,
     bandwidth at *samples* hours, and the throughput is the multi-flow
     TCP rate capped by the slower VM's egress cap.
 
-    *shards* splits the pair list into contiguous chunks evaluated
-    chunk by chunk.  Cells are pure functions of (pair, ts) - no RNG -
-    so any shard count produces the identical matrix on an
-    identically-built fleet; tests pin this.  (Two *successive* runs
-    on the same fleet attach fresh VM leaf hosts and so may differ
-    slightly - compare matrices across fresh scenarios, not reruns.)
+    Cells are pure functions of (pair, ts) - no RNG - so identically
+    built fleets produce the identical matrix; tests pin this.  (Two
+    *successive* runs on the same fleet attach fresh VM leaf hosts and
+    so may differ slightly - compare matrices across fresh scenarios,
+    not reruns.)
     """
-    if shards < 1:
-        raise ValidationError(f"shards must be >= 1, got {shards}")
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     matrix = CrossCloudMatrix(providers=fleet.names())
@@ -217,16 +213,12 @@ def run_matrix(fleet: CloudFleet,
                     matrix.endpoints.append((pname, region))
                     vms[(pname, region)] = vm
 
-            pairs = [(src, dst)
-                     for src in matrix.endpoints
-                     for dst in matrix.endpoints if src != dst]
-            chunk = -(-len(pairs) // shards)  # ceil division
-            for shard_idx in range(shards):
-                for src, dst in pairs[shard_idx * chunk:
-                                      (shard_idx + 1) * chunk]:
-                    matrix.cells.append(_evaluate_pair(
-                        fleet, vms, src, dst, start_ts,
-                        samples, sample_spacing_h, n_flows))
+            for src in matrix.endpoints:
+                for dst in matrix.endpoints:
+                    if src != dst:
+                        matrix.cells.append(_evaluate_pair(
+                            fleet, vms, src, dst, start_ts,
+                            samples, sample_spacing_h, n_flows))
             sp.annotate(n_endpoints=len(matrix.endpoints),
                         n_pairs=len(matrix.cells))
         finally:

@@ -51,9 +51,7 @@ class DeploymentPlan:
     #: (vm, the server ids it measures hourly)
     assignments: List[Tuple[VirtualMachine, List[str]]] = \
         field(default_factory=list)
-    #: Which provider the VMs belong to (shard partitioning keys
-    #: lanes by (provider, region) so mixed fleets never share a lane
-    #: group across clouds).
+    #: Which provider the VMs belong to.
     provider: str = "gcp"
 
     @property

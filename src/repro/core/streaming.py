@@ -31,10 +31,9 @@ Both paths share one bucketing implementation -
 contract bit-for-bit rather than merely approximate.
 
 :class:`StreamingDetectorObserver` adapts the detector to the engine's
-:class:`~repro.engine.bus.EventBus`; it works identically on the
-inline bus and on :func:`repro.shard.replay_events`'s merged stream
-(the replay synthesizes the same single hour framing the inline bus
-emits).
+:class:`~repro.engine.bus.EventBus`; it works identically with
+the scalar and the vectorized batch stepper, which emit the same event
+stream.
 """
 
 from __future__ import annotations
@@ -214,8 +213,7 @@ class StreamingCongestionDetector:
         """Move the watermark forward, sealing every due open day.
 
         Returns the number of pair-days sealed.  Moving backwards is a
-        no-op (the merged shard replay can legitimately re-announce the
-        current hour).
+        no-op: the watermark never decreases.
         """
         if ts > self.watermark:
             self.watermark = float(ts)

@@ -27,8 +27,8 @@ def snapshot_percentile(hist: Mapping[str, Any], q: float) -> float:
 
     Walks the sparse ``buckets`` mapping (keys ``"<N"``) cumulatively
     and returns the upper bound of the bucket containing the target
-    rank, capped at the observed ``max``.  Works on merged snapshots
-    too; returns 0.0 for an empty histogram.
+    rank, capped at the observed ``max``; returns 0.0 for an empty
+    histogram.
     """
     if not 0.0 < q <= 1.0:
         raise ValidationError(f"quantile must be in (0, 1], got {q}")
@@ -77,27 +77,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.n if self.n else 0.0
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold *other*'s observations into this histogram.
-
-        Bucket bounds are fixed per shape, so merging is exact: counts
-        add bucket-wise, ``n``/``total`` add, ``max_value`` takes the
-        max.  Shapes must match; merging a 40-bucket histogram into a
-        20-bucket one would silently clip, so it raises instead.
-        """
-        if not isinstance(other, Histogram):
-            raise ValidationError(
-                f"can only merge a Histogram, got {type(other).__name__}")
-        if other.n_buckets != self.n_buckets:
-            raise ValidationError(
-                f"histogram shapes differ: {self.n_buckets} vs "
-                f"{other.n_buckets} buckets")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.n += other.n
-        self.total += other.total
-        self.max_value = max(self.max_value, other.max_value)
 
     def snapshot(self) -> Dict[str, Any]:
         """Summary + the non-empty buckets, keyed by upper bound."""
@@ -206,23 +185,6 @@ class MetricsRegistry:
             "histograms": {name: metric.snapshot() for name, metric
                            in sorted(self._histograms.items())},
         }
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold *other*'s metrics into this registry.
-
-        Counters add; histograms merge bucket-wise (shapes must match);
-        gauges are point-in-time values, so the merged-in reading wins
-        (last merge wins when folding several shards in order).  Names
-        keep their type-uniqueness guarantee: a name registered here as
-        one type and in *other* as another raises
-        :class:`~repro.errors.ConfigError` via the usual claim check.
-        """
-        for name, counter in other._counters.items():
-            self.counter(name).inc(counter.value)
-        for name, gauge in other._gauges.items():
-            self.gauge(name).set(gauge.value)
-        for name, histogram in other._histograms.items():
-            self.histogram(name, histogram.n_buckets).merge(histogram)
 
     def reset(self) -> None:
         self._counters.clear()

@@ -22,7 +22,7 @@ Two structural savings over the scalar path, both value-neutral:
   numpy call) per link.
 
 :class:`BatchLaneExecutor` plugs the planner into the campaign through
-the three :class:`~repro.core.campaign.LaneExecutor` seams and the
+the two :class:`~repro.core.campaign.LaneExecutor` seams and the
 engine's ``hour_hook``; the event protocol, retry accounting, and
 dataset bytes are identical to the scalar path (asserted against the
 golden digests by ``tests/test_shard.py``).
@@ -516,10 +516,10 @@ class BatchPlanner:
 class BatchLaneExecutor(LaneExecutor):
     """A :class:`LaneExecutor` that serves pre-batched hour outcomes.
 
-    ``attach_engine`` (called by :meth:`CampaignRunner.run` or the
-    shard executor) installs the planner on the engine's ``hour_hook``;
-    from then on every hour is precomputed in one vectorized pass and
-    the three executor seams serve cached slots and outcomes.  Without
+    ``attach_engine`` (called by :meth:`CampaignRunner.run`) installs
+    the planner on the engine's ``hour_hook``; from then on every hour
+    is precomputed in one vectorized pass and the two executor seams
+    serve cached slots and outcomes.  Without
     an engine attached the executor degrades to the scalar path.
     """
 

@@ -107,9 +107,9 @@ class SpeedTestEngine:
     Randomness is drawn from one lazily created stream *per VM name*
     (label ``speedtest-<vm>``), so a VM's measurement-noise sequence
     depends only on its own test history - never on how tests from
-    different VMs interleave.  That is what lets a sharded executor
-    run lanes in any partition and still reproduce the single-process
-    byte stream exactly.
+    different VMs interleave.  That is what lets the vectorized batch
+    planner precompute an hour lane by lane and still reproduce the
+    scalar byte stream exactly.
     """
 
     def __init__(self, platform: CloudPlatform,

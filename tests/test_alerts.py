@@ -7,8 +7,8 @@ The hard contracts under test:
   ``finalize()`` report equals batch ``detect()`` on the concatenated
   datasets, with a strictly monotone watermark across runs;
 * deterministic alerting - the JSON-lines notification log is
-  byte-identical across shard counts {1, 4} and across a save/restore
-  restart mid-sequence;
+  byte-identical with the batch stepper on and off and across a
+  save/restore restart mid-sequence;
 * the shipped default rule set actually exercises the state machine:
   the V_H burn-rate rule both fires and resolves on the pinned
   campaign shape.
@@ -368,14 +368,14 @@ def test_concat_datasets_validation():
 _SEQUENCES = {}
 
 
-def _daemon_sequence(shards=1, restart_after=None):
+def _daemon_sequence(batch=False, restart_after=None):
     """Run N_RUNS successive campaigns into one collector.
 
     *restart_after* k serializes the collector after run k and
     continues from ``Collector.from_state_json`` - the daemon
     stop/restart path.  Returns (collector, datasets, watermarks).
     """
-    key = (shards, restart_after)
+    key = (batch, restart_after)
     if key in _SEQUENCES:
         return _SEQUENCES[key]
     rules = default_rules()
@@ -393,7 +393,7 @@ def _daemon_sequence(shards=1, restart_after=None):
                                               collector=collector)
         datasets.append(clasp.run_campaign(
             [plan], days=RUN_DAYS, start_ts=run_start,
-            charge_billing=False, observers=[observer], shards=shards))
+            charge_billing=False, observers=[observer], batch=batch))
         watermarks.append(collector.detector.watermark)
         if restart_after == run + 1:
             collector = Collector.from_state_json(
@@ -433,18 +433,18 @@ def test_daemon_shipped_burn_rate_rule_fires_and_resolves():
     assert ("vh-budget-burn", "resolved") in transitions
 
 
-def test_daemon_notifications_byte_identical_across_shards():
-    single, _d1, marks1 = _daemon_sequence(shards=1)
-    sharded, _d4, marks4 = _daemon_sequence(shards=4)
-    assert marks1 == marks4
-    assert notifications_to_jsonlines(single.evaluator.notifications) \
-        == notifications_to_jsonlines(sharded.evaluator.notifications)
-    assert single.state_json() == sharded.state_json()
+def test_daemon_notifications_byte_identical_across_batch():
+    scalar, _d1, marks1 = _daemon_sequence(batch=False)
+    batched, _d2, marks2 = _daemon_sequence(batch=True)
+    assert marks1 == marks2
+    assert notifications_to_jsonlines(scalar.evaluator.notifications) \
+        == notifications_to_jsonlines(batched.evaluator.notifications)
+    assert scalar.state_json() == batched.state_json()
 
 
 def test_daemon_restart_mid_sequence_is_byte_identical():
-    uninterrupted, _d, _w = _daemon_sequence(shards=1)
-    restarted, _rd, _rw = _daemon_sequence(shards=1, restart_after=2)
+    uninterrupted, _d, _w = _daemon_sequence()
+    restarted, _rd, _rw = _daemon_sequence(restart_after=2)
     assert restarted.runs == uninterrupted.runs
     assert notifications_to_jsonlines(
         restarted.evaluator.notifications) \

@@ -69,10 +69,13 @@ def test_campaign_command_with_faults(capsys, tmp_path):
     assert (out_dir / "lost.csv").exists()
 
 
-def test_campaign_command_faults_off_digest_stable(capsys):
+@pytest.mark.parametrize("flags", [[], ["--batch"]],
+                         ids=["scalar", "batch"])
+def test_campaign_command_faults_off_digest_stable(capsys, flags):
+    """Rerun, and with ``--batch``, the scalar run's digest reprints."""
     args = ["campaign", "--scale", "0.05", "--days", "1",
             "--seed", "3", "--servers", "6"]
-    assert main(args) == 0
+    assert main(args + flags) == 0
     first = capsys.readouterr().out
     assert main(args) == 0
     second = capsys.readouterr().out

@@ -1,8 +1,7 @@
 """Cross-cloud workloads: the VM-pair matrix and provider choice.
 
-The matrix must be bit-identical however the pair list is sharded
-(shards in {1, 2, 4}, each on an identically-built fleet), and the
-provider-choice analysis must flow through the *unchanged*
+The matrix must be bit-identical on two identically-built fleets, and
+the provider-choice analysis must flow through the *unchanged*
 differential-selection path.
 """
 
@@ -68,20 +67,15 @@ def test_matrix_vms_are_cleaned_up(scenario, matrix):
         assert leftovers == []
 
 
-def test_matrix_shard_deterministic():
-    """shards in {1, 2, 4} on identically-built fleets: same cells."""
-    results = []
-    for shards in (1, 2, 4):
-        sc = fresh_scenario()
-        results.append(run_matrix(sc.fleet, regions_per_provider=1,
-                                  shards=shards))
-    assert results[0].cells == results[1].cells == results[2].cells
-    assert results[0].endpoints == results[1].endpoints
+def test_matrix_fresh_fleets_deterministic():
+    """Two freshly built fleets give identical cells."""
+    first = run_matrix(fresh_scenario().fleet, regions_per_provider=1)
+    second = run_matrix(fresh_scenario().fleet, regions_per_provider=1)
+    assert first.cells == second.cells
+    assert first.endpoints == second.endpoints
 
 
 def test_matrix_rejects_bad_arguments(scenario):
-    with pytest.raises(ValidationError):
-        run_matrix(scenario.fleet, shards=0)
     with pytest.raises(ValidationError):
         run_matrix(scenario.fleet, samples=0)
 

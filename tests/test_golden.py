@@ -72,19 +72,33 @@ def test_golden_faults_change_the_digest(golden):
     assert golden["faults_off"] != golden["faults_default"]
 
 
-@pytest.mark.parametrize("shards", [1, 4])
+class _KindRecorder:
+    """Passive bus subscriber recording each event's kind and time."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_event(self, event):
+        self.seen.append((event.kind, event.ts))
+
+
+@pytest.mark.parametrize("subscribers", [1, 4])
 @pytest.mark.parametrize("batch", [False, True])
-def test_golden_explicit_gcp_provider(golden, shards, batch):
+def test_golden_explicit_gcp_provider(golden, subscribers, batch):
     """``provider="gcp"`` routed through the provider abstraction must
-    reproduce the pre-refactor digest byte-for-byte, for every
-    execution mode (sharded, vectorized, both)."""
+    reproduce the pre-refactor digest byte-for-byte, on the scalar and
+    the vectorized execution path, however many passive subscribers
+    listen on the campaign bus."""
     scenario = build_scenario(seed=SEED, scale=SCALE, provider="gcp")
     assert scenario.clasp.platform.provider.name == "gcp"
     clasp = scenario.clasp
     selection = clasp.select_topology_servers(REGION)
     plan = clasp.deploy_topology(REGION, selection,
                                  budget_servers=BUDGET_SERVERS)
-    dataset = clasp.run_campaign([plan], days=DAYS,
-                                 shards=shards, batch=batch)
+    recorders = [_KindRecorder() for _ in range(subscribers)]
+    dataset = clasp.run_campaign([plan], days=DAYS, observers=recorders,
+                                 batch=batch)
     assert dataset.provider == "gcp"
     assert dataset_digest(dataset) == golden["faults_off"]
+    assert recorders[0].seen
+    assert all(r.seen == recorders[0].seen for r in recorders[1:])

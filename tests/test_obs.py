@@ -100,90 +100,6 @@ def test_registry_snapshot_is_sorted_and_detached():
 
 
 # ----------------------------------------------------------------------
-# merging (the shard layer's forked workers ship their registries back
-# to the parent, which folds them in via MetricsRegistry.merge)
-
-
-def test_histogram_merge_is_exact():
-    left = Histogram(n_buckets=8)
-    right = Histogram(n_buckets=8)
-    for value in (0.25, 3.0):
-        left.add(value)
-    for value in (3.9, 1e9):
-        right.add(value)
-    left.merge(right)
-    snap = left.snapshot()
-    assert snap["count"] == 4
-    assert snap["max"] == 1e9
-    assert snap["buckets"]["<1"] == 1
-    assert snap["buckets"]["<4"] == 2
-    assert snap["buckets"][f"<{2 ** 7}"] == 1
-    # Exact: merged totals equal one histogram fed both streams.
-    combined = Histogram(n_buckets=8)
-    for value in (0.25, 3.0, 3.9, 1e9):
-        combined.add(value)
-    assert left.snapshot() == combined.snapshot()
-    assert left.mean == combined.mean
-
-
-def test_histogram_merge_rejects_shape_and_type_mismatch():
-    wide = Histogram(n_buckets=40)
-    narrow = Histogram(n_buckets=20)
-    with pytest.raises(ValidationError, match="shapes differ"):
-        wide.merge(narrow)
-    with pytest.raises(ValidationError, match="only merge a Histogram"):
-        wide.merge("not-a-histogram")
-
-
-def test_registry_merge_adds_counters_and_overwrites_gauges():
-    parent = MetricsRegistry()
-    parent.counter("events").inc(10)
-    parent.gauge("lanes").set(1.0)
-    parent.histogram("lat").add(2.0)
-    shard = MetricsRegistry()
-    shard.counter("events").inc(5)
-    shard.counter("shard.only").inc(1)
-    shard.gauge("lanes").set(3.0)
-    shard.histogram("lat").add(60.0)
-    parent.merge(shard)
-    snap = parent.snapshot()
-    assert snap["counters"]["events"] == 15
-    assert snap["counters"]["shard.only"] == 1
-    assert snap["gauges"]["lanes"] == 3.0  # merged-in reading wins
-    assert snap["histograms"]["lat"]["count"] == 2
-    assert snap["histograms"]["lat"]["max"] == 60.0
-    # The donor registry is untouched.
-    assert shard.snapshot()["counters"]["events"] == 5
-
-
-def test_registry_merge_order_is_last_wins_for_gauges():
-    parent = MetricsRegistry()
-    for reading in (2.0, 7.0):
-        shard = MetricsRegistry()
-        shard.gauge("depth").set(reading)
-        parent.merge(shard)
-    assert parent.snapshot()["gauges"]["depth"] == 7.0
-
-
-def test_registry_merge_keeps_type_uniqueness():
-    parent = MetricsRegistry()
-    parent.counter("name")
-    shard = MetricsRegistry()
-    shard.gauge("name").set(1.0)
-    with pytest.raises(ConfigError):
-        parent.merge(shard)
-
-
-def test_registry_merge_rejects_histogram_shape_mismatch():
-    parent = MetricsRegistry()
-    parent.histogram("lat", n_buckets=40).add(1.0)
-    shard = MetricsRegistry()
-    shard.histogram("lat", n_buckets=20).add(1.0)
-    with pytest.raises(ValidationError, match="shapes differ"):
-        parent.merge(shard)
-
-
-# ----------------------------------------------------------------------
 # spans
 
 

@@ -1,21 +1,21 @@
-"""Shard-equivalence harness: sharded/vectorized runs are byte-exact.
+"""Batch-equivalence harness: the vectorized path is byte-exact.
 
 Three layers of proof that :mod:`repro.shard` changes *how fast* the
 campaign runs and nothing else:
 
 * **Golden digests** - the committed ``tests/golden/digests.json``
-  digests reproduce for every ``shards`` x ``batch`` x ``faults``
-  combination of the pinned campaign shape (the same file the inline
-  golden tests pin, so inline and sharded runs are transitively equal).
+  digests reproduce with ``batch`` on and off, faults off and default
+  (the same file the inline golden tests pin, so scalar and batch runs
+  are transitively equal).
 * **Event streams** - a multi-lane, two-region campaign under each
   fault plan emits the *identical* event sequence (every payload, in
-  order) through sharded, vectorized, and forked execution.
+  order) through the vectorized stepper and the inline scalar one, to
+  every subscriber on the bus.
 * **Vector oracles** - every numpy twin in :mod:`repro.shard.vectcp`
   matches its scalar counterpart elementwise with 0 ULP drift over
   dense random grids, including the link-flap hook interaction.
 
-Plus unit tests for the ``(hour, lane, seq)`` merge total order and
-the batch planner's refuse-to-desync strictness.
+Plus a unit test for the batch planner's refuse-to-desync strictness.
 """
 
 import json
@@ -28,9 +28,8 @@ import repro.obs as obs
 from repro.core.export import dataset_digest
 from repro.core.scheduler import TestSlot as ScheduledSlot
 from repro.engine.bus import EventBus
-from repro.engine.events import TestLost as LostEvent
 from repro.engine.events import event_payload
-from repro.engine.lanes import CampaignEngine, Lane
+from repro.engine.lanes import CampaignEngine
 from repro.errors import ValidationError
 from repro.experiments.scenario import build_scenario
 from repro.faults import FaultPlan
@@ -38,15 +37,13 @@ from repro.netsim.linkstate import LinkStateEvaluator
 from repro.netsim.tcp import multiflow_throughput_mbps, pftk_throughput_mbps
 from repro.netsim.topology import LinkKind
 from repro.netsim.traffic import DiurnalProfile
-from repro.shard import (BatchLaneExecutor, StampedEvent,
-                         batch_flows_for_rtt, batch_loss_rate,
-                         batch_mean_utilization,
+from repro.shard import (BatchLaneExecutor, batch_flows_for_rtt,
+                         batch_loss_rate, batch_mean_utilization,
                          batch_mean_utilization_grid,
                          batch_multiflow_throughput_mbps, batch_observe,
                          batch_pftk_throughput_mbps, batch_queue_delay_ms,
                          batch_residual_mbps, batch_utilization,
-                         batch_weekend_mask, merge_streams,
-                         partition_lanes, replay_events)
+                         batch_weekend_mask)
 from repro.simclock import CAMPAIGN_START, is_weekend
 from repro.speedtest.protocol import SpeedTestConfig
 from repro.units import DAY, HOUR
@@ -56,50 +53,6 @@ GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden"
 
 # Keep in sync with scripts/regen_golden.py / tests/test_golden.py.
 SEED, SCALE, REGION, BUDGET_SERVERS, DAYS = 11, 0.05, "us-west1", 8, 2
-
-
-def _golden_campaign(faults, shards, batch):
-    scenario = build_scenario(seed=SEED, scale=SCALE, faults=faults)
-    clasp = scenario.clasp
-    selection = clasp.select_topology_servers(REGION)
-    plan = clasp.deploy_topology(REGION, selection,
-                                 budget_servers=BUDGET_SERVERS)
-    return clasp.run_campaign([plan], days=DAYS, shards=shards, batch=batch)
-
-
-# ----------------------------------------------------------------------
-# golden digests: every execution mode reproduces the committed bytes
-
-
-@pytest.mark.parametrize("shards", [1, 4])
-@pytest.mark.parametrize("batch", [False, True])
-def test_golden_digest_faults_off(shards, batch):
-    dataset = _golden_campaign(None, shards, batch)
-    assert dataset_digest(dataset) == GOLDEN["faults_off"]
-
-
-@pytest.mark.parametrize("shards", [1, 4])
-@pytest.mark.parametrize("batch", [False, True])
-def test_golden_digest_faults_default(shards, batch):
-    dataset = _golden_campaign(FaultPlan.default(), shards, batch)
-    assert dataset_digest(dataset) == GOLDEN["faults_default"]
-
-
-def test_batch_run_with_obs_enabled_matches_golden():
-    """Instrumentation on the batch path observes without perturbing."""
-    obs.enable()
-    try:
-        dataset = _golden_campaign(None, shards=1, batch=True)
-        assert dataset_digest(dataset) == GOLDEN["faults_off"]
-        counters = obs.snapshot()["counters"]
-        assert counters["shard.hours_planned"] == DAYS * 24
-        assert counters["speedtest.tests"] == dataset.completed_tests
-    finally:
-        obs.disable()
-
-
-# ----------------------------------------------------------------------
-# event streams: multi-lane, two-region campaigns under each fault plan
 
 
 class _StreamCollector:
@@ -112,12 +65,71 @@ class _StreamCollector:
         self.events.append((event.kind, event_payload(event)))
 
 
+def _assert_same_streams(collectors):
+    """Every subscriber on one bus received the same non-empty stream."""
+    assert collectors[0].events
+    for collector in collectors[1:]:
+        assert collector.events == collectors[0].events
+
+
+def _golden_campaign(faults, batch, observers=()):
+    scenario = build_scenario(seed=SEED, scale=SCALE, faults=faults)
+    clasp = scenario.clasp
+    selection = clasp.select_topology_servers(REGION)
+    plan = clasp.deploy_topology(REGION, selection,
+                                 budget_servers=BUDGET_SERVERS)
+    return clasp.run_campaign([plan], days=DAYS, observers=observers,
+                              batch=batch)
+
+
+# ----------------------------------------------------------------------
+# golden digests: both execution modes reproduce the committed bytes,
+# with 1 or 4 passive subscribers on the bus - each gets the same
+# stream and none of them perturbs the dataset
+
+
+@pytest.mark.parametrize("subscribers", [1, 4])
+@pytest.mark.parametrize("batch", [False, True])
+def test_golden_digest_faults_off(subscribers, batch):
+    collectors = [_StreamCollector() for _ in range(subscribers)]
+    dataset = _golden_campaign(None, batch, observers=collectors)
+    assert dataset_digest(dataset) == GOLDEN["faults_off"]
+    _assert_same_streams(collectors)
+
+
+@pytest.mark.parametrize("subscribers", [1, 4])
+@pytest.mark.parametrize("batch", [False, True])
+def test_golden_digest_faults_default(subscribers, batch):
+    collectors = [_StreamCollector() for _ in range(subscribers)]
+    dataset = _golden_campaign(FaultPlan.default(), batch,
+                               observers=collectors)
+    assert dataset_digest(dataset) == GOLDEN["faults_default"]
+    _assert_same_streams(collectors)
+
+
+def test_batch_run_with_obs_enabled_matches_golden():
+    """Instrumentation on the batch path observes without perturbing."""
+    obs.enable()
+    try:
+        dataset = _golden_campaign(None, batch=True)
+        assert dataset_digest(dataset) == GOLDEN["faults_off"]
+        counters = obs.snapshot()["counters"]
+        assert counters["shard.hours_planned"] == DAYS * 24
+        assert counters["speedtest.tests"] == dataset.completed_tests
+    finally:
+        obs.disable()
+
+
+# ----------------------------------------------------------------------
+# event streams: multi-lane, two-region campaigns under each fault plan
+
+
 MATRIX_REGIONS = ("us-west1", "us-east1")
 _FAULT_PLANS = {"off": lambda: None, "default": FaultPlan.default,
                 "heavy": FaultPlan.heavy}
 
 
-def _matrix_campaign(faults, shards, batch, processes=False):
+def _matrix_campaign(faults, batch, subscribers=1):
     scenario = build_scenario(seed=7, scale=SCALE, faults=faults)
     clasp = scenario.clasp
     plans = [clasp.deploy_topology(region,
@@ -125,11 +137,11 @@ def _matrix_campaign(faults, shards, batch, processes=False):
                                    budget_servers=20)
              for region in MATRIX_REGIONS]
     assert sum(len(plan.assignments) for plan in plans) >= 4
-    collector = _StreamCollector()
-    dataset = clasp.run_campaign(plans, days=1, observers=[collector],
-                                 shards=shards, batch=batch,
-                                 shard_processes=processes)
-    return dataset, collector.events, clasp
+    collectors = [_StreamCollector() for _ in range(subscribers)]
+    dataset = clasp.run_campaign(plans, days=1, observers=collectors,
+                                 batch=batch)
+    _assert_same_streams(collectors)
+    return dataset, collectors[0].events, clasp
 
 
 @pytest.fixture(scope="module")
@@ -137,10 +149,10 @@ def matrix_baseline():
     """Inline scalar event streams + digests, one per fault plan."""
     out = {}
     for key, make_plan in _FAULT_PLANS.items():
-        dataset, events, clasp = _matrix_campaign(make_plan(), 1, False)
+        dataset, events, clasp = _matrix_campaign(make_plan(), False)
         out[key] = (dataset_digest(dataset), events, dataset, clasp)
     # The heavy plan must actually exercise the fault interactions the
-    # sharded paths have to replicate (preemptions, truncations).
+    # batch path has to replicate (preemptions, truncations, retries).
     heavy = out["heavy"][3].fault_injector.summary()
     assert heavy["vm-preemption"] > 0
     assert heavy["truncated-transfer"] > 0
@@ -148,129 +160,17 @@ def matrix_baseline():
     return out
 
 
-# shards=2 keeps each region's lanes together (region partition);
-# shards=4 > |regions| falls back to lane round-robin - both rules run.
+# A fresh scalar run (2 subscribers) and a batch run (4 subscribers)
+# must both hand every subscriber the inline scalar baseline's stream.
 @pytest.mark.parametrize("faults_key", ["off", "default", "heavy"])
-@pytest.mark.parametrize("shards,batch", [(2, False), (4, True)])
+@pytest.mark.parametrize("subscribers,batch", [(2, False), (4, True)])
 def test_sharded_event_stream_matches_inline(matrix_baseline, faults_key,
-                                             shards, batch):
+                                             subscribers, batch):
     digest, events, _dataset, _clasp = matrix_baseline[faults_key]
     dataset, got_events, _ = _matrix_campaign(
-        _FAULT_PLANS[faults_key](), shards, batch)
+        _FAULT_PLANS[faults_key](), batch, subscribers=subscribers)
     assert got_events == events
     assert dataset_digest(dataset) == digest
-
-
-def test_forked_workers_match_inline(matrix_baseline):
-    """processes=True (fork): same streams, same digest, heavy faults."""
-    digest, events, _dataset, _clasp = matrix_baseline["heavy"]
-    dataset, got_events, _ = _matrix_campaign(FaultPlan.heavy(), 2, True,
-                                              processes=True)
-    assert got_events == events
-    assert dataset_digest(dataset) == digest
-
-
-# ----------------------------------------------------------------------
-# merge total order
-
-
-def _stamped(hour, lane, seq, ts=0.0):
-    return StampedEvent(hour=hour, lane=lane, seq=seq,
-                        event=LostEvent(ts=ts, region="r",
-                                            vm_name=f"vm{lane}",
-                                            server_id="s",
-                                            reason="speedtest"))
-
-
-def test_merge_orders_same_timestamp_by_lane_then_seq():
-    """Crafted ties: identical event timestamps, distinct stamps."""
-    shard_a = [_stamped(0, 0, 0, ts=7.0), _stamped(0, 0, 1, ts=7.0),
-               _stamped(0, 3, 0, ts=7.0)]
-    shard_b = [_stamped(0, 1, 0, ts=7.0), _stamped(0, 1, 1, ts=7.0)]
-    merged = merge_streams([shard_a, shard_b])
-    assert [(e.lane, e.seq) for e in merged] == [
-        (0, 0), (0, 1), (1, 0), (1, 1), (3, 0)]
-
-
-def test_merge_orders_hours_before_lanes():
-    shard_a = [_stamped(0, 5, 0), _stamped(1, 5, 0)]
-    shard_b = [_stamped(0, 1, 0), _stamped(1, 1, 0)]
-    merged = merge_streams([shard_a, shard_b])
-    assert [(e.hour, e.lane) for e in merged] == [
-        (0, 1), (0, 5), (1, 1), (1, 5)]
-
-
-def test_merge_is_invariant_to_partitioning():
-    events = [_stamped(h, lane, seq) for h in range(3)
-              for lane in range(4) for seq in range(2)]
-    whole = merge_streams([events])
-    split = merge_streams([events[0::3], events[1::3], events[2::3]])
-    assert [e.sort_key for e in split] == [e.sort_key for e in whole]
-
-
-def test_merge_rejects_duplicate_stamps_across_shards():
-    with pytest.raises(ValidationError, match="duplicate event stamp"):
-        merge_streams([[_stamped(0, 0, 0)], [_stamped(0, 0, 0)]])
-
-
-def test_merge_rejects_unsorted_shard_stream():
-    with pytest.raises(ValidationError, match="not strictly ordered"):
-        merge_streams([[_stamped(0, 1, 0), _stamped(0, 0, 0)]])
-
-
-def test_replay_synthesizes_engine_framing():
-    merged = [_stamped(0, 0, 0), _stamped(0, 0, 1), _stamped(2, 0, 0)]
-    bus = EventBus()
-    collector = _StreamCollector()
-    bus.subscribe(collector)
-    replay_events(bus, merged, start_ts=0.0, n_hours=3)
-    kinds = [kind for kind, _payload in collector.events]
-    assert kinds == ["hour-started", "test-lost", "test-lost",
-                     "hour-started", "hour-started", "test-lost",
-                     "campaign-finished"]
-    hour_starts = [payload for kind, payload in collector.events
-                   if kind == "hour-started"]
-    assert [p["hour_index"] for p in hour_starts] == [0, 1, 2]
-    assert [p["ts"] for p in hour_starts] == [0.0, HOUR, 2 * HOUR]
-    finished = collector.events[-1][1]
-    assert finished["ts"] == 3 * HOUR and finished["n_hours"] == 3
-
-
-def test_replay_rejects_events_beyond_final_hour():
-    with pytest.raises(ValidationError, match="beyond the campaign"):
-        replay_events(EventBus(), [_stamped(5, 0, 0)], start_ts=0.0,
-                      n_hours=2)
-
-
-# ----------------------------------------------------------------------
-# lane partitioning
-
-
-def _lane(name, region):
-    return Lane(name=name, region=region, schedule=None, vm=None,
-                ready_ts=0.0)
-
-
-def test_partition_keeps_regions_together():
-    lanes = [_lane("a0", "us-west1"), _lane("b0", "us-east1"),
-             _lane("a1", "us-west1"), _lane("c0", "eu-west1"),
-             _lane("b1", "us-east1")]
-    parts = partition_lanes(lanes, 3)
-    assert [[lane.name for lane in part] for part in parts] == [
-        ["a0", "a1"], ["b0", "b1"], ["c0"]]
-
-
-def test_partition_round_robins_lanes_when_regions_are_few():
-    lanes = [_lane(f"a{i}", "us-west1") for i in range(5)]
-    parts = partition_lanes(lanes, 2)
-    assert [[lane.name for lane in part] for part in parts] == [
-        ["a0", "a2", "a4"], ["a1", "a3"]]
-
-
-def test_partition_drops_empty_shards_and_validates():
-    assert len(partition_lanes([_lane("a0", "r")], 8)) == 1
-    with pytest.raises(ValidationError):
-        partition_lanes([], 0)
 
 
 # ----------------------------------------------------------------------

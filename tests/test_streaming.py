@@ -4,7 +4,8 @@ The hard contract under test: finalizing a
 :class:`~repro.core.streaming.StreamingCongestionDetector` fed from
 the live event bus yields a report *equal* to batch ``detect()`` on
 the dataset the same events built - same events, day records, and
-pair hours, identical floats - across fault plans and shard counts.
+pair hours, identical floats - across fault plans, with the scalar and
+the vectorized batch stepper.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ _FAULT_PLANS = {"off": lambda: None, "default": FaultPlan.default,
                 "heavy": FaultPlan.heavy}
 
 
-def _campaign_with_stream(faults, shards):
+def _campaign_with_stream(faults, batch):
     scenario = build_scenario(seed=SEED, scale=SCALE,
                               faults=_FAULT_PLANS[faults]())
     clasp = scenario.clasp
@@ -41,14 +42,14 @@ def _campaign_with_stream(faults, shards):
     detector, observer = clasp.streaming_detector()
     dataset = clasp.run_campaign([plan], days=DAYS,
                                  charge_billing=False,
-                                 observers=[observer], shards=shards)
+                                 observers=[observer], batch=batch)
     return dataset, detector
 
 
-@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("batch", [False, True])
 @pytest.mark.parametrize("faults", ["off", "default", "heavy"])
-def test_stream_equals_batch(faults, shards):
-    dataset, detector = _campaign_with_stream(faults, shards)
+def test_stream_equals_batch(faults, batch):
+    dataset, detector = _campaign_with_stream(faults, batch)
     batch = detect(dataset)
     streamed = detector.finalize()
     assert detector.late_dropped == 0
