@@ -6,7 +6,7 @@
 PYTHON ?= python
 
 .PHONY: check lint lint-graph test golden bench-shard bench-streaming \
-	bench-alerts bench-trend perfbench perfbench-trace
+	bench-alerts bench-trend perfbench perfbench-trace perfbench-pairs
 
 check:
 	$(PYTHON) scripts/check.py
@@ -52,3 +52,14 @@ perfbench-trace:
 	for w in $(PERFBENCH_WORKLOADS); do \
 		python3 perfbench/run.py --workload $$w --trace 1 || exit 1; \
 	done
+
+# Paired runs of BASE against the working tree (alternating order), with
+# per-metric medians, quartiles, wins and the paired gain verdict.
+BASE ?= HEAD
+WORKLOAD ?= faulty-campaign
+PAIRS ?= 10
+SEED ?= 7
+
+perfbench-pairs:
+	$(PYTHON) scripts/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seed $(SEED)

@@ -5,7 +5,12 @@ This is what ``make check`` runs.  After the full lint pass, the
 cross-file rules (RPR009-RPR013) run once more as a
 focused ``--select`` step: that exercises RPR009's allowlist-liveness
 check in isolation, so a stale shared-state allowlist entry fails the
-build even if some other rule's cache masked it.  The batch-equivalence
+build even if some other rule's cache masked it.  The numpy
+stream-compat gate (``tests/test_rng.py -k first_uniforms``) checks
+that ``SeedTree.first_uniforms``, which re-implements numpy's
+``SeedSequence`` and PCG64 seeding, still equals ``default_rng``: a
+numpy release that changed either stream fails there by name instead
+of as a golden-digest mismatch.  The batch-equivalence
 suite (``tests/test_shard.py``, byte-identical digests and event
 streams with the vectorized path on and off), the provider
 conformance suite (``tests/test_providers.py``, every registered
@@ -83,6 +88,12 @@ def main() -> int:
     status = _run("shard-safety lint", [
         sys.executable, "-m", "repro.lint", str(SRC / "repro"),
         "--select", "RPR009,RPR010,RPR011,RPR012,RPR013", "--no-cache"])
+    if status != 0:
+        return status
+
+    status = _run("numpy stream-compat gate", [
+        sys.executable, "-m", "pytest", "-q", "-x", "tests/test_rng.py",
+        "-k", "first_uniforms"])
     if status != 0:
         return status
 

@@ -206,6 +206,9 @@ class Clasp:
         else:
             dataset = self.runner.run(plans, config, observers=observers)
         self._publish_memo_counts()
+        if self.fault_injector is not None:
+            for name, count in self.fault_injector.take_draw_counts().items():
+                obs.inc(f"faults.{name}", count)
         return dataset
 
     def _publish_memo_counts(self) -> None:

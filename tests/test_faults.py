@@ -6,13 +6,16 @@ running a small campaign with only that fault's rate turned up, and the
 campaign must *complete* with tagged-lost records instead of raising.
 """
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.cloud.vm import VMStatus
 from repro.core.congestion import detect
 from repro.errors import ValidationError
 from repro.experiments.scenario import build_scenario
-from repro.faults import FaultInjector, FaultKind, FaultPlan
+from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.rng import SeedTree
 from repro.simclock import CAMPAIGN_START
 from repro.units import HOUR
@@ -126,6 +129,97 @@ def test_injector_disabled_plan_injects_nothing():
     assert injector.link_flap_utilization(1, 1, ts) is None
     assert injector.events == []
     assert set(injector.summary().values()) == {0}
+
+
+def _flap_queries(seed):
+    """Link-flap queries the way the evaluator issues them: mostly in
+    hour order, keys first seen mid-hour, retries that step back over an
+    hour edge, one hour revisited out of order, and keys that return
+    after more than a day idle."""
+    rnd = random.Random(seed)
+    ts0 = float(CAMPAIGN_START)
+    queries, n_links = [], 30
+    for hour in list(range(10)) + [3, 10, 11, 10, 12, 40, 41]:
+        for _ in range(80):
+            if rnd.random() < 0.05:
+                n_links += 1
+            back = HOUR if hour and rnd.random() < 0.1 else 0.0
+            queries.append((rnd.randrange(n_links), rnd.randrange(2),
+                            ts0 + hour * HOUR - back
+                            + rnd.uniform(0.0, HOUR)))
+    return queries
+
+
+def _oracle_flaps(plan, seed, queries):
+    """One first draw of the decision stream per (key, hour), logged
+    when first asked: the per-query rule the hour tables must match."""
+    streams = FaultInjector(plan, SeedTree(seed))
+    cache, events, floors = {}, [], []
+    for link_id, direction, ts in queries:
+        if not plan.enabled or plan.link_flap_per_hour <= 0.0:
+            floors.append(None)
+            continue
+        key, hour_ts = f"{link_id}/{direction}", int(ts // HOUR) * HOUR
+        cache_key = (FaultKind.LINK_FLAP, key, hour_ts)
+        if cache_key not in cache:
+            draw = streams._stream(FaultKind.LINK_FLAP, key, hour_ts).random()
+            cache[cache_key] = draw < plan.link_flap_per_hour
+            if cache[cache_key]:
+                events.append(FaultEvent(FaultKind.LINK_FLAP, key,
+                                         float(hour_ts)))
+        floors.append(plan.link_flap_utilization if cache[cache_key]
+                      else None)
+    return floors, events, cache
+
+
+@pytest.mark.parametrize("plan", [
+    FaultPlan.heavy(),
+    dataclasses.replace(FaultPlan.heavy(), link_flap_per_hour=0.3),
+    FaultPlan.none(),
+    dataclasses.replace(FaultPlan.heavy(), link_flap_per_hour=0.0),
+], ids=["heavy", "heavy-flap-0.3", "disabled", "rate-0"])
+@pytest.mark.parametrize("seed", [5, 61])
+def test_flap_hour_tables_match_per_query_oracle(plan, seed):
+    queries = _flap_queries(seed)
+    want_floors, want_events, want_cache = _oracle_flaps(plan, seed,
+                                                         queries)
+    injector = FaultInjector(plan, SeedTree(seed))
+    floors = [injector.link_flap_utilization(*query) for query in queries]
+    assert floors == want_floors
+    assert injector.events == want_events
+    assert injector._cache == want_cache
+    summary = {kind.value: 0 for kind in FaultKind}
+    summary[FaultKind.LINK_FLAP.value] = len(want_events)
+    assert injector.summary() == summary
+    counts = injector.take_draw_counts()
+    if want_cache:
+        assert counts["flap_draws_batched"] > 0
+        assert 0 < counts["flap_draws_single"] < len(want_cache)
+    else:
+        assert counts == {"flap_draws_batched": 0, "flap_draws_single": 0}
+    assert injector.take_draw_counts() == {"flap_draws_batched": 0,
+                                           "flap_draws_single": 0}
+
+
+def test_flap_hour_tables_keep_previous_hour_and_drop_idle_keys():
+    """A retry stepping back over an hour edge reuses that hour's table;
+    a third hour is drawn again, without keys idle for over a day."""
+    injector = _heavy_injector()
+    ts0 = float(CAMPAIGN_START // HOUR * HOUR)
+    injector.link_flap_utilization(1, 0, ts0)
+    injector.link_flap_utilization(1, 0, ts0 + HOUR)
+    assert injector.take_draw_counts() == {"flap_draws_batched": 1,
+                                           "flap_draws_single": 1}
+    injector.link_flap_utilization(1, 0, ts0 + 30.0)
+    injector.link_flap_utilization(1, 0, ts0 + HOUR + 30.0)
+    assert injector.take_draw_counts() == {"flap_draws_batched": 0,
+                                           "flap_draws_single": 0}
+    injector.link_flap_utilization(1, 0, ts0 + 2 * HOUR)
+    assert injector.take_draw_counts() == {"flap_draws_batched": 1,
+                                           "flap_draws_single": 0}
+    injector.link_flap_utilization(2, 0, ts0 + 27 * HOUR)
+    assert injector.take_draw_counts() == {"flap_draws_batched": 0,
+                                           "flap_draws_single": 1}
 
 
 # ----------------------------------------------------------------------

@@ -492,6 +492,15 @@ def test_instrumented_snapshot_counts_lookup_memos(instrumented_campaign):
         assert hits > misses > 0, prefix
 
 
+def test_instrumented_snapshot_counts_flap_draws(instrumented_campaign):
+    """The campaign folds in how link-flap decisions were drawn: the
+    selection's first hour one stream per key, later hours in batches."""
+    counters = instrumented_campaign["snapshot"]["counters"]
+    batched = counters["faults.flap_draws_batched"]
+    single = counters["faults.flap_draws_single"]
+    assert batched > single > 0
+
+
 def test_instrumented_snapshot_exports_both_formats(
         instrumented_campaign):
     snap = instrumented_campaign["snapshot"]

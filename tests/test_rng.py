@@ -1,11 +1,13 @@
 """Seed tree determinism and independence."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ValidationError
 from repro.rng import SeedTree, stable_hash64
 
 
@@ -101,3 +103,46 @@ def test_collision_error_is_repro_error():
     tree.generator("x")
     with pytest.raises(ReproError):
         tree.generator("x")
+
+
+# ----------------------------------------------------------------------
+# first_uniforms: the exact vectorized twin of generator(label).random()
+#
+# It re-implements numpy's SeedSequence mixing and PCG64 seeding, so a
+# numpy release that changed either stream would fail here by name
+# (scripts/check.py runs these first, as the numpy stream-compat gate).
+
+
+def _random_label(rnd):
+    alphabet = "abcxyz0189/-_>.#é✓"
+    return "".join(rnd.choice(alphabet)
+                   for _ in range(rnd.randrange(1, 40)))
+
+
+@pytest.mark.parametrize("tree", [SeedTree(7),
+                                  SeedTree(2 ** 64 + 11).child("faults")],
+                         ids=["root-node", "child-node"])
+def test_first_uniforms_matches_generator(tree):
+    rnd = random.Random(tree.root_seed)
+    labels = [_random_label(rnd) for _ in range(10_000)]
+    labels += [f"link-flap/{rnd.randrange(5000)}/{rnd.randrange(2)}/"
+               f"{rnd.randrange(10 ** 10)}" for _ in range(2_000)]
+    want = [tree.generator(label, allow_reuse=True).random()
+            for label in labels]
+    assert tree.first_uniforms(labels).tolist() == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63,
+                                  2 ** 64 - 1])
+def test_first_uniforms_matches_generator_at_edge_seeds(seed):
+    """Seeds below 2**32 are a one-word SeedSequence entropy array."""
+    tree = SeedTree(seed ^ stable_hash64("x"))
+    assert tree.seed("x") == seed
+    assert tree.first_uniforms(["x"])[0] == tree.generator("x").random()
+
+
+def test_first_uniforms_empty_and_bad_labels():
+    tree = SeedTree(3)
+    assert tree.first_uniforms([]).shape == (0,)
+    with pytest.raises(ValidationError):
+        tree.first_uniforms(["ok", ""])
