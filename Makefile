@@ -1,11 +1,11 @@
 # Development entry points.  `make check` is the single gate CI and
 # contributors run: repro.lint invariants (per-file and cross-file), a
-# SARIF smoke test, then the test suite (with the repro.faults coverage
+# CLI smoke test, then the test suite (with the repro.faults coverage
 # floor when pytest-cov is available).
 
 PYTHON ?= python
 
-.PHONY: check lint lint-graph test golden bench-shard bench-streaming \
+.PHONY: check lint test golden bench-shard bench-streaming \
 	bench-alerts bench-trend perfbench perfbench-trace perfbench-pairs
 
 check:
@@ -13,9 +13,6 @@ check:
 
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.lint src/repro
-
-lint-graph:
-	PYTHONPATH=src $(PYTHON) -m repro.lint src/repro --graph
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -q

@@ -1,11 +1,14 @@
 #!/usr/bin/env python
-"""One-stop verification: lint, a SARIF smoke, the tests, a bench smoke.
+"""One-stop verification: lint, a CLI smoke, the tests, a bench smoke.
 
-This is what ``make check`` runs.  After the full lint pass, the
-cross-file rules (RPR009-RPR013) run once more as a
-focused ``--select`` step: that exercises RPR009's allowlist-liveness
-check in isolation, so a stale shared-state allowlist entry fails the
-build even if some other rule's cache masked it.  The numpy
+This is what ``make check`` runs.  After the full lint pass, the CLI
+smoke runs one small monitored campaign as ``python -m repro.cli
+campaign ... --format prom`` in a subprocess and requires exit 0 and
+``ALERTS{`` series in its output.  Then the cross-file rules
+(RPR009-RPR013) run once more as a focused ``--select`` step: that
+exercises RPR009's allowlist-liveness check in isolation, so a stale
+shared-state allowlist entry fails the build even if some other rule's
+cache masked it.  The numpy
 stream-compat gate (``tests/test_rng.py -k first_uniforms``) checks
 that ``SeedTree.first_uniforms``, which re-implements numpy's
 ``SeedSequence`` and PCG64 seeding, still equals ``default_rng``: a
@@ -37,7 +40,6 @@ add ~15s.
 from __future__ import annotations
 
 import importlib.util
-import json
 import os
 import pathlib
 import subprocess
@@ -56,21 +58,27 @@ def _run(label, argv):
     return subprocess.call(argv, cwd=str(REPO_ROOT), env=env)
 
 
-def _sarif_smoke() -> int:
-    """Emit the tree as SARIF and verify the log parses and is clean."""
-    print("== sarif smoke: repro.lint --format sarif", flush=True)
+def _cli_smoke() -> int:
+    """Run one monitored campaign through ``python -m repro.cli``.
+
+    A subprocess, so the ``__main__`` entry point and the exit status
+    are exercised, which in-process ``main([...])`` tests never reach.
+    """
+    argv = [sys.executable, "-m", "repro.cli", "campaign", "--scale",
+            "0.05", "--days", "1", "--servers", "4", "--rules",
+            "examples/rules_default.json", "--consumers", "1000",
+            "--format", "prom"]
+    print(f"== cli smoke: {' '.join(argv[1:])}", flush=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.lint", str(SRC / "repro"),
-         "--format", "sarif", "--no-cache"],
-        cwd=str(REPO_ROOT), env=env, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=str(REPO_ROOT), env=env,
+                          capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         return proc.returncode
-    log = json.loads(proc.stdout)
-    if log.get("version") != "2.1.0" or len(log.get("runs", [])) != 1:
-        print("sarif smoke: malformed log", file=sys.stderr)
+    if "ALERTS{" not in proc.stdout:
+        print("cli smoke: no ALERTS series in the prom output",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -81,7 +89,7 @@ def main() -> int:
     if status != 0:
         return status
 
-    status = _sarif_smoke()
+    status = _cli_smoke()
     if status != 0:
         return status
 

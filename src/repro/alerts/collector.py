@@ -6,7 +6,8 @@ A single :class:`Collector` owns one
 :class:`~repro.alerts.history.MetricHistory`, and one
 :class:`~repro.alerts.engine.RuleEvaluator`, and survives any number
 of campaign runs replayed into it (``Clasp.collector()`` /
-``repro daemon``).  Each hour boundary drives one pipeline step:
+``repro campaign --runs N``).  Each hour boundary drives one pipeline
+step:
 
 1. assert watermark continuity (simulated time never moves backwards
    across runs - a daemon replaying campaigns out of order is a bug,
@@ -34,7 +35,7 @@ from ..core.congestion import (MIN_SAMPLES_PER_DAY, PAPER_THRESHOLD,
 from ..core.streaming import StreamingCongestionDetector
 from ..core.tsdb import TimeSeriesDB
 from ..engine.observers import Observer
-from ..errors import ConfigError, ValidationError
+from ..errors import ConfigError, ReproError, ValidationError
 from ..obs.metrics import MetricsRegistry
 from ..units import HOUR
 from .engine import RuleEvaluator
@@ -214,36 +215,52 @@ class Collector:
         *rules* must be the same rule set the saved collector ran
         (rules files are code, not state); a changed set raises via
         the evaluator's restore check.  ``begin_run()`` must be called
-        before the restored collector can bucket *new* server ids.
+        before the restored collector can bucket *new* server ids.  A
+        state with a foreign schema or a missing key raises
+        :class:`~repro.errors.ConfigError`.
         """
-        if state.get("schema") != _STATE_SCHEMA:
+        schema = state.get("schema") if isinstance(state, dict) \
+            else None
+        if schema != _STATE_SCHEMA:
             raise ConfigError(
                 f"unsupported collector state schema "
-                f"{state.get('schema')!r} (expected {_STATE_SCHEMA!r})")
-        detector_state = state["detector"]
-        collector = cls(
-            start_ts=float(detector_state["start_ts"]), rules=rules,
-            snapshot_hours=float(state["snapshot_hours"]),
-            history=MetricHistory(
-                TimeSeriesDB.from_dump(state["history"])))
-        collector.detector.load_state(detector_state)
-        collector.registry.restore_state(state["registry"])
-        collector.evaluator.restore_state(state["evaluator"])
-        collector.runs = int(state["runs"])
-        collector.run_log = [dict(entry) for entry in state["run_log"]]
-        collector._provider = state["provider"]
-        collector._last_pipeline_ts = (
-            None if state["last_pipeline_ts"] is None
-            else float(state["last_pipeline_ts"]))
-        collector._exported = {
-            (tuple(pair), int(day)) for pair, day in state["exported"]}
+                f"{schema!r} (expected {_STATE_SCHEMA!r})")
+        try:
+            detector_state = state["detector"]
+            collector = cls(
+                start_ts=float(detector_state["start_ts"]), rules=rules,
+                snapshot_hours=float(state["snapshot_hours"]),
+                history=MetricHistory(
+                    TimeSeriesDB.from_dump(state["history"])))
+            collector.detector.load_state(detector_state)
+            collector.registry.restore_state(state["registry"])
+            collector.evaluator.restore_state(state["evaluator"])
+            collector.runs = int(state["runs"])
+            collector.run_log = [dict(entry) for entry in state["run_log"]]
+            collector._provider = state["provider"]
+            collector._last_pipeline_ts = (
+                None if state["last_pipeline_ts"] is None
+                else float(state["last_pipeline_ts"]))
+            collector._exported = {
+                (tuple(pair), int(day)) for pair, day in state["exported"]}
+        except KeyError as exc:
+            if isinstance(exc, ReproError):
+                raise
+            raise ConfigError(
+                f"collector state is missing key {exc.args[0]!r}"
+            ) from exc
         return collector
 
     @classmethod
     def from_state_json(cls, text: str,
                         rules: Sequence[AlertRule] = ()) -> "Collector":
         """Rebuild from :meth:`state_json` bytes."""
-        return cls.from_state(json.loads(text), rules=rules)
+        try:
+            state = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"collector state is not valid JSON: {exc}") from exc
+        return cls.from_state(state, rules=rules)
 
 
 class CollectorObserver(Observer):

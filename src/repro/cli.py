@@ -2,68 +2,70 @@
 
 Subcommands:
 
+* ``campaign`` - the CLASP loop, end to end: build the world, select
+  the servers of one region (bdrmap pilot scan), deploy, run the
+  campaign ``--runs`` times (each run picks up in simulated time where
+  the last one ended), detect congestion, and print the
+  completed/retried/lost accounting, the congested s-days / s-hours /
+  servers and the dataset digest.  Options attach to that one run:
+
+  - ``--faults`` - the deterministic fault-injection plan;
+  - ``--batch`` - vectorize each hour's tests (byte-identical dataset);
+  - ``--provider`` picks the cloud (gcp is the default and reproduces
+    the paper), ``--providers A,B`` adds more clouds to the fleet, and
+    ``--matrix`` runs the cross-cloud VM-pair matrix plus the
+    provider-choice analysis instead of a campaign;
+  - ``--export DIR``, ``--trace PATH`` (the engine event stream as
+    JSON lines) and ``--metrics`` (event and billing totals);
+  - ``--profile DIR`` - run with :mod:`repro.obs` enabled and write a
+    profile directory: ``profile.txt`` (span tree), ``spans.jsonl`` +
+    ``metrics.jsonl``, and ``metrics.prom``.
+
+  The live plane is one :class:`~repro.alerts.Collector` riding the
+  event bus: a streaming detector, a metrics registry, a history and a
+  rule engine that outlive every run.  ``--stream``, ``--rules FILE``
+  (JSON, see ``examples/rules_default.json``; without it the shipped
+  rule set runs), ``--runs N`` with N > 1, ``--state PATH`` (resume
+  the collector from PATH when it exists and save it back, unfinalized,
+  afterwards), ``--consumers N`` (a TTL-cached
+  :class:`~repro.serve.MonitorService` answering N simulated dashboard
+  queries per hour) or a machine ``--format`` attach it.  ``--format``
+  picks the output: ``summary`` (tables + notification log), ``jsonl``
+  (the notification log), ``prom`` (collector metrics + ``ALERTS``
+  series) or ``state``; with ``--consumers``, ``jsonl``/``prom`` are
+  the service's metrics and ``state`` its live-state JSON document.
 * ``experiment <id>`` - run one paper experiment (``table1``, ``fig2``
-  ... ``fig8``) and print its rendered block.
-* ``quickloop`` - the quickstart loop (pilot scan, campaign, detection)
-  with a compact report.
-* ``campaign`` - run one regional campaign, optionally under the
-  deterministic fault-injection plan (``--faults``), print the
-  completed/retried/lost accounting and the dataset digest, and
-  optionally export the dataset (``--export DIR``), write the engine
-  event stream as JSON lines (``--trace PATH``), or print event/billing
-  totals (``--metrics``).  ``--provider`` picks the cloud (gcp is the
-  default and reproduces the paper), ``--providers A,B`` adds more
-  clouds to the fleet, and ``--matrix`` runs the cross-cloud VM-pair
-  matrix plus the provider-choice analysis instead of a campaign.
-* ``serve`` - run a campaign as an always-on monitor: the incremental
-  streaming detector rides the event bus, a TTL-cached
-  :class:`~repro.serve.MonitorService` answers simulated dashboard
-  traffic (``--consumers`` queries per hour), and the final state /
-  serving metrics print as a summary table, Prometheus text, or JSON
-  lines (``--format state|prom|jsonl``).
-* ``daemon`` - replay N successive campaigns into one long-lived
-  :class:`~repro.alerts.Collector` (one streaming detector, metrics
-  registry, tsdb-backed history, and rule engine across all runs),
-  verify watermark continuity and the cross-run batch-equivalence
-  contract, and print the alert notification log; ``--state PATH``
-  saves/resumes the collector between invocations.
-* ``alerts`` - run one campaign with the alerting collector attached
-  and print the notification log / firing state (``--format
-  summary|jsonl|prom``).  ``campaign``, ``serve``, and ``daemon`` all
-  accept ``--rules FILE`` (JSON; see ``examples/rules_default.json``),
-  defaulting to the shipped rule set.
+  ... ``fig8``) and print its rendered block; ``--profile DIR`` as
+  above.
 * ``world`` - generate a scenario and print its inventory.
 * ``cost`` - estimate the cloud bill for a campaign shape.
-* ``obs`` - run an instrumented campaign with :mod:`repro.obs` enabled
-  and dump the cross-layer span tree or metrics (``--format
-  tree|jsonl|prom``).
-* ``lint`` - run the :mod:`repro.lint` invariant checker over the
-  source tree (determinism, unit-safety, error hierarchy, layering,
-  plus the cross-file shard-safety rules); ``--graph`` prints the
-  module import graph, ``--format json|sarif`` emits machine-readable
-  findings.
-
-``campaign`` and ``experiment`` also accept ``--profile DIR``: the run
-executes with observability enabled and writes a profile directory
-(``spans.jsonl``, ``metrics.jsonl``, ``metrics.prom``,
-``profile.txt``).
+* ``lint`` - run the :mod:`repro.lint` invariant checker (determinism,
+  unit safety, error hierarchy, layering, plus the cross-file
+  analyses); every argument passes straight to ``python -m repro.lint``.
 
 Every command accepts ``--seed`` / ``--scale`` (and ``--days`` where a
 campaign runs), mirroring the ``REPRO_*`` environment knobs the
-benchmark harness uses.
+benchmark harness uses.  A package error (:class:`~repro.errors.
+ReproError`) prints as one ``repro: error: ...`` line on stderr and
+exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterator, Optional
+
+from .errors import ConfigError, ReproError, ValidationError
 
 __all__ = ["main", "build_parser"]
 
 EXPERIMENTS = ("table1", "fig2", "fig3", "fig4", "fig5", "fig6",
                "fig7", "fig8")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -88,19 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     profile_opt(p_exp)
     common(p_exp)
 
-    p_loop = sub.add_parser("quickloop",
-                            help="pilot scan + campaign + detection")
-    p_loop.add_argument("--region", default="us-west1")
-    common(p_loop)
-
     p_camp = sub.add_parser("campaign",
-                            help="run one campaign, optionally with "
-                                 "deterministic fault injection")
+                            help="select, deploy and run a campaign, "
+                                 "with optional live monitoring")
     p_camp.add_argument("--region", default=None,
                         help="deployment region (default: the "
                              "provider's default region)")
     p_camp.add_argument("--servers", type=int, default=8,
-                        help="server budget for the deployment")
+                        help="server budget for the deployment (>= 1)")
     p_camp.add_argument("--faults", choices=("off", "default", "heavy"),
                         default="off",
                         help="fault-injection plan (seed-deterministic)")
@@ -127,109 +124,34 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip the campaign; run the cross-cloud "
                              "VM-pair matrix and the provider-choice "
                              "analysis over the fleet instead")
+    p_camp.add_argument("--runs", type=int, default=1,
+                        help="successive campaigns replayed into one "
+                             "collector, each starting where the last "
+                             "ended in simulated time (>= 1)")
     p_camp.add_argument("--stream", action="store_true",
-                        help="attach the incremental streaming detector "
-                             "to the event bus and verify its finalized "
-                             "report equals batch detection")
+                        help="attach the live collector and verify its "
+                             "finalized report equals batch detection")
     p_camp.add_argument("--rules", metavar="FILE",
-                        help="attach the alerting collector with this "
-                             "JSON rules file and print the "
-                             "notification log after the campaign")
+                        help="attach the live collector with this JSON "
+                             "rules file (default: the shipped rule "
+                             "set)")
+    p_camp.add_argument("--state", metavar="PATH",
+                        help="resume the collector from PATH when it "
+                             "exists and save it back afterwards "
+                             "(skips finalize so later runs can resume)")
+    p_camp.add_argument("--consumers", type=int, default=None,
+                        help="serve the live state to this many "
+                             "simulated dashboard queries per hour")
+    p_camp.add_argument("--format",
+                        choices=("summary", "jsonl", "prom", "state"),
+                        default="summary", dest="fmt",
+                        help="summary = tables + notification log, "
+                             "jsonl = notification log (serving "
+                             "metrics with --consumers), prom = "
+                             "Prometheus text, state = live-state JSON "
+                             "(needs --consumers)")
     profile_opt(p_camp)
     common(p_camp)
-
-    p_serve = sub.add_parser("serve",
-                             help="run a campaign as an always-on "
-                                  "monitor with cached query serving")
-    p_serve.add_argument("--region", default="us-west1")
-    p_serve.add_argument("--servers", type=int, default=8,
-                         help="server budget for the deployment")
-    p_serve.add_argument("--faults", choices=("off", "default", "heavy"),
-                         default="off",
-                         help="fault-injection plan (seed-deterministic)")
-    p_serve.add_argument("--window-days", type=int, default=None,
-                         help="sliding window for the live congested "
-                              "label (default: all sealed days)")
-    p_serve.add_argument("--consumers", type=int, default=100_000,
-                         help="simulated dashboard queries per hour")
-    p_serve.add_argument("--ttl-hours", type=float, default=1.0,
-                         help="snapshot cache TTL in simulated hours")
-    p_serve.add_argument("--format",
-                         choices=("summary", "state", "prom", "jsonl"),
-                         default="summary", dest="fmt",
-                         help="summary = text table + congested list, "
-                              "state = live-state JSON document, "
-                              "prom = Prometheus text, jsonl = JSON "
-                              "lines")
-    p_serve.add_argument("--rules", metavar="FILE",
-                         help="evaluate this JSON rules file on the "
-                              "live state; alert state joins the "
-                              "snapshot/prom exports")
-    common(p_serve)
-
-    p_daemon = sub.add_parser("daemon",
-                              help="keep one collector alive across N "
-                                   "successive campaign runs")
-    p_daemon.add_argument("--runs", type=int, default=3,
-                          help="number of successive campaigns to "
-                               "replay into the collector")
-    p_daemon.add_argument("--region", default="us-west1")
-    p_daemon.add_argument("--servers", type=int, default=8,
-                          help="server budget for each deployment")
-    p_daemon.add_argument("--rules", metavar="FILE",
-                          help="JSON rules file (default: the shipped "
-                               "rule set)")
-    p_daemon.add_argument("--state", metavar="PATH",
-                          help="resume the collector from PATH when it "
-                               "exists and save it back afterwards "
-                               "(skips finalize so the daemon can keep "
-                               "going)")
-    p_daemon.add_argument("--format", choices=("summary", "jsonl"),
-                          default="summary", dest="fmt",
-                          help="summary = continuity table + log, "
-                               "jsonl = notification log only")
-    common(p_daemon)
-
-    p_alerts = sub.add_parser("alerts",
-                              help="run one campaign with the alerting "
-                                   "collector and print the "
-                                   "notification log")
-    p_alerts.add_argument("--region", default="us-west1")
-    p_alerts.add_argument("--servers", type=int, default=8,
-                          help="server budget for the deployment")
-    p_alerts.add_argument("--faults",
-                          choices=("off", "default", "heavy"),
-                          default="off",
-                          help="fault-injection plan "
-                               "(seed-deterministic)")
-    p_alerts.add_argument("--rules", metavar="FILE",
-                          help="JSON rules file (default: the shipped "
-                               "rule set)")
-    p_alerts.add_argument("--format",
-                          choices=("summary", "jsonl", "prom"),
-                          default="summary", dest="fmt",
-                          help="summary = table + log, jsonl = "
-                               "notification log, prom = ALERTS "
-                               "series + collector metrics")
-    common(p_alerts)
-
-    p_obs = sub.add_parser("obs",
-                           help="run an instrumented campaign and dump "
-                                "the span tree / metrics")
-    p_obs.add_argument("--region", default="us-west1")
-    p_obs.add_argument("--servers", type=int, default=8,
-                       help="server budget for the deployment")
-    p_obs.add_argument("--faults", choices=("off", "default", "heavy"),
-                       default="off",
-                       help="fault-injection plan (seed-deterministic)")
-    p_obs.add_argument("--format", choices=("tree", "jsonl", "prom"),
-                       default="tree", dest="fmt",
-                       help="tree = span tree + metric summary, jsonl = "
-                            "spans and metrics as JSON lines, prom = "
-                            "Prometheus text format")
-    p_obs.add_argument("--capacity", type=int, default=4096,
-                       help="flight recorder capacity (spans retained)")
-    common(p_obs)
 
     p_world = sub.add_parser("world",
                              help="generate a world and print inventory")
@@ -242,27 +164,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.add_argument("--tier", choices=("premium", "standard"),
                         default="premium")
 
-    p_lint = sub.add_parser("lint",
-                            help="run the invariant checker "
-                                 "(python -m repro.lint)")
-    p_lint.add_argument("paths", nargs="*", default=["src/repro"])
-    p_lint.add_argument("--select", metavar="CODES")
-    p_lint.add_argument("--baseline", metavar="FILE")
-    p_lint.add_argument("--format", choices=("text", "json", "sarif"),
-                        dest="fmt", default="text")
-    p_lint.add_argument("--graph", action="store_true")
-    p_lint.add_argument("--no-cache", action="store_true")
-    p_lint.add_argument("--list-rules", action="store_true")
+    # Every argument after ``lint`` goes to repro.lint's own parser.
+    sub.add_parser("lint", add_help=False,
+                   help="run the invariant checker; arguments pass "
+                        "through to python -m repro.lint")
     return parser
 
 
-def _write_profile(profile_dir: str) -> None:
-    """Dump the enabled obs state as a profile directory and say so."""
+@contextmanager
+def _profiled(profile_dir: Optional[str]) -> Iterator[None]:
+    """Run the body with :mod:`repro.obs` on, then dump a profile.
+
+    Entered before the scenario build, so selection and deployment
+    spans land in the profile too, not just the campaign hours.  The
+    one-line note goes to stderr so machine formats stay pipeable.
+    """
+    if not profile_dir:
+        yield
+        return
     import repro.obs as obs
     from repro.obs.exporters import write_profile
 
-    files = write_profile(profile_dir, obs.tracer(), obs.registry())
-    print(f"profile: {len(files)} files -> {profile_dir}")
+    obs.enable()
+    try:
+        yield
+        files = write_profile(profile_dir, obs.tracer(), obs.registry())
+        print(f"profile: {len(files)} files -> {profile_dir}",
+              file=sys.stderr)
+    finally:
+        obs.disable()
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -270,46 +200,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     os.environ.setdefault("REPRO_SEED", str(args.seed))
     os.environ.setdefault("REPRO_SCALE", str(args.scale))
     os.environ.setdefault("REPRO_DAYS", str(args.days))
-    import repro.obs as obs
     from repro import experiments
     from repro.experiments import shared_scenario
     module = getattr(experiments, args.id)
-    if args.profile:
-        obs.enable()
-    try:
+    with _profiled(args.profile):
         cache = shared_scenario(seed=args.seed, scale=args.scale)
-        result = module.run(cache)
-        print(module.render(result))
-        if args.profile:
-            _write_profile(args.profile)
-    finally:
-        if args.profile:
-            obs.disable()
-    return 0
-
-
-def _cmd_quickloop(args: argparse.Namespace) -> int:
-    from repro.core.congestion import detect
-    from repro.experiments import build_scenario
-    from repro.report.tables import TextTable, format_percent
-
-    scenario = build_scenario(seed=args.seed, scale=args.scale)
-    clasp = scenario.clasp
-    selection = clasp.select_topology_servers(args.region)
-    plan = clasp.deploy_topology(args.region, selection)
-    dataset = clasp.run_campaign([plan], days=args.days)
-    report = detect(dataset)
-    table = TextTable(["metric", "value"],
-                      title=f"{args.region}: {args.days}-day campaign")
-    table.add_row(["servers measured", len(plan.server_ids)])
-    table.add_row(["tests completed", dataset.completed_tests])
-    table.add_row(["congested s-days",
-                   format_percent(report.congested_day_fraction)])
-    table.add_row(["congested s-hours",
-                   format_percent(report.congested_hour_fraction, 2)])
-    table.add_row(["congested servers", len(report.congested_pairs())])
-    table.add_row(["cloud bill", f"${clasp.total_cost_usd():,.2f}"])
-    print(table.render())
+        print(module.render(module.run(cache)))
     return 0
 
 
@@ -317,130 +213,248 @@ def _parse_extra_providers(spec) -> tuple:
     return tuple(p.strip() for p in (spec or "").split(",") if p.strip())
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    import repro.obs as obs
+@dataclass
+class _Run:
+    """What one ``campaign`` invocation ran and attached."""
+
+    provider: str
+    region: str
+    servers_measured: int
+    #: Every run's dataset, concatenated in simulated-time order.
+    dataset: Any
+    cloud_bill_usd: float
+    #: Injected-fault counts per kind, summed over runs (empty: no plan).
+    injected: Counter
+    #: The live plane, when attached.
+    collector: Any
+    #: The :class:`~repro.serve.MonitorService`, with ``--consumers``.
+    service: Any
+    metrics: Any
+    trace: Any
+    resumed: bool
+    #: Whether the collector watermark rose strictly run over run.
+    monotone: bool
+
+
+def _live(args: argparse.Namespace) -> bool:
+    """Whether the options ask for the live plane (the collector)."""
+    return bool(args.stream or args.rules or args.state or args.runs > 1
+                or args.consumers is not None or args.fmt != "summary")
+
+
+def _run(args: argparse.Namespace) -> _Run:
+    """Build, select, deploy and run the campaign ``--runs`` times.
+
+    The one place a campaign runs: the fault-plan table, the live plane
+    (at most one collector, whose detector also feeds the service), the
+    profile bracket and the trace-file close all live here.
+    """
     from repro.cloud.providers import get_provider
-    from repro.core.export import dataset_digest, export_dataset
     from repro.engine import MetricsObserver, TraceObserver
     from repro.experiments import build_scenario
     from repro.faults import FaultPlan
-    from repro.report.tables import TextTable
+    from repro.simclock import CAMPAIGN_START
+    from repro.units import DAY
 
-    plans = {"off": None, "default": FaultPlan.default(),
-             "heavy": FaultPlan.heavy()}
-    fault_plan = plans[args.faults]
+    if args.runs < 1:
+        raise ValidationError(f"--runs must be >= 1, got {args.runs}")
+    if args.fmt == "state" and args.consumers is None:
+        raise ConfigError("--format state needs --consumers")
+    fault_plans = {"off": None, "default": FaultPlan.default(),
+                   "heavy": FaultPlan.heavy()}
     provider = get_provider(args.provider)
-    extras = _parse_extra_providers(args.providers)
     region = args.region or provider.default_region
-    if args.matrix:
-        return _cmd_matrix(args, extras)
-    if args.profile:
-        # Before scenario build so deployment/selection spans land in
-        # the profile too, not just the campaign hours.
-        obs.enable()
-    try:
-        scenario = build_scenario(seed=args.seed, scale=args.scale,
-                                  faults=fault_plan,
-                                  provider=provider.name,
-                                  providers=extras)
-        clasp = scenario.clasp
-        selection = clasp.select_topology_servers(region)
-        plan = clasp.deploy_topology(region, selection,
-                                     budget_servers=args.servers)
-        observers = []
-        metrics = None
-        if args.metrics:
-            metrics = MetricsObserver()
-            observers.append(metrics)
-        trace = None
-        if args.trace:
-            trace = TraceObserver(args.trace)
-            observers.append(trace)
-        stream_detector = None
-        if args.stream:
-            stream_detector, stream_observer = clasp.streaming_detector()
-            observers.append(stream_observer)
-        alerts_collector = None
-        if args.rules:
-            from repro.alerts import load_rules
-            alerts_collector, alerts_observer = clasp.collector(
-                rules=load_rules(args.rules))
-            observers.append(alerts_observer)
+    collector, resumed = None, False
+    if _live(args):
+        from repro.alerts import Collector, default_rules, load_rules
+        rules = load_rules(args.rules) if args.rules else default_rules()
+        resumed = bool(args.state) and Path(args.state).exists()
+        collector = (Collector.from_state_json(
+            Path(args.state).read_text(encoding="utf-8"), rules=rules)
+            if resumed else Collector(float(CAMPAIGN_START), rules=rules))
+    service = load = None
+    if args.consumers is not None:
+        from repro.rng import SeedTree
+        from repro.serve import ConsumerLoadObserver, MonitorService
+        service = MonitorService(collector.detector,
+                                 evaluator=collector.evaluator)
+        load = ConsumerLoadObserver(service,
+                                    SeedTree(args.seed).child("serve"),
+                                    consumers_per_hour=args.consumers)
+    metrics = MetricsObserver() if args.metrics else None
+    trace = None
+    first = collector.runs if collector is not None else 0
+    datasets, watermarks = [], []
+    bill, injected = 0.0, Counter()
+    with _profiled(args.profile):
         try:
-            dataset = clasp.run_campaign([plan], days=args.days,
-                                         observers=observers,
-                                         batch=args.batch)
+            trace = TraceObserver(args.trace) if args.trace else None
+            for index in range(first, first + args.runs):
+                # Run k rebuilds the same world from the seed and covers
+                # simulated days [k*days, (k+1)*days), so a restart from
+                # --state replays exactly what one invocation would.
+                clasp = build_scenario(
+                    seed=args.seed, scale=args.scale,
+                    faults=fault_plans[args.faults],
+                    provider=provider.name,
+                    providers=_parse_extra_providers(args.providers)).clasp
+                selection = clasp.select_topology_servers(region)
+                plan = clasp.deploy_topology(region, selection,
+                                             budget_servers=args.servers)
+                observers = [o for o in (metrics, trace) if o is not None]
+                if collector is not None:
+                    observers.append(clasp.collector(collector=collector)[1])
+                if load is not None:
+                    observers.append(load)
+                datasets.append(clasp.run_campaign(
+                    [plan], days=args.days,
+                    start_ts=float(CAMPAIGN_START) + index * args.days * DAY,
+                    observers=observers, batch=args.batch))
+                bill += clasp.total_cost_usd()
+                if clasp.fault_injector is not None:
+                    injected.update(clasp.fault_injector.summary())
+                if collector is not None:
+                    watermarks.append(collector.detector.watermark)
         finally:
             if trace is not None:
                 trace.close()
-        if args.profile:
-            _write_profile(args.profile)
-    finally:
-        if args.profile:
-            obs.disable()
+    if len(datasets) == 1:
+        dataset = datasets[0]
+    else:
+        from repro.alerts import concat_datasets
+        dataset = concat_datasets(datasets)
+    if args.state:
+        Path(args.state).write_text(collector.state_json(),
+                                    encoding="utf-8")
+    return _Run(provider=provider.name, region=region,
+                servers_measured=len(plan.server_ids), dataset=dataset,
+                cloud_bill_usd=bill, injected=injected,
+                collector=collector, service=service, metrics=metrics,
+                trace=trace, resumed=resumed,
+                monotone=all(later > earlier for earlier, later
+                             in zip(watermarks, watermarks[1:])))
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    from repro.alerts import (alerts_to_prometheus,
+                              notifications_to_jsonlines)
+    from repro.obs.exporters import metrics_to_prometheus
+
+    if args.matrix:
+        return _cmd_matrix(args)
+    run = _run(args)
+    collector, service = run.collector, run.service
+    if service is not None and args.fmt != "summary":
+        # The serving exports read the live state, before finalize.
+        if args.fmt == "state":
+            print(service.state_json(now_ts=collector.detector.watermark))
+        elif args.fmt == "prom":
+            print(service.prometheus(), end="")
+        else:
+            print(service.json_lines(), end="")
+        return 0
+    report = None
+    if collector is not None and not args.state:
+        report = collector.finalize()
+    if args.fmt == "jsonl":
+        print(notifications_to_jsonlines(collector.evaluator.notifications),
+              end="")
+        return 0
+    if args.fmt == "prom":
+        print(metrics_to_prometheus(collector.registry.snapshot()), end="")
+        print(alerts_to_prometheus(collector.evaluator), end="")
+        return 0
+    _print_summary(args, run, report)
+    return 0
+
+
+def _print_summary(args: argparse.Namespace, run: _Run, report) -> None:
+    from repro.alerts import notifications_to_jsonlines
+    from repro.core.congestion import detect
+    from repro.core.export import dataset_digest, export_dataset
+    from repro.report.tables import TextTable, format_percent
+
+    dataset, collector = run.dataset, run.collector
+    shape = (f"{args.days}-day campaign" if args.runs == 1
+             else f"{args.runs} x {args.days}-day runs")
     table = TextTable(["metric", "value"],
-                      title=f"{provider.name}/{region}: {args.days}-day "
-                            f"campaign (faults={args.faults})")
-    table.add_row(["servers measured", len(plan.server_ids)])
+                      title=f"{run.provider}/{run.region}: {shape} "
+                            f"(faults={args.faults})"
+                            + (" (resumed)" if run.resumed else ""))
+    table.add_row(["servers measured", run.servers_measured])
     table.add_row(["tests completed", dataset.completed_tests])
     table.add_row(["tests failed", dataset.failed_tests])
     table.add_row(["tests retried", dataset.retried_tests])
     table.add_row(["slots lost", dataset.lost_tests])
     for reason, count in sorted(dataset.lost_by_reason().items()):
         table.add_row([f"  lost to {reason}", count])
-    injector = clasp.fault_injector
-    if injector is not None:
-        for kind, count in sorted(injector.summary().items()):
-            table.add_row([f"  injected {kind}", count])
+    for kind, count in sorted(run.injected.items()):
+        table.add_row([f"  injected {kind}", count])
     table.add_row(["dataset digest", dataset_digest(dataset)[:16]])
-    table.add_row(["cloud bill", f"${clasp.total_cost_usd():,.2f}"])
-    if stream_detector is not None:
-        from repro.core.congestion import detect
-        streamed = stream_detector.finalize()
-        batch = detect(dataset)
-        table.add_row(["stream V_H events", len(streamed.events)])
-        table.add_row(["stream congested servers",
-                       len(streamed.congested_pairs())])
-        table.add_row(["stream late-dropped",
-                       stream_detector.late_dropped])
-        table.add_row(["stream == batch detect",
-                       "yes" if streamed == batch else "NO"])
-    if alerts_collector is not None:
-        alerts_collector.finalize()
-        evaluator = alerts_collector.evaluator
-        table.add_row(["alert rules", len(evaluator.rules)])
-        table.add_row(["alert notifications",
-                       len(evaluator.notifications)])
-        table.add_row(["alerts firing now", evaluator.active_count])
+    table.add_row(["cloud bill", f"${run.cloud_bill_usd:,.2f}"])
     print(table.render())
-    if alerts_collector is not None:
-        from repro.alerts import notifications_to_jsonlines
-        print(notifications_to_jsonlines(
-            alerts_collector.evaluator.notifications), end="")
-    if metrics is not None:
-        snapshot = metrics.snapshot()
+
+    batch = detect(dataset)
+    table = TextTable(["metric", "value"], title="congestion detection")
+    table.add_row(["congested s-days",
+                   format_percent(batch.congested_day_fraction)])
+    table.add_row(["congested s-hours",
+                   format_percent(batch.congested_hour_fraction, 2)])
+    table.add_row(["congested servers", len(batch.congested_pairs())])
+    if collector is not None:
+        detector, evaluator = collector.detector, collector.evaluator
+        table.add_row(["collector runs", collector.runs])
+        table.add_row(["watermarks strictly monotone",
+                       "yes" if run.monotone else "NO"])
+        table.add_row(["observations", detector.observed])
+        table.add_row(["late dropped", detector.late_dropped])
+        table.add_row(["sealed pair-days", detector.sealed_days])
+        if report is None:
+            table.add_row(["state saved", args.state])
+        else:
+            table.add_row(["V_H events", len(report.events)])
+            table.add_row(["stream == batch detect",
+                           "yes" if report == batch else "NO"])
+        table.add_row(["alert rules", len(evaluator.rules)])
+        table.add_row(["rule evaluations", evaluator.evaluations])
+        table.add_row(["alert notifications", len(evaluator.notifications)])
+        table.add_row(["alerts firing now", evaluator.active_count])
+    if run.service is not None:
+        load = run.service.load_report()
+        table.add_row(["queries served", f"{load.queries:,}"])
+        table.add_row(["cache hit rate", f"{load.hit_rate:.4f}"])
+        table.add_row(["mean staleness", f"{load.mean_staleness_s:.0f} s"])
+    print(table.render())
+    if collector is not None:
+        print(notifications_to_jsonlines(collector.evaluator.notifications),
+              end="")
+        for rule, since_ts in collector.evaluator.firing():
+            print(f"firing: {rule.name} ({rule.severity}) "
+                  f"since sim ts {since_ts:.0f}")
+    if run.metrics is not None:
+        snapshot = run.metrics.snapshot()
         events = TextTable(["event", "count"], title="engine events")
         for kind, count in snapshot["events"].items():
             events.add_row([kind, count])
         for category, usd in snapshot["usd_by_category"].items():
             events.add_row([f"  billed {category}", f"${usd:,.2f}"])
         print(events.render())
-    if trace is not None:
-        print(f"trace: {trace.n_written} events -> {args.trace}")
+    if run.trace is not None:
+        print(f"trace: {run.trace.n_written} events -> {args.trace}")
     if args.export:
         manifest = export_dataset(dataset, args.export)
         print(f"exported to {manifest.parent}")
-    return 0
 
 
-def _cmd_matrix(args: argparse.Namespace, extras: tuple) -> int:
+def _cmd_matrix(args: argparse.Namespace) -> int:
     from repro.core.crosscloud import provider_choice, run_matrix
     from repro.experiments import build_scenario
     from repro.report.crosscloud import (render_matrix,
                                          render_provider_choice)
 
-    scenario = build_scenario(seed=args.seed, scale=args.scale,
-                              provider=args.provider, providers=extras)
+    scenario = build_scenario(
+        seed=args.seed, scale=args.scale, provider=args.provider,
+        providers=_parse_extra_providers(args.providers))
     fleet = scenario.fleet
     if len(fleet) < 2:
         print("--matrix needs at least two providers; add some with "
@@ -456,243 +470,6 @@ def _cmd_matrix(args: argparse.Namespace, extras: tuple) -> int:
                                  primary, other, seed=args.seed)
         print()
         print(render_provider_choice(choice))
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.experiments import build_scenario
-    from repro.faults import FaultPlan
-    from repro.report.tables import TextTable
-    from repro.rng import SeedTree
-    from repro.serve import ConsumerLoadObserver, MonitorService
-    from repro.units import HOUR
-
-    plans = {"off": None, "default": FaultPlan.default(),
-             "heavy": FaultPlan.heavy()}
-    scenario = build_scenario(seed=args.seed, scale=args.scale,
-                              faults=plans[args.faults])
-    clasp = scenario.clasp
-    selection = clasp.select_topology_servers(args.region)
-    plan = clasp.deploy_topology(args.region, selection,
-                                 budget_servers=args.servers)
-    evaluator = None
-    if args.rules:
-        from repro.alerts import load_rules
-        collector, observer = clasp.collector(
-            rules=load_rules(args.rules), window_days=args.window_days)
-        detector = collector.detector
-        evaluator = collector.evaluator
-    else:
-        detector, observer = clasp.streaming_detector(
-            window_days=args.window_days)
-    service = MonitorService(detector, ttl_s=args.ttl_hours * HOUR,
-                             evaluator=evaluator)
-    load = ConsumerLoadObserver(service,
-                                SeedTree(args.seed).child("serve"),
-                                consumers_per_hour=args.consumers)
-    clasp.run_campaign([plan], days=args.days,
-                       observers=[observer, load])
-    if args.fmt == "state":
-        print(service.state_json(now_ts=detector.watermark))
-        return 0
-    if args.fmt == "prom":
-        print(service.prometheus(), end="")
-        return 0
-    if args.fmt == "jsonl":
-        print(service.json_lines(), end="")
-        return 0
-    report = service.load_report()
-    table = TextTable(["metric", "value"],
-                      title=f"monitor service: {args.region}, "
-                            f"{args.days} days, {args.consumers:,} "
-                            f"consumers/hour")
-    table.add_row(["pairs tracked", len(detector.pairs())])
-    table.add_row(["congested now", len(detector.congested_pairs())])
-    table.add_row(["sealed pair-days", detector.sealed_days])
-    table.add_row(["observations", detector.observed])
-    table.add_row(["late dropped", detector.late_dropped])
-    table.add_row(["snapshot version", detector.version])
-    table.add_row(["queries served", f"{report.queries:,}"])
-    table.add_row(["cache hit rate", f"{report.hit_rate:.4f}"])
-    table.add_row(["mean staleness", f"{report.mean_staleness_s:.0f} s"])
-    if evaluator is not None:
-        table.add_row(["alert rules", len(evaluator.rules)])
-        table.add_row(["alert notifications",
-                       len(evaluator.notifications)])
-        table.add_row(["alerts firing now", evaluator.active_count])
-    print(table.render())
-    for pair in detector.congested_pairs():
-        print(f"congested: {'/'.join(pair)}")
-    if evaluator is not None:
-        for rule, since_ts in evaluator.firing():
-            print(f"firing: {rule.name} ({rule.severity}) "
-                  f"since sim ts {since_ts:.0f}")
-    return 0
-
-
-def _cmd_daemon(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.alerts import (Collector, concat_datasets, default_rules,
-                              load_rules, notifications_to_jsonlines)
-    from repro.core.congestion import detect
-    from repro.experiments import build_scenario
-    from repro.report.tables import TextTable
-    from repro.simclock import CAMPAIGN_START
-    from repro.units import DAY
-
-    rules = load_rules(args.rules) if args.rules else default_rules()
-    collector = None
-    resumed = False
-    if args.state and Path(args.state).exists():
-        collector = Collector.from_state_json(
-            Path(args.state).read_text(encoding="utf-8"), rules=rules)
-        resumed = True
-    datasets = []
-    watermarks = []
-    for _ in range(args.runs):
-        # Run k of a daemon sequence covers simulated days
-        # [k*days, (k+1)*days); the world rebuilds identically from
-        # the seed, only simulated time moves.
-        run_index = collector.runs if collector is not None else 0
-        run_start = float(CAMPAIGN_START) + run_index * args.days * DAY
-        scenario = build_scenario(seed=args.seed, scale=args.scale)
-        clasp = scenario.clasp
-        selection = clasp.select_topology_servers(args.region)
-        plan = clasp.deploy_topology(args.region, selection,
-                                     budget_servers=args.servers)
-        collector, observer = clasp.collector(rules=rules,
-                                              collector=collector)
-        dataset = clasp.run_campaign([plan], days=args.days,
-                                     start_ts=run_start,
-                                     observers=[observer])
-        datasets.append(dataset)
-        watermarks.append(collector.detector.watermark)
-    monotone = all(later > earlier for earlier, later
-                   in zip(watermarks, watermarks[1:]))
-    if args.state:
-        # Keep the collector resumable: no finalize (it would seal
-        # still-open days and late-drop the next run's data).
-        Path(args.state).write_text(collector.state_json(),
-                                    encoding="utf-8")
-    else:
-        report = collector.finalize()
-    evaluator = collector.evaluator
-    if args.fmt == "jsonl":
-        print(notifications_to_jsonlines(evaluator.notifications),
-              end="")
-        return 0
-    detector = collector.detector
-    table = TextTable(["metric", "value"],
-                      title=f"daemon: {args.runs} x {args.days}-day "
-                            f"runs, {args.region}"
-                            + (" (resumed)" if resumed else ""))
-    table.add_row(["total runs", collector.runs])
-    table.add_row(["watermarks strictly monotone",
-                   "yes" if monotone else "NO"])
-    table.add_row(["observations", detector.observed])
-    table.add_row(["late dropped", detector.late_dropped])
-    table.add_row(["sealed pair-days", detector.sealed_days])
-    if args.state:
-        table.add_row(["state saved", args.state])
-    else:
-        batch = detect(concat_datasets(datasets))
-        table.add_row(["V_H events", len(report.events)])
-        table.add_row(["stream == batch on concat",
-                       "yes" if report == batch else "NO"])
-    table.add_row(["alert rules", len(evaluator.rules)])
-    table.add_row(["rule evaluations", evaluator.evaluations])
-    table.add_row(["alert notifications", len(evaluator.notifications)])
-    table.add_row(["alerts firing now", evaluator.active_count])
-    print(table.render())
-    print(notifications_to_jsonlines(evaluator.notifications), end="")
-    return 0
-
-
-def _cmd_alerts(args: argparse.Namespace) -> int:
-    from repro.alerts import (alerts_to_prometheus, default_rules,
-                              load_rules, notifications_to_jsonlines)
-    from repro.experiments import build_scenario
-    from repro.faults import FaultPlan
-    from repro.obs.exporters import metrics_to_prometheus
-    from repro.report.tables import TextTable
-
-    plans = {"off": None, "default": FaultPlan.default(),
-             "heavy": FaultPlan.heavy()}
-    rules = load_rules(args.rules) if args.rules else default_rules()
-    scenario = build_scenario(seed=args.seed, scale=args.scale,
-                              faults=plans[args.faults])
-    clasp = scenario.clasp
-    selection = clasp.select_topology_servers(args.region)
-    plan = clasp.deploy_topology(args.region, selection,
-                                 budget_servers=args.servers)
-    collector, observer = clasp.collector(rules=rules)
-    clasp.run_campaign([plan], days=args.days, observers=[observer])
-    collector.finalize()
-    evaluator = collector.evaluator
-    if args.fmt == "jsonl":
-        print(notifications_to_jsonlines(evaluator.notifications),
-              end="")
-        return 0
-    if args.fmt == "prom":
-        print(metrics_to_prometheus(collector.registry.snapshot()),
-              end="")
-        print(alerts_to_prometheus(evaluator), end="")
-        return 0
-    table = TextTable(["metric", "value"],
-                      title=f"alerts: {args.region}, {args.days} days, "
-                            f"{len(rules)} rules")
-    table.add_row(["observations", collector.detector.observed])
-    table.add_row(["sealed pair-days", collector.detector.sealed_days])
-    table.add_row(["rule evaluations", evaluator.evaluations])
-    table.add_row(["notifications", len(evaluator.notifications)])
-    table.add_row(["firing now", evaluator.active_count])
-    print(table.render())
-    print(notifications_to_jsonlines(evaluator.notifications), end="")
-    for rule, since_ts in evaluator.firing():
-        print(f"firing: {rule.name} ({rule.severity}) "
-              f"since sim ts {since_ts:.0f}")
-    return 0
-
-
-def _cmd_obs(args: argparse.Namespace) -> int:
-    import repro.obs as obs
-    from repro.experiments import build_scenario
-    from repro.faults import FaultPlan
-    from repro.obs.exporters import (metrics_to_jsonlines,
-                                     metrics_to_prometheus,
-                                     render_span_tree, spans_to_jsonlines)
-
-    plans = {"off": None, "default": FaultPlan.default(),
-             "heavy": FaultPlan.heavy()}
-    obs.enable(capacity=args.capacity)
-    try:
-        scenario = build_scenario(seed=args.seed, scale=args.scale,
-                                  faults=plans[args.faults])
-        clasp = scenario.clasp
-        selection = clasp.select_topology_servers(args.region)
-        plan = clasp.deploy_topology(args.region, selection,
-                                     budget_servers=args.servers)
-        clasp.run_campaign([plan], days=args.days)
-        tracer = obs.tracer()
-        snapshot = obs.snapshot()
-        spans = tracer.finished()
-        if args.fmt == "tree":
-            print(render_span_tree(spans).rstrip("\n"))
-            recorder = tracer.recorder
-            print(f"spans: {recorder.n_recorded} recorded, "
-                  f"{recorder.n_dropped} dropped | layers: "
-                  f"{', '.join(tracer.layers())} | metrics: "
-                  f"{obs.registry().n_metrics}")
-        elif args.fmt == "jsonl":
-            print(spans_to_jsonlines(spans), end="")
-            print(metrics_to_jsonlines(snapshot), end="")
-        else:
-            print(metrics_to_prometheus(snapshot,
-                                        recorder=tracer.recorder),
-                  end="")
-    finally:
-        obs.disable()
     return 0
 
 
@@ -747,42 +524,27 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import main as lint_main
-
-    argv = list(args.paths)
-    if args.select:
-        argv += ["--select", args.select]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.fmt != "text":
-        argv += ["--format", args.fmt]
-    if args.graph:
-        argv.append("--graph")
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
-
-
 _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "experiment": _cmd_experiment,
-    "quickloop": _cmd_quickloop,
     "campaign": _cmd_campaign,
-    "serve": _cmd_serve,
-    "daemon": _cmd_daemon,
-    "alerts": _cmd_alerts,
-    "obs": _cmd_obs,
     "world": _cmd_world,
     "cost": _cmd_cost,
-    "lint": _cmd_lint,
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.lint.cli import main as lint_main
+        return lint_main(extra)
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

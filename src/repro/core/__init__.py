@@ -2,9 +2,8 @@
 
 Server selection (topology-based and differential-based), measurement
 VM orchestration and hourly scheduling, the longitudinal campaign
-runner, the data pipeline and time-series store, and the congestion
-detection / analysis layer that produces every figure and table in the
-paper.
+runner and time-series store, and the congestion detection / analysis
+layer that produces every figure and table in the paper.
 """
 
 from .records import MeasurementRecord, ServerMeta
@@ -12,7 +11,6 @@ from .tsdb import Table, TimeSeriesDB
 from .orchestrator import DeploymentPlan, Orchestrator
 from .scheduler import HourlySchedule, TestSlot
 from .campaign import CampaignConfig, CampaignDataset, CampaignRunner
-from .pipeline import AnalysisPipeline
 from .congestion import (
     CongestionEvent,
     CongestionReport,
@@ -48,7 +46,6 @@ from .detectors import (
     VariabilityDetector,
 )
 from .validation import AccuracyReport, bdrmap_accuracy, congestion_oracle
-from .adaptive import AdaptiveSelector, ServerListUpdate
 from .export import export_dataset, load_dataset
 
 __all__ = [
@@ -57,7 +54,6 @@ __all__ = [
     "DeploymentPlan", "Orchestrator",
     "HourlySchedule", "TestSlot",
     "CampaignConfig", "CampaignDataset", "CampaignRunner",
-    "AnalysisPipeline",
     "CongestionEvent", "CongestionReport",
     "daily_variability", "hourly_variability",
     "choose_threshold_elbow", "midnight_day_index", "threshold_sweep",
@@ -70,6 +66,5 @@ __all__ = [
     "Clasp",
     "AutocorrelationDetector", "HmmDetector", "VariabilityDetector",
     "AccuracyReport", "bdrmap_accuracy", "congestion_oracle",
-    "AdaptiveSelector", "ServerListUpdate",
     "export_dataset", "load_dataset",
 ]

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..cloud.api import CloudPlatform
 from ..cloud.storage import StorageBucket
 from ..cloud.vm import VirtualMachine
-from ..errors import SchedulingError
+from ..errors import SchedulingError, ValidationError
 
 __all__ = ["DeploymentPlan", "Orchestrator", "TESTS_PER_VM_HOUR"]
 
@@ -117,10 +117,14 @@ class Orchestrator:
         """Deploy premium-tier VMs for a topology-based server list.
 
         *budget_servers* truncates the list (the paper measured only a
-        subset in us-west2/us-east4/us-central1 for cost reasons).
+        subset in us-west2/us-east4/us-central1 for cost reasons); it
+        must be at least 1.
         """
         ids = list(server_ids)
         if budget_servers is not None:
+            if budget_servers < 1:
+                raise ValidationError(
+                    f"budget_servers must be >= 1, got {budget_servers}")
             ids = ids[:budget_servers]
         if not ids:
             raise SchedulingError(f"empty server list for {region}")

@@ -29,8 +29,7 @@ incrementally by content hash, so warm runs only re-analyze files that
 changed.
 
 Run it as ``python -m repro.lint [paths]`` or ``repro lint``; add
-``--graph`` for the import graph and ``--format json|sarif`` for
-machine-readable output.
+``--format json`` for machine-readable output.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .engine import (LintResult, ModuleContext, lint_file, lint_sources,
                      lint_text, run)
 from .findings import Finding
 from .index import FileFacts, ProjectIndex, extract_facts
-from .output import findings_to_json, findings_to_sarif, render_module_graph
+from .output import findings_to_json
 from .rules import LAYERS, Rule, all_rules, get_rule
 from .xrules import SHARD_SAFE_GLOBALS, shard_safe_globals
 
@@ -59,13 +58,11 @@ __all__ = [
     "content_key",
     "extract_facts",
     "findings_to_json",
-    "findings_to_sarif",
     "get_rule",
     "lint_file",
     "lint_sources",
     "lint_text",
     "load_baseline",
-    "render_module_graph",
     "run",
     "shard_safe_globals",
     "write_baseline",

@@ -1,7 +1,7 @@
 """Command line for the invariant checker.
 
 ``python -m repro.lint [paths] [--select CODES] [--baseline FILE]
-[--format text|json|sarif] [--graph]``
+[--format text|json]``
 
 Exit status is 0 when every finding is suppressed or baselined, 1 when
 actionable findings remain, 2 on usage errors (nonexistent target, a
@@ -24,8 +24,7 @@ from typing import List, Optional
 from ..errors import ReproError
 from .baseline import write_baseline
 from .engine import run
-from .output import (findings_to_json, findings_to_sarif,
-                     render_module_graph)
+from .output import findings_to_json
 from .rules import all_rules
 
 __all__ = ["DEFAULT_CACHE", "build_parser", "main"]
@@ -51,12 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--root", metavar="DIR", type=Path,
                         help="directory findings paths are relative to "
                              "(default: current directory)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", dest="fmt",
                         help="output format (default: text)")
-    parser.add_argument("--graph", action="store_true",
-                        help="print the module import graph (with layer "
-                             "tags and cycle verdict) instead of findings")
     parser.add_argument("--cache", metavar="FILE", type=Path,
                         default=Path(DEFAULT_CACHE),
                         help=f"incremental result cache "
@@ -102,21 +98,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote {count} baseline entries to {args.write_baseline}")
         return 0
 
-    if args.graph:
-        if result.index is None:
-            print("repro.lint: error: --graph needs at least one "
-                  "cross-file rule selected", file=sys.stderr)
-            return 2
-        print(render_module_graph(result.index))
-        return 0 if result.ok else 1
-
     if args.fmt == "json":
         print(findings_to_json(result.findings, result.baselined,
                                files_checked=result.files_checked,
                                files_reused=result.files_reused))
-        return 0 if result.ok else 1
-    if args.fmt == "sarif":
-        print(findings_to_sarif(result.findings, result.baselined))
         return 0 if result.ok else 1
 
     if not args.quiet:

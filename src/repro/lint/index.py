@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
-from .rules import (LAYERS, _import_aliases, _imported_modules,
-                    _module_layer, _resolve_relative)
+from .rules import _import_aliases, _imported_modules, _resolve_relative
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports index at runtime
     from .engine import ModuleContext
@@ -812,10 +811,6 @@ class ProjectIndex:
             if name not in index_of:
                 strongconnect(name)
         return sorted(cycles)
-
-    def layer_of(self, module: str) -> Optional[str]:
-        layer = _module_layer(module)
-        return LAYERS[layer] if layer is not None else None
 
     # -- symbol resolution ----------------------------------------------
 

@@ -1,34 +1,19 @@
-"""Machine- and human-readable renderings of a lint run.
+"""Machine-readable rendering of a lint run.
 
-Three output shapes besides the default one-line-per-finding text:
-
-* :func:`findings_to_json` - a compact dict for scripting
-  (``repro lint --format json | python -m json.tool``),
-* :func:`findings_to_sarif` - a SARIF 2.1.0 log so CI systems and
-  editors that speak SARIF can ingest findings without a custom parser
-  (baselined findings are carried along as external suppressions),
-* :func:`render_module_graph` - the project import graph with layers
-  and cycle diagnostics (``repro lint --graph``).
-
-Everything here is a pure function of the :class:`~repro.lint.engine.
-LintResult`; nothing touches the filesystem.
+Besides the default one-line-per-finding text, :func:`findings_to_json`
+gives a compact document for scripting (``repro lint --format json |
+python -m json.tool``).  It is a pure function of the
+:class:`~repro.lint.engine.LintResult`; nothing touches the filesystem.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 from .findings import Finding
-from .index import ProjectIndex
-from .rules import all_rules
 
-__all__ = ["SARIF_SCHEMA_URI", "SARIF_VERSION", "findings_to_json",
-           "findings_to_sarif", "render_module_graph"]
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA_URI = ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json")
+__all__ = ["findings_to_json"]
 
 
 def _finding_dict(finding: Finding) -> Dict[str, Any]:
@@ -48,73 +33,3 @@ def findings_to_json(findings: Sequence[Finding],
         "baselined": [_finding_dict(f) for f in baselined],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def findings_to_sarif(findings: Sequence[Finding],
-                      baselined: Sequence[Finding] = ()) -> str:
-    """The run as a SARIF 2.1.0 log (one run, one driver).
-
-    Every registered rule appears in ``tool.driver.rules`` whether or
-    not it fired, so ``ruleIndex`` is stable across runs; baselined
-    findings become results carrying an ``external`` suppression.
-    """
-    rules = all_rules()
-    rule_index = {rule.code: i for i, rule in enumerate(rules)}
-
-    def result(finding: Finding, suppressed: bool) -> Dict[str, Any]:
-        entry: Dict[str, Any] = {
-            "ruleId": finding.code,
-            "ruleIndex": rule_index.get(finding.code, -1),
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {"uri": finding.path,
-                                         "uriBaseId": "SRCROOT"},
-                    "region": {"startLine": finding.line},
-                },
-            }],
-        }
-        if suppressed:
-            entry["suppressions"] = [{"kind": "external"}]
-        return entry
-
-    log = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {"driver": {
-                "name": "repro.lint",
-                "rules": [{
-                    "id": rule.code,
-                    "name": rule.name,
-                    "shortDescription": {"text": rule.summary},
-                } for rule in rules],
-            }},
-            "results": ([result(f, False) for f in findings]
-                        + [result(f, True) for f in baselined]),
-        }],
-    }
-    return json.dumps(log, indent=2, sort_keys=True)
-
-
-def render_module_graph(index: ProjectIndex) -> str:
-    """Human-readable import graph: one module per line, with layer
-    tags, internal dependencies, and a cycle verdict at the end."""
-    graph = index.module_graph()
-    lines: List[str] = []
-    for module in sorted(graph):
-        layer = index.layer_of(module)
-        tag = f" [{layer}]" if layer else ""
-        lines.append(f"{module}{tag}")
-        for target in graph[module]:
-            lines.append(f"  -> {target}")
-    cycles = index.import_cycles()
-    lines.append("")
-    if cycles:
-        lines.append(f"{len(cycles)} import cycle(s):")
-        for cycle in cycles:
-            lines.append("  " + " <-> ".join(cycle))
-    else:
-        lines.append(f"{len(graph)} modules, no import cycles")
-    return "\n".join(lines)

@@ -2,16 +2,13 @@
 
 Re-implementations, against the simulator's abstractions, of the tools
 the paper used: CAIDA's prefix-to-AS dataset, scamper's
-paris-traceroute, bdrmap border inference, tcpdump-style flow capture
-with RTT/loss estimation, someta run metadata, an ipinfo-style
+paris-traceroute, bdrmap border inference, an ipinfo-style
 business-type database, and Speedchecker edge latency probes.
 """
 
 from .prefix2as import Prefix2AS, build_prefix2as
 from .traceroute import Hop, Scamper, Traceroute
 from .bdrmap import Bdrmap, BdrmapResult, InferredLink
-from .flows import FlowCapture, TcpFlow, estimate_loss_rate, estimate_rtt_ms
-from .someta import SometaRecorder, SystemSnapshot
 from .ipinfo import BusinessType, IpInfoDatabase
 from .speedchecker import LatencySample, Speedchecker, TupleMedian
 
@@ -19,8 +16,6 @@ __all__ = [
     "Prefix2AS", "build_prefix2as",
     "Hop", "Scamper", "Traceroute",
     "Bdrmap", "BdrmapResult", "InferredLink",
-    "FlowCapture", "TcpFlow", "estimate_loss_rate", "estimate_rtt_ms",
-    "SometaRecorder", "SystemSnapshot",
     "BusinessType", "IpInfoDatabase",
     "LatencySample", "Speedchecker", "TupleMedian",
 ]

@@ -1,11 +1,10 @@
-"""Campaign runner, dataset, and the analysis pipeline."""
+"""Campaign runner and dataset."""
 
 import numpy as np
 import pytest
 
 from repro.cloud.tiers import NetworkTier
 from repro.core.campaign import CampaignConfig, CampaignRunner
-from repro.core.pipeline import AnalysisPipeline
 from repro.simclock import CAMPAIGN_START
 from repro.units import DAY, HOUR
 
@@ -87,26 +86,3 @@ def test_dataset_pair_filters(campaign_rig):
     assert dataset.n_days == 2
 
 
-def test_pipeline_flow_level_processing(campaign_rig):
-    scenario, plan, _dataset, _cost = campaign_rig
-    clasp = scenario.clasp
-    vm = plan.vms[0]
-    server = scenario.catalog.get(plan.servers_of(vm.name)[0])
-    from repro.speedtest.browser import HeadlessBrowser
-    browser = HeadlessBrowser(clasp.engine)
-    artefacts = browser.run_test(vm, server,
-                                 float(CAMPAIGN_START) + 50 * HOUR)
-    pipeline = AnalysisPipeline(clasp.platform, scenario.catalog,
-                                clasp.engine.config,
-                                seeds=scenario.seeds.child("pl"))
-    processed = pipeline.process(vm, artefacts, "us-east4")
-    record = processed.record
-    assert record.server_id == server.server_id
-    assert record.download_mbps == artefacts.result.download_mbps
-    # Estimated RTT from flows sits near the reported latency.
-    assert processed.estimated_rtt_ms == pytest.approx(
-        artefacts.result.latency_ms, rel=0.5)
-    assert len(processed.download_flows) == clasp.engine.config.n_flows
-    assert 0.0 <= processed.estimated_download_loss < 1.0
-    # The record's loss comes from the estimator, not simulator truth.
-    assert record.download_loss_rate == processed.estimated_download_loss

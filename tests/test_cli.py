@@ -1,5 +1,8 @@
 """CLI subcommands."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -47,12 +50,30 @@ def test_cost_standard_tier_cheaper(capsys):
     assert total(std) < total(prem)
 
 
-def test_quickloop_command(capsys):
-    assert main(["quickloop", "--scale", "0.05", "--days", "2",
+#: A small, fast campaign shape shared by the run-pipeline tests.
+SMALL = ["--scale", "0.05", "--days", "1", "--seed", "11",
+         "--servers", "6"]
+RULES = str(Path(__file__).resolve().parent.parent / "examples"
+            / "rules_default.json")
+
+
+def _row(out, label):
+    """The value column of the summary-table row named *label*."""
+    line = next(line for line in out.splitlines()
+                if line.startswith(label + "  "))
+    return line[len(label):].strip()
+
+
+def test_campaign_summary_has_detection_rows(capsys):
+    """The congestion rows the old quickstart loop printed."""
+    assert main(["campaign", "--scale", "0.05", "--days", "2",
                  "--region", "us-west1", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "tests completed" in out
-    assert "congested s-days" in out
+    for row in ("congested s-days", "congested s-hours",
+                "congested servers"):
+        assert row in out
+    assert "alert rules" not in out  # no live plane unless asked for
 
 
 def test_campaign_command_with_faults(capsys, tmp_path):
@@ -90,8 +111,6 @@ def test_campaign_command_faults_off_digest_stable(capsys, flags):
 
 
 def test_campaign_command_trace_and_metrics(capsys, tmp_path):
-    import json
-
     trace_path = tmp_path / "trace.jsonl"
     assert main(["campaign", "--scale", "0.05", "--days", "1",
                  "--seed", "3", "--servers", "6",
@@ -141,3 +160,143 @@ def test_lint_command_select(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "RPR003" in out
     assert "RPR001" not in out
+
+
+def test_lint_command_json_format(tmp_path, capsys):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import time\nts = time.time()\n")
+    assert main(["lint", str(bad), "--format", "json", "--no-cache"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [f["code"] for f in payload["findings"]] == ["RPR001"]
+
+
+# ----------------------------------------------------------------------
+# the live plane attached to one campaign run
+
+
+def test_campaign_rules_prints_notification_log(capsys):
+    assert main(["campaign", *SMALL, "--rules", RULES]) == 0
+    out = capsys.readouterr().out
+    assert "alert rules" in out
+    assert _row(out, "stream == batch detect") == "yes"
+    notes = [json.loads(line) for line in out.splitlines()
+             if line.startswith("{")]
+    assert notes and {n["rule"] for n in notes} == {"vh-budget-burn"}
+    assert main(["campaign", *SMALL, "--rules", RULES,
+                 "--format", "jsonl"]) == 0
+    jsonl = capsys.readouterr().out.splitlines()
+    assert [json.loads(line) for line in jsonl] == notes
+
+
+def test_campaign_prom_without_consumers_has_alerts(capsys):
+    assert main(["campaign", *SMALL, "--format", "prom"]) == 0
+    out = capsys.readouterr().out
+    assert "collector_observed" in out
+    assert "ALERTS{" in out
+
+
+def test_campaign_runs_state_resume_matches_one_invocation(capsys,
+                                                           tmp_path):
+    """Two runs in one go == one run, saved, then resumed for another."""
+    whole, split = tmp_path / "whole.json", tmp_path / "split.json"
+    assert main(["campaign", *SMALL, "--runs", "2",
+                 "--state", str(whole)]) == 0
+    out = capsys.readouterr().out
+    assert "2 x 1-day runs" in out
+    assert _row(out, "watermarks strictly monotone") == "yes"
+    assert main(["campaign", *SMALL, "--state", str(split)]) == 0
+    assert "(resumed)" not in capsys.readouterr().out
+    assert main(["campaign", *SMALL, "--state", str(split)]) == 0
+    out = capsys.readouterr().out
+    assert "(resumed)" in out
+    assert _row(out, "collector runs") == "2"
+    assert whole.read_bytes() == split.read_bytes()
+    assert json.loads(whole.read_text())["runs"] == 2
+
+
+def test_campaign_runs_finalize_equals_batch_on_concat(capsys):
+    assert main(["campaign", *SMALL, "--runs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert _row(out, "stream == batch detect") == "yes"
+    assert _row(out, "tests completed") == "288"
+
+
+@pytest.mark.parametrize("fmt", ["summary", "jsonl", "prom", "state"])
+def test_campaign_consumers_each_format(capsys, fmt):
+    assert main(["campaign", *SMALL, "--consumers", "1000",
+                 "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "summary":
+        assert "queries served" in out
+        assert "cache hit rate" in out
+    elif fmt == "jsonl":
+        names = {json.loads(line)["name"] for line in out.splitlines()}
+        assert "serve.queries" in names
+    elif fmt == "prom":
+        assert "serve_queries" in out
+        assert "ALERTS{" in out
+    else:
+        state = json.loads(out)
+        assert state["n_pairs"] == 6
+        assert state["alerts"]["notifications"] >= 1
+
+
+def test_campaign_profile_writes_profile_directory(capsys, tmp_path):
+    prof = tmp_path / "prof"
+    assert main(["campaign", *SMALL, "--profile", str(prof)]) == 0
+    captured = capsys.readouterr()
+    assert f"profile: 4 files -> {prof}" in captured.err
+    assert sorted(p.name for p in prof.iterdir()) == [
+        "metrics.jsonl", "metrics.prom", "profile.txt", "spans.jsonl"]
+    names = {json.loads(line)["name"]
+             for line in (prof / "spans.jsonl").read_text().splitlines()}
+    assert {"tools.bdrmap.run", "campaign.run"} <= names
+
+
+# ----------------------------------------------------------------------
+# failure paths: one typed line on stderr, exit status 2
+
+
+def _error_line(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("repro: error: ")
+    assert "Traceback" not in captured.err
+    return lines[0]
+
+
+def test_campaign_truncated_state_is_one_line_error(capsys, tmp_path):
+    state = tmp_path / "state.json"
+    assert main(["campaign", *SMALL, "--state", str(state)]) == 0
+    text = state.read_text()
+    state.write_text(text[:len(text) // 2])
+    capsys.readouterr()
+    assert main(["campaign", *SMALL, "--state", str(state)]) == 2
+    assert "not valid JSON" in _error_line(capsys)
+
+
+def test_campaign_state_missing_key_is_one_line_error(capsys, tmp_path):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"schema": "repro-collector/v1",
+                                 "detector": {"start_ts": 0.0}}))
+    assert main(["campaign", *SMALL, "--state", str(state)]) == 2
+    assert "missing key 'snapshot_hours'" in _error_line(capsys)
+
+
+def test_campaign_zero_runs_is_one_line_error(capsys):
+    assert main(["campaign", *SMALL, "--runs", "0"]) == 2
+    assert "--runs must be >= 1" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("servers", ["0", "-1"])
+def test_campaign_nonpositive_servers_is_one_line_error(capsys, servers):
+    args = ["campaign", "--scale", "0.05", "--days", "1", "--seed", "11",
+            "--servers", servers]
+    assert main(args) == 2
+    assert "budget_servers must be >= 1" in _error_line(capsys)
+
+
+def test_campaign_state_format_needs_consumers(capsys):
+    assert main(["campaign", *SMALL, "--format", "state"]) == 2
+    assert "--consumers" in _error_line(capsys)

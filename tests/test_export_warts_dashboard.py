@@ -1,4 +1,4 @@
-"""Dataset export/import, warts serialization, and the text dashboard."""
+"""Dataset export/import and the text dashboard."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from repro.core.campaign import CampaignDataset
 from repro.core.export import (SCHEMA_VERSION, dataset_digest,
                                export_dataset, load_dataset)
 from repro.core.records import MeasurementRecord, ServerMeta
-from repro.errors import AnalysisError, MeasurementError
+from repro.errors import AnalysisError
 from repro.report.dashboard import render_dashboard
 from repro.simclock import CAMPAIGN_START
-from repro.tools import warts
-from repro.tools.traceroute import Hop, Traceroute
 from repro.units import DAY, HOUR
 
 
@@ -113,41 +111,6 @@ def test_export_records_lost_and_digest(tmp_path):
     loaded.mark_lost(CAMPAIGN_START + 5 * HOUR, "us-east1", "vm",
                      "s2", "upload")
     assert dataset_digest(loaded) != digest
-
-
-# ----------------------------------------------------------------------
-# warts
-
-
-def _trace():
-    return Traceroute(
-        src_ip=167772161, dst_ip=167837697, ts=12345.0, flow_id=3,
-        reached=True,
-        hops=(Hop(1, 167772162, 1.5), Hop(2, None, None),
-              Hop(3, 167837697, 9.25)))
-
-
-def test_warts_roundtrip():
-    trace = _trace()
-    line = warts.dumps(trace)
-    assert "\n" not in line
-    restored = warts.loads(line)
-    assert restored == trace
-
-
-def test_warts_file_roundtrip(tmp_path):
-    traces = [_trace(), _trace()]
-    path = tmp_path / "traces.warts.jsonl"
-    assert warts.dump_file(traces, path) == 2
-    loaded = list(warts.load_file(path))
-    assert loaded == traces
-
-
-def test_warts_rejects_garbage():
-    with pytest.raises(MeasurementError):
-        warts.loads("{not json")
-    with pytest.raises(MeasurementError):
-        warts.loads('{"format": "other", "hops": []}')
 
 
 # ----------------------------------------------------------------------

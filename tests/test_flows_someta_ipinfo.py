@@ -1,91 +1,14 @@
-"""Flow capture/estimators, someta metadata, and ipinfo lookups."""
+"""The measurement VM's CPU headroom and ipinfo lookups."""
 
-import numpy as np
 import pytest
 
-from repro.netsim.linkstate import LinkObservation
-from repro.netsim.pathmodel import PathMetrics
-from repro.netsim.topology import LinkKind
-from repro.rng import SeedTree
-from repro.tools.flows import (
-    FlowCapture,
-    estimate_loss_rate,
-    estimate_rtt_ms,
-)
-from repro.tools.someta import CPU_SUSPECT_THRESHOLD, SometaRecorder
-
-
-def _metrics(rtt=40.0, loss=0.001, burst=0.0):
-    obs = LinkObservation(link_id=1, direction=0, capacity_mbps=1000.0,
-                          utilization=0.5, residual_mbps=500.0,
-                          loss_rate=loss, queue_delay_ms=0.5,
-                          burst_loss=burst)
-    return PathMetrics(rtt_ms=rtt, loss_rate=loss, avail_mbps=500.0,
-                       forward=(obs,), reverse=(obs,),
-                       burst_loss_rate=burst)
-
-
-def test_capture_splits_bytes_across_flows():
-    capture = FlowCapture(SeedTree(1))
-    flows = capture.capture(_metrics(), total_bytes=100e6,
-                            duration_s=15.0, n_flows=8,
-                            direction="download")
-    assert len(flows) == 8
-    assert sum(f.bytes for f in flows) == pytest.approx(100e6)
-    assert all(f.direction == "download" for f in flows)
-    assert all(f.packets >= 1 for f in flows)
-
-
-def test_capture_validation():
-    capture = FlowCapture(SeedTree(1))
-    with pytest.raises(ValueError):
-        capture.capture(_metrics(), 1e6, 15.0, 0, "download")
-    with pytest.raises(ValueError):
-        capture.capture(_metrics(), 1e6, 0.0, 4, "download")
-    with pytest.raises(ValueError):
-        FlowCapture(rtt_samples_per_flow=0)
-
-
-def test_rtt_estimator_recovers_path_rtt():
-    capture = FlowCapture(SeedTree(2))
-    flows = capture.capture(_metrics(rtt=80.0), 50e6, 15.0, 8, "download")
-    estimate = estimate_rtt_ms(flows)
-    # Min-filtering pushes the estimate to just above the true RTT.
-    assert 80.0 <= estimate <= 88.0
-
-
-def test_loss_estimator_recovers_loss():
-    capture = FlowCapture(SeedTree(3))
-    flows = capture.capture(_metrics(loss=0.02), 200e6, 15.0, 8,
-                            "download")
-    estimate = estimate_loss_rate(flows)
-    assert estimate == pytest.approx(0.02, rel=0.3)
-
-
-def test_loss_estimator_includes_burst_component():
-    capture = FlowCapture(SeedTree(4))
-    flows = capture.capture(_metrics(loss=0.001, burst=0.12), 200e6,
-                            15.0, 8, "download")
-    assert estimate_loss_rate(flows) > 0.08
-
-
-def test_estimators_validate_input():
-    with pytest.raises(ValueError):
-        estimate_rtt_ms([])
-    with pytest.raises(ValueError):
-        estimate_loss_rate([])
-
-
-def test_retransmission_rate_property():
-    capture = FlowCapture(SeedTree(5))
-    flows = capture.capture(_metrics(loss=0.05), 100e6, 15.0, 4,
-                            "upload")
-    for flow in flows:
-        assert 0.0 <= flow.retransmission_rate <= 1.0
+#: CPU utilization above which a test's throughput is suspect (the
+#: paper checked its VMs stayed below this during 1 Gbps tests).
+CPU_SUSPECT_THRESHOLD = 0.90
 
 
 # ----------------------------------------------------------------------
-# someta
+# measurement VM
 
 
 def _vm():
@@ -100,25 +23,6 @@ def _vm():
         tier=NetworkTier.PREMIUM,
         nic=NetworkInterface(ip=1, host_pop_id=1, attach_link_id=1),
         created_ts=0.0)
-
-
-def test_someta_records_and_flags():
-    recorder = SometaRecorder(_vm(), SeedTree(6))
-    quiet = recorder.record(0.0, test_cpu_utilization=0.2,
-                            test_server_id="s-1")
-    busy = recorder.record(60.0, test_cpu_utilization=0.95)
-    assert not quiet.cpu_suspect
-    assert busy.cpu_suspect
-    assert len(recorder.snapshots) == 2
-    assert 0 < recorder.suspect_fraction() < 1
-    assert quiet.load_1min > 0
-    assert quiet.memory_used_gb > 0
-
-
-def test_someta_validation():
-    recorder = SometaRecorder(_vm(), SeedTree(7))
-    with pytest.raises(ValueError):
-        recorder.record(0.0, test_cpu_utilization=1.5)
 
 
 def test_paper_vm_type_not_cpu_limited():

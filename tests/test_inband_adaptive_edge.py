@@ -1,129 +1,11 @@
-"""Future-work extensions: in-band localization, adaptive lists,
-edge-platform motivation."""
+"""Edge-platform motivation: probe coverage vs the speed test catalog."""
 
-import numpy as np
 import pytest
 
-from repro.errors import MeasurementError, SelectionError
-from repro.netsim.linkstate import LinkStateEvaluator
-from repro.netsim.routing import Router
-from repro.netsim.traffic import DiurnalProfile, UtilizationModel
+from repro.errors import MeasurementError
 from repro.rng import SeedTree
 from repro.simclock import CAMPAIGN_START
-from repro.tools.inband import InbandProbe
 from repro.units import DAY
-
-
-# ----------------------------------------------------------------------
-# in-band bottleneck localization
-
-
-@pytest.fixture()
-def inband_rig(mini_world, seeds):
-    topo = mini_world.topology
-    util = UtilizationModel(seeds, CAMPAIGN_START)
-    for link in topo.links.values():
-        util.set_profile_both(link.link_id,
-                              DiurnalProfile(base=0.2, noise_sigma=0.0))
-    router = Router(topo, cloud_asn=mini_world.cloud_asn)
-    probe = InbandProbe(topo, LinkStateEvaluator(util),
-                        SeedTree(5), jitter_ms=0.05)
-    return mini_world, util, router, probe
-
-
-def test_locates_the_saturated_hop(inband_rig):
-    world, util, router, probe = inband_rig
-    route = router.route(world.pops["cloud-west"],
-                         world.pops["ispb-south"])
-    # Saturate one specific link on the forward path.
-    victim_id, victim_dir = route.links[len(route.links) // 2]
-    util.set_profile(victim_id, victim_dir,
-                     DiurnalProfile(base=0.99, noise_sigma=0.0))
-    estimate = probe.locate_bottleneck(route, CAMPAIGN_START, trains=6)
-    assert estimate.link_id == victim_id
-    assert estimate.queue_ms > 1.0
-    assert estimate.confident
-    assert len(estimate.per_hop_queue_ms) == len(route.links)
-
-
-def test_quiet_path_yields_unconfident_estimate(inband_rig):
-    world, _util, router, probe = inband_rig
-    route = router.route(world.pops["cloud-west"],
-                         world.pops["ispa-west"])
-    estimate = probe.locate_bottleneck(route, CAMPAIGN_START)
-    assert estimate.queue_ms < 1.0
-
-
-def test_baseline_monotone(inband_rig):
-    world, _util, router, probe = inband_rig
-    route = router.route(world.pops["cloud-west"],
-                         world.pops["ispb-south"])
-    baseline = probe.baseline_path(route)
-    assert all(a < b for a, b in zip(baseline, baseline[1:]))
-
-
-def test_inband_validation(inband_rig):
-    world, _util, router, probe = inband_rig
-    route = router.route(world.pops["cloud-west"],
-                         world.pops["ispa-west"])
-    with pytest.raises(MeasurementError):
-        probe.sample_path(route, CAMPAIGN_START, trains=0)
-    with pytest.raises(MeasurementError):
-        InbandProbe(world.topology, probe._eval, jitter_ms=-1)
-
-
-# ----------------------------------------------------------------------
-# adaptive server lists
-
-
-def test_adaptive_rescan_detects_new_servers(small_scenario):
-    from repro.core.adaptive import AdaptiveSelector
-    from repro.core.selection.topology_based import TopologySelector
-
-    scenario = small_scenario
-    clasp = scenario.clasp
-    selector = TopologySelector(clasp.bdrmap, clasp.scamper,
-                                clasp.prefix2as, scenario.catalog)
-    adaptive = AdaptiveSelector(selector, rescan_interval_days=30,
-                                max_churn_fraction=0.3)
-    src = clasp.platform.region_pop("us-west2")
-    ts0 = float(CAMPAIGN_START)
-
-    baseline = selector.run("us-west2", src.pop_id, ts0)
-    adaptive.record_baseline("us-west2", baseline, ts0)
-    deployed = baseline.selected_ids()
-
-    assert not adaptive.needs_rescan("us-west2", ts0 + 10 * DAY)
-    assert adaptive.needs_rescan("us-west2", ts0 + 31 * DAY)
-
-    update = adaptive.rescan("us-west2", src.pop_id, ts0 + 31 * DAY,
-                             deployed)
-    assert update.churn <= max(1, int(len(deployed) * 0.3))
-    new_list = update.apply_to(deployed)
-    assert len(set(new_list)) == len(new_list)
-    for sid in update.added:
-        assert sid in new_list
-    for sid in update.removed:
-        assert sid not in new_list
-    # Kept servers preserve their order.
-    kept_order = [sid for sid in deployed if sid in set(new_list)]
-    assert new_list[:len(kept_order)] == kept_order
-
-
-def test_adaptive_validation(small_scenario):
-    from repro.core.adaptive import AdaptiveSelector
-    from repro.core.selection.topology_based import TopologySelector
-    clasp = small_scenario.clasp
-    selector = TopologySelector(clasp.bdrmap, clasp.scamper,
-                                clasp.prefix2as, small_scenario.catalog)
-    with pytest.raises(SelectionError):
-        AdaptiveSelector(selector, rescan_interval_days=0)
-    with pytest.raises(SelectionError):
-        AdaptiveSelector(selector, max_churn_fraction=0.0)
-
-
-# ----------------------------------------------------------------------
-# edge platform motivation
 
 
 def test_edge_platform_coverage_gap(small_scenario):

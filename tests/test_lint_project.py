@@ -15,8 +15,7 @@ import pytest
 import repro.obs as obs
 from repro.errors import ConfigError
 from repro.lint import (LintCache, ProjectIndex, content_key,
-                        findings_to_json, findings_to_sarif, lint_sources,
-                        lint_text, render_module_graph, run)
+                        findings_to_json, lint_sources, lint_text, run)
 from repro.lint.baseline import load_baseline, write_baseline
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import ModuleContext
@@ -400,22 +399,6 @@ def test_resolve_follows_aliases():
     assert index.resolve("repro.core.uses", "missing") is None
 
 
-def test_render_module_graph_lists_edges_and_verdict():
-    index = make_index({
-        "repro.core.a": "import repro.core.b\n",
-        "repro.core.b": "x = 1\n",
-    })
-    text = render_module_graph(index)
-    assert "repro.core.a [core]" in text
-    assert "  -> repro.core.b" in text
-    assert "no import cycles" in text
-    cyclic = make_index({
-        "repro.core.a": "import repro.core.b\n",
-        "repro.core.b": "import repro.core.a\n",
-    })
-    assert "1 import cycle(s):" in render_module_graph(cyclic)
-
-
 # -- incremental cache ------------------------------------------------------
 
 def _write_tree(root):
@@ -512,31 +495,6 @@ def test_cli_exits_2_on_bad_targets(tmp_path, capsys):
 def _sample_findings():
     return ([Finding("src/repro/core/x.py", 3, "RPR001", "wall clock")],
             [Finding("src/repro/core/y.py", 7, "RPR003", "builtin raise")])
-
-
-def test_sarif_log_matches_2_1_0_shape():
-    findings, baselined = _sample_findings()
-    log = json.loads(findings_to_sarif(findings, baselined))
-    assert log["version"] == "2.1.0"
-    assert log["$schema"].endswith("sarif-schema-2.1.0.json")
-    assert len(log["runs"]) == 1
-    driver = log["runs"][0]["tool"]["driver"]
-    assert driver["name"] == "repro.lint"
-    rule_ids = [rule["id"] for rule in driver["rules"]]
-    assert rule_ids == sorted(rule_ids)
-    assert {"RPR001", "RPR009", "RPR012"} <= set(rule_ids)
-    for rule in driver["rules"]:
-        assert rule["shortDescription"]["text"]
-    results = log["runs"][0]["results"]
-    assert len(results) == 2
-    first = results[0]
-    assert first["ruleId"] == "RPR001"
-    assert first["message"]["text"] == "wall clock"
-    location = first["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == "src/repro/core/x.py"
-    assert location["region"]["startLine"] == 3
-    assert rule_ids[first["ruleIndex"]] == "RPR001"
-    assert results[1]["suppressions"] == [{"kind": "external"}]
 
 
 def test_json_output_shape():

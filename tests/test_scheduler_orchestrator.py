@@ -10,7 +10,7 @@ from repro.core.orchestrator import (
     Orchestrator,
 )
 from repro.core.scheduler import HourlySchedule, TEST_SLOT_S
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, ValidationError
 from repro.rng import SeedTree
 from repro.simclock import CAMPAIGN_START
 from repro.units import HOUR
@@ -130,6 +130,16 @@ def test_deploy_topology_budget_cap(small_scenario, us_server_ids):
     finally:
         clasp.orchestrator.teardown(plan, float(CAMPAIGN_START))
 
+
+
+@pytest.mark.parametrize("budget", [0, -2])
+def test_deploy_topology_rejects_nonpositive_budget(small_scenario,
+                                                    us_server_ids, budget):
+    """A negative budget must not slice servers off the end."""
+    with pytest.raises(ValidationError, match="budget_servers"):
+        small_scenario.clasp.orchestrator.deploy_topology(
+            "us-west3", us_server_ids(40), float(CAMPAIGN_START),
+            budget_servers=budget)
 
 def test_deploy_differential_pairs(small_scenario):
     from repro.cloud.tiers import NetworkTier
