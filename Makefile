@@ -1,7 +1,8 @@
 # Development entry points.  `make check` is the single gate CI and
-# contributors run: repro.lint invariants (per-file and cross-file), a
-# CLI smoke test, then the test suite (with the repro.faults coverage
-# floor when pytest-cov is available).
+# contributors run: one repro.lint pass (per-file rules plus the
+# RPR010/RPR011 cross-file determinism rules), a CLI smoke test, then
+# the test suite (which also checks the event and alert-rule
+# registries), with the coverage floor when pytest-cov is available.
 
 PYTHON ?= python
 

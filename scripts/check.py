@@ -1,14 +1,11 @@
 #!/usr/bin/env python
 """One-stop verification: lint, a CLI smoke, the tests, a bench smoke.
 
-This is what ``make check`` runs.  After the full lint pass, the CLI
-smoke runs one small monitored campaign as ``python -m repro.cli
-campaign ... --format prom`` in a subprocess and requires exit 0 and
-``ALERTS{`` series in its output.  Then the cross-file rules
-(RPR009-RPR013) run once more as a focused ``--select`` step: that
-exercises RPR009's allowlist-liveness check in isolation, so a stale
-shared-state allowlist entry fails the build even if some other rule's
-cache masked it.  The numpy
+This is what ``make check`` runs.  The lint pass runs every rule,
+per-file and cross-file (RPR010/RPR011), once over ``src/repro``.
+The CLI smoke runs one small monitored campaign as ``python -m
+repro.cli campaign ... --format prom`` in a subprocess and requires
+exit 0 and ``ALERTS{`` series in its output.  The numpy
 stream-compat gate (``tests/test_rng.py -k first_uniforms``) checks
 that ``SeedTree.first_uniforms``, which re-implements numpy's
 ``SeedSequence`` and PCG64 seeding, still equals ``default_rng``: a
@@ -90,12 +87,6 @@ def main() -> int:
         return status
 
     status = _cli_smoke()
-    if status != 0:
-        return status
-
-    status = _run("shard-safety lint", [
-        sys.executable, "-m", "repro.lint", str(SRC / "repro"),
-        "--select", "RPR009,RPR010,RPR011,RPR012,RPR013", "--no-cache"])
     if status != 0:
         return status
 

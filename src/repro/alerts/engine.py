@@ -10,9 +10,9 @@ data, so the same seed + rules always produce the same bytes.
 
 Evaluation dispatch mirrors :class:`~repro.engine.observers.Observer`:
 rule kind ``"burn-rate"`` is handled by ``_eval_burn_rate`` and so on;
-the cross-file lint rule RPR013 keeps the taxonomy, the
-:data:`~repro.alerts.rules.RULE_KINDS` registry, and these handler
-methods in sync.
+``tests/test_alerts.py::test_rule_kinds_registry_mirrors_evaluator``
+keeps the taxonomy, the :data:`~repro.alerts.rules.RULE_KINDS`
+registry, and these handler methods in sync.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ class RuleEvaluator:
                             severity=rule.severity, status=status,
                             value=value, detail=detail)
 
-    # -- one handler per rule kind (RPR013-checked) --------------------
+    # -- one handler per rule kind (checked by the registry test) ------
 
     def _eval_threshold(self, rule: AlertRule, now_ts: float
                         ) -> Tuple[bool, float, str]:

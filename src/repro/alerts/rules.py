@@ -6,8 +6,9 @@ staleness horizon, or an SLO burn rate), and how urgently
 (*severity*, *for_intervals*).  The taxonomy mirrors
 :mod:`repro.engine.events`: every concrete rule class carries a
 literal ``kind`` ClassVar, is registered in :data:`RULE_KINDS`, and
-must be handled by a ``RuleEvaluator._eval_<kind>`` method - the
-cross-file lint rule RPR013 keeps all three in sync.
+must be handled by a ``RuleEvaluator._eval_<kind>`` method -
+``tests/test_alerts.py::test_rule_kinds_registry_mirrors_evaluator``
+keeps all three in sync.
 
 Rules files are plain JSON - either a list of rule objects or
 ``{"rules": [...]}`` - each object a flat dict whose ``kind`` picks
@@ -172,8 +173,8 @@ class BurnRateRule(AlertRule):
         return self.budget / (self.period_days * 24.0)
 
 
-#: Every rule kind the evaluator handles, in taxonomy order.  RPR013
-#: checks this registry against the classes above and the evaluator.
+#: Every rule kind the evaluator handles, in taxonomy order.  The
+#: registry test checks it against the classes above and the evaluator.
 RULE_KINDS: Tuple[str, ...] = tuple(
     cls.kind for cls in (ThresholdRule, AbsenceRule, BurnRateRule))
 

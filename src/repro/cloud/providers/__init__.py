@@ -1,9 +1,8 @@
 """Provider registry: every cloud the simulation can speak for.
 
 The registry is built once at import time and frozen behind a
-:class:`types.MappingProxyType`, so it is shard-safe by construction
-(RPR009's import-time exemption applies - nothing ever mutates it) and
-needs no ``SHARD_SAFE_GLOBALS`` allowlist entry.
+:class:`types.MappingProxyType`: nothing ever mutates it, so every
+run sees the same providers in the same order.
 
 ``get_provider`` is the one resolution point the rest of the package
 uses: it accepts a name, an existing :class:`CloudProvider`, or

@@ -39,8 +39,9 @@ _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 #: Event fields that are *deliberately* non-scalar and therefore
 #: excluded from :func:`event_payload`.  Every non-scalar field must be
-#: declared here - the lint gate (RPR012) enforces it - so a payload
-#: field can never be dropped from the wire format by accident.
+#: declared here - ``tests/test_engine.py`` enforces it for every event
+#: class - so a payload field can never be dropped from the wire format
+#: by accident.
 OPAQUE_FIELDS: FrozenSet[str] = frozenset({"record"})
 
 

@@ -41,9 +41,10 @@ class Observer:
     Subclasses implement only the hooks they care about; kind names
     map dash-to-underscore (``test-completed`` -> ``on_test_completed``).
     Event kinds a subclass deliberately does not handle go in its
-    ``IGNORED_EVENTS`` tuple - the lint gate (RPR012) requires every
-    engine event kind to be either handled or listed there, so growing
-    the taxonomy can never silently bypass an observer.
+    ``IGNORED_EVENTS`` tuple - the registry test in
+    ``tests/test_engine.py`` requires every engine event kind to be
+    either handled or listed there for every observer in the package,
+    so growing the taxonomy can never silently bypass an observer.
     """
 
     #: Event kinds this observer deliberately does not react to.

@@ -2,23 +2,25 @@
 
 The pipeline is two-phase.  Per file::
 
-    read -> cache lookup (content hash) -> parse (RPR000 on SyntaxError)
+    read -> parse (RPR000 on SyntaxError) -> walk the tree once
          -> run single-file rules -> drop `# repro: noqa` suppressed
          -> extract FileFacts for the project index
 
 then once per run::
 
-    ProjectIndex(all facts) -> cross-file rules (RPR009+)
-         -> drop suppressed -> split everything against the baseline
+    ProjectIndex(all facts) -> cross-file rules (RPR010, RPR011)
+         -> drop suppressed
 
 :func:`run` is the single entry point used by both the CLI and the CI
 gate test; :func:`lint_text` lints an in-memory snippet and
 :func:`lint_sources` a dict of snippets (a whole miniature project),
-which keeps the rule test fixtures free of temp files.
+which keeps the rule test fixtures free of temp files.  A run reads
+files and writes none.
 
 When :mod:`repro.obs` is enabled the run reports itself: one
-``lint.run`` span plus ``lint.files.*`` / ``lint.findings.*`` counters,
-so the analyzer shows up in obs snapshots like any other subsystem.
+``lint.run`` span plus ``lint.files.scanned`` / ``lint.findings.*``
+counters, so the analyzer shows up in obs snapshots like any other
+subsystem.
 """
 
 from __future__ import annotations
@@ -27,45 +29,56 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+                    Sequence, Tuple)
 
 import repro.obs as obs
 
 from ..errors import ConfigError
-from .baseline import load_baseline, matches_baseline
-from .cache import LintCache, content_key
 from .findings import Finding
 from .index import FileFacts, ProjectIndex, extract_facts
 from .noqa import NoqaDirectives
-from .rules import SCOPE_FILE, SCOPE_PROJECT, Rule, all_rules, get_rule
+from .rules import (SCOPE_FILE, SCOPE_PROJECT, Rule, _import_aliases,
+                    all_rules, get_rule)
 
-# Importing xrules registers RPR009..RPR012 with the shared registry.
+# Importing xrules registers RPR010 and RPR011 with the shared registry.
 from . import xrules  # noqa: F401  (import-for-side-effect)
 
 __all__ = ["LintResult", "ModuleContext", "iter_python_files",
-           "lint_file", "lint_sources", "lint_text", "module_name_for",
-           "run"]
+           "lint_sources", "lint_text", "module_name_for", "run"]
 
 
 @dataclass(frozen=True)
 class ModuleContext:
-    """Everything a rule needs to know about one parsed module."""
+    """Everything a rule needs to know about one parsed module.
+
+    ``nodes`` and ``aliases`` are derived from ``tree`` once, at
+    construction, so every rule and the fact extractor share one walk.
+    """
 
     path: str                     #: display path (posix, repo-relative)
     module: Optional[str]         #: dotted module name, e.g. ``repro.netsim.tcp``
     tree: ast.AST                 #: parsed AST of the file
     lines: Sequence[str]          #: raw source lines (1-indexed via ``lines[i-1]``)
     is_package: bool = False      #: True for ``__init__.py`` files
+    #: Every node of ``tree`` in :func:`ast.walk` order.
+    nodes: Tuple[ast.AST, ...] = field(init=False, repr=False,
+                                       compare=False)
+    #: Import alias map: local name -> canonical dotted path.
+    aliases: Mapping[str, str] = field(init=False, repr=False,
+                                       compare=False)
+
+    def __post_init__(self) -> None:
+        nodes = tuple(ast.walk(self.tree))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "aliases", _import_aliases(nodes))
 
 
 @dataclass
 class LintResult:
     """Outcome of one lint run."""
 
-    findings: List[Finding] = field(default_factory=list)     #: actionable
-    baselined: List[Finding] = field(default_factory=list)    #: grandfathered
+    findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
-    files_reused: int = 0         #: served from the incremental cache
     #: The whole-program index (None when no project rule ran).
     index: Optional[ProjectIndex] = None
 
@@ -108,20 +121,25 @@ def iter_python_files(paths: Iterable["Path | str"]) -> Iterator[Path]:
                               f"nor a directory")
 
 
-def _select_rules(select: Optional[Sequence[str]]) -> List[Rule]:
-    if not select:
-        return all_rules()
-    return [get_rule(code) for code in select]
-
-
-def _split_rules(rules: Sequence[Rule]) -> Tuple[List[Rule], List[Rule]]:
+def _split_rules(select: Optional[Sequence[str]]
+                 ) -> Tuple[List[Rule], List[Rule]]:
+    rules = [get_rule(code) for code in select] if select else all_rules()
     return ([r for r in rules if r.scope == SCOPE_FILE],
             [r for r in rules if r.scope == SCOPE_PROJECT])
 
 
-def _lint_module(ctx: ModuleContext, file_rules: Sequence[Rule]
+def _lint_module(path: str, module: Optional[str], source: str,
+                 is_package: bool, file_rules: Sequence[Rule]
                  ) -> Tuple[List[Finding], FileFacts]:
     """Single-file findings (noqa-filtered) plus extracted facts."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        finding = Finding(path, exc.lineno or 1, "RPR000",
+                          f"could not parse: {exc.msg}")
+        return [finding], FileFacts(path=path, module=module)
+    ctx = ModuleContext(path=path, module=module, tree=tree,
+                        lines=source.splitlines(), is_package=is_package)
     findings: List[Finding] = []
     for rule in file_rules:
         findings.extend(rule.func(ctx))
@@ -129,16 +147,7 @@ def _lint_module(ctx: ModuleContext, file_rules: Sequence[Rule]
     if len(noqa):
         findings = [f for f in findings
                     if not noqa.is_suppressed(f.line, f.code)]
-    facts = extract_facts(ctx, noqa_map=noqa.as_map())
-    return sorted(findings), facts
-
-
-def _parse_error_result(display: str, module: Optional[str],
-                        exc: SyntaxError
-                        ) -> Tuple[List[Finding], FileFacts]:
-    finding = Finding(display, exc.lineno or 1, "RPR000",
-                      f"could not parse: {exc.msg}")
-    return [finding], FileFacts(path=display, module=module)
+    return findings, extract_facts(ctx, noqa_map=noqa.as_map())
 
 
 def _project_findings(facts: Sequence[FileFacts],
@@ -158,7 +167,7 @@ def _project_findings(facts: Sequence[FileFacts],
             if "*" in suppressed or finding.code in suppressed:
                 continue
             findings.append(finding)
-    return sorted(findings), index
+    return findings, index
 
 
 def lint_text(source: str, path: str = "<snippet>",
@@ -168,7 +177,7 @@ def lint_text(source: str, path: str = "<snippet>",
     """Lint an in-memory *source* snippet (used heavily by the tests).
 
     Cross-file rules run too, over a one-module project index, so
-    single-file fixtures can exercise RPR009+ as well.
+    single-file fixtures can exercise RPR010/RPR011 as well.
     """
     return lint_sources({path: source}, select=select,
                         modules={path: module},
@@ -184,26 +193,18 @@ def lint_sources(sources: Mapping[str, str],
     Module names are taken from *modules* when given, else derived from
     the path (anchored at a ``repro`` component, mirroring
     :func:`module_name_for`), so cross-file fixtures like
-    ``{"src/repro/engine/events.py": ..., "src/repro/core/x.py": ...}``
+    ``{"src/repro/core/a.py": ..., "src/repro/core/b.py": ...}``
     behave exactly like the real tree.
     """
-    file_rules, project_rules = _split_rules(_select_rules(select))
+    file_rules, project_rules = _split_rules(select)
+    packages = set(packages)
     findings: List[Finding] = []
     all_facts: List[FileFacts] = []
     for path in sorted(sources):
-        source = sources[path]
-        module = (modules or {}).get(
-            path, module_name_for(Path(path)))
-        is_package = path in set(packages) or path.endswith("__init__.py")
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            file_findings, facts = _parse_error_result(path, module, exc)
-        else:
-            ctx = ModuleContext(path=path, module=module, tree=tree,
-                                lines=source.splitlines(),
-                                is_package=is_package)
-            file_findings, facts = _lint_module(ctx, file_rules)
+        module = (modules or {}).get(path, module_name_for(Path(path)))
+        is_package = path in packages or path.endswith("__init__.py")
+        file_findings, facts = _lint_module(path, module, sources[path],
+                                            is_package, file_rules)
         findings.extend(file_findings)
         all_facts.append(facts)
     project, _index = _project_findings(all_facts, project_rules)
@@ -220,35 +221,12 @@ def _display_path(path: Path, root: Optional[Path]) -> str:
     return str(PurePosixPath(path))
 
 
-def lint_file(path: "Path | str", root: "Path | str | None" = None,
-              select: Optional[Sequence[str]] = None) -> List[Finding]:
-    """Lint one file; *root* anchors the reported (and baselined) path."""
-    p = Path(path)
-    display = _display_path(p, Path(root) if root is not None else None)
-    source = p.read_text(encoding="utf-8")
-    return lint_text(source, path=display, module=module_name_for(p),
-                     select=select, is_package=p.name == "__init__.py")
-
-
 def run(paths: Iterable["Path | str"],
         select: Optional[Sequence[str]] = None,
-        baseline: "Path | str | None" = None,
-        root: "Path | str | None" = None,
-        cache: "Path | str | None" = None) -> LintResult:
-    """Lint *paths* and split findings against the optional *baseline*.
-
-    Paths in findings are made relative to *root* (default: the current
-    working directory), which is also what baseline entries match on.
-    With *cache* set, unchanged files (by content hash, salted with the
-    rule configuration) skip parsing and the per-file rule pass.
-    """
+        root: "Path | str | None" = None) -> LintResult:
+    """Lint *paths*; findings paths are relative to *root* (default: cwd)."""
     anchor = Path(root) if root is not None else Path.cwd()
-    file_rules, project_rules = _split_rules(_select_rules(select))
-    baseline_keys: Set[str] = (load_baseline(baseline)
-                               if baseline is not None else set())
-    store = LintCache(cache) if cache is not None else None
-    result = LintResult()
-
+    file_rules, project_rules = _split_rules(select)
     files = list(iter_python_files(paths))
     if not files:
         raise ConfigError(
@@ -256,55 +234,21 @@ def run(paths: Iterable["Path | str"],
             + ", ".join(str(p) for p in paths)
             + " (nothing to lint)")
 
+    result = LintResult(files_checked=len(files))
     with obs.span("lint.run", layer="lint", files=len(files)):
-        all_findings: List[Finding] = []
         all_facts: List[FileFacts] = []
         for file_path in files:
-            result.files_checked += 1
-            display = _display_path(file_path, anchor)
-            source = file_path.read_text(encoding="utf-8")
-            key = content_key(source, select)
-            cached = store.get(display, key) if store is not None else None
-            if cached is not None:
-                file_findings, facts = cached
-                result.files_reused += 1
-            else:
-                try:
-                    tree = ast.parse(source)
-                except SyntaxError as exc:
-                    file_findings, facts = _parse_error_result(
-                        display, module_name_for(file_path), exc)
-                else:
-                    ctx = ModuleContext(
-                        path=display, module=module_name_for(file_path),
-                        tree=tree, lines=source.splitlines(),
-                        is_package=file_path.name == "__init__.py")
-                    file_findings, facts = _lint_module(ctx, file_rules)
-                if store is not None:
-                    store.put(display, key, file_findings, facts)
-            all_findings.extend(file_findings)
+            file_findings, facts = _lint_module(
+                _display_path(file_path, anchor), module_name_for(file_path),
+                file_path.read_text(encoding="utf-8"),
+                file_path.name == "__init__.py", file_rules)
+            result.findings.extend(file_findings)
             all_facts.append(facts)
-
-        project, index = _project_findings(all_facts, project_rules)
-        all_findings.extend(project)
-        result.index = index
-
-        for finding in all_findings:
-            if baseline_keys and matches_baseline(baseline_keys, finding):
-                result.baselined.append(finding)
-            else:
-                result.findings.append(finding)
+        project, result.index = _project_findings(all_facts, project_rules)
+        result.findings.extend(project)
         result.findings.sort()
-        result.baselined.sort()
-
-        if store is not None:
-            store.prune([_display_path(p, anchor) for p in files])
-            store.save()
 
         obs.inc("lint.files.scanned", result.files_checked)
-        obs.inc("lint.files.reused", result.files_reused)
         for finding in result.findings:
             obs.inc(f"lint.findings.{finding.code}")
-        for finding in result.baselined:
-            obs.inc(f"lint.baselined.{finding.code}")
     return result

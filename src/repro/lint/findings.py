@@ -23,7 +23,3 @@ class Finding:
     def format(self) -> str:
         """Render in the conventional ``path:line: CODE message`` shape."""
         return f"{self.path}:{self.line}: {self.code} {self.message}"
-
-    def baseline_key(self) -> str:
-        """The ``path:line:code`` key used by the baseline file."""
-        return f"{self.path}:{self.line}:{self.code}"

@@ -1,42 +1,37 @@
 """Whole-program project index for cross-file lint rules.
 
 The per-file rules in :mod:`repro.lint.rules` see one module at a time,
-which is blind to exactly the hazards that matter for sharded execution:
-shared mutable module state, duplicate :class:`~repro.rng.SeedTree`
-labels in different files, and event taxonomies that drift out of sync
-with their observers.  This module closes that gap in two stages:
+which is blind to two hazards for bit-for-bit determinism: iterating a
+set (or a runtime-mutated dict) defined in another file, and duplicate
+:class:`~repro.rng.SeedTree` labels in different files.  This module
+closes that gap in two stages:
 
 1. :func:`extract_facts` distils one parsed module into a
    :class:`FileFacts` record - imports, module-level bindings, mutation
-   sites, set-iteration sites, seed-label call sites, and class shapes.
-   Facts are plain data (round-trippable through :meth:`FileFacts.to_dict`
-   / :meth:`FileFacts.from_dict`), which is what lets the incremental
-   cache skip re-parsing unchanged files entirely.
+   sites, set-iteration sites and seed-label call sites.
 2. :class:`ProjectIndex` stitches the facts of every file into the
    whole-program view: the internal module graph (with cycle detection;
-   ``if TYPE_CHECKING:`` imports are excluded), a symbol table resolving
-   imported names back to their defining module, the subclass closure,
-   and the seed-label table.
+   ``if TYPE_CHECKING:`` imports are excluded) and a symbol table
+   resolving imported names back to their defining module.
 
-Cross-file rules (``RPR009`` ... ``RPR012`` in :mod:`repro.lint.xrules`)
-consume only the index, never raw ASTs, so they run identically from
-fresh parses and from cached facts.
+Cross-file rules (``RPR010`` and ``RPR011`` in :mod:`repro.lint.xrules`)
+consume only the index, never raw ASTs.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping,
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
-from .rules import _import_aliases, _imported_modules, _resolve_relative
+from .rules import _dotted_name as _dotted
+from .rules import _imported_modules, _resolve_relative
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports index at runtime
     from .engine import ModuleContext
 
 __all__ = [
-    "ClassFacts",
     "FileFacts",
     "IterationSite",
     "LabelSite",
@@ -44,18 +39,6 @@ __all__ = [
     "SymbolBinding",
     "extract_facts",
 ]
-
-#: Bump when the shape of FileFacts (or fact extraction) changes, so
-#: stale cache entries are discarded rather than misread.
-FACTS_VERSION = 2
-
-#: Constructor calls whose result is a mutable container.
-_MUTABLE_CALLS = frozenset({
-    "list", "dict", "set", "bytearray",
-    "collections.defaultdict", "collections.Counter",
-    "collections.deque", "collections.OrderedDict",
-    "Counter", "defaultdict", "deque", "OrderedDict",
-})
 
 #: Constructor calls / literals whose result is an (unordered) set.
 _SET_CALLS = frozenset({"set", "frozenset"})
@@ -91,19 +74,10 @@ class SymbolBinding:
 
     name: str
     line: int
-    #: ``"set"`` / ``"dict"`` / ``"list"`` / ``"bytearray"`` /
-    #: ``"other-mutable"`` for mutable containers, ``"class"`` /
-    #: ``"function"`` / ``"constant"`` / ``"other"`` otherwise.
+    #: ``"set"`` / ``"dict"`` / ``"list"`` / ``"bytearray"`` for
+    #: mutable containers, ``"class"`` / ``"function"`` /
+    #: ``"constant"`` / ``"other"`` otherwise.
     kind: str
-    #: String elements when the bound value is a literal collection of
-    #: string constants (used by RPR012 for OPAQUE_FIELDS and friends).
-    strings: Tuple[str, ...] = ()
-
-    @property
-    def mutable(self) -> bool:
-        return self.kind in ("set", "dict", "list", "bytearray",
-                             "other-mutable")
-
 
 @dataclass(frozen=True)
 class IterationSite:
@@ -136,136 +110,28 @@ class LabelSite:
     allow_reuse: bool
 
 
-@dataclass(frozen=True)
-class ClassFacts:
-    """Shape of one class definition: bases, methods, literal attrs."""
-
-    name: str
-    line: int
-    bases: Tuple[str, ...]
-    methods: Tuple[str, ...]
-    #: Class-body string constants: ``kind = "test-lost"`` etc.
-    str_attrs: Tuple[Tuple[str, str], ...] = ()
-    #: Class-body string-collection constants (``IGNORED_EVENTS``).
-    str_tuple_attrs: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
-    #: Dataclass-style fields: (name, annotation source, line).
-    fields: Tuple[Tuple[str, str, int], ...] = ()
-
-    def attr(self, name: str) -> Optional[str]:
-        for key, value in self.str_attrs:
-            if key == name:
-                return value
-        return None
-
-    def tuple_attr(self, name: str) -> Optional[Tuple[str, ...]]:
-        for key, value in self.str_tuple_attrs:
-            if key == name:
-                return value
-        return None
-
-
 @dataclass
 class FileFacts:
     """Everything the cross-file rules need to know about one module."""
 
     path: str
     module: Optional[str]
-    is_package: bool = False
     #: (line, dotted module, typing_only) - every import edge.
     imports: List[Tuple[int, str, bool]] = field(default_factory=list)
     #: Local name -> canonical dotted target (import alias map).
     aliases: Dict[str, str] = field(default_factory=dict)
     bindings: List[SymbolBinding] = field(default_factory=list)
-    #: (line, name) - names rebound via ``global`` inside functions.
-    global_rebinds: List[Tuple[int, str]] = field(default_factory=list)
     #: (line, dotted target) - in-place mutation sites.
     mutations: List[Tuple[int, str]] = field(default_factory=list)
     iterations: List[IterationSite] = field(default_factory=list)
     labels: List[LabelSite] = field(default_factory=list)
-    classes: List[ClassFacts] = field(default_factory=list)
-    #: Class names listed in the ``EVENT_KINDS`` registry tuple.
-    event_kinds_classes: List[str] = field(default_factory=list)
-    #: Class names listed in the ``RULE_KINDS`` registry tuple.
-    rule_kinds_classes: List[str] = field(default_factory=list)
     #: line -> suppressed codes ("*" means all) for cross-file findings.
     noqa: Dict[int, List[str]] = field(default_factory=dict)
-
-    # -- serialization (the incremental cache stores facts as JSON) ----
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_package": self.is_package,
-            "imports": [list(edge) for edge in self.imports],
-            "aliases": dict(self.aliases),
-            "bindings": [[b.name, b.line, b.kind, list(b.strings)]
-                         for b in self.bindings],
-            "global_rebinds": [list(g) for g in self.global_rebinds],
-            "mutations": [list(m) for m in self.mutations],
-            "iterations": [[s.line, s.detail, s.symbol, s.view]
-                           for s in self.iterations],
-            "labels": [[s.line, s.method, s.template, s.dynamic,
-                        s.allow_reuse] for s in self.labels],
-            "classes": [{
-                "name": c.name, "line": c.line, "bases": list(c.bases),
-                "methods": list(c.methods),
-                "str_attrs": [list(a) for a in c.str_attrs],
-                "str_tuple_attrs": [[k, list(v)]
-                                    for k, v in c.str_tuple_attrs],
-                "fields": [list(f) for f in c.fields],
-            } for c in self.classes],
-            "event_kinds_classes": list(self.event_kinds_classes),
-            "rule_kinds_classes": list(self.rule_kinds_classes),
-            "noqa": {str(line): codes for line, codes in self.noqa.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FileFacts":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            is_package=data["is_package"],
-            imports=[(e[0], e[1], e[2]) for e in data["imports"]],
-            aliases=dict(data["aliases"]),
-            bindings=[SymbolBinding(b[0], b[1], b[2], tuple(b[3]))
-                      for b in data["bindings"]],
-            global_rebinds=[(g[0], g[1]) for g in data["global_rebinds"]],
-            mutations=[(m[0], m[1]) for m in data["mutations"]],
-            iterations=[IterationSite(s[0], s[1], s[2], s[3])
-                        for s in data["iterations"]],
-            labels=[LabelSite(s[0], s[1], s[2], s[3], s[4])
-                    for s in data["labels"]],
-            classes=[ClassFacts(
-                name=c["name"], line=c["line"], bases=tuple(c["bases"]),
-                methods=tuple(c["methods"]),
-                str_attrs=tuple((a[0], a[1]) for a in c["str_attrs"]),
-                str_tuple_attrs=tuple((k, tuple(v))
-                                      for k, v in c["str_tuple_attrs"]),
-                fields=tuple((f[0], f[1], f[2]) for f in c["fields"]),
-            ) for c in data["classes"]],
-            event_kinds_classes=list(data["event_kinds_classes"]),
-            rule_kinds_classes=list(data["rule_kinds_classes"]),
-            noqa={int(line): list(codes)
-                  for line, codes in data["noqa"].items()},
-        )
 
 
 # --------------------------------------------------------------------------
 # extraction helpers
 # --------------------------------------------------------------------------
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``Name``/``Attribute`` chain to ``a.b.c``, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _binding_kind(value: Optional[ast.AST],
@@ -302,25 +168,6 @@ def _binding_kind(value: Optional[ast.AST],
     return "other"
 
 
-def _string_elements(value: Optional[ast.AST]) -> Tuple[str, ...]:
-    """String constants of a literal tuple/list/set/frozenset value."""
-    if value is None:
-        return ()
-    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
-            and value.func.id in ("frozenset", "set", "tuple", "list") \
-            and len(value.args) == 1:
-        value = value.args[0]
-    if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-        out = []
-        for elt in value.elts:
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                out.append(elt.value)
-            else:
-                return ()
-        return tuple(out)
-    return ()
-
-
 def _fstring_template(node: ast.JoinedStr) -> Optional[str]:
     """Collapse an f-string to a template (``f"a-{x}"`` -> ``a-{}``)."""
     parts: List[str] = []
@@ -334,10 +181,10 @@ def _fstring_template(node: ast.JoinedStr) -> Optional[str]:
     return "".join(parts)
 
 
-def _typing_only_lines(tree: ast.AST) -> Set[int]:
+def _typing_only_lines(nodes: Iterable[ast.AST]) -> Set[int]:
     """Line numbers inside ``if TYPE_CHECKING:`` blocks."""
     lines: Set[int] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.If):
             continue
         test = node.test
@@ -358,14 +205,16 @@ class _FactsVisitor(ast.NodeVisitor):
     mutation of (or unordered iteration over) the module global.
     """
 
-    def __init__(self, facts: FileFacts, parents: Dict[ast.AST, ast.AST]):
+    def __init__(self, facts: FileFacts):
         self.facts = facts
-        self.parents = parents
         #: Stack of per-scope dicts: local name -> "set" | "other".
         self.scopes: List[Dict[str, str]] = []
-        #: Function-nesting depth.  Mutations at depth 0 run at import
-        #: time, identically in every shard, so only depth > 0 counts.
+        #: Function-nesting depth.  Mutations at depth 0 run once at
+        #: import time, in source order, so only depth > 0 counts.
         self.fn_depth = 0
+        #: Generator expressions passed straight to an order-free
+        #: consumer (``sorted(x for x in s)``), marked by visit_Call.
+        self.order_free: Set[ast.AST] = set()
 
     # -- scope management ----------------------------------------------
 
@@ -445,10 +294,6 @@ class _FactsVisitor(ast.NodeVisitor):
         self._bind_local(node.target, "other")
         self.generic_visit(node)
 
-    def visit_Global(self, node: ast.Global) -> None:
-        for name in node.names:
-            self.facts.global_rebinds.append((node.lineno, name))
-
     def visit_comprehension_iter(self, comp: ast.AST,
                                  order_free: bool) -> None:
         for gen in comp.generators:  # type: ignore[attr-defined]
@@ -469,16 +314,16 @@ class _FactsVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
-        parent = self.parents.get(node)
-        order_free = False
-        if isinstance(parent, ast.Call):
-            func = _dotted(parent.func)
-            func = self.facts.aliases.get(func, func) if func else None
-            order_free = func in _ORDER_FREE_CONSUMERS
-        self.visit_comprehension_iter(node, order_free=order_free)
+        self.visit_comprehension_iter(node,
+                                      order_free=node in self.order_free)
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
+        func = _dotted(node.func)
+        if self.facts.aliases.get(func, func) in _ORDER_FREE_CONSUMERS:
+            self.order_free.update(
+                arg for arg in (node.func, *node.args)
+                if isinstance(arg, ast.GeneratorExp))
         if isinstance(node.func, ast.Attribute):
             method = node.func.attr
             if method in _MUTATOR_METHODS:
@@ -491,7 +336,7 @@ class _FactsVisitor(ast.NodeVisitor):
 
     def _record_mutation(self, line: int, target: ast.AST) -> None:
         if self.fn_depth == 0:
-            return  # import-time mutation: identical in every shard
+            return  # import-time mutation: runs once, in source order
         # Strip subscripts: d["k"]["j"] mutates d.
         while isinstance(target, ast.Subscript):
             target = target.value
@@ -590,49 +435,7 @@ class _FactsVisitor(ast.NodeVisitor):
         self.facts.iterations.append(IterationSite(
             expr.lineno, ast.unparse(iter_expr)[:60], dotted, view))
 
-    # -- classes --------------------------------------------------------
-
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        bases = []
-        for base in node.bases:
-            dotted = _dotted(base)
-            if dotted is not None:
-                bases.append(self.facts.aliases.get(dotted, dotted))
-        methods: List[str] = []
-        str_attrs: List[Tuple[str, str]] = []
-        str_tuple_attrs: List[Tuple[str, Tuple[str, ...]]] = []
-        fields: List[Tuple[str, str, int]] = []
-        for item in node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                methods.append(item.name)
-            elif isinstance(item, ast.Assign) and len(item.targets) == 1 \
-                    and isinstance(item.targets[0], ast.Name):
-                name = item.targets[0].id
-                if isinstance(item.value, ast.Constant) and \
-                        isinstance(item.value.value, str):
-                    str_attrs.append((name, item.value.value))
-                else:
-                    strings = _string_elements(item.value)
-                    if strings:
-                        str_tuple_attrs.append((name, strings))
-            elif isinstance(item, ast.AnnAssign) and \
-                    isinstance(item.target, ast.Name):
-                name = item.target.id
-                annotation = ast.unparse(item.annotation)
-                if annotation.startswith("ClassVar"):
-                    if isinstance(item.value, ast.Constant) and \
-                            isinstance(item.value.value, str):
-                        str_attrs.append((name, item.value.value))
-                    else:
-                        strings = _string_elements(item.value)
-                        if strings:
-                            str_tuple_attrs.append((name, strings))
-                else:
-                    fields.append((name, annotation, item.lineno))
-        self.facts.classes.append(ClassFacts(
-            name=node.name, line=node.lineno, bases=tuple(bases),
-            methods=tuple(methods), str_attrs=tuple(str_attrs),
-            str_tuple_attrs=tuple(str_tuple_attrs), fields=tuple(fields)))
         # Class bodies get their own scope (attrs are not module state).
         self.scopes.append({})
         for item in node.body:
@@ -644,12 +447,11 @@ def extract_facts(ctx: "ModuleContext",
                   noqa_map: Optional[Mapping[int, Sequence[str]]] = None
                   ) -> FileFacts:
     """Distil one parsed module into its :class:`FileFacts`."""
-    facts = FileFacts(path=ctx.path, module=ctx.module,
-                      is_package=ctx.is_package)
-    facts.aliases = _import_aliases(ctx.tree)
+    facts = FileFacts(path=ctx.path, module=ctx.module)
+    facts.aliases = dict(ctx.aliases)
     # Relative imports resolve against the module's own dotted path, so
     # `from .observers import Observer` also lands in the alias map.
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             base = _resolve_relative(ctx, node)
             if base is None:
@@ -662,7 +464,7 @@ def extract_facts(ctx: "ModuleContext",
         facts.noqa = {int(line): list(codes)
                       for line, codes in noqa_map.items()}
 
-    typing_lines = _typing_only_lines(ctx.tree)
+    typing_lines = _typing_only_lines(ctx.nodes)
     for line, imported in _imported_modules(ctx):
         facts.imports.append((line, imported, line in typing_lines))
 
@@ -685,34 +487,11 @@ def extract_facts(ctx: "ModuleContext",
         for target, value in targets:
             if not isinstance(target, ast.Name):
                 continue
-            kind = _binding_kind(value, facts.aliases)
             facts.bindings.append(SymbolBinding(
-                target.id, node.lineno, kind, _string_elements(value)))
-            if target.id == "EVENT_KINDS":
-                facts.event_kinds_classes = _event_kinds_classes(value)
-            elif target.id == "RULE_KINDS":
-                facts.rule_kinds_classes = _event_kinds_classes(value)
+                target.id, node.lineno, _binding_kind(value, facts.aliases)))
 
-    parents: Dict[ast.AST, ast.AST] = {}
-    for parent in ast.walk(ctx.tree):
-        for child in ast.iter_child_nodes(parent):
-            parents[child] = parent
-    visitor = _FactsVisitor(facts, parents)
-    visitor.visit(ctx.tree)
+    _FactsVisitor(facts).visit(ctx.tree)
     return facts
-
-
-def _event_kinds_classes(value: Optional[ast.AST]) -> List[str]:
-    """Class names referenced inside the ``EVENT_KINDS`` expression."""
-    if value is None:
-        return []
-    names: List[str] = []
-    for node in ast.walk(value):
-        if isinstance(node, (ast.Tuple, ast.List)):
-            for elt in node.elts:
-                if isinstance(elt, ast.Name):
-                    names.append(elt.id)
-    return names
 
 
 # --------------------------------------------------------------------------
@@ -759,8 +538,8 @@ class ProjectIndex:
     def import_cycles(self) -> List[List[str]]:
         """Import cycles (Tarjan SCCs of size > 1), typing-only excluded.
 
-        Returns each cycle as a sorted module list; an empty result is
-        the precondition the CI gate asserts before sharding work.
+        Returns each cycle as a sorted module list; the CI gate asserts
+        the result is empty.
         """
         graph = self.module_graph()
         index_of: Dict[str, int] = {}
@@ -846,46 +625,3 @@ class ProjectIndex:
             if candidate.name == name:
                 return candidate
         return None
-
-    # -- class closure ---------------------------------------------------
-
-    def subclasses_of(self, base_module: str, base_class: str
-                      ) -> List[Tuple[str, ClassFacts]]:
-        """Transitive subclasses of one class across the whole tree."""
-        known: Set[Tuple[str, str]] = {(base_module, base_class)}
-        out: List[Tuple[str, ClassFacts]] = []
-        changed = True
-        while changed:
-            changed = False
-            for facts in self.files:
-                if facts.module is None:
-                    continue
-                for cls in facts.classes:
-                    key = (facts.module, cls.name)
-                    if key in known:
-                        continue
-                    for base in cls.bases:
-                        resolved = self._resolve_class(facts.module, base)
-                        if resolved in known:
-                            known.add(key)
-                            out.append((facts.module, cls))
-                            changed = True
-                            break
-        out.sort(key=lambda pair: (pair[0], pair[1].name))
-        return out
-
-    def _resolve_class(self, module: str,
-                       base: str) -> Optional[Tuple[str, str]]:
-        """Map a (possibly dotted) base-class reference to its home."""
-        facts = self.modules.get(module)
-        if facts is None:
-            return None
-        if "." not in base:
-            for cls in facts.classes:
-                if cls.name == base:
-                    return (module, base)
-        target = self._internal_target(base)
-        if target is not None and target != base:
-            return (target, base[len(target) + 1:].split(".", 1)[0])
-        resolved = self.resolve(module, base)
-        return resolved

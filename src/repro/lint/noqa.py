@@ -60,9 +60,9 @@ class NoqaDirectives:
     def as_map(self) -> Dict[int, List[str]]:
         """Plain ``{line: [codes]}`` view (``"*"`` = every code).
 
-        This is the serializable shape carried in
-        :class:`~repro.lint.index.FileFacts`, so cross-file findings on
-        cache-hit files still honor their suppressions.
+        This is the shape carried in
+        :class:`~repro.lint.index.FileFacts`, so cross-file findings
+        honor the suppressions of the file they land in.
         """
         return {line: sorted(codes)
                 for line, codes in self._by_line.items()}

@@ -19,20 +19,15 @@ RPR008    obs-confinement             wall-clock profiling
                                       (``time.perf_counter`` family) only
                                       inside ``repro.obs``, and ``repro.obs``
                                       imports only units/errors/simclock
-RPR009    shard-unsafe-global         no runtime-mutated module-level state
-                                      outside the allowlisted registries
 RPR010    unordered-iteration         no unsorted iteration over sets (or
                                       mutable-global dict views)
 RPR011    seedtree-label-collision    SeedTree stream labels are unique
                                       across the whole tree
-RPR012    event-exhaustiveness        every engine event class is registered,
-                                      payload-complete, and handled or
-                                      explicitly ignored by each observer
 ========  ==========================  =============================================
 
 Each single-file rule is a plain function ``(ModuleContext) ->
 Iterable[Finding]`` registered with the :func:`rule` decorator.
-Whole-program rules (RPR009+, in :mod:`repro.lint.xrules`) take a
+Whole-program rules (RPR010/RPR011, in :mod:`repro.lint.xrules`) take a
 :class:`~repro.lint.index.ProjectIndex` instead and register with
 :func:`cross_file_rule`; the engine runs them once per lint run, after
 the per-file pass.
@@ -78,9 +73,7 @@ class Rule:
     scope: str = SCOPE_FILE
 
 
-# RPR009 carve-out: the rule registry is the canonical allowlisted
-# registry - populated once at import time by the decorators below and
-# only read afterwards (see _SHARD_SAFE_GLOBALS in xrules.py).
+# Populated once at import time by the decorators below.
 _REGISTRY: Dict[str, Rule] = {}
 
 
@@ -131,7 +124,7 @@ def get_rule(code: str) -> Rule:
 # shared AST helpers
 # --------------------------------------------------------------------------
 
-def _import_aliases(tree: ast.AST) -> Dict[str, str]:
+def _import_aliases(nodes: Iterable[ast.AST]) -> Dict[str, str]:
     """Map local names to the canonical dotted module path they denote.
 
     ``import numpy as np``            -> ``{"np": "numpy"}``
@@ -143,7 +136,7 @@ def _import_aliases(tree: ast.AST) -> Dict[str, str]:
     happens to be called ``random`` never triggers the determinism rule.
     """
     aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for name in node.names:
                 if name.asname:
@@ -187,8 +180,8 @@ def _canonical_call(node: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
     return f"{target}.{rest}" if rest else target
 
 
-def _iter_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
+def _iter_calls(ctx: "ModuleContext") -> Iterator[ast.Call]:
+    for node in ctx.nodes:
         if isinstance(node, ast.Call):
             yield node
 
@@ -216,9 +209,8 @@ _NONDET_PREFIXES = ("random.", "secrets.")
       "wall-clock / OS-entropy call; all randomness must flow through "
       "repro.rng.SeedTree and all time through repro.simclock")
 def check_nondeterministic_calls(ctx: "ModuleContext") -> Iterator[Finding]:
-    aliases = _import_aliases(ctx.tree)
-    for call in _iter_calls(ctx.tree):
-        target = _canonical_call(call, aliases)
+    for call in _iter_calls(ctx):
+        target = _canonical_call(call, ctx.aliases)
         if target is None:
             continue
         if target in _NONDET_CALLS or target.startswith(_NONDET_PREFIXES):
@@ -266,7 +258,7 @@ def _mentions_unit_name(node: ast.AST) -> bool:
 def check_magic_unit_literals(ctx: "ModuleContext") -> Iterator[Finding]:
     if ctx.module == "repro.units":
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.BinOp):
             continue
         if not isinstance(node.op, (ast.Mult, ast.Div)):
@@ -297,7 +289,7 @@ _BUILTIN_RAISES = frozenset({"ValueError", "RuntimeError", "KeyError", "Exceptio
       "raise of a builtin exception; raise a ReproError subclass from "
       "repro.errors so callers can catch one hierarchy at the boundary")
 def check_bare_builtin_raises(ctx: "ModuleContext") -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Raise) or node.exc is None:
             continue
         exc = node.exc
@@ -340,7 +332,7 @@ def _resolve_relative(ctx: "ModuleContext", node: ast.ImportFrom) -> Optional[st
 
 def _imported_modules(ctx: "ModuleContext") -> Iterator[Tuple[int, str]]:
     """All (line, dotted-module) edges this module imports."""
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Import):
             for name in node.names:
                 yield node.lineno, name.name
@@ -385,8 +377,9 @@ def _provider_banned_import(imported: str) -> Optional[str]:
       "repro.cloud.providers may not import repro.core/repro.engine)")
 def check_layering(ctx: "ModuleContext") -> Iterator[Finding]:
     own_layer = _module_layer(ctx.module)
-    is_provider = (ctx.module == _PROVIDER_PACKAGE
-                   or ctx.module.startswith(_PROVIDER_PACKAGE + "."))
+    module = ctx.module or ""
+    is_provider = (module == _PROVIDER_PACKAGE
+                   or module.startswith(_PROVIDER_PACKAGE + "."))
     if own_layer is None and not is_provider:
         return
     seen = set()
@@ -423,7 +416,7 @@ def check_layering(ctx: "ModuleContext") -> Iterator[Finding]:
       "bare `except:` swallows every exception including SystemExit; "
       "catch a ReproError subclass (or at minimum Exception)")
 def check_bare_except(ctx: "ModuleContext") -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.ExceptHandler) and node.type is None:
             yield Finding(ctx.path, node.lineno, "RPR005",
                           "bare except: catches everything including "
@@ -444,9 +437,8 @@ _RNG_HOME_MODULE = "repro.rng"
 def check_rng_construction(ctx: "ModuleContext") -> Iterator[Finding]:
     if ctx.module == _RNG_HOME_MODULE:
         return
-    aliases = _import_aliases(ctx.tree)
-    for call in _iter_calls(ctx.tree):
-        target = _canonical_call(call, aliases)
+    for call in _iter_calls(ctx):
+        target = _canonical_call(call, ctx.aliases)
         if target is None:
             continue
         if target.startswith("numpy.random."):
@@ -542,9 +534,8 @@ def check_obs_confinement(ctx: "ModuleContext") -> Iterator[Finding]:
                           f"only on repro.units/errors/simclock so it can "
                           f"observe every layer without joining any")
         return
-    aliases = _import_aliases(ctx.tree)
-    for call in _iter_calls(ctx.tree):
-        target = _canonical_call(call, aliases)
+    for call in _iter_calls(ctx):
+        target = _canonical_call(call, ctx.aliases)
         if target in _PERF_COUNTER_CALLS:
             yield Finding(ctx.path, call.lineno, "RPR008",
                           f"wall-clock profiling call {target}() outside "

@@ -1,101 +1,22 @@
-"""Whole-program invariant rules (RPR009 ... RPR013).
+"""Whole-program determinism rules (RPR010, RPR011).
 
 These rules consume the :class:`~repro.lint.index.ProjectIndex` instead
 of one module at a time, so they can see what no per-file pass can:
-which module globals are actually mutated at runtime (and from where),
-which :class:`~repro.rng.SeedTree` labels collide across files, and
-whether the engine's event taxonomy, its registry, and its observers
-agree.  Together they are the static precondition for sharding the
-campaign engine: a tree that is RPR009-012 clean has no shared mutable
-module state, no iteration order that can diverge between workers, no
-silently-shared RNG streams, and no event a worker could drop on the
-floor unnoticed.
-
-Carve-out policy (RPR009): process-wide registries that are populated
-at import time or rebuilt deterministically per process are shard-safe
-by construction and are allowlisted *by name* in
-:data:`SHARD_SAFE_GLOBALS`, each with a one-line justification that
-doubles as documentation.  Anything else needs a fix (freeze it, move
-it into an object) or a justified ``# repro: noqa RPR009``.
+iteration over a set (or a runtime-mutated dict) defined in another
+file, and :class:`~repro.rng.SeedTree` labels that collide across
+files.  Either one would make the dataset digest depend on something
+other than the seed.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
-from typing import Dict, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .findings import Finding
 from .index import ProjectIndex
 from .rules import cross_file_rule
-
-__all__ = ["SHARD_SAFE_GLOBALS", "shard_safe_globals"]
-
-
-# --------------------------------------------------------------------------
-# RPR009 shard-unsafe-global
-# --------------------------------------------------------------------------
-
-#: Structured carve-outs: (module, binding) -> why it is shard-safe.
-#: Every entry must justify itself; tests assert the justification is
-#: non-empty and that the binding still exists.
-SHARD_SAFE_GLOBALS: Mapping[Tuple[str, str], str] = {
-    ("repro.lint.rules", "_REGISTRY"):
-        "rule table, populated once at import time by the @rule "
-        "decorators and only read afterwards",
-    ("repro.obs", "_tracer"):
-        "process-wide observability switch; each shard runs its own "
-        "tracer and obs never feeds data back into the simulation",
-    ("repro.obs", "_registry"):
-        "process-wide metrics registry, same per-shard story as the "
-        "tracer (merged downstream by exporters, never read back)",
-    ("repro.experiments.runner", "_CACHES"):
-        "per-process memoization of fully-deterministic scenario "
-        "builds; every shard rebuilds identical entries from the seed",
-}
-
-
-def shard_safe_globals() -> Dict[Tuple[str, str], str]:
-    """A copy of the RPR009 allowlist (module, name) -> justification."""
-    return dict(SHARD_SAFE_GLOBALS)
-
-
-@cross_file_rule("RPR009", "shard-unsafe-global",
-                 "module-level mutable state that is written at runtime; "
-                 "shards would diverge - freeze it, scope it to an "
-                 "object, or allowlist it with a justification")
-def check_shard_unsafe_globals(index: ProjectIndex) -> Iterator[Finding]:
-    # Collect every runtime write, resolved to its defining binding.
-    writes: Dict[Tuple[str, str], List[str]] = defaultdict(list)
-    for facts in index.files:
-        if not (facts.module or "").startswith("repro"):
-            continue
-        for line, dotted in facts.mutations:
-            resolved = index.resolve(facts.module, dotted)
-            if resolved is not None:
-                writes[resolved].append(f"{facts.path}:{line}")
-        for line, name in facts.global_rebinds:
-            resolved = index.resolve(facts.module, name)
-            if resolved is not None:
-                writes[resolved].append(
-                    f"{facts.path}:{line} (global rebind)")
-
-    for (module, name), sites in sorted(writes.items()):
-        binding = index.binding(module, name)
-        if binding is None:
-            continue
-        if binding.kind in ("class", "function"):
-            continue  # methods mutate instances, not module state
-        if (module, name) in SHARD_SAFE_GLOBALS:
-            continue
-        facts = index.modules[module]
-        where = ", ".join(sorted(set(sites))[:3])
-        yield Finding(
-            facts.path, binding.line, "RPR009",
-            f"module-level binding {name!r} is mutated at runtime "
-            f"({where}); shared mutable module state breaks shard "
-            f"determinism - freeze it, move it into an object, or add "
-            f"it to SHARD_SAFE_GLOBALS with a justification")
 
 
 # --------------------------------------------------------------------------
@@ -133,7 +54,6 @@ def check_unordered_iteration(index: ProjectIndex) -> Iterator[Finding]:
                     f"(defined in {resolved[0]}) without sorted(); "
                     f"set order differs between processes")
             elif site.view and binding.kind == "dict" \
-                    and resolved not in SHARD_SAFE_GLOBALS \
                     and _is_runtime_mutated(index, resolved):
                 yield Finding(
                     facts.path, site.line, "RPR010",
@@ -214,184 +134,3 @@ def check_seedtree_label_collisions(index: ProjectIndex) -> Iterator[Finding]:
                     f"template {template!r} ({tpath}:{tline}); if the "
                     f"interpolation ever produces the same string the "
                     f"two sites share a stream")
-
-
-# --------------------------------------------------------------------------
-# RPR012 event-exhaustiveness
-# --------------------------------------------------------------------------
-
-_EVENTS_MODULE = "repro.engine.events"
-_OBSERVER_BASE = ("repro.engine.observers", "Observer")
-
-#: Dataclass field annotations that survive into event_payload().
-_SCALAR_ANNOTATIONS = frozenset({
-    "str", "int", "float", "bool", "None",
-    "Optional[str]", "Optional[int]", "Optional[float]", "Optional[bool]",
-})
-
-
-@cross_file_rule("RPR012", "event-exhaustiveness",
-                 "the engine event taxonomy, EVENT_KINDS, event_payload "
-                 "opacity declarations, and every Observer subclass "
-                 "must agree: each event registered, each field scalar "
-                 "or declared opaque, each kind handled or ignored")
-def check_event_exhaustiveness(index: ProjectIndex) -> Iterator[Finding]:
-    events = index.modules.get(_EVENTS_MODULE)
-    if events is None:
-        return  # single-file runs / fixtures without the taxonomy
-
-    event_classes = [
-        (module, cls)
-        for module, cls in index.subclasses_of(_EVENTS_MODULE,
-                                               "CampaignEvent")
-        if module == _EVENTS_MODULE]
-    registered = set(events.event_kinds_classes)
-    opaque = set()
-    for binding in events.bindings:
-        if binding.name == "OPAQUE_FIELDS":
-            opaque = set(binding.strings)
-
-    kinds: Dict[str, str] = {}
-    for _module, cls in event_classes:
-        kind = cls.attr("kind")
-        if kind is None:
-            yield Finding(events.path, cls.line, "RPR012",
-                          f"event class {cls.name} declares no literal "
-                          f"`kind` identifier")
-            continue
-        if kind in kinds:
-            yield Finding(events.path, cls.line, "RPR012",
-                          f"event classes {kinds[kind]} and {cls.name} "
-                          f"share the kind string {kind!r}")
-        kinds[kind] = cls.name
-        if cls.name not in registered:
-            yield Finding(events.path, cls.line, "RPR012",
-                          f"event class {cls.name} is missing from the "
-                          f"EVENT_KINDS registry tuple")
-
-    # Payload completeness: every field flattens or is declared opaque.
-    for _module, cls in event_classes:
-        for name, annotation, line in cls.fields:
-            if annotation in _SCALAR_ANNOTATIONS:
-                continue
-            if name not in opaque:
-                yield Finding(
-                    events.path, line, "RPR012",
-                    f"field {cls.name}.{name} ({annotation}) would be "
-                    f"silently dropped by event_payload(); make it a "
-                    f"scalar or add {name!r} to OPAQUE_FIELDS")
-
-    # Observer exhaustiveness: every kind handled or declared ignored.
-    handler_names = {kind: "on_" + kind.replace("-", "_")
-                     for kind in kinds}
-    valid_handlers = set(handler_names.values()) | {"on_event"}
-    for module, cls in index.subclasses_of(*_OBSERVER_BASE):
-        facts = index.modules[module]
-        if "on_event" in cls.methods:
-            continue  # generic handler: sees every kind by definition
-        ignored = set(cls.tuple_attr("IGNORED_EVENTS") or ())
-        for method in cls.methods:
-            if method.startswith("on_") and method not in valid_handlers:
-                yield Finding(
-                    facts.path, cls.line, "RPR012",
-                    f"{cls.name}.{method} matches no engine event kind "
-                    f"(known: {', '.join(sorted(kinds))})")
-        for kind in sorted(kinds):
-            if handler_names[kind] in cls.methods or kind in ignored:
-                continue
-            yield Finding(
-                facts.path, cls.line, "RPR012",
-                f"observer {cls.name} neither handles nor ignores "
-                f"event kind {kind!r}; add on_"
-                f"{kind.replace('-', '_')}() or list it in "
-                f"IGNORED_EVENTS")
-        for kind in sorted(ignored):
-            if kind not in kinds:
-                yield Finding(
-                    facts.path, cls.line, "RPR012",
-                    f"observer {cls.name} ignores unknown event kind "
-                    f"{kind!r}")
-
-
-# --------------------------------------------------------------------------
-# RPR013 alert-rule-exhaustiveness
-# --------------------------------------------------------------------------
-
-_RULES_MODULE = "repro.alerts.rules"
-_EVAL_MODULE = "repro.alerts.engine"
-_EVALUATOR_CLASS = "RuleEvaluator"
-
-
-@cross_file_rule("RPR013", "alert-rule-exhaustiveness",
-                 "the alert rule taxonomy, RULE_KINDS, and the "
-                 "RuleEvaluator dispatch table must agree: each rule "
-                 "class registered with a unique literal kind, each "
-                 "kind handled by an _eval_* method, no stray handlers")
-def check_alert_rule_exhaustiveness(index: ProjectIndex
-                                    ) -> Iterator[Finding]:
-    rules = index.modules.get(_RULES_MODULE)
-    if rules is None:
-        return  # single-file runs / fixtures without the taxonomy
-
-    rule_classes = [
-        (module, cls)
-        for module, cls in index.subclasses_of(_RULES_MODULE, "AlertRule")
-        if module == _RULES_MODULE]
-    registered = set(rules.rule_kinds_classes)
-
-    kinds: Dict[str, str] = {}
-    for _module, cls in rule_classes:
-        kind = cls.attr("kind")
-        if kind is None:
-            yield Finding(rules.path, cls.line, "RPR013",
-                          f"rule class {cls.name} declares no literal "
-                          f"`kind` identifier")
-            continue
-        if kind in kinds:
-            yield Finding(rules.path, cls.line, "RPR013",
-                          f"rule classes {kinds[kind]} and {cls.name} "
-                          f"share the kind string {kind!r}")
-        kinds[kind] = cls.name
-        if cls.name not in registered:
-            yield Finding(rules.path, cls.line, "RPR013",
-                          f"rule class {cls.name} is missing from the "
-                          f"RULE_KINDS registry tuple")
-
-    # Registry soundness: every RULE_KINDS entry is a real rule class.
-    class_names = {cls.name for _module, cls in rule_classes}
-    for name in sorted(registered):
-        if name not in class_names:
-            yield Finding(
-                rules.path, 1, "RPR013",
-                f"RULE_KINDS references {name}, which is not an "
-                f"AlertRule subclass in {_RULES_MODULE}")
-
-    # Evaluator exhaustiveness: one _eval_* handler per kind, no more.
-    engine = index.modules.get(_EVAL_MODULE)
-    if engine is None:
-        return
-    evaluator = None
-    for cls in engine.classes:
-        if cls.name == _EVALUATOR_CLASS:
-            evaluator = cls
-            break
-    if evaluator is None:
-        yield Finding(engine.path, 1, "RPR013",
-                      f"{_EVAL_MODULE} defines no {_EVALUATOR_CLASS} "
-                      f"class to dispatch the rule kinds")
-        return
-    handler_names = {kind: "_eval_" + kind.replace("-", "_")
-                     for kind in kinds}
-    for kind in sorted(kinds):
-        if handler_names[kind] not in evaluator.methods:
-            yield Finding(
-                engine.path, evaluator.line, "RPR013",
-                f"{_EVALUATOR_CLASS} has no handler for rule kind "
-                f"{kind!r}; add {handler_names[kind]}()")
-    valid_handlers = set(handler_names.values())
-    for method in evaluator.methods:
-        if method.startswith("_eval_") and method not in valid_handlers:
-            yield Finding(
-                engine.path, evaluator.line, "RPR013",
-                f"{_EVALUATOR_CLASS}.{method} matches no registered "
-                f"rule kind (known: {', '.join(sorted(kinds))})")

@@ -12,10 +12,16 @@ On top of ``small_scenario``, the builder fixtures ``us_server_ids``,
 ``deploy_us_plan``, and ``run_us_campaign`` centralise the
 deploy-N-US-servers-and-run-a-campaign boilerplate that several
 integration modules used to copy.
+
+``repro_subclasses`` finds every subclass of a base class defined
+anywhere in the package; the registry tests check the event, observer
+and alert-rule taxonomies with it.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from dataclasses import dataclass
 from typing import Dict
 
@@ -186,6 +192,29 @@ def small_scenario():
 @pytest.fixture(scope="session")
 def seeds() -> SeedTree:
     return SeedTree(1234)
+
+
+@pytest.fixture(scope="session")
+def repro_subclasses():
+    """Builder: every subclass of *base* defined in a ``repro`` module.
+
+    Every module of the package is imported first, so a subclass in a
+    module no test imports is still found; classes defined in tests
+    are left out.
+    """
+    import repro
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+
+    def subclasses(base):
+        found, stack = set(), [base]
+        while stack:
+            for cls in stack.pop().__subclasses__():
+                stack.append(cls)
+                if cls.__module__.startswith("repro."):
+                    found.add(cls)
+        return sorted(found, key=lambda c: (c.__module__, c.__qualname__))
+    return subclasses
 
 
 # ----------------------------------------------------------------------

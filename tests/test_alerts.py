@@ -14,11 +14,13 @@ The hard contracts under test:
   campaign shape.
 """
 
+import dataclasses
 import json
+from typing import ClassVar
 
 import pytest
 
-from repro.alerts import (RULE_KINDS, AbsenceRule, BurnRateRule,
+from repro.alerts import (RULE_KINDS, AbsenceRule, AlertRule, BurnRateRule,
                           Collector, MetricHistory, RuleEvaluator,
                           ThresholdRule, alerts_to_prometheus,
                           concat_datasets, default_rules, load_rules,
@@ -115,13 +117,74 @@ def test_example_rules_file_mirrors_default_rules():
     assert load_rules("examples/rules_default.json") == default_rules()
 
 
-def test_rule_kinds_registry_mirrors_evaluator():
-    # The runtime half of lint rule RPR013.
+def _rule_problems(rule_classes, rule_kinds, evaluator):
+    """Disagreements between rule classes, RULE_KINDS and the
+    evaluator's ``_eval_*`` dispatch table."""
+    problems, kinds = [], {}
+    for cls in rule_classes:
+        kind = vars(cls).get("kind")
+        if not isinstance(kind, str):
+            problems.append(f"{cls.__name__} declares no literal kind")
+            continue
+        if kind in kinds:
+            problems.append(f"{kinds[kind]} and {cls.__name__} share "
+                            f"kind {kind!r}")
+        kinds[kind] = cls.__name__
+        if kind not in rule_kinds:
+            problems.append(f"{cls.__name__} is missing from RULE_KINDS")
+    problems += [f"RULE_KINDS lists {kind!r}, which no class declares"
+                 for kind in rule_kinds if kind not in kinds]
+    handlers = {"_eval_" + kind.replace("-", "_") for kind in rule_kinds}
+    problems += [f"{evaluator.__name__} has no {name}()"
+                 for name in sorted(handlers) if not hasattr(evaluator, name)]
+    problems += [f"{evaluator.__name__}.{attr} matches no rule kind"
+                 for attr in dir(evaluator)
+                 if attr.startswith("_eval_") and attr not in handlers]
+    return problems
+
+
+def test_rule_kinds_registry_mirrors_evaluator(repro_subclasses):
     assert len(set(RULE_KINDS)) == len(RULE_KINDS)
     for kind in RULE_KINDS:
         assert hasattr(RuleEvaluator,
                        "_eval_" + kind.replace("-", "_"))
     assert {rule.kind for rule in default_rules()} == set(RULE_KINDS)
+
+    # Every AlertRule subclass in the package is registered under a
+    # unique kind, and the evaluator has no handler for a kind that
+    # does not exist.
+    rules = repro_subclasses(AlertRule)
+    assert {ThresholdRule, AbsenceRule, BurnRateRule} <= set(rules)
+    assert _rule_problems(rules, RULE_KINDS, RuleEvaluator) == []
+
+    # ... and the check trips on deliberately broken classes.
+    @dataclasses.dataclass(frozen=True)
+    class GhostRule(AlertRule):
+        kind: ClassVar[str] = "ghost"
+
+    @dataclasses.dataclass(frozen=True)
+    class CopyRule(ThresholdRule):
+        kind: ClassVar[str] = "threshold"
+
+    class KindlessRule(AlertRule):
+        pass
+
+    class StrayEvaluator(RuleEvaluator):
+        def _eval_ghost_town(self, rule, now_ts):
+            pass
+
+    assert _rule_problems(
+        [ThresholdRule, GhostRule, CopyRule, KindlessRule],
+        ("threshold", "absence"), StrayEvaluator) == [
+        "GhostRule is missing from RULE_KINDS",
+        "ThresholdRule and CopyRule share kind 'threshold'",
+        "KindlessRule declares no literal kind",
+        "RULE_KINDS lists 'absence', which no class declares",
+        "StrayEvaluator._eval_burn_rate matches no rule kind",
+        "StrayEvaluator._eval_ghost_town matches no rule kind",
+    ]
+    assert "RuleEvaluator has no _eval_ghost()" in _rule_problems(
+        [ThresholdRule], ("threshold", "ghost"), RuleEvaluator)
 
 
 # ----------------------------------------------------------------------

@@ -162,12 +162,13 @@ def test_lint_command_select(tmp_path, capsys):
     assert "RPR001" not in out
 
 
-def test_lint_command_json_format(tmp_path, capsys):
+def test_lint_command_writes_no_files(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("import time\nts = time.time()\n")
-    assert main(["lint", str(bad), "--format", "json", "--no-cache"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert [f["code"] for f in payload["findings"]] == ["RPR001"]
+    monkeypatch.chdir(tmp_path)
+    assert main(["lint", str(bad)]) == 1
+    assert "RPR001" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.py"]
 
 
 # ----------------------------------------------------------------------

@@ -9,21 +9,24 @@ faults), and an exhausted-retry upload hour produces exactly one lost
 row and zero intra-region charges.
 """
 
+import dataclasses
 import json
+import typing
 from io import StringIO
 
 import pytest
 
 # The Test* event classes are aliased so pytest does not try to
 # collect them as test classes.
-from repro.engine import (BillingCharged, CampaignEngine, CampaignFinished,
-                          DatasetObserver, EVENT_KINDS, EventBus, Histogram,
-                          HourStarted, Lane, MetricsObserver, Observer,
-                          ProgressObserver, TraceObserver, UploadAttempted,
-                          event_payload)
+from repro.engine import (BillingCharged, CampaignEngine, CampaignEvent,
+                          CampaignFinished, DatasetObserver, EVENT_KINDS,
+                          EventBus, Histogram, HourStarted, Lane,
+                          MetricsObserver, Observer, ProgressObserver,
+                          TraceObserver, UploadAttempted, event_payload)
 from repro.engine import TestCompleted as CompletedEvent
 from repro.engine import TestLost as LostEvent
 from repro.engine import TestRetried as RetriedEvent
+from repro.engine.events import OPAQUE_FIELDS
 from repro.errors import ValidationError
 from repro.experiments.scenario import build_scenario
 from repro.faults import FaultPlan
@@ -37,10 +40,113 @@ T0 = float(CAMPAIGN_START)
 # events
 
 
-def test_event_kinds_are_unique_and_stable():
+_SCALAR_TYPES = (str, int, float, bool, type(None))
+
+
+def _is_scalar(annotation):
+    args = (typing.get_args(annotation)
+            if typing.get_origin(annotation) is typing.Union
+            else (annotation,))
+    return all(arg in _SCALAR_TYPES for arg in args)
+
+
+def _handler(kind):
+    return "on_" + kind.replace("-", "_")
+
+
+def _event_problems(event_classes, event_kinds, opaque_fields):
+    """Disagreements between event classes and the two registries."""
+    problems, kinds = [], {}
+    for cls in event_classes:
+        kind = vars(cls).get("kind")
+        if not isinstance(kind, str):
+            problems.append(f"{cls.__name__} declares no literal kind")
+            continue
+        if kind in kinds:
+            problems.append(f"{kinds[kind]} and {cls.__name__} share "
+                            f"kind {kind!r}")
+        kinds[kind] = cls.__name__
+        if kind not in event_kinds:
+            problems.append(f"{cls.__name__} is missing from EVENT_KINDS")
+        hints = typing.get_type_hints(cls)
+        for spec in dataclasses.fields(cls):
+            if not (_is_scalar(hints[spec.name])
+                    or spec.name in opaque_fields):
+                problems.append(f"{cls.__name__}.{spec.name} is neither "
+                                f"scalar nor in OPAQUE_FIELDS")
+    problems += [f"EVENT_KINDS lists {kind!r}, which no class declares"
+                 for kind in event_kinds if kind not in kinds]
+    return problems
+
+
+def _observer_problems(cls, event_kinds):
+    """Kinds an observer drops silently, and handlers that match none."""
+    name, problems = cls.__name__, []
+    ignored = set(cls.IGNORED_EVENTS)
+    if cls.on_event is Observer.on_event:
+        problems += [f"{name} neither handles nor ignores {kind!r}"
+                     for kind in event_kinds
+                     if not hasattr(cls, _handler(kind))
+                     and kind not in ignored]
+    handlers = {_handler(kind) for kind in event_kinds} | {"on_event"}
+    problems += [f"{name}.{attr} matches no event kind"
+                 for attr in dir(cls)
+                 if attr.startswith("on_") and attr not in handlers]
+    problems += [f"{name} ignores unknown kind {kind!r}"
+                 for kind in sorted(ignored - set(event_kinds))]
+    return problems
+
+
+def test_event_kinds_are_unique_and_stable(repro_subclasses):
     assert len(set(EVENT_KINDS)) == len(EVENT_KINDS)
     assert "test-completed" in EVENT_KINDS
     assert "hour-started" in EVENT_KINDS
+
+    # Every event class and observer in the package agrees with
+    # EVENT_KINDS, OPAQUE_FIELDS and the IGNORED_EVENTS declarations.
+    events = repro_subclasses(CampaignEvent)
+    assert {CompletedEvent, HourStarted} <= set(events)
+    assert _event_problems(events, EVENT_KINDS, OPAQUE_FIELDS) == []
+    observers = repro_subclasses(Observer)
+    assert DatasetObserver in observers
+    for observer in observers:
+        assert _observer_problems(observer, EVENT_KINDS) == []
+
+    # ... and the checks trip on deliberately broken classes.
+    @dataclasses.dataclass(frozen=True)
+    class Unlisted(CampaignEvent):
+        kind: typing.ClassVar[str] = "hour-started"
+        blob: object = None
+
+    class Kindless(CampaignEvent):
+        pass
+
+    assert _event_problems([HourStarted, Unlisted, Kindless],
+                           ("hour-started", "ghost"), OPAQUE_FIELDS) == [
+        "HourStarted and Unlisted share kind 'hour-started'",
+        "Unlisted.blob is neither scalar nor in OPAQUE_FIELDS",
+        "Kindless declares no literal kind",
+        "EVENT_KINDS lists 'ghost', which no class declares",
+    ]
+    assert _event_problems([HourStarted, CompletedEvent],
+                           ("hour-started",), frozenset()) == [
+        "TestCompleted is missing from EVENT_KINDS",
+        "TestCompleted.record is neither scalar nor in OPAQUE_FIELDS",
+    ]
+
+    class Sloppy(DatasetObserver):
+        IGNORED_EVENTS = ("billing-charged", "ghost")
+
+        def on_test_finished(self, event):
+            pass
+
+    assert _observer_problems(Sloppy, EVENT_KINDS) == [
+        "Sloppy neither handles nor ignores 'upload-attempted'",
+        "Sloppy neither handles nor ignores 'vm-preempted'",
+        "Sloppy neither handles nor ignores 'vm-replaced'",
+        "Sloppy.on_test_finished matches no event kind",
+        "Sloppy ignores unknown kind 'ghost'",
+    ]
 
 
 def test_event_payload_keeps_scalars_drops_opaque():

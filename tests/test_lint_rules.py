@@ -11,7 +11,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.lint import Finding, all_rules, get_rule, lint_text
-from repro.lint.baseline import matches_baseline
 from repro.lint.noqa import ALL_CODES, parse_noqa
 
 
@@ -216,6 +215,13 @@ def test_unlayered_module_unconstrained():
     """, module="repro.report.fixture") == []
 
 
+def test_nameless_module_unconstrained():
+    # A top-level __init__.py outside the package has no module name.
+    assert codes_of("""
+        from repro.experiments import build_scenario
+    """, module=None) == []
+
+
 def test_same_layer_import_allowed():
     assert codes_of("""
         from .topology import Topology
@@ -309,7 +315,7 @@ def test_generator_annotation_not_flagged():
     """) == []
 
 
-# -- suppression and baseline ----------------------------------------------
+# -- suppression ----------------------------------------------------------
 
 def test_noqa_with_matching_code_suppresses():
     assert codes_of("""
@@ -341,14 +347,6 @@ def test_noqa_multiple_codes():
     assert parse_noqa("x = 1  # plain comment") is None
 
 
-def test_baseline_exact_and_wildcard_match():
-    finding = Finding("src/repro/tools/x.py", 42, "RPR003", "msg")
-    assert matches_baseline({"src/repro/tools/x.py:42:RPR003"}, finding)
-    assert matches_baseline({"src/repro/tools/x.py:*:RPR003"}, finding)
-    assert not matches_baseline({"src/repro/tools/x.py:41:RPR003"}, finding)
-    assert not matches_baseline({"src/repro/tools/x.py:42:RPR001"}, finding)
-
-
 def test_select_limits_rules():
     source = """
         import time
@@ -363,7 +361,6 @@ def test_select_limits_rules():
 def test_finding_format():
     finding = Finding("src/repro/x.py", 3, "RPR001", "boom")
     assert finding.format() == "src/repro/x.py:3: RPR001 boom"
-    assert finding.baseline_key() == "src/repro/x.py:3:RPR001"
 
 
 # -- RPR007 engine isolation ------------------------------------------------
