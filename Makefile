@@ -25,7 +25,7 @@ golden:
 bench-shard:
 	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider benchmarks/bench_shard_scale.py
 
-# Re-anchor the streaming_detect point (incremental vs rescan + serving).
+# Re-anchor the streaming_detect point (incremental vs rescan).
 bench-streaming:
 	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider benchmarks/bench_streaming.py
 

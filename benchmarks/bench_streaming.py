@@ -11,11 +11,7 @@ measures the mean per-hour incremental cost against one full
 monitor), and asserts the incremental path is at least
 ``MIN_SPEEDUP``x cheaper.  Equivalence of the two outputs is asserted
 here too (and is a tier-1 guarantee: ``tests/test_streaming.py``).
-
-A serving-load point rides along: :func:`~repro.serve.simulate_load`
-pushes ~1.2M cached dashboard queries through a
-:class:`~repro.serve.MonitorService` and records throughput, hit rate,
-and staleness.  The point lands in ``BENCH_campaign.json`` under the
+The point lands in ``BENCH_campaign.json`` under the
 ``streaming_detect`` key (schema ``bench-campaign/v5``,
 merge-preserving like the other campaign benches).
 
@@ -33,9 +29,6 @@ from repro.core.streaming import (StreamingCongestionDetector,
                                   dataset_offsets, iter_hourly)
 from repro.experiments.scenario import build_scenario
 from repro.report.tables import TextTable
-from repro.rng import SeedTree
-from repro.serve import MonitorService, simulate_load
-from repro.units import HOUR
 
 #: The default ``repro campaign`` shape.
 SEED = 7
@@ -47,10 +40,6 @@ DAYS = 7
 #: Acceptance floor: mean per-hour incremental update vs one full
 #: ``detect()`` rescan of the final dataset.
 MIN_SPEEDUP = 10.0
-
-#: Serving-load point: 24 simulated hours of dashboard traffic.
-CONSUMERS_PER_HOUR = 50_000
-LOAD_HOURS = 24
 
 BENCH_PATH = (pathlib.Path(__file__).resolve().parent.parent
               / "BENCH_campaign.json")
@@ -110,14 +99,6 @@ def test_bench_streaming(emit):
     assert streamed == batch
     speedup = rescan_wall / per_hour
 
-    # Serving-load point: ~1.2M cached dashboard queries.
-    service = MonitorService(detector, ttl_s=HOUR)
-    start = time.perf_counter()
-    load = simulate_load(service, SeedTree(SEED).child("bench.serve"),
-                         dataset.end_ts, hours=LOAD_HOURS,
-                         consumers_per_hour=CONSUMERS_PER_HOUR)
-    load_wall = time.perf_counter() - start
-
     table = TextTable(
         ["path", "wall", "unit"],
         title=f"streaming detection: {len(dataset.pairs())} pairs x "
@@ -129,9 +110,6 @@ def test_bench_streaming(emit):
                    "per hour (streaming)"])
     table.add_row(["full replay + advance", f"{stream_wall * 1e3:.2f}ms",
                    f"whole campaign ({n_hours} h)"])
-    table.add_row(["serving load", f"{load_wall:.2f}s",
-                   f"{load.queries} queries, hit rate "
-                   f"{load.hit_rate:.4f}"])
     emit("bench_streaming", table.render())
 
     doc = {}
@@ -153,16 +131,6 @@ def test_bench_streaming(emit):
         "incremental_wall_s": round(stream_wall, 6),
         "incremental_per_hour_s": round(per_hour, 9),
         "speedup_incremental_vs_rescan": round(speedup, 1),
-        "serving": {
-            "consumers_per_hour": CONSUMERS_PER_HOUR,
-            "hours": LOAD_HOURS,
-            "queries": load.queries,
-            "cache_misses": load.cache_misses,
-            "hit_rate": round(load.hit_rate, 6),
-            "wall_s": round(load_wall, 3),
-            "queries_per_sec": round(load.queries / load_wall, 1),
-            "mean_staleness_s": round(load.mean_staleness_s, 1),
-        },
     }
     BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n",
                           encoding="utf-8")

@@ -63,8 +63,7 @@ def _cli_smoke() -> int:
     """
     argv = [sys.executable, "-m", "repro.cli", "campaign", "--scale",
             "0.05", "--days", "1", "--servers", "4", "--rules",
-            "examples/rules_default.json", "--consumers", "1000",
-            "--format", "prom"]
+            "examples/rules_default.json", "--format", "prom"]
     print(f"== cli smoke: {' '.join(argv[1:])}", flush=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)

@@ -61,7 +61,6 @@ class Collector:
                  threshold: float = PAPER_THRESHOLD,
                  metric: str = "download",
                  min_samples: int = MIN_SAMPLES_PER_DAY,
-                 window_days: Optional[int] = None,
                  lateness_hours: float = 0.0,
                  snapshot_hours: float = 1.0,
                  registry: Optional[MetricsRegistry] = None,
@@ -72,7 +71,7 @@ class Collector:
         self.detector = StreamingCongestionDetector(
             start_ts, self._resolve_offset, threshold=threshold,
             metric=metric, min_samples=min_samples,
-            window_days=window_days, lateness_hours=lateness_hours)
+            lateness_hours=lateness_hours)
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.history = history if history is not None \

@@ -27,13 +27,10 @@ Subcommands:
   (JSON, see ``examples/rules_default.json``; without it the shipped
   rule set runs), ``--runs N`` with N > 1, ``--state PATH`` (resume
   the collector from PATH when it exists and save it back, unfinalized,
-  afterwards), ``--consumers N`` (a TTL-cached
-  :class:`~repro.serve.MonitorService` answering N simulated dashboard
-  queries per hour) or a machine ``--format`` attach it.  ``--format``
-  picks the output: ``summary`` (tables + notification log), ``jsonl``
-  (the notification log), ``prom`` (collector metrics + ``ALERTS``
-  series) or ``state``; with ``--consumers``, ``jsonl``/``prom`` are
-  the service's metrics and ``state`` its live-state JSON document.
+  afterwards) or a machine ``--format`` attach it.  ``--format`` picks
+  the output: ``summary`` (tables + notification log), ``jsonl`` (the
+  notification log) or ``prom`` (collector metrics + ``ALERTS``
+  series).
 * ``experiment <id>`` - run one paper experiment (``table1``, ``fig2``
   ... ``fig8``) and print its rendered block; ``--profile DIR`` as
   above.
@@ -46,8 +43,8 @@ Subcommands:
 Every command accepts ``--seed`` / ``--scale`` (and ``--days`` where a
 campaign runs), mirroring the ``REPRO_*`` environment knobs the
 benchmark harness uses.  A package error (:class:`~repro.errors.
-ReproError`) prints as one ``repro: error: ...`` line on stderr and
-exits 2.
+ReproError`) or an unusable file path (:class:`OSError`) prints as one
+``repro: error: ...`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, Optional
 
-from .errors import ConfigError, ReproError, ValidationError
+from .errors import ReproError, ValidationError
 
 __all__ = ["main", "build_parser"]
 
@@ -139,17 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="resume the collector from PATH when it "
                              "exists and save it back afterwards "
                              "(skips finalize so later runs can resume)")
-    p_camp.add_argument("--consumers", type=int, default=None,
-                        help="serve the live state to this many "
-                             "simulated dashboard queries per hour")
-    p_camp.add_argument("--format",
-                        choices=("summary", "jsonl", "prom", "state"),
+    p_camp.add_argument("--format", choices=("summary", "jsonl", "prom"),
                         default="summary", dest="fmt",
                         help="summary = tables + notification log, "
-                             "jsonl = notification log (serving "
-                             "metrics with --consumers), prom = "
-                             "Prometheus text, state = live-state JSON "
-                             "(needs --consumers)")
+                             "jsonl = notification log, prom = "
+                             "Prometheus text")
     profile_opt(p_camp)
     common(p_camp)
 
@@ -227,8 +218,6 @@ class _Run:
     injected: Counter
     #: The live plane, when attached.
     collector: Any
-    #: The :class:`~repro.serve.MonitorService`, with ``--consumers``.
-    service: Any
     metrics: Any
     trace: Any
     resumed: bool
@@ -239,15 +228,16 @@ class _Run:
 def _live(args: argparse.Namespace) -> bool:
     """Whether the options ask for the live plane (the collector)."""
     return bool(args.stream or args.rules or args.state or args.runs > 1
-                or args.consumers is not None or args.fmt != "summary")
+                or args.fmt != "summary")
 
 
 def _run(args: argparse.Namespace) -> _Run:
     """Build, select, deploy and run the campaign ``--runs`` times.
 
     The one place a campaign runs: the fault-plan table, the live plane
-    (at most one collector, whose detector also feeds the service), the
-    profile bracket and the trace-file close all live here.
+    (at most one collector), the profile bracket and the trace-file
+    close all live here.  A ``--state`` path that could not be written
+    back fails here, before the first run, not after the last.
     """
     from repro.cloud.providers import get_provider
     from repro.engine import MetricsObserver, TraceObserver
@@ -258,8 +248,15 @@ def _run(args: argparse.Namespace) -> _Run:
 
     if args.runs < 1:
         raise ValidationError(f"--runs must be >= 1, got {args.runs}")
-    if args.fmt == "state" and args.consumers is None:
-        raise ConfigError("--format state needs --consumers")
+    if args.state:
+        state_path = Path(args.state)
+        if state_path.is_dir():
+            raise ValidationError(
+                f"--state {args.state} is a directory, not a file")
+        if not state_path.parent.is_dir():
+            raise ValidationError(
+                f"--state {args.state}: directory "
+                f"{state_path.parent} does not exist")
     fault_plans = {"off": None, "default": FaultPlan.default(),
                    "heavy": FaultPlan.heavy()}
     provider = get_provider(args.provider)
@@ -272,15 +269,6 @@ def _run(args: argparse.Namespace) -> _Run:
         collector = (Collector.from_state_json(
             Path(args.state).read_text(encoding="utf-8"), rules=rules)
             if resumed else Collector(float(CAMPAIGN_START), rules=rules))
-    service = load = None
-    if args.consumers is not None:
-        from repro.rng import SeedTree
-        from repro.serve import ConsumerLoadObserver, MonitorService
-        service = MonitorService(collector.detector,
-                                 evaluator=collector.evaluator)
-        load = ConsumerLoadObserver(service,
-                                    SeedTree(args.seed).child("serve"),
-                                    consumers_per_hour=args.consumers)
     metrics = MetricsObserver() if args.metrics else None
     trace = None
     first = collector.runs if collector is not None else 0
@@ -304,8 +292,6 @@ def _run(args: argparse.Namespace) -> _Run:
                 observers = [o for o in (metrics, trace) if o is not None]
                 if collector is not None:
                     observers.append(clasp.collector(collector=collector)[1])
-                if load is not None:
-                    observers.append(load)
                 datasets.append(clasp.run_campaign(
                     [plan], days=args.days,
                     start_ts=float(CAMPAIGN_START) + index * args.days * DAY,
@@ -329,7 +315,7 @@ def _run(args: argparse.Namespace) -> _Run:
     return _Run(provider=provider.name, region=region,
                 servers_measured=len(plan.server_ids), dataset=dataset,
                 cloud_bill_usd=bill, injected=injected,
-                collector=collector, service=service, metrics=metrics,
+                collector=collector, metrics=metrics,
                 trace=trace, resumed=resumed,
                 monotone=all(later > earlier for earlier, later
                              in zip(watermarks, watermarks[1:])))
@@ -343,16 +329,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.matrix:
         return _cmd_matrix(args)
     run = _run(args)
-    collector, service = run.collector, run.service
-    if service is not None and args.fmt != "summary":
-        # The serving exports read the live state, before finalize.
-        if args.fmt == "state":
-            print(service.state_json(now_ts=collector.detector.watermark))
-        elif args.fmt == "prom":
-            print(service.prometheus(), end="")
-        else:
-            print(service.json_lines(), end="")
-        return 0
+    collector = run.collector
     report = None
     if collector is not None and not args.state:
         report = collector.finalize()
@@ -419,11 +396,6 @@ def _print_summary(args: argparse.Namespace, run: _Run, report) -> None:
         table.add_row(["rule evaluations", evaluator.evaluations])
         table.add_row(["alert notifications", len(evaluator.notifications)])
         table.add_row(["alerts firing now", evaluator.active_count])
-    if run.service is not None:
-        load = run.service.load_report()
-        table.add_row(["queries served", f"{load.queries:,}"])
-        table.add_row(["cache hit rate", f"{load.hit_rate:.4f}"])
-        table.add_row(["mean staleness", f"{load.mean_staleness_s:.0f} s"])
     print(table.render())
     if collector is not None:
         print(notifications_to_jsonlines(collector.evaluator.notifications),
@@ -542,7 +514,7 @@ def main(argv=None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _COMMANDS[args.command](args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
 

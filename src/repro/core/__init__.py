@@ -21,7 +21,6 @@ from .congestion import (
     threshold_sweep,
 )
 from .streaming import (
-    PairCongestionState,
     StreamingCongestionDetector,
     StreamingDetectorObserver,
     stream_dataset,
@@ -57,8 +56,8 @@ __all__ = [
     "CongestionEvent", "CongestionReport",
     "daily_variability", "hourly_variability",
     "choose_threshold_elbow", "midnight_day_index", "threshold_sweep",
-    "PairCongestionState", "StreamingCongestionDetector",
-    "StreamingDetectorObserver", "stream_dataset",
+    "StreamingCongestionDetector", "StreamingDetectorObserver",
+    "stream_dataset",
     "TierComparison", "congestion_probability",
     "congested_server_summary", "performance_scatter", "tier_comparison",
     "TopologySelection", "TopologySelector",

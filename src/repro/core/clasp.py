@@ -229,7 +229,6 @@ class Clasp:
 
     def streaming_detector(self, threshold: float = PAPER_THRESHOLD,
                            metric: str = "download",
-                           window_days: Optional[int] = None,
                            lateness_hours: float = 0.0,
                            start_ts: float = float(CAMPAIGN_START)):
         """A live detector + bus observer pair for this stack.
@@ -245,13 +244,12 @@ class Clasp:
             start_ts,
             catalog_offsets(self.catalog, self.platform.topology),
             threshold=threshold, metric=metric,
-            window_days=window_days, lateness_hours=lateness_hours)
+            lateness_hours=lateness_hours)
         return detector, StreamingDetectorObserver(detector)
 
     def collector(self, rules: Sequence = (), collector=None,
                   threshold: float = PAPER_THRESHOLD,
                   metric: str = "download",
-                  window_days: Optional[int] = None,
                   lateness_hours: float = 0.0,
                   snapshot_hours: float = 1.0,
                   start_ts: float = float(CAMPAIGN_START)):
@@ -270,8 +268,7 @@ class Clasp:
         if collector is None:
             collector = Collector(
                 start_ts=start_ts, rules=rules, threshold=threshold,
-                metric=metric, window_days=window_days,
-                lateness_hours=lateness_hours,
+                metric=metric, lateness_hours=lateness_hours,
                 snapshot_hours=snapshot_hours)
         collector.begin_run(
             catalog_offsets(self.catalog, self.platform.topology),

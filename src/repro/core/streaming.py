@@ -1,10 +1,10 @@
-"""Incremental sliding-window congestion detection (ROADMAP item 3).
+"""Incremental congestion detection, one hour at a time (ROADMAP item 3).
 
 The batch :func:`repro.core.congestion.detect` re-scans the whole
 dataset after the campaign ends.  :class:`StreamingCongestionDetector`
 consumes the same measurements *as events happen* and keeps per-pair
-day buckets, ``V(s, d)``, ``V_H`` events, and congested-server state
-up to date in O(new observations) per hour:
+day buckets, ``V(s, d)`` and ``V_H`` events up to date in O(new
+observations) per hour:
 
 * every completed test appends one ``(ts, value)`` sample to its
   pair's *open* local-day bucket;
@@ -14,17 +14,16 @@ up to date in O(new observations) per hour:
   :func:`~repro.core.congestion.summarize_day` the batch pass uses,
   yielding the day's :class:`~repro.core.congestion.DayRecord`,
   congestion events, and measured-hour count;
-* sealed day summaries are tiny aggregates, so live queries
-  (:meth:`pair_state`, :meth:`congested_pairs`) never touch raw
-  samples, and an optional ``window_days`` horizon makes the live
-  congested-server label a sliding window over the most recent days.
+* sealed day summaries are tiny aggregates, so the alerts collector
+  exports newly sealed events (:meth:`~StreamingCongestionDetector.
+  sealed_items`) without touching raw samples.
 
 **Equivalence contract**: :meth:`finalize` returns a
 :class:`~repro.core.congestion.CongestionReport` *equal* (same events,
 day records, and pair_hours - identical floats) to batch ``detect()``
-on the dataset built from the same event stream, for any
-``window_days``, as long as no observation arrived later than the
-sealing grace allowed (``late_dropped`` counts the ones that did).
+on the dataset built from the same event stream, as long as no
+observation arrived later than the sealing grace allowed
+(``late_dropped`` counts the ones that did).
 Both paths share one bucketing implementation -
 :func:`~repro.core.congestion.midnight_day_index` plus
 :func:`~repro.core.congestion.summarize_day` - which is what makes the
@@ -38,7 +37,6 @@ stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (Any, Callable, ClassVar, Dict, Iterable, List,
                     Optional, Tuple)
 
@@ -54,7 +52,6 @@ from .congestion import (MIN_SAMPLES_PER_DAY, PAPER_THRESHOLD,
                          summarize_day)
 
 __all__ = [
-    "PairCongestionState",
     "StreamingCongestionDetector",
     "StreamingDetectorObserver",
     "catalog_offsets",
@@ -102,37 +99,14 @@ class _OpenDay:
         self.values: List[float] = []
 
 
-@dataclass(frozen=True)
-class PairCongestionState:
-    """Live congestion state of one pair over the current window."""
-
-    pair: PairKey
-    #: Sealed days with enough samples (the denominator).
-    measured_days: int
-    #: Measured days with at least one V_H event.
-    congested_days: int
-    n_events: int
-    #: The paper's label: >``min_day_fraction`` of days have events.
-    congested: bool
-
-    @property
-    def congested_day_fraction(self) -> float:
-        if self.measured_days == 0:
-            return 0.0
-        return self.congested_days / self.measured_days
-
-
 class StreamingCongestionDetector:
-    """Sliding-window V_H detection updated in O(new samples)/hour.
+    """V_H detection updated in O(new samples)/hour.
 
     *offset_of* maps a server id to its UTC offset in hours (see
-    :func:`dataset_offsets` / :func:`catalog_offsets`).  *window_days*
-    bounds the live congested-server state to the most recent local
-    days (``None`` = unbounded, matching the batch label); it does not
-    affect :meth:`finalize`.  *lateness_hours* delays sealing so
-    bounded out-of-order delivery still lands in the right bucket;
-    observations for already-sealed days are dropped and counted in
-    :attr:`late_dropped`.
+    :func:`dataset_offsets` / :func:`catalog_offsets`).  *lateness_hours*
+    delays sealing so bounded out-of-order delivery still lands in the
+    right bucket; observations for already-sealed days are dropped and
+    counted in :attr:`late_dropped`.
     """
 
     def __init__(self, start_ts: float,
@@ -140,13 +114,9 @@ class StreamingCongestionDetector:
                  threshold: float = PAPER_THRESHOLD,
                  metric: str = "download",
                  min_samples: int = MIN_SAMPLES_PER_DAY,
-                 window_days: Optional[int] = None,
                  lateness_hours: float = 0.0) -> None:
         if metric not in _METRIC_ATTRS:
             raise AnalysisError(f"unknown metric {metric!r}")
-        if window_days is not None and window_days < 1:
-            raise ValidationError(
-                f"window_days must be >= 1, got {window_days}")
         if lateness_hours < 0:
             raise ValidationError(
                 f"lateness_hours must be >= 0, got {lateness_hours}")
@@ -154,7 +124,6 @@ class StreamingCongestionDetector:
         self.threshold = threshold
         self.metric = metric
         self.min_samples = min_samples
-        self.window_days = window_days
         self.lateness_s = lateness_hours * HOUR
         self.watermark = float(start_ts)
         self._offset_of = offset_of
@@ -167,8 +136,6 @@ class StreamingCongestionDetector:
         self.late_dropped = 0
         #: Sealed pair-days so far.
         self.sealed_days = 0
-        #: Bumps whenever sealed state changes (snapshot cache key).
-        self.version = 0
 
     # ------------------------------------------------------------------
     # ingestion
@@ -227,8 +194,6 @@ class StreamingCongestionDetector:
             for day in sorted(due):
                 self._seal(pair, day, days.pop(day))
                 n += 1
-        if n:
-            self.version += 1
         return n
 
     def _seal(self, pair: PairKey, day: int, bucket: _OpenDay) -> None:
@@ -246,14 +211,10 @@ class StreamingCongestionDetector:
 
     def finalize(self) -> CongestionReport:
         """Seal everything and return the batch-equivalent report."""
-        n = 0
         for pair in list(self._open):
             days = self._open.pop(pair)
             for day in sorted(days):
                 self._seal(pair, day, days[day])
-                n += 1
-        if n:
-            self.version += 1
         report = CongestionReport(threshold=self.threshold,
                                   metric=self.metric)
         for pair in sorted(self._sealed):
@@ -267,45 +228,6 @@ class StreamingCongestionDetector:
                 report.events.extend(summary.events)
             report.pair_hours[pair] = hours
         return report
-
-    # ------------------------------------------------------------------
-    # live state
-
-    def pairs(self) -> List[PairKey]:
-        return sorted(set(self._sealed) | set(self._open))
-
-    def _window_floor(self, pair: PairKey) -> Optional[int]:
-        if self.window_days is None:
-            return None
-        offset = self._offset(pair[1])
-        current = midnight_day_index(self.watermark, offset,
-                                     self.start_ts)
-        return current - self.window_days
-
-    def pair_state(self, pair: PairKey,
-                   min_day_fraction: float = 0.10) -> PairCongestionState:
-        """Live (windowed) congestion state of one pair, O(sealed days)."""
-        floor = self._window_floor(pair)
-        measured = congested = n_events = 0
-        for day, summary in self._sealed.get(pair, {}).items():
-            if floor is not None and day < floor:
-                continue
-            if summary.record is not None:
-                measured += 1
-                if summary.events:
-                    congested += 1
-                    n_events += len(summary.events)
-        return PairCongestionState(
-            pair=pair, measured_days=measured, congested_days=congested,
-            n_events=n_events,
-            congested=(measured > 0
-                       and congested / measured > min_day_fraction))
-
-    def congested_pairs(self, min_day_fraction: float = 0.10
-                        ) -> List[PairKey]:
-        """Pairs currently labeled congested over the live window."""
-        return [pair for pair in self.pairs()
-                if self.pair_state(pair, min_day_fraction).congested]
 
     def sealed_items(self) -> Iterable[Tuple[PairKey, int, DaySummary]]:
         """Sealed day summaries in deterministic (pair, day) order.
@@ -336,13 +258,11 @@ class StreamingCongestionDetector:
             "threshold": self.threshold,
             "metric": self.metric,
             "min_samples": self.min_samples,
-            "window_days": self.window_days,
             "lateness_s": self.lateness_s,
             "watermark": self.watermark,
             "observed": self.observed,
             "late_dropped": self.late_dropped,
             "sealed_days": self.sealed_days,
-            "version": self.version,
             "offsets": {sid: self._offsets[sid]
                         for sid in sorted(self._offsets)},
             "open": [
@@ -370,13 +290,11 @@ class StreamingCongestionDetector:
         if self.metric not in _METRIC_ATTRS:
             raise AnalysisError(f"unknown metric {self.metric!r}")
         self.min_samples = state["min_samples"]
-        self.window_days = state["window_days"]
         self.lateness_s = float(state["lateness_s"])
         self.watermark = float(state["watermark"])
         self.observed = int(state["observed"])
         self.late_dropped = int(state["late_dropped"])
         self.sealed_days = int(state["sealed_days"])
-        self.version = int(state["version"])
         self._offsets = {sid: float(offset)
                          for sid, offset in state["offsets"].items()}
         self._open = {}

@@ -527,25 +527,26 @@ def test_collector_state_schema_is_checked():
         Collector.from_state_json(collector.state_json(), rules=())
 
 
+def test_collector_resumes_state_with_retired_detector_keys():
+    """Older state files also carry ``window_days`` and ``version``."""
+    collector, _datasets, _watermarks = _daemon_sequence()
+    state = json.loads(collector.state_json())
+    state["detector"]["window_days"] = None
+    state["detector"]["version"] = 3
+    resumed = Collector.from_state(state, rules=default_rules())
+    assert resumed.state_json() == collector.state_json()
+
+
 # ----------------------------------------------------------------------
-# surfacing: serving layer + dashboard
+# surfacing: Prometheus export + dashboard
 
 
-def test_monitor_service_snapshot_carries_alerts():
-    from repro.serve import MonitorService
-
+def test_alerts_prometheus_carries_firing_rule():
     history = MetricHistory()
     rule = AbsenceRule(name="stale", stale_hours=1.0)
     evaluator = RuleEvaluator([rule], history, START)
     evaluator.evaluate(START + 2 * HOUR)
-    collector = Collector(START)
-    service = MonitorService(collector.detector, evaluator=evaluator)
-    snapshot = service.query(START + 2 * HOUR)
-    assert snapshot["alerts"] == {"active": 1, "firing": ["stale"],
-                                  "notifications": 1}
-    assert 'ALERTS{alertname="stale"' in service.prometheus()
-    plain = MonitorService(collector.detector)
-    assert plain.query(START)["alerts"] is None
+    assert 'ALERTS{alertname="stale"' in alerts_to_prometheus(evaluator)
 
 
 def test_dashboard_renders_alerts_panel():

@@ -189,7 +189,7 @@ def test_campaign_rules_prints_notification_log(capsys):
     assert [json.loads(line) for line in jsonl] == notes
 
 
-def test_campaign_prom_without_consumers_has_alerts(capsys):
+def test_campaign_prom_has_alerts(capsys):
     assert main(["campaign", *SMALL, "--format", "prom"]) == 0
     out = capsys.readouterr().out
     assert "collector_observed" in out
@@ -220,26 +220,6 @@ def test_campaign_runs_finalize_equals_batch_on_concat(capsys):
     out = capsys.readouterr().out
     assert _row(out, "stream == batch detect") == "yes"
     assert _row(out, "tests completed") == "288"
-
-
-@pytest.mark.parametrize("fmt", ["summary", "jsonl", "prom", "state"])
-def test_campaign_consumers_each_format(capsys, fmt):
-    assert main(["campaign", *SMALL, "--consumers", "1000",
-                 "--format", fmt]) == 0
-    out = capsys.readouterr().out
-    if fmt == "summary":
-        assert "queries served" in out
-        assert "cache hit rate" in out
-    elif fmt == "jsonl":
-        names = {json.loads(line)["name"] for line in out.splitlines()}
-        assert "serve.queries" in names
-    elif fmt == "prom":
-        assert "serve_queries" in out
-        assert "ALERTS{" in out
-    else:
-        state = json.loads(out)
-        assert state["n_pairs"] == 6
-        assert state["alerts"]["notifications"] >= 1
 
 
 def test_campaign_profile_writes_profile_directory(capsys, tmp_path):
@@ -298,6 +278,27 @@ def test_campaign_nonpositive_servers_is_one_line_error(capsys, servers):
     assert "budget_servers must be >= 1" in _error_line(capsys)
 
 
-def test_campaign_state_format_needs_consumers(capsys):
-    assert main(["campaign", *SMALL, "--format", "state"]) == 2
-    assert "--consumers" in _error_line(capsys)
+@pytest.mark.parametrize("option, path, builds_world", [
+    ("--state", "", False),
+    ("--state", "missing/s.json", False),
+    ("--trace", "missing/t.jsonl", True),
+    ("--export", "file/x", True),
+], ids=["state-dir", "state-missing-dir", "trace-missing-dir",
+        "export-under-file"])
+def test_campaign_bad_output_path_is_one_line_error(
+        capsys, tmp_path, monkeypatch, option, path, builds_world):
+    """A --state path that cannot be saved fails before any run."""
+    import repro.experiments
+    built = []
+    real_build = repro.experiments.build_scenario
+
+    def build_scenario(**kwargs):
+        built.append(kwargs)
+        return real_build(**kwargs)
+
+    monkeypatch.setattr(repro.experiments, "build_scenario",
+                        build_scenario)
+    (tmp_path / "file").write_text("")
+    assert main(["campaign", *SMALL, option, str(tmp_path / path)]) == 2
+    assert _error_line(capsys)
+    assert bool(built) == builds_world

@@ -164,8 +164,8 @@ def matrix_baseline():
 # must both hand every subscriber the inline scalar baseline's stream.
 @pytest.mark.parametrize("faults_key", ["off", "default", "heavy"])
 @pytest.mark.parametrize("subscribers,batch", [(2, False), (4, True)])
-def test_sharded_event_stream_matches_inline(matrix_baseline, faults_key,
-                                             subscribers, batch):
+def test_event_stream_matches_inline(matrix_baseline, faults_key,
+                                     subscribers, batch):
     digest, events, _dataset, _clasp = matrix_baseline[faults_key]
     dataset, got_events, _ = _matrix_campaign(
         _FAULT_PLANS[faults_key](), batch, subscribers=subscribers)

@@ -1,4 +1,4 @@
-"""Streaming detection: batch equivalence, lateness, windows.
+"""Streaming detection: batch equivalence and lateness.
 
 The hard contract under test: finalizing a
 :class:`~repro.core.streaming.StreamingCongestionDetector` fed from
@@ -61,7 +61,7 @@ def test_stream_equals_batch(faults, batch):
 
 
 # ----------------------------------------------------------------------
-# synthetic feeds (no engine): lateness, ordering, windows
+# synthetic feeds (no engine): lateness, ordering
 
 
 def _synthetic_dataset(days=3, offset_hours=0.0, server_id="srv-1",
@@ -162,33 +162,6 @@ def test_too_late_observation_is_dropped_and_counted():
     assert streamed.pair_hours[pair] == batch.pair_hours[pair] - 1
 
 
-def test_window_eviction_at_edge():
-    dataset = _synthetic_dataset(days=3)
-    detector = StreamingCongestionDetector(
-        dataset.start_ts, dataset_offsets(dataset), window_days=1)
-    rows = _rows(dataset)
-    pair = rows[0][1]
-    day_rows = [row for row in rows
-                if row[0] < dataset.start_ts + DAY]
-    for ts, key, value in day_rows:
-        detector.observe(key, ts, value)
-    # Day 0 seals at the day-1 boundary and sits inside the 1-day
-    # window: its congested hours make the pair congested.
-    detector.advance(dataset.start_ts + DAY)
-    assert detector.pair_state(pair).measured_days == 1
-    assert detector.congested_pairs() == [pair]
-    # One watermark day later, day 0 falls off the window edge.
-    detector.advance(dataset.start_ts + 2 * DAY)
-    assert detector.pair_state(pair).measured_days == 0
-    assert detector.congested_pairs() == []
-    # The window affects only live state: finalize still matches the
-    # batch pass over the same observations.
-    for ts, key, value in [row for row in rows
-                           if row[0] >= dataset.start_ts + DAY]:
-        detector.observe(key, ts, value)
-    assert detector.finalize() == detect(dataset)
-
-
 def test_watermark_never_rewinds():
     dataset = _synthetic_dataset(days=1)
     detector = StreamingCongestionDetector(
@@ -196,22 +169,6 @@ def test_watermark_never_rewinds():
     detector.advance(dataset.start_ts + 5 * HOUR)
     assert detector.advance(dataset.start_ts) == 0
     assert detector.watermark == dataset.start_ts + 5 * HOUR
-
-
-def test_version_bumps_only_on_seal():
-    dataset = _synthetic_dataset(days=2)
-    detector = StreamingCongestionDetector(
-        dataset.start_ts, dataset_offsets(dataset))
-    rows = _rows(dataset)
-    for ts, pair, value in rows:
-        detector.observe(pair, ts, value)
-    assert detector.version == 0
-    assert detector.advance(dataset.start_ts + 12 * HOUR) == 0
-    assert detector.version == 0
-    assert detector.advance(dataset.start_ts + DAY) == 1
-    assert detector.version == 1
-    detector.finalize()
-    assert detector.version == 2
 
 
 def test_observer_requires_record_payload():
@@ -235,10 +192,8 @@ def test_constructor_validation():
     with pytest.raises(AnalysisError):
         StreamingCongestionDetector(0.0, offsets, metric="nope")
     with pytest.raises(ValidationError):
-        StreamingCongestionDetector(0.0, offsets, window_days=0)
-    with pytest.raises(ValidationError):
         StreamingCongestionDetector(0.0, offsets, lateness_hours=-1.0)
     with pytest.raises(ValidationError):
         stream_dataset(_synthetic_dataset(days=1),
                        StreamingCongestionDetector(0.0, offsets),
-                       window_days=2)
+                       lateness_hours=2.0)
