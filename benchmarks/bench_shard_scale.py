@@ -17,12 +17,13 @@ trajectory in ``BENCH_campaign.json`` at the repo root (schema:
   planet-scale coverage fits in the time the scalar path spends on an
   ordinary run.
 
-The expensive parts (scenario build + topology deploys, ~30s) run
-once; both rows reuse the same deployed plans, so they differ only in
-the execution path under test.  Billing is not charged on the timed
-runs so repeated campaigns cannot exhaust the scenario's cost budget.
-Byte-identical digests with batch on and off are tier-1 guarantees
-(``tests/test_shard.py``), not re-proved here.
+Each row builds its own world (scenario build + topology deploys,
+untimed): a second campaign on the same ``clasp`` would continue the
+first run's per-VM RNG streams and inherit its warm route caches, so
+it would time a different campaign.  On fresh worlds both rows run the
+same campaign, which the bench asserts (equal dataset digest and
+completed-test count) before comparing their speed.  Billing is not
+charged on the timed runs.
 
 Wall-clock timing is inherently nondeterministic; this file lives in
 ``benchmarks/`` (not ``src/repro``) exactly so the lint determinism
@@ -34,6 +35,7 @@ import pathlib
 import resource
 import time
 
+from repro.core.export import dataset_digest
 from repro.experiments.scenario import build_scenario
 from repro.report.tables import TextTable
 
@@ -65,7 +67,7 @@ BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_campaign.js
 
 #: Trajectory point label - bump when re-anchoring the perf curve.
 #: Previous points stay readable in the git history of the JSON file.
-LABEL = "batch-v3 (one process; sharding removed)"
+LABEL = "batch-v4 (array-form planner; fresh world per row)"
 
 
 class _EventCounter:
@@ -94,6 +96,7 @@ def _deploy(clasp, regions, budget_servers):
 
 
 def _timed_run(clasp, plans, batch):
+    """(bench row, dataset digest) of one timed campaign."""
     counter = _EventCounter()
     start = time.perf_counter()
     dataset = clasp.run_campaign(plans, days=DAYS, charge_billing=False,
@@ -107,15 +110,21 @@ def _timed_run(clasp, plans, batch):
         "tests": dataset.completed_tests,
         "tests_per_sec": round(dataset.completed_tests / wall, 1),
         "peak_rss_kb": _peak_rss_kb(),
-    }
+    }, dataset_digest(dataset)
+
+
+def _fresh_run(batch):
+    """One timed campaign on a freshly built and deployed world."""
+    scenario = build_scenario(seed=SEED, scale=SCALE, faults=None)
+    plans = _deploy(scenario.clasp, REGIONS, BUDGET_SERVERS)
+    return _timed_run(scenario.clasp, plans, batch)
 
 
 def test_bench_shard_scale(emit):
-    scenario = build_scenario(seed=SEED, scale=SCALE, faults=None)
-    plans = _deploy(scenario.clasp, REGIONS, BUDGET_SERVERS)
-
-    baseline, batched = [_timed_run(scenario.clasp, plans, batch)
-                         for batch in BATCH_MODES]
+    (baseline, base_digest), (batched, batch_digest) = [
+        _fresh_run(batch) for batch in BATCH_MODES]
+    assert batch_digest == base_digest, "batch and scalar datasets differ"
+    assert batched["tests"] == baseline["tests"]
     speedup = batched["events_per_sec"] / baseline["events_per_sec"]
 
     # Planet-scale demo: fresh scenario at the default demo scale so the
@@ -124,7 +133,7 @@ def test_bench_shard_scale(emit):
     planet = build_scenario(seed=SEED, scale=PLANET_SCALE, faults=None)
     regions = planet.clasp.platform.available_regions()[:PLANET_REGIONS]
     planet_plans = _deploy(planet.clasp, regions, PLANET_BUDGET_SERVERS)
-    demo = _timed_run(planet.clasp, planet_plans, True)
+    demo, _digest = _timed_run(planet.clasp, planet_plans, True)
     demo_row = {
         "regions": len(planet_plans),
         "budget_servers": PLANET_BUDGET_SERVERS,

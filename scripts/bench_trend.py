@@ -36,9 +36,11 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.congestion import detect  # noqa: E402
+from repro.core.export import dataset_digest  # noqa: E402
 from repro.core.streaming import (StreamingCongestionDetector,  # noqa: E402
                                   dataset_offsets, iter_hourly)
-from repro.errors import ConfigError, ReproError  # noqa: E402
+from repro.errors import (ConfigError, ReproError,  # noqa: E402
+                          ValidationError)
 from repro.experiments.scenario import build_scenario  # noqa: E402
 
 BENCH_PATH = REPO_ROOT / "BENCH_campaign.json"
@@ -89,16 +91,27 @@ def _deploy_shape(shape):
 
 
 def fresh_batch_speedup(doc):
-    """events/sec ratio, batch vs scalar, at the committed shape."""
+    """events/sec ratio, batch vs scalar, at the committed shape.
+
+    Each mode runs on its own freshly deployed world: a second campaign
+    on one ``clasp`` would continue the first run's RNG streams and
+    route caches, and so time a different campaign.
+    """
     shape = doc["shape"]
-    clasp, plans = _deploy_shape(shape)
     walls = {}
+    datasets = {}
     for batch in (False, True):
-        wall, _dataset = _best_of(1, lambda batch=batch: clasp.run_campaign(
-            plans, days=shape["days"], charge_billing=False, batch=batch))
-        walls[batch] = wall
-    # Identical event streams either way (tier-1 guarantee), so the
-    # events/sec ratio collapses to the inverse wall-time ratio.
+        clasp, plans = _deploy_shape(shape)
+        walls[batch], datasets[batch] = _best_of(
+            1, lambda: clasp.run_campaign(plans, days=shape["days"],
+                                          charge_billing=False, batch=batch))
+    scalar, batched = datasets[False], datasets[True]
+    if (dataset_digest(scalar) != dataset_digest(batched)
+            or scalar.completed_tests != batched.completed_tests):
+        raise ValidationError("batch and scalar campaigns differ "
+                              "(dataset digest or completed tests)")
+    # The same campaign either way, so the events/sec ratio collapses
+    # to the inverse wall-time ratio.
     return walls[False] / walls[True]
 
 
@@ -189,8 +202,12 @@ def main() -> int:
     checks = []  # (name, fresh, committed)
     print("== bench-trend: fresh batch point "
           f"(shape: {doc['shape']['regions']})", flush=True)
-    checks.append(("batch_speedup", fresh_batch_speedup(doc),
-                   committed_batch_speedup(doc)))
+    try:
+        checks.append(("batch_speedup", fresh_batch_speedup(doc),
+                       committed_batch_speedup(doc)))
+    except ReproError as err:
+        print(f"bench-trend: {err}", file=sys.stderr)
+        return 1
     print("== bench-trend: fresh streaming point", flush=True)
     checks.append(("streaming_speedup", fresh_streaming_speedup(doc),
                    doc["streaming_detect"]["speedup_incremental_vs_rescan"]))

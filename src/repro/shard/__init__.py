@@ -7,10 +7,9 @@ enforced by ``tests/test_shard.py``):
 * **Vectorized batch path** (:mod:`repro.shard.batch`): an engine
   ``hour_hook`` precomputes the whole hour's tests in one pass -
   replicating the scalar RNG consumption draw for draw, then
-  evaluating all link states as one flat numpy batch (per-element
-  link parameters) and the hour's TCP transfers as one batch laid
-  out by shared bottleneck link, through the bit-exact vector twins
-  in :mod:`repro.shard.vectcp`.
+  evaluating all link states, route sums and TCP transfers as flat
+  arrays over static per-link and per-route tables, through the
+  bit-exact vector twins in :mod:`repro.shard.vectcp`.
 
 Entry points: ``Clasp.run_campaign(batch=True)``, or
 ``repro campaign --batch`` on the CLI.

@@ -5,21 +5,28 @@ browser retry loop, two path evaluations (~20 link observations each),
 the TCP model, and the noise draws.  :class:`BatchPlanner` replays the
 *exact same* decision sequence for a whole hour up front - consuming
 each lane's RNG streams in the order the scalar path would - then
-evaluates every needed link observation as ONE flat numpy batch across
-all links (per-element link parameters, :func:`_observe_flat`) and all
-of the hour's TCP transfers as one batch laid out by shared bottleneck
-link (:mod:`repro.shard.vectcp` twins).
+evaluates the hour as a handful of array operations through the
+:mod:`repro.shard.vectcp` twins:
 
-Two structural savings over the scalar path, both value-neutral:
-
-* **Observation dedup.** The ingress evaluation's reverse path is the
-  egress evaluation's forward path (both directions share the same two
-  cached routes), so each ``(link, direction, ts)`` point is computed
-  once and read twice instead of observed twice.
-* **Flat vectorization.** Every link observation the hour needs - all
-  links, both directions - runs through the vectcp twins as a single
-  parameter-matrix batch instead of one Python call (or even one small
-  numpy call) per link.
+* **Static tables.** Each ``(link, direction)`` owns one row of a float
+  parameter table (capacity, loss floor, queue base and cap, profile
+  base, weekend factor, UTC offset, noise sigma, padded bump triples),
+  and each cached route an ``int64`` array of its rows plus its
+  propagation delay and burst loss.  Profiles, capacities and routes
+  are fixed once the scenario is built, so both live as long as the
+  planner.
+* **One flat evaluation.** The hour's routes are concatenated into one
+  point array; its parameters are one gather from the table, and the
+  utilization, residual, loss and queue twins each run once over it.
+  Hourly noise is one gather per distinct hour index from the
+  traffic model's own arrays.
+* **Column-wise route fold** (:func:`fold_routes`). Queue sums and
+  survival products accumulate link by link in route order across a
+  padded ``[routes x max_len]`` matrix - the scalar left fold, so no
+  pairwise-summation drift - and ``argmin`` picks the bottleneck.
+* **Array-form results.** RTTs, losses, the TCP model, the bulk phase,
+  bytes and CPU are elementwise array chains in the scalar expression
+  order; only the result objects are built per job.
 
 :class:`BatchLaneExecutor` plugs the planner into the campaign through
 the two :class:`~repro.core.campaign.LaneExecutor` seams and the
@@ -47,11 +54,13 @@ from ..speedtest.browser import (BrowserArtifacts, _CAPTURE_OVERHEAD_BYTES,
                                  _PCAP_FRACTION)
 from ..speedtest.protocol import SpeedTestResult
 from ..units import HOUR, transferred_bytes
-from .vectcp import (batch_loss_rate, batch_mean_utilization_grid,
+from .vectcp import (batch_flows_for_rtt, batch_loss_rate,
+                     batch_mean_utilization_grid,
                      batch_multiflow_throughput_mbps, batch_queue_delay_ms,
                      batch_residual_mbps)
 
-__all__ = ["BatchLaneExecutor", "BatchPlanner", "batch_executor_factory"]
+__all__ = ["BatchLaneExecutor", "BatchPlanner", "batch_executor_factory",
+           "fold_routes"]
 
 #: Outcome sentinel: every attempt of the slot failed (protocol failure,
 #: injected failure, or truncation) - the stepper re-raises.
@@ -62,26 +71,7 @@ class _Job:
     """One test that will complete, with its pre-drawn noise."""
 
     __slots__ = ("lane", "slot", "ts", "attempts", "server", "jitter",
-                 "down_short", "down_wiggle", "up_short", "up_wiggle",
-                 "route_in", "route_eg", "rtt_eg", "down_tcp", "up_tcp",
-                 "down_loss", "up_loss", "rtt_in")
-
-
-class _Transfer:
-    """One bulk phase (down or up) awaiting its batched TCP evaluation."""
-
-    __slots__ = ("job", "phase", "rtt_ms", "eff_loss", "flows", "avail",
-                 "bottleneck")
-
-    def __init__(self, job: _Job, phase: str, rtt_ms: float, eff_loss: float,
-                 flows: int, avail: float, bottleneck: int) -> None:
-        self.job = job
-        self.phase = phase
-        self.rtt_ms = rtt_ms
-        self.eff_loss = eff_loss
-        self.flows = flows
-        self.avail = avail
-        self.bottleneck = bottleneck
+                 "down_short", "down_wiggle", "up_short", "up_wiggle")
 
 
 class BatchPlanner:
@@ -102,9 +92,16 @@ class BatchPlanner:
         self._slots: Dict[Tuple[str, float], List[TestSlot]] = {}
         self._outcomes: Dict[Tuple[str, int], Any] = {}
         self._planned_hour: Optional[float] = None
-        self._prop_ms: Dict[int, float] = {}
-        self._burst_survive: Dict[int, float] = {}
-        self._link_rows: Dict[Tuple[int, int], tuple] = {}
+        # Static tables: one parameter row per (link, direction) and
+        # one entry per cached route, keyed by id() of the route.
+        self._row_of: Dict[Tuple[int, int], int] = {}
+        self._params: List[Tuple[tuple, tuple]] = []
+        self._keys: List[Tuple[int, int]] = []
+        self._noisy_rows: List[int] = []
+        self._noise_arrays: List[np.ndarray] = []
+        self._table: Optional[np.ndarray] = None
+        self._link_ids = np.zeros(0, dtype=np.int64)
+        self._routes: Dict[int, Tuple[Any, np.ndarray, float, float]] = {}
 
     # ------------------------------------------------------------------
     # stepper-facing accessors
@@ -208,309 +205,262 @@ class BatchPlanner:
         return jobs
 
     # ------------------------------------------------------------------
-    # phase 2: batched path + TCP evaluation, scalar result assembly
+    # phase 2: one flat array evaluation of the whole hour
 
     def _evaluate(self, jobs: List[_Job]) -> None:
         runner = self.runner
         platform = runner.engine.platform
-        topo = platform.topology
         evaluator = platform.evaluator
         cfg = runner.engine.config
 
-        # Unique (link_id, direction, ts) observation points across the
-        # hour, grouped per link direction for vectorized evaluation.
-        index: Dict[Tuple[int, int, float], int] = {}
-        groups: Dict[Tuple[int, int], List[Tuple[int, float]]] = {}
+        # Routes are laid out job by job, ingress (download) route then
+        # egress (upload) route: route 2j is job j's down transfer and
+        # route 2j+1 its up transfer, the scalar path's own order.
+        entries = []
         for job in jobs:
-            job.route_in, job.route_eg = platform.route_pair(
-                job.lane.vm, job.server.host_pop_id, Direction.INGRESS)
-            for route in (job.route_in, job.route_eg):
-                for link_id, direction in route.links:
-                    key = (link_id, direction, job.ts)
-                    if key not in index:
-                        index[key] = len(index)
-                        groups.setdefault((link_id, direction), []).append(
-                            (index[key], job.ts))
-        n_points = len(index)
-        loss = np.empty(n_points)
-        queue = np.empty(n_points)
-        residual = np.empty(n_points)
-        if n_points:
-            self._observe_flat(groups, topo, evaluator, loss, queue,
-                               residual)
-        obs.inc("shard.link_observations", float(n_points))
+            for route in platform.route_pair(job.lane.vm,
+                                             job.server.host_pop_id,
+                                             Direction.INGRESS):
+                entry = self._routes.get(id(route))
+                if entry is None:
+                    entry = self._route_entry(route, platform.topology,
+                                              evaluator.utilization_model)
+                entries.append(entry)
+        _routes, route_rows, prop, burst = zip(*entries)
+        lengths = np.array([len(r) for r in route_rows])
+        rows = np.concatenate(route_rows)
+        job_ts = np.array([job.ts for job in jobs])
+        ts = np.repeat(np.repeat(job_ts, 2), lengths)
+        if self._table is None:
+            self._build_table()
+        p = self._table[rows]
+        obs.inc("shard.link_observations", float(len(rows)))
 
-        # Scalar per-job assembly in the exact float-op order of
-        # PathPerformanceModel.evaluate, collecting bulk transfers for
-        # the bottleneck-grouped TCP batch.
-        transfers: List[_Transfer] = []
-        for job in jobs:
-            in_qsum, in_survive, in_avail, in_bneck = self._route_stats(
-                job.route_in, job.ts, index, loss, queue, residual)
-            eg_qsum, eg_survive, eg_avail, eg_bneck = self._route_stats(
-                job.route_eg, job.ts, index, loss, queue, residual)
-            prop_in = self._prop(job.route_in, topo)
-            prop_eg = self._prop(job.route_eg, topo)
-            burst_in = self._burst_loss(job.route_in, topo)
-            burst_eg = self._burst_loss(job.route_eg, topo)
-
-            # rtt = fwd_prop + rev_prop + sum(fwd queues) + sum(rev queues)
-            job.rtt_in = prop_in + prop_eg + in_qsum + eg_qsum
-            job.rtt_eg = prop_eg + prop_in + eg_qsum + in_qsum
-            loss_in = min(0.95, max(0.0, 1.0 - in_survive))
-            loss_eg = min(0.95, max(0.0, 1.0 - eg_survive))
-            eff_in = min(0.95, loss_in
-                         + PathMetrics.BURST_TCP_WEIGHT * burst_in)
-            eff_eg = min(0.95, loss_eg
-                         + PathMetrics.BURST_TCP_WEIGHT * burst_eg)
-            job.down_loss = min(0.95, 1.0 - (1.0 - loss_in)
-                                * (1.0 - burst_in))
-            job.up_loss = min(0.95, 1.0 - (1.0 - loss_eg)
-                              * (1.0 - burst_eg))
-            transfers.append(_Transfer(job, "down", job.rtt_in, eff_in,
-                                       cfg.flows_for_rtt(job.rtt_in),
-                                       in_avail, in_bneck))
-            transfers.append(_Transfer(job, "up", job.rtt_eg, eff_eg,
-                                       cfg.flows_for_rtt(job.rtt_eg),
-                                       eg_avail, eg_bneck))
-
-        self._run_tcp_batches(transfers)
-        for job in jobs:
-            self._finish_job(job, cfg)
-
-    def _run_tcp_batches(self, transfers: List[_Transfer]) -> None:
-        """Evaluate all bulk transfers as one flat TCP batch.
-
-        Transfers are laid out grouped by bottleneck link (the sort is
-        stable, so transfers sharing a contended link sit contiguously)
-        and the whole hour goes through the closed-form model in a
-        single elementwise call - per-element results are independent
-        of batch composition, so the layout is a locality choice, not a
-        correctness one.
-        """
-        if not transfers:
-            return
-        transfers = sorted(transfers, key=lambda t: t.bottleneck)
-        n = len(transfers)
-        rtt = np.fromiter((t.rtt_ms for t in transfers), dtype=np.float64,
-                          count=n)
-        eff = np.fromiter((t.eff_loss for t in transfers),
-                          dtype=np.float64, count=n)
-        flows = np.fromiter((t.flows for t in transfers), dtype=np.int64,
-                            count=n)
-        avail = np.fromiter((t.avail for t in transfers),
-                            dtype=np.float64, count=n)
-        aggregate = batch_multiflow_throughput_mbps(rtt, eff, flows, avail)
-        mirror = obs.enabled()
-        for i, transfer in enumerate(transfers):
-            value = float(aggregate[i])
-            job = transfer.job
-            if transfer.phase == "down":
-                job.down_tcp = value
-            else:
-                job.up_tcp = value
-            if mirror:
-                obs.inc("netsim.tcp.transfers")
-                obs.observe("netsim.tcp.throughput_mbps", value)
-
-    def _finish_job(self, job: _Job, cfg: Any) -> None:
-        """Assemble the final result with the scalar protocol arithmetic."""
-        vm = job.lane.vm
-        server_cap = job.server.effective_cap_mbps
-        latency_ms = float(np.min(job.rtt_eg + job.jitter))
-        down_mbps = self._bulk_phase(job.down_tcp, vm.nic.ingress_cap_mbps(),
-                                     server_cap, vm, job.down_short,
-                                     job.down_wiggle)
-        up_mbps = self._bulk_phase(job.up_tcp, vm.nic.egress_cap_mbps(),
-                                   server_cap, vm, job.up_short,
-                                   job.up_wiggle)
-        down_bytes = transferred_bytes(down_mbps, cfg.download_duration_s)
-        up_bytes = transferred_bytes(up_mbps, cfg.upload_duration_s)
-        duration = (cfg.download_duration_s + cfg.upload_duration_s
-                    + 0.2 * cfg.ping_count + 3.0)
-        cpu = vm.machine_type.cpu_utilization_during_test(
-            max(down_mbps, up_mbps))
-        result = SpeedTestResult(
-            server_id=job.server.server_id,
-            vm_name=vm.name,
-            ts=job.ts,
-            latency_ms=round(latency_ms, 2),
-            download_mbps=round(down_mbps, 2),
-            upload_mbps=round(up_mbps, 2),
-            download_loss_rate=job.down_loss,
-            upload_loss_rate=job.up_loss,
-            download_bytes=down_bytes,
-            upload_bytes=up_bytes,
-            duration_s=duration,
-            cpu_utilization=cpu,
-        )
-        artefacts = BrowserArtifacts(
-            result=result,
-            pcap_bytes=int(result.total_bytes * _PCAP_FRACTION),
-            capture_bytes=_CAPTURE_OVERHEAD_BYTES,
-            attempts=job.attempts,
-        )
-        self._outcomes[(job.lane.name, job.slot.slot_index)] = artefacts
-
-    @staticmethod
-    def _bulk_phase(tcp_mbps: float, endpoint_cap: float, server_cap: float,
-                    vm: Any, shortfall_draw: float, wiggle: float) -> float:
-        rate = min(tcp_mbps, endpoint_cap, server_cap)
-        rate = min(rate, vm.machine_type.cpu_throughput_cap_mbps)
-        shortfall = abs(shortfall_draw)
-        factor = max(0.05, min(1.0, 1.0 - shortfall + wiggle))
-        return max(0.05, rate * factor)
-
-    # ------------------------------------------------------------------
-    # flat link-state evaluation
-
-    def _link_row(self, link: Any, direction: int,
-                  model: UtilizationModel) -> tuple:
-        """Per-(link, direction) parameter row for the flat batch.
-
-        ``(capacity, loss_floor, queue_base, queue_cap, base,
-        weekend_factor, utc_offset_hours, noise_sigma, bumps, noise)``
-        - the first eight are the float columns of the parameter
-        matrix, *bumps* is the profile's ``(center, width, amplitude)``
-        triples, *noise* the model's hourly realisation (or None).
-        Profiles and capacities are fixed after generation, so the row
-        is cached for the planner's lifetime.
-        """
-        key = (link.link_id, direction)
-        row = self._link_rows.get(key)
-        if row is None:
-            profile = model.profile(link.link_id, direction)
-            noise = (model.noise_array(link.link_id, direction)
-                     if profile.noise_sigma > 0 else None)
-            bumps = tuple((b.center_hour, b.width_hours, b.amplitude)
-                          for b in profile.bumps)
-            row = (link.capacity_mbps, _FLOOR_LOSS[link.kind],
-                   _QUEUE_BASE_MS[link.kind], _QUEUE_CAP_MS[link.kind],
-                   profile.base, profile.weekend_factor,
-                   profile.utc_offset_hours, profile.noise_sigma,
-                   bumps, noise)
-            self._link_rows[key] = row
-        return row
-
-    def _observe_flat(self, groups: Dict[Tuple[int, int],
-                                         List[Tuple[int, float]]],
-                      topo: Any, evaluator: Any, loss: np.ndarray,
-                      queue: np.ndarray, residual: np.ndarray) -> None:
-        """Evaluate every observation point of the hour as ONE batch.
-
-        The whole hour - every link, both directions - is laid out
-        group-contiguously, per-link parameters are expanded into
-        aligned columns (``np.repeat`` over the group parameter
-        matrix), and the vectcp twins run once over the full batch.
-        Only the two inherently per-link pieces stay in a Python loop:
-        the hourly-noise gather (one contiguous slice per group) and
-        the flap hook (hour-granular RNG decisions).  Results scatter
-        back into *loss*/*queue*/*residual* through the original flat
-        index, so :meth:`_route_stats` is layout-agnostic.
-        """
         model = evaluator.utilization_model
-        hook = evaluator.flap_hook
-        rows: List[tuple] = []
-        counts: List[int] = []
-        slices: List[Tuple[tuple, int, int, int, int]] = []
-        pos = 0
-        for (link_id, direction), points in groups.items():
-            row = self._link_row(topo.link(link_id), direction, model)
-            n = len(points)
-            rows.append(row)
-            counts.append(n)
-            slices.append((row, pos, pos + n, link_id, direction))
-            pos += n
-        perm = np.fromiter((p[0] for points in groups.values()
-                            for p in points), dtype=np.int64, count=pos)
-        ts = np.fromiter((p[1] for points in groups.values()
-                          for p in points), dtype=np.float64, count=pos)
-        n_bumps = max(len(row[8]) for row in rows)
-        pad = (0.0, 1.0, 0.0)  # amplitude-0 bump: contributes exact +0.0
-        mat = np.array([row[:8]
-                        + sum(row[8], ())
-                        + pad * (n_bumps - len(row[8]))
-                        for row in rows])
-        expanded = np.repeat(mat, np.asarray(counts), axis=0)
-
-        mean = batch_mean_utilization_grid(
-            ts, expanded[:, 4], expanded[:, 5], expanded[:, 6],
-            expanded[:, 8::3], expanded[:, 9::3], expanded[:, 10::3])
-        noise = np.zeros(ts.shape)
+        mean = batch_mean_utilization_grid(ts, p[:, 4], p[:, 5], p[:, 6],
+                                           p[:, 8::3], p[:, 9::3],
+                                           p[:, 10::3])
         hour_idx = (np.floor_divide(ts - model.origin_ts, HOUR)
                     .astype(np.int64) % UtilizationModel.NOISE_HOURS)
-        for row, start, stop, _link_id, _direction in slices:
-            arr = row[9]
-            if arr is None:
-                continue
-            noise[start:stop] = arr[hour_idx[start:stop]]
-        u = np.where(expanded[:, 7] > 0,
-                     np.maximum(0.0, mean + noise), mean)
+        noise = np.zeros(ts.shape)
+        for hour in np.unique(hour_idx).tolist():
+            in_hour = hour_idx == hour
+            noise[in_hour] = self._noise_column(hour)[rows[in_hour]]
+        u = np.where(p[:, 7] > 0, np.maximum(0.0, mean + noise), mean)
+        if evaluator.flap_hook is not None:
+            u = self._apply_flaps(evaluator.flap_hook, rows, ts, u)
+        q_sum, survive, avail, bottleneck = fold_routes(
+            batch_queue_delay_ms(u, base=p[:, 2], cap=p[:, 3]),
+            batch_loss_rate(u, floor=p[:, 1]),
+            batch_residual_mbps(p[:, 0], u), lengths)
 
-        if hook is not None:
-            for row, start, stop, link_id, direction in slices:
-                seg_ts = ts[start:stop]
-                seg_u = u[start:stop]
-                hours = np.floor_divide(seg_ts, HOUR)
-                for hour in np.unique(hours):
-                    in_hour = hours == hour
-                    floor = hook(link_id, direction,
-                                 float(seg_ts[in_hour][0]))
-                    if floor is not None:
-                        seg_u[in_hour] = np.maximum(seg_u[in_hour], floor)
+        # Per route, in the float-op order of PathPerformanceModel:
+        # rtt = own prop + partner prop + own queues + partner queues.
+        prop = np.array(prop)
+        burst = np.array(burst)
+        rtt = prop + _partner(prop) + q_sum + _partner(q_sum)
+        loss = np.minimum(0.95, np.maximum(0.0, 1.0 - survive))
+        eff = np.minimum(0.95, loss + PathMetrics.BURST_TCP_WEIGHT * burst)
+        total_loss = np.minimum(0.95, 1.0 - (1.0 - loss) * (1.0 - burst))
+        tcp = batch_multiflow_throughput_mbps(
+            rtt, eff, batch_flows_for_rtt(cfg, rtt), avail)
+        if obs.enabled():
+            # Mirror the scalar counters in bottleneck-link order.
+            links = np.append(self._link_ids[rows], -1)[bottleneck]
+            for value in tcp[np.argsort(links, kind="stable")].tolist():
+                obs.inc("netsim.tcp.transfers")
+                obs.observe("netsim.tcp.throughput_mbps", value)
+        self._finish(jobs, cfg, rtt[1::2], tcp, total_loss)
 
-        residual[perm] = batch_residual_mbps(expanded[:, 0], u)
-        loss[perm] = batch_loss_rate(u, floor=expanded[:, 1])
-        queue[perm] = batch_queue_delay_ms(u, base=expanded[:, 2],
-                                           cap=expanded[:, 3])
+    def _finish(self, jobs: List[_Job], cfg: Any, rtt_eg: np.ndarray,
+                tcp: np.ndarray, total_loss: np.ndarray) -> None:
+        """Protocol arithmetic as arrays, then one result per job."""
+        endpoint_cap = []
+        server_cap = []
+        cpu_cap = []
+        short = []
+        wiggle = []
+        for job in jobs:
+            vm = job.lane.vm
+            cap = job.server.effective_cap_mbps
+            endpoint_cap += (vm.nic.ingress_cap_mbps(),
+                             vm.nic.egress_cap_mbps())
+            server_cap += (cap, cap)
+            cpu_cap.append(vm.machine_type.cpu_throughput_cap_mbps)
+            short += (job.down_short, job.up_short)
+            wiggle += (job.down_wiggle, job.up_wiggle)
+        cpu_cap = np.array(cpu_cap)
+        rate = np.minimum(np.minimum(tcp, endpoint_cap), server_cap)
+        rate = np.minimum(rate, np.repeat(cpu_cap, 2))
+        factor = np.maximum(0.05, np.minimum(1.0, 1.0 - np.abs(short)
+                                             + np.asarray(wiggle)))
+        mbps = np.maximum(0.05, rate * factor)
+        down, up = mbps[0::2], mbps[1::2]
+        latency = np.min(rtt_eg[:, None]
+                         + np.array([job.jitter for job in jobs]), axis=1)
+        columns = zip(
+            jobs, latency.tolist(), down.tolist(), up.tolist(),
+            total_loss[0::2].tolist(), total_loss[1::2].tolist(),
+            transferred_bytes(down, cfg.download_duration_s).tolist(),
+            transferred_bytes(up, cfg.upload_duration_s).tolist(),
+            np.minimum(1.0, np.maximum(down, up) / cpu_cap).tolist())
+        duration = (cfg.download_duration_s + cfg.upload_duration_s
+                    + 0.2 * cfg.ping_count + 3.0)
+        for (job, latency_ms, down_mbps, up_mbps, down_loss, up_loss,
+             down_bytes, up_bytes, cpu) in columns:
+            result = SpeedTestResult(
+                server_id=job.server.server_id,
+                vm_name=job.lane.vm.name,
+                ts=job.ts,
+                latency_ms=round(latency_ms, 2),
+                download_mbps=round(down_mbps, 2),
+                upload_mbps=round(up_mbps, 2),
+                download_loss_rate=down_loss,
+                upload_loss_rate=up_loss,
+                download_bytes=down_bytes,
+                upload_bytes=up_bytes,
+                duration_s=duration,
+                cpu_utilization=cpu,
+            )
+            artefacts = BrowserArtifacts(
+                result=result,
+                pcap_bytes=int(result.total_bytes * _PCAP_FRACTION),
+                capture_bytes=_CAPTURE_OVERHEAD_BYTES,
+                attempts=job.attempts,
+            )
+            self._outcomes[(job.lane.name, job.slot.slot_index)] = artefacts
+
+    def _apply_flaps(self, hook: Any, rows: np.ndarray, ts: np.ndarray,
+                     u: np.ndarray) -> np.ndarray:
+        """Raise flapped link-hours to the hook's utilization floor.
+
+        The hook is called once per distinct ``(link, direction, hour)``
+        in the scalar path's order: link directions by first appearance,
+        hours ascending within each - the hook's RNG decisions and the
+        fault-event log depend on that order.
+        """
+        hours, hour_rank = np.unique(np.floor_divide(ts, HOUR),
+                                     return_inverse=True)
+        distinct, first = np.unique(rows, return_index=True)
+        first_of = np.zeros(len(self._keys), dtype=np.int64)
+        first_of[distinct] = first
+        _combos, first_point, inverse = np.unique(
+            first_of[rows] * len(hours) + hour_rank, return_index=True,
+            return_inverse=True)
+        # An unflapped link-hour's floor is -inf: max(u, -inf) is u.
+        floors = np.full(len(first_point), -np.inf)
+        for k, point in enumerate(first_point.tolist()):
+            link_id, direction = self._keys[int(rows[point])]
+            floor = hook(link_id, direction, float(ts[point]))
+            if floor is not None:
+                floors[k] = floor
+        return np.maximum(u, floors[inverse])
 
     # ------------------------------------------------------------------
-    # per-route helpers
+    # static tables (profiles, capacities and routes are fixed once the
+    # scenario is built, so every entry lives for the planner's lifetime)
 
-    def _route_stats(self, route: Any, ts: float,
-                     index: Dict[Tuple[int, int, float], int],
-                     loss: np.ndarray, queue: np.ndarray,
-                     residual: np.ndarray
-                     ) -> Tuple[float, float, float, int]:
-        """(queue sum, survival product, min residual, bottleneck link).
+    def _route_entry(self, route: Any, topo: Any, model: UtilizationModel
+                     ) -> Tuple[Any, np.ndarray, float, float]:
+        """``(route, table rows, propagation ms, clamped burst loss)``.
 
-        Iterates links in route order with the scalar path's exact
-        accumulation order; the bottleneck keeps the *first* strict
-        minimum, matching ``min()`` over the observation list.
+        The route object itself is kept in the entry so its ``id()``
+        key can never be reused by another route.
         """
-        q_sum = 0.0
-        survive = 1.0
-        avail = float("inf")
-        bottleneck = -1
+        burst_survive = 1.0
+        rows = []
         for link_id, direction in route.links:
-            flat = index[(link_id, direction, ts)]
-            q_sum += float(queue[flat])
-            survive *= (1.0 - float(loss[flat]))
-            r = float(residual[flat])
-            if r < avail:
-                avail = r
-                bottleneck = link_id
-        return q_sum, survive, avail, bottleneck
+            link = topo.link(link_id)
+            burst_survive *= (1.0 - link.burst_loss)
+            rows.append(self._row_index(link, direction, model))
+        entry = (route, np.array(rows, dtype=np.int64),
+                 route.propagation_delay_ms(topo),
+                 min(0.95, max(0.0, 1.0 - burst_survive)))
+        self._routes[id(route)] = entry
+        return entry
 
-    def _prop(self, route: Any, topo: Any) -> float:
-        value = self._prop_ms.get(id(route))
-        if value is None:
-            # Routes live in the platform's route cache for the process
-            # lifetime, so id() is a stable key.
-            value = route.propagation_delay_ms(topo)
-            self._prop_ms[id(route)] = value
-        return value
+    def _row_index(self, link: Any, direction: int,
+                   model: UtilizationModel) -> int:
+        """The ``(link, direction)`` row of the parameter table."""
+        key = (link.link_id, direction)
+        row = self._row_of.get(key)
+        if row is None:
+            profile = model.profile(link.link_id, direction)
+            row = self._row_of[key] = len(self._params)
+            self._params.append(
+                ((link.capacity_mbps, _FLOOR_LOSS[link.kind],
+                  _QUEUE_BASE_MS[link.kind], _QUEUE_CAP_MS[link.kind],
+                  profile.base, profile.weekend_factor,
+                  profile.utc_offset_hours, profile.noise_sigma),
+                 tuple((b.center_hour, b.width_hours, b.amplitude)
+                       for b in profile.bumps)))
+            if profile.noise_sigma > 0:
+                self._noisy_rows.append(row)
+                self._noise_arrays.append(
+                    model.noise_array(link.link_id, direction))
+            self._table = None
+        return row
 
-    def _burst_loss(self, route: Any, topo: Any) -> float:
-        """The route's (static) clamped burst loss, cached per route."""
-        value = self._burst_survive.get(id(route))
-        if value is None:
-            burst_survive = 1.0
-            for link_id, _direction in route.links:
-                burst_survive *= (1.0 - topo.link(link_id).burst_loss)
-            value = min(0.95, max(0.0, 1.0 - burst_survive))
-            self._burst_survive[id(route)] = value
-        return value
+    def _build_table(self) -> None:
+        """One float row per link direction: the eight scalar columns,
+        then ``(center, width, amplitude)`` bump triples padded with
+        amplitude-0 bumps, which contribute an exact ``+0.0``."""
+        n_bumps = max(len(bumps) for _floats, bumps in self._params)
+        pad = (0.0, 1.0, 0.0)
+        self._table = np.array([floats + sum(bumps, ())
+                                + pad * (n_bumps - len(bumps))
+                                for floats, bumps in self._params])
+        self._keys = list(self._row_of)
+        self._link_ids = np.array([link_id for link_id, _ in self._keys],
+                                  dtype=np.int64)
+
+    def _noise_column(self, hour_idx: int) -> np.ndarray:
+        """Every row's hourly noise at *hour_idx* (0.0 for quiet rows),
+        gathered from the model's own arrays."""
+        column = np.zeros(len(self._params))
+        column[self._noisy_rows] = [arr[hour_idx]
+                                    for arr in self._noise_arrays]
+        return column
+
+
+def fold_routes(queue: np.ndarray, loss: np.ndarray, residual: np.ndarray,
+                lengths: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-route ``(queue sum, survival product, min residual, bottleneck)``.
+
+    Routes lie back to back in the flat point arrays, *lengths* points
+    each.  The fold runs column by column over a padded ``[routes x
+    max_len]`` index matrix, so each route still accumulates its links
+    one at a time in route order - the scalar left fold, not numpy's
+    pairwise summation.  Padding points read queue ``+0.0``, survival
+    ``1.0`` and residual ``+inf``: exact identities.  The bottleneck is
+    the flat index of the first strict minimum residual (``argmin``
+    keeps the first occurrence), or -1 when no residual is below
+    ``+inf`` - the scalar fold's starting values.
+    """
+    n = queue.shape[0]
+    width = int(lengths.max())
+    cols = np.arange(width)
+    starts = np.cumsum(lengths) - lengths
+    index = np.where(cols < lengths[:, None], starts[:, None] + cols, n)
+    q = np.append(queue, 0.0)[index]
+    keep = np.append(1.0 - loss, 1.0)[index]
+    r = np.append(residual, np.inf)[index]
+    q_sum = np.zeros(len(lengths))
+    survive = np.ones(len(lengths))
+    for k in range(width):
+        q_sum = q_sum + q[:, k]
+        survive = survive * keep[:, k]
+    at = np.arange(len(lengths))
+    col = np.argmin(r, axis=1)
+    avail = r[at, col]
+    bottleneck = np.where(avail < np.inf, index[at, col], -1)
+    return q_sum, survive, avail, bottleneck
+
+
+def _partner(per_route: np.ndarray) -> np.ndarray:
+    """Each route's value at its job's other route (pairs swapped)."""
+    return per_route.reshape(-1, 2)[:, ::-1].ravel()
 
 
 class BatchLaneExecutor(LaneExecutor):

@@ -3,11 +3,13 @@
 A malformed or old-schema ``BENCH_campaign.json`` must stop the gate
 before any fresh campaign runs: exit status 1 and one stderr line
 naming the missing key, raised as a :class:`~repro.errors.ConfigError`.
+Two fresh campaigns that differ stop it the same way.
 """
 
 import importlib.util
 import json
 import pathlib
+import types
 
 import pytest
 
@@ -108,3 +110,30 @@ def test_missing_file_and_bad_json_exit_1(bench_trend, monkeypatch,
     monkeypatch.setattr(bench_trend, "BENCH_PATH", bad)
     assert bench_trend.main() == 1
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_differing_fresh_campaigns_exit_1(
+        bench_trend, monkeypatch, tmp_path, capsys):
+    """The batch ratio compares two runs of one campaign: when the fresh
+    scalar and batch datasets differ the gate fails, and appends no
+    history entry."""
+    runs = []
+
+    class _Clasp:
+        def run_campaign(self, plans, days, charge_billing, batch):
+            runs.append(batch)
+            return types.SimpleNamespace(completed_tests=10, batch=batch)
+
+    monkeypatch.setattr(bench_trend, "_deploy_shape",
+                        lambda shape: (_Clasp(), []))
+    monkeypatch.setattr(bench_trend, "dataset_digest",
+                        lambda dataset: f"digest-{dataset.batch}")
+    doc = _valid_doc()
+    status, lines = _run_gate(bench_trend, monkeypatch, tmp_path, capsys,
+                              doc)
+    assert status == 1
+    assert runs == [False, True]
+    assert lines == ["bench-trend: batch and scalar campaigns differ "
+                     "(dataset digest or completed tests)"]
+    written = json.loads((tmp_path / "BENCH_campaign.json").read_text())
+    assert "history" not in written

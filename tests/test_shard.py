@@ -15,7 +15,10 @@ campaign runs and nothing else:
   matches its scalar counterpart elementwise with 0 ULP drift over
   dense random grids, including the link-flap hook interaction.
 
-Plus a unit test for the batch planner's refuse-to-desync strictness.
+Plus the fault-replay invariant (the batch path injects the scalar
+path's faults under the heavy plan), an oracle holding the planner's
+column-wise route fold to the scalar per-route left fold, and a unit
+test for the batch planner's refuse-to-desync strictness.
 """
 
 import json
@@ -44,6 +47,7 @@ from repro.shard import (BatchLaneExecutor, batch_flows_for_rtt,
                          batch_pftk_throughput_mbps, batch_queue_delay_ms,
                          batch_residual_mbps, batch_utilization,
                          batch_weekend_mask)
+from repro.shard.batch import fold_routes
 from repro.simclock import CAMPAIGN_START, is_weekend
 from repro.speedtest.protocol import SpeedTestConfig
 from repro.units import DAY, HOUR
@@ -116,6 +120,10 @@ def test_batch_run_with_obs_enabled_matches_golden():
         counters = obs.snapshot()["counters"]
         assert counters["shard.hours_planned"] == DAYS * 24
         assert counters["speedtest.tests"] == dataset.completed_tests
+        # Every route link at every test instant, ingress and egress.
+        assert counters["shard.link_observations"] == 4416
+        assert counters["netsim.tcp.transfers"] == \
+            2 * dataset.completed_tests
     finally:
         obs.disable()
 
@@ -173,6 +181,22 @@ def test_event_stream_matches_inline(matrix_baseline, faults_key,
     assert dataset_digest(dataset) == digest
 
 
+def test_batch_replays_heavy_fault_decisions(matrix_baseline):
+    """Under the heavy plan the batch path injects exactly the scalar
+    path's faults.  The events are compared as a sorted list: their log
+    order already differs between the two paths and no output reads
+    it."""
+    scalar = matrix_baseline["heavy"][3].fault_injector
+    _dataset, _events, clasp = _matrix_campaign(FaultPlan.heavy(), True)
+    batch = clasp.fault_injector
+
+    def key(event):
+        return (event.kind.value, event.key, event.ts)
+
+    assert sorted(map(key, batch.events)) == sorted(map(key, scalar.events))
+    assert batch.summary() == scalar.summary()
+
+
 # ----------------------------------------------------------------------
 # batch planner strictness
 
@@ -199,6 +223,79 @@ def test_batch_planner_refuses_unplanned_slot():
                      server_id="nope", slot_index=9999)
     with pytest.raises(ValidationError, match="no outcome"):
         executor._run_slot_test(lanes[0], rogue)
+
+
+# ----------------------------------------------------------------------
+# route fold: the column-wise fold is the scalar per-route left fold
+
+
+def _scalar_route_stats(start, length, link_ids, queue, loss, residual):
+    """Reference: one route's scalar left fold in route order, keeping
+    the *first* strict minimum residual as the bottleneck link."""
+    q_sum = 0.0
+    survive = 1.0
+    avail = float("inf")
+    bottleneck = -1
+    for flat in range(start, start + length):
+        q_sum += float(queue[flat])
+        survive *= (1.0 - float(loss[flat]))
+        r = float(residual[flat])
+        if r < avail:
+            avail = r
+            bottleneck = int(link_ids[flat])
+    return q_sum, survive, avail, bottleneck
+
+
+def _assert_fold_matches_scalar(lengths, link_ids, queue, loss, residual):
+    __tracebackhide__ = True
+    lengths = np.asarray(lengths, dtype=np.int64)
+    q_sum, survive, avail, point = fold_routes(queue, loss, residual,
+                                               lengths)
+    bottleneck = np.append(link_ids, -1)[point]
+    got = list(zip(q_sum.tolist(), survive.tolist(), avail.tolist(),
+                   bottleneck.tolist()))
+    starts = np.cumsum(lengths) - lengths
+    want = [_scalar_route_stats(int(s), int(n), link_ids, queue, loss,
+                                residual)
+            for s, n in zip(starts, lengths)]
+    assert got == want
+
+
+def test_fold_routes_matches_scalar_left_fold():
+    # Mixed lengths (1 up to 40, so long routes leave every short one an
+    # all-padding tail) and queue magnitudes spanning nine decades,
+    # where any other summation order rounds differently.
+    rng = np.random.default_rng(9)
+    lengths = [1, 3, 40, 1, 7, 2, 17, 1, 25, 4]
+    n = sum(lengths)
+    queue = 10.0 ** rng.uniform(-6.0, 3.0, n)
+    loss = rng.uniform(0.0, 0.4, n)
+    residual = rng.uniform(1.0, 1e4, n)
+    link_ids = rng.permutation(10 * n)[:n]
+    _assert_fold_matches_scalar(lengths, link_ids, queue, loss, residual)
+
+
+def test_fold_routes_ties_pick_the_first_link():
+    # Equal minima inside a route: the earlier link is the bottleneck.
+    residual = np.array([5.0, 3.0, 3.0, 7.0, 2.0, 2.0, 2.0, 9.0])
+    link_ids = np.array([40, 11, 12, 13, 90, 21, 22, 30])
+    queue = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+    loss = np.array([0.0, 0.01, 0.02, 0.0, 0.3, 0.0, 0.05, 0.0])
+    _assert_fold_matches_scalar([4, 1, 2, 1], link_ids, queue, loss,
+                                residual)
+
+
+def test_fold_routes_padding_is_an_exact_identity():
+    # A route with no links, or whose only residual is +inf, keeps the
+    # scalar start values (no bottleneck), and a short route next to a
+    # long one reads only padding past its end.
+    queue = np.array([0.0, 1.5, 2.25, 1e-9, 3.0])
+    loss = np.array([0.0, 0.5, 0.0, 0.25, 0.125])
+    residual = np.array([np.inf, 8.0, 4.0, 4.0, 1.0])
+    link_ids = np.array([1, 2, 3, 4, 5])
+    _assert_fold_matches_scalar([0, 1, 4, 0], link_ids, queue, loss,
+                                residual)
+    _assert_fold_matches_scalar([1, 4], link_ids, queue, loss, residual)
 
 
 # ----------------------------------------------------------------------
