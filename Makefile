@@ -42,13 +42,13 @@ PERFBENCH_WORKLOADS = monitored-campaign faulty-campaign
 
 perfbench:
 	for w in $(PERFBENCH_WORKLOADS); do \
-		python3 perfbench/run.py --workload $$w --trace 0 || exit 1; \
+		$(PYTHON) perfbench/run.py --workload $$w --trace 0 || exit 1; \
 	done
 
 # One untraced and one traced run per workload: per-layer calls and times.
 perfbench-trace:
 	for w in $(PERFBENCH_WORKLOADS); do \
-		python3 perfbench/run.py --workload $$w --trace 1 || exit 1; \
+		$(PYTHON) perfbench/run.py --workload $$w --trace 1 || exit 1; \
 	done
 
 # Paired runs of BASE against the working tree (alternating order), with

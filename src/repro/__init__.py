@@ -7,16 +7,19 @@ tooling (traceroute, bdrmap, flow capture), and CLASP itself - server
 selection, VM orchestration, longitudinal campaigns, and congestion
 analysis.
 
-Quickstart::
+Quickstart (a miniature world and a one-day campaign)::
 
+    from repro.core.congestion import detect
     from repro.experiments import build_scenario
-    from repro.core import Clasp
 
-    scenario = build_scenario(seed=7, scale=0.1)
-    clasp = Clasp(scenario)
+    scenario = build_scenario(seed=7, scale=0.05)
+    clasp = scenario.clasp
     selection = clasp.select_topology_servers("us-west1")
-    dataset = clasp.run_campaign(days=3)
-    report = clasp.detect_congestion(dataset)
+    plan = clasp.deploy_topology("us-west1", selection, budget_servers=8)
+    dataset = clasp.run_campaign([plan], days=1)
+    report = detect(dataset)
+    print(f"{report.n_s_hours} s-hours, "
+          f"{report.congested_hour_fraction:.1%} congested")
 """
 
 __version__ = "1.0.0"

@@ -9,7 +9,7 @@ successive campaign runs, and a declarative
 into a deterministic firing/resolved notification log.
 """
 
-from .collector import Collector, CollectorObserver, concat_datasets
+from .collector import Collector, concat_datasets
 from .engine import Notification, RuleEvaluator
 from .history import MetricHistory
 from .notify import alerts_to_prometheus, notifications_to_jsonlines
@@ -23,7 +23,6 @@ __all__ = [
     "AlertRule",
     "BurnRateRule",
     "Collector",
-    "CollectorObserver",
     "MetricHistory",
     "Notification",
     "RuleEvaluator",

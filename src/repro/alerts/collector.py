@@ -7,15 +7,20 @@ A single :class:`Collector` owns one
 :class:`~repro.alerts.engine.RuleEvaluator`, and survives any number
 of campaign runs replayed into it (``Clasp.collector()`` /
 ``repro campaign --runs N``).  Each hour boundary drives one pipeline
-step:
+step (the detector runs the paper's fixed setting - see
+:mod:`repro.core.streaming`):
 
 1. assert watermark continuity (simulated time never moves backwards
    across runs - a daemon replaying campaigns out of order is a bug,
    not late data) and advance the detector;
 2. export newly-sealed V_H events into the ``vh_events`` history
    table;
-3. on the snapshot cadence, write the registry into the ``metrics``
+3. once per hour boundary, write the registry into the ``metrics``
    table and evaluate every rule at the watermark.
+
+The engine feeds a collector through the same
+:class:`~repro.core.streaming.StreamingDetectorObserver` as a bare
+detector (:meth:`Collector.observer`).
 
 Everything is keyed on simulated time and the whole collector state
 round-trips through :meth:`Collector.state_json`, so a daemon can be
@@ -26,15 +31,14 @@ output (the determinism tests enforce this).
 from __future__ import annotations
 
 import json
-from typing import (Any, Callable, ClassVar, Dict, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..core.campaign import CampaignDataset
-from ..core.congestion import (MIN_SAMPLES_PER_DAY, PAPER_THRESHOLD,
-                               CongestionReport, PairKey)
-from ..core.streaming import StreamingCongestionDetector
+from ..core.congestion import CongestionReport, PairKey
+from ..core.streaming import (StreamingCongestionDetector,
+                              StreamingDetectorObserver)
 from ..core.tsdb import TimeSeriesDB
-from ..engine.observers import Observer
 from ..errors import ConfigError, ReproError, ValidationError
 from ..obs.metrics import MetricsRegistry
 from ..units import HOUR
@@ -42,9 +46,14 @@ from .engine import RuleEvaluator
 from .history import MetricHistory
 from .rules import AlertRule
 
-__all__ = ["Collector", "CollectorObserver", "concat_datasets"]
+__all__ = ["Collector", "concat_datasets"]
 
 _STATE_SCHEMA = "repro-collector/v1"
+
+#: The pipeline cadence, as written in every state file: one registry
+#: snapshot and rule evaluation per hour boundary.  A state holding any
+#: other cadence is refused.
+_SNAPSHOT_HOURS = 1.0
 
 
 class Collector:
@@ -52,26 +61,15 @@ class Collector:
 
     *start_ts* anchors the detector's day bucketing and the first
     absence-rule horizon; successive runs must replay at or after the
-    current watermark.  *snapshot_hours* is the registry-snapshot and
-    rule-evaluation cadence (1.0 = every hour boundary).
+    current watermark.
     """
 
     def __init__(self, start_ts: float,
                  rules: Sequence[AlertRule] = (),
-                 threshold: float = PAPER_THRESHOLD,
-                 metric: str = "download",
-                 min_samples: int = MIN_SAMPLES_PER_DAY,
-                 lateness_hours: float = 0.0,
-                 snapshot_hours: float = 1.0,
                  registry: Optional[MetricsRegistry] = None,
                  history: Optional[MetricHistory] = None) -> None:
-        if snapshot_hours <= 0:
-            raise ValidationError(
-                f"snapshot_hours must be > 0, got {snapshot_hours}")
-        self.detector = StreamingCongestionDetector(
-            start_ts, self._resolve_offset, threshold=threshold,
-            metric=metric, min_samples=min_samples,
-            lateness_hours=lateness_hours)
+        self.detector = StreamingCongestionDetector(start_ts,
+                                                    self._resolve_offset)
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.history = history if history is not None \
@@ -80,7 +78,6 @@ class Collector:
         self.evaluator = RuleEvaluator(self.rules, self.history,
                                        start_ts,
                                        registry=self.registry)
-        self.snapshot_hours = float(snapshot_hours)
         #: Completed begin_run() calls.
         self.runs = 0
         #: One entry per run: provider + the watermark it started at.
@@ -115,14 +112,14 @@ class Collector:
                              "watermark": self.detector.watermark})
         self.registry.counter("collector.runs").inc()
 
-    def observer(self) -> "CollectorObserver":
+    def observer(self) -> StreamingDetectorObserver:
         """An engine observer feeding this collector."""
-        return CollectorObserver(self)
+        return StreamingDetectorObserver(self)
 
     # ------------------------------------------------------------------
     # the pipeline
 
-    def ingest_record(self, record: Any) -> None:
+    def observe_record(self, record: Any) -> None:
         """One completed measurement: detector + throughput history."""
         accepted = self.detector.observe_record(record)
         self.history.record_test(self._provider, record)
@@ -145,8 +142,7 @@ class Collector:
         self.detector.advance(ts)
         self._export_sealed()
         if (self._last_pipeline_ts is None
-                or ts >= self._last_pipeline_ts
-                + self.snapshot_hours * HOUR):
+                or ts >= self._last_pipeline_ts + _SNAPSHOT_HOURS * HOUR):
             self.history.snapshot_registry(ts, self.registry.snapshot(),
                                            provider=self._provider)
             self.evaluator.evaluate(ts)
@@ -192,7 +188,7 @@ class Collector:
             "provider": self._provider,
             "runs": self.runs,
             "run_log": [dict(entry) for entry in self.run_log],
-            "snapshot_hours": self.snapshot_hours,
+            "snapshot_hours": _SNAPSHOT_HOURS,
             "last_pipeline_ts": self._last_pipeline_ts,
             "exported": [[list(pair), day]
                          for pair, day in sorted(self._exported)],
@@ -215,7 +211,8 @@ class Collector:
         (rules files are code, not state); a changed set raises via
         the evaluator's restore check.  ``begin_run()`` must be called
         before the restored collector can bucket *new* server ids.  A
-        state with a foreign schema or a missing key raises
+        state with a foreign schema, a missing key, or a cadence or
+        detector setting other than the fixed one raises
         :class:`~repro.errors.ConfigError`.
         """
         schema = state.get("schema") if isinstance(state, dict) \
@@ -226,9 +223,13 @@ class Collector:
                 f"{schema!r} (expected {_STATE_SCHEMA!r})")
         try:
             detector_state = state["detector"]
+            if state["snapshot_hours"] != _SNAPSHOT_HOURS:
+                raise ConfigError(
+                    f"collector state has snapshot_hours="
+                    f"{state['snapshot_hours']!r}; the collector runs "
+                    f"only snapshot_hours={_SNAPSHOT_HOURS!r}")
             collector = cls(
                 start_ts=float(detector_state["start_ts"]), rules=rules,
-                snapshot_hours=float(state["snapshot_hours"]),
                 history=MetricHistory(
                     TimeSeriesDB.from_dump(state["history"])))
             collector.detector.load_state(detector_state)
@@ -260,35 +261,6 @@ class Collector:
             raise ConfigError(
                 f"collector state is not valid JSON: {exc}") from exc
         return cls.from_state(state, rules=rules)
-
-
-class CollectorObserver(Observer):
-    """Feeds a :class:`Collector` from the engine's event bus.
-
-    Works identically with the scalar and the batch stepper, exactly
-    like :class:`~repro.core.streaming.StreamingDetectorObserver`.
-    """
-
-    #: Kinds with no bearing on alerting state.
-    IGNORED_EVENTS: ClassVar[Tuple[str, ...]] = (
-        "billing-charged", "test-lost", "test-retried",
-        "upload-attempted", "vm-preempted", "vm-replaced")
-
-    def __init__(self, collector: Collector) -> None:
-        self.collector = collector
-
-    def on_hour_started(self, event: Any) -> None:
-        self.collector.advance(event.ts)
-
-    def on_test_completed(self, event: Any) -> None:
-        if event.record is None:
-            raise ValidationError(
-                "TestCompleted event carries no record payload; the "
-                "collector cannot bucket the measurement without it")
-        self.collector.ingest_record(event.record)
-
-    def on_campaign_finished(self, event: Any) -> None:
-        self.collector.advance(event.ts)
 
 
 def concat_datasets(datasets: Sequence[CampaignDataset]

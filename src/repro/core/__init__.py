@@ -14,7 +14,6 @@ from .campaign import CampaignConfig, CampaignDataset, CampaignRunner
 from .congestion import (
     CongestionEvent,
     CongestionReport,
-    daily_variability,
     hourly_variability,
     choose_threshold_elbow,
     midnight_day_index,
@@ -54,7 +53,7 @@ __all__ = [
     "HourlySchedule", "TestSlot",
     "CampaignConfig", "CampaignDataset", "CampaignRunner",
     "CongestionEvent", "CongestionReport",
-    "daily_variability", "hourly_variability",
+    "hourly_variability",
     "choose_threshold_elbow", "midnight_day_index", "threshold_sweep",
     "StreamingCongestionDetector", "StreamingDetectorObserver",
     "stream_dataset",

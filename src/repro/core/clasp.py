@@ -8,7 +8,7 @@ examples and benchmarks read like the paper's workflow:
     pilot = clasp.select_topology_servers("us-west1")
     plan = clasp.deploy_topology("us-west1", pilot, budget_servers=106)
     dataset = clasp.run_campaign([plan], days=14)
-    report = clasp.detect_congestion(dataset)
+    report = detect(dataset)  # from repro.core.congestion
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .. import obs
 from ..cloud.api import CloudPlatform
 from ..cloud.billing import CostTracker
 from ..cloud.providers import get_provider
-from ..cloud.tiers import NetworkTier
+from ..errors import ValidationError
 from ..faults import FaultInjector, FaultPlan
 from ..netsim.generator import GeneratedInternet
 from ..rng import SeedTree
@@ -32,7 +32,6 @@ from ..tools.prefix2as import Prefix2AS, build_prefix2as
 from ..tools.speedchecker import Speedchecker, TupleMedian
 from ..tools.traceroute import Scamper
 from .campaign import CampaignConfig, CampaignDataset, CampaignRunner
-from .congestion import CongestionReport, PAPER_THRESHOLD, detect
 from .orchestrator import DeploymentPlan, Orchestrator
 from .selection.differential import DifferentialSelection, DifferentialSelector
 from .selection.topology_based import TopologySelection, TopologySelector
@@ -227,10 +226,7 @@ class Clasp:
     # ------------------------------------------------------------------
     # analysis
 
-    def streaming_detector(self, threshold: float = PAPER_THRESHOLD,
-                           metric: str = "download",
-                           lateness_hours: float = 0.0,
-                           start_ts: float = float(CAMPAIGN_START)):
+    def streaming_detector(self, start_ts: float = float(CAMPAIGN_START)):
         """A live detector + bus observer pair for this stack.
 
         Offsets resolve through the same catalog/topology city table
@@ -241,17 +237,10 @@ class Clasp:
         from .streaming import (StreamingCongestionDetector,
                                 StreamingDetectorObserver, catalog_offsets)
         detector = StreamingCongestionDetector(
-            start_ts,
-            catalog_offsets(self.catalog, self.platform.topology),
-            threshold=threshold, metric=metric,
-            lateness_hours=lateness_hours)
+            start_ts, catalog_offsets(self.catalog, self.platform.topology))
         return detector, StreamingDetectorObserver(detector)
 
     def collector(self, rules: Sequence = (), collector=None,
-                  threshold: float = PAPER_THRESHOLD,
-                  metric: str = "download",
-                  lateness_hours: float = 0.0,
-                  snapshot_hours: float = 1.0,
                   start_ts: float = float(CAMPAIGN_START)):
         """A daemon collector + bus observer pair for this stack.
 
@@ -261,27 +250,22 @@ class Clasp:
         way ``begin_run()`` binds this stack's catalog offsets and
         provider before the observer is handed back, so the returned
         observer can go straight into
-        ``run_campaign(observers=[observer])``.
+        ``run_campaign(observers=[observer])``.  *rules* build a new
+        collector; an existing one keeps the rules it was built with,
+        so passing both raises :class:`~repro.errors.ValidationError`.
         """
         from ..alerts import Collector
         from .streaming import catalog_offsets
         if collector is None:
-            collector = Collector(
-                start_ts=start_ts, rules=rules, threshold=threshold,
-                metric=metric, lateness_hours=lateness_hours,
-                snapshot_hours=snapshot_hours)
+            collector = Collector(start_ts=start_ts, rules=rules)
+        elif rules:
+            raise ValidationError(
+                "pass rules only when Clasp.collector() builds the "
+                "collector; an existing collector keeps its own rules")
         collector.begin_run(
             catalog_offsets(self.catalog, self.platform.topology),
             provider=self.platform.provider.name)
         return collector, collector.observer()
-
-    def detect_congestion(self, dataset: CampaignDataset,
-                          threshold: float = PAPER_THRESHOLD,
-                          region: Optional[str] = None,
-                          tier: Optional[NetworkTier] = None
-                          ) -> CongestionReport:
-        return detect(dataset, threshold=threshold, region=region,
-                      tier=tier)
 
     def total_cost_usd(self) -> float:
         """Money spent so far (VMs + egress + storage)."""

@@ -15,17 +15,23 @@ of s-days; the paper lands on ``H = 0.5``.  Days are bucketed in the
 (:func:`midnight_day_index`), so day boundaries are calendar days
 regardless of when the campaign started.
 
-The per-day arithmetic lives in :func:`summarize_day`, which is shared
+The detector reads one input, download throughput (:data:`METRIC`).
+The per-day rules - the :data:`MIN_SAMPLES_PER_DAY` floor, the
+all-zero-day skip, and the V and V_H arithmetic - live in one private
+routine that :func:`summarize_day`, :func:`hourly_variability` and
+:func:`threshold_sweep` all call.  :func:`summarize_day` is shared
 verbatim by the batch :func:`detect` pass and the incremental
-:class:`repro.core.streaming.StreamingCongestionDetector` - that is
-what makes the streaming finalize/batch equivalence contract hold
+:class:`repro.core.streaming.StreamingCongestionDetector`, and both
+assemble their report through :func:`report_from_days` - that is what
+makes the streaming finalize/batch equivalence contract hold
 bit-for-bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -44,12 +50,10 @@ __all__ = [
     "DaySummary",
     "midnight_day_index",
     "summarize_day",
-    "pair_daily_records",
-    "daily_variability",
+    "report_from_days",
     "hourly_variability",
     "threshold_sweep",
     "choose_threshold_elbow",
-    "label_events",
     "detect",
 ]
 
@@ -59,6 +63,9 @@ PAPER_THRESHOLD = 0.5
 #: Days with fewer hourly samples than this are skipped (partial days
 #: at campaign edges would otherwise produce bogus variability).
 MIN_SAMPLES_PER_DAY = 8
+
+#: The one throughput the detector reads (a dataset table field).
+METRIC = "download"
 
 PairKey = Tuple[str, str, str]  # (region, server_id, tier)
 
@@ -118,7 +125,8 @@ class CongestionEvent:
 class DaySummary:
     """Everything :func:`detect` needs from one pair-day bucket."""
 
-    #: ``None`` when the day has fewer than ``min_samples`` samples.
+    #: ``None`` when the day has fewer than ``MIN_SAMPLES_PER_DAY``
+    #: samples.
     record: Optional[DayRecord]
     #: Hours counted toward ``pair_hours`` (zero for skipped or
     #: degenerate all-zero days, matching :func:`hourly_variability`).
@@ -126,10 +134,27 @@ class DaySummary:
     events: Tuple[CongestionEvent, ...]
 
 
+def _day_variability(pair: PairKey, day: int, values: np.ndarray
+                     ) -> Tuple[Optional[DayRecord], Optional[np.ndarray]]:
+    """The per-day rules: ``(record, V_H per sample)`` for one bucket.
+
+    *record* is ``None`` for a day below :data:`MIN_SAMPLES_PER_DAY`;
+    the V_H array is ``None`` for such a day and for a degenerate
+    all-zero day, whose hours count toward nothing.
+    """
+    if len(values) < MIN_SAMPLES_PER_DAY:
+        return None, None
+    peak = float(values.max())
+    record = DayRecord(pair=pair, day_index=day, n_samples=len(values),
+                       t_max=peak, t_min=float(values.min()))
+    if peak <= 0:
+        return record, None
+    return record, (peak - values) / peak
+
+
 def summarize_day(pair: PairKey, utc_offset_hours: float, day: int,
                   ts: np.ndarray, values: np.ndarray,
-                  threshold: float = PAPER_THRESHOLD,
-                  min_samples: int = MIN_SAMPLES_PER_DAY) -> DaySummary:
+                  threshold: float = PAPER_THRESHOLD) -> DaySummary:
     """Record, measured-hour count, and events for one day bucket.
 
     *ts*/*values* must be the day's samples sorted by timestamp
@@ -138,15 +163,10 @@ def summarize_day(pair: PairKey, utc_offset_hours: float, day: int,
     dataset table, the streaming detector feeds it sealed in-memory
     buckets, and both get identical floating-point results.
     """
-    if len(values) < min_samples:
-        return DaySummary(record=None, measured_hours=0, events=())
-    record = DayRecord(
-        pair=pair, day_index=day, n_samples=len(values),
-        t_max=float(values.max()), t_min=float(values.min()))
-    peak = float(values.max())
-    if peak <= 0:
+    record, vh = _day_variability(pair, day, values)
+    if record is None or vh is None:
         return DaySummary(record=record, measured_hours=0, events=())
-    vh = (peak - values) / peak
+    peak = record.t_max
     events = []
     for i in np.nonzero(vh > threshold)[0]:
         local_hour = int(((ts[i] + utc_offset_hours * HOUR) // HOUR) % 24)
@@ -260,19 +280,37 @@ class CongestionReport:
                 if self.is_congested_server(p, min_day_fraction)]
 
 
+def report_from_days(threshold: float,
+                     days_by_pair: Iterable[Tuple[PairKey,
+                                                  Iterable[DaySummary]]]
+                     ) -> CongestionReport:
+    """Assemble a report from each pair's day summaries, in day order.
+
+    The one report builder: batch :func:`detect` and the streaming
+    detector's ``finalize()`` both go through it.
+    """
+    report = CongestionReport(threshold=threshold, metric=METRIC)
+    for pair, summaries in days_by_pair:
+        hours = 0
+        for summary in summaries:
+            if summary.record is not None:
+                report.day_records.append(summary.record)
+            hours += summary.measured_hours
+            report.events.extend(summary.events)
+        report.pair_hours[pair] = hours
+    return report
+
+
 # ----------------------------------------------------------------------
 # building blocks
 
 
-def _pair_day_buckets(dataset: CampaignDataset, pair: PairKey,
-                      metric: str) -> List[Tuple[int, np.ndarray,
-                                                 np.ndarray]]:
-    """(local day index, ts array, metric array) buckets for one pair."""
+def _pair_day_buckets(dataset: CampaignDataset, pair: PairKey
+                      ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+    """(local day index, ts array, download array) buckets for one pair."""
     region, server_id, tier = pair
     series = dataset.table.series(pair)
-    values = series.get(metric)
-    if values is None:
-        raise AnalysisError(f"unknown metric {metric!r}")
+    values = series[METRIC]
     offset = dataset.server_meta(server_id).utc_offset_hours
     day_idx = midnight_day_index(series["ts"], offset, dataset.start_ts)
     out = []
@@ -282,77 +320,22 @@ def _pair_day_buckets(dataset: CampaignDataset, pair: PairKey,
     return out
 
 
-def _records_from_buckets(pair: PairKey,
-                          buckets: Sequence[Tuple[int, np.ndarray,
-                                                  np.ndarray]],
-                          min_samples: int) -> List[DayRecord]:
-    records = []
-    for day, _ts, values in buckets:
-        if len(values) < min_samples:
-            continue
-        records.append(DayRecord(
-            pair=pair, day_index=day, n_samples=len(values),
-            t_max=float(values.max()), t_min=float(values.min())))
-    return records
-
-
-def _vh_from_buckets(buckets: Sequence[Tuple[int, np.ndarray,
-                                             np.ndarray]],
-                     min_samples: int) -> Tuple[np.ndarray, np.ndarray]:
+def hourly_variability(dataset: CampaignDataset, pair: PairKey
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """(ts, V_H) arrays for one pair across all its full days."""
     ts_all: List[np.ndarray] = []
     vh_all: List[np.ndarray] = []
-    for _day, ts, values in buckets:
-        if len(values) < min_samples:
-            continue
-        peak = values.max()
-        if peak <= 0:
-            continue
-        ts_all.append(ts)
-        vh_all.append((peak - values) / peak)
+    for day, ts, values in _pair_day_buckets(dataset, pair):
+        _record, vh = _day_variability(pair, day, values)
+        if vh is not None:
+            ts_all.append(ts)
+            vh_all.append(vh)
     if not ts_all:
         return np.array([]), np.array([])
     ts_cat = np.concatenate(ts_all)
     vh_cat = np.concatenate(vh_all)
     order = np.argsort(ts_cat, kind="stable")
     return ts_cat[order], vh_cat[order]
-
-
-def pair_daily_records(dataset: CampaignDataset, pair: PairKey,
-                       metric: str = "download",
-                       min_samples: int = MIN_SAMPLES_PER_DAY
-                       ) -> List[DayRecord]:
-    """Compute :class:`DayRecord` for every full day of one pair."""
-    return _records_from_buckets(
-        pair, _pair_day_buckets(dataset, pair, metric), min_samples)
-
-
-def daily_variability(dataset: CampaignDataset,
-                      region: Optional[str] = None,
-                      tier: Optional[NetworkTier] = None,
-                      metric: str = "download",
-                      min_samples: int = MIN_SAMPLES_PER_DAY
-                      ) -> Dict[PairKey, np.ndarray]:
-    """V(s, d) arrays per pair (one value per full measured day).
-
-    Days with fewer than *min_samples* hourly measurements (e.g. hours
-    lost to faults) are excluded rather than producing unstable
-    extremes from a handful of points.
-    """
-    out: Dict[PairKey, np.ndarray] = {}
-    for pair in dataset.pairs(region=region, tier=tier):
-        records = pair_daily_records(dataset, pair, metric, min_samples)
-        if records:
-            out[pair] = np.array([r.variability for r in records])
-    return out
-
-
-def hourly_variability(dataset: CampaignDataset, pair: PairKey,
-                       metric: str = "download",
-                       min_samples: int = MIN_SAMPLES_PER_DAY
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """(ts, V_H) arrays for one pair across all its full days."""
-    return _vh_from_buckets(
-        _pair_day_buckets(dataset, pair, metric), min_samples)
 
 
 # ----------------------------------------------------------------------
@@ -362,8 +345,7 @@ def hourly_variability(dataset: CampaignDataset, pair: PairKey,
 def threshold_sweep(dataset: CampaignDataset,
                     thresholds: Sequence[float],
                     region: Optional[str] = None,
-                    tier: Optional[NetworkTier] = None,
-                    metric: str = "download"
+                    tier: Optional[NetworkTier] = None
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(H values, congested s-day fraction, congested s-hour fraction).
 
@@ -376,12 +358,12 @@ def threshold_sweep(dataset: CampaignDataset,
     v_days: List[float] = []
     v_hours: List[float] = []
     for pair in dataset.pairs(region=region, tier=tier):
-        buckets = _pair_day_buckets(dataset, pair, metric)
-        for record in _records_from_buckets(pair, buckets,
-                                            MIN_SAMPLES_PER_DAY):
-            v_days.append(record.variability)
-        _ts, vh = _vh_from_buckets(buckets, MIN_SAMPLES_PER_DAY)
-        v_hours.extend(vh.tolist())
+        for day, _ts, values in _pair_day_buckets(dataset, pair):
+            record, vh = _day_variability(pair, day, values)
+            if record is not None:
+                v_days.append(record.variability)
+            if vh is not None:
+                v_hours.extend(vh.tolist())
     day_arr = np.asarray(v_days)
     hour_arr = np.asarray(v_hours)
     if day_arr.size == 0:
@@ -422,61 +404,33 @@ def choose_threshold_elbow(thresholds: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# event labeling
-
-
-def label_events(dataset: CampaignDataset, pair: PairKey,
-                 threshold: float = PAPER_THRESHOLD,
-                 metric: str = "download",
-                 min_samples: int = MIN_SAMPLES_PER_DAY
-                 ) -> List[CongestionEvent]:
-    """All congested s-hours of one pair.
-
-    Days with fewer than *min_samples* measurements are skipped, so a
-    fault-riddled day degrades to "no events" instead of flagging
-    spurious congestion off a sparse sample.
-    """
-    region, server_id, tier = pair
-    offset = dataset.server_meta(server_id).utc_offset_hours
-    events: List[CongestionEvent] = []
-    for day, ts, values in _pair_day_buckets(dataset, pair, metric):
-        summary = summarize_day(pair, offset, day, ts, values,
-                                threshold, min_samples)
-        events.extend(summary.events)
-    return events
+# detection
 
 
 def detect(dataset: CampaignDataset,
            threshold: float = PAPER_THRESHOLD,
            region: Optional[str] = None,
-           tier: Optional[NetworkTier] = None,
-           metric: str = "download",
-           min_samples: int = MIN_SAMPLES_PER_DAY) -> CongestionReport:
+           tier: Optional[NetworkTier] = None) -> CongestionReport:
     """Full detection pass over (a slice of) a dataset.
 
-    *min_samples* is the per-day floor below which a pair-day is
-    ignored everywhere (records, hours, events); campaigns run with
-    fault injection lower effective coverage, and this guard keeps
-    V(s, d) well-defined on what remains.
+    Pair-days below :data:`MIN_SAMPLES_PER_DAY` are ignored everywhere
+    (records, hours, events); campaigns run with fault injection lower
+    effective coverage, and this guard keeps V(s, d) well-defined on
+    what remains.
 
     Each pair's series is bucketed into local days exactly once;
     records, hour counts, and events all come out of that single pass.
     """
-    report = CongestionReport(threshold=threshold, metric=metric)
+    def summaries(pair: PairKey) -> Iterable[DaySummary]:
+        offset = dataset.server_meta(pair[1]).utc_offset_hours
+        for day, ts, values in _pair_day_buckets(dataset, pair):
+            yield summarize_day(pair, offset, day, ts, values, threshold)
+
     with obs.span("analysis.congestion_detect", layer="analysis",
-                  threshold=threshold, metric=metric) as sp:
-        for pair in dataset.pairs(region=region, tier=tier):
-            offset = dataset.server_meta(pair[1]).utc_offset_hours
-            hours = 0
-            for day, ts, values in _pair_day_buckets(dataset, pair,
-                                                     metric):
-                summary = summarize_day(pair, offset, day, ts, values,
-                                        threshold, min_samples)
-                if summary.record is not None:
-                    report.day_records.append(summary.record)
-                hours += summary.measured_hours
-                report.events.extend(summary.events)
-            report.pair_hours[pair] = hours
+                  threshold=threshold, metric=METRIC) as sp:
+        report = report_from_days(threshold, (
+            (pair, summaries(pair))
+            for pair in dataset.pairs(region=region, tier=tier)))
         sp.annotate(n_events=len(report.events),
                     n_day_records=len(report.day_records))
     return report

@@ -9,8 +9,8 @@ observations) per hour:
 * every completed test appends one ``(ts, value)`` sample to its
   pair's *open* local-day bucket;
 * each hour boundary advances a watermark; any open day whose local
-  midnight has passed (plus a configurable lateness grace) is
-  *sealed* - the bucket is sorted once and handed to the same
+  midnight has passed is *sealed* (there is no lateness grace) - the
+  bucket is sorted once and handed to the same
   :func:`~repro.core.congestion.summarize_day` the batch pass uses,
   yielding the day's :class:`~repro.core.congestion.DayRecord`,
   congestion events, and measured-hour count;
@@ -18,38 +18,43 @@ observations) per hour:
   exports newly sealed events (:meth:`~StreamingCongestionDetector.
   sealed_items`) without touching raw samples.
 
+The detector runs the paper's one setting: download throughput,
+``H = PAPER_THRESHOLD``, days with at least ``MIN_SAMPLES_PER_DAY``
+samples.
+
 **Equivalence contract**: :meth:`finalize` returns a
 :class:`~repro.core.congestion.CongestionReport` *equal* (same events,
 day records, and pair_hours - identical floats) to batch ``detect()``
 on the dataset built from the same event stream, as long as no
-observation arrived later than the sealing grace allowed
-(``late_dropped`` counts the ones that did).
-Both paths share one bucketing implementation -
-:func:`~repro.core.congestion.midnight_day_index` plus
-:func:`~repro.core.congestion.summarize_day` - which is what makes the
-contract bit-for-bit rather than merely approximate.
+observation arrived after its day was sealed (``late_dropped`` counts
+the ones that did).  Both paths share one per-day implementation -
+:func:`~repro.core.congestion.midnight_day_index`,
+:func:`~repro.core.congestion.summarize_day` and
+:func:`~repro.core.congestion.report_from_days` - which is what makes
+the contract bit-for-bit rather than merely approximate.
 
-:class:`StreamingDetectorObserver` adapts the detector to the engine's
-:class:`~repro.engine.bus.EventBus`; it works identically with
-the scalar and the vectorized batch stepper, which emit the same event
-stream.
+:class:`StreamingDetectorObserver` adapts the detector - or the alerts
+collector, which has the same ``advance``/``observe_record`` pair - to
+the engine's :class:`~repro.engine.bus.EventBus`; it works identically
+with the scalar and the vectorized batch stepper, which emit the same
+event stream.
 """
 
 from __future__ import annotations
 
 from typing import (Any, Callable, ClassVar, Dict, Iterable, List,
-                    Optional, Tuple)
+                    Protocol, Tuple)
 
 import numpy as np
 
 from ..engine.observers import Observer
-from ..errors import AnalysisError, ValidationError
+from ..errors import ConfigError, ValidationError
 from ..units import DAY, HOUR
 from .campaign import CampaignDataset
-from .congestion import (MIN_SAMPLES_PER_DAY, PAPER_THRESHOLD,
+from .congestion import (METRIC, MIN_SAMPLES_PER_DAY, PAPER_THRESHOLD,
                          CongestionEvent, CongestionReport, DayRecord,
                          DaySummary, PairKey, midnight_day_index,
-                         summarize_day)
+                         report_from_days, summarize_day)
 
 __all__ = [
     "StreamingCongestionDetector",
@@ -60,14 +65,10 @@ __all__ = [
     "stream_dataset",
 ]
 
-#: metric name (table field) -> MeasurementRecord attribute.
-_METRIC_ATTRS = {
-    "download": "download_mbps",
-    "upload": "upload_mbps",
-    "latency": "latency_ms",
-    "loss_down": "download_loss_rate",
-    "loss_up": "upload_loss_rate",
-}
+#: The detector's fixed setting, as written in every state file.  A
+#: state holding any other value is refused, not silently reinterpreted.
+_FIXED_STATE = {"threshold": PAPER_THRESHOLD, "metric": METRIC,
+                "min_samples": MIN_SAMPLES_PER_DAY, "lateness_s": 0.0}
 
 
 def dataset_offsets(dataset: CampaignDataset) -> Callable[[str], float]:
@@ -103,28 +104,14 @@ class StreamingCongestionDetector:
     """V_H detection updated in O(new samples)/hour.
 
     *offset_of* maps a server id to its UTC offset in hours (see
-    :func:`dataset_offsets` / :func:`catalog_offsets`).  *lateness_hours*
-    delays sealing so bounded out-of-order delivery still lands in the
-    right bucket; observations for already-sealed days are dropped and
-    counted in :attr:`late_dropped`.
+    :func:`dataset_offsets` / :func:`catalog_offsets`).  A day seals
+    when the watermark reaches its local midnight; observations for
+    already-sealed days are dropped and counted in :attr:`late_dropped`.
     """
 
     def __init__(self, start_ts: float,
-                 offset_of: Callable[[str], float],
-                 threshold: float = PAPER_THRESHOLD,
-                 metric: str = "download",
-                 min_samples: int = MIN_SAMPLES_PER_DAY,
-                 lateness_hours: float = 0.0) -> None:
-        if metric not in _METRIC_ATTRS:
-            raise AnalysisError(f"unknown metric {metric!r}")
-        if lateness_hours < 0:
-            raise ValidationError(
-                f"lateness_hours must be >= 0, got {lateness_hours}")
+                 offset_of: Callable[[str], float]) -> None:
         self.start_ts = float(start_ts)
-        self.threshold = threshold
-        self.metric = metric
-        self.min_samples = min_samples
-        self.lateness_s = lateness_hours * HOUR
         self.watermark = float(start_ts)
         self._offset_of = offset_of
         self._offsets: Dict[str, float] = {}
@@ -150,8 +137,7 @@ class StreamingCongestionDetector:
     def _due_ts(self, day: int, offset: float) -> float:
         """UTC instant at which local day *day* can be sealed."""
         origin_day = int((self.start_ts + offset * HOUR) // DAY)
-        end_utc = (origin_day + day + 1) * DAY - offset * HOUR
-        return end_utc + self.lateness_s
+        return (origin_day + day + 1) * DAY - offset * HOUR
 
     def observe(self, pair: PairKey, ts: float, value: float) -> bool:
         """Ingest one measurement; False when it was too late to keep."""
@@ -173,8 +159,7 @@ class StreamingCongestionDetector:
     def observe_record(self, record: Any) -> bool:
         """Ingest one :class:`~repro.core.records.MeasurementRecord`."""
         pair = (record.region, record.server_id, record.tier.value)
-        value = getattr(record, _METRIC_ATTRS[self.metric])
-        return self.observe(pair, record.ts, value)
+        return self.observe(pair, record.ts, record.download_mbps)
 
     def advance(self, ts: float) -> int:
         """Move the watermark forward, sealing every due open day.
@@ -204,8 +189,7 @@ class StreamingCongestionDetector:
         # exactly the bucket the batch pass would build.
         order = np.argsort(ts, kind="stable")
         summary = summarize_day(pair, self._offset(pair[1]), day,
-                                ts[order], values[order],
-                                self.threshold, self.min_samples)
+                                ts[order], values[order])
         self._sealed.setdefault(pair, {})[day] = summary
         self.sealed_days += 1
 
@@ -215,19 +199,9 @@ class StreamingCongestionDetector:
             days = self._open.pop(pair)
             for day in sorted(days):
                 self._seal(pair, day, days[day])
-        report = CongestionReport(threshold=self.threshold,
-                                  metric=self.metric)
-        for pair in sorted(self._sealed):
-            hours = 0
-            days = self._sealed[pair]
-            for day in sorted(days):
-                summary = days[day]
-                if summary.record is not None:
-                    report.day_records.append(summary.record)
-                hours += summary.measured_hours
-                report.events.extend(summary.events)
-            report.pair_hours[pair] = hours
-        return report
+        return report_from_days(PAPER_THRESHOLD, (
+            (pair, [days[day] for day in sorted(days)])
+            for pair, days in sorted(self._sealed.items())))
 
     def sealed_items(self) -> Iterable[Tuple[PairKey, int, DaySummary]]:
         """Sealed day summaries in deterministic (pair, day) order.
@@ -255,10 +229,7 @@ class StreamingCongestionDetector:
         """
         return {
             "start_ts": self.start_ts,
-            "threshold": self.threshold,
-            "metric": self.metric,
-            "min_samples": self.min_samples,
-            "lateness_s": self.lateness_s,
+            **_FIXED_STATE,
             "watermark": self.watermark,
             "observed": self.observed,
             "late_dropped": self.late_dropped,
@@ -282,15 +253,17 @@ class StreamingCongestionDetector:
         The ``offset_of`` resolver passed at construction is kept (it
         is the one thing the snapshot cannot carry), but the cached
         offsets are restored, so a resumed detector keeps bucketing
-        with exactly the offsets it had already resolved.
+        with exactly the offsets it had already resolved.  A state
+        whose ``threshold``/``metric``/``min_samples``/``lateness_s``
+        differ from the fixed setting raises
+        :class:`~repro.errors.ConfigError`.
         """
+        for key, want in _FIXED_STATE.items():
+            if state[key] != want:
+                raise ConfigError(
+                    f"detector state has {key}={state[key]!r}; this "
+                    f"detector runs only {key}={want!r}")
         self.start_ts = float(state["start_ts"])
-        self.threshold = state["threshold"]
-        self.metric = state["metric"]
-        if self.metric not in _METRIC_ATTRS:
-            raise AnalysisError(f"unknown metric {self.metric!r}")
-        self.min_samples = state["min_samples"]
-        self.lateness_s = float(state["lateness_s"])
         self.watermark = float(state["watermark"])
         self.observed = int(state["observed"])
         self.late_dropped = int(state["late_dropped"])
@@ -355,70 +328,67 @@ def _summary_from_dict(data: Dict[str, Any]) -> DaySummary:
 # engine wiring
 
 
+class _Sink(Protocol):
+    """What the observer feeds: a detector or the alerts collector."""
+
+    def advance(self, ts: float) -> Any: ...
+
+    def observe_record(self, record: Any) -> Any: ...
+
+
 class StreamingDetectorObserver(Observer):
-    """Feeds a :class:`StreamingCongestionDetector` from the event bus.
+    """Feeds a detector (or the alerts collector) from the event bus.
 
     Subscribes like any campaign observer; hour boundaries drive the
-    detector's watermark, completed tests feed it, and campaign end
+    sink's watermark, completed tests feed it, and campaign end
     advances the watermark to the final boundary (sealing every
     complete day) without finalizing - the caller decides when to
     :meth:`~StreamingCongestionDetector.finalize`.
     """
 
-    #: Kinds with no bearing on congestion state.
+    #: Kinds with no bearing on congestion or alerting state.
     IGNORED_EVENTS: ClassVar[Tuple[str, ...]] = (
         "billing-charged", "test-lost", "test-retried",
         "upload-attempted", "vm-preempted", "vm-replaced")
 
-    def __init__(self, detector: StreamingCongestionDetector) -> None:
-        self.detector = detector
+    def __init__(self, sink: _Sink) -> None:
+        self.sink = sink
 
     def on_hour_started(self, event: Any) -> None:
-        self.detector.advance(event.ts)
+        self.sink.advance(event.ts)
 
     def on_test_completed(self, event: Any) -> None:
         if event.record is None:
             raise ValidationError(
                 "TestCompleted event carries no record payload; the "
-                "streaming detector cannot bucket the measurement "
-                "without it")
-        self.detector.observe_record(event.record)
+                "detector cannot bucket the measurement without it")
+        self.sink.observe_record(event.record)
 
     def on_campaign_finished(self, event: Any) -> None:
-        self.detector.advance(event.ts)
+        self.sink.advance(event.ts)
 
 
 # ----------------------------------------------------------------------
 # replay
 
 
-def stream_dataset(dataset: CampaignDataset,
-                   detector: Optional[StreamingCongestionDetector] = None,
-                   **kwargs: Any) -> Tuple[StreamingCongestionDetector,
-                                           CongestionReport]:
-    """Replay a finished dataset hour by hour through a detector.
+def stream_dataset(dataset: CampaignDataset
+                   ) -> Tuple[StreamingCongestionDetector,
+                              CongestionReport]:
+    """Replay a finished dataset hour by hour through a new detector.
 
-    Builds a detector over the dataset's own metadata when none is
-    given (*kwargs* forward to its constructor), feeds every
+    Builds a detector over the dataset's own metadata, feeds every
     measurement in hour order - each pair's samples in series order,
     so tie-breaking matches the table - and finalizes.  Returns
     ``(detector, report)``; the report equals batch ``detect()`` on
     the same dataset.
     """
-    if detector is None:
-        detector = StreamingCongestionDetector(
-            dataset.start_ts, dataset_offsets(dataset), **kwargs)
-    elif kwargs:
-        raise ValidationError(
-            "pass detector kwargs only when stream_dataset builds "
-            "the detector")
+    detector = StreamingCongestionDetector(dataset.start_ts,
+                                           dataset_offsets(dataset))
     rows: List[Tuple[float, PairKey, float]] = []
     for pair in dataset.pairs():
         series = dataset.table.series(pair)
-        values = series.get(detector.metric)
-        if values is None:
-            raise AnalysisError(f"unknown metric {detector.metric!r}")
-        for ts, value in zip(series["ts"], values):
+        for ts, value in zip(series["ts"], series[METRIC]):
             rows.append((float(ts), pair, float(value)))
     rows.sort(key=lambda row: row[0])  # stable: per-pair order survives
     feed = iter_hourly(rows, dataset.start_ts, dataset.end_ts)

@@ -24,7 +24,7 @@ from .events import (BillingCharged, CampaignEvent, CampaignFinished,
                      event_payload)
 from .lanes import CampaignEngine, Lane, LaneStepper
 from .observers import (DatasetObserver, Histogram, MetricsObserver,
-                        Observer, ProgressObserver, TraceObserver)
+                        Observer, TraceObserver)
 
 __all__ = [
     "BillingCharged",
@@ -40,7 +40,6 @@ __all__ = [
     "LaneStepper",
     "MetricsObserver",
     "Observer",
-    "ProgressObserver",
     "TestCompleted",
     "TestLost",
     "TestRetried",

@@ -11,8 +11,6 @@ their state purely from the event stream:
   histograms, and billing totals, snapshotted as one plain dict.
 * :class:`TraceObserver` - a JSON-lines event trace for offline
   inspection (the ``--trace`` CLI flag).
-* :class:`ProgressObserver` - periodic one-line progress ticks for
-  interactive runs.
 
 The dataset the :class:`DatasetObserver` mutates is passed in as an
 opaque object exposing ``extend(records)`` / ``mark_lost(...)`` plus
@@ -24,7 +22,7 @@ from __future__ import annotations
 import copy
 import json
 from collections import Counter
-from typing import (Any, Callable, ClassVar, Dict, IO, List, Optional,
+from typing import (Any, ClassVar, Dict, IO, List, Optional,
                     TextIO, Tuple, Union)
 
 from ..errors import ValidationError
@@ -32,7 +30,7 @@ from ..obs.metrics import Histogram, MetricsRegistry
 from .events import CampaignEvent, event_payload
 
 __all__ = ["DatasetObserver", "Histogram", "MetricsObserver",
-           "Observer", "ProgressObserver", "TraceObserver"]
+           "Observer", "TraceObserver"]
 
 
 class Observer:
@@ -239,40 +237,3 @@ class TraceObserver(Observer):
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-# ----------------------------------------------------------------------
-
-
-class ProgressObserver(Observer):
-    """One-line campaign progress ticks for interactive runs."""
-
-    #: Kinds with no bearing on the tests/lost tallies it prints.
-    IGNORED_EVENTS: ClassVar[Tuple[str, ...]] = (
-        "billing-charged", "test-retried", "upload-attempted",
-        "vm-preempted", "vm-replaced")
-
-    def __init__(self, echo: Optional[Callable[[str], None]] = None,
-                 every_hours: int = 24) -> None:
-        if every_hours < 1:
-            raise ValidationError(
-                f"every_hours must be >= 1, got {every_hours}")
-        self.echo = echo if echo is not None else print
-        self.every_hours = every_hours
-        self.completed = 0
-        self.lost = 0
-
-    def on_test_completed(self, event: CampaignEvent) -> None:
-        self.completed += 1
-
-    def on_test_lost(self, event: CampaignEvent) -> None:
-        self.lost += 1
-
-    def on_hour_started(self, event: Any) -> None:
-        if event.hour_index % self.every_hours == 0:
-            self.echo(f"[campaign] hour {event.hour_index}: "
-                      f"{self.completed} tests, {self.lost} lost")
-
-    def on_campaign_finished(self, event: Any) -> None:
-        self.echo(f"[campaign] finished {event.n_hours} hours: "
-                  f"{self.completed} tests, {self.lost} lost")

@@ -18,12 +18,10 @@ Environment knobs (read once, at first use):
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.campaign import CampaignDataset
 from ..core.orchestrator import DeploymentPlan
-from ..engine import MetricsObserver
-from ..errors import MissingEntryError
 from ..core.selection.differential import DifferentialSelection
 from ..core.selection.topology_based import TopologySelection
 from .scenario import Scenario, apply_differential_story, build_scenario
@@ -71,7 +69,6 @@ class ExperimentCache:
         self._differential_plans: Dict[str, DeploymentPlan] = {}
         self._topology_dataset: Optional[CampaignDataset] = None
         self._differential_dataset: Optional[CampaignDataset] = None
-        self._campaign_metrics: Dict[str, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
 
@@ -134,10 +131,8 @@ class ExperimentCache:
         if self._topology_dataset is None:
             plans = [self.topology_plan(r)
                      for r in self.scenario.us_regions]
-            metrics = MetricsObserver()
             self._topology_dataset = self.scenario.clasp.run_campaign(
-                plans, days=days or env_days(), observers=(metrics,))
-            self._campaign_metrics["topology"] = metrics.snapshot()
+                plans, days=days or env_days())
         return self._topology_dataset
 
     def differential_dataset(self, days: Optional[int] = None
@@ -146,37 +141,9 @@ class ExperimentCache:
         if self._differential_dataset is None:
             plans = [self.differential_plan(r)
                      for r in self.scenario.differential_regions]
-            metrics = MetricsObserver()
             self._differential_dataset = self.scenario.clasp.run_campaign(
-                plans, days=days or env_days(), observers=(metrics,))
-            self._campaign_metrics["differential"] = metrics.snapshot()
+                plans, days=days or env_days())
         return self._differential_dataset
-
-    def campaign_metrics(self, campaign: str) -> Dict[str, Any]:
-        """The metrics snapshot for ``"topology"`` / ``"differential"``.
-
-        Runs the corresponding campaign on first use; the snapshot
-        shape is :meth:`repro.engine.observers.MetricsObserver.snapshot`.
-        """
-        if campaign not in ("topology", "differential"):
-            raise MissingEntryError(
-                f"unknown campaign {campaign!r}; expected "
-                f"'topology' or 'differential'")
-        if campaign not in self._campaign_metrics:
-            if campaign == "topology":
-                self.topology_dataset()
-            else:
-                self.differential_dataset()
-        if campaign not in self._campaign_metrics:
-            # The dataset existed before metrics collection was wired
-            # in (e.g. injected by a test), so running it again cannot
-            # produce a snapshot - name what *is* available.
-            raise MissingEntryError(
-                f"no metrics were collected for the {campaign!r} "
-                f"campaign (its dataset was built without a metrics "
-                f"observer); available campaign metrics: "
-                f"{sorted(self._campaign_metrics) or 'none'}")
-        return self._campaign_metrics[campaign]
 
 
 _CACHES: Dict[Tuple[int, float], ExperimentCache] = {}

@@ -17,11 +17,10 @@ Entry points: ``Clasp.run_campaign(batch=True)``, or
 
 from .batch import BatchLaneExecutor, BatchPlanner, batch_executor_factory
 from .vectcp import (batch_flows_for_rtt, batch_loss_rate,
-                     batch_mean_utilization, batch_mean_utilization_grid,
-                     batch_multiflow_throughput_mbps, batch_observe,
+                     batch_mean_utilization_grid,
+                     batch_multiflow_throughput_mbps,
                      batch_pftk_throughput_mbps, batch_queue_delay_ms,
-                     batch_residual_mbps, batch_utilization,
-                     batch_weekend_mask)
+                     batch_residual_mbps, batch_weekend_mask)
 
 __all__ = [
     "BatchLaneExecutor",
@@ -29,13 +28,10 @@ __all__ = [
     "batch_executor_factory",
     "batch_flows_for_rtt",
     "batch_loss_rate",
-    "batch_mean_utilization",
     "batch_mean_utilization_grid",
     "batch_multiflow_throughput_mbps",
-    "batch_observe",
     "batch_pftk_throughput_mbps",
     "batch_queue_delay_ms",
     "batch_residual_mbps",
-    "batch_utilization",
     "batch_weekend_mask",
 ]

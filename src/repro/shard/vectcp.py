@@ -13,9 +13,10 @@ Twinned scalar sources:
 * :func:`repro.netsim.tcp.pftk_throughput_mbps` /
   :func:`~repro.netsim.tcp.multiflow_throughput_mbps`
 * :meth:`repro.netsim.linkstate.LinkStateEvaluator.residual_mbps` /
-  ``loss_rate`` / ``queue_delay_ms`` / ``observe``
-* :meth:`repro.netsim.traffic.DiurnalProfile.mean_utilization` and
-  :meth:`repro.netsim.traffic.UtilizationModel.utilization`
+  ``loss_rate`` / ``queue_delay_ms``
+* :meth:`repro.netsim.traffic.DiurnalProfile.mean_utilization` (one
+  profile per element, with :func:`repro.simclock.is_weekend` as
+  :func:`batch_weekend_mask`)
 * :meth:`repro.speedtest.protocol.SpeedTestConfig.flows_for_rtt`
 
 Known exact-equivalence subtleties, all handled here:
@@ -34,17 +35,16 @@ Known exact-equivalence subtleties, all handled here:
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..errors import ValidationError
-from ..netsim.linkstate import (LinkStateEvaluator, _CONTESTED_SHARE,
-                                _FLOOR_LOSS, _LOSS_AT_CAPACITY, _LOSS_ONSET,
+from ..netsim.linkstate import (_CONTESTED_SHARE, _FLOOR_LOSS,
+                                _LOSS_AT_CAPACITY, _LOSS_ONSET,
                                 _QUEUE_BASE_MS, _QUEUE_CAP_MS, _SUBONSET_COEF)
 from ..netsim.tcp import DEFAULT_RWND_BYTES, _MIN_LOSS, _RTO_MIN_S
-from ..netsim.topology import Link, LinkKind
-from ..netsim.traffic import DiurnalProfile, UtilizationModel
+from ..netsim.topology import LinkKind
 from ..simclock import is_weekend
 from ..speedtest.protocol import SpeedTestConfig
 from ..units import DAY, HOUR, MSS_BYTES, bytes_per_sec_to_mbps, ms_to_s
@@ -52,14 +52,11 @@ from ..units import DAY, HOUR, MSS_BYTES, bytes_per_sec_to_mbps, ms_to_s
 __all__ = [
     "batch_flows_for_rtt",
     "batch_loss_rate",
-    "batch_mean_utilization",
     "batch_mean_utilization_grid",
     "batch_multiflow_throughput_mbps",
-    "batch_observe",
     "batch_pftk_throughput_mbps",
     "batch_queue_delay_ms",
     "batch_residual_mbps",
-    "batch_utilization",
     "batch_weekend_mask",
 ]
 
@@ -208,58 +205,14 @@ def batch_queue_delay_ms(utilization: np.ndarray,
 # traffic model
 
 
-def batch_mean_utilization(profile: DiurnalProfile,
-                           ts: np.ndarray) -> np.ndarray:
-    """Vector twin of :meth:`DiurnalProfile.mean_utilization`.
-
-    The weekend factor is applied with one scalar :func:`is_weekend`
-    call when every timestamp provably falls on the same local day
-    (with a one-second margin from the day edges, covering datetime's
-    microsecond rounding); otherwise each element falls back to the
-    scalar call, so the datetime-based day boundary always agrees.
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    local = np.fmod(ts / HOUR + profile.utc_offset_hours, 24.0)
-    bump_sum = np.zeros(ts.shape)
-    for bump in profile.bumps:
-        delta = np.abs(local - bump.center_hour)
-        delta = np.minimum(delta, 24.0 - delta)
-        inside = delta < bump.width_hours
-        value = np.zeros(ts.shape)
-        if np.any(inside):
-            d = delta[inside]
-            value[inside] = (bump.amplitude * 0.5
-                             * (1.0 + np.cos(math.pi * d / bump.width_hours)))
-        bump_sum = bump_sum + value
-    load = profile.base + bump_sum
-
-    shift_s = profile.utc_offset_hours * HOUR
-    lo = float(np.min(ts)) + shift_s
-    hi = float(np.max(ts)) + shift_s
-    day = math.floor(lo / DAY)
-    same_day = (day == math.floor(hi / DAY)
-                and lo - day * DAY > _DAY_EDGE_MARGIN_S
-                and (day + 1) * DAY - hi > _DAY_EDGE_MARGIN_S)
-    if same_day:
-        if is_weekend(float(np.min(ts)), profile.utc_offset_hours):
-            load = load * profile.weekend_factor
-    else:
-        weekend = np.fromiter(
-            (is_weekend(float(t), profile.utc_offset_hours) for t in ts),
-            dtype=bool, count=ts.shape[0])
-        load = np.where(weekend, load * profile.weekend_factor, load)
-    return np.maximum(0.0, load)
-
-
 def batch_weekend_mask(ts: np.ndarray,
                        utc_offset_hours: np.ndarray) -> np.ndarray:
     """Per-element :func:`repro.simclock.is_weekend` over mixed offsets.
 
-    For each distinct UTC offset the same-day shortcut of
-    :func:`batch_mean_utilization` applies (one scalar call when all of
-    that offset's timestamps provably share a local day, with the
-    one-second margin covering datetime's microsecond rounding);
-    otherwise those elements fall back to scalar calls.
+    For each distinct UTC offset, one scalar call decides every element
+    when all of that offset's timestamps provably share a local day
+    (with the one-second margin covering datetime's microsecond
+    rounding); otherwise those elements fall back to scalar calls.
     """
     ts = np.asarray(ts, dtype=np.float64)
     utc_offset_hours = np.asarray(utc_offset_hours, dtype=np.float64)
@@ -292,8 +245,7 @@ def batch_mean_utilization_grid(ts: np.ndarray, base: np.ndarray,
                                 bump_amplitude: np.ndarray) -> np.ndarray:
     """Flat-batch twin of :meth:`DiurnalProfile.mean_utilization`.
 
-    Unlike :func:`batch_mean_utilization` (one profile, many times),
-    every element here carries its own profile parameters, so one call
+    Every element carries its own profile parameters, so one call
     evaluates a whole hour's worth of *different* links.  Bump columns
     are padded (``amplitude 0, width 1``): a padded slot contributes an
     exact ``+0.0``, which leaves the running sum bit-identical to the
@@ -317,49 +269,3 @@ def batch_mean_utilization_grid(ts: np.ndarray, base: np.ndarray,
     weekend = batch_weekend_mask(ts, utc_offset_hours)
     load = np.where(weekend, load * weekend_factor, load)
     return np.maximum(0.0, load)
-
-
-def batch_utilization(model: UtilizationModel, link_id: int, direction: int,
-                      ts: np.ndarray) -> np.ndarray:
-    """Vector twin of :meth:`UtilizationModel.utilization`."""
-    profile = model.profile(link_id, direction)
-    mean = batch_mean_utilization(profile, ts)
-    if profile.noise_sigma <= 0:
-        return mean
-    hour_idx = (np.floor_divide(ts - model.origin_ts, HOUR)
-                .astype(np.int64) % UtilizationModel.NOISE_HOURS)
-    noise = model.noise_array(link_id, direction)[hour_idx]
-    return np.maximum(0.0, mean + noise)
-
-
-def batch_observe(evaluator: LinkStateEvaluator, link: Link, direction: int,
-                  ts: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vector twin of :meth:`LinkStateEvaluator.observe`.
-
-    Returns ``(utilization, residual_mbps, loss_rate, queue_delay_ms)``
-    arrays aligned with *ts*.  The flap hook is hour-granular (see
-    :meth:`repro.faults.FaultInjector.link_flap_utilization`), so it is
-    consulted once per distinct hour in the batch and its floor is
-    broadcast to that hour's elements - exactly what per-element scalar
-    calls would decide.
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    u = batch_utilization(evaluator.utilization_model, link.link_id,
-                          direction, ts)
-    hook = evaluator.flap_hook
-    if hook is not None:
-        hours = np.floor_divide(ts, HOUR)
-        for hour in np.unique(hours):
-            in_hour = hours == hour
-            floor = hook(link.link_id, direction, float(ts[in_hour][0]))
-            if floor is not None:
-                u[in_hour] = np.maximum(u[in_hour], floor)
-    residual = batch_residual_mbps(link.capacity_mbps, u)
-    loss = batch_loss_rate(u, link.kind)
-    queue = batch_queue_delay_ms(u, link.kind)
-    return u, residual, loss, queue
-
-
-#: Optional floor returned by the flap hook (re-exported for typing).
-FlapFloor = Optional[float]

@@ -361,7 +361,7 @@ def _feed_day(collector, day, server_id="srv-1", download=400.0):
     for hour in range(24):
         ts = day_start + hour * HOUR
         collector.advance(ts)
-        collector.ingest_record(_record(ts + 60.0, download=download,
+        collector.observe_record(_record(ts + 60.0, download=download,
                                         server_id=server_id))
     collector.advance(day_start + DAY)
 
@@ -369,7 +369,7 @@ def _feed_day(collector, day, server_id="srv-1", download=400.0):
 def test_collector_requires_begin_run():
     collector = Collector(START)
     with pytest.raises(ValidationError):
-        collector.ingest_record(_record(START + 60.0))
+        collector.observe_record(_record(START + 60.0))
 
 
 def test_collector_rejects_backwards_time():
@@ -381,15 +381,13 @@ def test_collector_rejects_backwards_time():
 
 
 def test_collector_snapshot_cadence():
-    hourly = Collector(START, snapshot_hours=1.0)
-    sparse = Collector(START, snapshot_hours=6.0)
-    for collector in (hourly, sparse):
-        collector.begin_run(lambda server_id: 0.0)
-        _feed_day(collector, 0)
-    assert hourly.evaluator.evaluations == 25  # t=0 plus 24 boundaries
-    assert sparse.evaluator.evaluations == 5
-    with pytest.raises(ValidationError):
-        Collector(START, snapshot_hours=0.0)
+    """One snapshot and rule evaluation per hour boundary, once each."""
+    collector = Collector(START)
+    collector.begin_run(lambda server_id: 0.0)
+    _feed_day(collector, 0)
+    collector.advance(START + DAY)  # a repeated boundary steps nothing
+    assert collector.evaluator.evaluations == 25  # t=0 plus 24 boundaries
+    assert collector.state_dict()["snapshot_hours"] == 1.0
 
 
 def test_collector_observer_requires_record_payload():
@@ -452,8 +450,10 @@ def _daemon_sequence(batch=False, restart_after=None):
         selection = clasp.select_topology_servers(REGION)
         plan = clasp.deploy_topology(REGION, selection,
                                      budget_servers=BUDGET_SERVERS)
-        collector, observer = clasp.collector(rules=rules,
-                                              collector=collector)
+        if collector is None:
+            collector, observer = clasp.collector(rules=rules)
+        else:
+            collector, observer = clasp.collector(collector=collector)
         datasets.append(clasp.run_campaign(
             [plan], days=RUN_DAYS, start_ts=run_start,
             charge_billing=False, observers=[observer], batch=batch))
@@ -525,6 +525,18 @@ def test_collector_state_schema_is_checked():
     with pytest.raises(ConfigError):
         # Restoring under a different rule set is a config error.
         Collector.from_state_json(collector.state_json(), rules=())
+
+
+def test_clasp_collector_refuses_rules_for_an_existing_collector():
+    """An existing collector keeps its rules; new ones are not dropped
+    silently."""
+    clasp = build_scenario(seed=SEED, scale=SCALE).clasp
+    collector = Collector(START)
+    with pytest.raises(ValidationError, match="rules"):
+        clasp.collector(rules=default_rules(), collector=collector)
+    assert collector.runs == 0
+    same, _observer = clasp.collector(collector=collector)
+    assert same is collector and same.runs == 1
 
 
 def test_collector_resumes_state_with_retired_detector_keys():

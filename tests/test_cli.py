@@ -265,6 +265,41 @@ def test_campaign_state_missing_key_is_one_line_error(capsys, tmp_path):
     assert "missing key 'snapshot_hours'" in _error_line(capsys)
 
 
+#: A ``--state`` file written by ``campaign SMALL --state PATH`` before
+#: the detector's threshold, metric, sample floor, lateness grace and
+#: snapshot cadence became constants; it must keep resuming.
+OLD_STATE = Path(__file__).resolve().parent / "data" \
+    / "collector_state_run1.json"
+
+
+def test_campaign_resumes_state_written_before_the_fixed_setting(
+        capsys, tmp_path):
+    old, whole = tmp_path / "old.json", tmp_path / "whole.json"
+    old.write_bytes(OLD_STATE.read_bytes())
+    assert main(["campaign", *SMALL, "--state", str(old)]) == 0
+    out = capsys.readouterr().out
+    assert "(resumed)" in out
+    assert _row(out, "collector runs") == "2"
+    assert main(["campaign", *SMALL, "--runs", "2",
+                 "--state", str(whole)]) == 0
+    assert old.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [
+    (("detector", "lateness_s"), 7200.0),
+    (("snapshot_hours",), 6.0),
+], ids=["lateness_s", "snapshot_hours"])
+def test_campaign_state_with_another_setting_is_one_line_error(
+        capsys, tmp_path, key, value):
+    state = json.loads(OLD_STATE.read_text())
+    parent = state if len(key) == 1 else state[key[0]]
+    parent[key[-1]] = value
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    assert main(["campaign", *SMALL, "--state", str(path)]) == 2
+    assert f"{key[-1]}={value!r}" in _error_line(capsys)
+
+
 def test_campaign_zero_runs_is_one_line_error(capsys):
     assert main(["campaign", *SMALL, "--runs", "0"]) == 2
     assert "--runs must be >= 1" in _error_line(capsys)

@@ -16,12 +16,9 @@ from repro.core.congestion import (
     MIN_SAMPLES_PER_DAY,
     PAPER_THRESHOLD,
     choose_threshold_elbow,
-    daily_variability,
     detect,
     hourly_variability,
-    label_events,
     midnight_day_index,
-    pair_daily_records,
     threshold_sweep,
 )
 from repro.core.records import MeasurementRecord, ServerMeta
@@ -71,17 +68,18 @@ def test_day_record_variability():
 
 def test_flat_day_not_congested():
     dataset = _make_dataset(FLAT_DAY)
-    records = pair_daily_records(dataset, _pair())
-    assert len(records) == 2
-    assert all(r.variability == 0.0 for r in records)
-    assert not label_events(dataset, _pair())
+    report = detect(dataset)
+    assert len(report.day_records) == 2
+    assert all(r.variability == 0.0 for r in report.day_records)
+    assert not report.events
 
 
 def test_congested_day_detected():
     dataset = _make_dataset(CONGESTED_DAY)
-    records = pair_daily_records(dataset, _pair())
-    assert all(r.variability == pytest.approx(0.8) for r in records)
-    events = label_events(dataset, _pair(), threshold=0.5)
+    report = detect(dataset, threshold=0.5)
+    assert all(r.variability == pytest.approx(0.8)
+               for r in report.day_records)
+    events = report.events_of(_pair())
     # Three congested hours per day, two days.
     assert len(events) == 6
     assert sorted({e.local_hour for e in events}) == [10, 11, 12]
@@ -93,7 +91,7 @@ def test_local_time_conversion():
     """Events at 10:00-12:00 local must be found regardless of the
     server's timezone."""
     dataset = _make_dataset(CONGESTED_DAY, offset_hours=-8.0)
-    events = label_events(dataset, _pair(), threshold=0.5)
+    events = detect(dataset, threshold=0.5).events_of(_pair())
     assert sorted({e.local_hour for e in events}) == [10, 11, 12]
 
 
@@ -107,17 +105,20 @@ def test_hourly_variability_values():
 
 def test_partial_days_skipped():
     dataset = _make_dataset(CONGESTED_DAY[:4], days=1)  # only 4 samples
-    assert pair_daily_records(dataset, _pair()) == []
+    report = detect(dataset)
+    assert report.day_records == []
+    assert report.pair_hours == {_pair(): 0}
     ts, vh = hourly_variability(dataset, _pair())
     assert ts.size == 0
 
 
 def test_daily_variability_grouping():
     dataset = _make_dataset(CONGESTED_DAY)
-    out = daily_variability(dataset, region="us-west1")
-    assert _pair() in out
-    assert out[_pair()].shape == (2,)
-    assert daily_variability(dataset, region="eu-x") == {}
+    report = detect(dataset, region="us-west1")
+    assert list(report.pair_hours) == [_pair()]
+    assert [r.pair for r in report.day_records] == [_pair()] * 2
+    empty = detect(dataset, region="eu-x")
+    assert empty.day_records == [] and empty.pair_hours == {}
 
 
 def test_threshold_sweep_monotone_and_bounds():
@@ -130,12 +131,6 @@ def test_threshold_sweep_monotone_and_bounds():
     assert hour_frac[-1] == 0.0
     with pytest.raises(AnalysisError):
         threshold_sweep(dataset, [])
-
-
-def test_unknown_metric_rejected():
-    dataset = _make_dataset(FLAT_DAY)
-    with pytest.raises(AnalysisError):
-        pair_daily_records(dataset, _pair(), metric="bogus")
 
 
 def test_elbow_on_synthetic_knee():
@@ -203,7 +198,7 @@ def test_congested_server_needs_10pct_of_days():
 @settings(max_examples=40, deadline=None)
 def test_variability_bounds_property(day_values):
     dataset = _make_dataset(day_values, days=1)
-    for record in pair_daily_records(dataset, _pair()):
+    for record in detect(dataset).day_records:
         assert 0.0 <= record.variability < 1.0
     _ts, vh = hourly_variability(dataset, _pair())
     assert np.all(vh >= 0.0) and np.all(vh < 1.0)

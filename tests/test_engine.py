@@ -21,8 +21,8 @@ import pytest
 from repro.engine import (BillingCharged, CampaignEngine, CampaignEvent,
                           CampaignFinished, DatasetObserver, EVENT_KINDS,
                           EventBus, Histogram, HourStarted, Lane,
-                          MetricsObserver, Observer, ProgressObserver,
-                          TraceObserver, UploadAttempted, event_payload)
+                          MetricsObserver, Observer, TraceObserver,
+                          UploadAttempted, event_payload)
 from repro.engine import TestCompleted as CompletedEvent
 from repro.engine import TestLost as LostEvent
 from repro.engine import TestRetried as RetriedEvent
@@ -380,20 +380,6 @@ def test_trace_observer_accepts_write_object():
     trace.close()  # caller owns the handle: close() must not close it
     assert not sink.closed
     assert json.loads(sink.getvalue())["hour_index"] == 0
-
-
-def test_progress_observer_ticks():
-    lines = []
-    obs = ProgressObserver(echo=lines.append, every_hours=2)
-    obs.on_event(_completed(T0, "rec"))
-    obs.on_event(HourStarted(ts=T0, hour_index=0))
-    obs.on_event(HourStarted(ts=T0 + HOUR, hour_index=1))  # off-cadence
-    obs.on_event(CampaignFinished(ts=T0 + 2 * HOUR, n_hours=2))
-    assert len(lines) == 2
-    assert "1 tests" in lines[0]
-    assert "finished 2 hours" in lines[1]
-    with pytest.raises(ValidationError):
-        ProgressObserver(every_hours=0)
 
 
 # ----------------------------------------------------------------------

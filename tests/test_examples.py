@@ -4,8 +4,11 @@ at a miniature scale."""
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
+
+import repro
 
 EXAMPLES = sorted(
     (pathlib.Path(__file__).parent.parent / "examples").glob("*.py"))
@@ -46,3 +49,15 @@ def test_quickstart_runs_tiny(tmp_path):
     assert result.returncode == 0, result.stderr[-2000:]
     assert "Congestion detection" in result.stdout
     assert "Threshold sweep" in result.stdout
+
+
+def test_package_docstring_quickstart_runs(capsys):
+    """The quickstart in ``repro.__doc__`` runs as written."""
+    _head, _sep, tail = repro.__doc__.partition("::\n")
+    snippet = textwrap.dedent(tail)
+    assert "detect(dataset)" in snippet
+    namespace = {}
+    exec(compile(snippet, "repro.__doc__", "exec"), namespace)
+    report, dataset = namespace["report"], namespace["dataset"]
+    assert 0 < report.n_s_hours <= len(dataset)
+    assert "s-hours" in capsys.readouterr().out

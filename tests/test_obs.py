@@ -13,8 +13,7 @@ import repro.obs as obs
 from repro.core.congestion import detect
 from repro.core.export import dataset_digest
 from repro.engine import MetricsObserver, TraceObserver
-from repro.errors import ConfigError, MissingEntryError, ValidationError
-from repro.experiments.runner import ExperimentCache
+from repro.errors import ConfigError, ValidationError
 from repro.experiments.scenario import build_scenario
 from repro.faults import FaultPlan
 from repro.obs import (Counter, FlightRecorder, Gauge, Histogram,
@@ -415,18 +414,6 @@ def test_trace_observer_jsonl_round_trip(small_scenario, deploy_us_plan):
         kinds.add(payload["kind"])
     assert {"hour-started", "test-completed",
             "campaign-finished"} <= kinds
-
-
-def test_campaign_metrics_raises_when_never_collected():
-    cache = ExperimentCache(seed=3, scale=0.05)
-    # A dataset injected from outside (here: a prior run without any
-    # metrics observer) must produce a clear error, not a KeyError.
-    cache._topology_dataset = object()
-    with pytest.raises(MissingEntryError,
-                       match="available campaign metrics"):
-        cache.campaign_metrics("topology")
-    with pytest.raises(MissingEntryError, match="unknown campaign"):
-        cache.campaign_metrics("nope")
 
 
 # ----------------------------------------------------------------------

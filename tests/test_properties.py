@@ -19,8 +19,8 @@ import pytest
 from repro.cloud.billing import CostTracker
 from repro.cloud.tiers import NetworkTier
 from repro.core.campaign import CampaignDataset
-from repro.core.congestion import (MIN_SAMPLES_PER_DAY, hourly_variability,
-                                   pair_daily_records)
+from repro.core.congestion import (MIN_SAMPLES_PER_DAY, detect,
+                                   hourly_variability)
 from repro.core.records import MeasurementRecord, ServerMeta
 from repro.errors import SpeedTestError
 from repro.faults import FaultPlan
@@ -76,7 +76,7 @@ PAIR = ("r", "srv", NetworkTier.PREMIUM.value)
 def test_property_daily_variability_in_unit_interval():
     for rng in _case_rngs("vsd-bounds"):
         dataset = _random_dataset(rng, holes=bool(rng.random() < 0.5))
-        for record in pair_daily_records(dataset, PAIR):
+        for record in detect(dataset).day_records:
             assert 0.0 <= record.variability <= 1.0
             assert record.n_samples >= MIN_SAMPLES_PER_DAY
 
@@ -95,8 +95,7 @@ def test_property_max_hourly_equals_daily():
     day's peak, and the worst hour is the day's trough."""
     for rng in _case_rngs("vh-vs-vsd"):
         dataset = _random_dataset(rng)
-        records = {r.day_index: r
-                   for r in pair_daily_records(dataset, PAIR)}
+        records = {r.day_index: r for r in detect(dataset).day_records}
         ts, vh = hourly_variability(dataset, PAIR)
         day_idx = ((ts - dataset.start_ts) // DAY).astype(int)
         for day in np.unique(day_idx):
@@ -110,7 +109,7 @@ def test_property_short_days_are_guarded():
     for rng in _case_rngs("min-samples"):
         dataset = _random_dataset(rng, days=1, holes=True)
         n_kept = len(dataset)
-        records = pair_daily_records(dataset, PAIR)
+        records = detect(dataset).day_records
         if n_kept < MIN_SAMPLES_PER_DAY:
             assert records == []
             _ts, vh = hourly_variability(dataset, PAIR)

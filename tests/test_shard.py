@@ -41,12 +41,10 @@ from repro.netsim.tcp import multiflow_throughput_mbps, pftk_throughput_mbps
 from repro.netsim.topology import LinkKind
 from repro.netsim.traffic import DiurnalProfile
 from repro.shard import (BatchLaneExecutor, batch_flows_for_rtt,
-                         batch_loss_rate, batch_mean_utilization,
-                         batch_mean_utilization_grid,
-                         batch_multiflow_throughput_mbps, batch_observe,
+                         batch_loss_rate, batch_mean_utilization_grid,
+                         batch_multiflow_throughput_mbps,
                          batch_pftk_throughput_mbps, batch_queue_delay_ms,
-                         batch_residual_mbps, batch_utilization,
-                         batch_weekend_mask)
+                         batch_residual_mbps, batch_weekend_mask)
 from repro.shard.batch import fold_routes
 from repro.simclock import CAMPAIGN_START, is_weekend
 from repro.speedtest.protocol import SpeedTestConfig
@@ -384,6 +382,7 @@ def test_batch_residual_matches_scalar():
     DiurnalProfile.congested_daytime(utc_offset_hours=5.5),
 ])
 def test_batch_mean_utilization_matches_scalar(profile):
+    """The grid twin with one profile on every element."""
     rng = np.random.default_rng(5)
     start = float(CAMPAIGN_START)
     # Dense two-week sweep plus timestamps within one second of local
@@ -394,8 +393,17 @@ def test_batch_mean_utilization_matches_scalar(profile):
         start + rng.uniform(0.0, 14 * DAY, 2000),
         midnights - 0.5, midnights, midnights + 0.5,
     ])
-    _assert_zero_ulp(batch_mean_utilization(profile, ts),
-                     lambda t: profile.mean_utilization(float(t)), ts)
+
+    def column(value):
+        return np.full(ts.shape, value)
+
+    bumps = np.array([(b.center_hour, b.width_hours, b.amplitude)
+                      for b in profile.bumps])
+    out = batch_mean_utilization_grid(
+        ts, column(profile.base), column(profile.weekend_factor),
+        column(profile.utc_offset_hours),
+        *(np.tile(bumps[:, k], (ts.shape[0], 1)) for k in range(3)))
+    _assert_zero_ulp(out, lambda t: profile.mean_utilization(float(t)), ts)
 
 
 def _mixed_profiles():
@@ -447,49 +455,3 @@ def test_batch_weekend_mask_matches_scalar():
     mask = batch_weekend_mask(ts, off)
     for i in range(ts.shape[0]):
         assert mask[i] == is_weekend(float(ts[i]), float(off[i]))
-
-
-@pytest.fixture(scope="module")
-def faulty_evaluator():
-    """A generated world's evaluator with the link-flap hook wired."""
-    scenario = build_scenario(seed=3, scale=SCALE,
-                              faults=FaultPlan.heavy())
-    clasp = scenario.clasp
-    assert clasp.platform.evaluator.flap_hook is not None
-    return clasp.platform.evaluator, clasp.platform.topology
-
-
-def test_batch_utilization_matches_scalar(faulty_evaluator):
-    evaluator, topology = faulty_evaluator
-    model = evaluator.utilization_model
-    rng = np.random.default_rng(6)
-    ts = float(CAMPAIGN_START) + rng.uniform(0.0, 7 * DAY, 500)
-    for link_id in list(topology.links)[:8]:
-        for direction in (0, 1):
-            _assert_zero_ulp(
-                batch_utilization(model, link_id, direction, ts),
-                lambda t: model.utilization(link_id, direction, float(t)),
-                ts)
-
-
-def test_batch_observe_matches_scalar_with_flaps(faulty_evaluator):
-    """The full observe twin, flap-hook floors included, over enough
-    link-hours that some timestamps land in flapped hours."""
-    evaluator, topology = faulty_evaluator
-    rng = np.random.default_rng(7)
-    start = float(CAMPAIGN_START)
-    ts = np.sort(np.concatenate([
-        start + rng.uniform(0.0, 7 * DAY, 400),
-        start + np.arange(24) * HOUR + 1.0,
-    ]))
-    for link_id in list(topology.links)[:12]:
-        link = topology.link(link_id)
-        for direction in (0, 1):
-            u, residual, loss, queue = batch_observe(evaluator, link,
-                                                     direction, ts)
-            for i, t in enumerate(ts):
-                scalar = evaluator.observe(link, direction, float(t))
-                assert u[i] == scalar.utilization
-                assert residual[i] == scalar.residual_mbps
-                assert loss[i] == scalar.loss_rate
-                assert queue[i] == scalar.queue_delay_ms

@@ -1,4 +1,4 @@
-"""Streaming detection: batch equivalence and lateness.
+"""Streaming detection: batch equivalence, ordering and late data.
 
 The hard contract under test: finalizing a
 :class:`~repro.core.streaming.StreamingCongestionDetector` fed from
@@ -19,7 +19,7 @@ from repro.core.streaming import (StreamingCongestionDetector,
                                   StreamingDetectorObserver,
                                   dataset_offsets, iter_hourly,
                                   stream_dataset)
-from repro.errors import AnalysisError, ValidationError
+from repro.errors import ConfigError, ValidationError
 from repro.experiments.scenario import build_scenario
 from repro.faults import FaultPlan
 from repro.simclock import CAMPAIGN_START
@@ -61,7 +61,7 @@ def test_stream_equals_batch(faults, batch):
 
 
 # ----------------------------------------------------------------------
-# synthetic feeds (no engine): lateness, ordering
+# synthetic feeds (no engine): ordering, late data, state
 
 
 def _synthetic_dataset(days=3, offset_hours=0.0, server_id="srv-1",
@@ -87,11 +87,11 @@ def _synthetic_dataset(days=3, offset_hours=0.0, server_id="srv-1",
     return dataset
 
 
-def _rows(dataset, metric="download"):
+def _rows(dataset):
     rows = []
     for pair in dataset.pairs():
         series = dataset.table.series(pair)
-        for ts, value in zip(series["ts"], series[metric]):
+        for ts, value in zip(series["ts"], series["download"]):
             rows.append((float(ts), pair, float(value)))
     rows.sort(key=lambda row: row[0])
     return rows
@@ -108,35 +108,16 @@ def test_stream_dataset_replay_matches_batch():
 def test_out_of_order_within_grace_is_equivalent():
     dataset = _synthetic_dataset()
     detector = StreamingCongestionDetector(
-        dataset.start_ts, dataset_offsets(dataset), lateness_hours=3.0)
+        dataset.start_ts, dataset_offsets(dataset))
     for hour_ts, batch_rows in iter_hourly(_rows(dataset),
                                            dataset.start_ts,
                                            dataset.end_ts):
         detector.advance(hour_ts)
-        # Deliver the hour's rows two hours late *and* reversed: the
-        # sealing grace keeps the buckets open, and the stable ts sort
-        # at seal time restores the table order.
+        # Deliver the hour's rows reversed: a day seals only at its
+        # local midnight, so reordering within an hour is in time, and
+        # the stable ts sort at seal time restores the table order.
         for ts, pair, value in reversed(batch_rows):
             detector.observe(pair, ts, value)
-    assert detector.finalize() == detect(dataset)
-    assert detector.late_dropped == 0
-
-
-def test_delayed_hour_delivery_within_grace():
-    dataset = _synthetic_dataset()
-    detector = StreamingCongestionDetector(
-        dataset.start_ts, dataset_offsets(dataset), lateness_hours=2.0)
-    hours = list(iter_hourly(_rows(dataset), dataset.start_ts,
-                             dataset.end_ts))
-    pending = []
-    for hour_ts, batch_rows in hours:
-        detector.advance(hour_ts)
-        # Rows arrive one hour after their own hour's boundary.
-        for ts, pair, value in pending:
-            detector.observe(pair, ts, value)
-        pending = batch_rows
-    for ts, pair, value in pending:
-        detector.observe(pair, ts, value)
     assert detector.finalize() == detect(dataset)
     assert detector.late_dropped == 0
 
@@ -144,7 +125,7 @@ def test_delayed_hour_delivery_within_grace():
 def test_too_late_observation_is_dropped_and_counted():
     dataset = _synthetic_dataset(days=2)
     detector = StreamingCongestionDetector(
-        dataset.start_ts, dataset_offsets(dataset), lateness_hours=0.0)
+        dataset.start_ts, dataset_offsets(dataset))
     rows = _rows(dataset)
     held_back = rows.pop(5)  # a day-0 sample delivered at campaign end
     for hour_ts, batch_rows in iter_hourly(rows, dataset.start_ts,
@@ -187,13 +168,20 @@ def test_observer_requires_record_payload():
         observer.on_event(event)
 
 
-def test_constructor_validation():
-    offsets = {"srv-1": 0.0}.get
-    with pytest.raises(AnalysisError):
-        StreamingCongestionDetector(0.0, offsets, metric="nope")
-    with pytest.raises(ValidationError):
-        StreamingCongestionDetector(0.0, offsets, lateness_hours=-1.0)
-    with pytest.raises(ValidationError):
-        stream_dataset(_synthetic_dataset(days=1),
-                       StreamingCongestionDetector(0.0, offsets),
-                       lateness_hours=2.0)
+@pytest.mark.parametrize("key,bad", [
+    ("threshold", 0.4), ("metric", "upload"), ("min_samples", 4),
+    ("lateness_s", 7200.0)])
+def test_state_with_another_setting_is_refused(key, bad):
+    """The detector's setting is fixed; a state holding another one is
+    refused, not read with the constant in its place."""
+    dataset = _synthetic_dataset(days=1)
+    detector = StreamingCongestionDetector(
+        dataset.start_ts, dataset_offsets(dataset))
+    for ts, pair, value in _rows(dataset)[:30]:
+        detector.advance(ts)
+        detector.observe(pair, ts, value)
+    state = detector.state_dict()
+    state[key] = bad
+    with pytest.raises(ConfigError, match=key):
+        StreamingCongestionDetector(0.0, dataset_offsets(dataset)) \
+            .load_state(state)
