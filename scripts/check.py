@@ -6,11 +6,13 @@ per-file and cross-file (RPR010/RPR011), once over ``src/repro``.
 The CLI smoke runs one small monitored campaign as ``python -m
 repro.cli campaign ... --format prom`` in a subprocess and requires
 exit 0 and ``ALERTS{`` series in its output.  The numpy
-stream-compat gate (``tests/test_rng.py -k first_uniforms``) checks
-that ``SeedTree.first_uniforms``, which re-implements numpy's
-``SeedSequence`` and PCG64 seeding, still equals ``default_rng``: a
-numpy release that changed either stream fails there by name instead
-of as a golden-digest mismatch.  The batch-equivalence
+stream-compat gate (``tests/test_rng.py -k "first_uniforms or
+chunked_normal"``) checks that ``SeedTree.first_uniforms``, which
+re-implements numpy's ``SeedSequence`` and PCG64 seeding, still equals
+``default_rng``, and that ``Generator.normal`` drawn in chunks equals
+one draw of the same total size, which the lazily grown link noise
+relies on: a numpy release that changed either fails there by name
+instead of as a golden-digest mismatch.  The batch-equivalence
 suite (``tests/test_shard.py``, byte-identical digests and event
 streams with the vectorized path on and off), the provider
 conformance suite (``tests/test_providers.py``, every registered
@@ -91,7 +93,7 @@ def main() -> int:
 
     status = _run("numpy stream-compat gate", [
         sys.executable, "-m", "pytest", "-q", "-x", "tests/test_rng.py",
-        "-k", "first_uniforms"])
+        "-k", "first_uniforms or chunked_normal"])
     if status != 0:
         return status
 

@@ -61,6 +61,8 @@ _CLS_PROVIDER = 3
 
 #: A border link candidate a->b: (record, link, near_pop, far_pop).
 _Candidate = Tuple[InterdomainLink, Link, int, int]
+#: An intra-AS leg: the PoPs after its first one, and its directed links.
+_Leg = Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,8 @@ class Router:
         self._rib_cache: Dict[Tuple[int, GraphMode], Dict[int, Tuple[int, int, int]]] = {}
         # (asn, src_pop) -> {dst_pop: (prev_pop, link_id)}
         self._intra_cache: Dict[Tuple[int, int], Dict[int, Tuple[int, int]]] = {}
+        # (asn, src_pop) -> {dst_pop: reconstructed leg}, see _intra_leg
+        self._leg_cache: Dict[Tuple[int, int], Dict[int, _Leg]] = {}
         # (from_asn, to_asn) -> border candidates, near PoP in from_asn
         self._border_cache: Dict[Tuple[int, int], Tuple[_Candidate, ...]] = {}
         # (from_asn, to_asn, anchor_pop) -> border candidates tied nearest
@@ -296,26 +300,36 @@ class Router:
         self._intra_cache[key] = prev
         return prev
 
-    def _intra_path(self, asn: int, src_pop: int,
-                    dst_pop: int) -> Tuple[List[int], List[Tuple[int, int]]]:
-        """PoP and link sequence from src to dst inside *asn*."""
+    def _intra_leg(self, asn: int, src_pop: int, dst_pop: int) -> _Leg:
+        """PoPs after *src_pop* and links from src to dst inside *asn*.
+
+        Memoized per ``(asn, src_pop, dst_pop)`` next to the Dijkstra
+        table it is read from, and dropped with it.
+        """
+        legs = self._leg_cache.setdefault((asn, src_pop), {})
+        leg = legs.get(dst_pop)
+        if leg is not None:
+            return leg
         if src_pop == dst_pop:
-            return [src_pop], []
+            leg = legs[dst_pop] = ((), ())
+            return leg
         prev = self._intra_table(asn, src_pop)
         if dst_pop not in prev:
             raise NoRouteError(src_pop, dst_pop)
         pops_rev = [dst_pop]
         links_rev: List[Tuple[int, int]] = []
         cursor = dst_pop
-        while cursor != src_pop:
+        while True:
             parent, link_id = prev[cursor]
             link = self._topo.link(link_id)
             links_rev.append((link_id, link.direction_from(parent)))
+            if parent == src_pop:
+                break
             pops_rev.append(parent)
             cursor = parent
-        pops_rev.reverse()
-        links_rev.reverse()
-        return pops_rev, links_rev
+        leg = legs[dst_pop] = (tuple(reversed(pops_rev)),
+                               tuple(reversed(links_rev)))
+        return leg
 
     # ------------------------------------------------------------------
     # interdomain link choice & full expansion
@@ -442,8 +456,8 @@ class Router:
                 anchor = current
             chosen = self._choose_border(here, there, anchor, flow_key)
             record, link, near_pop, far_pop = chosen
-            intra_pops, intra_links = self._intra_path(here, current, near_pop)
-            pops.extend(intra_pops[1:])
+            intra_pops, intra_links = self._intra_leg(here, current, near_pop)
+            pops.extend(intra_pops)
             links.extend(intra_links)
             links.append((link.link_id, link.direction_from(near_pop)))
             pops.append(far_pop)
@@ -451,8 +465,8 @@ class Router:
             current = far_pop
         # Final intra-AS leg to the destination PoP.
         last_asn = as_path[-1]
-        intra_pops, intra_links = self._intra_path(last_asn, current, dst_pop)
-        pops.extend(intra_pops[1:])
+        intra_pops, intra_links = self._intra_leg(last_asn, current, dst_pop)
+        pops.extend(intra_pops)
         links.extend(intra_links)
         return Route(tuple(as_path), tuple(pops), tuple(links),
                      mode=mode, border_crossings=tuple(crossings))
@@ -472,28 +486,29 @@ class Router:
                            mode=mode, flow_id=flow_id)
 
     def invalidate_caches(self) -> None:
-        """Drop all cached RIBs, intra-AS tables and border choices
-        (topology changed)."""
+        """Drop all cached RIBs, intra-AS tables and legs and border
+        choices (topology changed)."""
         self._rib_cache.clear()
         self._intra_cache.clear()
+        self._leg_cache.clear()
         self._border_cache.clear()
         self._ties_cache.clear()
         self._adj_full = self._build_adjacency(GraphMode.FULL)
         self._adj_std = self._build_adjacency(GraphMode.STANDARD)
 
     def invalidate_intra_cache(self, asn: Optional[int] = None) -> None:
-        """Drop intra-AS tables (for *asn* only, when given).
+        """Drop intra-AS tables and legs (for *asn* only, when given).
 
         Needed whenever a host is attached to an existing AS after
         routes were computed - the cached Dijkstra tables predate the
         new leaf.  AS-level RIBs stay valid (hosts don't change BGP).
         """
-        if asn is None:
-            self._intra_cache.clear()
-            return
-        stale = [key for key in self._intra_cache if key[0] == asn]
-        for key in stale:
-            del self._intra_cache[key]
+        for cache in (self._intra_cache, self._leg_cache):
+            if asn is None:
+                cache.clear()
+                continue
+            for key in [key for key in cache if key[0] == asn]:
+                del cache[key]
 
 
 def _better(cand: Tuple[int, int, int], cur: Tuple[int, int, int]) -> bool:

@@ -136,21 +136,32 @@ class DiurnalProfile:
 class UtilizationModel:
     """Per-(link, direction) utilization with reproducible hourly noise.
 
-    Noise is drawn lazily, one array of per-hour deviates per link
-    direction, from a generator seeded by the link's identity - two
-    queries for the same (link, direction, hour) always agree, and the
-    realisation is independent of query order.
+    Each link direction's noise is a sequence of i.i.d. Gaussian hourly
+    deviates drawn from a generator seeded by the link's identity, so
+    two queries for the same (link, direction, hour) always agree and
+    the realisation is independent of query order.  Deviates are drawn
+    lazily, only up to the last hour read (see :meth:`noise_array`).
     """
 
-    #: Number of hourly noise samples kept per (link, direction).  The
-    #: campaign is 153 days = 3672 hours; we keep a year to be safe.
+    #: Wrap length of the hourly noise: hour ``h`` after the origin reads
+    #: deviate ``h % NOISE_HOURS``.  The campaign is 153 days = 3672
+    #: hours; a year keeps every campaign hour distinct.  It bounds what
+    #: a link direction can hold, not what it holds: only the hours read
+    #: so far are drawn.
     NOISE_HOURS = 24 * 366
+    #: Deviates drawn at a link direction's first read; each later
+    #: extension doubles the drawn prefix (capped at :attr:`NOISE_HOURS`).
+    FIRST_DRAW_HOURS = 24
 
     def __init__(self, seeds: SeedTree, origin_ts: float) -> None:
         self._seeds = seeds.child("utilization-noise")
         self._origin = float(origin_ts)
         self._profiles: Dict[Tuple[int, int], DiurnalProfile] = {}
+        # (link, direction) -> drawn noise prefix, and the generator
+        # positioned after it (None for a noiseless profile)
         self._noise: Dict[Tuple[int, int], np.ndarray] = {}
+        self._noise_gens: Dict[Tuple[int, int],
+                               Optional[np.random.Generator]] = {}
         self._default_profile = DiurnalProfile.quiet()
         self._version = 0
 
@@ -174,6 +185,7 @@ class UtilizationModel:
             raise ValidationError(f"direction must be 0 or 1, got {direction}")
         self._profiles[(link_id, direction)] = profile
         self._noise.pop((link_id, direction), None)
+        self._noise_gens.pop((link_id, direction), None)
         self._version += 1
 
     def set_profile_both(self, link_id: int, profile: DiurnalProfile,
@@ -188,28 +200,45 @@ class UtilizationModel:
     def has_profile(self, link_id: int, direction: int) -> bool:
         return (link_id, direction) in self._profiles
 
-    def _noise_array(self, link_id: int, direction: int) -> np.ndarray:
+    def noise_array(self, link_id: int, direction: int,
+                    hours: int) -> np.ndarray:
+        """The drawn per-hour noise of one link direction, at least
+        ``min(hours, NOISE_HOURS)`` deviates long.
+
+        The array is a prefix of the link direction's realisation; entry
+        ``h`` is the deviate of hour ``h`` (mod :attr:`NOISE_HOURS`) and
+        never changes.  A later read past its end draws further into a
+        *new* array, so a caller holding this one must fetch again before
+        indexing past ``len()``.  Exposed (read-only by convention) for
+        the vectorized batch path, which indexes many hours at once;
+        mutating the returned array would desynchronise scalar and batch
+        evaluation.
+        """
         key = (link_id, direction)
         arr = self._noise.get(key)
+        if arr is not None and len(arr) >= hours:
+            return arr
+        sigma = self.profile(link_id, direction).noise_sigma
         if arr is None:
-            # Intentional re-derivation: the noise array is rebuilt from
-            # the same label after remove() so utilization stays stable.
-            gen = self._seeds.generator(f"link-{link_id}-dir-{direction}",
-                                        allow_reuse=True)
-            sigma = self.profile(link_id, direction).noise_sigma
-            arr = gen.normal(0.0, sigma, size=self.NOISE_HOURS) if sigma > 0 \
-                else np.zeros(self.NOISE_HOURS)
-            self._noise[key] = arr
+            # Intentional re-derivation: set_profile() drops the drawn
+            # prefix, and the stream restarts from the same label.
+            arr = np.zeros(0)
+            self._noise_gens[key] = (
+                self._seeds.generator(f"link-{link_id}-dir-{direction}",
+                                      allow_reuse=True)
+                if sigma > 0 else None)
+        size = len(arr) or self.FIRST_DRAW_HOURS
+        while size < hours:
+            size *= 2
+        size = min(size, self.NOISE_HOURS)
+        if size > len(arr):
+            # Chunked draws continue one stream: the prefix equals the
+            # first `size` deviates of one normal(0, sigma, NOISE_HOURS).
+            gen = self._noise_gens[key]
+            more = (gen.normal(0.0, sigma, size=size - len(arr))
+                    if gen is not None else np.zeros(size - len(arr)))
+            arr = self._noise[key] = np.concatenate((arr, more))
         return arr
-
-    def noise_array(self, link_id: int, direction: int) -> np.ndarray:
-        """The full per-hour noise realisation of one link direction.
-
-        Exposed (read-only by convention) for the vectorized batch path,
-        which indexes many hours at once; mutating the returned array
-        would desynchronise scalar and batch evaluation.
-        """
-        return self._noise_array(link_id, direction)
 
     def utilization(self, link_id: int, direction: int, ts: float) -> float:
         """Background utilization fraction at *ts* (can exceed 1.0)."""
@@ -218,8 +247,10 @@ class UtilizationModel:
         if profile.noise_sigma <= 0:
             return mean
         hour_idx = int((ts - self._origin) // HOUR) % self.NOISE_HOURS
-        noise = float(self._noise_array(link_id, direction)[hour_idx])
-        return max(0.0, mean + noise)
+        noise = self._noise.get((link_id, direction))
+        if noise is None or hour_idx >= len(noise):
+            noise = self.noise_array(link_id, direction, hour_idx + 1)
+        return max(0.0, mean + float(noise[hour_idx]))
 
 
 @dataclass

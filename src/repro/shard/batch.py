@@ -19,7 +19,9 @@ evaluates the hour as a handful of array operations through the
   point array; its parameters are one gather from the table, and the
   utilization, residual, loss and queue twins each run once over it.
   Hourly noise is one gather per distinct hour index from the
-  traffic model's own arrays.
+  traffic model's own arrays, which the model draws only up to the
+  last hour read; the planner re-fetches them only when an hour passes
+  the shortest one it holds.
 * **Column-wise route fold** (:func:`fold_routes`). Queue sums and
   survival products accumulate link by link in route order across a
   padded ``[routes x max_len]`` matrix - the scalar left fold, so no
@@ -99,6 +101,8 @@ class BatchPlanner:
         self._keys: List[Tuple[int, int]] = []
         self._noisy_rows: List[int] = []
         self._noise_arrays: List[np.ndarray] = []
+        # Every held noise array covers at least the hours below this.
+        self._noise_hours = UtilizationModel.FIRST_DRAW_HOURS
         self._table: Optional[np.ndarray] = None
         self._link_ids = np.zeros(0, dtype=np.int64)
         self._routes: Dict[int, Tuple[Any, np.ndarray, float, float]] = {}
@@ -245,7 +249,7 @@ class BatchPlanner:
         noise = np.zeros(ts.shape)
         for hour in np.unique(hour_idx).tolist():
             in_hour = hour_idx == hour
-            noise[in_hour] = self._noise_column(hour)[rows[in_hour]]
+            noise[in_hour] = self._noise_column(hour, model)[rows[in_hour]]
         u = np.where(p[:, 7] > 0, np.maximum(0.0, mean + noise), mean)
         if evaluator.flap_hook is not None:
             u = self._apply_flaps(evaluator.flap_hook, rows, ts, u)
@@ -396,8 +400,8 @@ class BatchPlanner:
                        for b in profile.bumps)))
             if profile.noise_sigma > 0:
                 self._noisy_rows.append(row)
-                self._noise_arrays.append(
-                    model.noise_array(link.link_id, direction))
+                self._noise_arrays.append(model.noise_array(
+                    link.link_id, direction, self._noise_hours))
             self._table = None
         return row
 
@@ -414,13 +418,23 @@ class BatchPlanner:
         self._link_ids = np.array([link_id for link_id, _ in self._keys],
                                   dtype=np.int64)
 
-    def _noise_column(self, hour_idx: int) -> np.ndarray:
+    def _noise_column(self, hour_idx: int,
+                      model: UtilizationModel) -> np.ndarray:
         """Every row's hourly noise at *hour_idx* (0.0 for quiet rows),
         gathered from the model's own arrays."""
+        if hour_idx >= self._noise_hours:
+            self._refresh_noise(hour_idx + 1, model)
         column = np.zeros(len(self._params))
         column[self._noisy_rows] = [arr[hour_idx]
                                     for arr in self._noise_arrays]
         return column
+
+    def _refresh_noise(self, hours: int, model: UtilizationModel) -> None:
+        """Re-fetch every noisy row's array, drawn to cover *hours*."""
+        self._noise_arrays = [model.noise_array(*self._keys[row], hours)
+                              for row in self._noisy_rows]
+        self._noise_hours = min(map(len, self._noise_arrays),
+                                default=hours)
 
 
 def fold_routes(queue: np.ndarray, loss: np.ndarray, residual: np.ndarray,

@@ -184,22 +184,17 @@ class Bdrmap:
         Varying the flow ID across traces walks the ECMP hash over
         parallel border links, which is how LAG members are enumerated.
         """
-        from ..errors import NoRouteError
         if targets is None:
             targets = self.probe_targets()
         traces: List[Traceroute] = []
         for probe_ip, dst_pop in targets:
-            for flow_id in flow_ids:
-                # Real ECMP hashes the 5-tuple: destination address and
-                # source port both move the flow across LAG members.
-                wire_flow = (flow_id << 20) ^ (probe_ip & 0xFFFFF)
-                try:
-                    traces.append(self._scamper.trace(
-                        src_pop_id, dst_pop, ts, mode=mode,
-                        first_as_policy=first_as_policy, flow_id=wire_flow,
-                        dst_ip=probe_ip))
-                except NoRouteError:
-                    break
+            # Real ECMP hashes the 5-tuple: destination address and
+            # source port both move the flow across LAG members.
+            low_bits = probe_ip & 0xFFFFF
+            traces += self._scamper.trace_flows(
+                src_pop_id, dst_pop, ts,
+                [(flow_id << 20) ^ low_bits for flow_id in flow_ids],
+                mode=mode, first_as_policy=first_as_policy, dst_ip=probe_ip)
         return traces
 
     # ------------------------------------------------------------------

@@ -12,23 +12,25 @@ parallel links - which is how bdrmap enumerates LAG members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import obs
 from ..netsim.addressing import format_ip
 from ..netsim.linkstate import LinkStateEvaluator
 from ..netsim.routing import GraphMode, Route, Router, TierPolicy
-from ..netsim.topology import Topology
+from ..netsim.topology import Link, Topology
 from ..rng import SeedTree
-from ..errors import ValidationError
+from ..errors import NoRouteError, ValidationError
 
 __all__ = ["Hop", "Traceroute", "Scamper"]
 
 
-@dataclass(frozen=True)
-class Hop:
-    """One traceroute hop.  ``ip`` is None for a non-responding hop."""
+class Hop(NamedTuple):
+    """One traceroute hop.  ``ip`` is None for a non-responding hop.
+
+    A named tuple: a region sweep builds tens of thousands of hops, and
+    a tuple is the cheapest immutable record to construct.
+    """
 
     ttl: int
     ip: Optional[int]
@@ -89,6 +91,21 @@ class Scamper:
         self._eval = evaluator
         self._rng = (seeds or SeedTree(0)).generator("scamper")
         self.no_response_rate = no_response_rate
+        # (link_id, receiving PoP) -> (link, address the hop replies
+        # from).  Links and their interfaces never change once added.
+        self._hop_of: Dict[Tuple[int, int], Tuple[Link, int]] = {}
+
+    def _hop_entry(self, link_id: int, receiver_pop_id: int
+                   ) -> Tuple[Link, int]:
+        """The link and the receiving router's ingress address (its
+        loopback when the link is unnumbered on that side)."""
+        topo = self._topo
+        link = topo.link(link_id)
+        iface = link.interface_at(receiver_pop_id)
+        ip = (iface.ip if iface is not None
+              else topo.pop(receiver_pop_id).loopback_ip)
+        entry = self._hop_of[(link_id, receiver_pop_id)] = (link, ip)
+        return entry
 
     # ------------------------------------------------------------------
 
@@ -109,23 +126,26 @@ class Scamper:
         hops: List[Hop] = []
         cumulative_oneway = 0.0
         reached_target = False
-        for idx, (link_id, direction) in enumerate(route.links):
-            link = topo.link(link_id)
-            receiver_pop_id = route.pops[idx + 1]
-            iface = link.interface_at(receiver_pop_id)
-            ip = iface.ip if iface is not None else topo.pop(receiver_pop_id).loopback_ip
+        hop_of = self._hop_of
+        observe = self._eval.observe if self._eval is not None else None
+        rng = self._rng
+        no_response_rate = self.no_response_rate
+        receivers = route.pops
+        for ttl, (link_id, direction) in enumerate(route.links, 1):
+            entry = hop_of.get((link_id, receivers[ttl]))
+            if entry is None:
+                entry = self._hop_entry(link_id, receivers[ttl])
+            link, ip = entry
             cumulative_oneway += link.delay_ms
-            if self._eval is not None:
-                link_state = self._eval.observe(link, direction, ts)
-                cumulative_oneway += link_state.queue_delay_ms
+            if observe is not None:
+                cumulative_oneway += observe(link, direction, ts).queue_delay_ms
             # The destination itself always answers; routers may not.
             is_target = ip == target_ip
-            responds = is_target or self._rng.random() >= self.no_response_rate
-            if responds:
-                rtt = 2.0 * cumulative_oneway + float(self._rng.exponential(0.4))
-                hops.append(Hop(idx + 1, ip, rtt))
+            if is_target or rng.random() >= no_response_rate:
+                rtt = 2.0 * cumulative_oneway + float(rng.exponential(0.4))
+                hops.append(Hop(ttl, ip, rtt))
             else:
-                hops.append(Hop(idx + 1, None, None))
+                hops.append(Hop(ttl, None, None))
             reached_target = reached_target or is_target
         if not reached_target:
             # The probed address lives behind the final router (a host
@@ -157,6 +177,35 @@ class Scamper:
                                    last_as_policy=last_as_policy,
                                    flow_id=flow_id)
         return self.trace_route(route, ts, dst_ip=dst_ip, flow_id=flow_id)
+
+    def trace_flows(self, src_pop_id: int, dst_pop_id: int, ts: float,
+                    flow_ids: Sequence[int],
+                    mode: GraphMode = GraphMode.FULL,
+                    first_as_policy: TierPolicy = TierPolicy.HOT_POTATO,
+                    last_as_policy: TierPolicy = TierPolicy.HOT_POTATO,
+                    dst_ip: Optional[int] = None) -> List[Traceroute]:
+        """:meth:`trace` once per flow ID, in order, over one AS path.
+
+        The AS path does not depend on the flow, so it is computed once.
+        Tracing stops at the first flow without a route: at once when
+        policy leaves the destination AS unreachable.
+        """
+        router = self._router
+        topo = self._topo
+        traces: List[Traceroute] = []
+        try:
+            as_path = router.as_path(topo.pop(src_pop_id).asn,
+                                     topo.pop(dst_pop_id).asn, mode)
+            for flow_id in flow_ids:
+                route = router.expand(as_path, src_pop_id, dst_pop_id,
+                                      first_as_policy=first_as_policy,
+                                      last_as_policy=last_as_policy,
+                                      mode=mode, flow_id=flow_id)
+                traces.append(self.trace_route(route, ts, dst_ip=dst_ip,
+                                               flow_id=flow_id))
+        except NoRouteError:
+            pass
+        return traces
 
     def trace_to_ip(self, src_pop_id: int, dst_ip: int, ts: float,
                     mode: GraphMode = GraphMode.FULL,

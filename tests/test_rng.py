@@ -146,3 +146,23 @@ def test_first_uniforms_empty_and_bad_labels():
     assert tree.first_uniforms([]).shape == (0,)
     with pytest.raises(ValidationError):
         tree.first_uniforms(["ok", ""])
+
+
+# ----------------------------------------------------------------------
+# chunked normal draws: the numpy property lazily grown noise rests on
+#
+# UtilizationModel draws each link direction's hourly noise as a growing
+# prefix of one stream.  That is byte-identical to one full-size draw
+# only while numpy's Generator.normal keeps no state between calls
+# (scripts/check.py runs this with the first_uniforms cases).
+
+
+@pytest.mark.parametrize("sizes", [[24, 24, 48, 96, 192], [1, 2, 3, 997],
+                                   [8784]])
+def test_chunked_normal_matches_one_draw(sizes):
+    tree = SeedTree(7).child("utilization-noise")
+    one = tree.generator("link-3-dir-1").normal(0.0, 0.035, sum(sizes))
+    gen = tree.generator("link-3-dir-1", allow_reuse=True)
+    chunks = np.concatenate([gen.normal(0.0, 0.035, size=n)
+                             for n in sizes])
+    assert np.array_equal(chunks.view(np.uint64), one.view(np.uint64))

@@ -8,6 +8,8 @@ from repro.core.selection.differential import (
     LatencyClass,
 )
 from repro.errors import SelectionError
+from repro.experiments.scenario import build_scenario
+from repro.netsim.traffic import UtilizationModel
 from repro.simclock import CAMPAIGN_START
 from repro.tools.speedchecker import TupleMedian
 
@@ -83,6 +85,21 @@ def test_shared_interconnection_fraction(topo_selection):
 def _median(city, asn, region, tier, rtt, n=150):
     return TupleMedian(asn=asn, city_key=city, region=region, tier=tier,
                        median_rtt_ms=rtt, n_samples=n)
+
+
+def test_selection_draws_noise_only_up_to_the_hour_it_reads():
+    """The pilot scan probes at one instant, hour 0 of the noise, so no
+    link direction may hold more deviates than the larger of one day
+    and twice the hours read: drawing a year per link would fail."""
+    scenario = build_scenario(seed=11, scale=0.05)
+    clasp = scenario.clasp
+    clasp.select_topology_servers("us-west1")
+    model = clasp.platform.evaluator.utilization_model
+    held = [len(noise) for noise in model._noise.values()]
+    hours_read = 1
+    assert len(held) > 100
+    assert max(held) <= max(UtilizationModel.FIRST_DRAW_HOURS,
+                            2 * hours_read)
 
 
 def test_classify_thresholds(small_scenario):

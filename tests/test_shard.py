@@ -22,6 +22,7 @@ test for the batch planner's refuse-to-desync strictness.
 """
 
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -39,13 +40,13 @@ from repro.faults import FaultPlan
 from repro.netsim.linkstate import LinkStateEvaluator
 from repro.netsim.tcp import multiflow_throughput_mbps, pftk_throughput_mbps
 from repro.netsim.topology import LinkKind
-from repro.netsim.traffic import DiurnalProfile
+from repro.netsim.traffic import DiurnalProfile, UtilizationModel
 from repro.shard import (BatchLaneExecutor, batch_flows_for_rtt,
                          batch_loss_rate, batch_mean_utilization_grid,
                          batch_multiflow_throughput_mbps,
                          batch_pftk_throughput_mbps, batch_queue_delay_ms,
                          batch_residual_mbps, batch_weekend_mask)
-from repro.shard.batch import fold_routes
+from repro.shard.batch import BatchPlanner, fold_routes
 from repro.simclock import CAMPAIGN_START, is_weekend
 from repro.speedtest.protocol import SpeedTestConfig
 from repro.units import DAY, HOUR
@@ -74,13 +75,13 @@ def _assert_same_streams(collectors):
         assert collector.events == collectors[0].events
 
 
-def _golden_campaign(faults, batch, observers=()):
+def _golden_campaign(faults, batch, observers=(), days=DAYS):
     scenario = build_scenario(seed=SEED, scale=SCALE, faults=faults)
     clasp = scenario.clasp
     selection = clasp.select_topology_servers(REGION)
     plan = clasp.deploy_topology(REGION, selection,
                                  budget_servers=BUDGET_SERVERS)
-    return clasp.run_campaign([plan], days=DAYS, observers=observers,
+    return clasp.run_campaign([plan], days=days, observers=observers,
                               batch=batch)
 
 
@@ -124,6 +125,32 @@ def test_batch_run_with_obs_enabled_matches_golden():
             2 * dataset.completed_tests
     finally:
         obs.disable()
+
+
+def test_batch_run_across_noise_growth_matches_scalar(monkeypatch):
+    """Link noise is drawn one day first, then doubled (24 -> 48 -> 96
+    hours): a 3-day batch run crosses both growths, and the planner
+    re-fetches its noise arrays once per growth, never per hour."""
+    refetches = []
+    refresh = BatchPlanner._refresh_noise
+
+    def counting(self, hours, model):
+        refetches.append(hours)
+        refresh(self, hours, model)
+
+    monkeypatch.setattr(BatchPlanner, "_refresh_noise", counting)
+    days = 3
+    scalar, batch = _StreamCollector(), _StreamCollector()
+    scalar_digest = dataset_digest(
+        _golden_campaign(None, False, observers=[scalar], days=days))
+    assert not refetches
+    batch_digest = dataset_digest(
+        _golden_campaign(None, True, observers=[batch], days=days))
+    assert batch_digest == scalar_digest
+    assert batch.events == scalar.events
+    hours = days * 24
+    assert max(refetches) > 2 * UtilizationModel.FIRST_DRAW_HOURS
+    assert len(refetches) <= math.log2(hours)
 
 
 # ----------------------------------------------------------------------

@@ -140,3 +140,79 @@ def test_traffic_config_validation():
     with pytest.raises(ValueError):
         TrafficConfig(daytime_congestion_share=-0.1)
     TrafficConfig()  # defaults valid
+
+
+# ----------------------------------------------------------------------
+# lazily grown noise: byte-identical to one full-length draw
+
+
+def _one_shot_noise(seed, link_id, direction, sigma):
+    """The year of deviates one ``normal(0, sigma, NOISE_HOURS)`` call
+    draws from the link direction's stream."""
+    gen = SeedTree(seed).child("utilization-noise").generator(
+        f"link-{link_id}-dir-{direction}")
+    return gen.normal(0.0, sigma, UtilizationModel.NOISE_HOURS)
+
+
+def _assert_prefix(held, want):
+    assert np.array_equal(held.view(np.uint64),
+                          want[:len(held)].view(np.uint64))
+
+
+def _assert_reads(model, link_id, direction, hours, want):
+    """utilization() at each hour is max(0, mean + want[hour mod wrap]),
+    bit for bit."""
+    profile = model.profile(link_id, direction)
+    for hour in hours:
+        ts = CAMPAIGN_START + hour * HOUR
+        expect = max(0.0, profile.mean_utilization(ts)
+                     + float(want[hour % UtilizationModel.NOISE_HOURS]))
+        got = model.utilization(link_id, direction, ts)
+        assert np.float64(got).view(np.uint64) == \
+            np.float64(expect).view(np.uint64)
+
+
+def test_lazy_noise_read_out_of_order_matches_one_draw():
+    model = UtilizationModel(SeedTree(5), CAMPAIGN_START)
+    model.set_profile_both(7, DiurnalProfile(base=0.3, noise_sigma=0.05))
+    forward = _one_shot_noise(5, 7, 0, 0.05)
+    _assert_reads(model, 7, 0, [5000, 3], forward)
+    held = model.noise_array(7, 0, 1)
+    assert 5000 < len(held) <= 2 * 5001
+    _assert_prefix(held, forward)
+
+    reverse = _one_shot_noise(5, 7, 1, 0.05)
+    _assert_reads(model, 7, 1, [0], reverse)
+    assert len(model.noise_array(7, 1, 1)) == \
+        UtilizationModel.FIRST_DRAW_HOURS
+    last = UtilizationModel.NOISE_HOURS - 1
+    _assert_reads(model, 7, 1, [last], reverse)
+    held = model.noise_array(7, 1, 1)
+    assert np.array_equal(held.view(np.uint64), reverse.view(np.uint64))
+
+
+def test_lazy_noise_wraps_at_noise_hours():
+    model = UtilizationModel(SeedTree(5), CAMPAIGN_START)
+    model.set_profile(7, 0, DiurnalProfile(base=0.3, noise_sigma=0.05))
+    want = _one_shot_noise(5, 7, 0, 0.05)
+    wrap = UtilizationModel.NOISE_HOURS
+    _assert_reads(model, 7, 0, [wrap + 5, 2 * wrap + 20, 5], want)
+    # Reads past the wrap index the start of the stream: nothing beyond
+    # the first day is drawn.
+    held = model.noise_array(7, 0, 1)
+    assert len(held) == UtilizationModel.FIRST_DRAW_HOURS
+    _assert_prefix(held, want)
+    # No request draws past the wrap length.
+    assert len(model.noise_array(7, 0, 10 * wrap)) == wrap
+
+
+def test_set_profile_after_partial_draw_restarts_the_stream():
+    model = UtilizationModel(SeedTree(5), CAMPAIGN_START)
+    model.set_profile(7, 0, DiurnalProfile(base=0.3, noise_sigma=0.05))
+    _assert_reads(model, 7, 0, [30], _one_shot_noise(5, 7, 0, 0.05))
+    assert len(model.noise_array(7, 0, 1)) == \
+        2 * UtilizationModel.FIRST_DRAW_HOURS
+    model.set_profile(7, 0, DiurnalProfile(base=0.3, noise_sigma=0.08))
+    want = _one_shot_noise(5, 7, 0, 0.08)
+    _assert_reads(model, 7, 0, [2, 30, 100], want)
+    _assert_prefix(model.noise_array(7, 0, 1), want)
