@@ -12,9 +12,8 @@ Subcommands:
   - ``--faults`` - the deterministic fault-injection plan;
   - ``--batch`` - vectorize each hour's tests (byte-identical dataset);
   - ``--provider`` picks the cloud (gcp is the default and reproduces
-    the paper), ``--providers A,B`` adds more clouds to the fleet, and
-    ``--matrix`` runs the cross-cloud VM-pair matrix plus the
-    provider-choice analysis instead of a campaign;
+    the paper) and ``--providers A,B`` grows more clouds' WANs into the
+    world (which changes the dataset);
   - ``--export DIR``, ``--trace PATH`` (the engine event stream as
     JSON lines) and ``--metrics`` (event and billing totals);
   - ``--profile DIR`` - run with :mod:`repro.obs` enabled and write a
@@ -32,8 +31,10 @@ Subcommands:
   notification log) or ``prom`` (collector metrics + ``ALERTS``
   series).
 * ``experiment <id>`` - run one paper experiment (``table1``, ``fig2``
-  ... ``fig8``) and print its rendered block; ``--profile DIR`` as
-  above.
+  ... ``fig8``) over a ``--days``-long campaign and print its rendered
+  block, or ``matrix``: the cross-cloud VM-pair matrix plus the
+  provider-choice analysis over every registered provider;
+  ``--profile DIR`` as above.
 * ``world`` - generate a scenario and print its inventory.
 * ``cost`` - estimate the cloud bill for a campaign shape.
 * ``lint`` - run the :mod:`repro.lint` invariant checker (determinism,
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment",
                            help="run one paper table/figure experiment")
-    p_exp.add_argument("id", choices=EXPERIMENTS)
+    p_exp.add_argument("id", choices=EXPERIMENTS + ("matrix",))
     profile_opt(p_exp)
     common(p_exp)
 
@@ -115,12 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(gcp | aws | openstack); gcp reproduces "
                              "the paper's digests byte-for-byte")
     p_camp.add_argument("--providers", metavar="A,B",
-                        help="comma-separated extra providers to add "
-                             "to the fleet for cross-cloud workloads")
-    p_camp.add_argument("--matrix", action="store_true",
-                        help="skip the campaign; run the cross-cloud "
-                             "VM-pair matrix and the provider-choice "
-                             "analysis over the fleet instead")
+                        help="comma-separated extra providers whose "
+                             "WANs are grown into the world")
     p_camp.add_argument("--runs", type=int, default=1,
                         help="successive campaigns replayed into one "
                              "collector, each starting where the last "
@@ -187,16 +184,50 @@ def _profiled(profile_dir: Optional[str]) -> Iterator[None]:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    if args.id == "matrix":
+        with _profiled(args.profile):
+            return _matrix(args)
     import os
-    os.environ.setdefault("REPRO_SEED", str(args.seed))
-    os.environ.setdefault("REPRO_SCALE", str(args.scale))
-    os.environ.setdefault("REPRO_DAYS", str(args.days))
+
     from repro import experiments
-    from repro.experiments import shared_scenario
+    from repro.experiments.runner import ExperimentCache
+
     module = getattr(experiments, args.id)
-    with _profiled(args.profile):
-        cache = shared_scenario(seed=args.seed, scale=args.scale)
-        print(module.render(module.run(cache)))
+    # The shared campaigns read their length from REPRO_DAYS: --days
+    # overrides it for this run only, and the caller's value (or its
+    # absence) is restored afterwards.
+    saved = os.environ.get("REPRO_DAYS")
+    os.environ["REPRO_DAYS"] = str(args.days)
+    try:
+        with _profiled(args.profile):
+            cache = ExperimentCache(args.seed, args.scale)
+            print(module.render(module.run(cache)))
+    finally:
+        if saved is None:
+            del os.environ["REPRO_DAYS"]
+        else:
+            os.environ["REPRO_DAYS"] = saved
+    return 0
+
+
+def _matrix(args: argparse.Namespace) -> int:
+    from repro.cloud.providers import PROVIDERS
+    from repro.core.crosscloud import provider_choice, run_matrix
+    from repro.experiments import build_scenario
+    from repro.report.crosscloud import (render_matrix,
+                                         render_provider_choice)
+
+    scenario = build_scenario(seed=args.seed, scale=args.scale,
+                              providers=tuple(PROVIDERS))
+    fleet = scenario.fleet
+    print(render_matrix(run_matrix(fleet)))
+    primary, *others = fleet.names()
+    for other in others:
+        choice = provider_choice(fleet, scenario.catalog,
+                                 scenario.clasp.prefix2as,
+                                 primary, other, seed=args.seed)
+        print()
+        print(render_provider_choice(choice))
     return 0
 
 
@@ -326,8 +357,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                               notifications_to_jsonlines)
     from repro.obs.exporters import metrics_to_prometheus
 
-    if args.matrix:
-        return _cmd_matrix(args)
     run = _run(args)
     collector = run.collector
     report = None
@@ -416,33 +445,6 @@ def _print_summary(args: argparse.Namespace, run: _Run, report) -> None:
     if args.export:
         manifest = export_dataset(dataset, args.export)
         print(f"exported to {manifest.parent}")
-
-
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    from repro.core.crosscloud import provider_choice, run_matrix
-    from repro.experiments import build_scenario
-    from repro.report.crosscloud import (render_matrix,
-                                         render_provider_choice)
-
-    scenario = build_scenario(
-        seed=args.seed, scale=args.scale, provider=args.provider,
-        providers=_parse_extra_providers(args.providers))
-    fleet = scenario.fleet
-    if len(fleet) < 2:
-        print("--matrix needs at least two providers; add some with "
-              "--providers, e.g. --providers aws,openstack",
-              file=sys.stderr)
-        return 2
-    matrix = run_matrix(fleet)
-    print(render_matrix(matrix))
-    primary = fleet.names()[0]
-    for other in fleet.names()[1:]:
-        choice = provider_choice(fleet, scenario.catalog,
-                                 scenario.clasp.prefix2as,
-                                 primary, other, seed=args.seed)
-        print()
-        print(render_provider_choice(choice))
-    return 0
 
 
 def _cmd_world(args: argparse.Namespace) -> int:

@@ -20,16 +20,8 @@ class AwsTier(enum.Enum):
     STANDARD = "standard"
     ACCELERATED = "accelerated"
 
-    @property
-    def egress_price_tier(self) -> str:
-        return self.value
-
 
 class OpenStackTier(enum.Enum):
     """A private cloud has exactly one network: the datacenter fabric."""
 
     INTERNAL = "internal"
-
-    @property
-    def egress_price_tier(self) -> str:
-        return self.value

@@ -38,8 +38,3 @@ class NetworkTier(enum.Enum):
 
     PREMIUM = "premium"
     STANDARD = "standard"
-
-    @property
-    def egress_price_tier(self) -> str:
-        """Billing bucket name used by :class:`~repro.cloud.billing.PriceBook`."""
-        return self.value

@@ -38,7 +38,7 @@ from .engine import (LintResult, ModuleContext, lint_sources, lint_text,
                      run)
 from .findings import Finding
 from .index import FileFacts, ProjectIndex, extract_facts
-from .rules import LAYERS, Rule, all_rules, get_rule
+from .rules import LAYERS, RULES, Rule, all_rules, get_rule
 
 __all__ = [
     "Finding",
@@ -48,6 +48,7 @@ __all__ = [
     "ProjectIndex",
     "Rule",
     "LAYERS",
+    "RULES",
     "all_rules",
     "extract_facts",
     "get_rule",

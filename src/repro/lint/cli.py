@@ -1,19 +1,18 @@
 """Command line for the invariant checker.
 
-``python -m repro.lint [paths] [--select CODES] [--root DIR]
-[--list-rules] [-q]``
+``python -m repro.lint [paths] [--select CODES] [--list-rules]``
 
 Exit status is 0 when every finding is suppressed, 1 when actionable
 findings remain, 2 on usage errors (nonexistent target, a target with
 no Python files, unknown rule code), so the command slots directly
-into CI.  Every run lints from scratch and writes no file.
+into CI.  Finding paths are relative to the current directory.  Every
+run lints from scratch and writes no file.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from ..errors import ReproError
@@ -33,19 +32,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--select", metavar="CODES",
                         help="comma-separated rule codes to run "
                              "(default: all)")
-    parser.add_argument("--root", metavar="DIR", type=Path,
-                        help="directory findings paths are relative to "
-                             "(default: current directory)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    parser.add_argument("-q", "--quiet", action="store_true",
-                        help="suppress per-finding output; summary only")
     return parser
 
 
 def _print_rules() -> None:
     for rule in all_rules():
-        scope = " (cross-file)" if rule.scope == "project" else ""
+        scope = " (cross-file)" if rule.cross_file else ""
         print(f"{rule.code}  {rule.name}{scope}")
         print(f"        {rule.summary}")
 
@@ -59,18 +53,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     select = ([code.strip() for code in args.select.split(",") if code.strip()]
               if args.select else None)
     try:
-        result = run(args.paths, select=select, root=args.root)
+        result = run(args.paths, select=select)
     except (ReproError, OSError) as exc:
         print(f"repro.lint: error: {exc}", file=sys.stderr)
         return 2
 
-    if not args.quiet:
-        for finding in result.findings:
-            print(finding.format())
+    for finding in result.findings:
+        print(finding.format())
     status = "clean" if result.ok else f"{len(result.findings)} finding(s)"
     print(f"repro.lint: {status} in {result.files_checked} file(s)")
     return 0 if result.ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())

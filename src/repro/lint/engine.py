@@ -3,12 +3,12 @@
 The pipeline is two-phase.  Per file::
 
     read -> parse (RPR000 on SyntaxError) -> walk the tree once
-         -> run single-file rules -> drop `# repro: noqa` suppressed
-         -> extract FileFacts for the project index
+         -> extract FileFacts (incl. the `# repro: noqa` map)
+         -> run single-file checks -> drop suppressed
 
 then once per run::
 
-    ProjectIndex(all facts) -> cross-file rules (RPR010, RPR011)
+    ProjectIndex(all facts) -> cross-file checks (RPR010, RPR011)
          -> drop suppressed
 
 :func:`run` is the single entry point used by both the CLI and the CI
@@ -28,49 +28,19 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import repro.obs as obs
 
 from ..errors import ConfigError
 from .findings import Finding
-from .index import FileFacts, ProjectIndex, extract_facts
-from .noqa import NoqaDirectives
-from .rules import (SCOPE_FILE, SCOPE_PROJECT, Rule, _import_aliases,
-                    all_rules, get_rule)
-
-# Importing xrules registers RPR010 and RPR011 with the shared registry.
-from . import xrules  # noqa: F401  (import-for-side-effect)
+from .index import FileFacts, ModuleContext, ProjectIndex, extract_facts
+from .noqa import is_suppressed
+from .rules import Rule, all_rules, get_rule
 
 __all__ = ["LintResult", "ModuleContext", "iter_python_files",
            "lint_sources", "lint_text", "module_name_for", "run"]
-
-
-@dataclass(frozen=True)
-class ModuleContext:
-    """Everything a rule needs to know about one parsed module.
-
-    ``nodes`` and ``aliases`` are derived from ``tree`` once, at
-    construction, so every rule and the fact extractor share one walk.
-    """
-
-    path: str                     #: display path (posix, repo-relative)
-    module: Optional[str]         #: dotted module name, e.g. ``repro.netsim.tcp``
-    tree: ast.AST                 #: parsed AST of the file
-    lines: Sequence[str]          #: raw source lines (1-indexed via ``lines[i-1]``)
-    is_package: bool = False      #: True for ``__init__.py`` files
-    #: Every node of ``tree`` in :func:`ast.walk` order.
-    nodes: Tuple[ast.AST, ...] = field(init=False, repr=False,
-                                       compare=False)
-    #: Import alias map: local name -> canonical dotted path.
-    aliases: Mapping[str, str] = field(init=False, repr=False,
-                                       compare=False)
-
-    def __post_init__(self) -> None:
-        nodes = tuple(ast.walk(self.tree))
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "aliases", _import_aliases(nodes))
 
 
 @dataclass
@@ -79,7 +49,7 @@ class LintResult:
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
-    #: The whole-program index (None when no project rule ran).
+    #: The whole-program index the cross-file rules read.
     index: Optional[ProjectIndex] = None
 
     @property
@@ -121,53 +91,54 @@ def iter_python_files(paths: Iterable["Path | str"]) -> Iterator[Path]:
                               f"nor a directory")
 
 
-def _split_rules(select: Optional[Sequence[str]]
-                 ) -> Tuple[List[Rule], List[Rule]]:
-    rules = [get_rule(code) for code in select] if select else all_rules()
-    return ([r for r in rules if r.scope == SCOPE_FILE],
-            [r for r in rules if r.scope == SCOPE_PROJECT])
+#: One module to lint: (display path, dotted module, is_package, source).
+_Entry = Tuple[str, Optional[str], bool, str]
 
 
-def _lint_module(path: str, module: Optional[str], source: str,
-                 is_package: bool, file_rules: Sequence[Rule]
-                 ) -> Tuple[List[Finding], FileFacts]:
-    """Single-file findings (noqa-filtered) plus extracted facts."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        finding = Finding(path, exc.lineno or 1, "RPR000",
-                          f"could not parse: {exc.msg}")
-        return [finding], FileFacts(path=path, module=module)
-    ctx = ModuleContext(path=path, module=module, tree=tree,
-                        lines=source.splitlines(), is_package=is_package)
+def _rules(select: Optional[Sequence[str]]) -> List[Rule]:
+    return [get_rule(code) for code in select] if select else all_rules()
+
+
+def _lint(entries: Iterable[_Entry], rules: Sequence[Rule]
+          ) -> Tuple[List[Finding], ProjectIndex]:
+    """Lint every entry, then the project they form; findings sorted.
+
+    Each rule's checks run once (a check shared by several rules runs
+    once for all of them), and only findings of one of *rules*' codes -
+    or RPR000, which is never filtered - are kept.
+    """
+    codes = {rule.code for rule in rules} | {"RPR000"}
+    file_checks = list(dict.fromkeys(
+        check for rule in rules if not rule.cross_file
+        for check in rule.checks))
+    project_checks = list(dict.fromkeys(
+        check for rule in rules if rule.cross_file for check in rule.checks))
+
     findings: List[Finding] = []
-    for rule in file_rules:
-        findings.extend(rule.func(ctx))
-    noqa = NoqaDirectives(list(ctx.lines))
-    if len(noqa):
-        findings = [f for f in findings
-                    if not noqa.is_suppressed(f.line, f.code)]
-    return findings, extract_facts(ctx, noqa_map=noqa.as_map())
+    all_facts: List[FileFacts] = []
+    for path, module, is_package, source in entries:
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
+            findings.append(Finding(path, exc.lineno or 1, "RPR000",
+                                    f"could not parse: {exc.msg}"))
+            all_facts.append(FileFacts(path=path, module=module))
+            continue
+        ctx = ModuleContext(path=path, module=module, tree=tree,
+                            lines=source.splitlines(), is_package=is_package)
+        facts = extract_facts(ctx)
+        all_facts.append(facts)
+        findings.extend(
+            finding for check in file_checks for finding in check(ctx)
+            if finding.code in codes and not is_suppressed(facts.noqa, finding))
 
-
-def _project_findings(facts: Sequence[FileFacts],
-                      project_rules: Sequence[Rule]
-                      ) -> Tuple[List[Finding], Optional[ProjectIndex]]:
-    """Run cross-file rules once, honoring per-file noqa directives."""
-    if not project_rules:
-        return [], None
-    index = ProjectIndex(facts)
-    noqa_by_path: Dict[str, Mapping[int, Sequence[str]]] = {
-        f.path: f.noqa for f in facts}
-    findings: List[Finding] = []
-    for rule in project_rules:
-        for finding in rule.func(index):
-            suppressed = noqa_by_path.get(finding.path, {}).get(
-                finding.line, ())
-            if "*" in suppressed or finding.code in suppressed:
-                continue
-            findings.append(finding)
-    return findings, index
+    index = ProjectIndex(all_facts)
+    noqa_by_path = {facts.path: facts.noqa for facts in all_facts}
+    findings.extend(
+        finding for check in project_checks for finding in check(index)
+        if finding.code in codes
+        and not is_suppressed(noqa_by_path.get(finding.path, {}), finding))
+    return sorted(findings), index
 
 
 def lint_text(source: str, path: str = "<snippet>",
@@ -179,46 +150,30 @@ def lint_text(source: str, path: str = "<snippet>",
     Cross-file rules run too, over a one-module project index, so
     single-file fixtures can exercise RPR010/RPR011 as well.
     """
-    return lint_sources({path: source}, select=select,
-                        modules={path: module},
-                        packages={path} if is_package else ())
+    is_package = is_package or path.endswith("__init__.py")
+    return _lint([(path, module, is_package, source)], _rules(select))[0]
 
 
 def lint_sources(sources: Mapping[str, str],
-                 select: Optional[Sequence[str]] = None,
-                 modules: Optional[Mapping[str, Optional[str]]] = None,
-                 packages: Iterable[str] = ()) -> List[Finding]:
+                 select: Optional[Sequence[str]] = None) -> List[Finding]:
     """Lint a ``{path: source}`` mapping as one miniature project.
 
-    Module names are taken from *modules* when given, else derived from
-    the path (anchored at a ``repro`` component, mirroring
-    :func:`module_name_for`), so cross-file fixtures like
+    Module names are derived from the path by :func:`module_name_for`,
+    so cross-file fixtures like
     ``{"src/repro/core/a.py": ..., "src/repro/core/b.py": ...}``
     behave exactly like the real tree.
     """
-    file_rules, project_rules = _split_rules(select)
-    packages = set(packages)
-    findings: List[Finding] = []
-    all_facts: List[FileFacts] = []
-    for path in sorted(sources):
-        module = (modules or {}).get(path, module_name_for(Path(path)))
-        is_package = path in packages or path.endswith("__init__.py")
-        file_findings, facts = _lint_module(path, module, sources[path],
-                                            is_package, file_rules)
-        findings.extend(file_findings)
-        all_facts.append(facts)
-    project, _index = _project_findings(all_facts, project_rules)
-    return sorted(findings + project)
+    rules = _rules(select)
+    return _lint([(path, module_name_for(Path(path)),
+                   path.endswith("__init__.py"), sources[path])
+                  for path in sorted(sources)], rules)[0]
 
 
-def _display_path(path: Path, root: Optional[Path]) -> str:
-    resolved = path.resolve()
-    if root is not None:
-        try:
-            return str(PurePosixPath(resolved.relative_to(root.resolve())))
-        except ValueError:
-            pass
-    return str(PurePosixPath(path))
+def _display_path(path: Path, root: Path) -> str:
+    try:
+        return str(PurePosixPath(path.resolve().relative_to(root.resolve())))
+    except ValueError:
+        return str(PurePosixPath(path))
 
 
 def run(paths: Iterable["Path | str"],
@@ -226,7 +181,7 @@ def run(paths: Iterable["Path | str"],
         root: "Path | str | None" = None) -> LintResult:
     """Lint *paths*; findings paths are relative to *root* (default: cwd)."""
     anchor = Path(root) if root is not None else Path.cwd()
-    file_rules, project_rules = _split_rules(select)
+    rules = _rules(select)
     files = list(iter_python_files(paths))
     if not files:
         raise ConfigError(
@@ -236,18 +191,10 @@ def run(paths: Iterable["Path | str"],
 
     result = LintResult(files_checked=len(files))
     with obs.span("lint.run", layer="lint", files=len(files)):
-        all_facts: List[FileFacts] = []
-        for file_path in files:
-            file_findings, facts = _lint_module(
-                _display_path(file_path, anchor), module_name_for(file_path),
-                file_path.read_text(encoding="utf-8"),
-                file_path.name == "__init__.py", file_rules)
-            result.findings.extend(file_findings)
-            all_facts.append(facts)
-        project, result.index = _project_findings(all_facts, project_rules)
-        result.findings.extend(project)
-        result.findings.sort()
-
+        result.findings, result.index = _lint(
+            ((_display_path(path, anchor), module_name_for(path),
+              path.name == "__init__.py", path.read_text(encoding="utf-8"))
+             for path in files), rules)
         obs.inc("lint.files.scanned", result.files_checked)
         for finding in result.findings:
             obs.inc(f"lint.findings.{finding.code}")

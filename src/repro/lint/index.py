@@ -1,4 +1,4 @@
-"""Whole-program project index for cross-file lint rules.
+"""Per-file facts and the whole-program project index.
 
 The per-file rules in :mod:`repro.lint.rules` see one module at a time,
 which is blind to two hazards for bit-for-bit determinism: iterating a
@@ -8,40 +8,45 @@ closes that gap in two stages:
 
 1. :func:`extract_facts` distils one parsed module into a
    :class:`FileFacts` record - imports, module-level bindings, mutation
-   sites, set-iteration sites and seed-label call sites.
+   sites, set-iteration sites, seed-label call sites and the file's
+   ``# repro: noqa`` map.
 2. :class:`ProjectIndex` stitches the facts of every file into the
    whole-program view: the internal module graph (with cycle detection;
    ``if TYPE_CHECKING:`` imports are excluded) and a symbol table
    resolving imported names back to their defining module.
 
-Cross-file rules (``RPR010`` and ``RPR011`` in :mod:`repro.lint.xrules`)
-consume only the index, never raw ASTs.
+It also holds :class:`ModuleContext` and the import helpers the
+per-file rules share.  The cross-file rules (``RPR010`` and ``RPR011``
+in :mod:`repro.lint.rules`) consume only the index, never raw ASTs.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping,
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Set, Tuple)
 
-from .rules import _dotted_name as _dotted
-from .rules import _imported_modules, _resolve_relative
-
-if TYPE_CHECKING:  # pragma: no cover - engine imports index at runtime
-    from .engine import ModuleContext
+from .noqa import noqa_map
 
 __all__ = [
     "FileFacts",
     "IterationSite",
     "LabelSite",
+    "ModuleContext",
     "ProjectIndex",
-    "SymbolBinding",
     "extract_facts",
 ]
 
 #: Constructor calls / literals whose result is an (unordered) set.
 _SET_CALLS = frozenset({"set", "frozenset"})
+
+#: Constructor calls whose result is a dict.
+_DICT_CALLS = frozenset({
+    "dict", "collections.defaultdict", "defaultdict",
+    "collections.OrderedDict", "OrderedDict", "collections.Counter",
+    "Counter",
+})
 
 #: Method calls that mutate their receiver in place.
 _MUTATOR_METHODS = frozenset({
@@ -64,20 +69,120 @@ _ORDER_FREE_CONSUMERS = frozenset({
 
 
 # --------------------------------------------------------------------------
+# import helpers (shared with the per-file rules)
+# --------------------------------------------------------------------------
+
+def _import_aliases(nodes: Iterable[ast.AST]) -> Dict[str, str]:
+    """Map local names to the canonical dotted module path they denote.
+
+    ``import numpy as np``            -> ``{"np": "numpy"}``
+    ``import os.path``                -> ``{"os": "os"}``
+    ``from numpy import random``      -> ``{"random": "numpy.random"}``
+    ``from datetime import datetime`` -> ``{"datetime": "datetime.datetime"}``
+
+    Only import-introduced names are mapped, so a local variable that
+    happens to be called ``random`` never triggers the determinism rule.
+    """
+    aliases: Dict[str, str] = {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for name in node.names:
+                if name.asname:
+                    aliases[name.asname] = name.name
+                else:
+                    top = name.name.split(".", 1)[0]
+                    aliases[top] = top
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            for name in node.names:
+                if name.name == "*":
+                    continue
+                aliases[name.asname or name.name] = f"{node.module}.{name.name}"
+    return aliases
+
+
+def _dotted(node: ast.AST) -> Optional[str]:
+    """Resolve a ``Name``/``Attribute`` chain to ``a.b.c``, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _resolve_relative(ctx: ModuleContext, node: ast.ImportFrom) -> Optional[str]:
+    """Absolute dotted path of a relative import, or None if unresolvable."""
+    if ctx.module is None:
+        return None
+    package = ctx.module if ctx.is_package else ctx.module.rpartition(".")[0]
+    parts = package.split(".") if package else []
+    ascend = node.level - 1
+    if ascend > len(parts):
+        return None
+    base = parts[: len(parts) - ascend] if ascend else parts
+    if node.module:
+        base = base + node.module.split(".")
+    return ".".join(base) if base else None
+
+
+def _imported_modules(ctx: ModuleContext) -> Iterator[Tuple[int, str]]:
+    """All (line, dotted-module) edges this module imports."""
+    for node in ctx.nodes:
+        if isinstance(node, ast.Import):
+            for name in node.names:
+                yield node.lineno, name.name
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                base = node.module
+            else:
+                base = _resolve_relative(ctx, node)
+            if base is None:
+                continue
+            # ``from . import x`` depends on the sibling submodule, not
+            # on the importer's own parent package - yielding the bare
+            # package there would make every such import a pseudo-cycle
+            # with the package __init__.
+            if node.module is not None or node.level == 0:
+                yield node.lineno, base
+            # ``from repro import core`` binds a submodule: also consider
+            # each imported name as a module path one level deeper.
+            for name in node.names:
+                if name.name != "*":
+                    yield node.lineno, f"{base}.{name.name}"
+
+
+# --------------------------------------------------------------------------
 # fact records
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SymbolBinding:
-    """One module-level binding."""
+class ModuleContext:
+    """Everything a rule needs to know about one parsed module.
 
-    name: str
-    line: int
-    #: ``"set"`` / ``"dict"`` / ``"list"`` / ``"bytearray"`` for
-    #: mutable containers, ``"class"`` / ``"function"`` /
-    #: ``"constant"`` / ``"other"`` otherwise.
-    kind: str
+    ``nodes`` and ``aliases`` are derived from ``tree`` once, at
+    construction, so every rule and the fact extractor share one walk.
+    """
+
+    path: str                     #: display path (posix, repo-relative)
+    module: Optional[str]         #: dotted module name, e.g. ``repro.netsim.tcp``
+    tree: ast.AST                 #: parsed AST of the file
+    lines: Sequence[str]          #: raw source lines (1-indexed via ``lines[i-1]``)
+    is_package: bool = False      #: True for ``__init__.py`` files
+    #: Every node of ``tree`` in :func:`ast.walk` order.
+    nodes: Tuple[ast.AST, ...] = field(init=False, repr=False,
+                                       compare=False)
+    #: Import alias map: local name -> canonical dotted path.
+    aliases: Mapping[str, str] = field(init=False, repr=False,
+                                       compare=False)
+
+    def __post_init__(self) -> None:
+        nodes = tuple(ast.walk(self.tree))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "aliases", _import_aliases(nodes))
+
 
 @dataclass(frozen=True)
 class IterationSite:
@@ -96,7 +201,8 @@ class IterationSite:
 
 @dataclass(frozen=True)
 class LabelSite:
-    """One ``SeedTree.generator/stream/seed`` call with a static label.
+    """One ``SeedTree.generator/stream`` call with a static label and
+    no ``allow_reuse=True``.
 
     ``template`` is the literal label, or the f-string with every
     interpolation collapsed to ``{}`` (``f"story-{name}"`` ->
@@ -104,10 +210,8 @@ class LabelSite:
     """
 
     line: int
-    method: str
     template: str
     dynamic: bool
-    allow_reuse: bool
 
 
 @dataclass
@@ -120,13 +224,15 @@ class FileFacts:
     imports: List[Tuple[int, str, bool]] = field(default_factory=list)
     #: Local name -> canonical dotted target (import alias map).
     aliases: Dict[str, str] = field(default_factory=dict)
-    bindings: List[SymbolBinding] = field(default_factory=list)
+    #: Module-level name -> ``"set"`` / ``"dict"`` / ``"other"``, as
+    #: first bound in source order.
+    bindings: Dict[str, str] = field(default_factory=dict)
     #: (line, dotted target) - in-place mutation sites.
     mutations: List[Tuple[int, str]] = field(default_factory=list)
     iterations: List[IterationSite] = field(default_factory=list)
     labels: List[LabelSite] = field(default_factory=list)
-    #: line -> suppressed codes ("*" means all) for cross-file findings.
-    noqa: Dict[int, List[str]] = field(default_factory=dict)
+    #: line -> suppressed codes (``{"*"}`` means all), for both phases.
+    noqa: Dict[int, FrozenSet[str]] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -136,35 +242,18 @@ class FileFacts:
 
 def _binding_kind(value: Optional[ast.AST],
                   aliases: Mapping[str, str]) -> str:
-    """Classify the value expression of a module-level assignment."""
-    if value is None:
-        return "other"
-    if isinstance(value, ast.List):
-        return "list"
-    if isinstance(value, ast.Dict) or isinstance(value, ast.DictComp):
+    """Classify the value of a module-level assignment: set/dict/other."""
+    if isinstance(value, (ast.Dict, ast.DictComp)):
         return "dict"
     if isinstance(value, (ast.Set, ast.SetComp)):
         return "set"
-    if isinstance(value, ast.ListComp):
-        return "list"
     if isinstance(value, ast.Call):
         target = _dotted(value.func)
-        if target is None:
-            return "other"
         target = aliases.get(target, target)
         if target in _SET_CALLS:
             return "set"
-        if target in ("dict", "collections.defaultdict", "defaultdict",
-                      "collections.OrderedDict", "OrderedDict",
-                      "collections.Counter", "Counter"):
+        if target in _DICT_CALLS:
             return "dict"
-        if target in ("list", "collections.deque", "deque"):
-            return "list"
-        if target == "bytearray":
-            return "bytearray"
-        return "other"
-    if isinstance(value, ast.Constant):
-        return "constant"
     return "other"
 
 
@@ -218,35 +307,27 @@ class _FactsVisitor(ast.NodeVisitor):
 
     # -- scope management ----------------------------------------------
 
-    def _enter_function(self, node: ast.AST) -> None:
-        scope: Dict[str, str] = {}
-        for arg in ast.walk(node.args):  # type: ignore[attr-defined]
-            if isinstance(arg, ast.arg):
-                scope[arg.arg] = "other"
+    def _visit_function(self, node: ast.AST) -> None:
+        # Only the body is walked: defaults and decorators run once, at
+        # definition time, in source order.
+        scope = {arg.arg: "other" for arg in ast.walk(node.args)  # type: ignore[attr-defined]
+                 if isinstance(arg, ast.arg)}
+        body = node.body  # type: ignore[attr-defined]
         self.scopes.append(scope)
         self.fn_depth += 1
-        for sub in node.body:  # type: ignore[attr-defined]
+        for sub in body if isinstance(body, list) else [body]:
             self.visit(sub)
         self.fn_depth -= 1
         self.scopes.pop()
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._enter_function(node)
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda = _visit_function
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._enter_function(node)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        scope = {arg.arg: "other" for arg in ast.walk(node.args)
-                 if isinstance(arg, ast.arg)}
-        self.scopes.append(scope)
-        self.fn_depth += 1
-        self.visit(node.body)
-        self.fn_depth -= 1
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        # Class bodies get their own scope (attrs are not module state).
+        self.scopes.append({})
+        for item in node.body:
+            self.visit(item)
         self.scopes.pop()
-
-    def _is_local(self, name: str) -> bool:
-        return any(name in scope for scope in self.scopes)
 
     def _local_kind(self, name: str) -> Optional[str]:
         for scope in reversed(self.scopes):
@@ -265,58 +346,42 @@ class _FactsVisitor(ast.NodeVisitor):
 
     # -- assignments / mutations ---------------------------------------
 
-    def visit_Assign(self, node: ast.Assign) -> None:
-        kind = self._expr_kind(node.value)
-        for target in node.targets:
+    def _visit_assign(self, node: "ast.Assign | ast.AnnAssign | ast.Delete"
+                      ) -> None:
+        targets = ([node.target] if isinstance(node, ast.AnnAssign)
+                   else node.targets)
+        kind = ("other" if isinstance(node, ast.Delete)
+                else self._expr_kind(node.value))
+        for target in targets:
             if isinstance(target, (ast.Subscript, ast.Attribute)):
                 self._record_mutation(node.lineno, target)
-            self._bind_local(target, kind)
+            if not isinstance(node, ast.Delete):
+                self._bind_local(target, kind)
         self.generic_visit(node)
 
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if isinstance(node.target, (ast.Subscript, ast.Attribute)):
-            self._record_mutation(node.lineno, node.target)
-        self._bind_local(node.target, self._expr_kind(node.value))
-        self.generic_visit(node)
+    visit_Assign = visit_AnnAssign = visit_Delete = _visit_assign
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         self._record_mutation(node.lineno, node.target)
         self.generic_visit(node)
 
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            if isinstance(target, (ast.Subscript, ast.Attribute)):
-                self._record_mutation(node.lineno, target)
-        self.generic_visit(node)
-
     def visit_For(self, node: ast.For) -> None:
-        self._record_iteration(node.iter, in_set_context=False)
+        self._record_iteration(node.iter)
         self._bind_local(node.target, "other")
         self.generic_visit(node)
 
-    def visit_comprehension_iter(self, comp: ast.AST,
-                                 order_free: bool) -> None:
-        for gen in comp.generators:  # type: ignore[attr-defined]
-            self._record_iteration(gen.iter, in_set_context=order_free)
+    def _visit_comprehension(self, node: ast.AST) -> None:
+        # A set built from a set stays order-free, and so does a
+        # generator fed straight to an order-free consumer.
+        order_free = isinstance(node, ast.SetComp) or node in self.order_free
+        for gen in node.generators:  # type: ignore[attr-defined]
+            if not order_free:
+                self._record_iteration(gen.iter)
             self._bind_local(gen.target, "other")
-
-    def visit_ListComp(self, node: ast.ListComp) -> None:
-        self.visit_comprehension_iter(node, order_free=False)
         self.generic_visit(node)
 
-    def visit_DictComp(self, node: ast.DictComp) -> None:
-        self.visit_comprehension_iter(node, order_free=False)
-        self.generic_visit(node)
-
-    def visit_SetComp(self, node: ast.SetComp) -> None:
-        # A set built from a set stays order-free: no ordering leaks.
-        self.visit_comprehension_iter(node, order_free=True)
-        self.generic_visit(node)
-
-    def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
-        self.visit_comprehension_iter(node,
-                                      order_free=node in self.order_free)
-        self.generic_visit(node)
+    visit_ListComp = visit_DictComp = visit_SetComp = visit_GeneratorExp = \
+        _visit_comprehension
 
     def visit_Call(self, node: ast.Call) -> None:
         func = _dotted(node.func)
@@ -328,8 +393,8 @@ class _FactsVisitor(ast.NodeVisitor):
             method = node.func.attr
             if method in _MUTATOR_METHODS:
                 self._record_mutation(node.lineno, node.func.value)
-            if method in ("generator", "stream", "seed") and node.args:
-                self._record_label(node, method)
+            if method in ("generator", "stream") and node.args:
+                self._record_label(node)
         self.generic_visit(node)
 
     # -- recording helpers ---------------------------------------------
@@ -341,46 +406,36 @@ class _FactsVisitor(ast.NodeVisitor):
         while isinstance(target, ast.Subscript):
             target = target.value
         dotted = _dotted(target)
-        if dotted is None:
-            return
-        root = dotted.split(".", 1)[0]
-        if self._is_local(root):
+        if dotted is None or \
+                self._local_kind(dotted.split(".", 1)[0]) is not None:
             return
         self.facts.mutations.append((line, dotted))
 
-    def _record_label(self, node: ast.Call, method: str) -> None:
+    def _record_label(self, node: ast.Call) -> None:
+        if any(kw.arg == "allow_reuse" and isinstance(kw.value, ast.Constant)
+               and kw.value.value is True for kw in node.keywords):
+            return  # re-derivation is intended
         label = node.args[0]
-        allow_reuse = any(kw.arg == "allow_reuse" and
-                          isinstance(kw.value, ast.Constant) and
-                          kw.value.value is True
-                          for kw in node.keywords)
         if isinstance(label, ast.Constant) and isinstance(label.value, str):
-            self.facts.labels.append(LabelSite(
-                node.lineno, method, label.value, False, allow_reuse))
+            self.facts.labels.append(LabelSite(node.lineno, label.value, False))
         elif isinstance(label, ast.JoinedStr):
             template = _fstring_template(label)
             if template is not None:
                 self.facts.labels.append(LabelSite(
-                    node.lineno, method, template, "{}" in template,
-                    allow_reuse))
+                    node.lineno, template, "{}" in template))
 
     def _expr_kind(self, value: Optional[ast.AST]) -> str:
         """``"set"`` when *value* is statically set-shaped, else other."""
-        if value is None:
-            return "other"
         if isinstance(value, (ast.Set, ast.SetComp)):
             return "set"
         if isinstance(value, ast.Call):
             func = _dotted(value.func)
-            if func is not None:
-                func = self.facts.aliases.get(func, func)
-                if func in _SET_CALLS:
-                    return "set"
+            if self.facts.aliases.get(func, func) in _SET_CALLS:
+                return "set"
             if isinstance(value.func, ast.Attribute) and \
-                    value.func.attr in _SET_PRODUCING_METHODS:
-                receiver = self._iter_symbol_kind(value.func.value)
-                if receiver == "set":
-                    return "set"
+                    value.func.attr in _SET_PRODUCING_METHODS and \
+                    self._iter_symbol_kind(value.func.value) == "set":
+                return "set"
         if isinstance(value, ast.BinOp) and isinstance(
                 value.op, (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)):
             if "set" in (self._iter_symbol_kind(value.left),
@@ -391,16 +446,10 @@ class _FactsVisitor(ast.NodeVisitor):
     def _iter_symbol_kind(self, node: ast.AST) -> str:
         """Best-effort static kind of an expression (``set`` or other)."""
         if isinstance(node, ast.Name):
-            local = self._local_kind(node.id)
-            if local is not None:
-                return local
-            return "other"
+            return self._local_kind(node.id) or "other"
         return self._expr_kind(node)
 
-    def _record_iteration(self, iter_expr: ast.AST,
-                          in_set_context: bool) -> None:
-        if in_set_context:
-            return
+    def _record_iteration(self, iter_expr: ast.AST) -> None:
         view = False
         expr = iter_expr
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute) \
@@ -408,47 +457,31 @@ class _FactsVisitor(ast.NodeVisitor):
                 and not expr.args:
             view = True
             expr = expr.func.value
-
-        # Inline set expressions are unordered, full stop.
+        local = (self._local_kind(expr.id) if isinstance(expr, ast.Name)
+                 else None)
         if not view and self._expr_kind(expr) == "set":
-            self.facts.iterations.append(IterationSite(
-                expr.lineno, ast.unparse(iter_expr)[:60], None, False))
-            return
-
-        # Locals: flag set-typed locals; never escalate others.
-        if isinstance(expr, ast.Name):
-            local = self._local_kind(expr.id)
-            if local == "set":
-                self.facts.iterations.append(IterationSite(
-                    expr.lineno, ast.unparse(iter_expr)[:60], None, view))
+            symbol = None  # inline set expression: unordered, full stop
+        elif local is not None:
+            if local != "set":
+                return  # locals: flag set-typed ones, never escalate others
+            symbol = None
+        else:
+            # Module-level names / imported symbols: record for the index
+            # to resolve (a dotted path rooted outside any local scope).
+            symbol = _dotted(expr)
+            if symbol is None:
                 return
-            if local is not None:
+            root = symbol.split(".", 1)[0]
+            if self._local_kind(root) is not None or root == "self":
                 return
-        # Module-level names / imported symbols: record for the index
-        # to resolve (a dotted path rooted outside any local scope).
-        dotted = _dotted(expr)
-        if dotted is None:
-            return
-        root = dotted.split(".", 1)[0]
-        if self._is_local(root) or root == "self":
-            return
         self.facts.iterations.append(IterationSite(
-            expr.lineno, ast.unparse(iter_expr)[:60], dotted, view))
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        # Class bodies get their own scope (attrs are not module state).
-        self.scopes.append({})
-        for item in node.body:
-            self.visit(item)
-        self.scopes.pop()
+            expr.lineno, ast.unparse(iter_expr)[:60], symbol, view))
 
 
-def extract_facts(ctx: "ModuleContext",
-                  noqa_map: Optional[Mapping[int, Sequence[str]]] = None
-                  ) -> FileFacts:
+def extract_facts(ctx: ModuleContext) -> FileFacts:
     """Distil one parsed module into its :class:`FileFacts`."""
-    facts = FileFacts(path=ctx.path, module=ctx.module)
-    facts.aliases = dict(ctx.aliases)
+    facts = FileFacts(path=ctx.path, module=ctx.module,
+                      aliases=dict(ctx.aliases), noqa=noqa_map(ctx.lines))
     # Relative imports resolve against the module's own dotted path, so
     # `from .observers import Observer` also lands in the alias map.
     for node in ctx.nodes:
@@ -460,9 +493,6 @@ def extract_facts(ctx: "ModuleContext",
                 if name.name != "*":
                     facts.aliases.setdefault(
                         name.asname or name.name, f"{base}.{name.name}")
-    if noqa_map:
-        facts.noqa = {int(line): list(codes)
-                      for line, codes in noqa_map.items()}
 
     typing_lines = _typing_only_lines(ctx.nodes)
     for line, imported in _imported_modules(ctx):
@@ -471,24 +501,20 @@ def extract_facts(ctx: "ModuleContext",
     # Module-level bindings (direct children of the Module node only).
     assert isinstance(ctx.tree, ast.Module)
     for node in ctx.tree.body:
-        targets: List[Tuple[ast.AST, Optional[ast.AST]]] = []
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            facts.bindings.setdefault(node.name, "other")
+            continue
         if isinstance(node, ast.Assign):
-            targets = [(t, node.value) for t in node.targets]
-        elif isinstance(node, ast.AnnAssign) and node.target is not None:
-            targets = [(node.target, node.value)]
-        elif isinstance(node, ast.ClassDef):
-            facts.bindings.append(SymbolBinding(
-                node.name, node.lineno, "class"))
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
             continue
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            facts.bindings.append(SymbolBinding(
-                node.name, node.lineno, "function"))
-            continue
-        for target, value in targets:
-            if not isinstance(target, ast.Name):
-                continue
-            facts.bindings.append(SymbolBinding(
-                target.id, node.lineno, _binding_kind(value, facts.aliases)))
+        kind = _binding_kind(node.value, facts.aliases)
+        for target in targets:
+            if isinstance(target, ast.Name):
+                facts.bindings.setdefault(target.id, kind)
 
     _FactsVisitor(facts).visit(ctx.tree)
     return facts
@@ -536,60 +562,28 @@ class ProjectIndex:
         return graph
 
     def import_cycles(self) -> List[List[str]]:
-        """Import cycles (Tarjan SCCs of size > 1), typing-only excluded.
+        """Import cycles (strongly connected components of more than one
+        module), typing-only imports excluded, each as a sorted list.
 
-        Returns each cycle as a sorted module list; the CI gate asserts
-        the result is empty.
+        The CI gate asserts the result is empty.
         """
         graph = self.module_graph()
-        index_of: Dict[str, int] = {}
-        low: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        counter = [0]
-        cycles: List[List[str]] = []
-
-        def strongconnect(node: str) -> None:
-            # Iterative Tarjan: (node, edge iterator index) frames.
-            work = [(node, 0)]
-            while work:
-                current, edge_idx = work.pop()
-                if edge_idx == 0:
-                    index_of[current] = low[current] = counter[0]
-                    counter[0] += 1
-                    stack.append(current)
-                    on_stack.add(current)
-                recurse = False
-                edges = graph.get(current, [])
-                for i in range(edge_idx, len(edges)):
-                    nxt = edges[i]
-                    if nxt not in index_of:
-                        work.append((current, i + 1))
-                        work.append((nxt, 0))
-                        recurse = True
-                        break
-                    if nxt in on_stack:
-                        low[current] = min(low[current], index_of[nxt])
-                if recurse:
-                    continue
-                if low[current] == index_of[current]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == current:
-                            break
-                    if len(component) > 1:
-                        cycles.append(sorted(component))
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[current])
-
-        for name in sorted(graph):
-            if name not in index_of:
-                strongconnect(name)
-        return sorted(cycles)
+        reach: Dict[str, Set[str]] = {}
+        for start in graph:
+            seen: Set[str] = set()
+            todo = list(graph[start])
+            while todo:
+                node = todo.pop()
+                if node not in seen:
+                    seen.add(node)
+                    todo.extend(graph.get(node, ()))
+            reach[start] = seen
+        # A module on a cycle reaches itself; its component is every
+        # module it reaches that reaches it back.
+        return [list(cycle) for cycle in sorted({
+            tuple(sorted(other for other in reach[name]
+                         if name in reach[other]))
+            for name in graph if name in reach[name]})]
 
     # -- symbol resolution ----------------------------------------------
 
@@ -601,9 +595,8 @@ class ProjectIndex:
             return None
         facts = self.modules[module]
         head, _, rest = dotted.partition(".")
-        for binding in facts.bindings:
-            if binding.name == head:
-                return (module, head)
+        if head in facts.bindings:
+            return (module, head)
         alias = facts.aliases.get(head)
         if alias is None:
             return None
@@ -616,12 +609,3 @@ class ProjectIndex:
         if target_module == module and name == head:
             return None
         return self.resolve(target_module, remainder, _depth + 1)
-
-    def binding(self, module: str, name: str) -> Optional[SymbolBinding]:
-        facts = self.modules.get(module)
-        if facts is None:
-            return None
-        for candidate in facts.bindings:
-            if candidate.name == name:
-                return candidate
-        return None

@@ -8,15 +8,20 @@ A source line opts out of linting with a trailing comment:
   suppresses several.
 
 Directives are deliberately namespaced under ``repro:`` so they never
-collide with flake8/ruff ``# noqa`` handling.
+collide with flake8/ruff ``# noqa`` handling.  A file's directives are
+one ``{line: codes}`` map, carried in its
+:class:`~repro.lint.index.FileFacts` so per-file and cross-file
+findings are filtered the same way.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence
 
-__all__ = ["NoqaDirectives", "parse_noqa"]
+from .findings import Finding
+
+__all__ = ["ALL_CODES", "is_suppressed", "noqa_map", "parse_noqa"]
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa\b"          # the directive itself
@@ -41,31 +46,14 @@ def parse_noqa(line: str) -> Optional[FrozenSet[str]]:
     return frozenset(c for c in re.split(r"[,\s]+", codes) if c)
 
 
-class NoqaDirectives:
-    """All suppression directives of one source file, by line number."""
+def noqa_map(lines: Sequence[str]) -> Dict[int, FrozenSet[str]]:
+    """Every directive of one source file, by 1-based line number."""
+    found = ((number, parse_noqa(text))
+             for number, text in enumerate(lines, start=1) if "noqa" in text)
+    return {number: codes for number, codes in found if codes is not None}
 
-    def __init__(self, source_lines: List[str]) -> None:
-        self._by_line: Dict[int, FrozenSet[str]] = {}
-        for idx, text in enumerate(source_lines, start=1):
-            codes = parse_noqa(text)
-            if codes is not None:
-                self._by_line[idx] = codes
 
-    def is_suppressed(self, line: int, code: str) -> bool:
-        codes = self._by_line.get(line)
-        if codes is None:
-            return False
-        return codes is ALL_CODES or code in codes
-
-    def as_map(self) -> Dict[int, List[str]]:
-        """Plain ``{line: [codes]}`` view (``"*"`` = every code).
-
-        This is the shape carried in
-        :class:`~repro.lint.index.FileFacts`, so cross-file findings
-        honor the suppressions of the file they land in.
-        """
-        return {line: sorted(codes)
-                for line, codes in self._by_line.items()}
-
-    def __len__(self) -> int:
-        return len(self._by_line)
+def is_suppressed(noqa: Mapping[int, FrozenSet[str]],
+                  finding: Finding) -> bool:
+    codes = noqa.get(finding.line, ())
+    return "*" in codes or finding.code in codes

@@ -1,167 +1,46 @@
-"""Rule registry and the built-in invariant rules.
+"""The rule table and every invariant check.
 
-Codes are stable and documented in README.md:
+Codes are stable and documented in README.md; :data:`RULES` is the
+catalogue (RPR000 ``parse-error`` is the engine's own, for a file that
+does not parse).  Each row names a rule's code, name, summary and the
+checks that emit it.  A check may serve several rules - one call walk
+enforces every banned call (:data:`_CALL_POLICY`), one import walk the
+layer order plus every import policy (:data:`_IMPORT_POLICY`) - so the
+engine runs each selected check once and keeps only the findings whose
+code was selected.
 
-========  ==========================  =============================================
-code      name                        enforces
-========  ==========================  =============================================
-RPR000    parse-error                 every scanned file must parse
-RPR001    nondeterministic-call       all entropy flows through ``repro.rng``
-RPR002    magic-unit-literal          all conversions flow through ``repro.units``
-RPR003    bare-builtin-raise          all errors derive from ``ReproError``
-RPR004    layering-violation          ``netsim -> cloud -> tools -> core ->
-                                      experiments`` import order
-RPR005    bare-except                 no silent swallowing of every exception
-RPR006    unseeded-rng-construction   generators are built only by ``SeedTree``
-RPR007    engine-isolation            ``repro.engine`` imports only
-                                      units/errors/rng/simclock/obs
-RPR008    obs-confinement             wall-clock profiling
-                                      (``time.perf_counter`` family) only
-                                      inside ``repro.obs``, and ``repro.obs``
-                                      imports only units/errors/simclock
-RPR010    unordered-iteration         no unsorted iteration over sets (or
-                                      mutable-global dict views)
-RPR011    seedtree-label-collision    SeedTree stream labels are unique
-                                      across the whole tree
-========  ==========================  =============================================
-
-Each single-file rule is a plain function ``(ModuleContext) ->
-Iterable[Finding]`` registered with the :func:`rule` decorator.
-Whole-program rules (RPR010/RPR011, in :mod:`repro.lint.xrules`) take a
-:class:`~repro.lint.index.ProjectIndex` instead and register with
-:func:`cross_file_rule`; the engine runs them once per lint run, after
-the per-file pass.
+File checks take a :class:`~repro.lint.index.ModuleContext`.  The
+cross-file checks (RPR010, RPR011) take the
+:class:`~repro.lint.index.ProjectIndex` and run once per lint run,
+after the per-file pass, so they see what no per-file pass can:
+iteration over a set (or a runtime-mutated dict) defined in another
+file, and :class:`~repro.rng.SeedTree` labels that collide across
+files.  Either would make the dataset digest depend on something other
+than the seed.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+import re
+from itertools import groupby
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 from ..errors import ConfigError
 from .findings import Finding
+from .index import ModuleContext, ProjectIndex, _dotted, _imported_modules
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .engine import ModuleContext
-    from .index import ProjectIndex
-
-__all__ = ["LAYERS", "Rule", "SCOPE_FILE", "SCOPE_PROJECT", "all_rules",
-           "cross_file_rule", "get_rule", "rule"]
-
-RuleFunc = Callable[["ModuleContext"], Iterable[Finding]]
-CrossFileRuleFunc = Callable[["ProjectIndex"], Iterable[Finding]]
+__all__ = ["LAYERS", "RULES", "Rule", "all_rules", "get_rule"]
 
 #: Lowest layer first.  A module may import its own layer and lower
 #: layers; importing a *higher* layer is a violation (RPR004).
 LAYERS: Tuple[str, ...] = ("netsim", "cloud", "tools", "core", "experiments")
 
-#: Rule scopes: per-file rules see one :class:`ModuleContext`;
-#: project rules see the whole :class:`~repro.lint.index.ProjectIndex`.
-SCOPE_FILE = "file"
-SCOPE_PROJECT = "project"
 
-
-@dataclass(frozen=True)
-class Rule:
-    """One registered invariant."""
-
-    code: str
-    name: str
-    summary: str
-    func: Callable[..., Iterable[Finding]]
-    scope: str = SCOPE_FILE
-
-
-# Populated once at import time by the decorators below.
-_REGISTRY: Dict[str, Rule] = {}
-
-
-def rule(code: str, name: str, summary: str) -> Callable[[RuleFunc], RuleFunc]:
-    """Register a single-file invariant rule under *code*."""
-
-    def decorate(func: RuleFunc) -> RuleFunc:
-        if code in _REGISTRY:
-            raise ConfigError(f"duplicate rule code {code}")
-        _REGISTRY[code] = Rule(code, name, summary, func, SCOPE_FILE)
-        return func
-
-    return decorate
-
-
-def cross_file_rule(code: str, name: str, summary: str
-                    ) -> Callable[[CrossFileRuleFunc], CrossFileRuleFunc]:
-    """Register a whole-program invariant rule under *code*.
-
-    The decorated function receives the
-    :class:`~repro.lint.index.ProjectIndex` of the entire lint target
-    and runs exactly once per lint run, after the per-file pass.
-    """
-
-    def decorate(func: CrossFileRuleFunc) -> CrossFileRuleFunc:
-        if code in _REGISTRY:
-            raise ConfigError(f"duplicate rule code {code}")
-        _REGISTRY[code] = Rule(code, name, summary, func, SCOPE_PROJECT)
-        return func
-
-    return decorate
-
-
-def all_rules() -> List[Rule]:
-    """Every registered rule, ordered by code."""
-    return [_REGISTRY[code] for code in sorted(_REGISTRY)]
-
-
-def get_rule(code: str) -> Rule:
-    try:
-        return _REGISTRY[code]
-    except KeyError:
-        raise ConfigError(f"unknown rule code {code!r}; "
-                          f"known: {', '.join(sorted(_REGISTRY))}") from None
-
-
-# --------------------------------------------------------------------------
-# shared AST helpers
-# --------------------------------------------------------------------------
-
-def _import_aliases(nodes: Iterable[ast.AST]) -> Dict[str, str]:
-    """Map local names to the canonical dotted module path they denote.
-
-    ``import numpy as np``            -> ``{"np": "numpy"}``
-    ``import os.path``                -> ``{"os": "os"}``
-    ``from numpy import random``      -> ``{"random": "numpy.random"}``
-    ``from datetime import datetime`` -> ``{"datetime": "datetime.datetime"}``
-
-    Only import-introduced names are mapped, so a local variable that
-    happens to be called ``random`` never triggers the determinism rule.
-    """
-    aliases: Dict[str, str] = {}
-    for node in nodes:
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                if name.asname:
-                    aliases[name.asname] = name.name
-                else:
-                    top = name.name.split(".", 1)[0]
-                    aliases[top] = top
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            for name in node.names:
-                if name.name == "*":
-                    continue
-                aliases[name.asname or name.name] = f"{node.module}.{name.name}"
-    return aliases
-
-
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """Resolve a ``Name``/``Attribute`` chain to ``a.b.c``, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+def _under(module: Optional[str], package: str) -> bool:
+    """Whether dotted *module* is *package* or inside it."""
+    return module == package or (module or "").startswith(package + ".")
 
 
 def _canonical_call(node: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
@@ -170,7 +49,7 @@ def _canonical_call(node: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
     Returns ``None`` when the leading name was not introduced by an
     import (attribute access on local objects stays unflagged).
     """
-    dotted = _dotted_name(node.func)
+    dotted = _dotted(node.func)
     if dotted is None:
         return None
     head, _, rest = dotted.partition(".")
@@ -180,14 +59,8 @@ def _canonical_call(node: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
     return f"{target}.{rest}" if rest else target
 
 
-def _iter_calls(ctx: "ModuleContext") -> Iterator[ast.Call]:
-    for node in ctx.nodes:
-        if isinstance(node, ast.Call):
-            yield node
-
-
 # --------------------------------------------------------------------------
-# RPR001 nondeterministic-call
+# RPR001 / RPR006 / RPR008 banned calls
 # --------------------------------------------------------------------------
 
 #: Exact call targets that read wall clocks or OS entropy.  The
@@ -201,22 +74,43 @@ _NONDET_CALLS = frozenset({
     "datetime.datetime.today", "datetime.date.today",
 })
 
-#: Whole modules whose every call is nondeterministic (or OS entropy).
-_NONDET_PREFIXES = ("random.", "secrets.")
+#: Duration-only wall-clock reads.  These are allowed *solely* inside
+#: repro.obs, where they become span annotations for profiling - a
+#: scoped carve-out from the RPR001 wall-clock ban.
+_PERF_COUNTER_CALLS = frozenset({
+    "time.perf_counter", "time.perf_counter_ns",
+    "time.monotonic", "time.monotonic_ns",
+})
+
+#: (code, exact targets, banned target prefixes, exempt package,
+#: message).  Every random./secrets. call is entropy; only repro.rng
+#: may talk to numpy.random directly.
+_CALL_POLICY = (
+    ("RPR001", _NONDET_CALLS, ("random.", "secrets."), None,
+     "nondeterministic call {target}() - derive randomness from "
+     "SeedTree and time from simclock"),
+    ("RPR006", frozenset(), ("numpy.random.",), "repro.rng",
+     "direct numpy.random use ({target}); construct generators via "
+     "SeedTree.generator(label) in repro.rng"),
+    ("RPR008", _PERF_COUNTER_CALLS, (), "repro.obs",
+     "wall-clock profiling call {target}() outside repro.obs; wrap the "
+     "region in an obs span instead so wall-time stays an annotation"),
+)
 
 
-@rule("RPR001", "nondeterministic-call",
-      "wall-clock / OS-entropy call; all randomness must flow through "
-      "repro.rng.SeedTree and all time through repro.simclock")
-def check_nondeterministic_calls(ctx: "ModuleContext") -> Iterator[Finding]:
-    for call in _iter_calls(ctx):
-        target = _canonical_call(call, ctx.aliases)
+def check_calls(ctx: ModuleContext) -> Iterator[Finding]:
+    policies = [row for row in _CALL_POLICY
+                if row[3] is None or not _under(ctx.module, row[3])]
+    for node in ctx.nodes:
+        if not isinstance(node, ast.Call):
+            continue
+        target = _canonical_call(node, ctx.aliases)
         if target is None:
             continue
-        if target in _NONDET_CALLS or target.startswith(_NONDET_PREFIXES):
-            yield Finding(ctx.path, call.lineno, "RPR001",
-                          f"nondeterministic call {target}() - derive "
-                          f"randomness from SeedTree and time from simclock")
+        for code, exact, prefixes, _exempt, message in policies:
+            if target in exact or target.startswith(prefixes):
+                yield Finding(ctx.path, node.lineno, code,
+                              message.format(target=target))
 
 
 # --------------------------------------------------------------------------
@@ -252,10 +146,7 @@ def _mentions_unit_name(node: ast.AST) -> bool:
     return False
 
 
-@rule("RPR002", "magic-unit-literal",
-      "inline unit-conversion constant (8 / 1000 / 1e6 / 1e9) next to a "
-      "*_mbps/*_bytes/*_ms/*_gb value; use the repro.units helpers")
-def check_magic_unit_literals(ctx: "ModuleContext") -> Iterator[Finding]:
+def check_magic_unit_literals(ctx: ModuleContext) -> Iterator[Finding]:
     if ctx.module == "repro.units":
         return
     for node in ctx.nodes:
@@ -279,22 +170,21 @@ def check_magic_unit_literals(ctx: "ModuleContext") -> Iterator[Finding]:
 
 
 # --------------------------------------------------------------------------
-# RPR003 bare-builtin-raise
+# RPR003 bare-builtin-raise / RPR005 bare-except
 # --------------------------------------------------------------------------
 
 _BUILTIN_RAISES = frozenset({"ValueError", "RuntimeError", "KeyError", "Exception"})
 
 
-@rule("RPR003", "bare-builtin-raise",
-      "raise of a builtin exception; raise a ReproError subclass from "
-      "repro.errors so callers can catch one hierarchy at the boundary")
-def check_bare_builtin_raises(ctx: "ModuleContext") -> Iterator[Finding]:
+def check_error_handling(ctx: ModuleContext) -> Iterator[Finding]:
     for node in ctx.nodes:
+        if isinstance(node, ast.ExceptHandler) and node.type is None:
+            yield Finding(ctx.path, node.lineno, "RPR005",
+                          "bare except: catches everything including "
+                          "KeyboardInterrupt; name the exception type")
         if not isinstance(node, ast.Raise) or node.exc is None:
             continue
-        exc = node.exc
-        if isinstance(exc, ast.Call):
-            exc = exc.func
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
         if isinstance(exc, ast.Name) and exc.id in _BUILTIN_RAISES:
             yield Finding(ctx.path, node.lineno, "RPR003",
                           f"raise of builtin {exc.id}; use a ReproError "
@@ -302,242 +192,236 @@ def check_bare_builtin_raises(ctx: "ModuleContext") -> Iterator[Finding]:
 
 
 # --------------------------------------------------------------------------
-# RPR004 layering-violation
+# RPR004 / RPR007 / RPR008 import policy
 # --------------------------------------------------------------------------
+
+#: (code, importer package, repro subpackages, whether those are the
+#: only ones allowed (else: the ones banned), message).
+#:
+#: * Provider vocabulary stays leaf data: ``repro.core`` is already
+#:   above the cloud layer, ``repro.engine`` is unlayered, so both need
+#:   this explicit ban.
+#: * Domain objects reach the engine as opaque payloads, never as
+#:   imports, so the instrumentation seam can never grow an upward
+#:   dependency on the layers it instruments; ``obs`` is allowed
+#:   because metrics plumbing lives there, below the engine.
+#: * Keeping obs below every simulation layer guarantees
+#:   instrumentation can observe the stack but never reach into it.
+_IMPORT_POLICY = (
+    ("RPR004", "repro.cloud.providers", frozenset({"core", "engine"}), False,
+     "provider module imports {imported}; repro.cloud.providers is leaf "
+     "vocabulary and may not depend on repro.{sub}"),
+    ("RPR007", "repro.engine",
+     frozenset({"units", "errors", "rng", "simclock", "engine", "obs"}), True,
+     "repro.engine imports {imported}; the engine may depend only on "
+     "repro.units/errors/rng/simclock/obs - pass domain objects in as "
+     "opaque payloads instead"),
+    ("RPR008", "repro.obs", frozenset({"units", "errors", "simclock", "obs"}),
+     True,
+     "repro.obs imports {imported}; obs may depend only on "
+     "repro.units/errors/simclock so it can observe every layer without "
+     "joining any"),
+)
+
 
 def _module_layer(module: Optional[str]) -> Optional[int]:
     """Layer index of a dotted repro module, or None if unlayered."""
-    if not module:
-        return None
-    parts = module.split(".")
+    parts = (module or "").split(".")
     if len(parts) >= 2 and parts[0] == "repro" and parts[1] in LAYERS:
         return LAYERS.index(parts[1])
     return None
 
 
-def _resolve_relative(ctx: "ModuleContext", node: ast.ImportFrom) -> Optional[str]:
-    """Absolute dotted path of a relative import, or None if unresolvable."""
-    if ctx.module is None:
-        return None
-    package = ctx.module if ctx.is_package else ctx.module.rpartition(".")[0]
-    parts = package.split(".") if package else []
-    ascend = node.level - 1
-    if ascend > len(parts):
-        return None
-    base = parts[: len(parts) - ascend] if ascend else parts
-    if node.module:
-        base = base + node.module.split(".")
-    return ".".join(base) if base else None
-
-
-def _imported_modules(ctx: "ModuleContext") -> Iterator[Tuple[int, str]]:
-    """All (line, dotted-module) edges this module imports."""
-    for node in ctx.nodes:
-        if isinstance(node, ast.Import):
-            for name in node.names:
-                yield node.lineno, name.name
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module
-            else:
-                base = _resolve_relative(ctx, node)
-            if base is None:
-                continue
-            # ``from . import x`` depends on the sibling submodule, not
-            # on the importer's own parent package - yielding the bare
-            # package there would make every such import a pseudo-cycle
-            # with the package __init__.
-            if node.module is not None or node.level == 0:
-                yield node.lineno, base
-            # ``from repro import core`` binds a submodule: also consider
-            # each imported name as a module path one level deeper.
-            for name in node.names:
-                if name.name != "*":
-                    yield node.lineno, f"{base}.{name.name}"
-
-
-#: Provider vocabulary modules must stay leaf data: they may not pull
-#: in the orchestration layers (``repro.core`` is already above the
-#: cloud layer; ``repro.engine`` is unlayered so it needs this
-#: explicit ban).
-_PROVIDER_PACKAGE = "repro.cloud.providers"
-_PROVIDER_BANNED = ("repro.core", "repro.engine")
-
-
-def _provider_banned_import(imported: str) -> Optional[str]:
-    for banned in _PROVIDER_BANNED:
-        if imported == banned or imported.startswith(banned + "."):
-            return banned
-    return None
-
-
-@rule("RPR004", "layering-violation",
-      "import that points up the layer stack; the declared order is "
-      "netsim -> cloud -> tools -> core -> experiments (and "
-      "repro.cloud.providers may not import repro.core/repro.engine)")
-def check_layering(ctx: "ModuleContext") -> Iterator[Finding]:
+def check_imports(ctx: ModuleContext) -> Iterator[Finding]:
+    policies = [row for row in _IMPORT_POLICY if _under(ctx.module, row[1])]
     own_layer = _module_layer(ctx.module)
-    module = ctx.module or ""
-    is_provider = (module == _PROVIDER_PACKAGE
-                   or module.startswith(_PROVIDER_PACKAGE + "."))
-    if own_layer is None and not is_provider:
+    if not policies and own_layer is None:
         return
-    seen = set()
-    for line, imported in _imported_modules(ctx):
-        if is_provider:
-            banned = _provider_banned_import(imported)
-            if banned is not None and (line, banned) not in seen:
-                seen.add((line, banned))
-                yield Finding(ctx.path, line, "RPR004",
-                              f"provider module imports {imported}; "
-                              f"{_PROVIDER_PACKAGE} is leaf vocabulary "
-                              f"and may not depend on {banned}")
-                continue
-        if own_layer is None:
-            continue
-        other_layer = _module_layer(imported)
-        if other_layer is None or other_layer <= own_layer:
-            continue
-        key = (line, imported.split(".")[1])
-        if key in seen:
-            continue
-        seen.add(key)
-        yield Finding(ctx.path, line, "RPR004",
-                      f"layer {LAYERS[own_layer]!r} imports higher layer "
-                      f"{LAYERS[other_layer]!r} ({imported}); allowed "
-                      f"order is {' -> '.join(LAYERS)}")
-
-
-# --------------------------------------------------------------------------
-# RPR005 bare-except
-# --------------------------------------------------------------------------
-
-@rule("RPR005", "bare-except",
-      "bare `except:` swallows every exception including SystemExit; "
-      "catch a ReproError subclass (or at minimum Exception)")
-def check_bare_except(ctx: "ModuleContext") -> Iterator[Finding]:
-    for node in ctx.nodes:
-        if isinstance(node, ast.ExceptHandler) and node.type is None:
-            yield Finding(ctx.path, node.lineno, "RPR005",
-                          "bare except: catches everything including "
-                          "KeyboardInterrupt; name the exception type")
-
-
-# --------------------------------------------------------------------------
-# RPR006 unseeded-rng-construction
-# --------------------------------------------------------------------------
-
-#: Only repro.rng may talk to numpy.random directly.
-_RNG_HOME_MODULE = "repro.rng"
-
-
-@rule("RPR006", "unseeded-rng-construction",
-      "numpy.random generator constructed outside repro.rng; request a "
-      "stream from SeedTree.generator(label) instead")
-def check_rng_construction(ctx: "ModuleContext") -> Iterator[Finding]:
-    if ctx.module == _RNG_HOME_MODULE:
-        return
-    for call in _iter_calls(ctx):
-        target = _canonical_call(call, ctx.aliases)
-        if target is None:
-            continue
-        if target.startswith("numpy.random."):
-            yield Finding(ctx.path, call.lineno, "RPR006",
-                          f"direct numpy.random use ({target}); construct "
-                          f"generators via SeedTree.generator(label) in "
-                          f"repro.rng")
-
-
-# --------------------------------------------------------------------------
-# RPR007 engine-isolation
-# --------------------------------------------------------------------------
-
-#: The only repro subpackages/modules repro.engine may import.  Domain
-#: objects (VMs, schedules, datasets) reach the engine as opaque duck-
-#: typed payloads, never as imports, so the instrumentation seam can
-#: never grow an upward dependency on the layers it instruments.
-#: ``obs`` is allowed because metrics plumbing (the shared histogram
-#: shape, the registry observers feed) lives there, and obs itself sits
-#: below the engine in the dependency order (see RPR008).
-_ENGINE_ALLOWED = frozenset(
-    {"units", "errors", "rng", "simclock", "engine", "obs"})
-
-
-@rule("RPR007", "engine-isolation",
-      "repro.engine imports a domain layer; the engine may import only "
-      "repro.units/errors/rng/simclock/obs and itself")
-def check_engine_isolation(ctx: "ModuleContext") -> Iterator[Finding]:
-    if not (ctx.module or "").startswith("repro.engine"):
-        return
-    seen = set()
+    # Each (line, code, subpackage) reports once; a layering finding is
+    # keyed apart, so an import a policy already reported on that line
+    # may still be reported as pointing up the layer stack.
+    seen: Set[Tuple] = set()
     for line, imported in _imported_modules(ctx):
         parts = imported.split(".")
         if parts[0] != "repro" or len(parts) < 2:
             continue
-        if parts[1] in _ENGINE_ALLOWED:
-            continue
-        key = (line, parts[1])
-        if key in seen:
-            continue
-        seen.add(key)
-        yield Finding(ctx.path, line, "RPR007",
-                      f"repro.engine imports {imported}; the engine may "
-                      f"depend only on repro.units/errors/rng/simclock/obs "
-                      f"- pass domain objects in as opaque payloads instead")
+        sub = parts[1]
+        for code, _importer, subs, allowed, message in policies:
+            if (sub in subs) != allowed and (line, code, sub) not in seen:
+                seen.add((line, code, sub))
+                yield Finding(ctx.path, line, code,
+                              message.format(imported=imported, sub=sub))
+                break
+        else:
+            other_layer = _module_layer(imported)
+            if own_layer is None or other_layer is None \
+                    or other_layer <= own_layer or (line, sub) in seen:
+                continue
+            seen.add((line, sub))
+            yield Finding(ctx.path, line, "RPR004",
+                          f"layer {LAYERS[own_layer]!r} imports higher layer "
+                          f"{LAYERS[other_layer]!r} ({imported}); allowed "
+                          f"order is {' -> '.join(LAYERS)}")
 
 
 # --------------------------------------------------------------------------
-# RPR008 obs-confinement
+# RPR010 unordered-iteration
 # --------------------------------------------------------------------------
 
-#: Duration-only wall-clock reads.  These are allowed *solely* inside
-#: repro.obs, where they become span annotations for profiling - a
-#: scoped carve-out from the RPR001 wall-clock ban.
-_PERF_COUNTER_CALLS = frozenset({
-    "time.perf_counter", "time.perf_counter_ns",
-    "time.monotonic", "time.monotonic_ns",
-})
-
-#: The only repro subpackages/modules repro.obs may import.  Keeping
-#: obs below every simulation layer guarantees instrumentation can
-#: observe the stack but never reach into it.
-_OBS_ALLOWED = frozenset({"units", "errors", "simclock", "obs"})
-
-#: The one package where wall-clock profiling may live.
-_OBS_HOME_PREFIX = "repro.obs"
-
-
-def _in_obs(module: Optional[str]) -> bool:
-    return (module or "").startswith(_OBS_HOME_PREFIX)
-
-
-@rule("RPR008", "obs-confinement",
-      "time.perf_counter-family call outside repro.obs, or repro.obs "
-      "importing beyond repro.units/errors/simclock; wall-time is a "
-      "span annotation, never simulation data")
-def check_obs_confinement(ctx: "ModuleContext") -> Iterator[Finding]:
-    if _in_obs(ctx.module):
-        # Inside obs the perf-counter family is legal; police imports.
-        seen = set()
-        for line, imported in _imported_modules(ctx):
-            parts = imported.split(".")
-            if parts[0] != "repro" or len(parts) < 2:
+def check_unordered_iteration(index: ProjectIndex) -> Iterator[Finding]:
+    # Every module-level binding some function mutates in place.
+    mutated = {index.resolve(facts.module, dotted)
+               for facts in index.files if facts.module
+               for _line, dotted in facts.mutations}
+    for facts in index.files:
+        if not (facts.module or "").startswith("repro"):
+            continue
+        for site in facts.iterations:
+            if site.symbol is None:
+                # Inline set expression: unordered by construction.
+                yield Finding(
+                    facts.path, site.line, "RPR010",
+                    f"iterating unordered set expression "
+                    f"`{site.detail}`; wrap it in sorted() so the "
+                    f"order is identical in every process")
                 continue
-            if parts[1] in _OBS_ALLOWED:
+            resolved = index.resolve(facts.module, site.symbol)
+            if resolved is None:
                 continue
-            key = (line, parts[1])
-            if key in seen:
-                continue
-            seen.add(key)
-            yield Finding(ctx.path, line, "RPR008",
-                          f"repro.obs imports {imported}; obs may depend "
-                          f"only on repro.units/errors/simclock so it can "
-                          f"observe every layer without joining any")
-        return
-    for call in _iter_calls(ctx):
-        target = _canonical_call(call, ctx.aliases)
-        if target in _PERF_COUNTER_CALLS:
-            yield Finding(ctx.path, call.lineno, "RPR008",
-                          f"wall-clock profiling call {target}() outside "
-                          f"repro.obs; wrap the region in an obs span "
-                          f"instead so wall-time stays an annotation")
+            kind = index.modules[resolved[0]].bindings[resolved[1]]
+            if kind == "set" and not site.view:
+                yield Finding(
+                    facts.path, site.line, "RPR010",
+                    f"iterating module-level set {resolved[1]!r} "
+                    f"(defined in {resolved[0]}) without sorted(); "
+                    f"set order differs between processes")
+            elif site.view and kind == "dict" and resolved in mutated:
+                yield Finding(
+                    facts.path, site.line, "RPR010",
+                    f"iterating a view of runtime-mutated module dict "
+                    f"{resolved[1]!r} (defined in {resolved[0]}) "
+                    f"without sorted(); insertion order depends on "
+                    f"mutation history")
+
+
+# --------------------------------------------------------------------------
+# RPR011 seedtree-label-collision
+# --------------------------------------------------------------------------
+
+def check_seedtree_label_collisions(index: ProjectIndex) -> Iterator[Finding]:
+    # Site tuples: (template, dynamic, path, line).
+    sites = sorted((label.template, label.dynamic, facts.path, label.line)
+                   for facts in index.files
+                   if (facts.module or "").startswith("repro")
+                   for label in facts.labels)
+
+    # Exact duplicates (literal==literal, template==template).
+    for (template, dynamic), group in groupby(sites, key=lambda s: s[:2]):
+        locations = [site[2:] for site in group]
+        if len(locations) < 2:
+            continue
+        shape = "label template" if dynamic else "label"
+        others = ", ".join(f"{p}:{n}" for p, n in locations)
+        for path, line in locations:
+            yield Finding(
+                path, line, "RPR011",
+                f"SeedTree {shape} {template!r} is requested at "
+                f"{len(locations)} call sites ({others}); identical "
+                f"labels share one RNG stream")
+
+    # Literal-inside-template overlap: f"story-{name}" swallows the
+    # literal "story-cogitant" if a story is ever named "cogitant".
+    literals = [(t, p, n) for t, dyn, p, n in sites if not dyn]
+    for template, tpath, tline in [(t, p, n) for t, dyn, p, n in sites if dyn]:
+        parts = [re.escape(part) for part in template.split("{}")]
+        pattern = re.compile("^" + ".+".join(parts) + "$")
+        for literal, lpath, lline in literals:
+            if (lpath, lline) != (tpath, tline) and pattern.match(literal):
+                yield Finding(
+                    lpath, lline, "RPR011",
+                    f"SeedTree label {literal!r} overlaps the dynamic "
+                    f"template {template!r} ({tpath}:{tline}); if the "
+                    f"interpolation ever produces the same string the "
+                    f"two sites share a stream")
+
+
+# --------------------------------------------------------------------------
+# the rule table
+# --------------------------------------------------------------------------
+
+Check = Callable[..., Iterable[Finding]]
+
+
+class Rule(NamedTuple):
+    """One invariant: its stable code and the checks that emit it."""
+
+    code: str
+    name: str
+    summary: str
+    checks: Tuple[Check, ...]
+    #: Cross-file rules read the ProjectIndex, not one module.
+    cross_file: bool = False
+
+
+RULES: Tuple[Rule, ...] = (
+    Rule("RPR001", "nondeterministic-call",
+         "wall-clock / OS-entropy call; all randomness must flow through "
+         "repro.rng.SeedTree and all time through repro.simclock",
+         (check_calls,)),
+    Rule("RPR002", "magic-unit-literal",
+         "inline unit-conversion constant (8 / 1000 / 1e6 / 1e9) next to a "
+         "*_mbps/*_bytes/*_ms/*_gb value; use the repro.units helpers",
+         (check_magic_unit_literals,)),
+    Rule("RPR003", "bare-builtin-raise",
+         "raise of a builtin exception; raise a ReproError subclass from "
+         "repro.errors so callers can catch one hierarchy at the boundary",
+         (check_error_handling,)),
+    Rule("RPR004", "layering-violation",
+         "import that points up the layer stack; the declared order is "
+         "netsim -> cloud -> tools -> core -> experiments (and "
+         "repro.cloud.providers may not import repro.core/repro.engine)",
+         (check_imports,)),
+    Rule("RPR005", "bare-except",
+         "bare `except:` swallows every exception including SystemExit; "
+         "catch a ReproError subclass (or at minimum Exception)",
+         (check_error_handling,)),
+    Rule("RPR006", "unseeded-rng-construction",
+         "numpy.random generator constructed outside repro.rng; request a "
+         "stream from SeedTree.generator(label) instead",
+         (check_calls,)),
+    Rule("RPR007", "engine-isolation",
+         "repro.engine imports a domain layer; the engine may import only "
+         "repro.units/errors/rng/simclock/obs and itself",
+         (check_imports,)),
+    Rule("RPR008", "obs-confinement",
+         "time.perf_counter-family call outside repro.obs, or repro.obs "
+         "importing beyond repro.units/errors/simclock; wall-time is a "
+         "span annotation, never simulation data",
+         (check_calls, check_imports)),
+    Rule("RPR010", "unordered-iteration",
+         "iteration over a set/frozenset (or a mutable-global dict view) "
+         "without sorted(); iteration order would differ between "
+         "processes and perturb emitted events, rows, or RNG draws",
+         (check_unordered_iteration,), cross_file=True),
+    Rule("RPR011", "seedtree-label-collision",
+         "two call sites derive SeedTree streams from the same (or an "
+         "overlapping) label; they would silently share an RNG stream - "
+         "disambiguate the labels or pass allow_reuse=True where "
+         "re-derivation is intended",
+         (check_seedtree_label_collisions,), cross_file=True),
+)
+
+_BY_CODE: Dict[str, Rule] = {rule.code: rule for rule in RULES}
+
+
+def all_rules() -> List[Rule]:
+    """Every rule, ordered by code."""
+    return list(RULES)
+
+
+def get_rule(code: str) -> Rule:
+    try:
+        return _BY_CODE[code]
+    except KeyError:
+        raise ConfigError(f"unknown rule code {code!r}; "
+                          f"known: {', '.join(_BY_CODE)}") from None

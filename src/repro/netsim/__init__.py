@@ -22,7 +22,7 @@ from .generator import GeneratorConfig, TopologyGenerator
 from .routing import Route, Router as RoutingEngine, TierPolicy
 from .traffic import DiurnalProfile, UtilizationModel, TrafficConfig
 from .linkstate import LinkObservation, LinkStateEvaluator
-from .tcp import tcp_throughput_mbps, multiflow_throughput_mbps
+from .tcp import multiflow_throughput_mbps
 from .pathmodel import PathMetrics, PathPerformanceModel
 
 __all__ = [
@@ -33,6 +33,6 @@ __all__ = [
     "Route", "RoutingEngine", "TierPolicy",
     "DiurnalProfile", "UtilizationModel", "TrafficConfig",
     "LinkObservation", "LinkStateEvaluator",
-    "tcp_throughput_mbps", "multiflow_throughput_mbps",
+    "multiflow_throughput_mbps",
     "PathMetrics", "PathPerformanceModel",
 ]

@@ -97,13 +97,6 @@ class Route:
         """One-way propagation delay along the route."""
         return sum(topology.link(lid).delay_ms for lid, _d in self.links)
 
-    def first_border(self) -> Optional[InterdomainLink]:
-        """The first interdomain link crossed, if any."""
-        return self.border_crossings[0] if self.border_crossings else None
-
-    def last_border(self) -> Optional[InterdomainLink]:
-        return self.border_crossings[-1] if self.border_crossings else None
-
 
 class Router:
     """Routing engine bound to one :class:`Topology`.

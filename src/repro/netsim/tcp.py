@@ -24,11 +24,10 @@ from ..units import MSS_BYTES, bytes_per_sec_to_mbps, ms_to_s
 __all__ = [
     "mathis_throughput_mbps",
     "pftk_throughput_mbps",
-    "tcp_throughput_mbps",
     "multiflow_throughput_mbps",
 ]
 
-#: Default receiver window: 4 MiB, a typical modern autotuned ceiling.
+#: Receiver window: 4 MiB, a typical modern autotuned ceiling.
 DEFAULT_RWND_BYTES = 4 * 1024 * 1024
 
 #: Default initial retransmission timeout used by the PFTK timeout term.
@@ -39,22 +38,20 @@ _RTO_MIN_S = 0.2
 _MIN_LOSS = 1e-7
 
 
-def mathis_throughput_mbps(rtt_ms: float, loss_rate: float,
-                           mss_bytes: int = MSS_BYTES) -> float:
+def mathis_throughput_mbps(rtt_ms: float, loss_rate: float) -> float:
     """Mathis et al. square-root law: ``MSS/RTT * sqrt(3/2) / sqrt(p)``."""
     if rtt_ms <= 0:
         raise ValidationError(f"rtt must be positive, got {rtt_ms}")
     if not 0 <= loss_rate < 1:
         raise ValidationError(f"loss_rate must be in [0, 1), got {loss_rate}")
     p = max(loss_rate, _MIN_LOSS)
-    rate_bytes = (mss_bytes / ms_to_s(rtt_ms)) * math.sqrt(1.5 / p)
+    rate_bytes = (MSS_BYTES / ms_to_s(rtt_ms)) * math.sqrt(1.5 / p)
     return bytes_per_sec_to_mbps(rate_bytes)
 
 
-def pftk_throughput_mbps(rtt_ms: float, loss_rate: float,
-                         mss_bytes: int = MSS_BYTES,
-                         rwnd_bytes: int = DEFAULT_RWND_BYTES) -> float:
-    """PFTK steady-state throughput including the timeout regime.
+def pftk_throughput_mbps(rtt_ms: float, loss_rate: float) -> float:
+    """Single-flow PFTK steady-state throughput including the timeout
+    regime, capped by the receiver window.
 
     ``B = min(Wmax/RTT, 1 / (RTT*sqrt(2bp/3) + T0*min(1, 3*sqrt(3bp/8))*p*(1+32p^2)))``
     in segments per second, with b = 2 (delayed ACKs).
@@ -64,7 +61,7 @@ def pftk_throughput_mbps(rtt_ms: float, loss_rate: float,
     if not 0 <= loss_rate < 1:
         raise ValidationError(f"loss_rate must be in [0, 1), got {loss_rate}")
     rtt_s = ms_to_s(rtt_ms)
-    window_limit_bytes_per_s = rwnd_bytes / rtt_s
+    window_limit_bytes_per_s = DEFAULT_RWND_BYTES / rtt_s
     p = loss_rate
     if p < _MIN_LOSS:
         return bytes_per_sec_to_mbps(window_limit_bytes_per_s)
@@ -73,22 +70,13 @@ def pftk_throughput_mbps(rtt_ms: float, loss_rate: float,
     denom = (rtt_s * math.sqrt(2.0 * b * p / 3.0)
              + t0 * min(1.0, 3.0 * math.sqrt(3.0 * b * p / 8.0)) * p * (1.0 + 32.0 * p * p))
     segments_per_s = 1.0 / denom
-    rate_bytes = min(window_limit_bytes_per_s, segments_per_s * mss_bytes)
+    rate_bytes = min(window_limit_bytes_per_s, segments_per_s * MSS_BYTES)
     return bytes_per_sec_to_mbps(rate_bytes)
-
-
-def tcp_throughput_mbps(rtt_ms: float, loss_rate: float,
-                        mss_bytes: int = MSS_BYTES,
-                        rwnd_bytes: int = DEFAULT_RWND_BYTES) -> float:
-    """Single-flow throughput: PFTK, window-capped."""
-    return pftk_throughput_mbps(rtt_ms, loss_rate, mss_bytes, rwnd_bytes)
 
 
 def multiflow_throughput_mbps(rtt_ms: float, loss_rate: float,
                               n_flows: int,
-                              path_avail_mbps: float,
-                              mss_bytes: int = MSS_BYTES,
-                              rwnd_bytes: int = DEFAULT_RWND_BYTES) -> float:
+                              path_avail_mbps: float) -> float:
     """Aggregate throughput of *n_flows* parallel connections on a path.
 
     The aggregate is the per-flow PFTK rate times the flow count, capped
@@ -102,8 +90,7 @@ def multiflow_throughput_mbps(rtt_ms: float, loss_rate: float,
         raise ValidationError(f"path_avail_mbps must be >= 0, got {path_avail_mbps}")
     with obs.span("netsim.tcp.transfer", layer="netsim",
                   n_flows=n_flows) as sp:
-        per_flow = tcp_throughput_mbps(rtt_ms, loss_rate, mss_bytes,
-                                       rwnd_bytes)
+        per_flow = pftk_throughput_mbps(rtt_ms, loss_rate)
         aggregate = min(per_flow * n_flows, path_avail_mbps)
         sp.annotate(throughput_mbps=round(aggregate, 3),
                     path_limited=per_flow * n_flows > path_avail_mbps)

@@ -70,9 +70,7 @@ _DAY_EDGE_MARGIN_S = 1.0
 # TCP model
 
 
-def batch_pftk_throughput_mbps(rtt_ms: np.ndarray, loss_rate: np.ndarray,
-                               mss_bytes: int = MSS_BYTES,
-                               rwnd_bytes: int = DEFAULT_RWND_BYTES
+def batch_pftk_throughput_mbps(rtt_ms: np.ndarray, loss_rate: np.ndarray
                                ) -> np.ndarray:
     """Vector twin of :func:`repro.netsim.tcp.pftk_throughput_mbps`."""
     rtt_ms = np.asarray(rtt_ms, dtype=np.float64)
@@ -82,7 +80,7 @@ def batch_pftk_throughput_mbps(rtt_ms: np.ndarray, loss_rate: np.ndarray,
     if np.any((p < 0) | (p >= 1)):
         raise ValidationError("loss_rate must be in [0, 1) in every element")
     rtt_s = ms_to_s(rtt_ms)
-    window_limit_bytes_per_s = rwnd_bytes / rtt_s
+    window_limit_bytes_per_s = DEFAULT_RWND_BYTES / rtt_s
     b = 2.0
     t0 = np.maximum(_RTO_MIN_S, 4.0 * rtt_s)
     with np.errstate(divide="ignore"):
@@ -91,7 +89,7 @@ def batch_pftk_throughput_mbps(rtt_ms: np.ndarray, loss_rate: np.ndarray,
                  * p * (1.0 + 32.0 * p * p))
         segments_per_s = 1.0 / denom
     rate_bytes = np.minimum(window_limit_bytes_per_s,
-                            segments_per_s * mss_bytes)
+                            segments_per_s * MSS_BYTES)
     return np.where(p < _MIN_LOSS,
                     bytes_per_sec_to_mbps(window_limit_bytes_per_s),
                     bytes_per_sec_to_mbps(rate_bytes))
@@ -100,9 +98,7 @@ def batch_pftk_throughput_mbps(rtt_ms: np.ndarray, loss_rate: np.ndarray,
 def batch_multiflow_throughput_mbps(rtt_ms: np.ndarray,
                                     loss_rate: np.ndarray,
                                     n_flows: np.ndarray,
-                                    path_avail_mbps: np.ndarray,
-                                    mss_bytes: int = MSS_BYTES,
-                                    rwnd_bytes: int = DEFAULT_RWND_BYTES
+                                    path_avail_mbps: np.ndarray
                                     ) -> np.ndarray:
     """Vector twin of :func:`repro.netsim.tcp.multiflow_throughput_mbps`."""
     n_flows = np.asarray(n_flows, dtype=np.int64)
@@ -111,8 +107,7 @@ def batch_multiflow_throughput_mbps(rtt_ms: np.ndarray,
         raise ValidationError("n_flows must be >= 1 in every element")
     if np.any(path_avail_mbps < 0):
         raise ValidationError("path_avail_mbps must be >= 0 in every element")
-    per_flow = batch_pftk_throughput_mbps(rtt_ms, loss_rate,
-                                          mss_bytes, rwnd_bytes)
+    per_flow = batch_pftk_throughput_mbps(rtt_ms, loss_rate)
     return np.minimum(per_flow * n_flows, path_avail_mbps)
 
 

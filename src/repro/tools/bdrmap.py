@@ -117,9 +117,6 @@ class BdrmapResult:
     def neighbors(self) -> Set[int]:
         return {l.neighbor_asn for l in self.links.values()}
 
-    def links_of_neighbor(self, asn: int) -> List[InferredLink]:
-        return [l for l in self.links.values() if l.neighbor_asn == asn]
-
     def match_hop(self, ip: int) -> Optional[int]:
         """Map a traceroute hop to a known far-side IP (via aliases)."""
         if ip in self.links:

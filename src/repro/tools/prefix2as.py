@@ -10,7 +10,7 @@ is what bdrmap exists to close.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..netsim.addressing import Prefix, PrefixTrie
 from ..netsim.topology import Topology
@@ -67,11 +67,6 @@ class Prefix2AS:
     def prefixes(self) -> Iterator[Tuple[Prefix, int]]:
         """Iterate all (prefix, origin ASN) entries."""
         return self._trie.items()
-
-    def routed_prefixes(self) -> List[Tuple[Prefix, int]]:
-        """All entries as a list, sorted for deterministic iteration."""
-        return sorted(self.prefixes(),
-                      key=lambda item: (item[0].network, item[0].length))
 
     def __len__(self) -> int:
         return len(self._trie)

@@ -36,10 +36,6 @@ class Hop(NamedTuple):
     ip: Optional[int]
     rtt_ms: Optional[float]
 
-    @property
-    def responded(self) -> bool:
-        return self.ip is not None
-
     def __repr__(self) -> str:
         if self.ip is None:
             return f"Hop({self.ttl}, *)"

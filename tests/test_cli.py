@@ -1,6 +1,7 @@
 """CLI subcommands."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,41 @@ def test_parser_requires_command():
 def test_parser_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["experiment", "fig99"])
+
+
+class _CampaignReached(Exception):
+    """Raised by a spy once the campaign length is known."""
+
+
+def test_experiment_days_flag_wins_and_env_is_left_alone(monkeypatch):
+    from repro.core.clasp import Clasp
+
+    monkeypatch.setenv("REPRO_DAYS", "3")
+    monkeypatch.delenv("REPRO_SEED", raising=False)
+    monkeypatch.delenv("REPRO_SCALE", raising=False)
+    days_run = []
+
+    def spy(self, plans, days, **kwargs):
+        days_run.append(days)
+        raise _CampaignReached
+
+    monkeypatch.setattr(Clasp, "run_campaign", spy)
+    with pytest.raises(_CampaignReached):
+        main(["experiment", "fig3", "--scale", "0.05", "--days", "1",
+              "--seed", "17"])
+    assert days_run == [1]
+    assert os.environ["REPRO_DAYS"] == "3"
+    assert "REPRO_SEED" not in os.environ
+    assert "REPRO_SCALE" not in os.environ
+
+
+def test_experiment_matrix_covers_every_provider(capsys):
+    assert main(["experiment", "matrix", "--scale", "0.05",
+                 "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("cross-cloud matrix: 5 endpoints "
+                          "(gcp, aws, openstack), 20 ordered pairs")
+    assert out.count("provider choice") == 2
 
 
 def test_world_command(capsys):

@@ -22,11 +22,11 @@ def codes_of(source, module="repro.core.fixture", **kwargs):
 # -- registry ---------------------------------------------------------------
 
 def test_rule_catalogue_is_complete():
-    codes = [r.code for r in all_rules()]
-    assert codes == sorted(codes)
-    for expected in ("RPR001", "RPR002", "RPR003", "RPR004",
-                     "RPR005", "RPR006", "RPR007", "RPR008"):
-        assert expected in codes
+    assert [r.code for r in all_rules()] == [
+        "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
+        "RPR007", "RPR008", "RPR010", "RPR011"]
+    assert [r.code for r in all_rules() if r.cross_file] == \
+        ["RPR010", "RPR011"]
 
 
 def test_unknown_rule_code_rejected():

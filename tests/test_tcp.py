@@ -8,7 +8,6 @@ from repro.netsim.tcp import (
     mathis_throughput_mbps,
     multiflow_throughput_mbps,
     pftk_throughput_mbps,
-    tcp_throughput_mbps,
 )
 
 rtts = st.floats(min_value=1.0, max_value=500.0)
@@ -31,29 +30,29 @@ def test_pftk_below_mathis(rtt, loss):
 
 @given(rtts, losses)
 def test_throughput_decreasing_in_loss(rtt, loss):
-    faster = tcp_throughput_mbps(rtt, loss)
-    slower = tcp_throughput_mbps(rtt, min(0.9, loss * 2 + 1e-6))
+    faster = pftk_throughput_mbps(rtt, loss)
+    slower = pftk_throughput_mbps(rtt, min(0.9, loss * 2 + 1e-6))
     assert slower <= faster + 1e-9
 
 
 @given(rtts, losses)
 def test_throughput_decreasing_in_rtt(rtt, loss):
-    near = tcp_throughput_mbps(rtt, loss)
-    far = tcp_throughput_mbps(rtt * 2, loss)
+    near = pftk_throughput_mbps(rtt, loss)
+    far = pftk_throughput_mbps(rtt * 2, loss)
     assert far <= near + 1e-9
 
 
 def test_zero_loss_window_limited():
     # 4 MiB rwnd over 100 ms = ~335 Mbps.
-    rate = tcp_throughput_mbps(100.0, 0.0)
+    rate = pftk_throughput_mbps(100.0, 0.0)
     assert rate == pytest.approx(4 * 1024 * 1024 / 0.1 * 8 / 1e6, rel=0.01)
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        tcp_throughput_mbps(0.0, 0.01)
+        pftk_throughput_mbps(0.0, 0.01)
     with pytest.raises(ValueError):
-        tcp_throughput_mbps(10.0, 1.0)
+        pftk_throughput_mbps(10.0, 1.0)
     with pytest.raises(ValueError):
         mathis_throughput_mbps(10.0, -0.1)
 
