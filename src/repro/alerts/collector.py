@@ -14,9 +14,15 @@ step (the detector runs the paper's fixed setting - see
    across runs - a daemon replaying campaigns out of order is a bug,
    not late data) and advance the detector;
 2. export newly-sealed V_H events into the ``vh_events`` history
-   table;
+   table (only the pair-days sealed since the last export - see
+   :meth:`~repro.core.streaming.StreamingCongestionDetector.take_sealed`);
 3. once per hour boundary, write the registry into the ``metrics``
    table and evaluate every rule at the watermark.
+
+Each step costs O(what arrived that hour): the detector skips hours in
+which no day is due, and the history tables keep their sorted views
+incrementally, so a daemon's hourly cost does not grow with the
+history it has kept.
 
 The engine feeds a collector through the same
 :class:`~repro.core.streaming.StreamingDetectorObserver` as a bare
@@ -31,11 +37,10 @@ output (the determinism tests enforce this).
 from __future__ import annotations
 
 import json
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.campaign import CampaignDataset
-from ..core.congestion import CongestionReport, PairKey
+from ..core.congestion import CongestionReport
 from ..core.streaming import (StreamingCongestionDetector,
                               StreamingDetectorObserver)
 from ..core.tsdb import TimeSeriesDB
@@ -84,7 +89,6 @@ class Collector:
         self.run_log: List[Dict[str, Any]] = []
         self._offset_of: Optional[Callable[[str], float]] = None
         self._provider = "gcp"
-        self._exported: Set[Tuple[PairKey, int]] = set()
         self._last_pipeline_ts: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -150,11 +154,7 @@ class Collector:
 
     def _export_sealed(self) -> None:
         """Append newly-sealed V_H events to the history, exactly once."""
-        for pair, day, summary in self.detector.sealed_items():
-            key = (pair, day)
-            if key in self._exported:
-                continue
-            self._exported.add(key)
+        for pair, _day, summary in self.detector.take_sealed():
             self.registry.counter("collector.sealed_days").inc()
             for event in summary.events:
                 self.history.record_vh_event(
@@ -190,8 +190,9 @@ class Collector:
             "run_log": [dict(entry) for entry in self.run_log],
             "snapshot_hours": _SNAPSHOT_HOURS,
             "last_pipeline_ts": self._last_pipeline_ts,
+            # Every sealed day is exported in the step that seals it.
             "exported": [[list(pair), day]
-                         for pair, day in sorted(self._exported)],
+                         for pair, day, _ in self.detector.sealed_items()],
             "detector": self.detector.state_dict(),
             "registry": self.registry.dump_state(),
             "history": self.history.db.dump(),
@@ -211,8 +212,9 @@ class Collector:
         (rules files are code, not state); a changed set raises via
         the evaluator's restore check.  ``begin_run()`` must be called
         before the restored collector can bucket *new* server ids.  A
-        state with a foreign schema, a missing key, or a cadence or
-        detector setting other than the fixed one raises
+        state with a foreign schema, a missing key, a wrongly typed
+        value, exported days other than its sealed days, or a cadence
+        or detector setting other than the fixed one raises
         :class:`~repro.errors.ConfigError`.
         """
         schema = state.get("schema") if isinstance(state, dict) \
@@ -241,14 +243,24 @@ class Collector:
             collector._last_pipeline_ts = (
                 None if state["last_pipeline_ts"] is None
                 else float(state["last_pipeline_ts"]))
-            collector._exported = {
-                (tuple(pair), int(day)) for pair, day in state["exported"]}
-        except KeyError as exc:
+            exported = sorted((tuple(pair), int(day))
+                              for pair, day in state["exported"])
+            sealed = [(pair, day) for pair, day, _
+                      in collector.detector.sealed_items()]
+            if exported != sealed:
+                raise ConfigError(
+                    f"collector state exports {len(exported)} pair-days "
+                    f"that differ from its {len(sealed)} sealed ones; "
+                    "every sealed day is exported when it seals")
+        except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ReproError):
                 raise
+            if isinstance(exc, KeyError):
+                raise ConfigError(
+                    f"collector state is missing key {exc.args[0]!r}"
+                ) from exc
             raise ConfigError(
-                f"collector state is missing key {exc.args[0]!r}"
-            ) from exc
+                f"collector state has a malformed value: {exc}") from exc
         return collector
 
     @classmethod

@@ -13,10 +13,18 @@ observations) per hour:
   bucket is sorted once and handed to the same
   :func:`~repro.core.congestion.summarize_day` the batch pass uses,
   yielding the day's :class:`~repro.core.congestion.DayRecord`,
-  congestion events, and measured-hour count;
-* sealed day summaries are tiny aggregates, so the alerts collector
-  exports newly sealed events (:meth:`~StreamingCongestionDetector.
-  sealed_items`) without touching raw samples.
+  congestion events, and measured-hour count.  The detector keeps the
+  earliest open day's due time, so an hour in which nothing is due
+  returns without visiting any bucket;
+* sealed day summaries are tiny aggregates, and the detector hands out
+  only the pair-days sealed since the last hand-out
+  (:meth:`~StreamingCongestionDetector.take_sealed`), so the alerts
+  collector exports new V_H events without touching raw samples or
+  older seals.
+
+Together with the incremental sorted views of :mod:`repro.core.tsdb`
+that the collector's rules read, every part of the always-on plane's
+hourly step costs O(what arrived that hour), not O(history).
 
 The detector runs the paper's one setting: download throughput,
 ``H = PAPER_THRESHOLD``, days with at least ``MIN_SAMPLES_PER_DAY``
@@ -123,6 +131,10 @@ class StreamingCongestionDetector:
         self.late_dropped = 0
         #: Sealed pair-days so far.
         self.sealed_days = 0
+        #: Earliest ``due_ts`` of any open day (inf when none is open).
+        self._next_due = float("inf")
+        #: ``(pair, day)`` keys sealed since the last :meth:`take_sealed`.
+        self._fresh: List[Tuple[PairKey, int]] = []
 
     # ------------------------------------------------------------------
     # ingestion
@@ -151,6 +163,8 @@ class StreamingCongestionDetector:
         bucket = days.get(day)
         if bucket is None:
             bucket = days[day] = _OpenDay(self._due_ts(day, offset))
+            if bucket.due_ts < self._next_due:
+                self._next_due = bucket.due_ts
         bucket.ts.append(float(ts))
         bucket.values.append(float(value))
         self.observed += 1
@@ -172,13 +186,20 @@ class StreamingCongestionDetector:
         return self._seal_due(self.watermark)
 
     def _seal_due(self, watermark: float) -> int:
+        if watermark < self._next_due:
+            return 0
         n = 0
+        next_due = float("inf")
         for pair, days in self._open.items():
             due = [day for day, bucket in days.items()
                    if bucket.due_ts <= watermark]
             for day in sorted(due):
                 self._seal(pair, day, days.pop(day))
                 n += 1
+            for bucket in days.values():
+                if bucket.due_ts < next_due:
+                    next_due = bucket.due_ts
+        self._next_due = next_due
         return n
 
     def _seal(self, pair: PairKey, day: int, bucket: _OpenDay) -> None:
@@ -191,6 +212,7 @@ class StreamingCongestionDetector:
         summary = summarize_day(pair, self._offset(pair[1]), day,
                                 ts[order], values[order])
         self._sealed.setdefault(pair, {})[day] = summary
+        self._fresh.append((pair, day))
         self.sealed_days += 1
 
     def finalize(self) -> CongestionReport:
@@ -199,21 +221,31 @@ class StreamingCongestionDetector:
             days = self._open.pop(pair)
             for day in sorted(days):
                 self._seal(pair, day, days[day])
+        self._next_due = float("inf")
         return report_from_days(PAPER_THRESHOLD, (
             (pair, [days[day] for day in sorted(days)])
             for pair, days in sorted(self._sealed.items())))
 
     def sealed_items(self) -> Iterable[Tuple[PairKey, int, DaySummary]]:
-        """Sealed day summaries in deterministic (pair, day) order.
-
-        A sealed pair-day is immutable, so consumers (the alerts
-        collector's event export) can track what they have already
-        seen by ``(pair, day)`` key.
-        """
+        """Sealed day summaries in deterministic (pair, day) order."""
         for pair in sorted(self._sealed):
             days = self._sealed[pair]
             for day in sorted(days):
                 yield pair, day, days[day]
+
+    def take_sealed(self) -> List[Tuple[PairKey, int, DaySummary]]:
+        """Pair-days sealed since the last call, in (pair, day) order.
+
+        A sealed pair-day is immutable, so a consumer (the alerts
+        collector's event export) that takes every hand-out sees each
+        one exactly once, in the order a filtered :meth:`sealed_items`
+        walk would give, at a cost of O(new seals).  A restored
+        detector (:meth:`load_state`) counts its sealed days as
+        already taken.
+        """
+        fresh, self._fresh = sorted(self._fresh), []
+        return [(pair, day, self._sealed[pair][day])
+                for pair, day in fresh]
 
     # ------------------------------------------------------------------
     # persistence (daemon save/restore)
@@ -271,13 +303,16 @@ class StreamingCongestionDetector:
         self._offsets = {sid: float(offset)
                          for sid, offset in state["offsets"].items()}
         self._open = {}
+        self._next_due = float("inf")
         for entry in state["open"]:
             pair = tuple(entry["pair"])
             bucket = _OpenDay(float(entry["due_ts"]))
             bucket.ts = [float(ts) for ts in entry["ts"]]
             bucket.values = [float(v) for v in entry["values"]]
             self._open.setdefault(pair, {})[int(entry["day"])] = bucket
+            self._next_due = min(self._next_due, bucket.due_ts)
         self._sealed = {}
+        self._fresh = []
         for entry in state["sealed"]:
             pair = tuple(entry["pair"])
             self._sealed.setdefault(pair, {})[int(entry["day"])] = (

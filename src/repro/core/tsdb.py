@@ -24,21 +24,35 @@ Row = Tuple[float, Sequence[str], Sequence[float]]
 class _SeriesBuffer:
     """Append-only columnar buffer for one tag combination.
 
-    The timestamp-sorted view :meth:`sorted_view` is computed once and
-    cached; any append invalidates it.  Cached arrays are marked
-    read-only so an accidental in-place mutation fails loudly instead
-    of corrupting every later read.
+    Rows are kept in arrival order (what :meth:`Table.dump` writes).
+    The timestamp-sorted view :meth:`sorted_view` is maintained
+    incrementally: rows appended since the last view are stably sorted
+    among themselves and then appended to the cached view, or merged
+    into its tail when they start before its last timestamp.  Rows
+    already in the view are never re-sorted: a read after k new rows
+    sorts those k, and appends them in amortized O(k) when they start
+    at or after the view's last timestamp (the hourly case).  The
+    result is always exactly ``np.argsort(ts, kind="stable")`` over
+    arrival order.
+
+    Views are read-only slices of over-allocated column buffers.  A
+    view handed out never changes: plain appends write past its end,
+    and a tail merge (which reorders rows an earlier view covers)
+    writes a new buffer.
     """
 
-    __slots__ = ("ts", "fields", "_sorted")
+    __slots__ = ("ts", "fields", "_sorted", "_columns")
 
     def __init__(self, n_fields: int) -> None:
         self.ts = array("d")
         self.fields = [array("d") for _ in range(n_fields)]
+        #: The latest view handed out (``[ts, field0, ...]``).
         self._sorted: Optional[List[np.ndarray]] = None
+        #: Backing buffers of that view; rows past its length are free
+        #: capacity no view covers.
+        self._columns: List[np.ndarray] = []
 
     def append(self, ts: float, values: Sequence[float]) -> None:
-        self._sorted = None
         self.ts.append(ts)
         for column, value in zip(self.fields, values):
             column.append(value)
@@ -46,23 +60,73 @@ class _SeriesBuffer:
     def extend(self, ts_values: Sequence[float],
                field_columns: Sequence[Sequence[float]]) -> None:
         """Append many rows at once (columnar input)."""
-        self._sorted = None
         self.ts.extend(ts_values)
         for column, values in zip(self.fields, field_columns):
             column.extend(values)
 
     def sorted_view(self) -> List[np.ndarray]:
         """``[ts, field0, field1, ...]`` sorted by timestamp (cached)."""
-        if self._sorted is None:
-            ts = np.asarray(self.ts, dtype=float)
-            order = np.argsort(ts, kind="stable")
-            arrays = [ts[order]]
-            arrays.extend(np.asarray(column, dtype=float)[order]
-                          for column in self.fields)
-            for arr in arrays:
-                arr.setflags(write=False)
-            self._sorted = arrays
-        return self._sorted
+        done = 0 if self._sorted is None else len(self._sorted[0])
+        total = len(self.ts)
+        if self._sorted is not None and done == total:
+            return self._sorted
+        new = [np.asarray(self.ts[done:], dtype=float)]
+        new.extend(np.asarray(column[done:], dtype=float)
+                   for column in self.fields)
+        order = np.argsort(new[0], kind="stable")
+        new = [arr[order] for arr in new]
+        if done == 0:
+            self._columns = new
+        else:
+            old = [column[:done] for column in self._columns]
+            # Stable order is (ts, arrival): rows already in the view
+            # arrived first, so every new row lands after each old row
+            # with an equal timestamp.
+            start = int(np.searchsorted(old[0], new[0][0], side="right"))
+            if start == done:
+                self._append_sorted(done, new)
+            else:
+                self._merge_tail(done, start, old, new)
+        view = [column[:total] for column in self._columns]
+        for arr in view:
+            arr.setflags(write=False)
+        self._sorted = view
+        return view
+
+    def _append_sorted(self, done: int,
+                       new: List[np.ndarray]) -> None:
+        """Write sorted rows past the view's end, growing if needed."""
+        total = done + len(new[0])
+        if total > len(self._columns[0]):
+            grown = []
+            for column in self._columns:
+                buf = np.empty(max(total, 2 * len(column)), dtype=float)
+                buf[:done] = column[:done]
+                grown.append(buf)
+            self._columns = grown
+        for column, values in zip(self._columns, new):
+            column[done:total] = values
+
+    def _merge_tail(self, done: int, start: int, old: List[np.ndarray],
+                    new: List[np.ndarray]) -> None:
+        """Merge sorted rows into the view's tail, in a new buffer."""
+        n_new = len(new[0])
+        total = done + n_new
+        # Each new row goes after every old row with ts <= its own,
+        # shifted by the new rows placed before it.
+        at = (np.searchsorted(old[0][start:], new[0], side="right")
+              + np.arange(n_new))
+        old_at = np.ones(total - start, dtype=bool)
+        old_at[at] = False
+        merged = []
+        for column, values in zip(old, new):
+            buf = np.empty(max(total, 2 * done), dtype=float)
+            buf[:start] = column[:start]
+            tail = buf[start:total]
+            tail[at] = values
+            tail[old_at] = column[start:]
+            merged.append(buf)
+        self._columns = merged
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -159,8 +223,11 @@ class Table:
         """The full series for one exact tag tuple.
 
         Returns a dict with key ``"ts"`` plus one key per field, sorted
-        by timestamp.  The arrays come from a per-series cache that is
-        invalidated on append, and are read-only; copy before mutating.
+        by timestamp (ties in arrival order).  The arrays are read-only
+        views that the series keeps up to date incrementally: a read
+        after an append returns new arrays and sorts only the rows
+        appended since the last read, while views handed out earlier
+        keep their contents.  Copy before mutating.
         """
         key = tuple(tags)
         buf = self._series.get(key)

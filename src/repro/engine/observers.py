@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import json
 from collections import Counter
-from typing import (Any, ClassVar, Dict, IO, List, Optional,
+from typing import (Any, Callable, ClassVar, Dict, IO, List, Optional,
                     TextIO, Tuple, Union)
 
 from ..errors import ValidationError
@@ -43,16 +43,30 @@ class Observer:
     ``tests/test_engine.py`` requires every engine event kind to be
     either handled or listed there for every observer in the package,
     so growing the taxonomy can never silently bypass an observer.
+
+    Hooks are looked up on the class, once per (class, kind), so a
+    hook must be a plain method (not set per instance).
     """
 
     #: Event kinds this observer deliberately does not react to.
     IGNORED_EVENTS: ClassVar[Tuple[str, ...]] = ()
+    #: ``event kind -> on_<kind> function`` (``None`` when the class has
+    #: no hook), filled on first dispatch; one table per class.
+    _handlers: ClassVar[
+        Dict[str, Optional[Callable[[Any, CampaignEvent], None]]]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {}
 
     def on_event(self, event: CampaignEvent) -> None:
-        handler = getattr(self, "on_" + event.kind.replace("-", "_"),
-                          None)
+        try:
+            handler = self._handlers[event.kind]
+        except KeyError:
+            handler = self._handlers[event.kind] = getattr(
+                type(self), "on_" + event.kind.replace("-", "_"), None)
         if handler is not None:
-            handler(event)
+            handler(self, event)
 
 
 # ----------------------------------------------------------------------

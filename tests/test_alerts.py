@@ -516,6 +516,103 @@ def test_daemon_restart_mid_sequence_is_byte_identical():
     assert restarted.state_json() == uninterrupted.state_json()
 
 
+class _FullWalkCollector(Collector):
+    """The reference export: walk every sealed pair-day each step and
+    skip the keys already exported, kept in a set that the state file
+    carries - what the per-seal export must reproduce byte for byte."""
+
+    def __init__(self, start_ts, rules=(), registry=None, history=None):
+        super().__init__(start_ts, rules, registry, history)
+        self.exported = set()
+
+    def _export_sealed(self):
+        for pair, day, summary in self.detector.sealed_items():
+            if (pair, day) in self.exported:
+                continue
+            self.exported.add((pair, day))
+            self.registry.counter("collector.sealed_days").inc()
+            for event in summary.events:
+                self.history.record_vh_event(
+                    self._provider, pair[0], pair[2], event)
+                self.registry.counter("collector.vh_events").inc()
+
+    def state_dict(self):
+        state = super().state_dict()
+        state["exported"] = [[list(pair), day]
+                             for pair, day in sorted(self.exported)]
+        return state
+
+    @classmethod
+    def from_state(cls, state, rules=()):
+        collector = super().from_state(state, rules=rules)
+        collector.exported = {(tuple(pair), int(day))
+                              for pair, day in state["exported"]}
+        return collector
+
+
+def _assert_same_outputs(product, reference):
+    vh_events = product.history.db.table("vh_events").dump()
+    assert vh_events == reference.history.db.table("vh_events").dump()
+    assert notifications_to_jsonlines(product.evaluator.notifications) \
+        == notifications_to_jsonlines(reference.evaluator.notifications)
+    assert product.state_json() == reference.state_json()
+    return sum(len(entry["ts"]) for entry in vh_events["series"])
+
+
+def test_collector_exports_each_seal_once_like_a_full_walk():
+    """Two 2-day batch runs into both collectors, restarted between
+    runs from their own state files, then finalized."""
+    rules = default_rules()
+    product = reference = None
+    for run in range(2):
+        clasp = build_scenario(seed=SEED, scale=SCALE).clasp
+        plan = clasp.deploy_topology(
+            REGION, clasp.select_topology_servers(REGION),
+            budget_servers=BUDGET_SERVERS)
+        if product is None:
+            product, observer = clasp.collector(rules=rules)
+            reference, reference_observer = clasp.collector(
+                collector=_FullWalkCollector(START, rules=rules))
+        else:
+            product, observer = clasp.collector(collector=product)
+            reference, reference_observer = clasp.collector(
+                collector=reference)
+        clasp.run_campaign([plan], days=2, start_ts=START + run * 2 * DAY,
+                           charge_billing=False, batch=True,
+                           observers=[observer, reference_observer])
+        _assert_same_outputs(product, reference)
+        product = Collector.from_state_json(product.state_json(),
+                                            rules=rules)
+        reference = _FullWalkCollector.from_state_json(
+            reference.state_json(), rules=rules)
+    assert product.finalize() == reference.finalize()
+    assert _assert_same_outputs(product, reference) > 0
+
+
+def test_collector_export_order_matches_a_full_walk_on_a_shuffled_feed():
+    """Pairs first seen in reverse order still export in (pair, day)
+    order: same-ts V_H events land in the history in the same order."""
+    rules = default_rules()
+    product = Collector(START, rules=rules)
+    reference = _FullWalkCollector(START, rules=rules)
+    collectors = (product, reference)
+    for collector in collectors:
+        collector.begin_run(lambda server_id: 0.0)
+    for hour in range(3 * 24):
+        ts = START + hour * HOUR
+        for collector in collectors:
+            collector.advance(ts)
+        for k in reversed(range(6)):
+            dip = hour % 24 in (19, 20)
+            record = _record(ts + 60.0, server_id=f"srv-{k}",
+                             download=40.0 if dip else 400.0 + k)
+            for collector in collectors:
+                collector.observe_record(record)
+    for collector in collectors:
+        collector.advance(START + 3 * DAY)
+    assert _assert_same_outputs(product, reference) > 0
+
+
 def test_collector_state_schema_is_checked():
     collector, _datasets, _watermarks = _daemon_sequence()
     state = json.loads(collector.state_json())
@@ -525,6 +622,14 @@ def test_collector_state_schema_is_checked():
     with pytest.raises(ConfigError):
         # Restoring under a different rule set is a config error.
         Collector.from_state_json(collector.state_json(), rules=())
+
+
+def test_collector_state_exported_days_must_match_sealed_days():
+    collector, _datasets, _watermarks = _daemon_sequence()
+    state = json.loads(collector.state_json())
+    state["exported"].pop()
+    with pytest.raises(ConfigError, match="sealed"):
+        Collector.from_state(state, rules=default_rules())
 
 
 def test_clasp_collector_refuses_rules_for_an_existing_collector():

@@ -336,6 +336,23 @@ def test_campaign_state_with_another_setting_is_one_line_error(
     assert f"{key[-1]}={value!r}" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("exported", 0, 1), "notint"),
+    (("detector", "open", 0, "day"), "zz"),
+], ids=["exported-day", "open-day"])
+def test_campaign_state_with_a_wrongly_typed_value_is_one_line_error(
+        capsys, tmp_path, path, value):
+    state = json.loads(OLD_STATE.read_text())
+    parent = state
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    bad = tmp_path / "state.json"
+    bad.write_text(json.dumps(state))
+    assert main(["campaign", *SMALL, "--state", str(bad)]) == 2
+    assert "malformed value" in _error_line(capsys)
+
+
 def test_campaign_zero_runs_is_one_line_error(capsys):
     assert main(["campaign", *SMALL, "--runs", "0"]) == 2
     assert "--runs must be >= 1" in _error_line(capsys)

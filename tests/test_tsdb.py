@@ -148,6 +148,64 @@ def test_series_view_is_cached_until_append(table):
     assert list(first["ts"]) == [1.0, 3.0]
 
 
+def test_incremental_views_match_a_stable_argsort_oracle():
+    """Every read equals a stable argsort over arrival order, and no
+    view handed out earlier ever changes (seeded random workload)."""
+    import json
+
+    rng = np.random.default_rng(2020)
+    table = Table("t", ("k",), ("v", "arrival"))
+    arrivals = {key: [] for key in ("a", "b")}
+    handed = []  # (view, contents when handed out)
+    seen = {"tail_merge": 0, "older_than_view": 0, "restore": 0}
+    clock = 0.0
+
+    def add(key, ts):
+        rows = arrivals[key]
+        rows.append((float(ts), len(rows)))
+        return float(ts), (key,), (float(rng.random()), float(len(rows) - 1))
+
+    for _step in range(600):
+        key = ("a", "b")[int(rng.integers(2))]
+        rows = arrivals[key]
+        op = int(rng.integers(6))
+        if op == 0:  # one row near the clock: ties and small reorders
+            table.append(*add(key, clock + int(rng.integers(-2, 3))))
+        elif op == 1:  # an out-of-order chunk, often before the tail
+            k = int(rng.integers(1, 7))
+            tail = max((ts for ts, _ in rows), default=clock)
+            offsets = rng.integers(-4, 5, size=k)
+            seen["tail_merge"] += int(clock + offsets.min() < tail)
+            table.extend([add(key, clock + int(d)) for d in offsets])
+        elif op == 2 and rows:  # rows older than the whole view
+            oldest = min(ts for ts, _ in rows)
+            k = int(rng.integers(1, 4))
+            table.extend([add(key, oldest - int(rng.integers(0, 3)))
+                          for _ in range(k)])
+            seen["older_than_view"] += 1
+        elif op == 3 and len(table):
+            table = Table.from_dump(json.loads(json.dumps(table.dump())))
+            seen["restore"] += 1
+        clock += int(rng.integers(0, 3))
+        if not rows or rng.random() < 0.3:
+            continue
+        view = table.series((key,))
+        ts = np.array([t for t, _ in rows])
+        order = np.argsort(ts, kind="stable")
+        assert np.array_equal(view["ts"], ts[order])
+        assert np.array_equal(view["arrival"], np.arange(len(rows))[order])
+        handed.append((view, {name: column.copy()
+                              for name, column in view.items()}))
+        for old, contents in handed:
+            for name, column in old.items():
+                assert not column.flags.writeable
+                assert np.array_equal(column, contents[name])
+    assert all(count > 5 for count in seen.values()), seen
+    for entry in table.dump()["series"]:  # dump keeps arrival order
+        assert entry["fields"][1] == [float(i)
+                                      for i in range(len(entry["ts"]))]
+
+
 def test_series_arrays_are_read_only(table):
     series = table.series(("w1", "s1"))
     with pytest.raises(ValueError):
