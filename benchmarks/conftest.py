@@ -4,26 +4,31 @@ All benchmarks share one :class:`~repro.experiments.runner.ExperimentCache`
 (scenario + pilot scans + campaign datasets), so the expensive
 longitudinal campaigns run once per pytest session.  Scale and duration
 come from ``REPRO_SCALE`` / ``REPRO_DAYS`` / ``REPRO_SEED`` (defaults:
-0.35 / 28 / 7; the paper's full size is scale 1.0 over 153 days).
+0.35 / 28 / 7; the paper's full size is scale 1.0 over 153 days); this
+fixture is the only reader of those variables.
 
 Each benchmark prints the paper-comparable rows through the ``emit``
 fixture, which bypasses pytest's capture so the tables land in the
 tee'd benchmark log.
 """
 
+import os
 import pathlib
 
 import pytest
 
-from repro.experiments import shared_scenario
+from repro.experiments import ExperimentCache
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 
 @pytest.fixture(scope="session")
 def cache():
-    """The process-wide experiment cache."""
-    return shared_scenario()
+    """The session-wide experiment cache."""
+    env = os.environ
+    return ExperimentCache(seed=int(env.get("REPRO_SEED", "7")),
+                           scale=float(env.get("REPRO_SCALE", "0.35")),
+                           days=int(env.get("REPRO_DAYS", "28")))
 
 
 @pytest.fixture()

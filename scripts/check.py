@@ -21,6 +21,15 @@ equivalence suite (``tests/test_streaming.py``, incremental detection
 == batch ``detect()`` across fault plans x execution paths) then gate
 the run before the full test suite.
 
+The benchmark contract gate runs ``perfbench/run.py --workload W
+--tiny --trace 1`` once for each workload ``BENCHMARK.json`` names and
+fails on a non-zero exit: a broken correctness gate (digest or
+selection drift between repetitions, a failed workload check) or a
+traced layer that never ran.  It keeps constructor and method changes
+honest against the frozen ``perfbench/`` harness, which no test
+imports.  It reads ``perfbench/`` and writes nothing (bytecode writing
+is off for it); about 20 s on a 2-core host.
+
 Coverage enforcement for ``repro.faults``, ``repro.engine``,
 ``repro.obs``, and ``repro.shard`` (configured in pyproject.toml,
 >=90% lines) activates automatically when pytest-cov is installed;
@@ -39,6 +48,7 @@ add ~15s.
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -81,6 +91,23 @@ def _cli_smoke() -> int:
     return 0
 
 
+def _benchmark_contract() -> int:
+    """Run every declared benchmark workload once, tiny and traced."""
+    spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    for workload in spec["workloads"]:
+        argv = [sys.executable, "perfbench/run.py", "--workload",
+                workload["name"], "--tiny", "--trace", "1"]
+        print(f"== benchmark contract gate: {' '.join(argv[1:])}",
+              flush=True)
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(argv, cwd=str(REPO_ROOT), env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+            return proc.returncode
+    return 0
+
+
 def main() -> int:
     status = _run("lint", [sys.executable, "-m", "repro.lint",
                            str(SRC / "repro")])
@@ -111,6 +138,10 @@ def main() -> int:
     status = _run("streaming equivalence gate", [
         sys.executable, "-m", "pytest", "-q", "-x",
         "tests/test_streaming.py"])
+    if status != 0:
+        return status
+
+    status = _benchmark_contract()
     if status != 0:
         return status
 

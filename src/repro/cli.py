@@ -42,10 +42,12 @@ Subcommands:
   analyses); every argument passes straight to ``python -m repro.lint``.
 
 Every command accepts ``--seed`` / ``--scale`` (and ``--days`` where a
-campaign runs), mirroring the ``REPRO_*`` environment knobs the
-benchmark harness uses.  A package error (:class:`~repro.errors.
-ReproError`) or an unusable file path (:class:`OSError`) prints as one
-``repro: error: ...`` line on stderr and exits 2.
+campaign runs).  No command reads the ``REPRO_*`` environment
+variables: only the benchmark harness's session fixture
+(``benchmarks/conftest.py``) does.  A package error
+(:class:`~repro.errors.ReproError`) or an unusable file path
+(:class:`OSError`) prints as one ``repro: error: ...`` line on stderr
+and exits 2.
 """
 
 from __future__ import annotations
@@ -187,26 +189,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.id == "matrix":
         with _profiled(args.profile):
             return _matrix(args)
-    import os
-
     from repro import experiments
     from repro.experiments.runner import ExperimentCache
 
     module = getattr(experiments, args.id)
-    # The shared campaigns read their length from REPRO_DAYS: --days
-    # overrides it for this run only, and the caller's value (or its
-    # absence) is restored afterwards.
-    saved = os.environ.get("REPRO_DAYS")
-    os.environ["REPRO_DAYS"] = str(args.days)
-    try:
-        with _profiled(args.profile):
-            cache = ExperimentCache(args.seed, args.scale)
-            print(module.render(module.run(cache)))
-    finally:
-        if saved is None:
-            del os.environ["REPRO_DAYS"]
-        else:
-            os.environ["REPRO_DAYS"] = saved
+    with _profiled(args.profile):
+        cache = ExperimentCache(args.seed, args.scale, args.days)
+        print(module.render(module.run(cache)))
     return 0
 
 
@@ -473,17 +462,23 @@ def _cmd_world(args: argparse.Namespace) -> int:
 
 def _cmd_cost(args: argparse.Namespace) -> int:
     from repro.cloud.billing import CostTracker
+    from repro.cloud.providers import get_provider
     from repro.cloud.tiers import NetworkTier
     from repro.core.orchestrator import Orchestrator
     from repro.report.tables import TextTable
+    from repro.speedtest.protocol import UPLOAD_DURATION_S
     from repro.units import transferred_bytes
 
+    if args.days < 1:
+        raise ValidationError(f"days must be >= 1, got {args.days}")
     tier = NetworkTier(args.tier)
     n_vms = Orchestrator.vms_needed(args.servers)
+    gcp = get_provider("gcp")
+    vm_hourly_usd = gcp.machine_type(gcp.default_machine_type).hourly_usd
     costs = CostTracker()
-    vm_usd = costs.charge_vm_hours(0.095 * n_vms, args.days * 24)
+    vm_usd = costs.charge_vm_hours(vm_hourly_usd * n_vms, args.days * 24)
     tests = args.servers * 24 * args.days
-    upload_bytes = transferred_bytes(95.0, 15.0)  # per test
+    upload_bytes = transferred_bytes(95.0, UPLOAD_DURATION_S)  # per test
     egress_usd = costs.charge_egress(tests * upload_bytes, tier)
     storage_usd = costs.charge_storage(tests * 2_000_000,
                                        args.days / 30.0)

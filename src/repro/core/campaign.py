@@ -58,6 +58,10 @@ _FIELDS = ("download", "upload", "latency", "loss_down", "loss_up")
 _TAGS = ("region", "server_id", "tier")
 
 
+#: Bucket storage is charged monthly (per 30 days).
+STORAGE_CHARGE_EVERY_DAYS = 30
+
+
 @dataclass
 class CampaignConfig:
     """Campaign length and bookkeeping knobs."""
@@ -66,8 +70,6 @@ class CampaignConfig:
     start_ts: float = float(CAMPAIGN_START)
     #: Bill VM hours / egress / storage while running.
     charge_billing: bool = True
-    #: Charge bucket storage monthly (per 30 days).
-    storage_charge_every_days: int = 30
 
     def __post_init__(self) -> None:
         if self.days < 1:
@@ -225,10 +227,10 @@ class BillingObserver:
         self.bus.emit(BillingCharged(ts=hour_start + HOUR,
                                      category="vm_hours", amount_usd=usd,
                                      provider=self._provider_name))
-        every_days = self.config.storage_charge_every_days
-        if hour_start - self._last_storage_charge >= every_days * DAY:
+        if (hour_start - self._last_storage_charge
+                >= STORAGE_CHARGE_EVERY_DAYS * DAY):
             usd = self.platform.storage.charge_monthly_storage(
-                months=every_days / 30.0)
+                months=STORAGE_CHARGE_EVERY_DAYS / 30.0)
             self.bus.emit(BillingCharged(ts=hour_start + HOUR,
                                          category="storage",
                                          amount_usd=usd,
@@ -403,28 +405,27 @@ class LaneExecutor:
 class CampaignRunner:
     """Executes deployment plans hour by hour.
 
-    When given a :class:`~repro.faults.FaultPlan` (or a ready-made
-    :class:`~repro.faults.FaultInjector`), the runner wires the fault
-    streams into the speed-test engine, the storage service, and the
-    link-state evaluator, and recovers from every injected fault kind:
-    the campaign always completes, with unusable hour slots tagged in
-    ``dataset.lost``.
+    When given an enabled :class:`~repro.faults.FaultPlan`, the runner
+    builds a seed-derived :class:`~repro.faults.FaultInjector` and wires
+    its fault streams into the speed-test engine, the storage service,
+    and the link-state evaluator, and recovers from every injected fault
+    kind: the campaign always completes, with unusable hour slots tagged
+    in ``dataset.lost``.
     """
 
     def __init__(self, platform: CloudPlatform, catalog: ServerCatalog,
                  engine: SpeedTestEngine,
                  seeds: Optional[SeedTree] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 injector: Optional[FaultInjector] = None,
                  orchestrator: Optional[Orchestrator] = None) -> None:
         self.platform = platform
         self.catalog = catalog
         self.engine = engine
         self._seeds = seeds or SeedTree(0)
-        if injector is None and fault_plan is not None and fault_plan.enabled:
-            injector = FaultInjector(fault_plan,
-                                     self._seeds.child("faults"))
-        self.injector = injector
+        self.injector: Optional[FaultInjector] = None
+        if fault_plan is not None and fault_plan.enabled:
+            self.injector = FaultInjector(fault_plan,
+                                          self._seeds.child("faults"))
         self.orchestrator = orchestrator
         if self.injector is not None:
             plan = self.injector.plan
@@ -438,8 +439,7 @@ class CampaignRunner:
     def _wire_injector(self) -> None:
         """Attach the injector's fault streams to every injection site."""
         assert self.injector is not None
-        if self.engine.injector is None:
-            self.engine.injector = self.injector
+        self.engine.injector = self.injector
         self.platform.storage.set_fault_hook(self.injector.upload_fails)
         self.platform.evaluator.set_flap_hook(
             self.injector.link_flap_utilization)

@@ -25,7 +25,7 @@ from ..netsim.generator import GeneratedInternet
 from ..rng import SeedTree
 from ..simclock import CAMPAIGN_START
 from ..speedtest.catalog import ServerCatalog
-from ..speedtest.protocol import SpeedTestConfig, SpeedTestEngine
+from ..speedtest.protocol import SpeedTestEngine
 from ..tools.bdrmap import AliasResolver, Bdrmap
 from ..tools.ipinfo import IpInfoDatabase
 from ..tools.prefix2as import Prefix2AS, build_prefix2as
@@ -72,8 +72,6 @@ class Clasp:
     @classmethod
     def build(cls, internet: GeneratedInternet, catalog: ServerCatalog,
               seeds: Optional[SeedTree] = None,
-              budget_usd: Optional[float] = None,
-              speedtest_config: Optional[SpeedTestConfig] = None,
               fault_plan: Optional[FaultPlan] = None,
               provider: Optional[str] = None,
               cloud_asn: Optional[int] = None) -> "Clasp":
@@ -91,7 +89,7 @@ class Clasp:
         """
         seeds = seeds or SeedTree(0)
         prov = get_provider(provider)
-        costs = CostTracker(prices=prov.price_book, budget_usd=budget_usd)
+        costs = CostTracker(prices=prov.price_book)
         platform = CloudPlatform(internet, cost_tracker=costs,
                                  provider=prov, cloud_asn=cloud_asn)
         p2a = build_prefix2as(internet.topology)
@@ -103,8 +101,7 @@ class Clasp:
         ipinfo = IpInfoDatabase(internet.topology, p2a,
                                 seeds=seeds.child("ipinfo"))
         checker = Speedchecker(platform, seeds=seeds.child("speedchecker"))
-        engine = SpeedTestEngine(platform, speedtest_config,
-                                 seeds=seeds.child("engine"))
+        engine = SpeedTestEngine(platform, seeds=seeds.child("engine"))
         return cls(platform, catalog, p2a, scamper, bdr, ipinfo, checker,
                    engine, seeds, fault_plan=fault_plan)
 

@@ -21,7 +21,7 @@ simulated Internet (:class:`~repro.cloud.fleet.CloudFleet`):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .. import obs
 from ..cloud.fleet import CloudFleet
@@ -46,6 +46,9 @@ MATRIX_FLOWS = 6
 #: Hour samples per pair: RTT and throughput are medians over these.
 MATRIX_SAMPLES = 6
 MATRIX_SAMPLE_SPACING_H = 4
+
+#: Targets the provider-choice selection keeps.
+PROVIDER_CHOICE_TARGETS = 16
 
 
 @dataclass(frozen=True)
@@ -173,10 +176,7 @@ def _free_study_prefix(platform, base: str, region: str,
 
 def run_matrix(fleet: CloudFleet,
                regions_per_provider: int = 2,
-               start_ts: float = float(CAMPAIGN_START),
-               samples: int = MATRIX_SAMPLES,
-               sample_spacing_h: int = MATRIX_SAMPLE_SPACING_H,
-               n_flows: int = MATRIX_FLOWS) -> CrossCloudMatrix:
+               samples: int = MATRIX_SAMPLES) -> CrossCloudMatrix:
     """Evaluate every ordered endpoint pair in the fleet.
 
     One VM per (provider, region) endpoint - the provider's default
@@ -185,8 +185,9 @@ def run_matrix(fleet: CloudFleet,
     distinct endpoints, the source platform computes its tier-correct
     egress route to the destination VM's PoP (plus the ingress route
     for the ACK stream), the path model samples RTT/loss/available
-    bandwidth at *samples* hours, and the throughput is the multi-flow
-    TCP rate capped by the slower VM's egress cap.
+    bandwidth at *samples* hours from the campaign start, and the
+    throughput is the multi-flow TCP rate capped by the slower VM's
+    egress cap.
 
     Cells are pure functions of (pair, ts) - no RNG - so identically
     built fleets produce the identical matrix; tests pin this.  (Two
@@ -198,7 +199,8 @@ def run_matrix(fleet: CloudFleet,
         raise ValidationError(f"samples must be >= 1, got {samples}")
     matrix = CrossCloudMatrix(providers=fleet.names())
     vms: Dict[Tuple[str, str], object] = {}
-    end_ts = start_ts + samples * sample_spacing_h * 3600.0
+    start_ts = float(CAMPAIGN_START)
+    end_ts = start_ts + samples * MATRIX_SAMPLE_SPACING_H * 3600.0
     with obs.span("crosscloud.run_matrix", layer="crosscloud",
                   sim_ts=start_ts, providers=",".join(fleet.names())) as sp:
         try:
@@ -217,8 +219,7 @@ def run_matrix(fleet: CloudFleet,
                 for dst in matrix.endpoints:
                     if src != dst:
                         matrix.cells.append(_evaluate_pair(
-                            fleet, vms, src, dst, start_ts,
-                            samples, sample_spacing_h, n_flows))
+                            fleet, vms, src, dst, start_ts, samples))
             sp.annotate(n_endpoints=len(matrix.endpoints),
                         n_pairs=len(matrix.cells))
         finally:
@@ -232,8 +233,7 @@ def run_matrix(fleet: CloudFleet,
 
 def _evaluate_pair(fleet: CloudFleet, vms: Dict[Tuple[str, str], object],
                    src: Tuple[str, str], dst: Tuple[str, str],
-                   start_ts: float, samples: int, sample_spacing_h: int,
-                   n_flows: int) -> MatrixCell:
+                   start_ts: float, samples: int) -> MatrixCell:
     src_platform = fleet.platform(src[0])
     src_vm = vms[src]
     dst_vm = vms[dst]
@@ -253,12 +253,12 @@ def _evaluate_pair(fleet: CloudFleet, vms: Dict[Tuple[str, str], object],
     cap = min(src_vm.machine_type.egress_cap_mbps,
               dst_vm.machine_type.egress_cap_mbps)
     for i in range(samples):
-        ts = start_ts + i * sample_spacing_h * 3600.0
+        ts = start_ts + i * MATRIX_SAMPLE_SPACING_H * 3600.0
         metrics = src_platform.path_model.evaluate(fwd, ts, rev)
         rtts.append(metrics.rtt_ms)
         losses.append(metrics.loss_rate)
         tputs.append(min(cap, multiflow_throughput_mbps(
-            metrics.rtt_ms, metrics.loss_rate, n_flows,
+            metrics.rtt_ms, metrics.loss_rate, MATRIX_FLOWS,
             metrics.avail_mbps)))
     return MatrixCell(
         src_provider=src[0], src_region=src[1],
@@ -309,12 +309,7 @@ class ProviderChoice:
 def provider_choice(fleet: CloudFleet, catalog: ServerCatalog,
                     prefix2as: Prefix2AS,
                     provider_a: str, provider_b: str,
-                    seed: int = 0,
-                    start_ts: float = float(CAMPAIGN_START),
-                    samples_per_tuple: int = 120,
-                    target_count: int = 16,
-                    region_a: Optional[str] = None,
-                    region_b: Optional[str] = None) -> ProviderChoice:
+                    seed: int = 0) -> ProviderChoice:
     """Run the differential-selection path across two providers.
 
     Both providers are probed by Speedcheckers built from *identical*
@@ -324,15 +319,18 @@ def provider_choice(fleet: CloudFleet, catalog: ServerCatalog,
     WAN.  A's medians relabel into the premium slot of a synthetic
     ``a-vs-b`` region, B's into the standard slot, and the stock
     :meth:`DifferentialSelector.select` does the rest, untouched.
+    Each provider is probed from its study region, from the campaign
+    start.
     """
     if provider_a == provider_b:
         raise ValidationError(
             "provider choice needs two distinct providers")
     platform_a = fleet.platform(provider_a)
     platform_b = fleet.platform(provider_b)
-    region_a = region_a or _study_region(platform_a)
-    region_b = region_b or _study_region(platform_b)
+    region_a = _study_region(platform_a)
+    region_b = _study_region(platform_b)
     label = f"{provider_a}-vs-{provider_b}"
+    start_ts = float(CAMPAIGN_START)
 
     with obs.span("crosscloud.provider_choice", layer="crosscloud",
                   sim_ts=start_ts, providers=label) as sp:
@@ -345,16 +343,15 @@ def provider_choice(fleet: CloudFleet, catalog: ServerCatalog,
             tier = platform.provider.measurement_tier
             prefix = _free_study_prefix(platform, f"xc-{label}",
                                         region, tier)
-            raw = checker.measure(
-                [region], samples_per_tuple=samples_per_tuple,
-                start_ts=start_ts, tiers=(tier,), name_prefix=prefix)
+            raw = checker.measure([region], start_ts=start_ts, tiers=(tier,),
+                                  name_prefix=prefix)
             medians.extend(TupleMedian(
                 asn=m.asn, city_key=m.city_key, region=label,
                 tier=slot, median_rtt_ms=m.median_rtt_ms,
                 n_samples=m.n_samples) for m in raw)
         selector = DifferentialSelector(catalog, prefix2as)
         selection = selector.select(medians, label,
-                                    target_count=target_count)
+                                    target_count=PROVIDER_CHOICE_TARGETS)
         sp.annotate(n_candidates=len(selection.candidates),
                     n_selected=len(selection.selected))
     return ProviderChoice(provider_a=provider_a, provider_b=provider_b,

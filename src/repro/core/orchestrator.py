@@ -75,11 +75,9 @@ class DeploymentPlan:
 class Orchestrator:
     """Creates and wires up the measurement deployment."""
 
-    def __init__(self, platform: CloudPlatform,
-                 machine_type: Optional[str] = None) -> None:
+    def __init__(self, platform: CloudPlatform) -> None:
         self.platform = platform
-        self.machine_type = (machine_type if machine_type is not None
-                             else platform.provider.default_machine_type)
+        self.machine_type = platform.provider.default_machine_type
         self._deployment_counter = itertools.count(1)
 
     # ------------------------------------------------------------------

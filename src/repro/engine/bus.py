@@ -53,10 +53,6 @@ class EventBus:
         self._handlers.append(handler)
         return observer
 
-    @property
-    def n_subscribers(self) -> int:
-        return len(self._handlers)
-
     def emit(self, event: CampaignEvent) -> None:
         """Publish *event* to every subscriber, in registration order.
 

@@ -7,12 +7,12 @@ from .scenario import (
     apply_differential_story,
     build_scenario,
 )
-from .runner import ExperimentCache, shared_scenario
+from .runner import ExperimentCache
 from . import table1, fig2, fig3, fig4, fig5, fig6, fig7, fig8
 
 __all__ = [
     "Scenario", "ScenarioConfig", "build_scenario",
     "apply_differential_story",
-    "ExperimentCache", "shared_scenario",
+    "ExperimentCache",
     "table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
 ]

@@ -1,24 +1,15 @@
-"""Shared experiment state for the benchmark harness.
+"""Shared experiment state for the table/figure modules.
 
 Regenerating a world and re-running a multi-week campaign for every
-figure would repeat minutes of identical work, so benchmarks share one
-:class:`ExperimentCache` keyed by (seed, scale): the scenario, the
-pilot selections, and the campaign datasets are computed once and
+figure would repeat minutes of identical work, so the modules share one
+:class:`ExperimentCache` built for a (seed, scale, days): the scenario,
+the pilot selections, and the campaign datasets are computed once and
 reused by every table/figure module.
-
-Environment knobs (read once, at first use):
-
-* ``REPRO_SCALE``  - world scale (default 0.35 for benches; 1.0 is the
-  paper's full size),
-* ``REPRO_DAYS``   - campaign length in days (default 28; the paper
-  ran 153),
-* ``REPRO_SEED``   - root seed (default 7).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..core.campaign import CampaignDataset
 from ..core.orchestrator import DeploymentPlan
@@ -26,7 +17,7 @@ from ..core.selection.differential import DifferentialSelection
 from ..core.selection.topology_based import TopologySelection
 from .scenario import Scenario, apply_differential_story, build_scenario
 
-__all__ = ["ExperimentCache", "shared_scenario", "env_days"]
+__all__ = ["ExperimentCache"]
 
 #: The paper's budget caps, expressed as the ratio of measured servers
 #: to links traversed (Table 1 col. 3 / col. 2), so the caps scale
@@ -42,27 +33,16 @@ PAPER_BUDGET_RATIOS: Dict[str, Optional[float]] = {
 }
 
 
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return default if value is None else int(value)
-
-
-def _env_float(name: str, default: float) -> float:
-    value = os.environ.get(name)
-    return default if value is None else float(value)
-
-
-def env_days(default: int = 28) -> int:
-    """Campaign length for benches, from ``REPRO_DAYS``."""
-    return _env_int("REPRO_DAYS", default)
-
-
 class ExperimentCache:
-    """Lazily computed, shared experiment state."""
+    """Lazily computed, shared experiment state.
 
-    def __init__(self, seed: int, scale: float) -> None:
+    *days* is the length of both shared campaigns (the paper ran 153).
+    """
+
+    def __init__(self, seed: int, scale: float, days: int = 28) -> None:
         self.seed = seed
         self.scale = scale
+        self.days = days
         self._scenario: Optional[Scenario] = None
         self._topology_plans: Dict[str, DeploymentPlan] = {}
         self._differential_selections: Dict[str, DifferentialSelection] = {}
@@ -125,38 +105,20 @@ class ExperimentCache:
 
     # ------------------------------------------------------------------
 
-    def topology_dataset(self, days: Optional[int] = None
-                         ) -> CampaignDataset:
+    def topology_dataset(self) -> CampaignDataset:
         """The U.S.-regions topology-based campaign (shared)."""
         if self._topology_dataset is None:
             plans = [self.topology_plan(r)
                      for r in self.scenario.us_regions]
             self._topology_dataset = self.scenario.clasp.run_campaign(
-                plans, days=days or env_days())
+                plans, days=self.days)
         return self._topology_dataset
 
-    def differential_dataset(self, days: Optional[int] = None
-                             ) -> CampaignDataset:
+    def differential_dataset(self) -> CampaignDataset:
         """The three-region differential campaign (shared)."""
         if self._differential_dataset is None:
             plans = [self.differential_plan(r)
                      for r in self.scenario.differential_regions]
             self._differential_dataset = self.scenario.clasp.run_campaign(
-                plans, days=days or env_days())
+                plans, days=self.days)
         return self._differential_dataset
-
-
-_CACHES: Dict[Tuple[int, float], ExperimentCache] = {}
-
-
-def shared_scenario(seed: Optional[int] = None,
-                    scale: Optional[float] = None) -> ExperimentCache:
-    """The process-wide cache for (seed, scale), env-derived defaults."""
-    seed = seed if seed is not None else _env_int("REPRO_SEED", 7)
-    scale = scale if scale is not None else _env_float("REPRO_SCALE", 0.35)
-    key = (seed, scale)
-    cache = _CACHES.get(key)
-    if cache is None:
-        cache = ExperimentCache(seed, scale)
-        _CACHES[key] = cache
-    return cache

@@ -48,7 +48,6 @@ from ..netsim.generator import (
 from ..netsim.traffic import DiurnalBump, DiurnalProfile
 from ..rng import SeedTree
 from ..speedtest.catalog import CatalogConfig, ServerCatalog, build_catalog
-from ..speedtest.protocol import SpeedTestConfig
 from ..errors import ValidationError
 
 __all__ = [
@@ -68,8 +67,6 @@ class ScenarioConfig:
     scale: float = 1.0
     #: Install the named story networks.
     stories: bool = True
-    #: Monetary budget for the cost tracker (None = unlimited).
-    budget_usd: Optional[float] = None
     #: Fault-injection schedule (None = the fault-free world).
     faults: Optional[FaultPlan] = None
     #: The provider the main campaign runs on.
@@ -227,8 +224,6 @@ def _install_stories(gen: TopologyGenerator,
 
 def build_scenario(seed: int = 7, scale: float = 1.0,
                    stories: bool = True,
-                   budget_usd: Optional[float] = None,
-                   speedtest_config: Optional[SpeedTestConfig] = None,
                    faults: Optional[FaultPlan] = None,
                    provider: str = "gcp",
                    providers: Sequence[str] = ()
@@ -248,7 +243,7 @@ def build_scenario(seed: int = 7, scale: float = 1.0,
     platform shares the one simulated Internet.
     """
     config = ScenarioConfig(seed=seed, scale=scale, stories=stories,
-                            budget_usd=budget_usd, faults=faults,
+                            faults=faults,
                             provider=provider, providers=tuple(providers))
     seeds = SeedTree(seed)
     gen = TopologyGenerator(_scaled_generator_config(scale),
@@ -282,8 +277,6 @@ def build_scenario(seed: int = 7, scale: float = 1.0,
         wan_asns[name] = as_obj.asn
 
     clasp = Clasp.build(net, catalog, seeds.child("clasp"),
-                        budget_usd=budget_usd,
-                        speedtest_config=speedtest_config,
                         fault_plan=faults,
                         provider=provider,
                         cloud_asn=wan_asns[provider])

@@ -20,7 +20,7 @@ from .asn import AS, ASRelationship, ASType, RelationshipKind
 from .topology import InterdomainLink, Interface, Link, LinkKind, PoP, Topology
 from .generator import GeneratorConfig, TopologyGenerator
 from .routing import Route, Router as RoutingEngine, TierPolicy
-from .traffic import DiurnalProfile, UtilizationModel, TrafficConfig
+from .traffic import DiurnalProfile, UtilizationModel
 from .linkstate import LinkObservation, LinkStateEvaluator
 from .tcp import multiflow_throughput_mbps
 from .pathmodel import PathMetrics, PathPerformanceModel
@@ -31,7 +31,7 @@ __all__ = [
     "InterdomainLink", "Interface", "Link", "LinkKind", "PoP", "Topology",
     "GeneratorConfig", "TopologyGenerator",
     "Route", "RoutingEngine", "TierPolicy",
-    "DiurnalProfile", "UtilizationModel", "TrafficConfig",
+    "DiurnalProfile", "UtilizationModel",
     "LinkObservation", "LinkStateEvaluator",
     "multiflow_throughput_mbps",
     "PathMetrics", "PathPerformanceModel",

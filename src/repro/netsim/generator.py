@@ -11,22 +11,26 @@ Builds a calibrated internetwork around a hyperscale cloud provider:
 * a cloud AS with a private WAN spanning many metros, settlement-free
   peering with most edge networks (premium tier) and a handful of
   transit providers (standard tier),
-* per-link diurnal utilization profiles, with a configurable fraction
-  of access-ISP interconnects under-provisioned in the ISP-to-cloud
-  direction (the pandemic congestion the paper measures).
+* per-link diurnal utilization profiles, with a fixed fraction
+  (:data:`CONGESTED_FRACTION`) of access-ISP interconnects
+  under-provisioned in the ISP-to-cloud direction (the pandemic
+  congestion the paper measures).
 
 The generator is deterministic given a :class:`~repro.rng.SeedTree`.
+The world is calibrated once to the paper's bands: every shape and
+load value is a module constant here, and :class:`GeneratorConfig`
+carries only the AS population counts that the scenario's scale sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError, TopologyError, ValidationError
-from ..geo import City, CityCatalog, default_catalog
+from ..geo import City, default_catalog
 from ..geo.coords import propagation_delay_ms
 from ..rng import SeedTree
 from ..simclock import CAMPAIGN_START
@@ -34,12 +38,7 @@ from ..units import gbps
 from .addressing import Prefix, PrefixAllocator
 from .asn import AS, ASRelationship, ASType, RelationshipKind
 from .topology import InterdomainLink, LinkKind, PoP, Topology
-from .traffic import (
-    DiurnalBump,
-    DiurnalProfile,
-    TrafficConfig,
-    UtilizationModel,
-)
+from .traffic import DiurnalBump, DiurnalProfile, UtilizationModel
 
 __all__ = ["GeneratorConfig", "GeneratedInternet", "TopologyGenerator"]
 
@@ -92,11 +91,71 @@ _BIZ_SUFFIXES = ["Logistics", "Financial", "Media Group", "Health Systems",
                  "Retail Corp", "Manufacturing"]
 
 
+#: The cloud AS the world is built around.
+CLOUD_ASN = 15169
+CLOUD_NAME = "Macro Cloud Platform"
+
+#: Fraction of small access ISPs / hosting / education networks that
+#: peer directly with the cloud (big ISPs always do).  Kept well below
+#: 1 so most servers reach the cloud through their upstream's
+#: interconnects - which is why the paper found 75-92 % of servers
+#: sharing interdomain links.
+SMALL_ISP_PEERING_FRACTION = 0.42
+HOSTING_PEERING_FRACTION = 0.40
+EDUCATION_PEERING_FRACTION = 0.30
+
+#: Parallel link ("LAG member") count ranges per peering city.
+BIG_ISP_PARALLEL_LINKS = (4, 9)
+SMALL_PARALLEL_LINKS = (4, 10)
+
+#: How many cities a big ISP peers with the cloud in (capped by the
+#: ISP's own footprint).
+BIG_ISP_PEERING_CITIES = (4, 10)
+#: How many metros a small edge network reaches the cloud at.  Kept
+#: near the network's own footprint so its announced prefixes exercise
+#: every interconnect group (what lets probing find them).
+SMALL_PEERING_CITIES = (1, 2)
+
+#: Cloud WAN presence: which world regions get dense vs sparse PoPs.
+CLOUD_DENSE_REGIONS = ("us-west", "us-central", "us-east", "eu")
+CLOUD_SPARSE_CITIES = (
+    "Singapore, SG", "Tokyo, JP", "Sydney, AU", "Sao Paulo, BR",
+    "Mumbai, IN", "Hong Kong, HK",
+)
+N_CLOUD_TRANSITS = 3
+
+# Capacity ranges (Gbps).
+CLOUD_BACKBONE_GBPS = (400.0, 1200.0)
+TIER1_BACKBONE_GBPS = (200.0, 800.0)
+TRANSIT_BACKBONE_GBPS = (40.0, 200.0)
+EDGE_BACKBONE_GBPS = (10.0, 60.0)
+CLOUD_PEERING_GBPS = (10.0, 100.0)
+TRANSIT_INTERCONNECT_GBPS = (10.0, 100.0)
+
+# Load-profile assignment.
+#: Probability that an access ISP is under-provisioned toward the
+#: cloud: its cloud interconnects (or, without direct peering, its
+#: transit uplinks) get over-capacity profiles in the *ISP-to-cloud*
+#: direction, where the paper found most congestion.  Hosting,
+#: education and business networks draw against a scaled share.
+CONGESTED_FRACTION = 0.30
+#: The same for the cloud-to-ISP direction of any border link.
+REVERSE_CONGESTED_FRACTION = 0.06
+#: Share of congested profiles that carry a daytime (telework) bump.
+DAYTIME_CONGESTION_SHARE = 0.28
+BASE_UTILIZATION_RANGE = (0.15, 0.45)
+CONGESTED_PEAK_RANGE = (0.32, 0.72)
+QUIET_BUMP_RANGE = (0.10, 0.30)
+#: Congestion probability of a transit provider's customer uplinks.
+TRANSIT_CONGESTED_FRACTION = 0.12
+#: Hourly utilization noise of backbone and border links.
+NOISE_SIGMA = 0.035
+
+
 @dataclass
 class GeneratorConfig:
-    """Size and shape knobs for the synthetic Internet."""
+    """AS population counts of the synthetic Internet (what scale sets)."""
 
-    # AS population
     n_tier1: int = 9
     n_transit: int = 48
     n_access_isp: int = 430
@@ -105,53 +164,11 @@ class GeneratorConfig:
     n_education: int = 56
     n_business: int = 108
 
-    cloud_asn: int = 15169
-    cloud_name: str = "Macro Cloud Platform"
-
-    #: Fraction of small access ISPs / hosting / education networks that
-    #: peer directly with the cloud (big ISPs always do).  Kept well
-    #: below 1 so most servers reach the cloud through their upstream's
-    #: interconnects - which is why the paper found 75-92 % of servers
-    #: sharing interdomain links.
-    small_isp_peering_fraction: float = 0.42
-    hosting_peering_fraction: float = 0.40
-    education_peering_fraction: float = 0.30
-
-    #: Parallel link ("LAG member") count ranges per peering city.
-    big_isp_parallel_links: Tuple[int, int] = (4, 9)
-    small_parallel_links: Tuple[int, int] = (4, 10)
-
-    #: How many cities a big ISP peers with the cloud in (capped by the
-    #: ISP's own footprint).
-    big_isp_peering_cities: Tuple[int, int] = (4, 10)
-    #: How many metros a small edge network reaches the cloud at.
-    #: Kept near the network's own footprint so its announced prefixes
-    #: exercise every interconnect group (what lets probing find them).
-    small_peering_cities: Tuple[int, int] = (1, 2)
-
-    #: Cloud WAN presence: which world regions get dense vs sparse PoPs.
-    cloud_dense_regions: Tuple[str, ...] = ("us-west", "us-central", "us-east", "eu")
-    cloud_sparse_cities: Tuple[str, ...] = (
-        "Singapore, SG", "Tokyo, JP", "Sydney, AU", "Sao Paulo, BR",
-        "Mumbai, IN", "Hong Kong, HK",
-    )
-    n_cloud_transits: int = 3
-
-    # Capacities (Mbps)
-    cloud_backbone_gbps: Tuple[float, float] = (400.0, 1200.0)
-    tier1_backbone_gbps: Tuple[float, float] = (200.0, 800.0)
-    transit_backbone_gbps: Tuple[float, float] = (40.0, 200.0)
-    edge_backbone_gbps: Tuple[float, float] = (10.0, 60.0)
-    cloud_peering_gbps: Tuple[float, float] = (10.0, 100.0)
-    transit_interconnect_gbps: Tuple[float, float] = (10.0, 100.0)
-
-    traffic: TrafficConfig = field(default_factory=TrafficConfig)
-
     def __post_init__(self) -> None:
         if self.n_big_isp > self.n_access_isp:
             raise ConfigError("n_big_isp cannot exceed n_access_isp")
-        if self.n_tier1 < self.n_cloud_transits:
-            raise ConfigError("need at least n_cloud_transits tier-1 ASes")
+        if self.n_tier1 < N_CLOUD_TRANSITS:
+            raise ConfigError("need at least N_CLOUD_TRANSITS tier-1 ASes")
 
 
 @dataclass
@@ -186,11 +203,10 @@ class TopologyGenerator:
     """Builds a :class:`GeneratedInternet` from a config and seed tree."""
 
     def __init__(self, config: Optional[GeneratorConfig] = None,
-                 seeds: Optional[SeedTree] = None,
-                 cities: Optional[CityCatalog] = None) -> None:
+                 seeds: Optional[SeedTree] = None) -> None:
         self.config = config or GeneratorConfig()
         self.seeds = seeds or SeedTree(0)
-        self.cities = cities or default_catalog()
+        self.cities = default_catalog()
         self._rng = self.seeds.generator("topology-generator")
         self._next_asn = 100
         self._pool = PrefixAllocator(Prefix.parse("10.0.0.0/8"))
@@ -212,12 +228,12 @@ class TopologyGenerator:
 
         # --- cloud AS -------------------------------------------------
         cloud_cities = self._cloud_cities()
-        cloud = AS(asn=cfg.cloud_asn, name=cfg.cloud_name,
+        cloud = AS(asn=CLOUD_ASN, name=CLOUD_NAME,
                    as_type=ASType.CLOUD, country="US")
         topo.add_as(cloud)
         self._allocate_space(cloud, allocators, announced, wide=True)
         self._place_pops(topo, allocators, cloud, cloud_cities)
-        self._build_backbone(topo, util, cloud, cfg.cloud_backbone_gbps,
+        self._build_backbone(topo, util, cloud, CLOUD_BACKBONE_GBPS,
                              mesh_degree=4, base_range=(0.20, 0.40))
 
         # --- tier-1 carriers -------------------------------------------
@@ -232,7 +248,7 @@ class TopologyGenerator:
             n_cities = int(self._rng.integers(18, 30))
             chosen = self._sample_cities(world, n_cities)
             self._place_pops(topo, allocators, as_obj, chosen)
-            self._build_backbone(topo, util, as_obj, cfg.tier1_backbone_gbps,
+            self._build_backbone(topo, util, as_obj, TIER1_BACKBONE_GBPS,
                                  mesh_degree=3, base_range=(0.15, 0.35))
             tier1s.append(as_obj)
 
@@ -245,7 +261,7 @@ class TopologyGenerator:
                     topo, util, a, b, RelationshipKind.PEER_TO_PEER,
                     n_cities=int(self._rng.integers(6, 11)),
                     parallel=(1, 2),
-                    capacity_range=cfg.transit_interconnect_gbps,
+                    capacity_range=TRANSIT_INTERCONNECT_GBPS,
                     congest_prob=0.02)
 
         # --- regional transit -------------------------------------------
@@ -267,7 +283,7 @@ class TopologyGenerator:
             n_cities = int(self._rng.integers(3, min(9, max(4, len(region_cities)))))
             chosen = self._sample_cities(region_cities, n_cities)
             self._place_pops(topo, allocators, as_obj, chosen)
-            self._build_backbone(topo, util, as_obj, cfg.transit_backbone_gbps,
+            self._build_backbone(topo, util, as_obj, TRANSIT_BACKBONE_GBPS,
                                  mesh_degree=2, base_range=(0.20, 0.45))
             transits.append(as_obj)
             # Each transit buys from 2 tier-1s, preferring tier-1s with
@@ -292,12 +308,12 @@ class TopologyGenerator:
                     RelationshipKind.CUSTOMER_TO_PROVIDER,
                     n_cities=int(self._rng.integers(2, 4)),
                     parallel=(1, 2),
-                    capacity_range=cfg.transit_interconnect_gbps,
-                    congest_prob=cfg.traffic.transit_congested_fraction)
+                    capacity_range=TRANSIT_INTERCONNECT_GBPS,
+                    congest_prob=TRANSIT_CONGESTED_FRACTION)
 
         # --- cloud transit providers (standard tier) --------------------
         cloud_transit_idx = self._rng.choice(
-            len(tier1s), size=cfg.n_cloud_transits, replace=False)
+            len(tier1s), size=N_CLOUD_TRANSITS, replace=False)
         cloud_transits = [tier1s[int(i)] for i in cloud_transit_idx]
         for provider in cloud_transits:
             # The cloud provisions its transit gateways generously:
@@ -309,7 +325,7 @@ class TopologyGenerator:
                 RelationshipKind.CUSTOMER_TO_PROVIDER,
                 n_cities=int(self._rng.integers(7, 11)),
                 parallel=(2, 4),
-                capacity_range=cfg.transit_interconnect_gbps,
+                capacity_range=TRANSIT_INTERCONNECT_GBPS,
                 congest_prob=0.02,
                 subnet_owner_bias=1.0)
 
@@ -341,13 +357,13 @@ class TopologyGenerator:
             chosen = self._sample_cities(pool, n_cities)
             as_obj.country = chosen[0].country
             self._place_pops(topo, allocators, as_obj, chosen)
-            self._build_backbone(topo, util, as_obj, cfg.edge_backbone_gbps,
+            self._build_backbone(topo, util, as_obj, EDGE_BACKBONE_GBPS,
                                  mesh_degree=2, base_range=(0.25, 0.50))
-            is_congested = congest_draw.random() < cfg.traffic.congested_fraction
+            is_congested = congest_draw.random() < CONGESTED_FRACTION
             if is_congested:
                 congested_asns.add(as_obj.asn)
             peers_cloud = is_big or (
-                self._rng.random() < cfg.small_isp_peering_fraction)
+                self._rng.random() < SMALL_ISP_PEERING_FRACTION)
             # A congested ISP without direct peering expresses its
             # congestion on the transit uplinks its cloud traffic rides.
             self._buy_transit(topo, util, as_obj, transits, tier1s,
@@ -369,13 +385,13 @@ class TopologyGenerator:
             topo, util, allocators, announced, transits, tier1s, cloud,
             congested_asns, congest_draw,
             count=cfg.n_hosting, as_type=ASType.HOSTING,
-            peering_fraction=cfg.hosting_peering_fraction,
+            peering_fraction=HOSTING_PEERING_FRACTION,
             congest_scale=0.35)
         education = self._make_edge_population(
             topo, util, allocators, announced, transits, tier1s, cloud,
             congested_asns, congest_draw,
             count=cfg.n_education, as_type=ASType.EDUCATION,
-            peering_fraction=cfg.education_peering_fraction,
+            peering_fraction=EDUCATION_PEERING_FRACTION,
             congest_scale=0.5)
         business = self._make_edge_population(
             topo, util, allocators, announced, transits, tier1s, cloud,
@@ -410,9 +426,8 @@ class TopologyGenerator:
         return asn
 
     def _cloud_cities(self) -> List[City]:
-        dense = [c for c in self.cities
-                 if c.region in self.config.cloud_dense_regions]
-        sparse = [self.cities.get(key) for key in self.config.cloud_sparse_cities
+        dense = [c for c in self.cities if c.region in CLOUD_DENSE_REGIONS]
+        sparse = [self.cities.get(key) for key in CLOUD_SPARSE_CITIES
                   if key in self.cities]
         return dense + sparse
 
@@ -510,7 +525,7 @@ class TopologyGenerator:
             base = self._rng.uniform(*base_range)
             offset = (city_a.utc_offset_hours + city_b.utc_offset_hours) / 2.0
             profile = DiurnalProfile.quiet(base=base, utc_offset_hours=offset,
-                                           noise_sigma=self.config.traffic.noise_sigma)
+                                           noise_sigma=NOISE_SIGMA)
             util.set_profile_both(link.link_id, profile)
 
         while remaining:
@@ -635,7 +650,7 @@ class TopologyGenerator:
                     upstream_congested=city_congested or (
                         draw.random() < congest_prob),
                     downstream_congested=draw.random()
-                    < self.config.traffic.reverse_congested_fraction,
+                    < REVERSE_CONGESTED_FRACTION,
                     draw=draw,
                     upstream_direction=congested_direction)
         return records
@@ -659,20 +674,19 @@ class TopologyGenerator:
         ``pop_a``), 0 for customer-to-provider transit uplinks (the
         customer is ``pop_a``).
         """
-        cfg = self.config.traffic
-        base = draw.uniform(*cfg.base_utilization_range)
-        quiet_amp = draw.uniform(*cfg.quiet_bump_range)
+        base = draw.uniform(*BASE_UTILIZATION_RANGE)
+        quiet_amp = draw.uniform(*QUIET_BUMP_RANGE)
 
         def quiet_profile() -> DiurnalProfile:
             return DiurnalProfile(
                 base=base,
                 bumps=(DiurnalBump(21.0, 5.0, quiet_amp),),
                 utc_offset_hours=utc_offset,
-                noise_sigma=cfg.noise_sigma)
+                noise_sigma=NOISE_SIGMA)
 
         def congested_profile() -> DiurnalProfile:
-            amp = draw.uniform(*cfg.congested_peak_range)
-            daytime = draw.random() < cfg.daytime_congestion_share
+            amp = draw.uniform(*CONGESTED_PEAK_RANGE)
+            daytime = draw.random() < DAYTIME_CONGESTION_SHARE
             if daytime:
                 bumps = (DiurnalBump(13.5, 5.0, amp),
                          DiurnalBump(21.0, 3.5, amp * 0.6))
@@ -682,7 +696,7 @@ class TopologyGenerator:
                 base=draw.uniform(0.40, 0.55),
                 bumps=bumps,
                 utc_offset_hours=utc_offset,
-                noise_sigma=cfg.noise_sigma * 1.3)
+                noise_sigma=NOISE_SIGMA * 1.3)
 
         downstream_direction = upstream_direction ^ 1
         util.set_profile(link_id, upstream_direction,
@@ -715,8 +729,7 @@ class TopologyGenerator:
         topo.add_as(as_obj)
         self._allocate_space(as_obj, net.infra_allocators, {})
         self._place_pops(topo, net.infra_allocators, as_obj, home)
-        self._build_backbone(topo, util, as_obj,
-                             self.config.edge_backbone_gbps,
+        self._build_backbone(topo, util, as_obj, EDGE_BACKBONE_GBPS,
                              mesh_degree=2, base_range=(0.25, 0.50))
         transits = [topo.as_of(asn) for asn in net.transit_asns]
         tier1s = [topo.as_of(asn) for asn in net.tier1_asns]
@@ -737,7 +750,7 @@ class TopologyGenerator:
         records = self._connect_interdomain(
             topo, util, cloud, as_obj, RelationshipKind.PEER_TO_PEER,
             n_cities=len(forced_pairs), parallel=parallel,
-            capacity_range=self.config.cloud_peering_gbps,
+            capacity_range=CLOUD_PEERING_GBPS,
             congest_prob=0.0, subnet_owner_bias=1.0,
             forced_pairs=forced_pairs)
 
@@ -796,7 +809,7 @@ class TopologyGenerator:
         if len(cities) > 1:
             self._build_backbone(
                 topo, util, as_obj,
-                backbone_gbps or self.config.cloud_backbone_gbps,
+                backbone_gbps or CLOUD_BACKBONE_GBPS,
                 mesh_degree=mesh_degree, base_range=(0.20, 0.40))
         tier1s = [topo.as_of(t1_asn) for t1_asn in net.tier1_asns]
         if not tier1s:
@@ -811,7 +824,7 @@ class TopologyGenerator:
                 n_cities=max(1, min(len(cities),
                                     int(self._rng.integers(2, 6)))),
                 parallel=transit_parallel,
-                capacity_range=self.config.transit_interconnect_gbps,
+                capacity_range=TRANSIT_INTERCONNECT_GBPS,
                 congest_prob=0.02,
                 subnet_owner_bias=1.0)
         self._rebind_router_caches(net)
@@ -870,8 +883,8 @@ class TopologyGenerator:
                 topo, util, customer, provider,
                 RelationshipKind.CUSTOMER_TO_PROVIDER,
                 n_cities=1, parallel=(1, 2),
-                capacity_range=self.config.transit_interconnect_gbps,
-                congest_prob=self.config.traffic.transit_congested_fraction * 0.5,
+                capacity_range=TRANSIT_INTERCONNECT_GBPS,
+                congest_prob=TRANSIT_CONGESTED_FRACTION * 0.5,
                 congested_upstream=congested_upstream,
                 congest_draw=congest_draw,
                 congested_direction=0)
@@ -880,19 +893,18 @@ class TopologyGenerator:
                          cloud: AS, edge: AS, is_big: bool,
                          congested: bool,
                          congest_draw: np.random.Generator) -> None:
-        cfg = self.config
         if is_big:
-            lo, hi = cfg.big_isp_peering_cities
+            lo, hi = BIG_ISP_PEERING_CITIES
             n_cities = int(self._rng.integers(lo, hi + 1))
-            parallel = cfg.big_isp_parallel_links
+            parallel = BIG_ISP_PARALLEL_LINKS
         else:
-            lo, hi = cfg.small_peering_cities
+            lo, hi = SMALL_PEERING_CITIES
             n_cities = int(self._rng.integers(lo, hi + 1))
-            parallel = cfg.small_parallel_links
+            parallel = SMALL_PARALLEL_LINKS
         self._connect_interdomain(
             topo, util, cloud, edge, RelationshipKind.PEER_TO_PEER,
             n_cities=n_cities, parallel=parallel,
-            capacity_range=cfg.cloud_peering_gbps,
+            capacity_range=CLOUD_PEERING_GBPS,
             congest_prob=0.0,
             congested_upstream=congested,
             congest_draw=congest_draw,
@@ -908,7 +920,6 @@ class TopologyGenerator:
                               peering_fraction: float,
                               congest_scale: float) -> List[AS]:
         """Create hosting/education/business ASes."""
-        cfg = self.config
         out: List[AS] = []
         major = [c for c in self.cities if c.population_weight >= 1.5]
         for i in range(count):
@@ -935,10 +946,10 @@ class TopologyGenerator:
             chosen = self._sample_cities(pool, n_cities)
             as_obj.country = chosen[0].country
             self._place_pops(topo, allocators, as_obj, chosen)
-            self._build_backbone(topo, util, as_obj, cfg.edge_backbone_gbps,
+            self._build_backbone(topo, util, as_obj, EDGE_BACKBONE_GBPS,
                                  mesh_degree=1, base_range=(0.15, 0.40))
             is_congested = congest_draw.random() < (
-                cfg.traffic.congested_fraction * congest_scale)
+                CONGESTED_FRACTION * congest_scale)
             if is_congested:
                 congested_asns.add(as_obj.asn)
             peers_cloud = self._rng.random() < peering_fraction

@@ -143,11 +143,3 @@ class PathPerformanceModel:
             reverse=tuple(rev_obs),
             burst_loss_rate=min(0.95, max(0.0, 1.0 - burst_survive)),
         )
-
-    def idle_rtt_ms(self, forward_route: Route,
-                    reverse_route: Optional[Route] = None) -> float:
-        """Propagation-only RTT (what a quiet-hour ping would converge to)."""
-        fwd = forward_route.propagation_delay_ms(self._topo)
-        rev = (reverse_route.propagation_delay_ms(self._topo)
-               if reverse_route is not None else fwd)
-        return fwd + rev

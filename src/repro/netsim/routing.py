@@ -242,21 +242,6 @@ class Router:
             cursor = nxt
         return tuple(path)
 
-    def reachable_from(self, src_asn: int,
-                       mode: GraphMode = GraphMode.FULL) -> Set[int]:
-        """All ASes *src_asn* can reach under policy (including itself)."""
-        out = set()
-        for dst in self._topo.ases:
-            if dst == src_asn:
-                out.add(dst)
-                continue
-            try:
-                self.as_path(src_asn, dst, mode)
-            except NoRouteError:
-                continue
-            out.add(dst)
-        return out
-
     # ------------------------------------------------------------------
     # intra-AS shortest paths over backbone links
 

@@ -334,10 +334,6 @@ class Topology:
         key = (min(a, b), max(a, b))
         return self._relationships.get(key) is RelationshipKind.PEER_TO_PEER
 
-    def are_adjacent(self, a: int, b: int) -> bool:
-        """True when any business relationship exists between the two."""
-        return self.is_customer(a, b) or self.is_customer(b, a) or self.is_peer(a, b)
-
     def providers_of(self, asn: int) -> Set[int]:
         return {b for (a, b), k in self._relationships.items()
                 if a == asn and k is RelationshipKind.CUSTOMER_TO_PROVIDER}

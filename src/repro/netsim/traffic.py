@@ -9,9 +9,9 @@ the same congestion events.
 The paper's measurement window is the 2020 pandemic: access-ISP
 interconnects see both the classic FCC evening peak (7-11 pm local) and
 a daytime surge from telecommuting/remote learning.  The generator
-assigns *congested* profiles (peak utilization above capacity) to a
-configurable fraction of interconnects, which is what produces the
-30-70 % of ISPs with detectable congestion.
+(:mod:`repro.netsim.generator`) assigns *congested* profiles (peak
+utilization above capacity) to a fixed fraction of interconnects, which
+is what produces the 30-70 % of ISPs with detectable congestion.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from ..simclock import is_weekend
 from ..units import HOUR
 from ..errors import ValidationError
 
-__all__ = ["DiurnalBump", "DiurnalProfile", "UtilizationModel", "TrafficConfig"]
+__all__ = ["DiurnalBump", "DiurnalProfile", "UtilizationModel"]
 
 
 @dataclass(frozen=True)
@@ -251,32 +251,3 @@ class UtilizationModel:
         if noise is None or hour_idx >= len(noise):
             noise = self.noise_array(link_id, direction, hour_idx + 1)
         return max(0.0, mean + float(noise[hour_idx]))
-
-
-@dataclass
-class TrafficConfig:
-    """Knobs controlling how the generator assigns load profiles.
-
-    ``congested_fraction`` is the probability that an access-ISP
-    interconnect receives an over-capacity profile in the *ISP-to-cloud*
-    (upstream/ingress) direction - the direction where the paper found
-    most congestion.  ``reverse_congested_fraction`` applies to the
-    cloud-to-ISP direction.
-    """
-
-    congested_fraction: float = 0.30
-    reverse_congested_fraction: float = 0.06
-    daytime_congestion_share: float = 0.28
-    base_utilization_range: Tuple[float, float] = (0.15, 0.45)
-    congested_peak_range: Tuple[float, float] = (0.32, 0.72)
-    quiet_bump_range: Tuple[float, float] = (0.10, 0.30)
-    backbone_base_range: Tuple[float, float] = (0.10, 0.30)
-    transit_congested_fraction: float = 0.12
-    noise_sigma: float = 0.035
-
-    def __post_init__(self) -> None:
-        for name in ("congested_fraction", "reverse_congested_fraction",
-                     "daytime_congestion_share", "transit_congested_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must be in [0, 1], got {value}")

@@ -54,6 +54,7 @@ from ..netsim.pathmodel import PathMetrics
 from ..netsim.traffic import UtilizationModel
 from ..speedtest.browser import (BrowserArtifacts, _CAPTURE_OVERHEAD_BYTES,
                                  _PCAP_FRACTION)
+from ..speedtest import protocol
 from ..speedtest.protocol import SpeedTestResult
 from ..units import HOUR, transferred_bytes
 from .vectcp import (batch_flows_for_rtt, batch_loss_rate,
@@ -155,7 +156,6 @@ class BatchPlanner:
                      hour_start: float) -> List[_Job]:
         runner = self.runner
         engine = runner.engine
-        cfg = engine.config
         browser = runner.browser
         injector = runner.injector
         jobs: List[_Job] = []
@@ -179,7 +179,7 @@ class BatchPlanner:
                     # The protocol's outright-failure draw happens before
                     # the injector checks, and a failed attempt consumes
                     # no further randomness.
-                    if rng.random() < cfg.failure_rate:
+                    if rng.random() < protocol.FAILURE_RATE:
                         continue
                     if engine.injector is not None:
                         if engine.injector.speedtest_fails(
@@ -195,12 +195,14 @@ class BatchPlanner:
                     job.ts = attempt_ts
                     job.attempts = attempt + 1
                     job.server = server
-                    job.jitter = rng.exponential(cfg.ping_jitter_ms,
-                                                 size=cfg.ping_count)
-                    job.down_short = rng.normal(0.0, cfg.noise_sigma)
-                    job.down_wiggle = rng.normal(0.0, cfg.noise_sigma * 0.25)
-                    job.up_short = rng.normal(0.0, cfg.noise_sigma)
-                    job.up_wiggle = rng.normal(0.0, cfg.noise_sigma * 0.25)
+                    job.jitter = rng.exponential(protocol.PING_JITTER_MS,
+                                                 size=protocol.PING_COUNT)
+                    job.down_short = rng.normal(0.0, protocol.NOISE_SIGMA)
+                    job.down_wiggle = rng.normal(0.0,
+                                                 protocol.NOISE_SIGMA * 0.25)
+                    job.up_short = rng.normal(0.0, protocol.NOISE_SIGMA)
+                    job.up_wiggle = rng.normal(0.0,
+                                               protocol.NOISE_SIGMA * 0.25)
                     break
                 if job is None:
                     self._outcomes[(lane.name, slot.slot_index)] = _FAILED
@@ -215,7 +217,6 @@ class BatchPlanner:
         runner = self.runner
         platform = runner.engine.platform
         evaluator = platform.evaluator
-        cfg = runner.engine.config
 
         # Routes are laid out job by job, ingress (download) route then
         # egress (upload) route: route 2j is job j's down transfer and
@@ -267,16 +268,16 @@ class BatchPlanner:
         eff = np.minimum(0.95, loss + PathMetrics.BURST_TCP_WEIGHT * burst)
         total_loss = np.minimum(0.95, 1.0 - (1.0 - loss) * (1.0 - burst))
         tcp = batch_multiflow_throughput_mbps(
-            rtt, eff, batch_flows_for_rtt(cfg, rtt), avail)
+            rtt, eff, batch_flows_for_rtt(rtt), avail)
         if obs.enabled():
             # Mirror the scalar counters in bottleneck-link order.
             links = np.append(self._link_ids[rows], -1)[bottleneck]
             for value in tcp[np.argsort(links, kind="stable")].tolist():
                 obs.inc("netsim.tcp.transfers")
                 obs.observe("netsim.tcp.throughput_mbps", value)
-        self._finish(jobs, cfg, rtt[1::2], tcp, total_loss)
+        self._finish(jobs, rtt[1::2], tcp, total_loss)
 
-    def _finish(self, jobs: List[_Job], cfg: Any, rtt_eg: np.ndarray,
+    def _finish(self, jobs: List[_Job], rtt_eg: np.ndarray,
                 tcp: np.ndarray, total_loss: np.ndarray) -> None:
         """Protocol arithmetic as arrays, then one result per job."""
         endpoint_cap = []
@@ -305,11 +306,9 @@ class BatchPlanner:
         columns = zip(
             jobs, latency.tolist(), down.tolist(), up.tolist(),
             total_loss[0::2].tolist(), total_loss[1::2].tolist(),
-            transferred_bytes(down, cfg.download_duration_s).tolist(),
-            transferred_bytes(up, cfg.upload_duration_s).tolist(),
+            transferred_bytes(down, protocol.DOWNLOAD_DURATION_S).tolist(),
+            transferred_bytes(up, protocol.UPLOAD_DURATION_S).tolist(),
             np.minimum(1.0, np.maximum(down, up) / cpu_cap).tolist())
-        duration = (cfg.download_duration_s + cfg.upload_duration_s
-                    + 0.2 * cfg.ping_count + 3.0)
         for (job, latency_ms, down_mbps, up_mbps, down_loss, up_loss,
              down_bytes, up_bytes, cpu) in columns:
             result = SpeedTestResult(
@@ -323,7 +322,7 @@ class BatchPlanner:
                 upload_loss_rate=up_loss,
                 download_bytes=down_bytes,
                 upload_bytes=up_bytes,
-                duration_s=duration,
+                duration_s=protocol.TEST_DURATION_S,
                 cpu_utilization=cpu,
             )
             artefacts = BrowserArtifacts(

@@ -17,7 +17,7 @@ Twinned scalar sources:
 * :meth:`repro.netsim.traffic.DiurnalProfile.mean_utilization` (one
   profile per element, with :func:`repro.simclock.is_weekend` as
   :func:`batch_weekend_mask`)
-* :meth:`repro.speedtest.protocol.SpeedTestConfig.flows_for_rtt`
+* :func:`repro.speedtest.protocol.flows_for_rtt`
 
 Known exact-equivalence subtleties, all handled here:
 
@@ -46,7 +46,7 @@ from ..netsim.linkstate import (_CONTESTED_SHARE, _FLOOR_LOSS,
 from ..netsim.tcp import DEFAULT_RWND_BYTES, _MIN_LOSS, _RTO_MIN_S
 from ..netsim.topology import LinkKind
 from ..simclock import is_weekend
-from ..speedtest.protocol import SpeedTestConfig
+from ..speedtest.protocol import FLOW_SCALE_RTT_MS, MAX_FLOWS, N_FLOWS
 from ..units import DAY, HOUR, MSS_BYTES, bytes_per_sec_to_mbps, ms_to_s
 
 __all__ = [
@@ -111,15 +111,15 @@ def batch_multiflow_throughput_mbps(rtt_ms: np.ndarray,
     return np.minimum(per_flow * n_flows, path_avail_mbps)
 
 
-def batch_flows_for_rtt(config: SpeedTestConfig,
-                        rtt_ms: np.ndarray) -> np.ndarray:
-    """Vector twin of :meth:`SpeedTestConfig.flows_for_rtt` (int64)."""
+def batch_flows_for_rtt(rtt_ms: np.ndarray) -> np.ndarray:
+    """Vector twin of :func:`repro.speedtest.protocol.flows_for_rtt`
+    (int64)."""
     rtt_ms = np.asarray(rtt_ms, dtype=np.float64)
     if np.any(rtt_ms <= 0):
         raise ValidationError("rtt must be positive in every element")
-    scale = np.maximum(1.0, rtt_ms / config.flow_scale_rtt_ms)
-    flows = np.rint(config.n_flows * scale).astype(np.int64)
-    return np.minimum(config.max_flows, flows)
+    scale = np.maximum(1.0, rtt_ms / FLOW_SCALE_RTT_MS)
+    flows = np.rint(N_FLOWS * scale).astype(np.int64)
+    return np.minimum(MAX_FLOWS, flows)
 
 
 # ----------------------------------------------------------------------

@@ -9,12 +9,12 @@ a headless browser on the measurement VM.
 
 from .server import Platform, ServerRecord, SpeedTestServer
 from .catalog import CatalogConfig, ServerCatalog, build_catalog
-from .protocol import SpeedTestConfig, SpeedTestEngine, SpeedTestResult
+from .protocol import SpeedTestEngine, SpeedTestResult
 from .browser import BrowserArtifacts, HeadlessBrowser
 
 __all__ = [
     "Platform", "ServerRecord", "SpeedTestServer",
     "CatalogConfig", "ServerCatalog", "build_catalog",
-    "SpeedTestConfig", "SpeedTestEngine", "SpeedTestResult",
+    "SpeedTestEngine", "SpeedTestResult",
     "BrowserArtifacts", "HeadlessBrowser",
 ]

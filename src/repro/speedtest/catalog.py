@@ -14,8 +14,8 @@ profile (the server is shared with other testers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,39 +30,34 @@ from .server import Platform, ServerRecord, SpeedTestServer
 __all__ = ["CatalogConfig", "ServerCatalog", "build_catalog"]
 
 
+#: Platform mix (Ookla dominates real deployments).
+PLATFORM_SHARES = {
+    Platform.OOKLA: 0.72,
+    Platform.MLAB: 0.17,
+    Platform.COMCAST: 0.11,
+}
+#: Probability weights of the hosting AS type for a new server.
+AS_TYPE_WEIGHTS = {
+    ASType.ACCESS_ISP: 0.64,
+    ASType.HOSTING: 0.22,
+    ASType.EDUCATION: 0.08,
+    ASType.BUSINESS: 0.06,
+}
+#: Access capacity choices in Gbps and their weights ("at least
+#: 1 Gbps for Ookla").
+CAPACITY_GBPS_CHOICES = (1.0, 2.0, 10.0)
+CAPACITY_WEIGHTS = (0.62, 0.23, 0.15)
+
+
 @dataclass
 class CatalogConfig:
-    """Shape of the worldwide server deployment."""
+    """Server counts of the worldwide deployment (what scale sets)."""
 
     #: Target number of U.S. servers (the paper crawled ~1,330).
     n_us_servers: int = 1330
     #: Target number of non-U.S. servers (kept small; only the
     #: differential experiments need them).
     n_global_servers: int = 260
-    #: Platform mix (Ookla dominates real deployments).
-    platform_shares: Dict[Platform, float] = field(default_factory=lambda: {
-        Platform.OOKLA: 0.72,
-        Platform.MLAB: 0.17,
-        Platform.COMCAST: 0.11,
-    })
-    #: Probability weights of the hosting AS type for a new server.
-    as_type_weights: Dict[ASType, float] = field(default_factory=lambda: {
-        ASType.ACCESS_ISP: 0.64,
-        ASType.HOSTING: 0.22,
-        ASType.EDUCATION: 0.08,
-        ASType.BUSINESS: 0.06,
-    })
-    #: Access capacity choices in Gbps and their weights ("at least
-    #: 1 Gbps for Ookla").
-    capacity_gbps_choices: Tuple[float, ...] = (1.0, 2.0, 10.0)
-    capacity_weights: Tuple[float, ...] = (0.62, 0.23, 0.15)
-
-    def __post_init__(self) -> None:
-        total = sum(self.platform_shares.values())
-        if abs(total - 1.0) > 1e-6:
-            raise ConfigError(f"platform shares must sum to 1, got {total}")
-        if len(self.capacity_gbps_choices) != len(self.capacity_weights):
-            raise ConfigError("capacity choices/weights length mismatch")
 
 
 class ServerCatalog:
@@ -103,17 +98,6 @@ class ServerCatalog:
         """What crawling one platform's public server list returns."""
         return [s.record() for s in self._servers if s.platform is platform]
 
-    def crawl_all(self) -> List[ServerRecord]:
-        """Union of all three platforms' lists (CLASP's first step)."""
-        out: List[ServerRecord] = []
-        for platform in Platform:
-            out.extend(self.crawl(platform))
-        return out
-
-    def distinct_asns(self, country: Optional[str] = None) -> int:
-        return len({s.asn for s in self._servers
-                    if country is None or s.country == country})
-
 
 def build_catalog(internet: GeneratedInternet,
                   config: Optional[CatalogConfig] = None,
@@ -140,8 +124,8 @@ def build_catalog(internet: GeneratedInternet,
 
     def pick_as(country_us: bool) -> Optional[int]:
         """Sample a hosting AS of the configured type mix and country."""
-        types = list(cfg.as_type_weights.keys())
-        weights = np.array([cfg.as_type_weights[t] for t in types])
+        types = list(AS_TYPE_WEIGHTS.keys())
+        weights = np.array([AS_TYPE_WEIGHTS[t] for t in types])
         weights = weights / weights.sum()
         for _attempt in range(24):
             as_type = types[int(rng.choice(len(types), p=weights))]
@@ -155,10 +139,10 @@ def build_catalog(internet: GeneratedInternet,
 
     servers: List[SpeedTestServer] = []
     counters: Dict[Platform, int] = {p: 0 for p in Platform}
-    platforms = list(cfg.platform_shares.keys())
-    platform_weights = np.array([cfg.platform_shares[p] for p in platforms])
+    platforms = list(PLATFORM_SHARES.keys())
+    platform_weights = np.array([PLATFORM_SHARES[p] for p in platforms])
     platform_weights = platform_weights / platform_weights.sum()
-    capacity_weights = np.array(cfg.capacity_weights, dtype=float)
+    capacity_weights = np.array(CAPACITY_WEIGHTS, dtype=float)
     capacity_weights = capacity_weights / capacity_weights.sum()
 
     def deploy(asn: int) -> SpeedTestServer:
@@ -169,7 +153,7 @@ def build_catalog(internet: GeneratedInternet,
         alloc = internet.infra_allocators[asn]
         ip = alloc.allocate_host()
         capacity = gbps(float(rng.choice(
-            cfg.capacity_gbps_choices, p=capacity_weights)))
+            CAPACITY_GBPS_CHOICES, p=capacity_weights)))
         host = topo.add_host(asn, pop.pop_id, ip,
                              capacity_mbps=capacity, delay_ms=0.15)
         access_link = topo.links_of_pop(host.pop_id)[0]

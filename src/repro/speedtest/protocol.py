@@ -34,44 +34,36 @@ from ..rng import SeedTree
 from ..units import transferred_bytes
 from .server import SpeedTestServer
 
-__all__ = ["SpeedTestConfig", "SpeedTestResult", "SpeedTestEngine"]
+__all__ = ["SpeedTestResult", "SpeedTestEngine", "flows_for_rtt"]
 
 
-@dataclass
-class SpeedTestConfig:
-    """Protocol parameters (defaults match common web tests)."""
+# Protocol parameters (match common web tests).
+N_FLOWS = 24
+PING_COUNT = 5
+DOWNLOAD_DURATION_S = 15.0
+UPLOAD_DURATION_S = 15.0
+#: Multiplicative measurement noise (sigma of a lognormal-ish factor).
+NOISE_SIGMA = 0.12
+#: Latency probe jitter in ms (one-sided).
+PING_JITTER_MS = 1.5
+#: Probability a test fails outright (server busy, browser hiccup).
+FAILURE_RATE = 0.002
+#: Flow scaling: web tests add connections on long fat paths until
+#: the pipe saturates (Ookla grows to dozens of streams).
+MAX_FLOWS = 128
+FLOW_SCALE_RTT_MS = 25.0
+#: Wall time of one whole test: both bulk phases, the ping burst and
+#: the page's setup.
+TEST_DURATION_S = (DOWNLOAD_DURATION_S + UPLOAD_DURATION_S
+                   + 0.2 * PING_COUNT + 3.0)
 
-    n_flows: int = 24
-    ping_count: int = 5
-    download_duration_s: float = 15.0
-    upload_duration_s: float = 15.0
-    #: Multiplicative measurement noise (sigma of a lognormal-ish factor).
-    noise_sigma: float = 0.12
-    #: Latency probe jitter in ms (one-sided).
-    ping_jitter_ms: float = 1.5
-    #: Probability a test fails outright (server busy, browser hiccup).
-    failure_rate: float = 0.002
 
-    #: Flow scaling: web tests add connections on long fat paths until
-    #: the pipe saturates (Ookla grows to dozens of streams).
-    max_flows: int = 128
-    flow_scale_rtt_ms: float = 25.0
-
-    def __post_init__(self) -> None:
-        if self.n_flows < 1:
-            raise ValidationError(f"n_flows must be >= 1, got {self.n_flows}")
-        if self.max_flows < self.n_flows:
-            raise ValidationError("max_flows must be >= n_flows")
-        if not 0 <= self.failure_rate < 1:
-            raise ValidationError(
-                f"failure_rate must be in [0, 1), got {self.failure_rate}")
-
-    def flows_for_rtt(self, rtt_ms: float) -> int:
-        """Connections the test opens for a path of the given RTT."""
-        if rtt_ms <= 0:
-            raise ValidationError(f"rtt must be positive, got {rtt_ms}")
-        scale = max(1.0, rtt_ms / self.flow_scale_rtt_ms)
-        return min(self.max_flows, int(round(self.n_flows * scale)))
+def flows_for_rtt(rtt_ms: float) -> int:
+    """Connections the test opens for a path of the given RTT."""
+    if rtt_ms <= 0:
+        raise ValidationError(f"rtt must be positive, got {rtt_ms}")
+    scale = max(1.0, rtt_ms / FLOW_SCALE_RTT_MS)
+    return min(MAX_FLOWS, int(round(N_FLOWS * scale)))
 
 
 @dataclass(frozen=True)
@@ -113,14 +105,12 @@ class SpeedTestEngine:
     """
 
     def __init__(self, platform: CloudPlatform,
-                 config: Optional[SpeedTestConfig] = None,
-                 seeds: Optional[SeedTree] = None,
-                 injector: Optional[FaultInjector] = None) -> None:
+                 seeds: Optional[SeedTree] = None) -> None:
         self.platform = platform
-        self.config = config or SpeedTestConfig()
         self._seeds = seeds or SeedTree(0)
         self._streams: Dict[str, np.random.Generator] = {}
-        self.injector = injector
+        #: Set by the campaign runner when a fault plan is active.
+        self.injector: Optional[FaultInjector] = None
 
     def stream_for(self, vm_name: str) -> np.random.Generator:
         """The VM's private noise stream (created on first use).
@@ -140,9 +130,8 @@ class SpeedTestEngine:
             ts: float) -> SpeedTestResult:
         """Run the full three-phase test; raises on protocol failure."""
         vm.require_running()
-        cfg = self.config
         rng = self.stream_for(vm.name)
-        if rng.random() < cfg.failure_rate:
+        if rng.random() < FAILURE_RATE:
             raise SpeedTestError(
                 f"test from {vm.name} to {server.server_id} failed")
         if self.injector is not None:
@@ -170,10 +159,8 @@ class SpeedTestEngine:
         up_mbps, up_loss = self._bulk_phase(
             vm, egress_metrics, Direction.EGRESS, server_cap, rng)
 
-        down_bytes = transferred_bytes(down_mbps, cfg.download_duration_s)
-        up_bytes = transferred_bytes(up_mbps, cfg.upload_duration_s)
-        duration = (cfg.download_duration_s + cfg.upload_duration_s
-                    + 0.2 * cfg.ping_count + 3.0)
+        down_bytes = transferred_bytes(down_mbps, DOWNLOAD_DURATION_S)
+        up_bytes = transferred_bytes(up_mbps, UPLOAD_DURATION_S)
         cpu = vm.machine_type.cpu_utilization_during_test(
             max(down_mbps, up_mbps))
 
@@ -188,7 +175,7 @@ class SpeedTestEngine:
             upload_loss_rate=up_loss,
             download_bytes=down_bytes,
             upload_bytes=up_bytes,
-            duration_s=duration,
+            duration_s=TEST_DURATION_S,
             cpu_utilization=cpu,
         )
 
@@ -203,8 +190,7 @@ class SpeedTestEngine:
     def _latency_phase(self, metrics: PathMetrics,
                        rng: np.random.Generator) -> float:
         """Minimum RTT over a burst of small probes."""
-        jitter = rng.exponential(self.config.ping_jitter_ms,
-                                 size=self.config.ping_count)
+        jitter = rng.exponential(PING_JITTER_MS, size=PING_COUNT)
         samples = metrics.rtt_ms + jitter
         return float(np.min(samples))
 
@@ -212,11 +198,10 @@ class SpeedTestEngine:
                     direction: Direction, server_cap_mbps: float,
                     rng: np.random.Generator) -> Tuple[float, float]:
         """One bulk-transfer phase; returns (reported Mbps, loss rate)."""
-        cfg = self.config
         tcp_mbps = multiflow_throughput_mbps(
             rtt_ms=metrics.rtt_ms,
             loss_rate=metrics.tcp_effective_loss_rate,
-            n_flows=cfg.flows_for_rtt(metrics.rtt_ms),
+            n_flows=flows_for_rtt(metrics.rtt_ms),
             path_avail_mbps=metrics.avail_mbps,
         )
         rate = min(tcp_mbps, self._endpoint_cap(vm, direction),
@@ -224,8 +209,8 @@ class SpeedTestEngine:
         rate = min(rate, vm.machine_type.cpu_throughput_cap_mbps)
         # Multiplicative measurement noise: a one-sided shortfall factor
         # (tests rarely over-report) plus a tiny symmetric wiggle.
-        shortfall = abs(rng.normal(0.0, cfg.noise_sigma))
-        wiggle = rng.normal(0.0, cfg.noise_sigma * 0.25)
+        shortfall = abs(rng.normal(0.0, NOISE_SIGMA))
+        wiggle = rng.normal(0.0, NOISE_SIGMA * 0.25)
         factor = max(0.05, min(1.0, 1.0 - shortfall + wiggle))
         reported = max(0.05, rate * factor)
         return reported, metrics.measured_loss_rate

@@ -117,15 +117,6 @@ class BdrmapResult:
     def neighbors(self) -> Set[int]:
         return {l.neighbor_asn for l in self.links.values()}
 
-    def match_hop(self, ip: int) -> Optional[int]:
-        """Map a traceroute hop to a known far-side IP (via aliases)."""
-        if ip in self.links:
-            return ip
-        for far_ip, aliases in self.far_aliases.items():
-            if ip in aliases:
-                return far_ip
-        return None
-
     def build_hop_index(self) -> Dict[int, int]:
         """alias IP -> far-side IP index for bulk matching."""
         index: Dict[int, int] = {}

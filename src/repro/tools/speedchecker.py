@@ -18,12 +18,21 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cloud.api import CloudPlatform, Direction
-from ..errors import NoRouteError, ValidationError
+from ..errors import NoRouteError
 from ..rng import SeedTree
 from ..simclock import CAMPAIGN_START
 from ..units import DAY
 
 __all__ = ["VantagePoint", "LatencySample", "TupleMedian", "Speedchecker"]
+
+#: Agents in the platform's population (sampled from every access-ISP PoP).
+MAX_VPS = 400
+#: Probes per VP and tier, at times spread over :data:`SPAN_DAYS` days.
+SAMPLES_PER_TUPLE = 120
+SPAN_DAYS = 5
+#: A tuple needs this many answered probes to report a median (the
+#: paper kept tuples with >100 samples).
+MIN_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -64,14 +73,10 @@ class Speedchecker:
     """Edge probing platform bound to the simulated cloud."""
 
     def __init__(self, platform: CloudPlatform,
-                 seeds: Optional[SeedTree] = None,
-                 max_vps: int = 400) -> None:
-        if max_vps < 1:
-            raise ValidationError(f"max_vps must be >= 1, got {max_vps}")
+                 seeds: Optional[SeedTree] = None) -> None:
         self.platform = platform
         self._seeds = seeds or SeedTree(0)
         self._rng = self._seeds.generator("speedchecker")
-        self.max_vps = max_vps
         self._vps: Optional[List[VantagePoint]] = None
 
     # ------------------------------------------------------------------
@@ -88,8 +93,8 @@ class Speedchecker:
                     continue
                 candidates.append((asn, pop.city_key, pop.pop_id))
         candidates.sort()
-        if len(candidates) > self.max_vps:
-            idx = self._rng.choice(len(candidates), size=self.max_vps,
+        if len(candidates) > MAX_VPS:
+            idx = self._rng.choice(len(candidates), size=MAX_VPS,
                                    replace=False)
             candidates = [candidates[int(i)] for i in sorted(idx)]
         self._vps = [
@@ -113,22 +118,20 @@ class Speedchecker:
         return metrics.rtt_ms + 2.0 * vp.last_mile_ms + jitter
 
     def measure(self, region_names: Sequence[str],
-                samples_per_tuple: int = 120,
                 start_ts: float = CAMPAIGN_START,
-                span_days: int = 5,
-                min_samples: int = 100,
                 tiers: Optional[Sequence[enum.Enum]] = None,
                 name_prefix: str = "speedchecker") -> List[TupleMedian]:
         """Run the preliminary latency study.
 
         Creates one VM per (region, tier) - on GCP that is the premium
-        + standard pair - probes every VP *samples_per_tuple* times at
-        hours spread over *span_days*, and returns the per-tuple
-        medians with at least *min_samples* (some probes fail to route
-        or time out).  *tiers* restricts the study to a subset of the
-        provider's tiers (the cross-cloud provider-choice study probes
-        one tier per provider); *name_prefix* keeps a second study on
-        the same platform from colliding with the first one's VM names.
+        + standard pair - probes every VP :data:`SAMPLES_PER_TUPLE` times
+        at hours spread over :data:`SPAN_DAYS`, and returns the per-tuple
+        medians with at least :data:`MIN_SAMPLES` (some probes fail to
+        route or time out).  *tiers* restricts the study to a subset of
+        the provider's tiers (the cross-cloud provider-choice study
+        probes one tier per provider); *name_prefix* keeps a second study
+        on the same platform from colliding with the first one's VM
+        names.
         """
         study_tiers = tuple(tiers if tiers is not None
                             else self.platform.provider.tiers)
@@ -144,7 +147,7 @@ class Speedchecker:
             try:
                 for vp in vps:
                     probe_times = (start_ts + self._rng.uniform(
-                        0, span_days * DAY, size=samples_per_tuple))
+                        0, SPAN_DAYS * DAY, size=SAMPLES_PER_TUPLE))
                     for tier in study_tiers:
                         samples: List[float] = []
                         for ts in probe_times:
@@ -154,7 +157,7 @@ class Speedchecker:
                             rtt = self.probe(vp, vms[tier], float(ts))
                             if rtt is not None:
                                 samples.append(rtt)
-                        if len(samples) < min_samples:
+                        if len(samples) < MIN_SAMPLES:
                             continue
                         out.append(TupleMedian(
                             asn=vp.asn, city_key=vp.city_key, region=region,
@@ -164,5 +167,5 @@ class Speedchecker:
             finally:
                 for tier in study_tiers:
                     self.platform.terminate_vm(vms[tier].name,
-                                               start_ts + span_days * DAY)
+                                               start_ts + SPAN_DAYS * DAY)
         return out

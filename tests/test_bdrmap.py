@@ -82,7 +82,6 @@ def test_match_hop_via_aliases(mini_rig):
     result = bdrmap.run(world.pops["cloud-west"], CAMPAIGN_START,
                         flow_ids=(0,))
     far_ip = next(iter(result.far_ips()))
-    assert result.match_hop(far_ip) == far_ip
     index = result.build_hop_index()
     assert index[far_ip] == far_ip
     # Any alias of the far router maps back to a known far IP.

@@ -86,6 +86,14 @@ def test_cost_standard_tier_cheaper(capsys):
     assert total(std) < total(prem)
 
 
+@pytest.mark.parametrize("days", ["0", "-3"])
+def test_cost_rejects_campaign_shorter_than_a_day(capsys, days):
+    assert main(["cost", "--days", days]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"repro: error: days must be >= 1, got {days}\n"
+
+
 #: A small, fast campaign shape shared by the run-pipeline tests.
 SMALL = ["--scale", "0.05", "--days", "1", "--seed", "11",
          "--servers", "6"]

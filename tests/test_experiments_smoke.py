@@ -22,10 +22,10 @@ from repro.experiments.runner import ExperimentCache
 
 @pytest.fixture(scope="module")
 def tiny_cache():
-    cache = ExperimentCache(seed=13, scale=0.08)
+    cache = ExperimentCache(seed=13, scale=0.08, days=3)
     # Pre-run the shared campaigns at a short length.
-    cache.topology_dataset(days=3)
-    cache.differential_dataset(days=3)
+    cache.topology_dataset()
+    cache.differential_dataset()
     return cache
 
 

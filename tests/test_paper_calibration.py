@@ -16,8 +16,8 @@ from repro.experiments.runner import ExperimentCache
 
 @pytest.fixture(scope="module")
 def calibrated():
-    cache = ExperimentCache(seed=7, scale=0.12)
-    dataset = cache.topology_dataset(days=8)
+    cache = ExperimentCache(seed=7, scale=0.12, days=8)
+    dataset = cache.topology_dataset()
     return cache, dataset
 
 

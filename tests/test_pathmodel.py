@@ -89,11 +89,3 @@ def test_burst_loss_separation(model, router, mini_world):
     assert metrics.measured_loss_rate >= 0.10
     # ...but the TCP-effective loss barely moves.
     assert metrics.tcp_effective_loss_rate < metrics.loss_rate + 0.01
-
-
-def test_idle_rtt(model, router, mini_world):
-    pops = mini_world.pops
-    route = router.route(pops["cloud-west"], pops["ispa-east"])
-    idle = model.idle_rtt_ms(route)
-    assert idle == pytest.approx(
-        2 * route.propagation_delay_ms(mini_world.topology))

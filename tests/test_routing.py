@@ -63,10 +63,6 @@ def test_no_route_raises(mini_world):
         router.as_path(100, 900)
 
 
-def test_reachability(router, mini_world):
-    assert router.reachable_from(100) == {100, 200, 300, 400, 500}
-
-
 def test_expand_validates_endpoints(router, mini_world):
     pops = mini_world.pops
     with pytest.raises(RoutingError):

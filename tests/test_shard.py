@@ -48,7 +48,7 @@ from repro.shard import (BatchLaneExecutor, batch_flows_for_rtt,
                          batch_residual_mbps, batch_weekend_mask)
 from repro.shard.batch import BatchPlanner, fold_routes
 from repro.simclock import CAMPAIGN_START, is_weekend
-from repro.speedtest.protocol import SpeedTestConfig
+from repro.speedtest import protocol
 from repro.units import DAY, HOUR
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden"
@@ -364,16 +364,15 @@ def test_batch_multiflow_matches_scalar():
 
 
 def test_batch_flows_for_rtt_matches_scalar():
-    config = SpeedTestConfig()
     rng = np.random.default_rng(3)
     # Include sub-scale RTTs (scale clamps to 1) and exact half-integer
     # products, which banker's rounding resolves to even.
     rtt = np.concatenate([rng.uniform(0.2, 300.0, 1000),
                           np.array([1.0, 12.5, 25.0, 25.0 * 1.5 / 24.0]),
-                          config.flow_scale_rtt_ms
-                          * (np.arange(1, 50) + 0.5) / config.n_flows])
-    out = batch_flows_for_rtt(config, rtt)
-    _assert_zero_ulp(out, lambda r: config.flows_for_rtt(float(r)), rtt)
+                          protocol.FLOW_SCALE_RTT_MS
+                          * (np.arange(1, 50) + 0.5) / protocol.N_FLOWS])
+    out = batch_flows_for_rtt(rtt)
+    _assert_zero_ulp(out, lambda r: protocol.flows_for_rtt(float(r)), rtt)
 
 
 def _utilization_grid():

@@ -6,12 +6,13 @@ import pytest
 from repro.cloud.api import CloudPlatform, Direction
 from repro.cloud.tiers import NetworkTier
 from repro.errors import SpeedTestError
+from repro.faults import FaultInjector, FaultPlan
 from repro.netsim.generator import GeneratorConfig, TopologyGenerator
 from repro.rng import SeedTree
 from repro.simclock import CAMPAIGN_START
 from repro.speedtest.browser import HeadlessBrowser
 from repro.speedtest.catalog import CatalogConfig, build_catalog
-from repro.speedtest.protocol import SpeedTestConfig, SpeedTestEngine
+from repro.speedtest.protocol import SpeedTestEngine, flows_for_rtt
 
 
 @pytest.fixture(scope="module")
@@ -27,29 +28,16 @@ def rig():
     vm = platform.create_vm("us-west1", "n1-standard-2",
                             NetworkTier.PREMIUM, CAMPAIGN_START)
     vm.nic.apply_tc(ingress_mbps=1000.0, egress_mbps=100.0)
-    engine = SpeedTestEngine(platform,
-                             SpeedTestConfig(failure_rate=0.0),
-                             SeedTree(63))
+    engine = SpeedTestEngine(platform, SeedTree(63))
     return platform, catalog, vm, engine
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SpeedTestConfig(n_flows=0)
-    with pytest.raises(ValueError):
-        SpeedTestConfig(failure_rate=1.5)
-    with pytest.raises(ValueError):
-        SpeedTestConfig(n_flows=16, max_flows=8)
-
-
 def test_flows_for_rtt_scaling():
-    config = SpeedTestConfig(n_flows=24, max_flows=128,
-                             flow_scale_rtt_ms=25.0)
-    assert config.flows_for_rtt(10.0) == 24
-    assert config.flows_for_rtt(50.0) == 48
-    assert config.flows_for_rtt(1000.0) == 128
+    assert flows_for_rtt(10.0) == 24
+    assert flows_for_rtt(50.0) == 48
+    assert flows_for_rtt(1000.0) == 128
     with pytest.raises(ValueError):
-        config.flows_for_rtt(0.0)
+        flows_for_rtt(0.0)
 
 
 def test_result_respects_caps(rig):
@@ -89,9 +77,9 @@ def test_failure_rate_and_retry():
     platform = CloudPlatform(net)
     vm = platform.create_vm("us-west1", "n1-standard-2",
                             NetworkTier.PREMIUM, CAMPAIGN_START)
-    engine = SpeedTestEngine(platform,
-                             SpeedTestConfig(failure_rate=0.999),
-                             SeedTree(66))
+    engine = SpeedTestEngine(platform, SeedTree(66))
+    engine.injector = FaultInjector(FaultPlan(speedtest_failure_rate=0.9),
+                                    SeedTree(67))
     server = catalog.servers()[0]
     with pytest.raises(SpeedTestError):
         for _ in range(20):

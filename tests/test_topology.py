@@ -38,7 +38,6 @@ def test_relationships(mini_world):
     assert topo.is_customer(100, 200)
     assert not topo.is_customer(200, 100)
     assert topo.is_customer(500, 300)
-    assert not topo.are_adjacent(400, 500)
     assert topo.providers_of(500) == {300}
     assert topo.customers_of(200) == {100, 300}
     assert topo.peers_of(100) == {400}

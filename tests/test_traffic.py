@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.netsim.traffic import (
     DiurnalBump,
     DiurnalProfile,
-    TrafficConfig,
     UtilizationModel,
 )
 from repro.rng import SeedTree
@@ -132,14 +131,6 @@ def test_set_profile_validates_direction():
     model = UtilizationModel(SeedTree(3), CAMPAIGN_START)
     with pytest.raises(ValueError):
         model.set_profile(1, 2, DiurnalProfile.quiet())
-
-
-def test_traffic_config_validation():
-    with pytest.raises(ValueError):
-        TrafficConfig(congested_fraction=1.5)
-    with pytest.raises(ValueError):
-        TrafficConfig(daytime_congestion_share=-0.1)
-    TrafficConfig()  # defaults valid
 
 
 # ----------------------------------------------------------------------
