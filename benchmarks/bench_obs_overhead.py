@@ -19,7 +19,7 @@ import repro.obs as obs
 from repro.core.export import dataset_digest
 from repro.obs.exporters import (metrics_to_jsonlines,
                                  metrics_to_prometheus,
-                                 spans_to_jsonlines)
+                                 span_totals_to_jsonlines)
 from repro.experiments.scenario import build_scenario
 from repro.report.tables import TextTable
 from repro.simclock import CAMPAIGN_START
@@ -35,7 +35,7 @@ MAX_OVERHEAD = 1.5
 
 def _run_once(enabled):
     if enabled:
-        obs.enable(capacity=200_000)
+        obs.enable()
     try:
         scenario = build_scenario(seed=SEED, scale=SCALE, stories=False)
         clasp = scenario.clasp
@@ -48,10 +48,10 @@ def _run_once(enabled):
         elapsed = time.perf_counter() - start
         exports = None
         if enabled:
-            spans = obs.tracer().finished()
+            totals = obs.tracer().totals()
             snapshot = obs.snapshot()
             export_start = time.perf_counter()
-            exports = (spans_to_jsonlines(spans)
+            exports = (span_totals_to_jsonlines(totals)
                        + metrics_to_jsonlines(snapshot)
                        + metrics_to_prometheus(snapshot))
             elapsed_export = time.perf_counter() - export_start

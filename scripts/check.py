@@ -4,8 +4,10 @@
 This is what ``make check`` runs.  The lint pass runs every rule,
 per-file and cross-file (RPR010/RPR011), once over ``src/repro``.
 The CLI smoke runs one small monitored campaign as ``python -m
-repro.cli campaign ... --format prom`` in a subprocess and requires
-exit 0 and ``ALERTS{`` series in its output.  The numpy
+repro.cli campaign ... --format prom --profile DIR`` in a subprocess
+and requires exit 0, ``ALERTS{`` series in its output, and a
+``spans.jsonl`` listing ``campaign.run`` and ``selection.topology.run``
+with one call each.  The numpy
 stream-compat gate (``tests/test_rng.py -k "first_uniforms or
 chunked_normal"``) checks that ``SeedTree.first_uniforms``, which
 re-implements numpy's ``SeedSequence`` and PCG64 seeding, still equals
@@ -53,6 +55,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -68,26 +71,37 @@ def _run(label, argv):
 
 
 def _cli_smoke() -> int:
-    """Run one monitored campaign through ``python -m repro.cli``.
+    """Run one monitored, profiled campaign through ``python -m repro.cli``.
 
     A subprocess, so the ``__main__`` entry point and the exit status
     are exercised, which in-process ``main([...])`` tests never reach.
     """
-    argv = [sys.executable, "-m", "repro.cli", "campaign", "--scale",
-            "0.05", "--days", "1", "--servers", "4", "--rules",
-            "examples/rules_default.json", "--format", "prom"]
-    print(f"== cli smoke: {' '.join(argv[1:])}", flush=True)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC)
-    proc = subprocess.run(argv, cwd=str(REPO_ROOT), env=env,
-                          capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        return proc.returncode
-    if "ALERTS{" not in proc.stdout:
-        print("cli smoke: no ALERTS series in the prom output",
-              file=sys.stderr)
-        return 1
+    with tempfile.TemporaryDirectory() as profile_dir:
+        argv = [sys.executable, "-m", "repro.cli", "campaign", "--scale",
+                "0.05", "--days", "1", "--servers", "4", "--rules",
+                "examples/rules_default.json", "--format", "prom",
+                "--profile", profile_dir]
+        print(f"== cli smoke: {' '.join(argv[1:])}", flush=True)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC)
+        proc = subprocess.run(argv, cwd=str(REPO_ROOT), env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+            return proc.returncode
+        if "ALERTS{" not in proc.stdout:
+            print("cli smoke: no ALERTS series in the prom output",
+                  file=sys.stderr)
+            return 1
+        spans = pathlib.Path(profile_dir, "spans.jsonl").read_text()
+        calls = {row["name"]: row["calls"]
+                 for row in map(json.loads, spans.splitlines())}
+    for name in ("campaign.run", "selection.topology.run"):
+        if calls.get(name) != 1:
+            print(f"cli smoke: spans.jsonl lists {name} with "
+                  f"{calls.get(name, 0)} calls, expected 1",
+                  file=sys.stderr)
+            return 1
     return 0
 
 

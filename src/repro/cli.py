@@ -17,7 +17,8 @@ Subcommands:
   - ``--export DIR``, ``--trace PATH`` (the engine event stream as
     JSON lines) and ``--metrics`` (event and billing totals);
   - ``--profile DIR`` - run with :mod:`repro.obs` enabled and write a
-    profile directory: ``profile.txt`` (span tree), ``spans.jsonl`` +
+    profile directory: ``profile.txt`` (self wall time per layer and
+    per span name), ``spans.jsonl`` (one row per span name) +
     ``metrics.jsonl``, and ``metrics.prom``.
 
   The live plane is one :class:`~repro.alerts.Collector` riding the
@@ -167,7 +168,9 @@ def _profiled(profile_dir: Optional[str]) -> Iterator[None]:
 
     Entered before the scenario build, so selection and deployment
     spans land in the profile too, not just the campaign hours.  The
-    one-line note goes to stderr so machine formats stay pipeable.
+    directory is created first, so an unusable path fails before the
+    run rather than after it.  The one-line note goes to stderr so
+    machine formats stay pipeable.
     """
     if not profile_dir:
         yield
@@ -175,6 +178,7 @@ def _profiled(profile_dir: Optional[str]) -> Iterator[None]:
     import repro.obs as obs
     from repro.obs.exporters import write_profile
 
+    Path(profile_dir).mkdir(parents=True, exist_ok=True)
     obs.enable()
     try:
         yield

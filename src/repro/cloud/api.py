@@ -110,12 +110,9 @@ class CloudPlatform:
         which failures are recovered (topology ids never depend on the
         recovery schedule), and it keeps the route cache valid as-is.
         """
-        with obs.span("cloud.create_vm", layer="cloud", sim_ts=ts,
-                      region=region_name, machine_type=machine_type,
-                      tier=tier.value) as sp:
+        with obs.span("cloud.create_vm"):
             vm = self._create_vm(region_name, machine_type, tier, ts,
                                  zone_suffix, name, inherit_attachment_from)
-            sp.annotate(vm=vm.name)
         obs.inc("cloud.vms_created")
         return vm
 

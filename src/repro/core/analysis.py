@@ -66,7 +66,7 @@ def performance_scatter(dataset: CampaignDataset,
     """
     points: List[ScatterPoint] = []
     month_s = 30 * DAY
-    with obs.span("analysis.performance_scatter", layer="analysis") as sp:
+    with obs.span("analysis.performance_scatter"):
         for pair in dataset.pairs(region=region, tier=tier):
             series = dataset.table.series(pair)
             month_idx = ((series["ts"] - dataset.start_ts)
@@ -83,7 +83,6 @@ def performance_scatter(dataset: CampaignDataset,
                     p5_latency_ms=float(
                         np.percentile(series["latency"][mask], 5)),
                     n_samples=int(mask.sum())))
-        sp.annotate(n_points=len(points))
     return points
 
 
@@ -145,8 +144,7 @@ def tier_comparison(dataset: CampaignDataset, region: str,
         raise AnalysisError(
             f"min_matched_hours must be >= 1, got {min_matched_hours}")
     comparison = TierComparison(region=region)
-    with obs.span("analysis.tier_comparison", layer="analysis",
-                  region=region) as sp:
+    with obs.span("analysis.tier_comparison"):
         prem_pairs = {p[1]: p for p in dataset.pairs(
             region=region, tier=NetworkTier.PREMIUM)}
         std_pairs = {p[1]: p for p in dataset.pairs(
@@ -175,7 +173,6 @@ def tier_comparison(dataset: CampaignDataset, region: str,
             comparison.delta_upload[server_id] = d_up[keep]
             comparison.delta_latency[server_id] = d_lat[keep]
             comparison.n_matched_hours += int(keep.sum())
-        sp.annotate(n_matched_hours=comparison.n_matched_hours)
     return comparison
 
 
@@ -203,8 +200,7 @@ def congestion_probability(dataset: CampaignDataset,
                            pair: PairKey) -> HourlyProbability:
     """Hour-of-day congestion probability (server-local time)."""
     region, server_id, tier = pair
-    with obs.span("analysis.congestion_probability", layer="analysis",
-                  server=server_id):
+    with obs.span("analysis.congestion_probability"):
         meta = dataset.server_meta(server_id)
         series = dataset.table.series(pair)
         local_hours = (((series["ts"] + meta.utc_offset_hours * HOUR)

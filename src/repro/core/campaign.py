@@ -546,10 +546,6 @@ class CampaignRunner:
         attach = getattr(stepper, "attach_engine", None)
         if attach is not None:
             attach(engine)
-        with obs.span("campaign.run", layer="campaign",
-                      sim_ts=cfg.start_ts, n_hours=cfg.n_hours,
-                      n_lanes=len(engine.lanes)) as sp:
+        with obs.span("campaign.run"):
             engine.run()
-            sp.annotate(completed_tests=dataset.completed_tests,
-                        lost_tests=dataset.lost_tests)
         return dataset

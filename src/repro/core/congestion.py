@@ -426,11 +426,8 @@ def detect(dataset: CampaignDataset,
         for day, ts, values in _pair_day_buckets(dataset, pair):
             yield summarize_day(pair, offset, day, ts, values, threshold)
 
-    with obs.span("analysis.congestion_detect", layer="analysis",
-                  threshold=threshold, metric=METRIC) as sp:
+    with obs.span("analysis.congestion_detect"):
         report = report_from_days(threshold, (
             (pair, summaries(pair))
             for pair in dataset.pairs(region=region, tier=tier)))
-        sp.annotate(n_events=len(report.events),
-                    n_day_records=len(report.day_records))
     return report

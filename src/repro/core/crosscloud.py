@@ -201,8 +201,7 @@ def run_matrix(fleet: CloudFleet,
     vms: Dict[Tuple[str, str], object] = {}
     start_ts = float(CAMPAIGN_START)
     end_ts = start_ts + samples * MATRIX_SAMPLE_SPACING_H * 3600.0
-    with obs.span("crosscloud.run_matrix", layer="crosscloud",
-                  sim_ts=start_ts, providers=",".join(fleet.names())) as sp:
+    with obs.span("crosscloud.run_matrix"):
         try:
             for platform in fleet:
                 pname = platform.provider.name
@@ -220,8 +219,6 @@ def run_matrix(fleet: CloudFleet,
                     if src != dst:
                         matrix.cells.append(_evaluate_pair(
                             fleet, vms, src, dst, start_ts, samples))
-            sp.annotate(n_endpoints=len(matrix.endpoints),
-                        n_pairs=len(matrix.cells))
         finally:
             for (pname, _region), vm in vms.items():
                 platform = fleet.platform(pname)
@@ -332,8 +329,7 @@ def provider_choice(fleet: CloudFleet, catalog: ServerCatalog,
     label = f"{provider_a}-vs-{provider_b}"
     start_ts = float(CAMPAIGN_START)
 
-    with obs.span("crosscloud.provider_choice", layer="crosscloud",
-                  sim_ts=start_ts, providers=label) as sp:
+    with obs.span("crosscloud.provider_choice"):
         medians: List[TupleMedian] = []
         for platform, region, slot in (
                 (platform_a, region_a, NetworkTier.PREMIUM),
@@ -352,8 +348,6 @@ def provider_choice(fleet: CloudFleet, catalog: ServerCatalog,
         selector = DifferentialSelector(catalog, prefix2as)
         selection = selector.select(medians, label,
                                     target_count=PROVIDER_CHOICE_TARGETS)
-        sp.annotate(n_candidates=len(selection.candidates),
-                    n_selected=len(selection.selected))
     return ProviderChoice(provider_a=provider_a, provider_b=provider_b,
                           region_a=region_a, region_b=region_b,
                           selection=selection)

@@ -147,11 +147,8 @@ class DifferentialSelector:
         if target_count < 1:
             raise SelectionError(
                 f"target_count must be >= 1, got {target_count}")
-        with obs.span("selection.differential.select", layer="selection",
-                      region=region) as sp:
+        with obs.span("selection.differential.select"):
             selection = self._select(medians, region, target_count)
-            sp.annotate(n_candidates=len(selection.candidates),
-                        n_selected=len(selection.selected))
         return selection
 
     def _select(self, medians: Sequence[TupleMedian], region: str,

@@ -146,11 +146,8 @@ class TopologySelector:
     def run(self, region: str, src_pop_id: int, ts: float,
             country: str = "US") -> TopologySelection:
         """Full pilot scan for one region."""
-        with obs.span("selection.topology.run", layer="selection",
-                      sim_ts=ts, region=region) as sp:
+        with obs.span("selection.topology.run"):
             selection = self._run(region, src_pop_id, ts, country)
-            sp.annotate(n_selected=len(selection.selected),
-                        n_links=selection.n_interdomain_links)
         return selection
 
     def _run(self, region: str, src_pop_id: int, ts: float,

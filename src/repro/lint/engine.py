@@ -190,7 +190,7 @@ def run(paths: Iterable["Path | str"],
             + " (nothing to lint)")
 
     result = LintResult(files_checked=len(files))
-    with obs.span("lint.run", layer="lint", files=len(files)):
+    with obs.span("lint.run"):
         result.findings, result.index = _lint(
             ((_display_path(path, anchor), module_name_for(path),
               path.name == "__init__.py", path.read_text(encoding="utf-8"))

@@ -75,7 +75,7 @@ _NONDET_CALLS = frozenset({
 })
 
 #: Duration-only wall-clock reads.  These are allowed *solely* inside
-#: repro.obs, where they become span annotations for profiling - a
+#: repro.obs, where they become span totals for profiling - a
 #: scoped carve-out from the RPR001 wall-clock ban.
 _PERF_COUNTER_CALLS = frozenset({
     "time.perf_counter", "time.perf_counter_ns",
@@ -94,7 +94,7 @@ _CALL_POLICY = (
      "SeedTree.generator(label) in repro.rng"),
     ("RPR008", _PERF_COUNTER_CALLS, (), "repro.obs",
      "wall-clock profiling call {target}() outside repro.obs; wrap the "
-     "region in an obs span instead so wall-time stays an annotation"),
+     "region in an obs span instead so wall-time stays in the profile"),
 )
 
 
@@ -395,8 +395,8 @@ RULES: Tuple[Rule, ...] = (
          (check_imports,)),
     Rule("RPR008", "obs-confinement",
          "time.perf_counter-family call outside repro.obs, or repro.obs "
-         "importing beyond repro.units/errors/simclock; wall-time is a "
-         "span annotation, never simulation data",
+         "importing beyond repro.units/errors/simclock; wall-time is "
+         "profiling data, never simulation data",
          (check_calls, check_imports)),
     Rule("RPR010", "unordered-iteration",
          "iteration over a set/frozenset (or a mutable-global dict view) "

@@ -190,7 +190,6 @@ class GeneratedInternet:
     infra_allocators: Dict[int, PrefixAllocator]
     #: ASNs flagged as having under-provisioned cloud connectivity
     congested_asns: Set[int]
-    config: GeneratorConfig
 
     @property
     def edge_asns(self) -> List[int]:
@@ -269,10 +268,7 @@ class TopologyGenerator:
         region_names = ["us-west", "us-central", "us-east", "eu", "apac", "latam"]
         for i in range(cfg.n_transit):
             region = region_names[i % len(region_names)]
-            try:
-                region_cities = [c for c in self.cities if c.region == region]
-            except ConfigError:
-                region_cities = list(self.cities)
+            region_cities = [c for c in self.cities if c.region == region]
             stem = self._rng.choice(_ISP_STEMS)
             suffix = self._rng.choice(_TRANSIT_SUFFIXES)
             as_obj = AS(asn=self._take_asn(), name=f"{stem} {suffix}",
@@ -414,7 +410,6 @@ class TopologyGenerator:
             business_asns=[a.asn for a in business],
             infra_allocators=allocators,
             congested_asns=congested_asns,
-            config=cfg,
         )
 
     # ------------------------------------------------------------------
@@ -453,10 +448,8 @@ class TopologyGenerator:
         announced[as_obj.asn] = []
         as_obj.prefixes.append(block)
 
-    def _announce_pop_prefix(self, as_obj: AS,
-                             allocators: Dict[int, PrefixAllocator]) -> Prefix:
+    def _announce_pop_prefix(self, as_obj: AS) -> Prefix:
         """Carve a /24 the AS announces for one PoP's customer space."""
-        del allocators  # announced space comes from the AS block directly
         block = as_obj.prefixes[0]
         infra_size = block.size // 4
         announced_base = block.network + infra_size
@@ -491,7 +484,7 @@ class TopologyGenerator:
             pop = topo.add_pop(as_obj.asn, city.key, loopback)
             pops.append(pop)
             for _ in range(per_pop):
-                prefix = self._announce_pop_prefix(as_obj, allocators)
+                prefix = self._announce_pop_prefix(as_obj)
                 topo.register_announced_prefix(prefix, pop.pop_id)
         # The covering block routes to the first PoP by default.
         topo.register_announced_prefix(block, pops[0].pop_id)
@@ -505,8 +498,6 @@ class TopologyGenerator:
         pops = [p for p in topo.pops_of_as(as_obj.asn) if not p.is_host]
         if len(pops) < 2:
             return
-        alloc = None  # backbone interfaces are unnumbered in our model
-        del alloc
         connected = [pops[0]]
         remaining = pops[1:]
         edges: Set[Tuple[int, int]] = set()
@@ -764,7 +755,6 @@ class TopologyGenerator:
                 util.set_profile(record.link_id, 1, _story_profile(
                     congestion, offset, draw))
         net.access_isp_asns.append(as_obj.asn)
-        self._rebind_router_caches(net)
         return as_obj
 
     def add_cloud_wan(self, net: GeneratedInternet, name: str,
@@ -827,19 +817,7 @@ class TopologyGenerator:
                 capacity_range=TRANSIT_INTERCONNECT_GBPS,
                 congest_prob=0.02,
                 subnet_owner_bias=1.0)
-        self._rebind_router_caches(net)
         return as_obj
-
-    @staticmethod
-    def _rebind_router_caches(net: GeneratedInternet) -> None:
-        """Topology changed post-generation; flag for router rebuilds.
-
-        Routing engines built before a story AS was added must call
-        :meth:`~repro.netsim.routing.Router.invalidate_caches` (the
-        scenario builder constructs CLASP after all stories, so the
-        common path needs nothing here).
-        """
-        # Nothing to do on the net object itself; hook kept for clarity.
 
     def _buy_transit(self, topo: Topology, util: UtilizationModel,
                      customer: AS, transits: List[AS], tier1s: List[AS],

@@ -88,12 +88,9 @@ def multiflow_throughput_mbps(rtt_ms: float, loss_rate: float,
         raise ValidationError(f"n_flows must be >= 1, got {n_flows}")
     if path_avail_mbps < 0:
         raise ValidationError(f"path_avail_mbps must be >= 0, got {path_avail_mbps}")
-    with obs.span("netsim.tcp.transfer", layer="netsim",
-                  n_flows=n_flows) as sp:
+    with obs.span("netsim.tcp.transfer"):
         per_flow = pftk_throughput_mbps(rtt_ms, loss_rate)
         aggregate = min(per_flow * n_flows, path_avail_mbps)
-        sp.annotate(throughput_mbps=round(aggregate, 3),
-                    path_limited=per_flow * n_flows > path_avail_mbps)
     obs.inc("netsim.tcp.transfers")
     obs.observe("netsim.tcp.throughput_mbps", aggregate)
     return aggregate

@@ -8,7 +8,7 @@ on explicitly::
     obs.enable()
     try:
         ...  # run a campaign; instrumented layers record into obs
-        tree = obs.tracer().finished()
+        rows = obs.tracer().totals()
         snap = obs.snapshot()
     finally:
         obs.disable()
@@ -16,11 +16,13 @@ on explicitly::
 Hot paths call the module-level helpers (:func:`span`, :func:`inc`,
 :func:`observe`, :func:`set_gauge`), which collapse to near-free no-ops
 while obs is disabled - so instrumentation can stay in place
-permanently without taxing ordinary runs.
+permanently without taxing ordinary runs.  The tracer keeps one
+:class:`SpanTotal` row per span name (calls, total and self wall time,
+errors), never the spans themselves.
 
-Determinism contract: obs *reads* simulation data (timestamps, counts)
+Determinism contract: obs *reads* simulation data (counts, values)
 but never feeds anything back, and wall-clock time exists only inside
-span annotations.  Lint rule RPR008 enforces both halves - the
+the span totals.  Lint rule RPR008 enforces both halves - the
 ``time.perf_counter`` family may only be called under ``repro.obs``,
 and ``repro.obs`` may only import ``units``/``errors``/``simclock``
 from the package, so it can never reach into simulation state.
@@ -28,19 +30,18 @@ from the package, so it can never reach into simulation state.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from ..errors import ConfigError
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .spans import NULL_SPAN, FlightRecorder, Span, Tracer
+from .spans import NULL_SPAN, SpanTotal, Tracer
 
 __all__ = [
     "Counter",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Span",
+    "SpanTotal",
     "Tracer",
     "disable",
     "enable",
@@ -58,10 +59,10 @@ _tracer: Optional[Tracer] = None
 _registry: Optional[MetricsRegistry] = None
 
 
-def enable(capacity: int = 4096) -> None:
+def enable() -> None:
     """Turn observability on with a fresh tracer and registry."""
     global _tracer, _registry
-    _tracer = Tracer(capacity)
+    _tracer = Tracer()
     _registry = MetricsRegistry()
 
 
@@ -94,12 +95,14 @@ def registry() -> MetricsRegistry:
 # hot-path helpers: safe to call unconditionally from any layer
 
 
-def span(name: str, layer: str = "other",
-         sim_ts: Optional[float] = None, **annotations: Any):
-    """A span context manager, or the shared no-op when disabled."""
+def span(name: str):
+    """A span context manager, or the shared no-op when disabled.
+
+    The span's layer is the first dotted segment of *name*.
+    """
     if _tracer is None:
         return NULL_SPAN
-    return _tracer.span(name, layer=layer, sim_ts=sim_ts, **annotations)
+    return _tracer.span(name)
 
 
 def inc(name: str, n: float = 1.0) -> None:

@@ -1,12 +1,12 @@
-"""Exporters: turn obs state into JSON-lines, Prometheus text, trees.
+"""Exporters: turn obs state into JSON-lines, Prometheus text, tables.
 
-Everything here is a pure serializer over :class:`Span` lists and
+Everything here is a pure serializer over :class:`SpanTotal` rows and
 :meth:`MetricsRegistry.snapshot` dicts - no I/O except
 :func:`write_profile`, which materialises one profile directory so
 ``--profile PATH`` on the CLI is a single call.
 
-Output ordering is deterministic (sorted metric names, recorder span
-order), so profile artifacts diff cleanly between runs.
+Output ordering is deterministic (sorted metric and span names), so
+the profile artifacts' structure diffs cleanly between runs.
 """
 
 from __future__ import annotations
@@ -14,17 +14,16 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Sequence, Union
 
-from ..errors import ValidationError
+from ..units import s_to_ms
 from .metrics import MetricsRegistry, snapshot_percentile
-from .spans import FlightRecorder, Span, Tracer
+from .spans import SpanTotal, Tracer
 
 __all__ = [
     "metrics_to_jsonlines",
     "metrics_to_prometheus",
-    "render_span_tree",
-    "spans_to_jsonlines",
+    "span_totals_to_jsonlines",
     "write_profile",
 ]
 
@@ -65,18 +64,13 @@ def metrics_to_jsonlines(snapshot: Dict[str, Any]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def metrics_to_prometheus(snapshot: Dict[str, Any],
-                          recorder: Optional[FlightRecorder] = None
-                          ) -> str:
+def metrics_to_prometheus(snapshot: Dict[str, Any]) -> str:
     """Prometheus text exposition format (counters, gauges, histograms).
 
     Histogram buckets are converted from the registry's sparse
     ``{"<N": count}`` shape to the cumulative ``le``-labelled series
     Prometheus expects, ending with the mandatory ``le="+Inf"`` bucket,
     followed by ``_p50``/``_p90``/``_p99`` upper-bound summaries.
-    Passing the tracer's *recorder* additionally exposes the flight
-    recorder's recorded/dropped span totals, so span loss is visible
-    on the same scrape as everything else.
     """
     out: List[str] = []
     for name, value in snapshot.get("counters", {}).items():
@@ -102,59 +96,41 @@ def metrics_to_prometheus(snapshot: Dict[str, Any],
         for label, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
             out.append(
                 f"{prom}_{label} {_fmt(snapshot_percentile(hist, q))}")
-    if recorder is not None:
-        out.append("# TYPE obs_spans_recorded_total counter")
-        out.append(f"obs_spans_recorded_total {recorder.n_recorded}")
-        out.append("# TYPE obs_spans_dropped_total counter")
-        out.append(f"obs_spans_dropped_total {recorder.n_dropped}")
     return "\n".join(out) + ("\n" if out else "")
 
 
 # ----------------------------------------------------------------------
-# spans
+# span totals
 
 
-def spans_to_jsonlines(spans: Sequence[Span]) -> str:
-    """One JSON object per finished span, recorder order."""
-    lines = [json.dumps(span.payload(), sort_keys=True) for span in spans]
+def span_totals_to_jsonlines(totals: Sequence[SpanTotal]) -> str:
+    """One JSON object per span name, in the order given."""
+    lines = [json.dumps(row.payload(), sort_keys=True) for row in totals]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def render_span_tree(spans: Sequence[Span], max_spans: int = 200) -> str:
-    """ASCII tree of the span forest, most useful for the CLI.
-
-    Spans whose parent fell off the flight-recorder ring render as
-    roots; at most *max_spans* lines are shown, with a trailing note
-    when the forest is larger.
-    """
-    if max_spans < 1:
-        raise ValidationError(
-            f"max_spans must be >= 1, got {max_spans}")
-    by_id = {span.span_id: span for span in spans}
-    children: Dict[Any, List[Span]] = {}
-    for span in spans:
-        parent = span.parent_id if span.parent_id in by_id else None
-        children.setdefault(parent, []).append(span)
-
-    lines: List[str] = []
-
-    def walk(span: Span, indent: int) -> None:
-        if len(lines) >= max_spans:
-            return
-        status = "" if span.status == "ok" else f" !{span.status}"
-        extra = ""
-        if span.sim_ts is not None:
-            extra = f" sim_ts={span.sim_ts:.0f}"
-        lines.append(f"{'  ' * indent}{span.name} [{span.layer}] "
-                     f"{span.wall_ms:.3f}ms{extra}{status}")
-        for child in children.get(span.span_id, []):
-            walk(child, indent + 1)
-
-    for root in children.get(None, []):
-        walk(root, 0)
-    if len(spans) > len(lines):
-        lines.append(f"... ({len(spans) - len(lines)} more spans)")
-    return "\n".join(lines) + ("\n" if lines else "")
+def _profile_report(totals: Sequence[SpanTotal]) -> str:
+    """Self wall time per layer, then every span name's row."""
+    layers: Dict[str, List[float]] = {}
+    for row in totals:
+        calls_self = layers.setdefault(row.layer, [0, 0.0])
+        calls_self[0] += row.calls
+        calls_self[1] += row.self_s
+    spent = sum(self_s for _calls, self_s in layers.values()) or 1.0
+    report = ["# self wall time by layer", "",
+              f"{'layer':<12} {'calls':>8} {'self_ms':>12} {'share':>6}"]
+    for layer, (calls, self_s) in sorted(
+            layers.items(), key=lambda item: (-item[1][1], item[0])):
+        report.append(f"{layer:<12} {calls:>8d} "
+                      f"{s_to_ms(self_s):>12.3f} {self_s / spent:>6.1%}")
+    report += ["", "# spans by self wall time", "",
+               f"{'calls':>8} {'total_ms':>12} {'self_ms':>12} "
+               f"{'errors':>6}  name"]
+    for row in sorted(totals, key=lambda row: (-row.self_s, row.name)):
+        report.append(f"{row.calls:>8d} {s_to_ms(row.total_s):>12.3f} "
+                      f"{s_to_ms(row.self_s):>12.3f} {row.errors:>6d}  "
+                      f"{row.name}")
+    return "\n".join(report) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -167,43 +143,22 @@ def write_profile(path: Union[str, Path], tracer: Tracer,
 
     Layout::
 
-        PATH/spans.jsonl     one line per finished span
+        PATH/spans.jsonl     one line per span name
         PATH/metrics.jsonl   one line per metric
         PATH/metrics.prom    Prometheus text format
-        PATH/profile.txt     human-readable span tree + hot-span table
+        PATH/profile.txt     self time per layer, then per span name
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    spans = tracer.finished()
+    totals = tracer.totals()
     snapshot = registry.snapshot()
-
     files = []
-
-    def emit(name: str, text: str) -> None:
+    for name, text in (
+            ("spans.jsonl", span_totals_to_jsonlines(totals)),
+            ("metrics.jsonl", metrics_to_jsonlines(snapshot)),
+            ("metrics.prom", metrics_to_prometheus(snapshot)),
+            ("profile.txt", _profile_report(totals))):
         target = root / name
         target.write_text(text, encoding="utf-8")
         files.append(target)
-
-    emit("spans.jsonl", spans_to_jsonlines(spans))
-    emit("metrics.jsonl", metrics_to_jsonlines(snapshot))
-    emit("metrics.prom",
-         metrics_to_prometheus(snapshot, recorder=tracer.recorder))
-
-    # profile.txt: span tree plus the wall-time-hottest span names.
-    totals: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    for span in spans:
-        totals[span.name] = totals.get(span.name, 0.0) + span.wall_ms
-        counts[span.name] = counts.get(span.name, 0) + 1
-    hot = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
-    report = ["# span tree", "",
-              render_span_tree(spans).rstrip("\n"), "",
-              "# hottest spans (total wall ms)", ""]
-    for name, total in hot[:20]:
-        report.append(f"{total:12.3f}ms  x{counts[name]:<6d} {name}")
-    if tracer.recorder.n_dropped:
-        report.append("")
-        report.append(f"# flight recorder dropped "
-                      f"{tracer.recorder.n_dropped} older spans")
-    emit("profile.txt", "\n".join(report) + "\n")
     return files

@@ -1,103 +1,81 @@
-"""Hierarchical span tracing over the simulation stack.
+"""Per-name span totals over the simulation stack.
 
-A :class:`Span` is one timed region of work (a bdrmap run, a speed
-test, a campaign).  Spans nest: the :class:`Tracer` keeps the active
-span stack, so a ``netsim.tcp.transfer`` span opened while a
-``speedtest.run_test`` span is active becomes its child, and a whole
-campaign renders as one tree.
+A span is one timed region of work (a bdrmap run, a speed test, a
+campaign), opened as ``with tracer.span("tools.bdrmap.run"):``.  Its
+layer is the name's first dotted segment (``tools``).  Nothing is kept
+per span: when a span closes, the :class:`Tracer` folds it into its
+name's :class:`SpanTotal` row, so a profile stays exact at any run
+length in memory proportional to the number of distinct names.
 
-Two clocks, two rules:
+A row holds:
 
-* **sim-time** (:mod:`repro.simclock` timestamps) is simulation data;
-  callers pass it explicitly (``sim_ts=``) and it is stored verbatim.
-* **wall-time** (``time.perf_counter``) exists *only* as a span
-  annotation (``wall_ms``) for profiling.  It never flows back into
-  simulation state - lint rule RPR008 confines the perf-counter family
-  to this package so that stays true by construction.
+* ``calls`` - every closed span of that name;
+* ``total_s`` - wall time summed over the *outermost* calls only, so a
+  span nested in another span of the same name is not counted twice;
+* ``self_s`` - total minus the time spent in spans opened inside it;
+* ``errors`` - spans an exception unwound (it still propagates).
 
-Finished spans land in a bounded :class:`FlightRecorder` ring buffer:
-on a fault-heavy run the most recent spans survive for a post-mortem
-while memory stays flat, and the drop count is reported rather than
-hidden.
+Wall-clock time (``time.perf_counter``) exists only in these rows, for
+profiling.  It never flows back into simulation state - lint rule
+RPR008 confines the perf-counter family to this package so that stays
+true by construction.
 """
 
 from __future__ import annotations
 
-import functools
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List
 
-from ..errors import ValidationError
 from ..units import s_to_ms
 
-__all__ = ["FlightRecorder", "Span", "Tracer"]
-
-#: Annotation values that survive into :meth:`Span.payload`.
-_SCALAR_TYPES = (str, int, float, bool, type(None))
+__all__ = ["SpanTotal", "Tracer"]
 
 
-@dataclass
-class Span:
-    """One finished (or in-flight) timed region of work."""
+class SpanTotal:
+    """Calls, wall times and errors of every span with one name."""
 
-    span_id: int
-    parent_id: Optional[int]
-    name: str
-    layer: str
-    depth: int
-    #: Simulated timestamp at entry (epoch seconds), when the caller
-    #: supplied one; pure-computation spans leave it None.
-    sim_ts: Optional[float] = None
-    #: Wall-clock duration - an annotation for profiling, never data.
-    wall_ms: float = 0.0
-    #: "ok", or the exception class name that unwound the span.
-    status: str = "ok"
-    annotations: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("name", "calls", "total_s", "self_s", "errors", "_depth")
 
-    def annotate(self, **values: Any) -> "Span":
-        """Attach scalar facts to the span (counts, ids, outcomes)."""
-        self.annotations.update(values)
-        return self
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.calls = 0
+        self.total_s = 0.0
+        self.self_s = 0.0
+        self.errors = 0
+        #: Spans of this name open right now (> 1 when they nest).
+        self._depth = 0
+
+    @property
+    def layer(self) -> str:
+        return self.name.partition(".")[0]
 
     def payload(self) -> Dict[str, Any]:
-        """JSON-serializable flat view (non-scalar annotations drop)."""
-        out: Dict[str, Any] = {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
+        """JSON-serializable row (times in milliseconds)."""
+        return {
             "name": self.name,
             "layer": self.layer,
-            "depth": self.depth,
-            "sim_ts": self.sim_ts,
-            "wall_ms": round(self.wall_ms, 4),
-            "status": self.status,
+            "calls": self.calls,
+            "total_ms": round(s_to_ms(self.total_s), 4),
+            "self_ms": round(s_to_ms(self.self_s), 4),
+            "errors": self.errors,
         }
-        ann = {key: value for key, value in self.annotations.items()
-               if isinstance(value, _SCALAR_TYPES)}
-        if ann:
-            out["annotations"] = ann
-        return out
 
 
 class _NullSpan:
     """The do-nothing span handed out while tracing is disabled.
 
-    It satisfies the full ``with tracer.span(...) as sp`` protocol at
-    near-zero cost, which is what keeps instrumented hot paths cheap
-    when observability is off.
+    It satisfies the ``with obs.span(name):`` protocol at near-zero
+    cost, which is what keeps instrumented hot paths cheap when
+    observability is off.
     """
 
     __slots__ = ()
 
-    def __enter__(self) -> "_NullSpan":
-        return self
+    def __enter__(self) -> None:
+        return None
 
     def __exit__(self, *exc_info: Any) -> bool:
         return False
-
-    def annotate(self, **values: Any) -> "_NullSpan":
-        return self
 
 
 #: Shared singleton; every disabled span is this object.
@@ -105,136 +83,51 @@ NULL_SPAN = _NullSpan()
 
 
 class _ActiveSpan:
-    """Context manager that times one span on the tracer's stack."""
+    """Context manager that times one span into its name's row."""
 
-    __slots__ = ("_tracer", "span", "_t0")
+    __slots__ = ("_row", "_child_s", "_t0")
 
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self.span = span
+    def __init__(self, row: SpanTotal, child_s: List[float]) -> None:
+        self._row = row
+        self._child_s = child_s
         self._t0 = 0.0
 
-    def __enter__(self) -> Span:
-        self._tracer._push(self.span)
+    def __enter__(self) -> None:
+        self._child_s.append(0.0)
+        self._row._depth += 1
         self._t0 = time.perf_counter()
-        return self.span
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
-        elapsed_s = time.perf_counter() - self._t0
-        self.span.wall_ms = s_to_ms(elapsed_s)
+        elapsed = time.perf_counter() - self._t0
+        row = self._row
+        child_s = self._child_s
+        row._depth -= 1
+        row.calls += 1
+        row.self_s += elapsed - child_s.pop()
+        child_s[-1] += elapsed
+        if row._depth == 0:
+            row.total_s += elapsed
         if exc_type is not None:
-            self.span.status = exc_type.__name__
-        self._tracer._pop(self.span)
+            row.errors += 1
         return False  # never swallow the exception
 
 
-class FlightRecorder:
-    """A bounded ring buffer of finished spans.
-
-    Keeps the most recent *capacity* spans; older ones fall off the
-    front and are only counted (``n_dropped``), so a months-long
-    fault-heavy campaign can stay instrumented without growing memory.
-    """
-
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValidationError(
-                f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._ring: "deque[Span]" = deque(maxlen=capacity)
-        self.n_recorded = 0
-
-    def record(self, span: Span) -> None:
-        self._ring.append(span)
-        self.n_recorded += 1
-
-    @property
-    def n_dropped(self) -> int:
-        return self.n_recorded - len(self._ring)
-
-    def spans(self) -> List[Span]:
-        """The retained spans, oldest first."""
-        return list(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def clear(self) -> None:
-        self._ring.clear()
-        self.n_recorded = 0
-
-
 class Tracer:
-    """Creates, nests, and records spans."""
+    """Folds every closed span into one :class:`SpanTotal` per name."""
 
-    def __init__(self, capacity: int = 4096) -> None:
-        self.recorder = FlightRecorder(capacity)
-        self._stack: List[Span] = []
-        self._next_id = 1
+    def __init__(self) -> None:
+        self._rows: Dict[str, SpanTotal] = {}
+        #: Time spent in child spans, one slot per open span plus a
+        #: bottom slot for spans opened outside any other.
+        self._child_s: List[float] = [0.0]
 
-    # ------------------------------------------------------------------
-    # internal stack discipline (driven by _ActiveSpan)
+    def span(self, name: str) -> _ActiveSpan:
+        """A context manager timing one span of *name*."""
+        row = self._rows.get(name)
+        if row is None:
+            row = self._rows[name] = SpanTotal(name)
+        return _ActiveSpan(row, self._child_s)
 
-    def _push(self, span: Span) -> None:
-        self._stack.append(span)
-
-    def _pop(self, span: Span) -> None:
-        # Exceptions unwind spans in strict LIFO order because every
-        # span lives in a `with` block, so the top *is* this span.
-        top = self._stack.pop()
-        if top is not span:  # pragma: no cover - stack invariant
-            raise ValidationError(
-                f"span stack corrupted: closing {span.name!r} but "
-                f"{top.name!r} was on top")
-        self.recorder.record(span)
-
-    # ------------------------------------------------------------------
-
-    @property
-    def current(self) -> Optional[Span]:
-        """The innermost active span, or None outside any span."""
-        return self._stack[-1] if self._stack else None
-
-    def span(self, name: str, layer: str = "other",
-             sim_ts: Optional[float] = None,
-             **annotations: Any) -> _ActiveSpan:
-        """Open a child span of the current one (context manager)."""
-        parent = self.current
-        span = Span(
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent is not None else None,
-            name=name,
-            layer=layer,
-            depth=parent.depth + 1 if parent is not None else 0,
-            sim_ts=sim_ts,
-            annotations=dict(annotations) if annotations else {},
-        )
-        self._next_id += 1
-        return _ActiveSpan(self, span)
-
-    def traced(self, name: str, layer: str = "other"
-               ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-        """Decorator form: the whole function body becomes one span."""
-
-        def decorate(func: Callable[..., Any]) -> Callable[..., Any]:
-            @functools.wraps(func)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                with self.span(name, layer=layer):
-                    return func(*args, **kwargs)
-            return wrapper
-
-        return decorate
-
-    # ------------------------------------------------------------------
-
-    def finished(self) -> List[Span]:
-        """Finished spans retained by the flight recorder."""
-        return self.recorder.spans()
-
-    def layers(self) -> List[str]:
-        """Distinct layers observed so far, sorted."""
-        return sorted({span.layer for span in self.recorder.spans()})
-
-    def reset(self) -> None:
-        """Drop recorded spans (active spans keep running)."""
-        self.recorder.clear()
+    def totals(self) -> List[SpanTotal]:
+        """One row per span name seen so far, sorted by name."""
+        return [self._rows[name] for name in sorted(self._rows)]

@@ -141,12 +141,10 @@ class BatchPlanner:
         self._slots.clear()
         self._outcomes.clear()
         self._planned_hour = hour_start
-        with obs.span("shard.plan_hour", layer="shard", sim_ts=hour_start,
-                      n_lanes=len(lanes)) as sp:
+        with obs.span("shard.plan_hour"):
             jobs = self._rng_prepass(lanes, hour_start)
             if jobs:
                 self._evaluate(jobs)
-            sp.annotate(n_jobs=len(jobs))
         obs.inc("shard.hours_planned")
 
     # ------------------------------------------------------------------

@@ -74,11 +74,7 @@ class HeadlessBrowser:
         :class:`SpeedTestError` when all attempts fail.
         """
         last_error: Optional[SpeedTestError] = None
-        # getattr: the engine only needs run(); test doubles may not
-        # carry the cosmetic identity fields the span annotates.
-        with obs.span("speedtest.run_test", layer="speedtest", sim_ts=ts,
-                      vm=getattr(vm, "name", "?"),
-                      server=getattr(server, "server_id", "?")) as sp:
+        with obs.span("speedtest.run_test"):
             for attempt in range(self.max_retries + 1):
                 attempt_ts = ts
                 if attempt and self.backoff is not None:
@@ -88,11 +84,9 @@ class HeadlessBrowser:
                 except SpeedTestError as err:
                     last_error = err
                     continue
-                sp.annotate(attempts=attempt + 1)
                 obs.inc("speedtest.tests")
                 download = getattr(result, "download_mbps", None)
                 if download is not None:
-                    sp.annotate(download_mbps=round(download, 3))
                     obs.observe("speedtest.download_mbps", download)
                 pcap = int(result.total_bytes * _PCAP_FRACTION)
                 return BrowserArtifacts(

@@ -275,11 +275,9 @@ class Bdrmap:
             targets: Optional[Sequence[Tuple[int, int]]] = None,
             flow_ids: Sequence[int] = (0, 1, 2, 3, 4, 5)) -> BdrmapResult:
         """Probe + infer in one call (the paper's "pilot scan")."""
-        with obs.span("tools.bdrmap.run", layer="tools",
-                      sim_ts=ts) as sp:
+        with obs.span("tools.bdrmap.run"):
             traces = self.collect_traces(src_pop_id, ts, targets=targets,
                                          flow_ids=flow_ids)
             result = self.infer(traces)
-            sp.annotate(n_traces=len(traces), n_links=len(result))
         obs.inc("tools.bdrmap.runs")
         return result

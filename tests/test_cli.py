@@ -278,6 +278,30 @@ def test_campaign_profile_writes_profile_directory(capsys, tmp_path):
     assert {"tools.bdrmap.run", "campaign.run"} <= names
 
 
+def test_campaign_profile_counts_every_span(capsys, tmp_path):
+    """Span totals stay exact however many spans a run opens."""
+    prof = tmp_path / "prof"
+    assert main(["campaign", "--scale", "0.05", "--days", "8", "--seed",
+                 "3", "--profile", str(prof)]) == 0
+    capsys.readouterr()
+    rows = {}
+    for line in (prof / "spans.jsonl").read_text().splitlines():
+        row = json.loads(line)
+        rows[row["name"]] = row
+    counters = {}
+    for line in (prof / "metrics.jsonl").read_text().splitlines():
+        metric = json.loads(line)
+        if metric["kind"] == "counter":
+            counters[metric["name"]] = metric["value"]
+    tests = rows["speedtest.run_test"]["calls"]
+    assert tests == (counters["speedtest.tests"]
+                     + counters.get("speedtest.failures", 0)) == 1536
+    assert rows["netsim.tcp.transfer"]["calls"] == 2 * tests
+    for name in ("selection.topology.run", "tools.bdrmap.run",
+                 "campaign.run"):
+        assert rows[name]["calls"] == 1, name
+
+
 # ----------------------------------------------------------------------
 # failure paths: one typed line on stderr, exit status 2
 
@@ -398,3 +422,28 @@ def test_campaign_bad_output_path_is_one_line_error(
     assert main(["campaign", *SMALL, option, str(tmp_path / path)]) == 2
     assert _error_line(capsys)
     assert bool(built) == builds_world
+
+
+@pytest.mark.parametrize("command", [
+    ["campaign", *SMALL],
+    ["experiment", "table1", "--scale", "0.05", "--days", "1"],
+], ids=["campaign", "experiment"])
+def test_bad_profile_path_fails_before_the_world_is_built(
+        capsys, tmp_path, monkeypatch, command):
+    import repro.experiments
+    import repro.experiments.runner
+    built = []
+
+    def build_scenario(**kwargs):
+        built.append(kwargs)
+        raise AssertionError("the world was built")
+
+    monkeypatch.setattr(repro.experiments, "build_scenario",
+                        build_scenario)
+    monkeypatch.setattr(repro.experiments.runner, "build_scenario",
+                        build_scenario)
+    existing = tmp_path / "file"
+    existing.write_text("")
+    assert main([*command, "--profile", str(existing)]) == 2
+    assert "File exists" in _error_line(capsys)
+    assert built == []

@@ -1,10 +1,11 @@
-"""repro.obs: spans, metrics registry, exporters, and the campaign
-integration (cross-layer span tree + golden digest with obs on)."""
+"""repro.obs: span totals, metrics registry, exporters, and the campaign
+integration (per-name span totals + golden digest with obs on)."""
 
 from __future__ import annotations
 
 import io
 import json
+import time
 import types
 
 import pytest
@@ -16,19 +17,19 @@ from repro.engine import MetricsObserver, TraceObserver
 from repro.errors import ConfigError, ValidationError
 from repro.experiments.scenario import build_scenario
 from repro.faults import FaultPlan
-from repro.obs import (Counter, FlightRecorder, Gauge, Histogram,
-                       MetricsRegistry, Tracer)
+from repro.obs import (Counter, Gauge, Histogram, MetricsRegistry,
+                       Tracer)
 from repro.obs.metrics import snapshot_percentile
 from repro.obs.exporters import (metrics_to_jsonlines,
-                                 metrics_to_prometheus, render_span_tree,
-                                 spans_to_jsonlines, write_profile)
+                                 metrics_to_prometheus,
+                                 span_totals_to_jsonlines, write_profile)
 from repro.obs.spans import NULL_SPAN
 
 
 @pytest.fixture()
 def enabled_obs():
     """Fresh obs state for one test, always disabled afterwards."""
-    obs.enable(capacity=64)
+    obs.enable()
     yield obs
     obs.disable()
 
@@ -102,63 +103,69 @@ def test_registry_snapshot_is_sorted_and_detached():
 # spans
 
 
-def test_tracer_nests_spans_and_records_depth():
-    tracer = Tracer()
-    with tracer.span("outer", layer="campaign", sim_ts=100.0) as outer:
-        assert tracer.current is outer
-        with tracer.span("inner", layer="netsim") as inner:
-            assert inner.parent_id == outer.span_id
-            assert inner.depth == 1
-    assert tracer.current is None
-    finished = tracer.finished()
-    assert [span.name for span in finished] == ["inner", "outer"]
-    assert tracer.layers() == ["campaign", "netsim"]
-    tracer.reset()
-    assert tracer.finished() == []
+@pytest.fixture()
+def fake_clock(monkeypatch):
+    """``time.perf_counter`` reads 0, 1, 2, ... seconds, one per call."""
+    ticks = iter(range(10 ** 6))
+    monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
 
 
-def test_span_error_status_and_propagation():
+def _rows(tracer):
+    return {row.name: row for row in tracer.totals()}
+
+
+def test_tracer_nests_spans_and_records_depth(fake_clock):
     tracer = Tracer()
+    with tracer.span("campaign.run"):               # t=0 .. t=7
+        with tracer.span("speedtest.run_test"):     # t=1 .. t=4
+            with tracer.span("netsim.tcp.transfer"):  # t=2 .. t=3
+                pass
+        with tracer.span("speedtest.run_test"):     # t=5 .. t=6
+            pass
+    rows = _rows(tracer)
+    assert list(rows) == ["campaign.run", "netsim.tcp.transfer",
+                          "speedtest.run_test"]
+    assert (rows["campaign.run"].calls, rows["campaign.run"].total_s,
+            rows["campaign.run"].self_s) == (1, 7.0, 3.0)
+    assert (rows["speedtest.run_test"].calls,
+            rows["speedtest.run_test"].total_s,
+            rows["speedtest.run_test"].self_s) == (2, 4.0, 3.0)
+    assert (rows["netsim.tcp.transfer"].total_s,
+            rows["netsim.tcp.transfer"].self_s) == (1.0, 1.0)
+    assert rows["netsim.tcp.transfer"].layer == "netsim"
+    assert rows["campaign.run"].payload() == {
+        "name": "campaign.run", "layer": "campaign", "calls": 1,
+        "total_ms": 7000.0, "self_ms": 3000.0, "errors": 0}
+    # A span nested in one of its own name adds to the outermost call's
+    # total only once, as perfbench's LayerTracer counts recursion.
+    with tracer.span("tools.walk"):      # t=8 .. t=11
+        with tracer.span("tools.walk"):  # t=9 .. t=10
+            pass
+    row = _rows(tracer)["tools.walk"]
+    assert (row.calls, row.total_s, row.self_s) == (2, 3.0, 3.0)
+
+
+def test_span_error_status_and_propagation(fake_clock):
+    tracer = Tracer()
+    with tracer.span("tools.run"):
+        pass
     with pytest.raises(KeyError):
-        with tracer.span("boom", layer="tools"):
+        with tracer.span("tools.run"):
             raise KeyError("x")
-    (span,) = tracer.finished()
-    assert span.status == "KeyError"
-    assert span.wall_ms >= 0.0
+    (row,) = tracer.totals()
+    assert (row.calls, row.errors, row.total_s) == (2, 1, 2.0)
 
 
-def test_traced_decorator_wraps_function():
+def test_many_spans_leave_one_row_per_name():
     tracer = Tracer()
-
-    @tracer.traced("work", layer="analysis")
-    def work(n):
-        return n * 2
-
-    assert work(21) == 42
-    (span,) = tracer.finished()
-    assert (span.name, span.layer) == ("work", "analysis")
-
-
-def test_span_payload_drops_non_scalar_annotations():
-    span_obj = obs.Span(span_id=1, parent_id=None, name="s",
-                        layer="other", depth=0)
-    span_obj.annotate(ok=True, n=3, blob={"not": "scalar"})
-    payload = span_obj.payload()
-    assert payload["annotations"] == {"ok": True, "n": 3}
-    assert json.loads(json.dumps(payload)) == payload
-
-
-def test_flight_recorder_bounds_memory():
-    recorder = FlightRecorder(capacity=2)
-    for i in range(5):
-        recorder.record(obs.Span(span_id=i, parent_id=None, name=f"s{i}",
-                                 layer="other", depth=0))
-    assert len(recorder) == 2
-    assert recorder.n_recorded == 5
-    assert recorder.n_dropped == 3
-    assert [span.name for span in recorder.spans()] == ["s3", "s4"]
-    with pytest.raises(ValidationError):
-        FlightRecorder(capacity=0)
+    names = ("netsim.tcp.transfer", "speedtest.run_test", "cloud.create_vm")
+    for i in range(10_000):
+        with tracer.span(names[i % 3]):
+            pass
+    rows = tracer.totals()
+    assert len(rows) == 3
+    assert sum(row.calls for row in rows) == 10_000
+    assert all(row.total_s == row.self_s >= 0.0 for row in rows)
 
 
 # ----------------------------------------------------------------------
@@ -168,8 +175,9 @@ def test_flight_recorder_bounds_memory():
 def test_disabled_obs_is_inert():
     assert not obs.enabled()
     assert obs.span("x") is NULL_SPAN
-    with obs.span("x") as sp:
-        assert sp.annotate(a=1) is sp
+    with pytest.raises(KeyError):
+        with obs.span("x"):
+            raise KeyError("propagates")
     obs.inc("nope")
     obs.observe("nope", 1.0)
     obs.set_gauge("nope", 1.0)
@@ -183,8 +191,8 @@ def test_disabled_obs_is_inert():
 
 def test_enabled_obs_records(enabled_obs):
     assert obs.enabled()
-    with obs.span("step", layer="tools", sim_ts=5.0) as sp:
-        sp.annotate(n=1)
+    with obs.span("tools.step"):
+        pass
     obs.inc("hits", 2)
     obs.observe("lat", 3.0)
     obs.set_gauge("depth", 7)
@@ -192,7 +200,8 @@ def test_enabled_obs_records(enabled_obs):
     assert snap["counters"]["hits"] == 2
     assert snap["gauges"]["depth"] == 7.0
     assert snap["histograms"]["lat"]["count"] == 1
-    assert obs.tracer().layers() == ["tools"]
+    assert [(row.name, row.layer, row.calls)
+            for row in obs.tracer().totals()] == [("tools.step", "tools", 1)]
 
 
 def test_enable_twice_resets_state(enabled_obs):
@@ -267,17 +276,6 @@ def test_metrics_prometheus_percentile_lines():
     assert "lat_p99 100" in lines
 
 
-def test_metrics_prometheus_recorder_totals():
-    recorder = FlightRecorder(capacity=2)
-    for i in range(5):
-        recorder.record(types.SimpleNamespace(span_id=i))
-    text = metrics_to_prometheus(_sample_snapshot(), recorder=recorder)
-    lines = text.splitlines()
-    assert "obs_spans_recorded_total 5" in lines
-    assert "obs_spans_dropped_total 3" in lines
-    assert "# TYPE obs_spans_dropped_total counter" in lines
-
-
 def test_registry_dump_state_round_trip():
     registry = MetricsRegistry()
     registry.counter("cache.hits").inc(5)
@@ -317,53 +315,52 @@ def test_registry_restore_state_rejects_mismatches():
         reshaped.restore_state(state)
 
 
-def test_spans_jsonlines_round_trip():
+def test_spans_jsonlines_round_trip(fake_clock):
     tracer = Tracer()
-    with tracer.span("outer", layer="campaign", sim_ts=10.0):
-        with tracer.span("inner", layer="netsim"):
+    with tracer.span("campaign.run"):
+        with tracer.span("netsim.tcp.transfer"):
             pass
-    text = spans_to_jsonlines(tracer.finished())
+    text = span_totals_to_jsonlines(tracer.totals())
     rows = [json.loads(line) for line in text.splitlines()]
-    assert len(rows) == 2
-    by_name = {row["name"]: row for row in rows}
-    assert by_name["inner"]["parent_id"] == by_name["outer"]["span_id"]
-    assert by_name["outer"]["sim_ts"] == 10.0
-    assert spans_to_jsonlines([]) == ""
+    assert [row["name"] for row in rows] == ["campaign.run",
+                                             "netsim.tcp.transfer"]
+    assert rows[0] == {"name": "campaign.run", "layer": "campaign",
+                       "calls": 1, "total_ms": 3000.0, "self_ms": 2000.0,
+                       "errors": 0}
+    assert span_totals_to_jsonlines([]) == ""
 
 
-def test_render_span_tree_orphans_and_truncation():
-    # An orphan (its parent fell off the flight-recorder ring) renders
-    # as a root rather than vanishing.
-    orphan = obs.Span(span_id=7, parent_id=3, name="orphan",
-                      layer="netsim", depth=2)
-    root = obs.Span(span_id=8, parent_id=None, name="root",
-                    layer="campaign", depth=0, sim_ts=10.0,
-                    status="KeyError")
-    tree = render_span_tree([orphan, root])
-    assert tree.splitlines()[0].startswith("orphan [netsim]")
-    assert "root [campaign] 0.000ms sim_ts=10 !KeyError" in tree
-    truncated = render_span_tree([orphan, root], max_spans=1)
-    assert "(1 more spans)" in truncated
-    with pytest.raises(ValidationError):
-        render_span_tree([], max_spans=0)
-    assert render_span_tree([]) == ""
-
-
-def test_write_profile_directory(tmp_path, enabled_obs):
-    tracer = Tracer(capacity=1)
-    with tracer.span("a", layer="tools"):
-        pass
-    with tracer.span("b", layer="tools"):
-        pass
+def test_write_profile_directory(tmp_path, fake_clock):
+    tracer = Tracer()
+    with tracer.span("campaign.run"):
+        with tracer.span("tools.bdrmap.run"):
+            pass
+        with tracer.span("tools.bdrmap.run"):
+            pass
+    with pytest.raises(KeyError):
+        with tracer.span("tools.traceroute"):
+            raise KeyError("x")
     registry = MetricsRegistry()
     registry.counter("c").inc()
     files = write_profile(tmp_path / "prof", tracer, registry)
     names = sorted(path.name for path in files)
     assert names == ["metrics.jsonl", "metrics.prom", "profile.txt",
                      "spans.jsonl"]
-    report = (tmp_path / "prof" / "profile.txt").read_text()
-    assert "# hottest spans" in report
-    assert "dropped 1 older spans" in report
+    spans = (tmp_path / "prof" / "spans.jsonl").read_text().splitlines()
+    assert len(spans) == 3
+    report = (tmp_path / "prof" / "profile.txt").read_text().splitlines()
+    layer_at = report.index("# self wall time by layer")
+    name_at = report.index("# spans by self wall time")
+    assert layer_at < name_at
+    # tools: 2 x 1 s bdrmap + 1 s traceroute; campaign: 5 s - 2 s.
+    assert report[layer_at + 3].split() == ["campaign", "1", "3000.000",
+                                            "50.0%"]
+    assert report[layer_at + 4].split() == ["tools", "3", "3000.000",
+                                            "50.0%"]
+    assert report[name_at + 3].split() == [
+        "1", "5000.000", "3000.000", "0", "campaign.run"]
+    assert report[-1].split() == ["1", "1000.000", "1000.000", "1",
+                                  "tools.traceroute"]
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +426,7 @@ DAYS = 2
 @pytest.fixture(scope="module")
 def instrumented_campaign():
     """The golden faults-default campaign, run once with obs on."""
-    obs.enable(capacity=100_000)
+    obs.enable()
     try:
         scenario = build_scenario(seed=SEED, scale=SCALE,
                                   faults=FaultPlan.default())
@@ -441,32 +438,38 @@ def instrumented_campaign():
         detect(dataset)  # analysis-layer spans
         return {
             "digest": dataset_digest(dataset),
-            "spans": obs.tracer().finished(),
-            "layers": obs.tracer().layers(),
+            "rows": {row.name: row for row in obs.tracer().totals()},
             "snapshot": obs.snapshot(),
-            "n_dropped": obs.tracer().recorder.n_dropped,
         }
     finally:
         obs.disable()
 
 
 def test_instrumented_span_tree_covers_all_layers(instrumented_campaign):
+    rows = instrumented_campaign["rows"]
     assert {"cloud", "speedtest", "netsim", "analysis", "campaign",
-            "selection", "tools"} <= set(instrumented_campaign["layers"])
-    assert instrumented_campaign["n_dropped"] == 0
-    tree = render_span_tree(instrumented_campaign["spans"],
-                            max_spans=10 ** 6)
-    assert "campaign.run [campaign]" in tree
-    assert "speedtest.run_test [speedtest]" in tree
+            "selection", "tools"} <= {row.layer for row in rows.values()}
+    assert rows["campaign.run"].calls == 1
+    assert rows["selection.topology.run"].calls == 1
+    counters = instrumented_campaign["snapshot"]["counters"]
+    tests = rows["speedtest.run_test"].calls
+    assert tests == (counters["speedtest.tests"]
+                     + counters.get("speedtest.failures", 0))
+    # One download and one upload transfer per speed test.
+    assert rows["netsim.tcp.transfer"].calls == 2 * tests
 
 
 def test_instrumented_span_parents_resolve(instrumented_campaign):
-    spans = instrumented_campaign["spans"]
-    by_id = {span.span_id: span for span in spans}
-    netsim = [span for span in spans if span.layer == "netsim"]
-    assert netsim
-    for span in netsim:
-        assert by_id[span.parent_id].name == "speedtest.run_test"
+    """Transfers run inside speed tests, which run inside the campaign:
+    each parent's child time (total - self) covers its children."""
+    rows = instrumented_campaign["rows"]
+    run_test = rows["speedtest.run_test"]
+    campaign = rows["campaign.run"]
+    slack = 1e-9  # the sums round differently
+    assert (run_test.total_s - run_test.self_s + slack
+            >= rows["netsim.tcp.transfer"].total_s > 0.0)
+    assert (campaign.total_s - campaign.self_s + slack
+            >= run_test.total_s > 0.0)
 
 
 def test_instrumented_snapshot_counts_lookup_memos(instrumented_campaign):
@@ -497,8 +500,8 @@ def test_instrumented_snapshot_exports_both_formats(
         json.loads(line)
     prom = metrics_to_prometheus(snap)
     assert 'speedtest_download_mbps_bucket{le="+Inf"}' in prom
-    for line in spans_to_jsonlines(
-            instrumented_campaign["spans"]).splitlines():
+    for line in span_totals_to_jsonlines(
+            list(instrumented_campaign["rows"].values())).splitlines():
         json.loads(line)
 
 
