@@ -10,6 +10,7 @@ live demonstration that a hard budget stops a campaign mid-flight.
 import pytest
 
 from repro.cloud.billing import CostTracker
+from repro.cloud.regions import PAPER_TABLE1_REGIONS
 from repro.cloud.tiers import NetworkTier
 from repro.core.orchestrator import Orchestrator
 from repro.errors import BudgetExhaustedError
@@ -36,7 +37,7 @@ def _evaluate(cache):
     rows = []
     full_total = 0.0
     capped_total = 0.0
-    for region in cache.scenario.table1_regions:
+    for region in PAPER_TABLE1_REGIONS:
         selection = cache.topology_selection(region)
         plan = cache.topology_plan(region)
         full = _monthly_bill(len(selection.selected))

@@ -1,5 +1,6 @@
 """Fig. 8: congested / non-congested servers by business type."""
 
+from repro.cloud.regions import PAPER_US_REGIONS
 from repro.experiments import fig8
 
 
@@ -9,7 +10,7 @@ def test_fig8_network_types(benchmark, cache, emit):
     emit("fig8", fig8.render(result))
 
     # Every U.S. region has a topology summary dominated by ISPs.
-    for region in cache.scenario.us_regions:
+    for region in PAPER_US_REGIONS:
         summary = result.summaries[(region, "topology")]
         assert summary
         isp_total = summary.get("isp", (0, 0))[1]

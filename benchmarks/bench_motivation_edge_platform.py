@@ -7,6 +7,7 @@ quotas - while the speed test catalogs reach many more networks with
 well-provisioned servers, and cloud VMs can test them hourly.
 """
 
+from repro.cloud.regions import PAPER_US_REGIONS
 from repro.report.tables import TextTable, format_percent
 from repro.rng import SeedTree
 from repro.tools.edgeplatform import EdgePlatform
@@ -25,7 +26,7 @@ def _evaluate(cache):
                       if p.access_mbps < 1000.0) / len(platform.probes)
     clasp_daily_tests = sum(
         len(cache.topology_plan(r).server_ids) * 24
-        for r in scenario.us_regions)
+        for r in PAPER_US_REGIONS)
     return {
         "n_probes": len(platform.probes),
         "probe_coverage": platform.coverage_of(edge_asns),

@@ -6,7 +6,9 @@ near-free no-ops while :mod:`repro.obs` is disabled.  This bench times
 one fixed campaign three ways - obs off, obs on, and obs on while also
 exporting the profile artifacts - and holds the enabled run under a
 1.5x budget so the "instrumentation is cheap enough to leave in"
-promise stays enforced rather than assumed.
+promise stays enforced rather than assumed.  One untimed campaign runs
+first, so the process warm-up (first imports, first allocations) is
+not charged to whichever variant happens to be timed first.
 
 Wall-clock timing is inherently nondeterministic; this file lives in
 ``benchmarks/`` (not ``src/repro``) exactly so the lint determinism
@@ -63,6 +65,7 @@ def _run_once(enabled):
 
 
 def test_bench_obs_overhead(emit):
+    _run_once(False)  # warm-up, untimed
     variants = [
         ("obs disabled (no-op helpers)", False),
         ("obs enabled (spans + metrics)", True),

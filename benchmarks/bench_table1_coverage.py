@@ -1,5 +1,6 @@
 """Table 1: pilot scans and topology-based selection coverage."""
 
+from repro.cloud.regions import PAPER_TABLE1_REGIONS
 from repro.experiments import table1
 
 
@@ -9,7 +10,7 @@ def test_table1_coverage(benchmark, cache, emit):
     emit("table1", table1.render(result))
 
     rows = result.by_region()
-    assert set(rows) == set(cache.scenario.table1_regions)
+    assert set(rows) == set(PAPER_TABLE1_REGIONS)
     for row in result.rows:
         # Shape checks against the paper's bands (substrate-scaled).
         assert row.n_interdomain_links > 100

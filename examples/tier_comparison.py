@@ -42,8 +42,7 @@ def main() -> None:
 
     print("Preliminary latency study from edge vantage points ...")
     selection = clasp.select_differential_servers(
-        REGION, regions_for_study=list(scenario.differential_regions),
-        target_count=17)
+        REGION, target_count=17)
     print(f"  {len(selection.candidates)} qualifying <city, AS> tuples, "
           f"{len(selection.selected)} servers selected")
     table = TextTable(["server", "city", "class", "delta (std-prem) ms"])

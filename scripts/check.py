@@ -4,10 +4,12 @@
 This is what ``make check`` runs.  The lint pass runs every rule,
 per-file and cross-file (RPR010/RPR011), once over ``src/repro``.
 The CLI smoke runs one small monitored campaign as ``python -m
-repro.cli campaign ... --format prom --profile DIR`` in a subprocess
-and requires exit 0, ``ALERTS{`` series in its output, and a
-``spans.jsonl`` listing ``campaign.run`` and ``selection.topology.run``
-with one call each.  The numpy
+repro.cli campaign ... --format prom --profile DIR --export DIR
+--trace PATH`` in a subprocess and requires exit 0, ``ALERTS{``
+series in its output, a ``spans.jsonl`` listing ``campaign.run`` and
+``selection.topology.run`` with one call each, and an export manifest
+whose ``n_measurements`` equals the trace's ``test-completed`` lines.
+The numpy
 stream-compat gate (``tests/test_rng.py -k "first_uniforms or
 chunked_normal"``) checks that ``SeedTree.first_uniforms``, which
 re-implements numpy's ``SeedSequence`` and PCG64 seeding, still equals
@@ -76,11 +78,15 @@ def _cli_smoke() -> int:
     A subprocess, so the ``__main__`` entry point and the exit status
     are exercised, which in-process ``main([...])`` tests never reach.
     """
-    with tempfile.TemporaryDirectory() as profile_dir:
+    with tempfile.TemporaryDirectory() as scratch:
+        profile_dir = pathlib.Path(scratch, "profile")
+        export_dir = pathlib.Path(scratch, "export")
+        trace_path = pathlib.Path(scratch, "trace.jsonl")
         argv = [sys.executable, "-m", "repro.cli", "campaign", "--scale",
                 "0.05", "--days", "1", "--servers", "4", "--rules",
                 "examples/rules_default.json", "--format", "prom",
-                "--profile", profile_dir]
+                "--profile", str(profile_dir), "--export", str(export_dir),
+                "--trace", str(trace_path)]
         print(f"== cli smoke: {' '.join(argv[1:])}", flush=True)
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC)
@@ -93,9 +99,17 @@ def _cli_smoke() -> int:
             print("cli smoke: no ALERTS series in the prom output",
                   file=sys.stderr)
             return 1
-        spans = pathlib.Path(profile_dir, "spans.jsonl").read_text()
+        spans = (profile_dir / "spans.jsonl").read_text()
         calls = {row["name"]: row["calls"]
                  for row in map(json.loads, spans.splitlines())}
+        manifest = json.loads((export_dir / "manifest.json").read_text())
+        completed = sum(json.loads(line)["kind"] == "test-completed"
+                        for line in trace_path.read_text().splitlines())
+    if manifest["n_measurements"] != completed:
+        print(f"cli smoke: the export holds {manifest['n_measurements']} "
+              f"measurements, the trace {completed} test-completed "
+              "events", file=sys.stderr)
+        return 1
     for name in ("campaign.run", "selection.topology.run"):
         if calls.get(name) != 1:
             print(f"cli smoke: spans.jsonl lists {name} with "

@@ -70,15 +70,11 @@ class Collector:
     """
 
     def __init__(self, start_ts: float,
-                 rules: Sequence[AlertRule] = (),
-                 registry: Optional[MetricsRegistry] = None,
-                 history: Optional[MetricHistory] = None) -> None:
+                 rules: Sequence[AlertRule] = ()) -> None:
         self.detector = StreamingCongestionDetector(start_ts,
                                                     self._resolve_offset)
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
-        self.history = history if history is not None \
-            else MetricHistory()
+        self.registry = MetricsRegistry()
+        self.history = MetricHistory()
         self.rules: Tuple[AlertRule, ...] = tuple(rules)
         self.evaluator = RuleEvaluator(self.rules, self.history,
                                        start_ts,
@@ -230,10 +226,8 @@ class Collector:
                     f"collector state has snapshot_hours="
                     f"{state['snapshot_hours']!r}; the collector runs "
                     f"only snapshot_hours={_SNAPSHOT_HOURS!r}")
-            collector = cls(
-                start_ts=float(detector_state["start_ts"]), rules=rules,
-                history=MetricHistory(
-                    TimeSeriesDB.from_dump(state["history"])))
+            collector = cls(float(detector_state["start_ts"]), rules=rules)
+            collector.history.db = TimeSeriesDB.from_dump(state["history"])
             collector.detector.load_state(detector_state)
             collector.registry.restore_state(state["registry"])
             collector.evaluator.restore_state(state["evaluator"])

@@ -14,8 +14,10 @@ Subcommands:
   - ``--provider`` picks the cloud (gcp is the default and reproduces
     the paper) and ``--providers A,B`` grows more clouds' WANs into the
     world (which changes the dataset);
-  - ``--export DIR``, ``--trace PATH`` (the engine event stream as
-    JSON lines) and ``--metrics`` (event and billing totals);
+  - ``--export DIR`` (under every ``--format``), ``--trace PATH``
+    (the engine event stream as JSON lines) and ``--metrics`` (event
+    and billing totals); an unwritable export or trace path fails
+    before the world is built;
   - ``--profile DIR`` - run with :mod:`repro.obs` enabled and write a
     profile directory: ``profile.txt`` (self wall time per layer and
     per span name), ``spans.jsonl`` (one row per span name) +
@@ -260,8 +262,9 @@ def _run(args: argparse.Namespace) -> _Run:
 
     The one place a campaign runs: the fault-plan table, the live plane
     (at most one collector), the profile bracket and the trace-file
-    close all live here.  A ``--state`` path that could not be written
-    back fails here, before the first run, not after the last.
+    close all live here.  A ``--state``, ``--export`` or ``--trace``
+    path that could not be written fails here, before the world is
+    built, not after the last run.
     """
     from repro.cloud.providers import get_provider
     from repro.engine import MetricsObserver, TraceObserver
@@ -281,6 +284,8 @@ def _run(args: argparse.Namespace) -> _Run:
             raise ValidationError(
                 f"--state {args.state}: directory "
                 f"{state_path.parent} does not exist")
+    if args.export:
+        Path(args.export).mkdir(parents=True, exist_ok=True)
     fault_plans = {"off": None, "default": FaultPlan.default(),
                    "heavy": FaultPlan.heavy()}
     provider = get_provider(args.provider)
@@ -348,9 +353,13 @@ def _run(args: argparse.Namespace) -> _Run:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.alerts import (alerts_to_prometheus,
                               notifications_to_jsonlines)
+    from repro.core.export import export_dataset
     from repro.obs.exporters import metrics_to_prometheus
 
     run = _run(args)
+    # Every output format exports; only the summary says so on stdout.
+    manifest = (export_dataset(run.dataset, args.export) if args.export
+                else None)
     collector = run.collector
     report = None
     if collector is not None and not args.state:
@@ -363,14 +372,15 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(metrics_to_prometheus(collector.registry.snapshot()), end="")
         print(alerts_to_prometheus(collector.evaluator), end="")
         return 0
-    _print_summary(args, run, report)
+    _print_summary(args, run, report, manifest)
     return 0
 
 
-def _print_summary(args: argparse.Namespace, run: _Run, report) -> None:
+def _print_summary(args: argparse.Namespace, run: _Run, report,
+                   manifest: Optional[Path]) -> None:
     from repro.alerts import notifications_to_jsonlines
     from repro.core.congestion import detect
-    from repro.core.export import dataset_digest, export_dataset
+    from repro.core.export import dataset_digest
     from repro.report.tables import TextTable, format_percent
 
     dataset, collector = run.dataset, run.collector
@@ -435,8 +445,7 @@ def _print_summary(args: argparse.Namespace, run: _Run, report) -> None:
         print(events.render())
     if run.trace is not None:
         print(f"trace: {run.trace.n_written} events -> {args.trace}")
-    if args.export:
-        manifest = export_dataset(dataset, args.export)
+    if manifest is not None:
         print(f"exported to {manifest.parent}")
 
 

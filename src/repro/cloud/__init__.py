@@ -1,6 +1,6 @@
 """Simulated hyperscale cloud platforms.
 
-Regions and zones, machine types, VM lifecycle with traffic-shaped
+Regions and zones, machine types, VM lifecycle with rate-capped
 NICs, network service tiers, egress/VM/storage billing, storage
 buckets, and an orchestration API - everything CLASP touches in the
 real cloud, implemented against the synthetic Internet in
@@ -10,9 +10,9 @@ tier enums and their routing tables, rate cards) lives in
 paper's platform bit-for-bit.
 """
 
-from .regions import Region, Zone, REGIONS, region_by_name
-from .machinetypes import MachineType, MACHINE_TYPES, machine_type_by_name
-from .nic import NetworkInterface, TokenBucket
+from .regions import Region, Zone, REGIONS
+from .machinetypes import MachineType, MACHINE_TYPES
+from .nic import NetworkInterface
 from .tiers import Direction, NetworkTier
 from .vm import VirtualMachine, VMStatus
 from .billing import CostTracker, PriceBook
@@ -23,9 +23,9 @@ from .api import CloudPlatform
 from .fleet import CloudFleet
 
 __all__ = [
-    "Region", "Zone", "REGIONS", "region_by_name",
-    "MachineType", "MACHINE_TYPES", "machine_type_by_name",
-    "NetworkInterface", "TokenBucket",
+    "Region", "Zone", "REGIONS",
+    "MachineType", "MACHINE_TYPES",
+    "NetworkInterface",
     "Direction", "NetworkTier", "AwsTier", "OpenStackTier",
     "VirtualMachine", "VMStatus",
     "CostTracker", "PriceBook",

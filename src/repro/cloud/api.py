@@ -33,16 +33,15 @@ from .vm import VirtualMachine, VMStatus
 
 __all__ = ["Direction", "CloudPlatform"]
 
+#: Running VMs allowed per region (matches a modest real project).
+VM_QUOTA_PER_REGION = 24
+
 
 class CloudPlatform:
     """One simulated cloud provider bound to one generated Internet."""
 
-    #: Default per-region VM quota (matches a modest real project).
-    DEFAULT_VM_QUOTA = 24
-
     def __init__(self, internet: GeneratedInternet,
                  cost_tracker: Optional[CostTracker] = None,
-                 vm_quota_per_region: int = DEFAULT_VM_QUOTA,
                  provider: Optional[Union[str, CloudProvider]] = None,
                  cloud_asn: Optional[int] = None) -> None:
         """Bind *provider* (default: GCP) to *internet*.
@@ -64,7 +63,6 @@ class CloudPlatform:
         self.costs = cost_tracker or CostTracker(
             prices=self.provider.price_book)
         self.storage = StorageService(self.costs)
-        self._vm_quota = vm_quota_per_region
         self._vms: Dict[str, VirtualMachine] = {}
         self._vm_counter = itertools.count(1)
         self._route_cache: Dict[Tuple[int, int, Direction, enum.Enum, int],
@@ -97,7 +95,6 @@ class CloudPlatform:
 
     def create_vm(self, region_name: str, machine_type: str,
                   tier: enum.Enum, ts: float,
-                  zone_suffix: Optional[str] = None,
                   name: Optional[str] = None,
                   inherit_attachment_from: Optional[VirtualMachine] = None
                   ) -> VirtualMachine:
@@ -112,22 +109,21 @@ class CloudPlatform:
         """
         with obs.span("cloud.create_vm"):
             vm = self._create_vm(region_name, machine_type, tier, ts,
-                                 zone_suffix, name, inherit_attachment_from)
+                                 name, inherit_attachment_from)
         obs.inc("cloud.vms_created")
         return vm
 
     def _create_vm(self, region_name: str, machine_type: str,
                    tier: enum.Enum, ts: float,
-                   zone_suffix: Optional[str],
                    name: Optional[str],
                    donor: Optional[VirtualMachine] = None) -> VirtualMachine:
         region = self.provider.region(region_name)
         running = [v for v in self._vms.values()
                    if v.region_name == region_name and v.is_running]
-        if len(running) >= self._vm_quota:
+        if len(running) >= VM_QUOTA_PER_REGION:
             raise QuotaExceededError(
                 f"region {region_name} is at its quota of "
-                f"{self._vm_quota} running VMs")
+                f"{VM_QUOTA_PER_REGION} running VMs")
         mtype = self.provider.machine_type(machine_type)
         if donor is not None:
             if donor.is_running:
@@ -139,20 +135,16 @@ class CloudPlatform:
                     f"attachment donor {donor.name!r} is in "
                     f"{donor.region_name}, not {region_name}")
             zone = donor.zone
-            # Fresh NIC object (shapers are per-VM state) on the same
+            # Fresh NIC object (rate caps are per-VM state) on the same
             # physical attachment: host node, IP, and LAN link.
             nic = NetworkInterface(ip=donor.nic.ip,
                                    host_pop_id=donor.nic.host_pop_id,
                                    attach_link_id=donor.nic.attach_link_id)
         else:
-            if zone_suffix is None:
-                # Spread across zones round-robin, like the paper's
-                # availability-zone load balancing.
-                suffix = region.zone_suffixes[
-                    len(running) % len(region.zone_suffixes)]
-            else:
-                suffix = zone_suffix
-            zone = region.zone(suffix)
+            # Spread across zones round-robin, like the paper's
+            # availability-zone load balancing.
+            zone = region.zone(region.zone_suffixes[
+                len(running) % len(region.zone_suffixes)])
 
             attach_pop = self.region_pop(region_name)
             alloc = self.internet.infra_allocators[self.cloud_asn]

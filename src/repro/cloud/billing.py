@@ -64,12 +64,13 @@ class CostTracker:
             raise ConfigError(f"budget must be positive, got {budget_usd}")
         self.prices = prices or PriceBook()
         self.budget_usd = budget_usd
-        self._spend: Dict[str, float] = {c: 0.0 for c in self.CATEGORIES}
+        #: USD spent so far, by category.
+        self.spend: Dict[str, float] = {c: 0.0 for c in self.CATEGORIES}
 
     # ------------------------------------------------------------------
 
     def _add(self, category: str, usd: float) -> None:
-        if category not in self._spend:
+        if category not in self.spend:
             raise ConfigError(f"unknown cost category {category!r}")
         if usd < 0:
             raise ValidationError(f"cannot add negative spend: {usd}")
@@ -79,7 +80,7 @@ class CostTracker:
                 f"spending ${usd:.2f} on {category} would exceed the "
                 f"${self.budget_usd:.2f} budget "
                 f"(spent ${self.total_usd:.2f})")
-        self._spend[category] += usd
+        self.spend[category] += usd
 
     def charge_vm_hours(self, hourly_usd: float, hours: float) -> float:
         """Charge VM uptime; returns the amount charged."""
@@ -109,19 +110,4 @@ class CostTracker:
 
     @property
     def total_usd(self) -> float:
-        return sum(self._spend.values())
-
-    def spend_by_category(self) -> Dict[str, float]:
-        return dict(self._spend)
-
-    def remaining_usd(self) -> Optional[float]:
-        """Budget headroom, or ``None`` when no budget is set."""
-        if self.budget_usd is None:
-            return None
-        return max(0.0, self.budget_usd - self.total_usd)
-
-    def would_exceed(self, usd: float) -> bool:
-        """True when adding *usd* of spend would blow the budget."""
-        if self.budget_usd is None:
-            return False
-        return self.total_usd + usd > self.budget_usd
+        return sum(self.spend.values())

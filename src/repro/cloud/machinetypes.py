@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..errors import CloudError, ValidationError
+from ..errors import ValidationError
 from ..units import gbps
 
-__all__ = ["MachineType", "MACHINE_TYPES", "machine_type_by_name"]
+__all__ = ["MachineType", "MACHINE_TYPES"]
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,3 @@ MACHINE_TYPES: Dict[str, MachineType] = {
     ]
 }
 
-
-def machine_type_by_name(name: str) -> MachineType:
-    """Look up a machine type, raising :class:`CloudError` if unknown."""
-    try:
-        return MACHINE_TYPES[name]
-    except KeyError:
-        raise CloudError(f"unknown machine type {name!r}") from None

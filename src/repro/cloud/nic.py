@@ -1,10 +1,10 @@
-"""VM network interface with ``tc``-style traffic shaping.
+"""VM network interface with ``tc``-style rate caps.
 
 CLASP throttles each measurement VM to 1 Gbps down / 100 Mbps up with
 Linux ``tc`` so tests cannot overload networks (and so upload egress -
-the billable direction - stays cheap).  :class:`TokenBucket` is a real
-token-bucket shaper (rate + burst), and :class:`NetworkInterface`
-carries one per direction plus the physical attachment.
+the billable direction - stays cheap).  :class:`NetworkInterface`
+carries the physical attachment plus one optional rate cap per
+direction; the speed test model only ever reads the steady-state rate.
 """
 
 from __future__ import annotations
@@ -12,98 +12,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import ConfigError, ValidationError
-from ..units import mbps_to_bytes_per_sec
+from ..errors import ConfigError
 
-__all__ = ["TokenBucket", "NetworkInterface"]
-
-
-class TokenBucket:
-    """Token-bucket rate limiter operating on simulated time.
-
-    Tokens are bytes.  ``consume`` asks to send *n* bytes at time *ts*
-    and returns the time at which the transmission may complete, which
-    is how the shaper expresses both rate limiting and burst absorption.
-    """
-
-    def __init__(self, rate_mbps: float, burst_bytes: int = 1_250_000) -> None:
-        if rate_mbps <= 0:
-            raise ConfigError(f"shaper rate must be positive: {rate_mbps}")
-        if burst_bytes <= 0:
-            raise ConfigError(f"burst must be positive: {burst_bytes}")
-        self.rate_mbps = rate_mbps
-        self.burst_bytes = burst_bytes
-        self._tokens = float(burst_bytes)
-        self._last_ts: Optional[float] = None
-
-    @property
-    def rate_bytes_per_sec(self) -> float:
-        return mbps_to_bytes_per_sec(self.rate_mbps)
-
-    def _refill(self, ts: float) -> None:
-        if self._last_ts is None:
-            self._last_ts = ts
-            return
-        if ts < self._last_ts:
-            raise ValidationError(
-                f"time went backwards: {ts} < {self._last_ts}")
-        elapsed = ts - self._last_ts
-        self._tokens = min(self.burst_bytes,
-                           self._tokens + elapsed * self.rate_bytes_per_sec)
-        self._last_ts = ts
-
-    def tokens_at(self, ts: float) -> float:
-        """Tokens available at *ts* (advances internal clock)."""
-        self._refill(ts)
-        return self._tokens
-
-    def consume(self, n_bytes: float, ts: float) -> float:
-        """Send *n_bytes* starting at *ts*; return the completion time.
-
-        The bucket goes negative while a backlog drains, which models a
-        queue in front of the shaper.
-        """
-        if n_bytes < 0:
-            raise ValidationError(f"n_bytes must be >= 0, got {n_bytes}")
-        self._refill(ts)
-        self._tokens -= n_bytes
-        if self._tokens >= 0:
-            return ts
-        deficit = -self._tokens
-        return ts + deficit / self.rate_bytes_per_sec
-
-    def effective_rate_mbps(self, demand_mbps: float) -> float:
-        """Steady-state rate for sustained demand (min of demand, rate)."""
-        if demand_mbps < 0:
-            raise ValidationError(f"demand must be >= 0, got {demand_mbps}")
-        return min(demand_mbps, self.rate_mbps)
+__all__ = ["NetworkInterface"]
 
 
 @dataclass
 class NetworkInterface:
-    """A VM's NIC: physical attachment plus per-direction shapers.
+    """A VM's NIC: physical attachment plus per-direction rate caps.
 
     ``host_pop_id`` is the host node in the topology; ``ip`` its
-    address.  Shapers are optional (``None`` means line rate, bounded
+    address.  Caps are optional (``None`` means line rate, bounded
     only by the machine type's egress cap).
     """
 
     ip: int
     host_pop_id: int
     attach_link_id: int
-    egress_shaper: Optional[TokenBucket] = None
-    ingress_shaper: Optional[TokenBucket] = None
+    ingress_mbps: Optional[float] = None
+    egress_mbps: Optional[float] = None
 
     def apply_tc(self, ingress_mbps: Optional[float],
                  egress_mbps: Optional[float]) -> None:
-        """Install/replace shapers, as ``tc qdisc replace`` would."""
-        self.ingress_shaper = (TokenBucket(ingress_mbps)
-                               if ingress_mbps is not None else None)
-        self.egress_shaper = (TokenBucket(egress_mbps)
-                              if egress_mbps is not None else None)
+        """Install/replace the caps, as ``tc qdisc replace`` would."""
+        for rate in (ingress_mbps, egress_mbps):
+            if rate is not None and rate <= 0:
+                raise ConfigError(f"shaper rate must be positive: {rate}")
+        self.ingress_mbps = ingress_mbps
+        self.egress_mbps = egress_mbps
 
     def ingress_cap_mbps(self) -> float:
-        return self.ingress_shaper.rate_mbps if self.ingress_shaper else float("inf")
+        return self.ingress_mbps if self.ingress_mbps is not None \
+            else float("inf")
 
     def egress_cap_mbps(self) -> float:
-        return self.egress_shaper.rate_mbps if self.egress_shaper else float("inf")
+        return self.egress_mbps if self.egress_mbps is not None \
+            else float("inf")

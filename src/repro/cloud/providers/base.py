@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from ...errors import ConfigError, ProviderLookupError
 from ...netsim.routing import GraphMode, TierPolicy
@@ -54,8 +54,6 @@ class WanConfig:
     city_keys: Tuple[str, ...]
     backbone_gbps: Tuple[float, float] = (100.0, 400.0)
     n_transits: int = 2
-    transit_parallel: Tuple[int, int] = (2, 4)
-    mesh_degree: int = 3
 
 
 class CloudProvider:

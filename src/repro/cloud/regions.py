@@ -11,7 +11,7 @@ from typing import Dict, List, Tuple
 
 from ..errors import CloudError
 
-__all__ = ["Zone", "Region", "REGIONS", "region_by_name", "PAPER_REGIONS"]
+__all__ = ["Zone", "Region", "REGIONS", "PAPER_REGIONS"]
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,3 @@ PAPER_DIFFERENTIAL_REGIONS: Tuple[str, ...] = (
 )
 PAPER_REGIONS: Tuple[str, ...] = PAPER_US_REGIONS + ("europe-west1",)
 
-
-def region_by_name(name: str) -> Region:
-    """Look up a region, raising :class:`CloudError` on a bad name."""
-    try:
-        return REGIONS[name]
-    except KeyError:
-        raise CloudError(f"unknown region {name!r}") from None

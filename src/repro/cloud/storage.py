@@ -28,7 +28,6 @@ class StorageObject:
     key: str
     size_bytes: int
     uploaded_ts: float
-    content_kind: str = "raw"   # raw | processed | index
 
 
 class StorageBucket:
@@ -44,8 +43,7 @@ class StorageBucket:
         self.fault_hook = fault_hook
         self._upload_attempts: Dict[str, int] = {}
 
-    def upload(self, key: str, size_bytes: int, ts: float,
-               content_kind: str = "raw") -> StorageObject:
+    def upload(self, key: str, size_bytes: int, ts: float) -> StorageObject:
         """Store object metadata; overwrites an existing key.
 
         With a fault hook installed, an upload attempt may raise
@@ -64,10 +62,9 @@ class StorageBucket:
                 raise TransientUploadError(
                     f"upload of {key!r} to bucket {self.name} failed "
                     f"(attempt {attempt + 1})")
-        return self.put(key, size_bytes, ts, content_kind)
+        return self.put(key, size_bytes, ts)
 
-    def put(self, key: str, size_bytes: int, ts: float,
-            content_kind: str = "raw") -> StorageObject:
+    def put(self, key: str, size_bytes: int, ts: float) -> StorageObject:
         """Store object metadata unconditionally (no fault hook).
 
         This is the settled-state write :meth:`upload` ends with, once
@@ -77,7 +74,7 @@ class StorageBucket:
             raise StorageError("object key cannot be empty")
         if size_bytes < 0:
             raise StorageError(f"object size must be >= 0: {size_bytes}")
-        obj = StorageObject(key, int(size_bytes), ts, content_kind)
+        obj = StorageObject(key, int(size_bytes), ts)
         self._objects[key] = obj
         return obj
 
@@ -87,12 +84,6 @@ class StorageBucket:
         except KeyError:
             raise StorageError(
                 f"object {key!r} not found in bucket {self.name}") from None
-
-    def delete(self, key: str) -> None:
-        if key not in self._objects:
-            raise StorageError(
-                f"object {key!r} not found in bucket {self.name}")
-        del self._objects[key]
 
     def list(self, prefix: str = "") -> List[StorageObject]:
         return sorted((o for k, o in self._objects.items()

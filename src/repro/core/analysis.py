@@ -56,7 +56,6 @@ class ScatterPoint:
 
 
 def performance_scatter(dataset: CampaignDataset,
-                        region: Optional[str] = None,
                         tier: Optional[NetworkTier] = None,
                         min_samples: int = 48) -> List[ScatterPoint]:
     """Monthly p95 download / p5 latency per pair.
@@ -67,7 +66,7 @@ def performance_scatter(dataset: CampaignDataset,
     points: List[ScatterPoint] = []
     month_s = 30 * DAY
     with obs.span("analysis.performance_scatter"):
-        for pair in dataset.pairs(region=region, tier=tier):
+        for pair in dataset.pairs(tier=tier):
             series = dataset.table.series(pair)
             month_idx = ((series["ts"] - dataset.start_ts)
                          // month_s).astype(int)
@@ -112,12 +111,10 @@ class TierComparison:
             return np.array([])
         return np.concatenate(list(data.values()))
 
-    def standard_faster_fraction(self, server_id: str,
-                                 metric: str = "download") -> float:
-        """Fraction of matched hours where the standard tier won."""
-        data = {"download": self.delta_download,
-                "upload": self.delta_upload}[metric]
-        deltas = data.get(server_id)
+    def standard_faster_fraction(self, server_id: str) -> float:
+        """Fraction of matched hours where the standard tier's download
+        was faster."""
+        deltas = self.delta_download.get(server_id)
         if deltas is None or deltas.size == 0:
             return 0.0
         return float((deltas < 0).mean())
@@ -126,8 +123,7 @@ class TierComparison:
         return sorted(self.delta_download)
 
 
-def tier_comparison(dataset: CampaignDataset, region: str,
-                    min_matched_hours: int = 1) -> TierComparison:
+def tier_comparison(dataset: CampaignDataset, region: str) -> TierComparison:
     """Pair premium/standard measurements taken in the same hour.
 
     Relative difference (paper's definition):
@@ -136,13 +132,10 @@ def tier_comparison(dataset: CampaignDataset, region: str,
     the standard tier was faster; negative latency delta means the
     premium tier had lower latency.
 
-    Servers whose premium/standard series overlap in fewer than
-    *min_matched_hours* hours (e.g. one side lost to faults) are
-    dropped rather than contributing near-empty delta arrays.
+    Servers whose premium/standard series share no hour (e.g. one side
+    lost to faults) are dropped rather than contributing empty delta
+    arrays.
     """
-    if min_matched_hours < 1:
-        raise AnalysisError(
-            f"min_matched_hours must be >= 1, got {min_matched_hours}")
     comparison = TierComparison(region=region)
     with obs.span("analysis.tier_comparison"):
         prem_pairs = {p[1]: p for p in dataset.pairs(
@@ -156,7 +149,7 @@ def tier_comparison(dataset: CampaignDataset, region: str,
             std_hours = (std["ts"] // HOUR).astype(int)
             common, prem_idx, std_idx = np.intersect1d(
                 prem_hours, std_hours, return_indices=True)
-            if common.size < min_matched_hours:
+            if common.size == 0:
                 continue
             with np.errstate(divide="ignore", invalid="ignore"):
                 d_down = (prem["download"][prem_idx]
@@ -219,14 +212,11 @@ def congestion_probability(dataset: CampaignDataset,
 
 
 def top_congested_pairs(report: CongestionReport, region: str,
-                        tier: Optional[NetworkTier] = None,
                         k: int = 10) -> List[PairKey]:
     """The *k* pairs with the most congestion events in a region."""
     counts: Dict[PairKey, int] = {}
     for event in report.events:
         if event.pair[0] != region:
-            continue
-        if tier is not None and event.pair[2] != tier.value:
             continue
         counts[event.pair] = counts.get(event.pair, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -240,8 +230,7 @@ def top_congested_pairs(report: CongestionReport, region: str,
 def congested_server_summary(dataset: CampaignDataset,
                              report: CongestionReport,
                              region: str,
-                             tier: Optional[NetworkTier] = None,
-                             min_day_fraction: float = 0.10
+                             tier: Optional[NetworkTier] = None
                              ) -> Dict[str, Tuple[int, int]]:
     """business type -> (congested servers, total servers)."""
     out: Dict[str, Tuple[int, int]] = {}
@@ -250,7 +239,7 @@ def congested_server_summary(dataset: CampaignDataset,
         btype = meta.business_type
         congested, total = out.get(btype, (0, 0))
         total += 1
-        if report.is_congested_server(pair, min_day_fraction):
+        if report.is_congested_server(pair):
             congested += 1
         out[btype] = (congested, total)
     return out

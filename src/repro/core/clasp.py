@@ -13,12 +13,13 @@ examples and benchmarks read like the paper's workflow:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..cloud.api import CloudPlatform
 from ..cloud.billing import CostTracker
 from ..cloud.providers import get_provider
+from ..cloud.regions import PAPER_DIFFERENTIAL_REGIONS
 from ..errors import ValidationError
 from ..faults import FaultInjector, FaultPlan
 from ..netsim.generator import GeneratedInternet
@@ -63,7 +64,8 @@ class Clasp:
                                      fault_plan=fault_plan,
                                      orchestrator=self.orchestrator)
         self._topology_selections: Dict[str, TopologySelection] = {}
-        self._differential_selections: Dict[str, DifferentialSelection] = {}
+        self._differential_selections: Dict[Tuple[str, int],
+                                            DifferentialSelection] = {}
         self._speedchecker_medians: Optional[List[TupleMedian]] = None
 
     # ------------------------------------------------------------------
@@ -113,9 +115,7 @@ class Clasp:
     # ------------------------------------------------------------------
     # selection
 
-    def select_topology_servers(self, region: str,
-                                ts: float = float(CAMPAIGN_START)
-                                ) -> TopologySelection:
+    def select_topology_servers(self, region: str) -> TopologySelection:
         """Run (and cache) the topology-based pilot scan for a region."""
         cached = self._topology_selections.get(region)
         if cached is not None:
@@ -123,55 +123,54 @@ class Clasp:
         selector = TopologySelector(self.bdrmap, self.scamper,
                                     self.prefix2as, self.catalog)
         src_pop = self.platform.region_pop(region)
-        selection = selector.run(region, src_pop.pop_id, ts)
+        selection = selector.run(region, src_pop.pop_id,
+                                 float(CAMPAIGN_START))
         self._topology_selections[region] = selection
         self._publish_memo_counts()
         return selection
 
-    def speedchecker_medians(self, regions: Sequence[str],
-                             ts: float = float(CAMPAIGN_START)
-                             ) -> List[TupleMedian]:
-        """Run (and cache) the Speedchecker preliminary latency study."""
+    def speedchecker_medians(self) -> List[TupleMedian]:
+        """Run (and cache) the Speedchecker preliminary latency study.
+
+        The study probes the paper's differential regions
+        (:data:`~repro.cloud.regions.PAPER_DIFFERENTIAL_REGIONS`).
+        """
         if self._speedchecker_medians is None:
             self._speedchecker_medians = self.speedchecker.measure(
-                list(regions), start_ts=ts)
+                list(PAPER_DIFFERENTIAL_REGIONS),
+                start_ts=float(CAMPAIGN_START))
         return self._speedchecker_medians
 
     def select_differential_servers(self, region: str,
-                                    regions_for_study: Optional[
-                                        Sequence[str]] = None,
-                                    target_count: int = 16,
-                                    ts: float = float(CAMPAIGN_START)
+                                    target_count: int = 16
                                     ) -> DifferentialSelection:
-        """Differential-based selection for one region."""
-        cached = self._differential_selections.get(region)
+        """Differential-based selection for one region (cached per
+        region and target count)."""
+        key = (region, target_count)
+        cached = self._differential_selections.get(key)
         if cached is not None:
             return cached
-        study_regions = list(regions_for_study or [region])
-        medians = self.speedchecker_medians(study_regions, ts)
         selector = DifferentialSelector(self.catalog, self.prefix2as)
-        selection = selector.select(medians, region,
+        selection = selector.select(self.speedchecker_medians(), region,
                                     target_count=target_count)
-        self._differential_selections[region] = selection
+        self._differential_selections[key] = selection
         return selection
 
     # ------------------------------------------------------------------
     # deployment + campaign
 
     def deploy_topology(self, region: str, selection: TopologySelection,
-                        budget_servers: Optional[int] = None,
-                        ts: float = float(CAMPAIGN_START)
+                        budget_servers: Optional[int] = None
                         ) -> DeploymentPlan:
         return self.orchestrator.deploy_topology(
-            region, selection.selected_ids(), ts,
+            region, selection.selected_ids(), float(CAMPAIGN_START),
             budget_servers=budget_servers)
 
     def deploy_differential(self, region: str,
-                            selection: DifferentialSelection,
-                            ts: float = float(CAMPAIGN_START)
+                            selection: DifferentialSelection
                             ) -> DeploymentPlan:
         return self.orchestrator.deploy_differential(
-            region, selection.server_ids(), ts)
+            region, selection.server_ids(), float(CAMPAIGN_START))
 
     def run_campaign(self, plans: Sequence[DeploymentPlan],
                      days: int = 14,
@@ -223,7 +222,7 @@ class Clasp:
     # ------------------------------------------------------------------
     # analysis
 
-    def streaming_detector(self, start_ts: float = float(CAMPAIGN_START)):
+    def streaming_detector(self):
         """A live detector + bus observer pair for this stack.
 
         Offsets resolve through the same catalog/topology city table
@@ -234,11 +233,11 @@ class Clasp:
         from .streaming import (StreamingCongestionDetector,
                                 StreamingDetectorObserver, catalog_offsets)
         detector = StreamingCongestionDetector(
-            start_ts, catalog_offsets(self.catalog, self.platform.topology))
+            float(CAMPAIGN_START),
+            catalog_offsets(self.catalog, self.platform.topology))
         return detector, StreamingDetectorObserver(detector)
 
-    def collector(self, rules: Sequence = (), collector=None,
-                  start_ts: float = float(CAMPAIGN_START)):
+    def collector(self, rules: Sequence = (), collector=None):
         """A daemon collector + bus observer pair for this stack.
 
         Pass an existing *collector* to attach a successive campaign
@@ -254,7 +253,7 @@ class Clasp:
         from ..alerts import Collector
         from .streaming import catalog_offsets
         if collector is None:
-            collector = Collector(start_ts=start_ts, rules=rules)
+            collector = Collector(float(CAMPAIGN_START), rules=rules)
         elif rules:
             raise ValidationError(
                 "pass rules only when Clasp.collector() builds the "

@@ -36,8 +36,16 @@ __all__ = [
     "VariabilityDetector",
     "AutocorrelationDetector",
     "HmmDetector",
-    "agreement_rate",
 ]
+
+#: Autocorrelation detector: the lag-24h correlation that makes a pair
+#: a candidate, and how many standard deviations below the mean a
+#: candidate's sample must fall to count as congested.
+MIN_LAG_CORRELATION = 0.25
+DEPTH_SIGMA = 1.5
+#: HMM detector: the state-mean separation (in pooled standard
+#: deviations) below which nothing is labeled.
+MIN_SEPARATION = 1.2
 
 
 @dataclass
@@ -55,12 +63,6 @@ class DetectionSeries:
     def __post_init__(self) -> None:
         if not (len(self.ts) == len(self.congested) == len(self.score)):
             raise AnalysisError("detection series arrays misaligned")
-
-    @property
-    def congested_fraction(self) -> float:
-        if self.congested.size == 0:
-            return 0.0
-        return float(self.congested.mean())
 
     @property
     def n_events(self) -> int:
@@ -105,20 +107,14 @@ class AutocorrelationDetector(CongestionDetector):
     """Diurnal-periodicity detector.
 
     A pair is a congestion *candidate* when its hourly throughput shows
-    significant lag-24h autocorrelation (recurring daily structure -
-    noise does not repeat, evening collapses do).  For candidates, the
-    congested samples are those that fall into the recurring trough:
-    below ``mean - depth_sigma * std`` of the series.
+    significant lag-24h autocorrelation (at least
+    :data:`MIN_LAG_CORRELATION`: recurring daily structure - noise does
+    not repeat, evening collapses do).  For candidates, the congested
+    samples are those that fall into the recurring trough: below
+    ``mean - DEPTH_SIGMA * std`` of the series.
     """
 
     name = "autocorrelation"
-
-    def __init__(self, min_lag_correlation: float = 0.25,
-                 depth_sigma: float = 1.5) -> None:
-        if not -1 <= min_lag_correlation <= 1:
-            raise AnalysisError("min_lag_correlation out of range")
-        self.min_lag_correlation = min_lag_correlation
-        self.depth_sigma = depth_sigma
 
     @staticmethod
     def lag_autocorrelation(values: np.ndarray, lag: int) -> float:
@@ -146,10 +142,10 @@ class AutocorrelationDetector(CongestionDetector):
             score = np.zeros_like(values)
         else:
             score = (mean - values) / std
-        if corr < self.min_lag_correlation:
+        if corr < MIN_LAG_CORRELATION:
             congested = np.zeros(values.size, dtype=bool)
         else:
-            congested = score > self.depth_sigma
+            congested = score > DEPTH_SIGMA
         return DetectionSeries(pair=pair, method=self.name, ts=ts,
                                congested=congested, score=score)
 
@@ -160,19 +156,16 @@ class HmmDetector(CongestionDetector):
     State 0 is "normal", state 1 "congested" (lower mean).  The
     congested labels are the Viterbi path's state-1 samples, accepted
     only when the two state means separate by at least
-    ``min_separation`` standard deviations (otherwise the model just
-    split noise in half and nothing is labeled).
+    :data:`MIN_SEPARATION` standard deviations (otherwise the model
+    just split noise in half and nothing is labeled).
     """
 
     name = "hmm"
 
-    def __init__(self, n_iter: int = 30, min_separation: float = 1.2,
-                 seed: int = 0) -> None:
+    def __init__(self, n_iter: int = 30) -> None:
         if n_iter < 1:
             raise AnalysisError(f"n_iter must be >= 1, got {n_iter}")
         self.n_iter = n_iter
-        self.min_separation = min_separation
-        self.seed = seed
 
     # -- tiny 2-state Gaussian HMM ------------------------------------
 
@@ -279,18 +272,10 @@ class HmmDetector(CongestionDetector):
                pair: PairKey) -> DetectionSeries:
         ts, values = self._series(dataset, pair)
         states, params = self.fit_predict(values)
-        if params["separation"] < self.min_separation:
+        if params["separation"] < MIN_SEPARATION:
             congested = np.zeros(values.size, dtype=bool)
         else:
             congested = states == 1
         score = states.astype(float) * params["separation"]
         return DetectionSeries(pair=pair, method=self.name, ts=ts,
                                congested=congested, score=score)
-
-
-def agreement_rate(a: DetectionSeries, b: DetectionSeries) -> float:
-    """Fraction of common timestamps where two detectors agree."""
-    common, ia, ib = np.intersect1d(a.ts, b.ts, return_indices=True)
-    if common.size == 0:
-        return 0.0
-    return float((a.congested[ia] == b.congested[ib]).mean())

@@ -65,13 +65,6 @@ class DeploymentPlan:
             out.extend(ids)
         return out
 
-    def servers_of(self, vm_name: str) -> List[str]:
-        for vm, ids in self.assignments:
-            if vm.name == vm_name:
-                return list(ids)
-        raise SchedulingError(f"VM {vm_name!r} not in plan for {self.region}")
-
-
 class Orchestrator:
     """Creates and wires up the measurement deployment."""
 
@@ -193,9 +186,3 @@ class Orchestrator:
                 return vm
         raise SchedulingError(
             f"VM {old_vm.name!r} not in plan for {plan.region}")
-
-    def teardown(self, plan: DeploymentPlan, ts: float) -> None:
-        """Terminate every VM in a plan (end of campaign)."""
-        for vm in plan.vms:
-            if vm.is_running:
-                self.platform.terminate_vm(vm.name, ts)

@@ -11,7 +11,7 @@ take the tail of the hour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 from ..errors import SchedulingError
@@ -87,14 +87,3 @@ class HourlySchedule:
         """When results are shipped to the bucket."""
         return (self.traceroute_window(hour_start_ts)
                 + TRACEROUTE_BUDGET_S)
-
-    def iter_hours(self, start_ts: float, n_hours: int
-                   ) -> Iterator[List[TestSlot]]:
-        """Yield slot lists for *n_hours* consecutive hours."""
-        if start_ts % HOUR != 0:
-            raise SchedulingError(
-                f"start_ts {start_ts} is not hour-aligned")
-        if n_hours < 1:
-            raise SchedulingError(f"n_hours must be >= 1, got {n_hours}")
-        for h in range(n_hours):
-            yield self.hour_slots(start_ts + h * HOUR)

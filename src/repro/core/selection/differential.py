@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ... import obs
 from ...cloud.tiers import NetworkTier
@@ -65,17 +65,6 @@ class DifferentialSelection:
     def server_ids(self) -> List[str]:
         return [s.server_id for s, _c in self.selected]
 
-    def latency_class_of(self, server_id: str) -> Optional[LatencyClass]:
-        for server, candidate in self.selected:
-            if server.server_id == server_id:
-                return candidate.latency_class
-        return None
-
-    def by_class(self) -> Dict[LatencyClass, List[str]]:
-        out: Dict[LatencyClass, List[str]] = {c: [] for c in LatencyClass}
-        for server, candidate in self.selected:
-            out[candidate.latency_class].append(server.server_id)
-        return out
 
 
 class DifferentialSelector:

@@ -71,10 +71,6 @@ class TopologySelection:
         return len(self.groups)
 
     @property
-    def n_servers_traced(self) -> int:
-        return len(self.server_links)
-
-    @property
     def shared_interconnection_fraction(self) -> float:
         """Fraction of traced servers that share a link with another."""
         matched = [fip for fip in self.server_links.values()

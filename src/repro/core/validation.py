@@ -35,6 +35,9 @@ __all__ = [
     "detector_scores",
 ]
 
+#: Background utilization at or above which a link counts as saturated.
+SATURATED_UTILIZATION = 0.97
+
 
 @dataclass(frozen=True)
 class AccuracyReport:
@@ -75,15 +78,15 @@ def bdrmap_accuracy(result: BdrmapResult, platform: CloudPlatform
 
 
 def congestion_oracle(platform: CloudPlatform, catalog: ServerCatalog,
-                      dataset: CampaignDataset, pair: PairKey,
-                      utilization_threshold: float = 0.97
+                      dataset: CampaignDataset, pair: PairKey
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """(ts, truth mask): was the ingress path saturated at each test?
 
     Replays each measurement instant against the traffic model: the
     sample is truly congested when any forward (server-to-cloud) link's
-    background utilization is at or above *utilization_threshold* -
-    the regime where the loss ramp collapses TCP throughput.
+    background utilization is at or above
+    :data:`SATURATED_UTILIZATION` - the regime where the loss ramp
+    collapses TCP throughput.
     """
     region, server_id, tier = pair
     server = catalog.get(server_id)
@@ -97,7 +100,7 @@ def congestion_oracle(platform: CloudPlatform, catalog: ServerCatalog,
         metrics = platform.path_model.evaluate(data_route, float(t),
                                                ack_route)
         truth[i] = metrics.max_forward_utilization >= \
-            utilization_threshold
+            SATURATED_UTILIZATION
     return ts, truth
 
 

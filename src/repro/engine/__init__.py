@@ -23,8 +23,8 @@ from .events import (BillingCharged, CampaignEvent, CampaignFinished,
                      TestRetried, UploadAttempted, VMPreempted, VMReplaced,
                      event_payload)
 from .lanes import CampaignEngine, Lane, LaneStepper
-from .observers import (DatasetObserver, Histogram, MetricsObserver,
-                        Observer, TraceObserver)
+from .observers import (DatasetObserver, MetricsObserver, Observer,
+                        TraceObserver)
 
 __all__ = [
     "BillingCharged",
@@ -34,7 +34,6 @@ __all__ = [
     "DatasetObserver",
     "EVENT_KINDS",
     "EventBus",
-    "Histogram",
     "HourStarted",
     "Lane",
     "LaneStepper",

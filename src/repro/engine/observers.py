@@ -29,8 +29,8 @@ from ..errors import ValidationError
 from ..obs.metrics import Histogram, MetricsRegistry
 from .events import CampaignEvent, event_payload
 
-__all__ = ["DatasetObserver", "Histogram", "MetricsObserver",
-           "Observer", "TraceObserver"]
+__all__ = ["DatasetObserver", "MetricsObserver", "Observer",
+           "TraceObserver"]
 
 
 class Observer:
@@ -123,10 +123,6 @@ class DatasetObserver(Observer):
 
 # ----------------------------------------------------------------------
 
-
-# Histogram moved to repro.obs.metrics (the registry and the engine
-# share one bucket shape); it stays importable from here.
-
 #: Event fields feeding the latency / byte histograms.
 _LATENCY_FIELDS = ("latency_ms",)
 _BYTE_FIELDS = ("artefact_bytes", "size_bytes")
@@ -215,24 +211,22 @@ class MetricsObserver(Observer):
 class TraceObserver(Observer):
     """Writes every event as one JSON line (opaque payloads dropped).
 
-    Accepts a path (opened lazily, closed by :meth:`close`) or any
-    object with a ``write`` method (kept open; the caller owns it).
+    Accepts a path (opened here, so an unwritable path fails before any
+    event; closed by :meth:`close`) or any object with a ``write``
+    method (kept open; the caller owns it).
     """
 
     def __init__(self, target: Union[str, "IO[str]", TextIO]) -> None:
-        self._path: Optional[str] = None
-        self._handle: Optional[Any] = None
+        self._handle: Optional[Any]
         if hasattr(target, "write"):
             self._handle = target
             self._owns_handle = False
         else:
-            self._path = str(target)
+            self._handle = open(str(target), "w", encoding="utf-8")
             self._owns_handle = True
         self.n_written = 0
 
     def on_event(self, event: CampaignEvent) -> None:
-        if self._handle is None:
-            self._handle = open(self._path, "w", encoding="utf-8")
         self._handle.write(json.dumps(event_payload(event),
                                       sort_keys=True) + "\n")
         self.n_written += 1

@@ -14,6 +14,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..cloud.regions import PAPER_US_REGIONS
 from ..core.congestion import choose_threshold_elbow, threshold_sweep
 from ..report.figures import FigureSeries
 from ..report.tables import TextTable, format_percent
@@ -64,7 +65,7 @@ def run(cache: ExperimentCache) -> Fig2Result:
     day_fractions: Dict[str, np.ndarray] = {}
     hour_fractions: Dict[str, np.ndarray] = {}
     all_days: List[np.ndarray] = []
-    for region in cache.scenario.us_regions:
+    for region in PAPER_US_REGIONS:
         hs, day_frac, hour_frac = threshold_sweep(
             dataset, THRESHOLDS, region=region)
         day_fractions[region] = day_frac

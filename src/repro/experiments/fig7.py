@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from ..cloud.regions import PAPER_DIFFERENTIAL_REGIONS, PAPER_US_REGIONS
 from ..report.tables import TextTable
 from .runner import ExperimentCache
 
@@ -44,7 +45,7 @@ def run(cache: ExperimentCache) -> Fig7Result:
     scenario = cache.scenario
     topo = scenario.internet.topology
     result = Fig7Result()
-    for region in scenario.us_regions:
+    for region in PAPER_US_REGIONS:
         plan = cache.topology_plan(region)
         pts = []
         for server_id in plan.server_ids:
@@ -54,7 +55,7 @@ def run(cache: ExperimentCache) -> Fig7Result:
         city = topo.cities[
             scenario.clasp.platform.region_pop(region).city_key]
         result.region_points[region] = (city.point.lat, city.point.lon)
-    for region in scenario.differential_regions:
+    for region in PAPER_DIFFERENTIAL_REGIONS:
         selection = cache.differential_selection(region)
         result.differential_points[region] = [
             (server.lat, server.lon) for server, _c in selection.selected]

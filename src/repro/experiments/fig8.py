@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..cloud.regions import PAPER_DIFFERENTIAL_REGIONS, PAPER_US_REGIONS
 from ..cloud.tiers import NetworkTier
 from ..core.analysis import congested_server_summary
 from ..core.congestion import PAPER_THRESHOLD, detect
@@ -67,14 +68,14 @@ def run(cache: ExperimentCache) -> Fig8Result:
     topo_ds = cache.topology_dataset()
     _resolve_business_types(cache, topo_ds)
     topo_report = detect(topo_ds, threshold=PAPER_THRESHOLD)
-    for region in cache.scenario.us_regions:
+    for region in PAPER_US_REGIONS:
         result.summaries[(region, "topology")] = congested_server_summary(
             topo_ds, topo_report, region)
 
     diff_ds = cache.differential_dataset()
     _resolve_business_types(cache, diff_ds)
     diff_report = detect(diff_ds, threshold=PAPER_THRESHOLD)
-    for region in cache.scenario.differential_regions:
+    for region in PAPER_DIFFERENTIAL_REGIONS:
         for tier in NetworkTier:
             result.summaries[(region, tier.value)] = \
                 congested_server_summary(diff_ds, diff_report, region,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..cloud.regions import PAPER_DIFFERENTIAL_REGIONS, PAPER_US_REGIONS
 from ..core.campaign import CampaignDataset
 from ..core.orchestrator import DeploymentPlan
 from ..core.selection.differential import DifferentialSelection
@@ -88,9 +89,7 @@ class ExperimentCache:
             # world (small catalogs simply yield fewer candidates).
             target = 17 if region == "europe-west1" else 15
             selection = scenario.clasp.select_differential_servers(
-                region,
-                regions_for_study=list(scenario.differential_regions),
-                target_count=target)
+                region, target_count=target)
             apply_differential_story(scenario, selection)
             self._differential_selections[region] = selection
         return selection
@@ -109,7 +108,7 @@ class ExperimentCache:
         """The U.S.-regions topology-based campaign (shared)."""
         if self._topology_dataset is None:
             plans = [self.topology_plan(r)
-                     for r in self.scenario.us_regions]
+                     for r in PAPER_US_REGIONS]
             self._topology_dataset = self.scenario.clasp.run_campaign(
                 plans, days=self.days)
         return self._topology_dataset
@@ -118,7 +117,7 @@ class ExperimentCache:
         """The three-region differential campaign (shared)."""
         if self._differential_dataset is None:
             plans = [self.differential_plan(r)
-                     for r in self.scenario.differential_regions]
+                     for r in PAPER_DIFFERENTIAL_REGIONS]
             self._differential_dataset = self.scenario.clasp.run_campaign(
                 plans, days=self.days)
         return self._differential_dataset

@@ -32,11 +32,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..cloud.fleet import CloudFleet
 from ..cloud.providers import get_provider
-from ..cloud.regions import (
-    PAPER_DIFFERENTIAL_REGIONS,
-    PAPER_TABLE1_REGIONS,
-    PAPER_US_REGIONS,
-)
 from ..core.clasp import Clasp
 from ..core.selection.differential import DifferentialSelection
 from ..faults import FaultPlan
@@ -109,11 +104,6 @@ class Scenario:
     fleet: Optional[CloudFleet] = None
     #: provider name -> WAN ASN in the topology (includes the primary).
     wan_asns: Dict[str, int] = field(default_factory=dict)
-
-    # Paper region groups, re-exported for experiment code.
-    us_regions: Tuple[str, ...] = PAPER_US_REGIONS
-    table1_regions: Tuple[str, ...] = PAPER_TABLE1_REGIONS
-    differential_regions: Tuple[str, ...] = PAPER_DIFFERENTIAL_REGIONS
 
 
 def _scaled_generator_config(scale: float) -> GeneratorConfig:
@@ -271,9 +261,7 @@ def build_scenario(seed: int = 7, scale: float = 1.0,
         wan = prov.wan
         as_obj = gen.add_cloud_wan(
             net, wan.as_name, wan.city_keys, asn=wan.asn,
-            backbone_gbps=wan.backbone_gbps, n_transits=wan.n_transits,
-            transit_parallel=wan.transit_parallel,
-            mesh_degree=wan.mesh_degree)
+            backbone_gbps=wan.backbone_gbps, n_transits=wan.n_transits)
         wan_asns[name] = as_obj.asn
 
     clasp = Clasp.build(net, catalog, seeds.child("clasp"),
@@ -288,20 +276,25 @@ def build_scenario(seed: int = 7, scale: float = 1.0,
                     fleet=fleet, wan_asns=wan_asns)
 
 
+#: Differential targets whose peering runs at or above capacity around
+#: the clock, and targets whose transit interconnects congest in the
+#: evening (see :func:`apply_differential_story`).
+LOSSY_TARGETS = 8
+STANDARD_CONGESTED = 3
+
+
 def apply_differential_story(scenario: Scenario,
-                             selection: DifferentialSelection,
-                             lossy_targets: int = 8,
-                             standard_congested: int = 3) -> None:
+                             selection: DifferentialSelection) -> None:
     """Shape the tier behaviour of the selected differential targets.
 
     * Every selected target's cloud-peering ingress runs warm (the
     premium path carries a mild extra loss), which is what made the
     standard tier's throughput generally higher in the paper.
-    * *lossy_targets* of them run the peering interconnect at or above
-    capacity around the clock: premium-tier loss above 10 %.
-    * *standard_congested* of them get an overloaded evening profile on
-    their transit interconnects instead - congestion that only the
-    standard tier path crosses (Fig. 6c).
+    * :data:`LOSSY_TARGETS` of them run the peering interconnect at or
+    above capacity around the clock: premium-tier loss above 10 %.
+    * The last :data:`STANDARD_CONGESTED` get an overloaded evening
+    profile on their transit interconnects instead - congestion that
+    only the standard tier path crosses (Fig. 6c).
     """
     net = scenario.internet
     topo = net.topology
@@ -315,7 +308,7 @@ def apply_differential_story(scenario: Scenario,
     for index, server in enumerate(targets):
         offset = topo.cities[server.city_key].utc_offset_hours
         peering = topo.interdomain_between(net.cloud_asn, server.asn)
-        make_lossy = bool(peering) and lossy_assigned < lossy_targets
+        make_lossy = bool(peering) and lossy_assigned < LOSSY_TARGETS
         if make_lossy:
             lossy_assigned += 1
         # Thin, warm PNI: the premium path is squeezed by the
@@ -345,7 +338,7 @@ def apply_differential_story(scenario: Scenario,
                 # Micro-burst drops: measured premium-tier loss goes
                 # above 10 % while multi-flow throughput only sags.
                 link.burst_loss = float(draw.uniform(0.09, 0.16))
-        if index >= len(targets) - standard_congested:
+        if index >= len(targets) - STANDARD_CONGESTED:
             # Congest the server's transit interconnects in the evening:
             # only the standard tier crosses them.
             for provider in topo.providers_of(server.asn):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from ..cloud.regions import PAPER_TABLE1_REGIONS
 from ..report.tables import TextTable, format_percent
 from .runner import ExperimentCache
 
@@ -53,7 +54,7 @@ class Table1Result:
 def run(cache: ExperimentCache) -> Table1Result:
     """Run the pilot scans and compute the coverage table."""
     rows: List[Table1Row] = []
-    for region in cache.scenario.table1_regions:
+    for region in PAPER_TABLE1_REGIONS:
         selection = cache.topology_selection(region)
         plan = cache.topology_plan(region)
         measured_ids = plan.server_ids

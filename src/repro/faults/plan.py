@@ -142,15 +142,3 @@ class FaultPlan:
         if attempt < 0:
             raise ValidationError(f"attempt must be >= 0, got {attempt}")
         return self.backoff_base_s * self.backoff_factor ** attempt
-
-    def rate_of(self, kind: FaultKind) -> float:
-        """The configured probability for one fault kind."""
-        return {
-            FaultKind.VM_PREEMPTION: self.vm_preemption_per_hour,
-            FaultKind.SPEEDTEST_FAILURE: self.speedtest_failure_rate,
-            FaultKind.TRUNCATED_TRANSFER: self.truncated_transfer_rate,
-            FaultKind.UPLOAD_FAILURE: self.upload_failure_rate,
-            FaultKind.LINK_FLAP: self.link_flap_per_hour,
-            # Slow start is conditional on a preemption, not a rate.
-            FaultKind.VM_SLOW_START: 1.0 if self.slow_start_max_hours else 0.0,
-        }[kind]

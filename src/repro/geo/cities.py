@@ -190,13 +190,6 @@ class CityCatalog:
         except KeyError:
             raise ConfigError(f"unknown city: {key!r}") from None
 
-    def by_name(self, name: str) -> City:
-        """Return the first city matching a bare name (no country)."""
-        for city in self._cities:
-            if city.name == name:
-                return city
-        raise ConfigError(f"unknown city name: {name!r}")
-
     def filter(self, country: Optional[str] = None,
                region: Optional[str] = None) -> "CityCatalog":
         """Return a sub-catalog restricted by country and/or region."""

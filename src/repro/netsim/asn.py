@@ -77,9 +77,6 @@ class ASRelationship:
     b: int
     kind: RelationshipKind
 
-    def involves(self, asn: int) -> bool:
-        return asn in (self.a, self.b)
-
     def other(self, asn: int) -> int:
         if asn == self.a:
             return self.b

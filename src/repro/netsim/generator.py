@@ -123,6 +123,10 @@ CLOUD_SPARSE_CITIES = (
     "Mumbai, IN", "Hong Kong, HK",
 )
 N_CLOUD_TRANSITS = 3
+#: A grown provider WAN (:meth:`TopologyGenerator.add_cloud_wan`): its
+#: backbone mesh degree and its parallel links per transit metro.
+WAN_MESH_DEGREE = 3
+WAN_TRANSIT_PARALLEL = (2, 4)
 
 # Capacity ranges (Gbps).
 CLOUD_BACKBONE_GBPS = (400.0, 1200.0)
@@ -761,9 +765,7 @@ class TopologyGenerator:
                       city_keys: Sequence[str],
                       asn: Optional[int] = None,
                       backbone_gbps: Optional[Tuple[float, float]] = None,
-                      n_transits: int = 2,
-                      transit_parallel: Tuple[int, int] = (2, 4),
-                      mesh_degree: int = 3) -> AS:
+                      n_transits: int = 2) -> AS:
         """Grow another cloud provider's WAN after generation.
 
         Mirrors the native cloud's construction in :meth:`generate`: a
@@ -800,7 +802,7 @@ class TopologyGenerator:
             self._build_backbone(
                 topo, util, as_obj,
                 backbone_gbps or CLOUD_BACKBONE_GBPS,
-                mesh_degree=mesh_degree, base_range=(0.20, 0.40))
+                mesh_degree=WAN_MESH_DEGREE, base_range=(0.20, 0.40))
         tier1s = [topo.as_of(t1_asn) for t1_asn in net.tier1_asns]
         if not tier1s:
             raise TopologyError("no tier-1 carriers to buy transit from")
@@ -813,7 +815,7 @@ class TopologyGenerator:
                 RelationshipKind.CUSTOMER_TO_PROVIDER,
                 n_cities=max(1, min(len(cities),
                                     int(self._rng.integers(2, 6)))),
-                parallel=transit_parallel,
+                parallel=WAN_TRANSIT_PARALLEL,
                 capacity_range=TRANSIT_INTERCONNECT_GBPS,
                 congest_prob=0.02,
                 subnet_owner_bias=1.0)

@@ -463,17 +463,6 @@ class Router:
                            last_as_policy=last_as_policy,
                            mode=mode, flow_id=flow_id)
 
-    def invalidate_caches(self) -> None:
-        """Drop all cached RIBs, intra-AS tables and legs and border
-        choices (topology changed)."""
-        self._rib_cache.clear()
-        self._intra_cache.clear()
-        self._leg_cache.clear()
-        self._border_cache.clear()
-        self._ties_cache.clear()
-        self._adj_full = self._build_adjacency(GraphMode.FULL)
-        self._adj_std = self._build_adjacency(GraphMode.STANDARD)
-
     def invalidate_intra_cache(self, asn: Optional[int] = None) -> None:
         """Drop intra-AS tables and legs (for *asn* only, when given).
 

@@ -22,7 +22,6 @@ from ..errors import ValidationError
 from ..units import MSS_BYTES, bytes_per_sec_to_mbps, ms_to_s
 
 __all__ = [
-    "mathis_throughput_mbps",
     "pftk_throughput_mbps",
     "multiflow_throughput_mbps",
 ]
@@ -36,17 +35,6 @@ _RTO_MIN_S = 0.2
 #: Loss below this is treated as effectively lossless: the flow is
 #: window- or bandwidth-limited instead.
 _MIN_LOSS = 1e-7
-
-
-def mathis_throughput_mbps(rtt_ms: float, loss_rate: float) -> float:
-    """Mathis et al. square-root law: ``MSS/RTT * sqrt(3/2) / sqrt(p)``."""
-    if rtt_ms <= 0:
-        raise ValidationError(f"rtt must be positive, got {rtt_ms}")
-    if not 0 <= loss_rate < 1:
-        raise ValidationError(f"loss_rate must be in [0, 1), got {loss_rate}")
-    p = max(loss_rate, _MIN_LOSS)
-    rate_bytes = (MSS_BYTES / ms_to_s(rtt_ms)) * math.sqrt(1.5 / p)
-    return bytes_per_sec_to_mbps(rate_bytes)
 
 
 def pftk_throughput_mbps(rtt_ms: float, loss_rate: float) -> float:

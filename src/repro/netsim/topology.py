@@ -324,16 +324,6 @@ class Topology:
                 out.add(a)
         return out
 
-    def is_customer(self, a: int, b: int) -> bool:
-        """True when *a* buys transit from *b*."""
-        return (self._relationships.get((a, b))
-                is RelationshipKind.CUSTOMER_TO_PROVIDER)
-
-    def is_peer(self, a: int, b: int) -> bool:
-        """True when *a* and *b* peer settlement-free."""
-        key = (min(a, b), max(a, b))
-        return self._relationships.get(key) is RelationshipKind.PEER_TO_PEER
-
     def providers_of(self, asn: int) -> Set[int]:
         return {b for (a, b), k in self._relationships.items()
                 if a == asn and k is RelationshipKind.CUSTOMER_TO_PROVIDER}
@@ -384,13 +374,6 @@ class Topology:
 
     def interface_by_ip(self, ip: int) -> Optional[Interface]:
         return self._iface_by_ip.get(ip)
-
-    def operator_of_ip(self, ip: int) -> Optional[int]:
-        """ASN actually operating the router that owns interface *ip*."""
-        iface = self._iface_by_ip.get(ip)
-        if iface is None:
-            return None
-        return self._pops[iface.pop_id].asn
 
     def aliases_of(self, ip: int) -> Set[int]:
         """All interface IPs on the same router as *ip* (incl. loopback)."""

@@ -61,8 +61,6 @@ class DiurnalBump:
 #: The FCC's peak-use window is 7 pm - 11 pm local time; we centre the
 #: evening bump there.
 EVENING_PEAK = 21.0
-#: Pandemic telework/remote-learning load is centred on early afternoon.
-DAYTIME_PEAK = 13.0
 
 
 @dataclass(frozen=True)
@@ -89,11 +87,6 @@ class DiurnalProfile:
             load *= self.weekend_factor
         return max(0.0, load)
 
-    def peak_mean(self) -> float:
-        """The maximum noise-free weekday utilization over the day."""
-        return max(self.mean_utilization(h * HOUR + 4 * 86400)  # a weekday
-                   for h in range(24))
-
     @staticmethod
     def quiet(base: float = 0.25, utc_offset_hours: float = 0.0,
               noise_sigma: float = 0.02) -> "DiurnalProfile":
@@ -104,34 +97,6 @@ class DiurnalProfile:
             utc_offset_hours=utc_offset_hours,
             noise_sigma=noise_sigma,
         )
-
-    @staticmethod
-    def congested_evening(base: float = 0.45, peak_amplitude: float = 0.75,
-                          utc_offset_hours: float = 0.0,
-                          noise_sigma: float = 0.04) -> "DiurnalProfile":
-        """Under-provisioned interconnect: evening peak exceeds capacity."""
-        return DiurnalProfile(
-            base=base,
-            bumps=(DiurnalBump(EVENING_PEAK, 4.0, peak_amplitude),),
-            utc_offset_hours=utc_offset_hours,
-            noise_sigma=noise_sigma,
-        )
-
-    @staticmethod
-    def congested_daytime(base: float = 0.45, peak_amplitude: float = 0.70,
-                          utc_offset_hours: float = 0.0,
-                          noise_sigma: float = 0.04) -> "DiurnalProfile":
-        """Pandemic pattern: telework surge overloads the link all day."""
-        return DiurnalProfile(
-            base=base,
-            bumps=(
-                DiurnalBump(DAYTIME_PEAK, 6.0, peak_amplitude),
-                DiurnalBump(EVENING_PEAK, 4.0, peak_amplitude * 0.6),
-            ),
-            utc_offset_hours=utc_offset_hours,
-            noise_sigma=noise_sigma,
-        )
-
 
 class UtilizationModel:
     """Per-(link, direction) utilization with reproducible hourly noise.

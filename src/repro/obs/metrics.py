@@ -5,10 +5,9 @@ collects operational metrics from every layer of the simulation stack.
 Metric values are *derived from* simulated data but never feed back
 into it, so instrumentation cannot perturb a campaign.
 
-:class:`Histogram` is the deterministic log2-bucketed histogram the
-engine's :class:`~repro.engine.observers.MetricsObserver` has always
-used; it moved here so the engine and the registry share one bucket
-shape (the engine re-exports it for compatibility).
+:class:`Histogram` is the deterministic log2-bucketed histogram; the
+engine's :class:`~repro.engine.observers.MetricsObserver` and the
+registry share this one bucket shape.
 """
 
 from __future__ import annotations
@@ -170,11 +169,6 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
 
-    @property
-    def n_metrics(self) -> int:
-        return (len(self._counters) + len(self._gauges)
-                + len(self._histograms))
-
     def snapshot(self) -> Dict[str, Any]:
         """One plain, sorted, mutation-safe dict of every metric."""
         return {
@@ -185,11 +179,6 @@ class MetricsRegistry:
             "histograms": {name: metric.snapshot() for name, metric
                            in sorted(self._histograms.items())},
         }
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
     # ------------------------------------------------------------------
     # persistence (daemon save/restore)

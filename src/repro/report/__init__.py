@@ -13,13 +13,13 @@ from .ascii import (
     render_series,
     sparkline,
 )
-from .figures import FigureSeries, figure_to_text
+from .figures import FigureSeries
 from .crosscloud import render_matrix, render_provider_choice
 
 __all__ = [
     "TextTable", "format_percent",
     "ascii_cdf", "ascii_histogram", "ascii_series",
     "render_cdf", "render_series", "sparkline",
-    "FigureSeries", "figure_to_text",
+    "FigureSeries",
     "render_matrix", "render_provider_choice",
 ]

@@ -12,10 +12,9 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .ascii import render_cdf, render_series
 from ..errors import ValidationError
 
-__all__ = ["FigureSeries", "figure_to_text"]
+__all__ = ["FigureSeries"]
 
 
 @dataclass
@@ -49,30 +48,3 @@ class FigureSeries:
             "max": float(arr.max()),
         }
 
-
-def figure_to_text(title: str, series: Sequence[FigureSeries],
-                   max_series: int = 12) -> str:
-    """Render a figure's series as a compact text block."""
-    lines = [title, "=" * len(title)]
-    for s in list(series)[:max_series]:
-        if s.kind == "cdf":
-            lines.append(render_cdf(s.label, s.y))
-        elif s.kind == "scatter":
-            arr = np.asarray(list(s.y), dtype=float)
-            if arr.size:
-                lines.append(
-                    f"{s.label}: n={arr.size} "
-                    f"median={np.median(arr):.1f} "
-                    f"p5={np.percentile(arr, 5):.1f} "
-                    f"p95={np.percentile(arr, 95):.1f}")
-            else:
-                lines.append(f"{s.label}: (empty)")
-        elif s.kind == "bar":
-            lines.append(f"{s.label}: " + " ".join(
-                f"{v:.0f}" for v in s.y))
-        else:
-            lines.append(render_series(s.label, s.y))
-    hidden = len(series) - max_series
-    if hidden > 0:
-        lines.append(f"... and {hidden} more series")
-    return "\n".join(lines)

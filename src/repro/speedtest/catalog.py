@@ -66,12 +66,10 @@ class ServerCatalog:
     def __init__(self, servers: Sequence[SpeedTestServer]) -> None:
         self._servers: List[SpeedTestServer] = list(servers)
         self._by_id: Dict[str, SpeedTestServer] = {}
-        self._by_ip: Dict[int, SpeedTestServer] = {}
         for server in self._servers:
             if server.server_id in self._by_id:
                 raise ConfigError(f"duplicate server id {server.server_id}")
             self._by_id[server.server_id] = server
-            self._by_ip[server.ip] = server
 
     def __len__(self) -> int:
         return len(self._servers)
@@ -84,9 +82,6 @@ class ServerCatalog:
             return self._by_id[server_id]
         except KeyError:
             raise ConfigError(f"unknown server {server_id!r}") from None
-
-    def by_ip(self, ip: int) -> Optional[SpeedTestServer]:
-        return self._by_ip.get(ip)
 
     def servers(self, platform: Optional[Platform] = None,
                 country: Optional[str] = None) -> List[SpeedTestServer]:

@@ -10,12 +10,12 @@ from .prefix2as import Prefix2AS, build_prefix2as
 from .traceroute import Hop, Scamper, Traceroute
 from .bdrmap import Bdrmap, BdrmapResult, InferredLink
 from .ipinfo import BusinessType, IpInfoDatabase
-from .speedchecker import LatencySample, Speedchecker, TupleMedian
+from .speedchecker import Speedchecker, TupleMedian
 
 __all__ = [
     "Prefix2AS", "build_prefix2as",
     "Hop", "Scamper", "Traceroute",
     "Bdrmap", "BdrmapResult", "InferredLink",
     "BusinessType", "IpInfoDatabase",
-    "LatencySample", "Speedchecker", "TupleMedian",
+    "Speedchecker", "TupleMedian",
 ]

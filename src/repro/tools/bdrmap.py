@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
-from ..errors import ValidationError
 from ..netsim.addressing import format_ip
 from ..netsim.routing import GraphMode, TierPolicy
 from ..netsim.topology import Topology
@@ -31,27 +30,24 @@ from .traceroute import Scamper, Traceroute
 
 __all__ = ["AliasResolver", "InferredLink", "BdrmapResult", "Bdrmap"]
 
+#: Probability that alias resolution misses one of a router's other
+#: interfaces, and its router ID (loopback).
+MISS_RATE = 0.10
+LOOPBACK_MISS_RATE = 0.12
+
 
 class AliasResolver:
     """MIDAR-style alias resolution against the simulated routers.
 
     Resolution is imperfect: each non-queried interface of the router
-    is recovered with probability ``1 - miss_rate``; the router ID
-    (loopback) is recovered with probability ``1 - loopback_miss_rate``.
+    is recovered with probability ``1 - MISS_RATE``; the router ID
+    (loopback) is recovered with probability ``1 - LOOPBACK_MISS_RATE``.
     Results are deterministic per queried IP.
     """
 
     def __init__(self, topology: Topology,
-                 miss_rate: float = 0.10,
-                 loopback_miss_rate: float = 0.12,
                  seeds: Optional[SeedTree] = None) -> None:
-        for name, value in (("miss_rate", miss_rate),
-                            ("loopback_miss_rate", loopback_miss_rate)):
-            if not 0 <= value < 1:
-                raise ValidationError(f"{name} must be in [0, 1), got {value}")
         self._topo = topology
-        self.miss_rate = miss_rate
-        self.loopback_miss_rate = loopback_miss_rate
         # Re-rooting at the derived seed keeps per-ip streams identical
         # to the historical `seed ^ stable_hash64(label)` derivation.
         self._rng_tree = SeedTree((seeds or SeedTree(0)).seed("alias-resolver"))
@@ -75,8 +71,7 @@ class AliasResolver:
         for alias in sorted(truth):
             if alias == ip:
                 continue
-            rate = (self.loopback_miss_rate if alias == loopback
-                    else self.miss_rate)
+            rate = LOOPBACK_MISS_RATE if alias == loopback else MISS_RATE
             if rng.random() >= rate:
                 kept.add(alias)
         result = frozenset(kept)

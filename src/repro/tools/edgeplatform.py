@@ -27,6 +27,10 @@ from ..units import DAY
 
 __all__ = ["EdgeProbe", "QuotaExceeded", "EdgePlatform"]
 
+#: Chance that a probe lands in one of the big ISPs rather than the
+#: long tail of access networks (volunteer hosts cluster there).
+BIAS_TO_BIG_ISPS = 0.75
+
 
 class QuotaExceeded(MeasurementError):
     """The probe's daily throughput-measurement quota is spent."""
@@ -60,12 +64,9 @@ class EdgePlatform:
 
     def __init__(self, internet: GeneratedInternet,
                  n_probes: int = 300,
-                 seeds: Optional[SeedTree] = None,
-                 bias_to_big_isps: float = 0.75) -> None:
+                 seeds: Optional[SeedTree] = None) -> None:
         if n_probes < 1:
             raise MeasurementError("need at least one probe")
-        if not 0 <= bias_to_big_isps <= 1:
-            raise MeasurementError("bias must be in [0, 1]")
         self.internet = internet
         rng = (seeds or SeedTree(0)).generator("edge-platform")
         topo = internet.topology
@@ -85,7 +86,7 @@ class EdgePlatform:
         self.probes: List[EdgeProbe] = []
         for i in range(n_probes):
             use_big = big_pops and (not other_pops
-                                    or rng.random() < bias_to_big_isps)
+                                    or rng.random() < BIAS_TO_BIG_ISPS)
             pool = big_pops if use_big else other_pops
             asn, city, pop_id = pool[int(rng.integers(len(pool)))]
             # Volunteer access links: mostly residential speeds.

@@ -17,9 +17,11 @@ from ..netsim.asn import ASType
 from ..netsim.topology import Topology
 from ..rng import SeedTree, stable_hash64
 from .prefix2as import Prefix2AS
-from ..errors import ValidationError
 
 __all__ = ["BusinessType", "IpInfoRecord", "IpInfoDatabase"]
+
+#: Share of ASes the company database has no category for.
+UNKNOWN_RATE = 0.07
 
 
 class BusinessType(enum.Enum):
@@ -57,20 +59,15 @@ class IpInfoRecord:
 class IpInfoDatabase:
     """IP -> (ASN, org, business type) lookups with coverage gaps.
 
-    ``unknown_rate`` is the probability the company database has no
+    :data:`UNKNOWN_RATE` is the probability the company database has no
     category for a given AS (deterministic per AS, so all IPs of one
     organisation agree).
     """
 
     def __init__(self, topology: Topology, prefix2as: Prefix2AS,
-                 unknown_rate: float = 0.07,
                  seeds: Optional[SeedTree] = None) -> None:
-        if not 0 <= unknown_rate < 1:
-            raise ValidationError(
-                f"unknown_rate must be in [0, 1), got {unknown_rate}")
         self._topo = topology
         self._p2a = prefix2as
-        self.unknown_rate = unknown_rate
         self._seed = (seeds or SeedTree(0)).seed("ipinfo")
         self._unknown_cache: Dict[int, bool] = {}
 
@@ -78,7 +75,7 @@ class IpInfoDatabase:
         cached = self._unknown_cache.get(asn)
         if cached is None:
             h = stable_hash64(f"ipinfo-unknown:{self._seed}:{asn}")
-            cached = (h % 10_000) < int(self.unknown_rate * 10_000)
+            cached = (h % 10_000) < int(UNKNOWN_RATE * 10_000)
             self._unknown_cache[asn] = cached
         return cached
 

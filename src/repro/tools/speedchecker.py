@@ -23,7 +23,7 @@ from ..rng import SeedTree
 from ..simclock import CAMPAIGN_START
 from ..units import DAY
 
-__all__ = ["VantagePoint", "LatencySample", "TupleMedian", "Speedchecker"]
+__all__ = ["VantagePoint", "TupleMedian", "Speedchecker"]
 
 #: Agents in the platform's population (sampled from every access-ISP PoP).
 MAX_VPS = 400
@@ -43,18 +43,6 @@ class VantagePoint:
     city_key: str
     pop_id: int
     last_mile_ms: float
-
-
-@dataclass(frozen=True)
-class LatencySample:
-    """A single probe result."""
-
-    asn: int
-    city_key: str
-    region: str
-    tier: enum.Enum
-    rtt_ms: float
-    ts: float
 
 
 @dataclass(frozen=True)

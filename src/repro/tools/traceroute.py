@@ -20,9 +20,12 @@ from ..netsim.linkstate import LinkStateEvaluator
 from ..netsim.routing import GraphMode, Route, Router, TierPolicy
 from ..netsim.topology import Link, Topology
 from ..rng import SeedTree
-from ..errors import NoRouteError, ValidationError
+from ..errors import NoRouteError
 
 __all__ = ["Hop", "Traceroute", "Scamper"]
+
+#: Probability that a router on the path does not answer a probe.
+NO_RESPONSE_RATE = 0.02
 
 
 class Hop(NamedTuple):
@@ -56,9 +59,6 @@ class Traceroute:
     def responding_ips(self) -> List[int]:
         return [h.ip for h in self.hops if h.ip is not None]
 
-    def hop_ips(self) -> List[Optional[int]]:
-        return [h.ip for h in self.hops]
-
     @property
     def rtt_ms(self) -> Optional[float]:
         """RTT to the destination, when it was reached."""
@@ -70,23 +70,18 @@ class Traceroute:
 class Scamper:
     """Traceroute engine bound to a topology + routing engine.
 
-    A small per-router non-response probability models ICMP rate
-    limiting and filtered routers.  The destination host always
-    responds (speed test servers are live web servers).
+    A small per-router non-response probability (:data:`NO_RESPONSE_RATE`)
+    models ICMP rate limiting and filtered routers.  The destination
+    host always responds (speed test servers are live web servers).
     """
 
     def __init__(self, topology: Topology, router: Router,
                  evaluator: Optional[LinkStateEvaluator] = None,
-                 seeds: Optional[SeedTree] = None,
-                 no_response_rate: float = 0.02) -> None:
-        if not 0 <= no_response_rate < 1:
-            raise ValidationError(
-                f"no_response_rate must be in [0, 1), got {no_response_rate}")
+                 seeds: Optional[SeedTree] = None) -> None:
         self._topo = topology
         self._router = router
         self._eval = evaluator
         self._rng = (seeds or SeedTree(0)).generator("scamper")
-        self.no_response_rate = no_response_rate
         # (link_id, receiving PoP) -> (link, address the hop replies
         # from).  Links and their interfaces never change once added.
         self._hop_of: Dict[Tuple[int, int], Tuple[Link, int]] = {}
@@ -125,7 +120,6 @@ class Scamper:
         hop_of = self._hop_of
         observe = self._eval.observe if self._eval is not None else None
         rng = self._rng
-        no_response_rate = self.no_response_rate
         receivers = route.pops
         for ttl, (link_id, direction) in enumerate(route.links, 1):
             entry = hop_of.get((link_id, receivers[ttl]))
@@ -137,7 +131,7 @@ class Scamper:
                 cumulative_oneway += observe(link, direction, ts).queue_delay_ms
             # The destination itself always answers; routers may not.
             is_target = ip == target_ip
-            if is_target or rng.random() >= no_response_rate:
+            if is_target or rng.random() >= NO_RESPONSE_RATE:
                 rtt = 2.0 * cumulative_oneway + float(rng.exponential(0.4))
                 hops.append(Hop(ttl, ip, rtt))
             else:

@@ -22,10 +22,10 @@ __all__ = [
     "MSS_BYTES",
     "FIBER_KM_PER_MS", "ROUTE_INFLATION",
     "mbps_to_bytes_per_sec", "bytes_per_sec_to_mbps",
-    "bytes_to_gb", "gb_to_bytes",
+    "bytes_to_gb",
     "ms_to_s", "s_to_ms",
-    "mbps", "gbps", "kbps",
-    "transfer_time_s", "transferred_bytes",
+    "mbps", "gbps",
+    "transferred_bytes",
 ]
 
 # Bit-rate multipliers, expressed in Mbps.
@@ -55,11 +55,6 @@ FIBER_KM_PER_MS = 200.0
 #: Real routes are longer than great-circle distance; measurement studies
 #: typically observe 1.5-2.5x inflation.  We use a mid value as default.
 ROUTE_INFLATION = 1.8
-
-
-def kbps(value: float) -> float:
-    """Return *value* kilobits/s expressed in the Mbps base unit."""
-    return value * KBIT
 
 
 def mbps(value: float) -> float:
@@ -95,23 +90,6 @@ def s_to_ms(value_s: float) -> float:
 def bytes_to_gb(n_bytes: float) -> float:
     """Convert bytes to decimal gigabytes (how egress is billed)."""
     return n_bytes / GB
-
-
-def gb_to_bytes(n_gb: float) -> float:
-    """Convert decimal gigabytes to bytes."""
-    return n_gb * GB
-
-
-def transfer_time_s(n_bytes: float, rate_mbps: float) -> float:
-    """Seconds needed to move *n_bytes* at *rate_mbps*.
-
-    Raises :class:`~repro.errors.ValidationError` for a non-positive
-    rate, because a zero rate would silently yield ``inf`` and poison
-    schedule arithmetic.
-    """
-    if rate_mbps <= 0:
-        raise ValidationError(f"rate must be positive, got {rate_mbps}")
-    return n_bytes / mbps_to_bytes_per_sec(rate_mbps)
 
 
 def transferred_bytes(rate_mbps: float, duration_s: float) -> float:

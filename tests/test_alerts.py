@@ -521,8 +521,8 @@ class _FullWalkCollector(Collector):
     skip the keys already exported, kept in a set that the state file
     carries - what the per-seal export must reproduce byte for byte."""
 
-    def __init__(self, start_ts, rules=(), registry=None, history=None):
-        super().__init__(start_ts, rules, registry, history)
+    def __init__(self, start_ts, rules=()):
+        super().__init__(start_ts, rules)
         self.exported = set()
 
     def _export_sealed(self):

@@ -7,35 +7,43 @@ from repro.netsim.generator import GeneratorConfig, TopologyGenerator
 from repro.netsim.routing import Router
 from repro.rng import SeedTree
 from repro.simclock import CAMPAIGN_START
+from repro.tools import bdrmap as bdrmap_tool, traceroute
 from repro.tools.bdrmap import AliasResolver, Bdrmap
 from repro.tools.prefix2as import build_prefix2as
 from repro.tools.traceroute import Scamper
 
 
 @pytest.fixture()
-def mini_rig(mini_world):
+def perfect_tools(monkeypatch):
+    """Every router answers and alias resolution misses nothing."""
+    monkeypatch.setattr(traceroute, "NO_RESPONSE_RATE", 0.0)
+    monkeypatch.setattr(bdrmap_tool, "MISS_RATE", 0.0)
+    monkeypatch.setattr(bdrmap_tool, "LOOPBACK_MISS_RATE", 0.0)
+
+
+@pytest.fixture()
+def mini_rig(mini_world, perfect_tools):
     topo = mini_world.topology
     router = Router(topo, cloud_asn=mini_world.cloud_asn)
     p2a = build_prefix2as(topo)
-    scamper = Scamper(topo, router, seeds=SeedTree(81),
-                      no_response_rate=0.0)
-    resolver = AliasResolver(topo, miss_rate=0.0, loopback_miss_rate=0.0,
-                             seeds=SeedTree(82))
+    scamper = Scamper(topo, router, seeds=SeedTree(81))
+    resolver = AliasResolver(topo, seeds=SeedTree(82))
     bdrmap = Bdrmap(topo, scamper, p2a, mini_world.cloud_asn, resolver)
     return mini_world, topo, bdrmap
 
 
-def test_alias_resolver_complete_at_zero_miss(mini_world):
+def test_alias_resolver_complete_at_zero_miss(mini_world, perfect_tools):
     topo = mini_world.topology
-    resolver = AliasResolver(topo, miss_rate=0.0, loopback_miss_rate=0.0)
+    resolver = AliasResolver(topo)
     aliases = resolver.resolve(parse_ip("10.100.8.2"))
     assert aliases == topo.aliases_of(parse_ip("10.100.8.2"))
 
 
-def test_alias_resolver_deterministic(mini_world):
+def test_alias_resolver_deterministic(mini_world, monkeypatch):
+    monkeypatch.setattr(bdrmap_tool, "MISS_RATE", 0.5)
     topo = mini_world.topology
-    r1 = AliasResolver(topo, miss_rate=0.5, seeds=SeedTree(9))
-    r2 = AliasResolver(topo, miss_rate=0.5, seeds=SeedTree(9))
+    r1 = AliasResolver(topo, seeds=SeedTree(9))
+    r2 = AliasResolver(topo, seeds=SeedTree(9))
     ip = parse_ip("10.100.8.2")
     assert r1.resolve(ip) == r2.resolve(ip)
     assert ip in r1.resolve(ip)
@@ -47,9 +55,10 @@ def test_alias_resolver_unknown_ip(mini_world):
         frozenset({parse_ip("198.51.100.1")})
 
 
-def test_alias_resolver_validation(mini_world):
-    with pytest.raises(ValueError):
-        AliasResolver(mini_world.topology, miss_rate=1.0)
+def test_alias_resolver_validation():
+    """The calibrated miss rates are probabilities below one."""
+    assert 0 <= bdrmap_tool.MISS_RATE < 1
+    assert 0 <= bdrmap_tool.LOOPBACK_MISS_RATE < 1
 
 
 def test_mini_world_inference_exact(mini_rig):

@@ -30,7 +30,7 @@ def test_cost_tracker_accumulates_by_category():
     costs.charge_vm_hours(0.095, 10)
     costs.charge_egress(5 * GB, NetworkTier.PREMIUM)
     costs.charge_storage(50 * GB, 1)
-    spend = costs.spend_by_category()
+    spend = costs.spend
     assert spend["vm_hours"] == pytest.approx(0.95)
     assert spend["egress"] == pytest.approx(0.60)
     assert spend["storage"] == pytest.approx(1.0)
@@ -40,17 +40,15 @@ def test_cost_tracker_accumulates_by_category():
 def test_budget_enforced():
     costs = CostTracker(budget_usd=1.0)
     costs.charge_vm_hours(0.095, 10)  # $0.95
-    assert costs.remaining_usd() == pytest.approx(0.05)
-    assert costs.would_exceed(0.10)
-    assert not costs.would_exceed(0.04)
     with pytest.raises(BudgetExhaustedError):
         costs.charge_egress(10 * GB, NetworkTier.PREMIUM)
+    # The refused charge leaves the spend untouched.
+    assert costs.total_usd == pytest.approx(0.95)
 
 
 def test_budget_validation():
     with pytest.raises(ConfigError):
         CostTracker(budget_usd=0)
-    assert CostTracker().remaining_usd() is None
 
 
 def test_charge_validation():
@@ -86,12 +84,8 @@ def test_bucket_crud():
     assert bucket.get("vm1/1000.tar.gz").size_bytes == 5_000_000
     assert [o.key for o in bucket.list("vm1/")] == \
         ["vm1/1000.tar.gz", "vm1/2000.tar.gz"]
-    bucket.delete("vm1/1000.tar.gz")
-    assert len(bucket) == 1
     with pytest.raises(StorageError):
-        bucket.get("vm1/1000.tar.gz")
-    with pytest.raises(StorageError):
-        bucket.delete("nope")
+        bucket.get("nope")
 
 
 def test_bucket_overwrite_replaces():

@@ -63,7 +63,7 @@ def test_campaign_series_shape(campaign_rig):
 
 def test_campaign_bills_usage(campaign_rig):
     scenario, plan, dataset, cost_before = campaign_rig
-    costs = scenario.clasp.platform.costs.spend_by_category()
+    costs = scenario.clasp.platform.costs.spend
     assert costs["vm_hours"] > 0
     assert costs["egress"] > 0
     assert scenario.clasp.total_cost_usd() > cost_before

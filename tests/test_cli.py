@@ -398,16 +398,16 @@ def test_campaign_nonpositive_servers_is_one_line_error(capsys, servers):
     assert "budget_servers must be >= 1" in _error_line(capsys)
 
 
-@pytest.mark.parametrize("option, path, builds_world", [
-    ("--state", "", False),
-    ("--state", "missing/s.json", False),
-    ("--trace", "missing/t.jsonl", True),
-    ("--export", "file/x", True),
+@pytest.mark.parametrize("option, path", [
+    ("--state", ""),
+    ("--state", "missing/s.json"),
+    ("--trace", "missing/t.jsonl"),
+    ("--export", "file/x"),
 ], ids=["state-dir", "state-missing-dir", "trace-missing-dir",
         "export-under-file"])
 def test_campaign_bad_output_path_is_one_line_error(
-        capsys, tmp_path, monkeypatch, option, path, builds_world):
-    """A --state path that cannot be saved fails before any run."""
+        capsys, tmp_path, monkeypatch, option, path):
+    """An output path that cannot be written fails before any run."""
     import repro.experiments
     built = []
     real_build = repro.experiments.build_scenario
@@ -421,15 +421,21 @@ def test_campaign_bad_output_path_is_one_line_error(
     (tmp_path / "file").write_text("")
     assert main(["campaign", *SMALL, option, str(tmp_path / path)]) == 2
     assert _error_line(capsys)
-    assert bool(built) == builds_world
+    assert built == []
 
 
-@pytest.mark.parametrize("command", [
-    ["campaign", *SMALL],
-    ["experiment", "table1", "--scale", "0.05", "--days", "1"],
-], ids=["campaign", "experiment"])
+@pytest.mark.parametrize("command, flag, message", [
+    (["campaign", *SMALL], "--profile", "File exists"),
+    (["experiment", "table1", "--scale", "0.05", "--days", "1"],
+     "--profile", "File exists"),
+    (["campaign", *SMALL], "--export", "File exists"),
+    (["campaign", *SMALL], "--trace", "Is a directory"),
+], ids=["campaign", "experiment", "export", "trace"])
 def test_bad_profile_path_fails_before_the_world_is_built(
-        capsys, tmp_path, monkeypatch, command):
+        capsys, tmp_path, monkeypatch, command, flag, message):
+    """An unusable output path fails before the world is built: an
+    existing file where a directory goes, a directory where a file
+    goes."""
     import repro.experiments
     import repro.experiments.runner
     built = []
@@ -444,6 +450,7 @@ def test_bad_profile_path_fails_before_the_world_is_built(
                         build_scenario)
     existing = tmp_path / "file"
     existing.write_text("")
-    assert main([*command, "--profile", str(existing)]) == 2
-    assert "File exists" in _error_line(capsys)
+    path = tmp_path if flag == "--trace" else existing
+    assert main([*command, flag, str(path)]) == 2
+    assert message in _error_line(capsys)
     assert built == []

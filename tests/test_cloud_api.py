@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cloud import api
 from repro.cloud.api import CloudPlatform, Direction
 from repro.cloud.tiers import NetworkTier
 from repro.errors import CloudError, QuotaExceededError
@@ -16,7 +17,7 @@ def platform():
         n_tier1=4, n_transit=8, n_access_isp=24, n_big_isp=3,
         n_hosting=8, n_education=3, n_business=4)
     net = TopologyGenerator(config, SeedTree(31)).generate()
-    return CloudPlatform(net, vm_quota_per_region=3)
+    return CloudPlatform(net)
 
 
 def test_available_regions(platform):
@@ -57,7 +58,8 @@ def test_zone_round_robin(platform):
         platform.terminate_vm(vm.name, CAMPAIGN_START)
 
 
-def test_quota_enforced(platform):
+def test_quota_enforced(platform, monkeypatch):
+    monkeypatch.setattr(api, "VM_QUOTA_PER_REGION", 3)
     created = []
     for _ in range(3):
         created.append(platform.create_vm(

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.cloud.machinetypes import MACHINE_TYPES, machine_type_by_name
-from repro.cloud.nic import NetworkInterface, TokenBucket
-from repro.cloud.regions import (
-    PAPER_REGIONS,
-    PAPER_TABLE1_REGIONS,
-    REGIONS,
-    region_by_name,
-)
+from repro.cloud.machinetypes import MACHINE_TYPES
+from repro.cloud.nic import NetworkInterface
+from repro.cloud.providers import get_provider
+from repro.cloud.regions import PAPER_REGIONS, PAPER_TABLE1_REGIONS, REGIONS
 from repro.cloud.tiers import NetworkTier
 from repro.cloud.vm import VirtualMachine, VMStatus
 from repro.errors import CloudError, ConfigError
@@ -21,13 +17,13 @@ from repro.errors import CloudError, ConfigError
 
 def test_paper_regions_exist():
     for name in PAPER_REGIONS:
-        region = region_by_name(name)
+        region = REGIONS[name]
         assert region.zones
     assert set(PAPER_TABLE1_REGIONS) <= set(PAPER_REGIONS)
 
 
 def test_region_zone_names():
-    region = region_by_name("us-west1")
+    region = REGIONS["us-west1"]
     assert [z.name for z in region.zones] == \
         ["us-west1-a", "us-west1-b", "us-west1-c"]
     assert region.zone("a").region_name == "us-west1"
@@ -37,7 +33,7 @@ def test_region_zone_names():
 
 def test_unknown_region():
     with pytest.raises(CloudError):
-        region_by_name("mars-north1")
+        get_provider("gcp").region("mars-north1")
 
 
 def test_region_cities_are_the_real_metros():
@@ -51,16 +47,16 @@ def test_region_cities_are_the_real_metros():
 
 
 def test_paper_machine_types():
-    n1 = machine_type_by_name("n1-standard-2")
+    n1 = MACHINE_TYPES["n1-standard-2"]
     assert n1.vcpus == 2
     assert n1.memory_gb == pytest.approx(7.5)
     assert n1.egress_cap_mbps == 10_000.0
-    n2 = machine_type_by_name("n2-standard-2")
+    n2 = MACHINE_TYPES["n2-standard-2"]
     assert n2.memory_gb == pytest.approx(8.0)
 
 
 def test_machine_type_cpu_model():
-    mtype = machine_type_by_name("n1-standard-2")
+    mtype = MACHINE_TYPES["n1-standard-2"]
     assert mtype.cpu_throughput_cap_mbps == pytest.approx(3600.0)
     assert mtype.cpu_utilization_during_test(1800.0) == pytest.approx(0.5)
     assert mtype.cpu_utilization_during_test(1e6) == 1.0
@@ -70,53 +66,11 @@ def test_machine_type_cpu_model():
 
 def test_unknown_machine_type():
     with pytest.raises(CloudError):
-        machine_type_by_name("x1-mega-512")
+        get_provider("gcp").machine_type("x1-mega-512")
 
 
 # ----------------------------------------------------------------------
-# token bucket / NIC
-
-
-def test_token_bucket_steady_rate():
-    bucket = TokenBucket(rate_mbps=100.0, burst_bytes=1000)
-    # Consume 12.5 MB starting at t=0: at 100 Mbps that takes ~1 s.
-    done = bucket.consume(12_500_000, ts=0.0)
-    assert done == pytest.approx(1.0, rel=0.01)
-
-
-def test_token_bucket_burst_absorption():
-    bucket = TokenBucket(rate_mbps=1.0, burst_bytes=10_000)
-    assert bucket.consume(10_000, ts=0.0) == 0.0  # all from the burst
-    # The next bytes must wait for refill.
-    assert bucket.consume(125_000, ts=0.0) > 0.9
-
-
-def test_token_bucket_refills_to_burst_cap():
-    bucket = TokenBucket(rate_mbps=100.0, burst_bytes=5000)
-    bucket.consume(5000, ts=0.0)
-    assert bucket.tokens_at(1000.0) == 5000  # capped at burst
-
-
-def test_token_bucket_rejects_time_travel():
-    bucket = TokenBucket(rate_mbps=10.0)
-    bucket.consume(10, ts=5.0)
-    with pytest.raises(ValueError):
-        bucket.consume(10, ts=4.0)
-
-
-def test_token_bucket_validation():
-    with pytest.raises(ConfigError):
-        TokenBucket(rate_mbps=0.0)
-    with pytest.raises(ConfigError):
-        TokenBucket(rate_mbps=10.0, burst_bytes=0)
-    with pytest.raises(ValueError):
-        TokenBucket(10.0).consume(-5, 0.0)
-
-
-def test_token_bucket_effective_rate():
-    bucket = TokenBucket(rate_mbps=100.0)
-    assert bucket.effective_rate_mbps(50.0) == 50.0
-    assert bucket.effective_rate_mbps(500.0) == 100.0
+# NIC
 
 
 def test_nic_tc_semantics():
@@ -127,6 +81,8 @@ def test_nic_tc_semantics():
     assert nic.egress_cap_mbps() == 100.0
     nic.apply_tc(ingress_mbps=None, egress_mbps=None)
     assert nic.egress_cap_mbps() == float("inf")
+    with pytest.raises(ConfigError):
+        nic.apply_tc(ingress_mbps=0.0, egress_mbps=None)
 
 
 # ----------------------------------------------------------------------
@@ -136,8 +92,8 @@ def test_nic_tc_semantics():
 def _vm(name="vm-1"):
     nic = NetworkInterface(ip=1, host_pop_id=1, attach_link_id=1)
     return VirtualMachine(
-        name=name, zone=region_by_name("us-west1").zone("a"),
-        machine_type=machine_type_by_name("n1-standard-2"),
+        name=name, zone=REGIONS["us-west1"].zone("a"),
+        machine_type=MACHINE_TYPES["n1-standard-2"],
         tier=NetworkTier.PREMIUM, nic=nic, created_ts=0.0)
 
 

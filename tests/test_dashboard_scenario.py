@@ -7,7 +7,6 @@ from repro.core.detectors import (
     AutocorrelationDetector,
     HmmDetector,
     VariabilityDetector,
-    agreement_rate,
 )
 from repro.report.dashboard import render_dashboard
 
@@ -58,10 +57,6 @@ def test_detectors_on_campaign_pairs(two_region_dataset):
         series["hmm"].ts.size
     assert series["variability"].ts.size <= \
         series["autocorrelation"].ts.size
-    # Agreement between methods is defined and bounded.
-    rate = agreement_rate(series["variability"],
-                          series["autocorrelation"])
-    assert 0.0 <= rate <= 1.0
 
 
 def test_detection_fractions_bounded(two_region_dataset):
@@ -69,5 +64,5 @@ def test_detection_fractions_bounded(two_region_dataset):
     detector = VariabilityDetector()
     for pair in dataset.pairs()[:6]:
         result = detector.detect(dataset, pair)
-        assert 0.0 <= result.congested_fraction <= 1.0
+        assert result.congested.size == result.ts.size
         assert result.n_events == int(result.congested.sum())

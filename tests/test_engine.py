@@ -20,7 +20,7 @@ import pytest
 # collect them as test classes.
 from repro.engine import (BillingCharged, CampaignEngine, CampaignEvent,
                           CampaignFinished, DatasetObserver, EVENT_KINDS,
-                          EventBus, Histogram, HourStarted, Lane,
+                          EventBus, HourStarted, Lane,
                           MetricsObserver, Observer, TraceObserver,
                           UploadAttempted, event_payload)
 from repro.engine import TestCompleted as CompletedEvent
@@ -30,6 +30,7 @@ from repro.engine.events import OPAQUE_FIELDS
 from repro.errors import ValidationError
 from repro.experiments.scenario import build_scenario
 from repro.faults import FaultPlan
+from repro.obs.metrics import Histogram
 from repro.simclock import CAMPAIGN_START
 from repro.units import HOUR
 
@@ -435,7 +436,7 @@ def test_metrics_snapshot_reconciles_with_dataset(fault_plan):
     # was also published as a BillingCharged event (intra-region
     # transfer is priced at $0, so equality - not positivity - is the
     # meaningful check there).
-    spend = clasp.platform.costs.spend_by_category()
+    spend = clasp.platform.costs.spend
     for category, usd in snap["usd_by_category"].items():
         assert usd == pytest.approx(spend[category])
     assert snap["usd_by_category"]["vm_hours"] > 0

@@ -7,6 +7,7 @@ on a very small world.
 
 import pytest
 
+from repro.cloud.regions import PAPER_US_REGIONS
 from repro.experiments import (
     fig2,
     fig3,
@@ -43,7 +44,7 @@ def test_fig2(tiny_cache):
     text = fig2.render(result)
     assert "elbow" in text
     assert set(result.day_fractions) == \
-        set(tiny_cache.scenario.us_regions)
+        set(PAPER_US_REGIONS)
     assert 0.05 <= result.chosen_threshold <= 0.95
 
 
@@ -84,7 +85,7 @@ def test_fig6(tiny_cache):
 def test_fig7(tiny_cache):
     result = fig7.run(tiny_cache)
     text = fig7.render(result)
-    for region in tiny_cache.scenario.us_regions:
+    for region in PAPER_US_REGIONS:
         assert result.all_us(region)
     assert "R" in text or "o" in text
 

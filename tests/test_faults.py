@@ -45,9 +45,11 @@ def test_plan_rejects_bad_rates():
 def test_plan_presets():
     assert not FaultPlan.none().enabled
     assert FaultPlan.default().enabled
-    heavy = FaultPlan.heavy()
-    for kind in FaultKind:
-        assert heavy.rate_of(kind) >= FaultPlan.default().rate_of(kind)
+    heavy, default = FaultPlan.heavy(), FaultPlan.default()
+    for rate in ("vm_preemption_per_hour", "slow_start_max_hours",
+                 "speedtest_failure_rate", "truncated_transfer_rate",
+                 "upload_failure_rate", "link_flap_per_hour"):
+        assert getattr(heavy, rate) >= getattr(default, rate)
 
 
 def test_plan_backoff_is_geometric():
@@ -321,7 +323,7 @@ def test_preemption_recovery_end_to_end():
     for vm in replacements:
         assert vm.is_running or vm.status is VMStatus.PREEMPTED
         # The replacement measures a full assignment from the plan.
-        assert plan.servers_of(vm.name)
+        assert next(ids for v, ids in plan.assignments if v is vm)
     # No preempted VM still owns an assignment.
     assert not {vm.name for vm in preempted} & \
         {vm.name for vm in plan.vms}

@@ -12,6 +12,8 @@ from repro.netsim.routing import GraphMode, Router
 from repro.netsim.topology import LinkKind
 from repro.rng import SeedTree
 
+from .traffic_profiles import peak_mean
+
 
 @pytest.fixture(scope="module")
 def small_net() -> GeneratedInternet:
@@ -74,7 +76,8 @@ def test_interdomain_links_have_interfaces(small_net):
         link = topo.link(record.link_id)
         assert link.kind is LinkKind.INTERDOMAIN
         assert link.iface_a is not None and link.iface_b is not None
-        assert topo.operator_of_ip(record.far_ip) == record.far_asn
+        far_iface = topo.interface_by_ip(record.far_ip)
+        assert topo.pop(far_iface.pop_id).asn == record.far_asn
 
 
 def test_cloud_border_links_cloud_numbered(small_net):
@@ -118,7 +121,7 @@ def test_congestion_profiles_assigned(small_net):
     for asn in small_net.congested_asns:
         for record in topo.interdomain_between(small_net.cloud_asn, asn):
             profile = util.profile(record.link_id, 1)
-            congested_peaks.append(profile.peak_mean())
+            congested_peaks.append(peak_mean(profile))
     if congested_peaks:  # congested ASes without direct peering exist
         assert max(congested_peaks) > 0.9
         assert sum(p > 0.8 for p in congested_peaks) >= \

@@ -64,7 +64,7 @@ def test_catalog_lookup():
     city = catalog.get("Los Angeles, US")
     assert city.country == "US"
     assert city.utc_offset_hours == -8
-    assert catalog.by_name("Mumbai").country == "IN"
+    assert catalog.get("Mumbai, IN").country == "IN"
     assert "Las Vegas, US" in catalog
 
 

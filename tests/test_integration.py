@@ -93,7 +93,7 @@ def test_threshold_sweep_consistency(full_run):
 
 def test_billing_tracks_whole_run(full_run):
     scenario, _selection, _plan, _dataset = full_run
-    spend = scenario.clasp.platform.costs.spend_by_category()
+    spend = scenario.clasp.platform.costs.spend
     assert spend["vm_hours"] > 0
     assert spend["egress"] > 0
 
@@ -102,9 +102,7 @@ def test_differential_campaign_pairs(small_scenario):
     scenario = small_scenario
     clasp = scenario.clasp
     selection = clasp.select_differential_servers(
-        "europe-west1",
-        regions_for_study=list(scenario.differential_regions),
-        target_count=6)
+        "europe-west1", target_count=6)
     if not selection.selected:
         pytest.skip("no differential candidates at this scale")
     plan = clasp.deploy_differential("europe-west1", selection)

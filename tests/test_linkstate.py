@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.netsim.linkstate import LinkStateEvaluator
 from repro.netsim.topology import LinkKind
 
+from .traffic_profiles import evening_profile
+
 utils = st.floats(min_value=0.0, max_value=2.5)
 kinds = st.sampled_from(list(LinkKind))
 
@@ -115,14 +117,14 @@ def test_observe_reports_burst_loss(mini_world, seeds):
 
 
 def _memo_rig(mini_world, seeds):
-    from repro.netsim.traffic import DiurnalProfile, UtilizationModel
+    from repro.netsim.traffic import UtilizationModel
     from repro.simclock import CAMPAIGN_START
     model = UtilizationModel(seeds, CAMPAIGN_START)
     links = [mini_world.topology.link(lid)
              for lid in sorted(mini_world.links.values())]
     for index, link in enumerate(links):
         model.set_profile(link.link_id, index % 2,
-                          DiurnalProfile.congested_evening())
+                          evening_profile())
     return model, links, float(CAMPAIGN_START)
 
 

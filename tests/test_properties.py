@@ -130,7 +130,7 @@ def test_property_billing_monotone_under_added_egress():
             costs.charge_egress(float(rng.uniform(0, 5e9)), tier)
             assert costs.total_usd >= previous
             previous = costs.total_usd
-        by_category = costs.spend_by_category()
+        by_category = costs.spend
         assert by_category["egress"] == pytest.approx(costs.total_usd)
 
 

@@ -10,7 +10,7 @@ from repro.report.ascii import (
     render_series,
     sparkline,
 )
-from repro.report.figures import FigureSeries, figure_to_text
+from repro.report.figures import FigureSeries
 from repro.report.tables import TextTable, format_percent
 
 
@@ -93,20 +93,6 @@ def test_figure_series():
     with pytest.raises(ValueError):
         FigureSeries(label="bad", y=[1, 2], x=[0])
     assert FigureSeries(label="e", y=[]).summary() == {"n": 0}
-
-
-def test_figure_to_text_kinds():
-    series = [
-        FigureSeries(label="line", y=[1, 2, 3]),
-        FigureSeries(label="cdf", y=[-0.5, 0.0, 0.5], kind="cdf"),
-        FigureSeries(label="scatter", y=[10, 20, 30], kind="scatter"),
-        FigureSeries(label="bar", y=[1, 2], kind="bar"),
-    ]
-    text = figure_to_text("My Figure", series)
-    assert text.startswith("My Figure")
-    assert "line" in text and "cdf" in text and "scatter" in text
-    clipped = figure_to_text("F", series, max_series=2)
-    assert "2 more series" in clipped
 
 
 def test_table_add_rows_bulk():

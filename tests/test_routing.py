@@ -244,34 +244,3 @@ def test_border_memo_keeps_per_flow_ecmp(mini_world):
                              flow_id=flow_id)
         members.add(route.border_crossings[0].link_id)
     assert members == {mini_world.links["peer-aw"], link.link_id}
-
-
-def test_invalidate_caches_drops_border_memos(router, mini_world):
-    """A new border link (as ``add_cloud_wan`` adds) is seen after
-    ``invalidate_caches()`` by both the candidate and the tie memo."""
-    from repro.netsim.addressing import parse_ip
-    from repro.netsim.topology import LinkKind
-    topo = mini_world.topology
-    pops = mini_world.pops
-    _all_routes(router, mini_world)
-    # ISP Alpha opens a central PoP and peers with the cloud there.
-    central = topo.add_pop(400, topo.pop(pops["cloud-central"]).city_key,
-                           parse_ip("10.40.0.3"))
-    topo.add_link(LinkKind.BACKBONE, central.pop_id, pops["ispa-west"],
-                  400000.0, 10.0)
-    topo.add_link(LinkKind.BACKBONE, central.pop_id, pops["ispa-east"],
-                  400000.0, 10.0)
-    link = _add_peering(topo, pops["cloud-central"], central.pop_id,
-                        "10.100.8.21", "10.100.8.22")
-    router.invalidate_caches()
-    routes = _all_routes(router, mini_world)
-    for key, route in routes.items():
-        assert route == _fresh_route(mini_world, key), key
-    via_central = routes[(pops["cloud-central"], pops["ispa-east"],
-                          GraphMode.FULL, TierPolicy.HOT_POTATO,
-                          TierPolicy.HOT_POTATO)]
-    assert via_central.border_crossings[0].link_id == link.link_id
-    back = routes[(pops["ispa-east"], pops["cloud-central"],
-                   GraphMode.FULL, TierPolicy.HOT_POTATO,
-                   TierPolicy.COLD_POTATO)]
-    assert back.border_crossings[-1].link_id == link.link_id

@@ -2,6 +2,12 @@
 
 import pytest
 
+from repro.cloud.regions import (
+    PAPER_DIFFERENTIAL_REGIONS,
+    PAPER_TABLE1_REGIONS,
+    PAPER_US_REGIONS,
+)
+from repro.experiments import scenario as scenario_module
 from repro.experiments.scenario import (
     ScenarioConfig,
     apply_differential_story,
@@ -20,8 +26,8 @@ def test_scenario_structure(small_scenario):
     scenario = small_scenario
     assert scenario.catalog is scenario.clasp.catalog
     assert len(scenario.catalog) > 50
-    assert set(scenario.table1_regions) <= set(scenario.us_regions)
-    assert "europe-west1" in scenario.differential_regions
+    assert set(PAPER_TABLE1_REGIONS) <= set(PAPER_US_REGIONS)
+    assert "europe-west1" in PAPER_DIFFERENTIAL_REGIONS
 
 
 def test_stories_installed(small_scenario):
@@ -59,13 +65,12 @@ def test_scenario_without_stories():
     assert scenario.story_asns == {}
 
 
-def test_apply_differential_story(small_scenario):
+def test_apply_differential_story(small_scenario, monkeypatch):
+    monkeypatch.setattr(scenario_module, "LOSSY_TARGETS", 3)
     scenario = small_scenario
     selection = scenario.clasp.select_differential_servers(
-        "europe-west1",
-        regions_for_study=list(scenario.differential_regions),
-        target_count=8)
-    apply_differential_story(scenario, selection, lossy_targets=3)
+        "europe-west1", target_count=8)
+    apply_differential_story(scenario, selection)
     topo = scenario.internet.topology
     lossy_links = 0
     warm_links = 0

@@ -22,7 +22,7 @@ def topo_selection(small_scenario):
 def test_topology_selection_structure(small_scenario, topo_selection):
     selection = topo_selection
     assert selection.n_interdomain_links > 50
-    assert 0 < selection.n_links_traversed <= selection.n_servers_traced
+    assert 0 < selection.n_links_traversed <= len(selection.server_links)
     assert selection.selected
     assert len(selection.selected) <= selection.n_links_traversed
     # One server per interconnection; ids unique.
@@ -137,9 +137,7 @@ def test_classify_thresholds(small_scenario):
 def test_differential_selection_end_to_end(small_scenario):
     scenario = small_scenario
     selection = scenario.clasp.select_differential_servers(
-        "europe-west1",
-        regions_for_study=list(scenario.differential_regions),
-        target_count=10)
+        "europe-west1", target_count=10)
     assert selection.candidates
     assert 1 <= len(selection.selected) <= 10
     # One server per <city, AS> tuple.
@@ -149,12 +147,18 @@ def test_differential_selection_end_to_end(small_scenario):
     for server, candidate in selection.selected:
         assert scenario.clasp.prefix2as.lookup(server.ip) == candidate.asn
         assert server.city_key == candidate.city_key
-    by_class = selection.by_class()
-    assert sum(len(v) for v in by_class.values()) == \
-        len(selection.selected)
-    sid = selection.selected[0][0].server_id
-    assert selection.latency_class_of(sid) is not None
-    assert selection.latency_class_of("nope") is None
+        assert candidate.latency_class is not None
+
+
+def test_differential_selection_cached_per_target_count(small_scenario):
+    """A second target count selects afresh; a repeat is the cache."""
+    clasp = small_scenario.clasp
+    two = clasp.select_differential_servers("us-central1", target_count=2)
+    six = clasp.select_differential_servers("us-central1", target_count=6)
+    assert len(two.selected) == 2
+    assert len(six.selected) == 6
+    assert clasp.select_differential_servers(
+        "us-central1", target_count=2) is two
 
 
 def test_differential_selection_validation(small_scenario):

@@ -51,6 +51,8 @@ from repro.simclock import CAMPAIGN_START, is_weekend
 from repro.speedtest import protocol
 from repro.units import DAY, HOUR
 
+from .traffic_profiles import daytime_profile, evening_profile
+
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden"
                      / "digests.json").read_text(encoding="utf-8"))
 
@@ -404,8 +406,8 @@ def test_batch_residual_matches_scalar():
 
 @pytest.mark.parametrize("profile", [
     DiurnalProfile.quiet(),
-    DiurnalProfile.congested_evening(utc_offset_hours=-8.0),
-    DiurnalProfile.congested_daytime(utc_offset_hours=5.5),
+    evening_profile(utc_offset_hours=-8.0),
+    daytime_profile(utc_offset_hours=5.5),
 ])
 def test_batch_mean_utilization_matches_scalar(profile):
     """The grid twin with one profile on every element."""
@@ -434,8 +436,8 @@ def test_batch_mean_utilization_matches_scalar(profile):
 
 def _mixed_profiles():
     return (DiurnalProfile.quiet(),
-            DiurnalProfile.congested_evening(utc_offset_hours=-8.0),
-            DiurnalProfile.congested_daytime(utc_offset_hours=5.5),
+            evening_profile(utc_offset_hours=-8.0),
+            daytime_profile(utc_offset_hours=5.5),
             DiurnalProfile(base=0.3, bumps=()))  # bumpless: all padding
 
 

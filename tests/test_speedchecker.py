@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cloud.regions import PAPER_DIFFERENTIAL_REGIONS
 from repro.cloud.tiers import NetworkTier
 from repro.simclock import CAMPAIGN_START
 from repro.tools.speedchecker import MAX_VPS
@@ -9,8 +10,7 @@ from repro.tools.speedchecker import MAX_VPS
 
 @pytest.fixture(scope="module")
 def medians(small_scenario):
-    return small_scenario.clasp.speedchecker_medians(
-        list(small_scenario.differential_regions))
+    return small_scenario.clasp.speedchecker_medians()
 
 
 def test_vantage_points(small_scenario):
@@ -28,7 +28,7 @@ def test_vantage_points(small_scenario):
 def test_medians_structure(small_scenario, medians):
     assert medians
     regions = {m.region for m in medians}
-    assert regions == set(small_scenario.differential_regions)
+    assert regions == set(PAPER_DIFFERENTIAL_REGIONS)
     for m in medians[:50]:
         assert m.tier in (NetworkTier.PREMIUM, NetworkTier.STANDARD)
         assert m.median_rtt_ms > 0

@@ -78,8 +78,6 @@ def test_catalog_lookups(world):
     _net, catalog = world
     server = next(iter(catalog))
     assert catalog.get(server.server_id) is server
-    assert catalog.by_ip(server.ip) is server
-    assert catalog.by_ip(1) is None
     with pytest.raises(ConfigError):
         catalog.get("nope-00000")
 

@@ -34,10 +34,8 @@ def test_unknown_lookups_raise(mini_world):
 
 def test_relationships(mini_world):
     topo = mini_world.topology
-    assert topo.is_peer(100, 400)
-    assert topo.is_customer(100, 200)
-    assert not topo.is_customer(200, 100)
-    assert topo.is_customer(500, 300)
+    assert 200 in topo.providers_of(100)
+    assert 100 not in topo.providers_of(200)
     assert topo.providers_of(500) == {300}
     assert topo.customers_of(200) == {100, 300}
     assert topo.peers_of(100) == {400}
@@ -65,8 +63,9 @@ def test_interface_and_operator(mini_world):
     iface = topo.interface_by_ip(far_ip)
     assert iface is not None
     assert iface.address_asn == 100
-    assert topo.operator_of_ip(far_ip) == 400
-    assert topo.operator_of_ip(parse_ip("203.0.113.1")) is None
+    # ...but the router it sits on is operated by ISP Alpha.
+    assert topo.pop(iface.pop_id).asn == 400
+    assert topo.interface_by_ip(parse_ip("203.0.113.1")) is None
 
 
 def test_aliases(mini_world):

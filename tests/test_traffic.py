@@ -14,6 +14,8 @@ from repro.rng import SeedTree
 from repro.simclock import CAMPAIGN_START
 from repro.units import DAY, HOUR
 
+from .traffic_profiles import evening_profile, peak_mean
+
 
 def test_bump_validation():
     with pytest.raises(ValueError):
@@ -54,13 +56,13 @@ def test_profile_validation():
 
 
 def test_profile_mean_utilization_peaks_at_bump():
-    profile = DiurnalProfile.congested_evening(utc_offset_hours=0.0)
+    profile = evening_profile(utc_offset_hours=0.0)
     # 21:00 local on a weekday (2020-05-04 was a Monday).
     monday = CAMPAIGN_START + 3 * DAY
     at_peak = profile.mean_utilization(monday + 21 * HOUR)
     at_trough = profile.mean_utilization(monday + 4 * HOUR)
     assert at_peak > at_trough
-    assert at_peak == pytest.approx(profile.peak_mean(), rel=0.05)
+    assert at_peak == pytest.approx(peak_mean(profile), rel=0.05)
 
 
 def test_profile_weekend_factor():
@@ -72,8 +74,8 @@ def test_profile_weekend_factor():
 
 
 def test_profile_timezone_shift():
-    profile_utc = DiurnalProfile.congested_evening(utc_offset_hours=0.0)
-    profile_pst = DiurnalProfile.congested_evening(utc_offset_hours=-8.0)
+    profile_utc = evening_profile(utc_offset_hours=0.0)
+    profile_pst = evening_profile(utc_offset_hours=-8.0)
     ts = CAMPAIGN_START + 3 * DAY + 21 * HOUR  # 21:00 UTC
     # For the PST link, 21:00 UTC is 13:00 local - off the evening peak.
     assert profile_utc.mean_utilization(ts) > \

