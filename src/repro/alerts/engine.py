@@ -17,6 +17,7 @@ registry, and these handler methods in sync.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -254,8 +255,38 @@ def _aggregate(values: np.ndarray, agg: str) -> float:
         return float(values.min())
     if agg == "max":
         return float(values.max())
-    quantile = {"p50": 50.0, "p90": 90.0, "p99": 99.0}[agg]
-    return float(np.percentile(values, quantile))
+    return _percentile(values, {"p50": 0.50, "p90": 0.90, "p99": 0.99}[agg])
+
+
+def _percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values, 100 * q)`` from two order statistics.
+
+    One ``np.partition`` instead of numpy's general quantile machinery,
+    with numpy's own "linear" arithmetic so the result is bit for bit
+    the same: the virtual index ``(n - 1) * q``, both neighbours clamped
+    to the last element at the top (where numpy's weight becomes
+    ``virtual + 1``), and its ``_lerp``, which interpolates down from the
+    upper neighbour when the weight is at least one half.  A NaN
+    anywhere gives NaN, as in numpy.
+    """
+    n = values.size
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        lower = upper = n - 1
+        weight = virtual + 1.0
+    else:
+        lower = math.floor(virtual)
+        upper = lower + 1
+        weight = virtual - lower
+    ranked = np.partition(values, sorted({lower, upper, n - 1}))
+    if np.isnan(ranked[-1]):
+        return float("nan")
+    below = ranked[lower]
+    above = ranked[upper]
+    diff = above - below
+    if weight >= 0.5:
+        return float(above - diff * (1.0 - weight))
+    return float(below + diff * weight)
 
 
 def _compare(value: float, op: str, bound: float) -> bool:

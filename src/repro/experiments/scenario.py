@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 
+from .. import obs
 from ..cloud.fleet import CloudFleet
 from ..cloud.providers import get_provider
 from ..core.clasp import Clasp
@@ -232,48 +233,49 @@ def build_scenario(seed: int = 7, scale: float = 1.0,
     and every GCP-only digest are unchanged); each fleet member's
     platform shares the one simulated Internet.
     """
-    config = ScenarioConfig(seed=seed, scale=scale, stories=stories,
-                            faults=faults,
-                            provider=provider, providers=tuple(providers))
-    seeds = SeedTree(seed)
-    gen = TopologyGenerator(_scaled_generator_config(scale),
-                            seeds.child("net"))
-    net = gen.generate()
-    story_asns: Dict[str, int] = {}
-    ensure: Dict[int, int] = {}
-    if stories:
-        story_asns = _install_stories(gen, net)
-        ensure = {asn: 3 if label == "cox" else 1
-                  for label, asn in story_asns.items()
-                  if label != "cogitant"}
-    catalog = build_catalog(net, _scaled_catalog_config(scale),
-                            seeds.child("catalog"), ensure_asns=ensure)
+    with obs.span("scenario.build"):
+        config = ScenarioConfig(seed=seed, scale=scale, stories=stories,
+                                faults=faults,
+                                provider=provider, providers=tuple(providers))
+        seeds = SeedTree(seed)
+        gen = TopologyGenerator(_scaled_generator_config(scale),
+                                seeds.child("net"))
+        net = gen.generate()
+        story_asns: Dict[str, int] = {}
+        ensure: Dict[int, int] = {}
+        if stories:
+            story_asns = _install_stories(gen, net)
+            ensure = {asn: 3 if label == "cox" else 1
+                      for label, asn in story_asns.items()
+                      if label != "cogitant"}
+        catalog = build_catalog(net, _scaled_catalog_config(scale),
+                                seeds.child("catalog"), ensure_asns=ensure)
 
-    # Grow non-native WANs *after* the catalogs: provider WANs join no
-    # edge-AS list, so server populations are identical either way, and
-    # a gcp-only scenario draws zero extra RNG values here.
-    wan_asns: Dict[str, int] = {}
-    for name in config.fleet_providers:
-        prov = get_provider(name)
-        if prov.wan is None:
-            wan_asns[name] = net.cloud_asn
-            continue
-        wan = prov.wan
-        as_obj = gen.add_cloud_wan(
-            net, wan.as_name, wan.city_keys, asn=wan.asn,
-            backbone_gbps=wan.backbone_gbps, n_transits=wan.n_transits)
-        wan_asns[name] = as_obj.asn
+        # Grow non-native WANs *after* the catalogs: provider WANs join no
+        # edge-AS list, so server populations are identical either way, and
+        # a gcp-only scenario draws zero extra RNG values here.
+        wan_asns: Dict[str, int] = {}
+        for name in config.fleet_providers:
+            prov = get_provider(name)
+            if prov.wan is None:
+                wan_asns[name] = net.cloud_asn
+                continue
+            wan = prov.wan
+            as_obj = gen.add_cloud_wan(
+                net, wan.as_name, wan.city_keys, asn=wan.asn,
+                backbone_gbps=wan.backbone_gbps, n_transits=wan.n_transits)
+            wan_asns[name] = as_obj.asn
 
-    clasp = Clasp.build(net, catalog, seeds.child("clasp"),
-                        fault_plan=faults,
-                        provider=provider,
-                        cloud_asn=wan_asns[provider])
-    fleet = CloudFleet.build(
-        net, config.fleet_providers, cloud_asns=wan_asns,
-        platforms={provider: clasp.platform})
-    return Scenario(config=config, seeds=seeds, internet=net,
-                    catalog=catalog, clasp=clasp, story_asns=story_asns,
-                    fleet=fleet, wan_asns=wan_asns)
+        clasp = Clasp.build(net, catalog, seeds.child("clasp"),
+                            fault_plan=faults,
+                            provider=provider,
+                            cloud_asn=wan_asns[provider])
+        fleet = CloudFleet.build(
+            net, config.fleet_providers, cloud_asns=wan_asns,
+            platforms={provider: clasp.platform})
+        return Scenario(config=config, seeds=seeds, internet=net,
+                        catalog=catalog, clasp=clasp, story_asns=story_asns,
+                        fleet=fleet, wan_asns=wan_asns)
 
 
 #: Differential targets whose peering runs at or above capacity around

@@ -215,6 +215,9 @@ class TopologyGenerator:
         self._pool = PrefixAllocator(Prefix.parse("10.0.0.0/8"))
         self._wide_pool = PrefixAllocator(Prefix.parse("100.64.0.0/10"))
         self._infra_allocators: Dict[int, PrefixAllocator] = {}
+        #: (provider ASN, city key) -> km from the city to the
+        #: provider's nearest router PoP (see :meth:`_km_to_provider`).
+        self._provider_km: Dict[Tuple[int, str], float] = {}
 
     # ------------------------------------------------------------------
     # public entry point
@@ -289,17 +292,10 @@ class TopologyGenerator:
             # Each transit buys from 2 tier-1s, preferring tier-1s with
             # a presence in its own region (so the interconnects stay
             # local instead of hauling traffic across oceans).
-            home = topo.pops_of_as(as_obj.asn)[0]
-            home_city = self.cities.get(home.city_key)
-
-            def t1_distance(t1: AS) -> float:
-                pops = [p for p in topo.pops_of_as(t1.asn)
-                        if not p.is_host]
-                return min(self.cities.get(p.city_key).point
-                           .distance_km(home_city.point) for p in pops)
-
-            t1_weights = np.array([1.0 / (300.0 + t1_distance(t)) ** 2
-                                   for t in tier1s])
+            home_city = topo.cities[topo.pops_of_as(as_obj.asn)[0].city_key]
+            t1_weights = np.array([
+                1.0 / (300.0 + self._km_to_provider(topo, t, home_city)) ** 2
+                for t in tier1s])
             t1_weights = t1_weights / t1_weights.sum()
             for provider in self._rng.choice(len(tier1s), size=2,
                                              replace=False, p=t1_weights):
@@ -502,8 +498,6 @@ class TopologyGenerator:
         pops = [p for p in topo.pops_of_as(as_obj.asn) if not p.is_host]
         if len(pops) < 2:
             return
-        connected = [pops[0]]
-        remaining = pops[1:]
         edges: Set[Tuple[int, int]] = set()
 
         def link_pops(a: PoP, b: PoP) -> None:
@@ -523,21 +517,27 @@ class TopologyGenerator:
                                            noise_sigma=NOISE_SIGMA)
             util.set_profile_both(link.link_id, profile)
 
+        # Prim's algorithm: each remaining PoP keeps its nearest
+        # connected PoP (strict < keeps the earliest-connected one on
+        # ties), and the first remaining PoP with the strictly smallest
+        # distance joins next.  That is the pair an all-pairs scan in
+        # (remaining, connected) order picks, so the link order and
+        # every RNG draw match it, for n(n-1)/2 distances instead of
+        # O(n^3).
+        points = [topo.cities[p.city_key].point for p in pops]
+        nearest = [0] * len(pops)
+        nearest_km = [0.0] + [points[r].distance_km(points[0])
+                              for r in range(1, len(pops))]
+        remaining = list(range(1, len(pops)))
         while remaining:
-            best = None
-            best_d = float("inf")
+            joined = min(remaining, key=nearest_km.__getitem__)
+            remaining.remove(joined)
+            link_pops(pops[joined], pops[nearest[joined]])
             for r in remaining:
-                for c in connected:
-                    d = topo.cities[r.city_key].point.distance_km(
-                        topo.cities[c.city_key].point)
-                    if d < best_d:
-                        best_d = d
-                        best = (r, c)
-            assert best is not None
-            r, c = best
-            link_pops(r, c)
-            connected.append(r)
-            remaining.remove(r)
+                d = points[r].distance_km(points[joined])
+                if d < nearest_km[r]:
+                    nearest_km[r] = d
+                    nearest[r] = joined
 
         # chords for redundancy / shorter intra-AS paths
         if mesh_degree > 1 and len(pops) > 3:
@@ -574,17 +574,15 @@ class TopologyGenerator:
         for pa in pops_a:
             if pa.pop_id in used_a:
                 continue
-            nearest = min(pops_b, key=lambda pb: topo.cities[pa.city_key]
-                          .point.distance_km(topo.cities[pb.city_key].point))
-            d = topo.cities[pa.city_key].point.distance_km(
-                topo.cities[nearest.city_key].point)
-            scored.append((d, pa, nearest))
+            point_a = topo.cities[pa.city_key].point
+            km = [point_a.distance_km(topo.cities[pb.city_key].point)
+                  for pb in pops_b]
+            d = min(km)
+            scored.append((d, pa, pops_b[km.index(d)]))
         scored.sort(key=lambda t: (t[0], t[1].pop_id))
         for _d, pa, pb in scored[:max(0, k - len(pairs))]:
             pairs.append((pa, pb))
-        return pairs if pairs else [(pops_a[0], min(
-            pops_b, key=lambda pb: topo.cities[pops_a[0].city_key].point
-            .distance_km(topo.cities[pb.city_key].point)))]
+        return pairs
 
     def _connect_interdomain(self, topo: Topology, util: UtilizationModel,
                              a: AS, b: AS, kind: RelationshipKind,
@@ -834,13 +832,10 @@ class TopologyGenerator:
         rides) as under-provisioned - how a congested ISP without
         direct cloud peering expresses its congestion.
         """
-        home = topo.pops_of_as(customer.asn)[0]
-        home_city = topo.cities[home.city_key]
+        home_city = topo.cities[topo.pops_of_as(customer.asn)[0].city_key]
 
         def distance_to(provider: AS) -> float:
-            pops = [p for p in topo.pops_of_as(provider.asn) if not p.is_host]
-            return min(topo.cities[p.city_key].point.distance_km(home_city.point)
-                       for p in pops)
+            return self._km_to_provider(topo, provider, home_city)
 
         ranked = sorted(transits, key=distance_to)[:6]
         if not ranked:
@@ -868,6 +863,22 @@ class TopologyGenerator:
                 congested_upstream=congested_upstream,
                 congest_draw=congest_draw,
                 congested_direction=0)
+
+    def _km_to_provider(self, topo: Topology, provider: AS,
+                        city: City) -> float:
+        """Great-circle km from *city* to *provider*'s nearest router PoP.
+
+        Memoized per (provider ASN, city key) for the generator's
+        lifetime: an AS gains router PoPs only when it is placed, which
+        is before any AS buys transit from it.
+        """
+        key = (provider.asn, city.key)
+        km = self._provider_km.get(key)
+        if km is None:
+            km = min(topo.cities[p.city_key].point.distance_km(city.point)
+                     for p in topo.pops_of_as(provider.asn) if not p.is_host)
+            self._provider_km[key] = km
+        return km
 
     def _peer_with_cloud(self, topo: Topology, util: UtilizationModel,
                          cloud: AS, edge: AS, is_big: bool,

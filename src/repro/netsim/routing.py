@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import NoRouteError, RoutingError, TopologyError
 from ..rng import stable_hash64
+from .asn import RelationshipKind
 from .topology import InterdomainLink, Link, LinkKind, Topology
 
 __all__ = ["GraphMode", "TierPolicy", "Route", "Router"]
@@ -133,10 +134,21 @@ class Router:
         providers: Dict[int, Set[int]] = {asn: set() for asn in topo.ases}
         customers: Dict[int, Set[int]] = {asn: set() for asn in topo.ases}
         peers: Dict[int, Set[int]] = {asn: set() for asn in topo.ases}
-        for asn in topo.ases:
-            providers[asn] = set(topo.providers_of(asn))
-            customers[asn] = set(topo.customers_of(asn))
-            peers[asn] = set(topo.peers_of(asn))
+        for (a, b), kind in topo.relationships():
+            if kind is RelationshipKind.PEER_TO_PEER:
+                peers[a].add(b)
+                peers[b].add(a)
+            else:
+                providers[a].add(b)
+                customers[b].add(a)
+        # Each set was filled in relationship order, as
+        # Topology.providers_of/customers_of/peers_of fill theirs; one
+        # copy then lays it out slot for slot like a copy of the
+        # per-AS query, so set iteration order (the RIB tie-breaks)
+        # does not depend on how the sets were built.
+        providers = {asn: set(s) for asn, s in providers.items()}
+        customers = {asn: set(s) for asn, s in customers.items()}
+        peers = {asn: set(s) for asn, s in peers.items()}
         if mode is GraphMode.STANDARD and self._cloud_asn is not None:
             cloud = self._cloud_asn
             # Drop the cloud's settlement-free peering edge entirely: in

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, ItemsView, List, Optional, Set, Tuple
 
 from ..errors import TopologyError
 from ..geo import City
@@ -323,6 +323,14 @@ class Topology:
             elif b == asn:
                 out.add(a)
         return out
+
+    def relationships(self) -> ItemsView[Tuple[int, int], RelationshipKind]:
+        """Every relationship in insertion order.
+
+        Keys are ``(customer, provider)`` for customer-to-provider and
+        ``(low ASN, high ASN)`` for peer-to-peer relationships.
+        """
+        return self._relationships.items()
 
     def providers_of(self, asn: int) -> Set[int]:
         return {b for (a, b), k in self._relationships.items()

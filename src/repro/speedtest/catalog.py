@@ -15,7 +15,7 @@ profile (the server is shared with other testers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,17 +117,22 @@ def build_catalog(internet: GeneratedInternet,
         ASType.BUSINESS: list(internet.business_asns),
     }
 
+    types = list(AS_TYPE_WEIGHTS.keys())
+    type_weights = np.array([AS_TYPE_WEIGHTS[t] for t in types])
+    type_weights = type_weights / type_weights.sum()
+    #: (AS type, in the U.S.) -> candidate ASNs; deploying a server
+    #: changes no AS's country, so each list is computed once.
+    candidates_of: Dict[Tuple[ASType, bool], List[int]] = {
+        (as_type, country_us): [
+            asn for asn in by_type[as_type]
+            if (topo.as_of(asn).country == "US") == country_us]
+        for as_type in types for country_us in (True, False)}
+
     def pick_as(country_us: bool) -> Optional[int]:
         """Sample a hosting AS of the configured type mix and country."""
-        types = list(AS_TYPE_WEIGHTS.keys())
-        weights = np.array([AS_TYPE_WEIGHTS[t] for t in types])
-        weights = weights / weights.sum()
         for _attempt in range(24):
-            as_type = types[int(rng.choice(len(types), p=weights))]
-            candidates = [
-                asn for asn in by_type[as_type]
-                if (topo.as_of(asn).country == "US") == country_us
-            ]
+            as_type = types[int(rng.choice(len(types), p=type_weights))]
+            candidates = candidates_of[(as_type, country_us)]
             if candidates:
                 return int(candidates[int(rng.integers(len(candidates)))])
         return None

@@ -18,6 +18,7 @@ import dataclasses
 import json
 from typing import ClassVar
 
+import numpy as np
 import pytest
 
 from repro.alerts import (RULE_KINDS, AbsenceRule, AlertRule, BurnRateRule,
@@ -26,6 +27,7 @@ from repro.alerts import (RULE_KINDS, AbsenceRule, AlertRule, BurnRateRule,
                           concat_datasets, default_rules, load_rules,
                           notifications_to_jsonlines, parse_rule,
                           parse_rules)
+from repro.alerts.engine import _aggregate
 from repro.cloud.tiers import NetworkTier
 from repro.core.campaign import CampaignDataset
 from repro.core.congestion import CongestionEvent, detect
@@ -681,3 +683,17 @@ def test_dashboard_renders_alerts_panel():
     assert "stale" in text
     empty = render_dashboard(merged, notifications=[])
     assert "no alert transitions" in empty
+
+
+@pytest.mark.parametrize("agg,pct", [("p50", 50.0), ("p90", 90.0),
+                                     ("p99", 99.0)])
+def test_quantile_aggregate_is_bit_identical_to_numpy(agg, pct):
+    draw = np.random.default_rng(2026)
+    for n in range(1, 501):
+        for values in (draw.normal(50.0, 20.0, n),
+                       # heavy ties: few distinct values
+                       draw.integers(0, 4, n).astype(float),
+                       np.round(draw.exponential(3.0, n), 1)):
+            want = np.float64(np.percentile(values, pct))
+            got = np.float64(_aggregate(values, agg))
+            assert got.tobytes() == want.tobytes(), (n, values)

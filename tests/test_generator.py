@@ -1,15 +1,21 @@
 """Synthetic Internet generator invariants."""
 
+import numpy as np
 import pytest
 
-from repro.netsim.asn import ASType
+from repro.geo import coords
+from repro.geo.cities import City
+from repro.geo.coords import GeoPoint
+from repro.netsim import generator as generator_module
+from repro.netsim.asn import AS, ASType
 from repro.netsim.generator import (
     GeneratedInternet,
     GeneratorConfig,
     TopologyGenerator,
 )
 from repro.netsim.routing import GraphMode, Router
-from repro.netsim.topology import LinkKind
+from repro.netsim.topology import LinkKind, Topology
+from repro.netsim.traffic import UtilizationModel
 from repro.rng import SeedTree
 
 from .traffic_profiles import peak_mean
@@ -68,6 +74,99 @@ def test_backbones_connected(small_net):
         for pop in pops[1:]:
             assert pop.pop_id in table, \
                 f"AS{asn} PoP {pop.pop_id} unreachable on its backbone"
+
+
+def _greedy_tree(topo, pops):
+    """Oracle: the all-pairs greedy scan that built backbone trees
+    before Prim's algorithm, as (joined PoP id, nearest PoP id) pairs."""
+    connected = [pops[0]]
+    remaining = list(pops[1:])
+    edges = []
+    while remaining:
+        best = None
+        best_d = float("inf")
+        for r in remaining:
+            for c in connected:
+                d = topo.cities[r.city_key].point.distance_km(
+                    topo.cities[c.city_key].point)
+                if d < best_d:
+                    best_d = d
+                    best = (r, c)
+        r, c = best
+        edges.append((r.pop_id, c.pop_id))
+        connected.append(r)
+        remaining.remove(r)
+    return edges
+
+
+def _grid_as(points):
+    """One AS with a PoP at each (lat, lon), one synthetic city each."""
+    topo = Topology()
+    as_obj = topo.add_as(AS(asn=64500, name="Grid", as_type=ASType.TRANSIT))
+    for i, (lat, lon) in enumerate(points):
+        city = City(name=f"grid-{i}", country="US", region="us-west",
+                    point=GeoPoint(lat, lon), utc_offset_hours=0.0)
+        topo.add_city(city)
+        topo.add_pop(as_obj.asn, city.key, loopback_ip=i + 1)
+    return topo, as_obj
+
+
+def _build_tree(topo, as_obj, seed=0):
+    gen = TopologyGenerator(seeds=SeedTree(seed))
+    util = UtilizationModel(SeedTree(seed), origin_ts=0.0)
+    gen._build_backbone(topo, util, as_obj, (10.0, 60.0), mesh_degree=1,
+                        base_range=(0.2, 0.4))
+    return [(link.pop_a, link.pop_b) for link in topo.links.values()]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_backbone_tree_matches_greedy_oracle_on_ties(seed):
+    # Points on a coarse integer grid: duplicates are co-located PoPs
+    # (zero distance) and the lattice makes many exactly equidistant
+    # pairs, so every tie rule is exercised.
+    draw = np.random.default_rng(seed)
+    n = int(draw.integers(2, 16))
+    points = [(float(lat), float(lon))
+              for lat, lon in draw.integers(-2, 3, size=(n, 2))]
+    topo, as_obj = _grid_as(points)
+    edges = _build_tree(topo, as_obj, seed)
+    assert edges == _greedy_tree(topo, topo.pops_of_as(as_obj.asn))
+
+
+def test_backbone_trees_match_greedy_oracle_in_generated_world(small_net):
+    topo = small_net.topology
+    checked = 0
+    for asn in topo.ases:
+        pops = [p for p in topo.pops_of_as(asn) if not p.is_host]
+        if len(pops) < 2:
+            continue
+        # The tree's links are the AS's first len(pops) - 1 backbone
+        # links; chords come after them.
+        backbone = [(link.pop_a, link.pop_b)
+                    for link in topo.links.values()
+                    if link.kind is LinkKind.BACKBONE
+                    and topo.pop(link.pop_a).asn == asn]
+        assert backbone[:len(pops) - 1] == _greedy_tree(topo, pops)
+        checked += 1
+    assert checked > 10
+
+
+def test_backbone_tree_distance_calls_are_quadratic(monkeypatch):
+    calls = []
+    haversine = coords.haversine_km
+
+    def counting(a, b):
+        calls.append(1)
+        return haversine(a, b)
+
+    monkeypatch.setattr(coords, "haversine_km", counting)
+    # Link delays are not part of the tree search.
+    monkeypatch.setattr(generator_module, "propagation_delay_ms",
+                        lambda a, b: 1.0)
+    n = 12
+    topo, as_obj = _grid_as([(3.0 * i, 2.0 * (i % 5)) for i in range(n)])
+    assert len(_build_tree(topo, as_obj)) == n - 1
+    assert 0 < len(calls) <= n * (n - 1) // 2
 
 
 def test_interdomain_links_have_interfaces(small_net):

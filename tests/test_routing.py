@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import NoRouteError, RoutingError
+from repro.netsim.asn import AS, ASRelationship, ASType, RelationshipKind
 from repro.netsim.routing import GraphMode, Router, TierPolicy
+from repro.netsim.topology import Topology
 
 
 @pytest.fixture()
@@ -244,3 +246,61 @@ def test_border_memo_keeps_per_flow_ecmp(mini_world):
                              flow_id=flow_id)
         members.add(route.border_crossings[0].link_id)
     assert members == {mini_world.links["peer-aw"], link.link_id}
+
+
+def _adjacency_oracle(topo, cloud_asn, mode):
+    """Per-AS Topology queries, copied and pruned as the adjacency
+    was built before the one-pass fill."""
+    adj = {"providers": {}, "customers": {}, "peers": {}}
+    for asn in topo.ases:
+        adj["providers"][asn] = set(topo.providers_of(asn))
+        adj["customers"][asn] = set(topo.customers_of(asn))
+        adj["peers"][asn] = set(topo.peers_of(asn))
+    if mode is GraphMode.STANDARD:
+        for peer in adj["peers"][cloud_asn]:
+            adj["peers"][peer].discard(cloud_asn)
+        adj["peers"][cloud_asn] = set()
+        for cust in adj["customers"][cloud_asn]:
+            adj["providers"][cust].discard(cloud_asn)
+        adj["customers"][cloud_asn] = set()
+    return adj
+
+
+def _reordering_world():
+    """A cloud whose peer set iterates differently once copied.
+
+    Filled in this order, {110, 120, 3, 100, 7} lays out as
+    [3, 100, 7, 110, 120], and its copy as [3, 100, 7, 120, 110].
+    """
+    topo = Topology()
+    for asn in (1000, 110, 120, 3, 100, 7):
+        topo.add_as(AS(asn=asn, name=f"AS{asn}", as_type=ASType.ACCESS_ISP))
+    for asn in (110, 120, 3, 100, 7):
+        topo.add_relationship(
+            ASRelationship(1000, asn, RelationshipKind.PEER_TO_PEER))
+    topo.add_relationship(
+        ASRelationship(110, 120, RelationshipKind.CUSTOMER_TO_PROVIDER))
+    return topo, 1000
+
+
+@pytest.mark.parametrize("world", ["mini", "reordering", "small"])
+def test_adjacency_matches_per_as_queries_in_order(world, mini_world,
+                                                   small_scenario):
+    if world == "mini":
+        topo, cloud = mini_world.topology, mini_world.cloud_asn
+    elif world == "reordering":
+        topo, cloud = _reordering_world()
+        peers = topo.peers_of(cloud)
+        assert list(set(peers)) != list(peers)
+    else:
+        topo = small_scenario.internet.topology
+        cloud = small_scenario.internet.cloud_asn
+    router = Router(topo, cloud_asn=cloud)
+    for mode in GraphMode:
+        want = _adjacency_oracle(topo, cloud, mode)
+        got = router._adjacency(mode)
+        for kind in ("providers", "customers", "peers"):
+            assert list(got[kind]) == list(want[kind])
+            for asn, expected in want[kind].items():
+                assert list(got[kind][asn]) == list(expected), (
+                    kind, mode, asn)

@@ -65,11 +65,23 @@ def test_scenario_without_stories():
     assert scenario.story_asns == {}
 
 
+def _link_state(scenario):
+    """Every link's capacity, burst loss and both directions' profiles."""
+    util = scenario.internet.utilization
+    return {link_id: (link.capacity_mbps, link.burst_loss,
+                      util.profile(link_id, 0), util.profile(link_id, 1))
+            for link_id, link in scenario.internet.topology.links.items()}
+
+
 def test_apply_differential_story(small_scenario, monkeypatch):
+    # The story rewrites links, so it runs on a world of its own: the
+    # session-scoped small_scenario (same seed and scale, so the same
+    # servers and links) only supplies the selection.
     monkeypatch.setattr(scenario_module, "LOSSY_TARGETS", 3)
-    scenario = small_scenario
-    selection = scenario.clasp.select_differential_servers(
+    before = _link_state(small_scenario)
+    selection = small_scenario.clasp.select_differential_servers(
         "europe-west1", target_count=8)
+    scenario = build_scenario(seed=11, scale=0.08)
     apply_differential_story(scenario, selection)
     topo = scenario.internet.topology
     lossy_links = 0
@@ -85,3 +97,5 @@ def test_apply_differential_story(small_scenario, monkeypatch):
                 lossy_links += 1
     assert warm_links > 0
     assert lossy_links > 0
+    after = _link_state(small_scenario)
+    assert {link_id: after[link_id] for link_id in before} == before
