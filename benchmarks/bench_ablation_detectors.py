@@ -20,9 +20,9 @@ DETECTORS = (VariabilityDetector(), AutocorrelationDetector(),
              HmmDetector())
 
 
-def _evaluate(cache, max_pairs=40):
-    dataset = cache.topology_dataset()
-    scenario = cache.scenario
+def _evaluate(pipeline, max_pairs=40):
+    dataset = pipeline.topology_dataset()
+    scenario = pipeline.scenario
     rows = {d.name: [] for d in DETECTORS}
     evaluated = 0
     for pair in dataset.pairs():
@@ -40,8 +40,8 @@ def _evaluate(cache, max_pairs=40):
     return evaluated, rows
 
 
-def test_ablation_detectors(benchmark, cache, emit):
-    evaluated, rows = benchmark.pedantic(_evaluate, args=(cache,),
+def test_ablation_detectors(benchmark, pipeline, emit):
+    evaluated, rows = benchmark.pedantic(_evaluate, args=(pipeline,),
                                          rounds=1, iterations=1)
     assert evaluated > 0, "no saturated pairs to score against"
 

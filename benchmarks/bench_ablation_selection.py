@@ -17,8 +17,8 @@ def _coverage(selection, server_ids):
     return selection.links_covered_by(server_ids)
 
 
-def _evaluate(cache, region="us-west1"):
-    selection = cache.topology_selection(region)
+def _evaluate(pipeline, region="us-west1"):
+    selection = pipeline.topology_selection(region)
     budget = min(len(selection.selected), 34)  # two VMs' worth
     topo_ids = selection.selected_ids(budget=budget)
 
@@ -45,8 +45,8 @@ def _evaluate(cache, region="us-west1"):
     }
 
 
-def test_ablation_selection(benchmark, cache, emit):
-    result = benchmark.pedantic(_evaluate, args=(cache,),
+def test_ablation_selection(benchmark, pipeline, emit):
+    result = benchmark.pedantic(_evaluate, args=(pipeline,),
                                 rounds=1, iterations=1)
     table = TextTable(
         ["strategy", "servers", "links covered", "coverage"],

@@ -7,16 +7,14 @@ congested-server *set* is stable around the elbow (the design choice
 is robust, not a knife's edge).
 """
 
-import numpy as np
-
 from repro.core.congestion import detect
 from repro.report.tables import TextTable, format_percent
 
 THRESHOLDS = (0.3, 0.4, 0.5, 0.6, 0.7)
 
 
-def _evaluate(cache):
-    dataset = cache.topology_dataset()
+def _evaluate(pipeline):
+    dataset = pipeline.topology_dataset()
     out = {}
     for h in THRESHOLDS:
         report = detect(dataset, threshold=h)
@@ -32,8 +30,8 @@ def _jaccard(a, b):
     return len(a & b) / len(a | b)
 
 
-def test_ablation_threshold(benchmark, cache, emit):
-    results = benchmark.pedantic(_evaluate, args=(cache,),
+def test_ablation_threshold(benchmark, pipeline, emit):
+    results = benchmark.pedantic(_evaluate, args=(pipeline,),
                                  rounds=1, iterations=1)
     table = TextTable(
         ["H", "congested s-days", "congested s-hours",

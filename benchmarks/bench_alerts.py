@@ -30,18 +30,16 @@ from repro.alerts import Collector, default_rules
 from repro.cloud.tiers import NetworkTier
 from repro.core.export import dataset_digest
 from repro.core.records import MeasurementRecord
-from repro.experiments.scenario import build_scenario
 from repro.report.tables import TextTable
 from repro.simclock import CAMPAIGN_START
 from repro.units import DAY, HOUR
 
-#: Small fixed shape (same as bench_obs_overhead): the bench compares
-#: ruled against rule-less on identical work, so it only needs to be
-#: stable, not paper-scale.
-SEED = 11
-SCALE = 0.1
+from conftest import FIXED_SCALE, FIXED_SEED, FIXED_SERVERS, fixed_plan
+
+#: Small fixed shape (``conftest.fixed_plan`` for two days, as in
+#: bench_obs_overhead): the bench compares ruled against rule-less on
+#: identical work, so it only needs to be stable, not paper-scale.
 DAYS = 2
-N_SERVERS = 10
 MAX_OVERHEAD = 1.1
 #: Per-variant best-of runs: a 1.1x budget needs jitter suppression.
 BEST_OF = 3
@@ -60,12 +58,7 @@ LABEL = "alerts-v1 (rule evaluation riding the collector)"
 
 
 def _run_once(rules):
-    scenario = build_scenario(seed=SEED, scale=SCALE, stories=False)
-    clasp = scenario.clasp
-    ids = [s.server_id
-           for s in scenario.catalog.servers(country="US")[:N_SERVERS]]
-    plan = clasp.orchestrator.deploy_topology(
-        "us-west1", ids, float(CAMPAIGN_START))
+    clasp, plan = fixed_plan()
     collector, observer = clasp.collector(rules=rules)
     start = time.perf_counter()
     dataset = clasp.run_campaign([plan], days=DAYS, observers=[observer])
@@ -97,7 +90,7 @@ def test_bench_alerts_overhead(emit):
 
     table = TextTable(
         ["variant", "seconds", "vs no rules"],
-        title=f"repro.alerts overhead: {DAYS} days x {N_SERVERS} servers "
+        title=f"repro.alerts overhead: {DAYS} days x {FIXED_SERVERS} servers "
               f"({ruled_dataset.completed_tests} tests, best of "
               f"{BEST_OF})")
     table.add_row(["collector, no rules", f"{base_wall:.2f}", "1.00x"])
@@ -115,8 +108,8 @@ def test_bench_alerts_overhead(emit):
         "generated_by": "benchmarks/bench_alerts.py",
         "label": LABEL,
         "shape": {
-            "seed": SEED, "scale": SCALE, "days": DAYS,
-            "regions": ["us-west1"], "budget_servers": N_SERVERS,
+            "seed": FIXED_SEED, "scale": FIXED_SCALE, "days": DAYS,
+            "regions": ["us-west1"], "budget_servers": FIXED_SERVERS,
             "faults": "off",
         },
         "rules": len(default_rules()),

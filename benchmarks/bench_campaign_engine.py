@@ -17,25 +17,18 @@ import io
 import time
 
 from repro.engine import MetricsObserver, TraceObserver
-from repro.experiments.scenario import build_scenario
 from repro.report.tables import TextTable
-from repro.simclock import CAMPAIGN_START
 
-#: Small fixed shape: the bench compares loop variants against each
-#: other, not against the paper, so it only needs to be stable.
-SEED = 11
-SCALE = 0.1
+from conftest import FIXED_SERVERS, fixed_plan
+
+#: Small fixed shape (``conftest.fixed_plan`` for two days): the bench
+#: compares loop variants against each other, not against the paper,
+#: so it only needs to be stable.
 DAYS = 2
-N_SERVERS = 10
 
 
 def _run_once(observers):
-    scenario = build_scenario(seed=SEED, scale=SCALE, stories=False)
-    clasp = scenario.clasp
-    ids = [s.server_id
-           for s in scenario.catalog.servers(country="US")[:N_SERVERS]]
-    plan = clasp.orchestrator.deploy_topology(
-        "us-west1", ids, float(CAMPAIGN_START))
+    clasp, plan = fixed_plan()
     start = time.perf_counter()
     dataset = clasp.run_campaign([plan], days=DAYS, observers=observers)
     elapsed = time.perf_counter() - start
@@ -64,7 +57,7 @@ def test_bench_campaign_engine(emit):
 
     table = TextTable(
         ["variant", "seconds", "vs bare"],
-        title=f"campaign hour loop: {DAYS} days x {N_SERVERS} servers "
+        title=f"campaign hour loop: {DAYS} days x {FIXED_SERVERS} servers "
               f"({n_tests} tests)")
     for label, elapsed, ratio in rows:
         table.add_row([label, f"{elapsed:.2f}", f"{ratio:.2f}x"])

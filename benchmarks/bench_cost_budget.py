@@ -33,13 +33,13 @@ def _monthly_bill(n_servers: int) -> float:
     return costs.total_usd
 
 
-def _evaluate(cache):
+def _evaluate(pipeline):
     rows = []
     full_total = 0.0
     capped_total = 0.0
     for region in PAPER_TABLE1_REGIONS:
-        selection = cache.topology_selection(region)
-        plan = cache.topology_plan(region)
+        selection = pipeline.topology_selection(region)
+        plan = pipeline.topology_plan(region)
         full = _monthly_bill(len(selection.selected))
         capped = _monthly_bill(len(plan.server_ids))
         full_total += full
@@ -49,9 +49,9 @@ def _evaluate(cache):
     return rows, full_total, capped_total
 
 
-def test_cost_budget(benchmark, cache, emit):
+def test_cost_budget(benchmark, pipeline, emit):
     rows, full_total, capped_total = benchmark.pedantic(
-        _evaluate, args=(cache,), rounds=1, iterations=1)
+        _evaluate, args=(pipeline,), rounds=1, iterations=1)
     table = TextTable(
         ["region", "selected", "full $/month", "measured",
          "capped $/month"],

@@ -3,8 +3,8 @@
 from repro.experiments import fig2
 
 
-def test_fig2_threshold_sweep(benchmark, cache, emit):
-    result = benchmark.pedantic(fig2.run, args=(cache,),
+def test_fig2_threshold_sweep(benchmark, pipeline, emit):
+    result = benchmark.pedantic(fig2.run, args=(pipeline,),
                                 rounds=1, iterations=1)
     emit("fig2", fig2.render(result))
 

@@ -3,8 +3,8 @@
 from repro.experiments import fig3
 
 
-def test_fig3_timeseries(benchmark, cache, emit):
-    result = benchmark.pedantic(fig3.run, args=(cache,),
+def test_fig3_timeseries(benchmark, pipeline, emit):
+    result = benchmark.pedantic(fig3.run, args=(pipeline,),
                                 rounds=1, iterations=1)
     emit("fig3", fig3.render(result))
 

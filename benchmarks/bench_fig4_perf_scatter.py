@@ -3,8 +3,8 @@
 from repro.experiments import fig4
 
 
-def test_fig4_perf_scatter(benchmark, cache, emit):
-    result = benchmark.pedantic(fig4.run, args=(cache,),
+def test_fig4_perf_scatter(benchmark, pipeline, emit):
+    result = benchmark.pedantic(fig4.run, args=(pipeline,),
                                 rounds=1, iterations=1)
     emit("fig4", fig4.render(result))
 

@@ -5,8 +5,8 @@ import numpy as np
 from repro.experiments import fig5
 
 
-def test_fig5_tier_comparison(benchmark, cache, emit):
-    result = benchmark.pedantic(fig5.run, args=(cache,),
+def test_fig5_tier_comparison(benchmark, pipeline, emit):
+    result = benchmark.pedantic(fig5.run, args=(pipeline,),
                                 rounds=1, iterations=1)
     emit("fig5", fig5.render(result))
 
@@ -29,7 +29,7 @@ def test_fig5_tier_comparison(benchmark, cache, emit):
 
     # Paper (Fig. 4b/5a): the premium tier's hourly download variance
     # is the smaller of the two.
-    dataset = cache.differential_dataset()
+    dataset = pipeline.differential_dataset()
     from repro.cloud.tiers import NetworkTier
     prem_std = np.median([
         np.std(dataset.table.series(p)["download"])

@@ -3,8 +3,8 @@
 from repro.experiments import fig6
 
 
-def test_fig6_congestion_probability(benchmark, cache, emit):
-    result = benchmark.pedantic(fig6.run, args=(cache,),
+def test_fig6_congestion_probability(benchmark, pipeline, emit):
+    result = benchmark.pedantic(fig6.run, args=(pipeline,),
                                 rounds=1, iterations=1)
     emit("fig6", fig6.render(result))
 

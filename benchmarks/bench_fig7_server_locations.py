@@ -4,8 +4,8 @@ from repro.cloud.regions import PAPER_DIFFERENTIAL_REGIONS, PAPER_US_REGIONS
 from repro.experiments import fig7
 
 
-def test_fig7_server_locations(benchmark, cache, emit):
-    result = benchmark.pedantic(fig7.run, args=(cache,),
+def test_fig7_server_locations(benchmark, pipeline, emit):
+    result = benchmark.pedantic(fig7.run, args=(pipeline,),
                                 rounds=1, iterations=1)
     emit("fig7", fig7.render(result))
 

@@ -4,8 +4,8 @@ from repro.cloud.regions import PAPER_US_REGIONS
 from repro.experiments import fig8
 
 
-def test_fig8_network_types(benchmark, cache, emit):
-    result = benchmark.pedantic(fig8.run, args=(cache,),
+def test_fig8_network_types(benchmark, pipeline, emit):
+    result = benchmark.pedantic(fig8.run, args=(pipeline,),
                                 rounds=1, iterations=1)
     emit("fig8", fig8.render(result))
 

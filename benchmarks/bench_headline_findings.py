@@ -8,13 +8,13 @@ import numpy as np
 
 from repro.cloud.tiers import NetworkTier
 from repro.core.analysis import performance_scatter, tier_comparison
-from repro.core.congestion import detect, threshold_sweep
+from repro.core.congestion import threshold_sweep
 from repro.report.tables import TextTable
 
 
-def _evaluate(cache):
-    topo_ds = cache.topology_dataset()
-    diff_ds = cache.differential_dataset()
+def _evaluate(pipeline):
+    topo_ds = pipeline.topology_dataset()
+    diff_ds = pipeline.differential_dataset()
     findings = {}
 
     hs, day_frac, hour_frac = threshold_sweep(
@@ -24,7 +24,7 @@ def _evaluate(cache):
     findings["s-hours congested @H=0.5"] = (
         "1.3% - 3%", f"{hour_frac[0] * 100:.2f}%")
 
-    report = detect(topo_ds)
+    report = pipeline.report()
     isp_pairs = [p for p in report.pair_hours
                  if topo_ds.server_meta(p[1]).business_type == "isp"]
     congested_isp = [p for p in isp_pairs
@@ -61,8 +61,8 @@ def _evaluate(cache):
     return findings
 
 
-def test_headline_findings(benchmark, cache, emit):
-    findings = benchmark.pedantic(_evaluate, args=(cache,),
+def test_headline_findings(benchmark, pipeline, emit):
+    findings = benchmark.pedantic(_evaluate, args=(pipeline,),
                                   rounds=1, iterations=1)
     table = TextTable(["finding", "paper", "measured"],
                       title="Headline findings: paper vs this "

@@ -13,8 +13,8 @@ from repro.rng import SeedTree
 from repro.tools.edgeplatform import EdgePlatform
 
 
-def _evaluate(cache):
-    scenario = cache.scenario
+def _evaluate(pipeline):
+    scenario = pipeline.scenario
     platform = EdgePlatform(scenario.internet,
                             n_probes=max(60, len(scenario.catalog) // 4),
                             seeds=SeedTree(4321))
@@ -25,7 +25,7 @@ def _evaluate(cache):
     slow_probes = sum(1 for p in platform.probes
                       if p.access_mbps < 1000.0) / len(platform.probes)
     clasp_daily_tests = sum(
-        len(cache.topology_plan(r).server_ids) * 24
+        len(pipeline.topology_plan(r).server_ids) * 24
         for r in PAPER_US_REGIONS)
     return {
         "n_probes": len(platform.probes),
@@ -38,8 +38,8 @@ def _evaluate(cache):
     }
 
 
-def test_motivation_edge_platform(benchmark, cache, emit):
-    result = benchmark.pedantic(_evaluate, args=(cache,),
+def test_motivation_edge_platform(benchmark, pipeline, emit):
+    result = benchmark.pedantic(_evaluate, args=(pipeline,),
                                 rounds=1, iterations=1)
     table = TextTable(["metric", "edge platform", "CLASP"],
                       title="Motivation: edge platform vs cloud-based "

@@ -26,16 +26,14 @@ from repro.core.export import dataset_digest
 from repro.obs.exporters import (metrics_to_jsonlines,
                                  metrics_to_prometheus,
                                  span_totals_to_jsonlines)
-from repro.experiments.scenario import build_scenario
 from repro.report.tables import TextTable
-from repro.simclock import CAMPAIGN_START
 
-#: Small fixed shape: the bench compares obs-on against obs-off on
-#: identical work, so it only needs to be stable, not paper-scale.
-SEED = 11
-SCALE = 0.1
+from conftest import FIXED_SERVERS, fixed_plan
+
+#: Small fixed shape (``conftest.fixed_plan`` for two days): the bench
+#: compares obs-on against obs-off on identical work, so it only needs
+#: to be stable, not paper-scale.
 DAYS = 2
-N_SERVERS = 10
 MAX_OVERHEAD = 1.5
 PAIRS = 5
 
@@ -45,12 +43,7 @@ def _run_once(enabled):
     if enabled:
         obs.enable()
     try:
-        scenario = build_scenario(seed=SEED, scale=SCALE, stories=False)
-        clasp = scenario.clasp
-        ids = [s.server_id
-               for s in scenario.catalog.servers(country="US")[:N_SERVERS]]
-        plan = clasp.orchestrator.deploy_topology(
-            "us-west1", ids, float(CAMPAIGN_START))
+        clasp, plan = fixed_plan()
         start = time.perf_counter()
         dataset = clasp.run_campaign([plan], days=DAYS)
         elapsed = time.perf_counter() - start
@@ -95,7 +88,7 @@ def test_bench_obs_overhead(emit):
 
     table = TextTable(
         ["variant", "median s", "median vs disabled"],
-        title=f"repro.obs overhead: {DAYS} days x {N_SERVERS} servers "
+        title=f"repro.obs overhead: {DAYS} days x {FIXED_SERVERS} servers "
               f"({dataset.completed_tests} tests), {PAIRS} alternating "
               "off/on pairs")
     for label, seconds, pair_ratios in rows:

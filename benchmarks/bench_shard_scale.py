@@ -36,7 +36,7 @@ import resource
 import time
 
 from repro.core.export import dataset_digest
-from repro.experiments.scenario import build_scenario
+from repro.experiments import Pipeline
 from repro.report.tables import TextTable
 
 #: Default campaign for both rows: six US regions, a 40-server budget
@@ -86,15 +86,6 @@ def _peak_rss_kb():
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _deploy(clasp, regions, budget_servers):
-    plans = []
-    for region in regions:
-        selection = clasp.select_topology_servers(region)
-        plans.append(clasp.deploy_topology(region, selection,
-                                           budget_servers=budget_servers))
-    return plans
-
-
 def _timed_run(clasp, plans, batch):
     """(bench row, dataset digest) of one timed campaign."""
     counter = _EventCounter()
@@ -115,9 +106,9 @@ def _timed_run(clasp, plans, batch):
 
 def _fresh_run(batch):
     """One timed campaign on a freshly built and deployed world."""
-    scenario = build_scenario(seed=SEED, scale=SCALE, faults=None)
-    plans = _deploy(scenario.clasp, REGIONS, BUDGET_SERVERS)
-    return _timed_run(scenario.clasp, plans, batch)
+    pipeline = Pipeline(seed=SEED, scale=SCALE, days=DAYS, regions=REGIONS,
+                        budget=BUDGET_SERVERS)
+    return _timed_run(pipeline.clasp, pipeline.topology_plans(), batch)
 
 
 def test_bench_shard_scale(emit):
@@ -130,9 +121,10 @@ def test_bench_shard_scale(emit):
     # Planet-scale demo: fresh scenario at the default demo scale so the
     # shape (10 regions x 80-server budget) matches "10x the default
     # campaign" rather than "10x this bench's campaign".
-    planet = build_scenario(seed=SEED, scale=PLANET_SCALE, faults=None)
+    planet = Pipeline(seed=SEED, scale=PLANET_SCALE, days=DAYS,
+                      budget=PLANET_BUDGET_SERVERS)
     regions = planet.clasp.platform.available_regions()[:PLANET_REGIONS]
-    planet_plans = _deploy(planet.clasp, regions, PLANET_BUDGET_SERVERS)
+    planet_plans = [planet.topology_plan(region) for region in regions]
     demo, _digest = _timed_run(planet.clasp, planet_plans, True)
     demo_row = {
         "regions": len(planet_plans),

@@ -27,7 +27,7 @@ import time
 from repro.core.congestion import detect
 from repro.core.streaming import (StreamingCongestionDetector,
                                   dataset_offsets, iter_hourly)
-from repro.experiments.scenario import build_scenario
+from repro.experiments import Pipeline
 from repro.report.tables import TextTable
 
 #: The default ``repro campaign`` shape.
@@ -68,13 +68,8 @@ def _best_of(n, fn):
 
 
 def test_bench_streaming(emit):
-    scenario = build_scenario(seed=SEED, scale=SCALE, faults=None)
-    clasp = scenario.clasp
-    selection = clasp.select_topology_servers(REGION)
-    plan = clasp.deploy_topology(REGION, selection,
-                                 budget_servers=BUDGET_SERVERS)
-    dataset = clasp.run_campaign([plan], days=DAYS,
-                                 charge_billing=False)
+    dataset = Pipeline(seed=SEED, scale=SCALE, days=DAYS, regions=(REGION,),
+                       budget=BUDGET_SERVERS).topology_dataset()
     rows = _rows(dataset)
     n_hours = DAYS * 24
 

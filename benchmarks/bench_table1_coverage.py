@@ -4,8 +4,8 @@ from repro.cloud.regions import PAPER_TABLE1_REGIONS
 from repro.experiments import table1
 
 
-def test_table1_coverage(benchmark, cache, emit):
-    result = benchmark.pedantic(table1.run, args=(cache,),
+def test_table1_coverage(benchmark, pipeline, emit):
+    result = benchmark.pedantic(table1.run, args=(pipeline,),
                                 rounds=1, iterations=1)
     emit("table1", table1.render(result))
 

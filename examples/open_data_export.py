@@ -21,7 +21,7 @@ import pathlib
 
 from repro.core.congestion import detect
 from repro.core.export import export_dataset, load_dataset
-from repro.experiments import build_scenario
+from repro.experiments import Pipeline
 from repro.report.dashboard import render_dashboard
 
 
@@ -34,11 +34,9 @@ def main() -> None:
     args = parser.parse_args()
 
     print("Running a short campaign ...")
-    scenario = build_scenario(seed=args.seed, scale=args.scale)
-    clasp = scenario.clasp
-    selection = clasp.select_topology_servers("us-east1")
-    plan = clasp.deploy_topology("us-east1", selection, budget_servers=30)
-    dataset = clasp.run_campaign([plan], days=args.days)
+    pipeline = Pipeline(seed=args.seed, scale=args.scale, days=args.days,
+                        regions=("us-east1",), budget=30)
+    dataset = pipeline.topology_dataset()
     print(f"  {dataset.completed_tests} measurements collected")
 
     out = pathlib.Path(args.out)
@@ -50,7 +48,7 @@ def main() -> None:
 
     print("\nReloading as an independent consumer ...")
     reloaded = load_dataset(out)
-    original_report = detect(dataset)
+    original_report = pipeline.report()
     reloaded_report = detect(reloaded)
     print(f"  measurements: {len(reloaded)} "
           f"(original {len(dataset)})")

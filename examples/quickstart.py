@@ -18,8 +18,8 @@ import argparse
 
 import numpy as np
 
-from repro.core.congestion import detect, threshold_sweep
-from repro.experiments import build_scenario
+from repro.core.congestion import threshold_sweep
+from repro.experiments import Pipeline
 from repro.report.tables import TextTable, format_percent
 
 
@@ -34,15 +34,16 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"Building scenario (seed={args.seed}, scale={args.scale}) ...")
-    scenario = build_scenario(seed=args.seed, scale=args.scale)
-    clasp = scenario.clasp
+    pipeline = Pipeline(seed=args.seed, scale=args.scale, days=args.days,
+                        regions=(args.region,))
+    scenario = pipeline.scenario
     stats = scenario.internet.topology.stats()
     print(f"  {stats['ases']} ASes, {stats['links']} links, "
           f"{len(scenario.catalog)} speed test servers")
 
     print(f"\nPilot scan for {args.region} "
           "(bdrmap + traceroutes to every U.S. server) ...")
-    selection = clasp.select_topology_servers(args.region)
+    selection = pipeline.topology_selection(args.region)
     print(f"  bdrmap found {selection.n_interdomain_links} interdomain "
           "links")
     print(f"  U.S. servers traverse {selection.n_links_traversed} "
@@ -54,14 +55,13 @@ def main() -> None:
 
     print(f"\nDeploying measurement VMs and running {args.days} days "
           "of hourly tests ...")
-    plan = clasp.deploy_topology(args.region, selection)
-    dataset = clasp.run_campaign([plan], days=args.days)
+    dataset = pipeline.topology_dataset()
     print(f"  {dataset.completed_tests} tests completed "
           f"({dataset.failed_tests} failed), "
-          f"cloud bill so far: ${clasp.total_cost_usd():,.2f}")
+          f"cloud bill so far: ${pipeline.clasp.total_cost_usd():,.2f}")
 
     print("\nCongestion detection (V_H > 0.5 below the daily peak):")
-    report = detect(dataset)
+    report = pipeline.report()
     table = TextTable(["metric", "value"])
     table.add_row(["pair-days measured", report.n_s_days])
     table.add_row(["congested pair-days",

@@ -21,8 +21,7 @@ import argparse
 import numpy as np
 
 from repro.core.analysis import tier_comparison
-from repro.experiments import build_scenario
-from repro.experiments.scenario import apply_differential_story
+from repro.experiments import Pipeline
 from repro.report.ascii import ascii_cdf
 from repro.report.tables import TextTable, format_percent
 
@@ -37,12 +36,14 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"Building scenario (scale={args.scale}) ...")
-    scenario = build_scenario(seed=args.seed, scale=args.scale)
-    clasp = scenario.clasp
+    pipeline = Pipeline(seed=args.seed, scale=args.scale, days=args.days,
+                        regions=(REGION,))
 
+    # The study, then the world the paper measured: warm premium
+    # interconnects, a few bursty-lossy ones, standard-tier congestion
+    # for some targets.
     print("Preliminary latency study from edge vantage points ...")
-    selection = clasp.select_differential_servers(
-        REGION, target_count=17)
+    selection = pipeline.differential_selection(REGION)
     print(f"  {len(selection.candidates)} qualifying <city, AS> tuples, "
           f"{len(selection.selected)} servers selected")
     table = TextTable(["server", "city", "class", "delta (std-prem) ms"])
@@ -52,13 +53,8 @@ def main() -> None:
                        f"{candidate.delta_ms:+.1f}"])
     print(table.render())
 
-    # The world the paper measured: warm premium interconnects, a few
-    # bursty-lossy ones, standard-tier congestion for some targets.
-    apply_differential_story(scenario, selection)
-
     print(f"\nMeasuring both tiers hourly for {args.days} days ...")
-    plan = clasp.deploy_differential(REGION, selection)
-    dataset = clasp.run_campaign([plan], days=args.days)
+    dataset = pipeline.differential_dataset()
     print(f"  {dataset.completed_tests} tests recorded")
 
     comparison = tier_comparison(dataset, REGION)

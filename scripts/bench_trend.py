@@ -41,7 +41,7 @@ from repro.core.streaming import (StreamingCongestionDetector,  # noqa: E402
                                   dataset_offsets, iter_hourly)
 from repro.errors import (ConfigError, ReproError,  # noqa: E402
                           ValidationError)
-from repro.experiments.scenario import build_scenario  # noqa: E402
+from repro.experiments import Pipeline  # noqa: E402
 
 BENCH_PATH = REPO_ROOT / "BENCH_campaign.json"
 
@@ -79,15 +79,10 @@ def _best_of(n, fn):
 
 
 def _deploy_shape(shape):
-    scenario = build_scenario(seed=shape["seed"], scale=shape["scale"],
-                              faults=None)
-    clasp = scenario.clasp
-    plans = []
-    for region in shape["regions"]:
-        selection = clasp.select_topology_servers(region)
-        plans.append(clasp.deploy_topology(
-            region, selection, budget_servers=shape["budget_servers"]))
-    return clasp, plans
+    pipeline = Pipeline(seed=shape["seed"], scale=shape["scale"],
+                        days=shape["days"], regions=shape["regions"],
+                        budget=shape["budget_servers"])
+    return pipeline.clasp, pipeline.topology_plans()
 
 
 def fresh_batch_speedup(doc):

@@ -6,8 +6,9 @@ per-file and cross-file (RPR010/RPR011), once over ``src/repro``.
 The CLI smoke runs one small monitored campaign as ``python -m
 repro.cli campaign ... --format prom --profile DIR --export DIR
 --trace PATH`` in a subprocess and requires exit 0, ``ALERTS{``
-series in its output, a ``spans.jsonl`` listing ``scenario.build``,
-``selection.topology.run`` and ``campaign.run`` with one call each, and
+series in its output, a ``spans.jsonl`` listing the pipeline's stage
+spans ``scenario.build``, ``selection.topology.run``,
+``orchestrator.deploy`` and ``campaign.run`` with one call each, and
 an export manifest whose ``n_measurements`` equals the trace's
 ``test-completed`` lines.  The numpy
 stream-compat gate (``tests/test_rng.py -k "first_uniforms or
@@ -110,7 +111,8 @@ def _cli_smoke() -> int:
               f"measurements, the trace {completed} test-completed "
               "events", file=sys.stderr)
         return 1
-    for name in ("scenario.build", "selection.topology.run", "campaign.run"):
+    for name in ("scenario.build", "selection.topology.run",
+                 "orchestrator.deploy", "campaign.run"):
         if calls.get(name) != 1:
             print(f"cli smoke: spans.jsonl lists {name} with "
                   f"{calls.get(name, 0)} calls, expected 1",

@@ -24,43 +24,27 @@ sys.path.insert(0, str(_ROOT))
 
 from repro.core.congestion import detect               # noqa: E402
 from repro.core.export import dataset_digest          # noqa: E402
-from repro.experiments.scenario import build_scenario  # noqa: E402
 from repro.faults import FaultPlan                     # noqa: E402
 
 from tests.fixtures_congestion import (                # noqa: E402
-    regression_dataset, serialize_report)
+    GOLDEN_SHAPE, golden_pipeline, regression_dataset, serialize_report)
 
 GOLDEN_PATH = _ROOT / "tests" / "golden" / "digests.json"
 DETECTION_PATH = (_ROOT / "tests" / "golden"
                   / "congestion_detection.json")
 
-#: The pinned campaign shape.  Keep in sync with tests/test_golden.py.
-SEED = 11
-SCALE = 0.05
-REGION = "us-west1"
-BUDGET_SERVERS = 8
-DAYS = 2
-
-
-def run_campaign(faults):
-    scenario = build_scenario(seed=SEED, scale=SCALE, faults=faults)
-    clasp = scenario.clasp
-    selection = clasp.select_topology_servers(REGION)
-    plan = clasp.deploy_topology(REGION, selection,
-                                 budget_servers=BUDGET_SERVERS)
-    return clasp.run_campaign([plan], days=DAYS)
-
 
 def main() -> int:
     golden = {
-        "_comment": f"Golden dataset digests: seed={SEED} scale={SCALE} "
-                    f"{REGION} budget_servers={BUDGET_SERVERS} "
-                    f"days={DAYS}. Regenerate with "
-                    f"scripts/regen_golden.py only when an intentional "
-                    f"behaviour change shifts the dataset.",
-        "faults_off": dataset_digest(run_campaign(None)),
-        "faults_default": dataset_digest(
-            run_campaign(FaultPlan.default())),
+        "_comment": ("Golden dataset digests: seed={seed} scale={scale} "
+                     "{regions[0]} budget_servers={budget} days={days}. "
+                     "Regenerate with scripts/regen_golden.py only when "
+                     "an intentional behaviour change shifts the "
+                     "dataset.").format(**GOLDEN_SHAPE),
+        "faults_off": dataset_digest(
+            golden_pipeline().topology_dataset()),
+        "faults_default": dataset_digest(golden_pipeline(
+            faults=FaultPlan.default()).topology_dataset()),
     }
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n",

@@ -9,15 +9,12 @@ analysis.
 
 Quickstart (a miniature world and a one-day campaign)::
 
-    from repro.core.congestion import detect
-    from repro.experiments import build_scenario
+    from repro.experiments import Pipeline
 
-    scenario = build_scenario(seed=7, scale=0.05)
-    clasp = scenario.clasp
-    selection = clasp.select_topology_servers("us-west1")
-    plan = clasp.deploy_topology("us-west1", selection, budget_servers=8)
-    dataset = clasp.run_campaign([plan], days=1)
-    report = detect(dataset)
+    pipeline = Pipeline(seed=7, scale=0.05, days=1,
+                        regions=("us-west1",), budget=8)
+    dataset = pipeline.topology_dataset()   # build, select, deploy, run
+    report = pipeline.report()              # detect V_H > 0.5 events
     print(f"{report.n_s_hours} s-hours, "
           f"{report.congested_hour_fraction:.1%} congested")
 """

@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``campaign`` - the CLASP loop, end to end: build the world, select
+* ``campaign`` - the CLASP loop, end to end, through one
+  :class:`~repro.experiments.Pipeline` per run: build the world, select
   the servers of one region (bdrmap pilot scan), deploy, run the
   campaign ``--runs`` times (each run picks up in simulated time where
   the last one ended), detect congestion, and print the
@@ -56,6 +57,7 @@ and exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -196,12 +198,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         with _profiled(args.profile):
             return _matrix(args)
     from repro import experiments
-    from repro.experiments.runner import ExperimentCache
 
     module = getattr(experiments, args.id)
+    pipeline = experiments.Pipeline(args.seed, args.scale, args.days)
     with _profiled(args.profile):
-        cache = ExperimentCache(args.seed, args.scale, args.days)
-        print(module.render(module.run(cache)))
+        print(module.render(module.run(pipeline)))
     return 0
 
 
@@ -258,17 +259,18 @@ def _live(args: argparse.Namespace) -> bool:
 
 
 def _run(args: argparse.Namespace) -> _Run:
-    """Build, select, deploy and run the campaign ``--runs`` times.
+    """Run the pipeline's campaign ``--runs`` times.
 
     The one place a campaign runs: the fault-plan table, the live plane
     (at most one collector), the profile bracket and the trace-file
-    close all live here.  A ``--state``, ``--export`` or ``--trace``
-    path that could not be written fails here, before the world is
-    built, not after the last run.
+    close all live here.  A bad shape (``--days``, ``--servers``,
+    ``--region``) or a ``--state``, ``--export`` or ``--trace`` path
+    that could not be written fails here, before the world is built,
+    not after the last run.
     """
     from repro.cloud.providers import get_provider
     from repro.engine import MetricsObserver, TraceObserver
-    from repro.experiments import build_scenario
+    from repro.experiments import Pipeline
     from repro.faults import FaultPlan
     from repro.simclock import CAMPAIGN_START
     from repro.units import DAY
@@ -284,12 +286,18 @@ def _run(args: argparse.Namespace) -> _Run:
             raise ValidationError(
                 f"--state {args.state}: directory "
                 f"{state_path.parent} does not exist")
-    if args.export:
-        Path(args.export).mkdir(parents=True, exist_ok=True)
     fault_plans = {"off": None, "default": FaultPlan.default(),
                    "heavy": FaultPlan.heavy()}
     provider = get_provider(args.provider)
     region = args.region or provider.default_region
+    new_pipeline = functools.partial(
+        Pipeline, seed=args.seed, scale=args.scale, days=args.days,
+        regions=(region,), budget=args.servers,
+        faults=fault_plans[args.faults], provider=provider.name,
+        providers=_parse_extra_providers(args.providers))
+    pipeline = new_pipeline()
+    if args.export:
+        Path(args.export).mkdir(parents=True, exist_ok=True)
     collector, resumed = None, False
     if _live(args):
         from repro.alerts import Collector, default_rules, load_rules
@@ -310,19 +318,14 @@ def _run(args: argparse.Namespace) -> _Run:
                 # Run k rebuilds the same world from the seed and covers
                 # simulated days [k*days, (k+1)*days), so a restart from
                 # --state replays exactly what one invocation would.
-                clasp = build_scenario(
-                    seed=args.seed, scale=args.scale,
-                    faults=fault_plans[args.faults],
-                    provider=provider.name,
-                    providers=_parse_extra_providers(args.providers)).clasp
-                selection = clasp.select_topology_servers(region)
-                plan = clasp.deploy_topology(region, selection,
-                                             budget_servers=args.servers)
+                if index > first:
+                    pipeline = new_pipeline()
+                clasp, plans = pipeline.clasp, pipeline.topology_plans()
                 observers = [o for o in (metrics, trace) if o is not None]
                 if collector is not None:
                     observers.append(clasp.collector(collector=collector)[1])
                 datasets.append(clasp.run_campaign(
-                    [plan], days=args.days,
+                    plans, days=args.days,
                     start_ts=float(CAMPAIGN_START) + index * args.days * DAY,
                     observers=observers, batch=args.batch))
                 bill += clasp.total_cost_usd()
@@ -342,7 +345,7 @@ def _run(args: argparse.Namespace) -> _Run:
         Path(args.state).write_text(collector.state_json(),
                                     encoding="utf-8")
     return _Run(provider=provider.name, region=region,
-                servers_measured=len(plan.server_ids), dataset=dataset,
+                servers_measured=len(plans[0].server_ids), dataset=dataset,
                 cloud_bill_usd=bill, injected=injected,
                 collector=collector, metrics=metrics,
                 trace=trace, resumed=resumed,

@@ -54,8 +54,3 @@ class VirtualMachine:
             raise VMPreemptedError(f"VM {self.name} was preempted")
         if not self.is_running:
             raise CloudError(f"VM {self.name} is {self.status.value}")
-
-    def uptime_hours(self, now_ts: float) -> float:
-        """Billable hours so far (or total if terminated)."""
-        end = self.terminated_ts if self.terminated_ts is not None else now_ts
-        return max(0.0, (end - self.created_ts) / 3600.0)

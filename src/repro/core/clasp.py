@@ -1,14 +1,18 @@
 """The CLASP facade: one object that runs the whole methodology.
 
 Wires the substrate (cloud platform + server catalogs + tooling) to
-the selection, orchestration, campaign, and analysis stages, so the
-examples and benchmarks read like the paper's workflow:
+the selection, orchestration, campaign, and analysis stages, in the
+paper's workflow:
 
     clasp = Clasp.build(internet, catalog, seeds)
     pilot = clasp.select_topology_servers("us-west1")
     plan = clasp.deploy_topology("us-west1", pilot, budget_servers=106)
     dataset = clasp.run_campaign([plan], days=14)
     report = detect(dataset)  # from repro.core.congestion
+
+:class:`repro.experiments.Pipeline` runs that sequence, memoized and
+one span per stage, for the CLI, the experiments, the benches and the
+examples.
 """
 
 from __future__ import annotations
@@ -136,9 +140,10 @@ class Clasp:
         (:data:`~repro.cloud.regions.PAPER_DIFFERENTIAL_REGIONS`).
         """
         if self._speedchecker_medians is None:
-            self._speedchecker_medians = self.speedchecker.measure(
-                list(PAPER_DIFFERENTIAL_REGIONS),
-                start_ts=float(CAMPAIGN_START))
+            with obs.span("tools.speedchecker.measure"):
+                self._speedchecker_medians = self.speedchecker.measure(
+                    list(PAPER_DIFFERENTIAL_REGIONS),
+                    start_ts=float(CAMPAIGN_START))
         return self._speedchecker_medians
 
     def select_differential_servers(self, region: str,

@@ -18,7 +18,7 @@ from ..cloud.regions import PAPER_US_REGIONS
 from ..core.congestion import choose_threshold_elbow, threshold_sweep
 from ..report.figures import FigureSeries
 from ..report.tables import TextTable, format_percent
-from .runner import ExperimentCache
+from .runner import Pipeline
 
 __all__ = ["Fig2Result", "run", "render"]
 
@@ -60,8 +60,8 @@ class Fig2Result:
         return out
 
 
-def run(cache: ExperimentCache) -> Fig2Result:
-    dataset = cache.topology_dataset()
+def run(pipeline: Pipeline) -> Fig2Result:
+    dataset = pipeline.topology_dataset()
     day_fractions: Dict[str, np.ndarray] = {}
     hour_fractions: Dict[str, np.ndarray] = {}
     all_days: List[np.ndarray] = []

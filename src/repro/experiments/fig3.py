@@ -14,12 +14,12 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..core.congestion import PAPER_THRESHOLD, detect, hourly_variability
+from ..core.congestion import PAPER_THRESHOLD, hourly_variability
 from ..report.ascii import ascii_series, sparkline
 from ..report.figures import FigureSeries
 from ..simclock import format_ts
 from ..units import DAY
-from .runner import ExperimentCache
+from .runner import Pipeline
 from ..errors import AnalysisError
 
 __all__ = ["Fig3Result", "run", "render"]
@@ -47,11 +47,11 @@ class Fig3Result:
         ]
 
 
-def run(cache: ExperimentCache, window_days: int = 2) -> Fig3Result:
-    dataset = cache.topology_dataset()
-    report = detect(dataset, threshold=PAPER_THRESHOLD)
+def run(pipeline: Pipeline, window_days: int = 2) -> Fig3Result:
+    dataset = pipeline.topology_dataset()
+    report = pipeline.report()
 
-    cox_asn = cache.scenario.story_asns.get("cox")
+    cox_asn = pipeline.scenario.story_asns.get("cox")
     candidates = {}
     for event in report.events:
         candidates[event.pair] = candidates.get(event.pair, 0) + 1

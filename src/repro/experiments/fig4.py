@@ -18,7 +18,7 @@ from ..cloud.tiers import NetworkTier
 from ..core.analysis import ScatterPoint, performance_scatter
 from ..report.figures import FigureSeries
 from ..report.tables import TextTable, format_percent
-from .runner import ExperimentCache
+from .runner import Pipeline
 
 __all__ = ["Fig4Panel", "Fig4Result", "run", "render"]
 
@@ -72,10 +72,10 @@ class Fig4Result:
     panels: Dict[str, Fig4Panel]
 
 
-def run(cache: ExperimentCache) -> Fig4Result:
-    topo_ds = cache.topology_dataset()
-    diff_ds = cache.differential_dataset()
-    min_samples = max(24, cache.scenario.config.scale * 48)
+def run(pipeline: Pipeline) -> Fig4Result:
+    topo_ds = pipeline.topology_dataset()
+    diff_ds = pipeline.differential_dataset()
+    min_samples = max(24, pipeline.scenario.config.scale * 48)
     panels = {
         "4a topology (premium)": Fig4Panel(
             "4a", performance_scatter(topo_ds,

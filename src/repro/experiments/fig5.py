@@ -22,7 +22,7 @@ from ..core.analysis import TierComparison, tier_comparison
 from ..core.selection.differential import DifferentialSelection, LatencyClass
 from ..report.figures import FigureSeries
 from ..report.tables import TextTable, format_percent
-from .runner import ExperimentCache
+from .runner import Pipeline
 
 __all__ = ["Fig5Result", "run", "render"]
 
@@ -68,9 +68,9 @@ class Fig5Result:
         return out
 
 
-def run(cache: ExperimentCache) -> Fig5Result:
-    dataset = cache.differential_dataset()
-    selection = cache.differential_selection(REGION)
+def run(pipeline: Pipeline) -> Fig5Result:
+    dataset = pipeline.differential_dataset()
+    selection = pipeline.differential_selection(REGION)
     comparison = tier_comparison(dataset, REGION)
 
     class_of: Dict[str, LatencyClass] = {}

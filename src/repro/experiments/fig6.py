@@ -25,7 +25,7 @@ from ..core.analysis import (
 from ..core.congestion import PAPER_THRESHOLD, detect
 from ..report.ascii import sparkline
 from ..report.figures import FigureSeries
-from .runner import ExperimentCache
+from .runner import Pipeline
 
 __all__ = ["Fig6Result", "run", "render"]
 
@@ -59,9 +59,9 @@ class Fig6Result:
         return out
 
 
-def run(cache: ExperimentCache, k: int = 10) -> Fig6Result:
-    topo_ds = cache.topology_dataset()
-    topo_report = detect(topo_ds, threshold=PAPER_THRESHOLD)
+def run(pipeline: Pipeline, k: int = 10) -> Fig6Result:
+    topo_ds = pipeline.topology_dataset()
+    topo_report = pipeline.report()
     panels: Dict[str, List[HourlyProbability]] = {}
     for region in ("us-east1", "us-west1"):
         profiles = []
@@ -70,7 +70,7 @@ def run(cache: ExperimentCache, k: int = 10) -> Fig6Result:
                 topo_ds, topo_report, pair))
         panels[region] = profiles
 
-    diff_ds = cache.differential_dataset()
+    diff_ds = pipeline.differential_dataset()
     diff_report = detect(diff_ds, threshold=PAPER_THRESHOLD,
                          region="europe-west1")
     tier_pairs = []

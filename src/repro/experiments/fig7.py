@@ -13,7 +13,7 @@ from typing import Dict, List, Tuple
 
 from ..cloud.regions import PAPER_DIFFERENTIAL_REGIONS, PAPER_US_REGIONS
 from ..report.tables import TextTable
-from .runner import ExperimentCache
+from .runner import Pipeline
 
 __all__ = ["Fig7Result", "run", "render", "ascii_map"]
 
@@ -41,12 +41,12 @@ class Fig7Result:
                     for lat, lon in self.differential_points.get(region, [])})
 
 
-def run(cache: ExperimentCache) -> Fig7Result:
-    scenario = cache.scenario
+def run(pipeline: Pipeline) -> Fig7Result:
+    scenario = pipeline.scenario
     topo = scenario.internet.topology
     result = Fig7Result()
     for region in PAPER_US_REGIONS:
-        plan = cache.topology_plan(region)
+        plan = pipeline.topology_plan(region)
         pts = []
         for server_id in plan.server_ids:
             server = scenario.catalog.get(server_id)
@@ -56,7 +56,7 @@ def run(cache: ExperimentCache) -> Fig7Result:
             scenario.clasp.platform.region_pop(region).city_key]
         result.region_points[region] = (city.point.lat, city.point.lon)
     for region in PAPER_DIFFERENTIAL_REGIONS:
-        selection = cache.differential_selection(region)
+        selection = pipeline.differential_selection(region)
         result.differential_points[region] = [
             (server.lat, server.lon) for server, _c in selection.selected]
         city = topo.cities[

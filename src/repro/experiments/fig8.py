@@ -18,7 +18,7 @@ from ..cloud.tiers import NetworkTier
 from ..core.analysis import congested_server_summary
 from ..core.congestion import PAPER_THRESHOLD, detect
 from ..report.tables import TextTable, format_percent
-from .runner import ExperimentCache
+from .runner import Pipeline
 
 __all__ = ["Fig8Result", "run", "render"]
 
@@ -47,10 +47,10 @@ class Fig8Result:
         return (min(values), max(values))
 
 
-def _resolve_business_types(cache, dataset) -> None:
+def _resolve_business_types(pipeline, dataset) -> None:
     """Replace generator labels with ipinfo lookups (with Unknowns)."""
-    ipinfo = cache.scenario.clasp.ipinfo
-    catalog = cache.scenario.catalog
+    ipinfo = pipeline.scenario.clasp.ipinfo
+    catalog = pipeline.scenario.catalog
     for server_id, meta in list(dataset.servers.items()):
         server = catalog.get(server_id)
         record = ipinfo.lookup(server.ip)
@@ -63,17 +63,17 @@ def _resolve_business_types(cache, dataset) -> None:
             lon=meta.lon, business_type=record.business_type.value)
 
 
-def run(cache: ExperimentCache) -> Fig8Result:
+def run(pipeline: Pipeline) -> Fig8Result:
     result = Fig8Result()
-    topo_ds = cache.topology_dataset()
-    _resolve_business_types(cache, topo_ds)
-    topo_report = detect(topo_ds, threshold=PAPER_THRESHOLD)
+    topo_ds = pipeline.topology_dataset()
+    _resolve_business_types(pipeline, topo_ds)
+    topo_report = pipeline.report()
     for region in PAPER_US_REGIONS:
         result.summaries[(region, "topology")] = congested_server_summary(
             topo_ds, topo_report, region)
 
-    diff_ds = cache.differential_dataset()
-    _resolve_business_types(cache, diff_ds)
+    diff_ds = pipeline.differential_dataset()
+    _resolve_business_types(pipeline, diff_ds)
     diff_report = detect(diff_ds, threshold=PAPER_THRESHOLD)
     for region in PAPER_DIFFERENTIAL_REGIONS:
         for tier in NetworkTier:

@@ -13,7 +13,7 @@ from typing import Dict, List
 
 from ..cloud.regions import PAPER_TABLE1_REGIONS
 from ..report.tables import TextTable, format_percent
-from .runner import ExperimentCache
+from .runner import Pipeline
 
 __all__ = ["Table1Row", "Table1Result", "run", "render"]
 
@@ -51,12 +51,12 @@ class Table1Result:
         return (min(values), max(values))
 
 
-def run(cache: ExperimentCache) -> Table1Result:
+def run(pipeline: Pipeline) -> Table1Result:
     """Run the pilot scans and compute the coverage table."""
     rows: List[Table1Row] = []
     for region in PAPER_TABLE1_REGIONS:
-        selection = cache.topology_selection(region)
-        plan = cache.topology_plan(region)
+        selection = pipeline.topology_selection(region)
+        plan = pipeline.topology_plan(region)
         measured_ids = plan.server_ids
         rows.append(Table1Row(
             region=region,

@@ -89,10 +89,6 @@ class Prefix:
         """True when *ip* falls inside this prefix."""
         return (ip & self.mask()) == self.network
 
-    def contains_prefix(self, other: "Prefix") -> bool:
-        """True when *other* is equal to or more specific than this."""
-        return other.length >= self.length and self.contains(other.network)
-
     @property
     def size(self) -> int:
         """Number of addresses covered."""

@@ -105,15 +105,5 @@ class AS:
         if self.org is None:
             self.org = self.name
 
-    @property
-    def is_eyeball(self) -> bool:
-        """True for networks that terminate end users."""
-        return self.as_type is ASType.ACCESS_ISP
-
-    @property
-    def is_transit(self) -> bool:
-        """True for networks whose business is carrying others' traffic."""
-        return self.as_type in (ASType.TIER1, ASType.TRANSIT)
-
     def __repr__(self) -> str:
         return f"AS{self.asn}({self.name}, {self.as_type.value})"

@@ -162,9 +162,6 @@ class UtilizationModel:
     def profile(self, link_id: int, direction: int) -> DiurnalProfile:
         return self._profiles.get((link_id, direction), self._default_profile)
 
-    def has_profile(self, link_id: int, direction: int) -> bool:
-        return (link_id, direction) in self._profiles
-
     def noise_array(self, link_id: int, direction: int,
                     hours: int) -> np.ndarray:
         """The drawn per-hour noise of one link direction, at least

@@ -9,8 +9,6 @@ from .ascii import (
     ascii_cdf,
     ascii_histogram,
     ascii_series,
-    render_cdf,
-    render_series,
     sparkline,
 )
 from .figures import FigureSeries
@@ -19,7 +17,7 @@ from .crosscloud import render_matrix, render_provider_choice
 __all__ = [
     "TextTable", "format_percent",
     "ascii_cdf", "ascii_histogram", "ascii_series",
-    "render_cdf", "render_series", "sparkline",
+    "sparkline",
     "FigureSeries",
     "render_matrix", "render_provider_choice",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -11,8 +11,6 @@ __all__ = [
     "ascii_series",
     "ascii_histogram",
     "ascii_cdf",
-    "render_series",
-    "render_cdf",
 ]
 
 _BLOCKS = " .:-=+*#%@"
@@ -84,25 +82,3 @@ def ascii_cdf(values: Sequence[float], points: int = 15,
         bar = "#" * int(round(q * 40))
         lines.append(f"P<={q:4.2f} {value_format.format(arr[idx]):>9s} {bar}")
     return "\n".join(lines)
-
-
-def render_series(label: str, values: Sequence[float],
-                  width: int = 72) -> str:
-    """Label + sparkline + range summary on one compact block."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return f"{label}: (empty)"
-    return (f"{label}: {sparkline(arr[:width])}  "
-            f"[{arr.min():.1f} .. {arr.max():.1f}]")
-
-
-def render_cdf(label: str, values: Sequence[float],
-               quantiles: Tuple[float, ...] = (0.05, 0.25, 0.5, 0.75, 0.95),
-               ) -> str:
-    """Label + key quantiles on one line."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return f"{label}: (empty)"
-    parts = [f"p{int(q * 100)}={np.percentile(arr, q * 100):+.2f}"
-             for q in quantiles]
-    return f"{label}: " + "  ".join(parts)

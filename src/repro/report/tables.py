@@ -35,10 +35,6 @@ class TextTable:
                 f"expected {len(self.headers)} cells, got {len(values)}")
         self._rows.append([_fmt(v) for v in values])
 
-    def add_rows(self, rows: Sequence[Sequence[Any]]) -> None:
-        for row in rows:
-            self.add_row(row)
-
     def __len__(self) -> int:
         return len(self._rows)
 

@@ -25,7 +25,6 @@ __all__ = [
     "CAMPAIGN_END",
     "SimClock",
     "utc_datetime",
-    "from_utc_datetime",
     "hour_of_day",
     "day_index",
     "local_hour",
@@ -46,13 +45,6 @@ CAMPAIGN_END = int((_dt.datetime(2020, 10, 1, tzinfo=_dt.timezone.utc) - _EPOCH)
 def utc_datetime(ts: float) -> _dt.datetime:
     """Return the aware UTC datetime for simulated epoch second *ts*."""
     return _EPOCH + _dt.timedelta(seconds=ts)
-
-
-def from_utc_datetime(when: _dt.datetime) -> int:
-    """Return simulated epoch seconds for an aware UTC datetime."""
-    if when.tzinfo is None:
-        raise ValidationError("datetime must be timezone-aware")
-    return int((when - _EPOCH).total_seconds())
 
 
 def hour_of_day(ts: float, utc_offset_hours: float = 0.0) -> int:
@@ -115,10 +107,6 @@ class SimClock:
             )
         self.now = float(ts)
         return self.now
-
-    def next_hour_boundary(self) -> float:
-        """The first exact hour boundary strictly after ``now``."""
-        return (int(self.now // HOUR) + 1) * HOUR
 
     def datetime(self) -> _dt.datetime:
         """Aware UTC datetime of the current simulated instant."""

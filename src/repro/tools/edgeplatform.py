@@ -10,30 +10,25 @@ Internet, so the motivation becomes a measurable comparison (see
 
 * probes live in volunteer hosts, concentrated in large ISPs / metros,
 * latency measurements are unrestricted,
-* throughput measurements consume a per-probe daily quota and are
-  capped by the probe's (often slow) access link.
+* throughput measurements are held to a per-probe daily quota
+  (:meth:`EdgePlatform.max_daily_tests` sums it over the platform).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 
 from ..errors import MeasurementError
 from ..netsim.generator import GeneratedInternet
 from ..rng import SeedTree
-from ..units import DAY
 
-__all__ = ["EdgeProbe", "QuotaExceeded", "EdgePlatform"]
+__all__ = ["EdgeProbe", "EdgePlatform"]
 
 #: Chance that a probe lands in one of the big ISPs rather than the
 #: long tail of access networks (volunteer hosts cluster there).
 BIAS_TO_BIG_ISPS = 0.75
-
-
-class QuotaExceeded(MeasurementError):
-    """The probe's daily throughput-measurement quota is spent."""
 
 
 @dataclass
@@ -47,16 +42,6 @@ class EdgeProbe:
     access_mbps: float
     #: Throughput tests allowed per probe per day (Atlas-like quota).
     daily_quota: int = 2
-    _spent: Dict[int, int] = field(default_factory=dict)
-
-    def charge_throughput_test(self, ts: float) -> None:
-        day = int(ts // DAY)
-        used = self._spent.get(day, 0)
-        if used >= self.daily_quota:
-            raise QuotaExceeded(
-                f"probe {self.probe_id} exhausted its "
-                f"{self.daily_quota} tests for day {day}")
-        self._spent[day] = used + 1
 
 
 class EdgePlatform:
@@ -113,19 +98,6 @@ class EdgePlatform:
         big = set(self.internet.big_isp_asns)
         return sum(1 for p in self.probes if p.asn in big) \
             / len(self.probes)
-
-    # ------------------------------------------------------------------
-    # measurements
-
-    def measure_throughput(self, probe: EdgeProbe, ts: float,
-                           path_capacity_mbps: float) -> float:
-        """A quota-charged throughput test, capped by the access link.
-
-        Raises :class:`QuotaExceeded` once the probe's daily budget is
-        spent - the reason the paper measured from the cloud instead.
-        """
-        probe.charge_throughput_test(ts)
-        return min(probe.access_mbps, path_capacity_mbps)
 
     def max_daily_tests(self) -> int:
         """Total platform-wide throughput tests available per day."""

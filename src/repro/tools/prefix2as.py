@@ -60,10 +60,6 @@ class Prefix2AS:
         self._memo_hits = self._memo_misses = 0
         return counts
 
-    def lookup_prefix(self, ip: int) -> Optional[Tuple[Prefix, int]]:
-        """(prefix, ASN) of the most-specific match, or None."""
-        return self._trie.longest_match(ip)
-
     def prefixes(self) -> Iterator[Tuple[Prefix, int]]:
         """Iterate all (prefix, origin ASN) entries."""
         return self._trie.items()

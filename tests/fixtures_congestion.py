@@ -1,4 +1,10 @@
-"""Pinned congestion-detection fixture: dataset builder + serializer.
+"""Pinned golden fixtures: the golden campaign shape, and the
+congestion-detection dataset builder + serializer.
+
+:data:`GOLDEN_SHAPE` is the campaign whose dataset digests
+``tests/golden/digests.json`` pins; ``tests/test_golden.py`` checks
+them and ``scripts/regen_golden.py`` writes them, both through
+:func:`golden_pipeline`.
 
 The dataset is built to exercise exactly the bucketing cases the
 midnight-alignment fix changed: a campaign that starts at 06:00 UTC
@@ -18,8 +24,20 @@ from repro.cloud.tiers import NetworkTier
 from repro.core.campaign import CampaignDataset
 from repro.core.congestion import CongestionReport
 from repro.core.records import MeasurementRecord, ServerMeta
+from repro.experiments import Pipeline
 from repro.simclock import CAMPAIGN_START
 from repro.units import DAY, HOUR
+
+#: The golden campaign: one region, an 8-server budget, two days.
+GOLDEN_SHAPE: Dict[str, Any] = {"seed": 11, "scale": 0.05,
+                                "regions": ("us-west1",), "budget": 8,
+                                "days": 2}
+
+
+def golden_pipeline(**build: Any) -> Pipeline:
+    """The golden shape's pipeline; *build* adds ``faults``/``provider``."""
+    return Pipeline(**GOLDEN_SHAPE, **build)
+
 
 #: 06:00 UTC - NOT local midnight anywhere in the fixture - so the
 #: old start-anchored bucketing would split every server's days at an

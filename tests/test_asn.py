@@ -20,17 +20,6 @@ def test_as_org_defaults_to_name():
     assert b.org == "Example Holdings"
 
 
-def test_as_classification_helpers():
-    isp = AS(asn=1, name="isp", as_type=ASType.ACCESS_ISP)
-    tier1 = AS(asn=2, name="t1", as_type=ASType.TIER1)
-    transit = AS(asn=3, name="tr", as_type=ASType.TRANSIT)
-    hosting = AS(asn=4, name="h", as_type=ASType.HOSTING)
-    assert isp.is_eyeball and not isp.is_transit
-    assert tier1.is_transit and not tier1.is_eyeball
-    assert transit.is_transit
-    assert not hosting.is_transit and not hosting.is_eyeball
-
-
 def test_ipinfo_labels():
     assert ASType.ACCESS_ISP.ipinfo_label == "isp"
     assert ASType.TIER1.ipinfo_label == "isp"

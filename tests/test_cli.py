@@ -297,8 +297,8 @@ def test_campaign_profile_counts_every_span(capsys, tmp_path):
     assert tests == (counters["speedtest.tests"]
                      + counters.get("speedtest.failures", 0)) == 1536
     assert rows["netsim.tcp.transfer"]["calls"] == 2 * tests
-    for name in ("selection.topology.run", "tools.bdrmap.run",
-                 "campaign.run"):
+    for name in ("scenario.build", "selection.topology.run",
+                 "tools.bdrmap.run", "orchestrator.deploy", "campaign.run"):
         assert rows[name]["calls"] == 1, name
 
 
@@ -385,17 +385,55 @@ def test_campaign_state_with_a_wrongly_typed_value_is_one_line_error(
     assert "malformed value" in _error_line(capsys)
 
 
+@pytest.fixture()
+def no_world(monkeypatch):
+    """Fail any build of the world; the list records the attempts."""
+    import repro.experiments
+    import repro.experiments.runner
+    built = []
+
+    def build_scenario(**kwargs):
+        built.append(kwargs)
+        raise AssertionError("the world was built")
+
+    for module in (repro.experiments, repro.experiments.runner):
+        monkeypatch.setattr(module, "build_scenario", build_scenario)
+    return built
+
+
 def test_campaign_zero_runs_is_one_line_error(capsys):
     assert main(["campaign", *SMALL, "--runs", "0"]) == 2
     assert "--runs must be >= 1" in _error_line(capsys)
 
 
 @pytest.mark.parametrize("servers", ["0", "-1"])
-def test_campaign_nonpositive_servers_is_one_line_error(capsys, servers):
+def test_campaign_nonpositive_servers_is_one_line_error(capsys, no_world,
+                                                        servers):
     args = ["campaign", "--scale", "0.05", "--days", "1", "--seed", "11",
             "--servers", servers]
     assert main(args) == 2
     assert "budget_servers must be >= 1" in _error_line(capsys)
+    assert no_world == []
+
+
+@pytest.mark.parametrize("command, message", [
+    (["campaign", "--scale", "0.05", "--seed", "3", "--days", "0"],
+     "days must be >= 1, got 0"),
+    (["campaign", "--scale", "0.05", "--seed", "3", "--region",
+      "nowhere1"], "unknown gcp region 'nowhere1'"),
+    (["campaign", "--scale", "0.05", "--seed", "3", "--provider", "aws",
+      "--region", "us-west1"], "unknown aws region 'us-west1'"),
+    (["experiment", "fig2", "--scale", "0.05", "--days", "0"],
+     "days must be >= 1, got 0"),
+    (["experiment", "table1", "--scale", "0.05", "--days", "0"],
+     "days must be >= 1, got 0"),
+], ids=["campaign-days", "campaign-region", "campaign-provider-region",
+        "fig2-days", "table1-days"])
+def test_bad_shape_fails_before_the_world_is_built(capsys, no_world,
+                                                   command, message):
+    assert main(command) == 2
+    assert message in _error_line(capsys)
+    assert no_world == []
 
 
 @pytest.mark.parametrize("option, path", [
@@ -406,22 +444,12 @@ def test_campaign_nonpositive_servers_is_one_line_error(capsys, servers):
 ], ids=["state-dir", "state-missing-dir", "trace-missing-dir",
         "export-under-file"])
 def test_campaign_bad_output_path_is_one_line_error(
-        capsys, tmp_path, monkeypatch, option, path):
+        capsys, tmp_path, no_world, option, path):
     """An output path that cannot be written fails before any run."""
-    import repro.experiments
-    built = []
-    real_build = repro.experiments.build_scenario
-
-    def build_scenario(**kwargs):
-        built.append(kwargs)
-        return real_build(**kwargs)
-
-    monkeypatch.setattr(repro.experiments, "build_scenario",
-                        build_scenario)
     (tmp_path / "file").write_text("")
     assert main(["campaign", *SMALL, option, str(tmp_path / path)]) == 2
     assert _error_line(capsys)
-    assert built == []
+    assert no_world == []
 
 
 @pytest.mark.parametrize("command, flag, message", [
@@ -432,25 +460,13 @@ def test_campaign_bad_output_path_is_one_line_error(
     (["campaign", *SMALL], "--trace", "Is a directory"),
 ], ids=["campaign", "experiment", "export", "trace"])
 def test_bad_profile_path_fails_before_the_world_is_built(
-        capsys, tmp_path, monkeypatch, command, flag, message):
+        capsys, tmp_path, no_world, command, flag, message):
     """An unusable output path fails before the world is built: an
     existing file where a directory goes, a directory where a file
     goes."""
-    import repro.experiments
-    import repro.experiments.runner
-    built = []
-
-    def build_scenario(**kwargs):
-        built.append(kwargs)
-        raise AssertionError("the world was built")
-
-    monkeypatch.setattr(repro.experiments, "build_scenario",
-                        build_scenario)
-    monkeypatch.setattr(repro.experiments.runner, "build_scenario",
-                        build_scenario)
     existing = tmp_path / "file"
     existing.write_text("")
     path = tmp_path if flag == "--trace" else existing
     assert main([*command, flag, str(path)]) == 2
     assert message in _error_line(capsys)
-    assert built == []
+    assert no_world == []

@@ -106,9 +106,3 @@ def test_vm_lifecycle_fields():
     vm.terminated_ts = 7200.0
     with pytest.raises(CloudError):
         vm.require_running()
-    assert vm.uptime_hours(now_ts=1e9) == pytest.approx(2.0)
-
-
-def test_vm_uptime_running():
-    vm = _vm()
-    assert vm.uptime_hours(now_ts=3600.0) == pytest.approx(1.0)

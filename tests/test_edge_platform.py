@@ -4,12 +4,10 @@ import pytest
 
 from repro.errors import MeasurementError
 from repro.rng import SeedTree
-from repro.simclock import CAMPAIGN_START
-from repro.units import DAY
 
 
 def test_edge_platform_coverage_gap(small_scenario):
-    from repro.tools.edgeplatform import EdgePlatform, QuotaExceeded
+    from repro.tools.edgeplatform import EdgePlatform
     scenario = small_scenario
     platform = EdgePlatform(scenario.internet, n_probes=120,
                             seeds=SeedTree(8))
@@ -24,17 +22,6 @@ def test_edge_platform_coverage_gap(small_scenario):
         / len(edge_asns)
     assert probe_coverage < catalog_coverage
 
-    # Throughput is quota-limited and access-capped.
-    probe = platform.probes[0]
-    rate = platform.measure_throughput(probe, float(CAMPAIGN_START),
-                                       path_capacity_mbps=10_000.0)
-    assert rate <= probe.access_mbps
-    for _ in range(probe.daily_quota - 1):
-        platform.measure_throughput(probe, float(CAMPAIGN_START), 1e4)
-    with pytest.raises(QuotaExceeded):
-        platform.measure_throughput(probe, float(CAMPAIGN_START), 1e4)
-    # The next day the quota resets.
-    platform.measure_throughput(probe, float(CAMPAIGN_START + DAY), 1e4)
     # Platform-wide daily budget is tiny next to CLASP's hourly cadence.
     assert platform.max_daily_tests() < 120 * 24
 

@@ -55,7 +55,7 @@ def test_package_docstring_quickstart_runs(capsys):
     """The quickstart in ``repro.__doc__`` runs as written."""
     _head, _sep, tail = repro.__doc__.partition("::\n")
     snippet = textwrap.dedent(tail)
-    assert "detect(dataset)" in snippet
+    assert "Pipeline(" in snippet
     namespace = {}
     exec(compile(snippet, "repro.__doc__", "exec"), namespace)
     report, dataset = namespace["report"], namespace["dataset"]

@@ -14,27 +14,16 @@ import pathlib
 import pytest
 
 from repro.core.export import dataset_digest
-from repro.experiments.scenario import build_scenario
 from repro.faults import FaultPlan
+
+from .fixtures_congestion import golden_pipeline
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "digests.json"
 
-# Keep in sync with scripts/regen_golden.py.
-SEED = 11
-SCALE = 0.05
-REGION = "us-west1"
-BUDGET_SERVERS = 8
-DAYS = 2
-
 
 def _run_campaign(faults):
-    scenario = build_scenario(seed=SEED, scale=SCALE, faults=faults)
-    clasp = scenario.clasp
-    selection = clasp.select_topology_servers(REGION)
-    plan = clasp.deploy_topology(REGION, selection,
-                                 budget_servers=BUDGET_SERVERS)
-    dataset = clasp.run_campaign([plan], days=DAYS)
-    return scenario, dataset
+    pipeline = golden_pipeline(faults=faults)
+    return pipeline.scenario, pipeline.topology_dataset()
 
 
 @pytest.fixture(scope="module")
@@ -89,14 +78,12 @@ def test_golden_explicit_gcp_provider(golden, subscribers, batch):
     reproduce the pre-refactor digest byte-for-byte, on the scalar and
     the vectorized execution path, however many passive subscribers
     listen on the campaign bus."""
-    scenario = build_scenario(seed=SEED, scale=SCALE, provider="gcp")
-    assert scenario.clasp.platform.provider.name == "gcp"
-    clasp = scenario.clasp
-    selection = clasp.select_topology_servers(REGION)
-    plan = clasp.deploy_topology(REGION, selection,
-                                 budget_servers=BUDGET_SERVERS)
+    pipeline = golden_pipeline(provider="gcp")
+    clasp = pipeline.clasp
+    assert clasp.platform.provider.name == "gcp"
     recorders = [_KindRecorder() for _ in range(subscribers)]
-    dataset = clasp.run_campaign([plan], days=DAYS, observers=recorders,
+    dataset = clasp.run_campaign(pipeline.topology_plans(),
+                                 days=pipeline.days, observers=recorders,
                                  batch=batch)
     assert dataset.provider == "gcp"
     assert dataset_digest(dataset) == golden["faults_off"]

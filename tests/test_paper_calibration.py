@@ -11,18 +11,18 @@ import pytest
 
 from repro.core.analysis import performance_scatter
 from repro.core.congestion import choose_threshold_elbow, threshold_sweep
-from repro.experiments.runner import ExperimentCache
+from repro.experiments import Pipeline
 
 
 @pytest.fixture(scope="module")
 def calibrated():
-    cache = ExperimentCache(seed=7, scale=0.12, days=8)
-    dataset = cache.topology_dataset()
-    return cache, dataset
+    pipeline = Pipeline(seed=7, scale=0.12, days=8)
+    dataset = pipeline.topology_dataset()
+    return pipeline, dataset
 
 
 def test_congested_day_band(calibrated):
-    _cache, dataset = calibrated
+    _pipeline, dataset = calibrated
     hs, day_frac, hour_frac = threshold_sweep(dataset,
                                               np.array([0.25, 0.5]))
     # Paper: 71-90% at H=0.25 and 11-30% at H=0.5 (widened for the
@@ -34,7 +34,7 @@ def test_congested_day_band(calibrated):
 
 
 def test_elbow_lands_near_half(calibrated):
-    _cache, dataset = calibrated
+    _pipeline, dataset = calibrated
     hs, day_frac, _ = threshold_sweep(dataset,
                                       np.round(np.arange(0.05, 1.0,
                                                          0.05), 2))
@@ -43,7 +43,7 @@ def test_elbow_lands_near_half(calibrated):
 
 
 def test_download_band(calibrated):
-    _cache, dataset = calibrated
+    _pipeline, dataset = calibrated
     points = performance_scatter(dataset, min_samples=100)
     p95 = np.array([p.p95_download_mbps for p in points])
     assert p95.size > 30
@@ -54,7 +54,7 @@ def test_download_band(calibrated):
 
 
 def test_upload_pinned_at_cap(calibrated):
-    _cache, dataset = calibrated
+    _pipeline, dataset = calibrated
     p95_uploads = [np.percentile(dataset.table.series(p)["upload"], 95)
                    for p in dataset.pairs()]
     assert np.median(p95_uploads) > 85.0
@@ -65,9 +65,9 @@ def test_story_networks_detected(calibrated):
     """The named story ISPs must show up congested with the planted
     diurnal shape."""
     from repro.core.congestion import PAPER_THRESHOLD, detect
-    cache, dataset = calibrated
+    pipeline, dataset = calibrated
     report = detect(dataset, threshold=PAPER_THRESHOLD)
-    stories = cache.scenario.story_asns
+    stories = pipeline.scenario.story_asns
     events_by_asn = {}
     for event in report.events:
         asn = dataset.server_meta(event.pair[1]).asn

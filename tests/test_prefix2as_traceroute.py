@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim.addressing import parse_ip
+from repro.netsim.addressing import Prefix, parse_ip
 from repro.netsim.routing import GraphMode, Router, TierPolicy
 from repro.rng import SeedTree
 from repro.simclock import CAMPAIGN_START
@@ -34,10 +34,10 @@ def test_prefix2as_basic(rig):
 
 def test_prefix2as_more_specific_wins(rig):
     world, topo, _router, p2a, _sc = rig
-    # 10.40.24.0/24 is announced inside 10.40.0.0/16.
-    hit = p2a.lookup_prefix(parse_ip("10.40.24.5"))
-    assert hit is not None
-    assert hit[0].length == 24
+    # Another AS announces a /24 inside ISP Alpha's 10.40.0.0/16.
+    p2a.add(Prefix.parse("10.40.24.0/24"), 999)
+    assert p2a.lookup(parse_ip("10.40.24.5")) == 999
+    assert p2a.lookup(parse_ip("10.40.99.5")) == 400
 
 
 def test_traceroute_hops_are_ingress_interfaces(rig):

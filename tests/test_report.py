@@ -6,8 +6,6 @@ from repro.report.ascii import (
     ascii_cdf,
     ascii_histogram,
     ascii_series,
-    render_cdf,
-    render_series,
     sparkline,
 )
 from repro.report.figures import FigureSeries
@@ -42,7 +40,8 @@ def test_table_validation():
 
 def test_table_float_formatting():
     table = TextTable(["v"])
-    table.add_rows([[1234.5678], [12.3456], [0.1234], [float("nan")]])
+    for value in (1234.5678, 12.3456, 0.1234, float("nan")):
+        table.add_row([value])
     text = table.render()
     assert "1235" in text
     assert "12.35" in text
@@ -78,13 +77,6 @@ def test_ascii_histogram_and_cdf():
     assert ascii_cdf([]) == "(no data)"
 
 
-def test_render_helpers():
-    assert "[1.0 .. 3.0]" in render_series("x", [1, 2, 3])
-    assert "(empty)" in render_series("x", [])
-    cdf_line = render_cdf("d", [-1, 0, 1])
-    assert "p50=" in cdf_line
-
-
 def test_figure_series():
     series = FigureSeries(label="s", y=[1, 2, 3], x=[0, 1, 2])
     assert series.n == 3
@@ -93,11 +85,3 @@ def test_figure_series():
     with pytest.raises(ValueError):
         FigureSeries(label="bad", y=[1, 2], x=[0])
     assert FigureSeries(label="e", y=[]).summary() == {"n": 0}
-
-
-def test_table_add_rows_bulk():
-    table = TextTable(["a", "b"])
-    table.add_rows([[1, 2], [3, 4], [5, 6]])
-    assert len(table) == 3
-    rendered = table.render()
-    assert rendered.count("\n") == 4  # header + rule + 3 rows

@@ -1,7 +1,5 @@
 """Simulated clock and local-time helpers."""
 
-import datetime
-
 import pytest
 
 from repro import simclock
@@ -14,17 +12,6 @@ def test_campaign_window():
     assert (start.year, start.month, start.day) == (2020, 5, 1)
     assert (end.year, end.month, end.day) == (2020, 10, 1)
     assert (simclock.CAMPAIGN_END - simclock.CAMPAIGN_START) == 153 * DAY
-
-
-def test_utc_roundtrip():
-    when = datetime.datetime(2020, 7, 4, 12, 30,
-                             tzinfo=datetime.timezone.utc)
-    assert simclock.utc_datetime(simclock.from_utc_datetime(when)) == when
-
-
-def test_from_naive_datetime_rejected():
-    with pytest.raises(ValueError):
-        simclock.from_utc_datetime(datetime.datetime(2020, 5, 1))
 
 
 def test_hour_of_day_with_offset():
@@ -58,14 +45,6 @@ def test_clock_advances_monotonically():
         clock.advance(-1)
     with pytest.raises(ValueError):
         clock.advance_to(t0)
-
-
-def test_next_hour_boundary():
-    clock = simclock.SimClock(simclock.CAMPAIGN_START + 10)
-    assert clock.next_hour_boundary() == simclock.CAMPAIGN_START + HOUR
-    clock2 = simclock.SimClock(simclock.CAMPAIGN_START)
-    # Exactly on a boundary: the *next* boundary is an hour later.
-    assert clock2.next_hour_boundary() == simclock.CAMPAIGN_START + HOUR
 
 
 def test_format_ts():

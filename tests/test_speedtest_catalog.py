@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim.generator import GeneratorConfig, TopologyGenerator
+from repro.netsim.traffic import DiurnalProfile
 from repro.rng import SeedTree
 from repro.speedtest.catalog import (
     CatalogConfig,
@@ -51,8 +52,10 @@ def test_server_attachment(world):
         assert topo.resolve_ip_to_pop(server.ip).pop_id == server.host_pop_id
         link = topo.link(server.access_link_id)
         assert link.capacity_mbps >= 1000.0  # "at least 1 Gbps"
-        # The access link carries a load profile.
-        assert net.utilization.has_profile(server.access_link_id, 0)
+        # The access link carries its own load profile, not the
+        # quiet default.
+        assert (net.utilization.profile(server.access_link_id, 0)
+                != DiurnalProfile.quiet())
 
 
 def test_service_caps(world):

@@ -123,7 +123,6 @@ def test_utilization_directions_independent():
 
 def test_utilization_default_profile():
     model = UtilizationModel(SeedTree(3), CAMPAIGN_START)
-    assert not model.has_profile(99, 0)
     # Unprofiled links fall back to a quiet default.
     value = model.utilization(99, 0, CAMPAIGN_START)
     assert 0.0 <= value < 0.9
