@@ -66,18 +66,16 @@ class HourlySchedule:
         if hour_start_ts % HOUR != 0:
             raise SchedulingError(
                 f"hour_start_ts {hour_start_ts} is not hour-aligned")
-        order = self._rng.permutation(len(self.server_ids))
-        slots = []
-        for slot_index, server_idx in enumerate(order):
-            # A few seconds of cron/browser startup jitter per slot.
-            jitter = float(self._rng.uniform(1.0, 8.0))
-            slots.append(TestSlot(
-                ts=hour_start_ts + slot_index * TEST_SLOT_S + jitter,
-                vm_name=self.vm_name,
-                server_id=self.server_ids[int(server_idx)],
-                slot_index=slot_index,
-            ))
-        return slots
+        order = self._rng.permutation(len(self.server_ids)).tolist()
+        # A few seconds of cron/browser startup jitter per slot, in one
+        # draw: the values and the stream state of one draw per slot.
+        jitters = self._rng.uniform(1.0, 8.0, size=len(order)).tolist()
+        return [TestSlot(ts=hour_start_ts + slot_index * TEST_SLOT_S + jitter,
+                         vm_name=self.vm_name,
+                         server_id=self.server_ids[server_idx],
+                         slot_index=slot_index)
+                for slot_index, (server_idx, jitter)
+                in enumerate(zip(order, jitters))]
 
     def traceroute_window(self, hour_start_ts: float) -> float:
         """When the post-test traceroute phase begins."""

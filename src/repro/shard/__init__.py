@@ -8,7 +8,7 @@ enforced by ``tests/test_shard.py``):
   ``hour_hook`` precomputes the whole hour's tests in one pass -
   replicating the scalar RNG consumption draw for draw, then
   evaluating all link states, route sums and TCP transfers as flat
-  arrays over static per-link and per-route tables, through the
+  arrays over static per-link and per-route-pair tables, through the
   bit-exact vector twins in :mod:`repro.shard.vectcp`.
 
 Entry points: ``Clasp.run_campaign(batch=True)``, or

@@ -10,25 +10,29 @@ evaluates the hour as a handful of array operations through the
 
 * **Static tables.** Each ``(link, direction)`` owns one row of a float
   parameter table (capacity, loss floor, queue base and cap, profile
-  base, weekend factor, UTC offset, noise sigma, padded bump triples),
-  and each cached route an ``int64`` array of its rows plus its
-  propagation delay and burst loss.  Profiles, capacities and routes
-  are fixed once the scenario is built, so both live as long as the
-  planner.
-* **One flat evaluation.** The hour's routes are concatenated into one
-  point array; its parameters are one gather from the table, and the
-  utilization, residual, loss and queue twins each run once over it.
-  Hourly noise is one gather per distinct hour index from the
-  traffic model's own arrays, which the model draws only up to the
-  last hour read; the planner re-fetches them only when an hour passes
-  the shortest one it holds.
-* **Column-wise route fold** (:func:`fold_routes`). Queue sums and
-  survival products accumulate link by link in route order across a
-  padded ``[routes x max_len]`` matrix - the scalar left fold, so no
-  pairwise-summation drift - and ``argmin`` picks the bottleneck.
+  base, weekend factor, UTC offset, noise sigma, padded bump triples).
+  Each route pair, keyed like the platform's route cache by ``(VM host
+  PoP, remote PoP, tier)``, owns one index into padded ``[pairs, 2,
+  width]`` table-row and valid-point arrays and ``[pairs, 2]``
+  propagation and burst-loss arrays; ``route_pair`` runs only when a
+  key is first seen.  Profiles, capacities and routes are fixed once
+  the scenario is built, so the tables live as long as the planner.
+* **One gather per hour.** The hour's jobs index the pair table; the
+  valid points, read row-major, are the routes laid end to end (job by
+  job, ingress route then egress route, link by link), and only they
+  go through the utilization, residual, loss and queue twins, once
+  each.  Hourly noise is one gather from a ``[rows x 24 h]`` window cut
+  from the traffic model's own arrays, which the model draws only up
+  to the last hour read; the planner re-fetches them only when a
+  window passes the shortest one it holds.
+* **Route fold** (:func:`fold_routes`). The points scatter back into
+  the padded matrices, and queue sums and survival products accumulate
+  link by link in route order - the scalar left fold, so no
+  pairwise-summation drift - while ``argmin`` picks the bottleneck.
 * **Array-form results.** RTTs, losses, the TCP model, the bulk phase,
   bytes and CPU are elementwise array chains in the scalar expression
-  order; only the result objects are built per job.
+  order, over per-lane caps read once an hour and each job's standard
+  deviates; only the result objects are built per job.
 
 :class:`BatchLaneExecutor` plugs the planner into the campaign through
 the two :class:`~repro.core.campaign.LaneExecutor` seams and the
@@ -39,6 +43,7 @@ golden digests by ``tests/test_shard.py``).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,12 +74,25 @@ __all__ = ["BatchLaneExecutor", "BatchPlanner", "batch_executor_factory",
 #: injected failure, or truncation) - the stepper re-raises.
 _FAILED = object()
 
+#: Standard deviations of a test's four bulk-noise draws: download
+#: shortfall and wiggle, then upload's.
+_NOISE_SCALES = np.array([protocol.NOISE_SIGMA, protocol.NOISE_SIGMA * 0.25,
+                          protocol.NOISE_SIGMA, protocol.NOISE_SIGMA * 0.25])
 
-class _Job:
-    """One test that will complete, with its pre-drawn noise."""
+#: Hours of hourly noise the planner copies out of the traffic model at
+#: a time: one ``[rows x hours]`` window, cut again when an hour falls
+#: outside it.
+_NOISE_WINDOW_HOURS = 24
 
-    __slots__ = ("lane", "slot", "ts", "attempts", "server", "jitter",
-                 "down_short", "down_wiggle", "up_short", "up_wiggle")
+
+#: One test that will complete, as the tuple ``(lane, slot, ts,
+#: attempts, server, pair, limits, draws)``: ``pair`` is its route-pair
+#: index (None until the pair is first built), ``limits`` the lane's
+#: ``(ingress cap, egress cap, CPU cap)`` for the hour, and ``draws``
+#: the standard deviates of its latency jitter, then of its four
+#: bulk-noise draws.
+_Job = Tuple[Lane, TestSlot, float, int, Any, Optional[int],
+             Tuple[float, float, float], List[float]]
 
 
 class BatchPlanner:
@@ -96,7 +114,8 @@ class BatchPlanner:
         self._outcomes: Dict[Tuple[str, int], Any] = {}
         self._planned_hour: Optional[float] = None
         # Static tables: one parameter row per (link, direction) and
-        # one entry per cached route, keyed by id() of the route.
+        # one entry per route pair, keyed like the platform's route
+        # cache: (VM host PoP, tier), then the remote PoP.
         self._row_of: Dict[Tuple[int, int], int] = {}
         self._params: List[Tuple[tuple, tuple]] = []
         self._keys: List[Tuple[int, int]] = []
@@ -106,7 +125,16 @@ class BatchPlanner:
         self._noise_hours = UtilizationModel.FIRST_DRAW_HOURS
         self._table: Optional[np.ndarray] = None
         self._link_ids = np.zeros(0, dtype=np.int64)
-        self._routes: Dict[int, Tuple[Any, np.ndarray, float, float]] = {}
+        self._pair_of: Dict[Tuple[int, Any], Dict[int, int]] = {}
+        self._pairs: List[Tuple[Tuple[List[int], float, float], ...]] = []
+        self._pair_rows: Optional[np.ndarray] = None
+        self._pair_valid = np.zeros((0, 2, 0), dtype=bool)
+        self._pair_points = np.zeros(0, dtype=np.int64)
+        self._pair_prop = np.zeros((0, 2))
+        self._pair_burst = np.zeros((0, 2))
+        # Hourly noise of every row over hours [start, start + width).
+        self._window: Optional[np.ndarray] = None
+        self._window_start = 0
 
     # ------------------------------------------------------------------
     # stepper-facing accessors
@@ -155,7 +183,10 @@ class BatchPlanner:
         runner = self.runner
         engine = runner.engine
         browser = runner.browser
+        backoff = browser.backoff
+        attempts = range(browser.max_retries + 1)
         injector = runner.injector
+        get_server = runner.catalog.get
         jobs: List[_Job] = []
         for lane in lanes:
             slots = lane.schedule.hour_slots(hour_start)
@@ -167,13 +198,16 @@ class BatchPlanner:
                     continue
             vm = lane.vm
             rng = engine.stream_for(vm.name)
+            limits = (vm.nic.ingress_cap_mbps(), vm.nic.egress_cap_mbps(),
+                      vm.machine_type.cpu_throughput_cap_mbps)
+            by_remote = self._pair_of.setdefault((vm.nic.host_pop_id,
+                                                  vm.tier), {})
             for slot in slots:
-                server = runner.catalog.get(slot.server_id)
-                job: Optional[_Job] = None
-                for attempt in range(browser.max_retries + 1):
+                server = get_server(slot.server_id)
+                for attempt in attempts:
                     attempt_ts = slot.ts
-                    if attempt and browser.backoff is not None:
-                        attempt_ts = slot.ts + browser.backoff(attempt - 1)
+                    if attempt and backoff is not None:
+                        attempt_ts = slot.ts + backoff(attempt - 1)
                     # The protocol's outright-failure draw happens before
                     # the injector checks, and a failed attempt consumes
                     # no further randomness.
@@ -187,80 +221,69 @@ class BatchPlanner:
                                 vm.name, server.server_id,
                                 attempt_ts) is not None:
                             continue
-                    job = _Job()
-                    job.lane = lane
-                    job.slot = slot
-                    job.ts = attempt_ts
-                    job.attempts = attempt + 1
-                    job.server = server
-                    job.jitter = rng.exponential(protocol.PING_JITTER_MS,
-                                                 size=protocol.PING_COUNT)
-                    job.down_short = rng.normal(0.0, protocol.NOISE_SIGMA)
-                    job.down_wiggle = rng.normal(0.0,
-                                                 protocol.NOISE_SIGMA * 0.25)
-                    job.up_short = rng.normal(0.0, protocol.NOISE_SIGMA)
-                    job.up_wiggle = rng.normal(0.0,
-                                               protocol.NOISE_SIGMA * 0.25)
+                    # The standard deviates of the scalar path's jitter
+                    # and bulk-noise draws; _finish scales them.
+                    draws = (rng.standard_exponential(protocol.PING_COUNT)
+                             .tolist() + rng.standard_normal(4).tolist())
+                    jobs.append((lane, slot, attempt_ts, attempt + 1, server,
+                                 by_remote.get(server.host_pop_id), limits,
+                                 draws))
                     break
-                if job is None:
-                    self._outcomes[(lane.name, slot.slot_index)] = _FAILED
                 else:
-                    jobs.append(job)
+                    self._outcomes[(lane.name, slot.slot_index)] = _FAILED
         return jobs
 
     # ------------------------------------------------------------------
     # phase 2: one flat array evaluation of the whole hour
 
     def _evaluate(self, jobs: List[_Job]) -> None:
-        runner = self.runner
-        platform = runner.engine.platform
+        platform = self.runner.engine.platform
         evaluator = platform.evaluator
+        model = evaluator.utilization_model
 
-        # Routes are laid out job by job, ingress (download) route then
-        # egress (upload) route: route 2j is job j's down transfer and
-        # route 2j+1 its up transfer, the scalar path's own order.
-        entries = []
-        for job in jobs:
-            for route in platform.route_pair(job.lane.vm,
-                                             job.server.host_pop_id,
-                                             Direction.INGRESS):
-                entry = self._routes.get(id(route))
-                if entry is None:
-                    entry = self._route_entry(route, platform.topology,
-                                              evaluator.utilization_model)
-                entries.append(entry)
-        _routes, route_rows, prop, burst = zip(*entries)
-        lengths = np.array([len(r) for r in route_rows])
-        rows = np.concatenate(route_rows)
-        job_ts = np.array([job.ts for job in jobs])
-        ts = np.repeat(np.repeat(job_ts, 2), lengths)
+        # Job j's routes are row j of the [jobs, 2, width] pair gathers:
+        # the ingress (download) route, then the egress (upload) route,
+        # the scalar path's own order.  Read row-major, the valid points
+        # are the flat point order: job by job, link by link.
+        lanes, _slots, job_ts, _attempts, servers, pairs, _limits, _draws = \
+            zip(*jobs)
+        if None in pairs:
+            pairs = [self._pair_index(lane.vm, server.host_pop_id, platform,
+                                      model) if pair is None else pair
+                     for lane, server, pair in zip(lanes, servers, pairs)]
         if self._table is None:
             self._build_table()
+        if self._pair_rows is None:
+            self._build_pair_table()
+        pair = np.array(pairs)
+        valid = self._pair_valid[pair]
+        rows = self._pair_rows[pair][valid]
+        n_points = self._pair_points[pair]
+        job_ts = np.array(job_ts)
+        ts = np.repeat(job_ts, n_points)
         p = self._table[rows]
         obs.inc("shard.link_observations", float(len(rows)))
 
-        model = evaluator.utilization_model
         mean = batch_mean_utilization_grid(ts, p[:, 4], p[:, 5], p[:, 6],
                                            p[:, 8::3], p[:, 9::3],
                                            p[:, 10::3])
-        hour_idx = (np.floor_divide(ts - model.origin_ts, HOUR)
-                    .astype(np.int64) % UtilizationModel.NOISE_HOURS)
-        noise = np.zeros(ts.shape)
-        for hour in np.unique(hour_idx).tolist():
-            in_hour = hour_idx == hour
-            noise[in_hour] = self._noise_column(hour, model)[rows[in_hour]]
+        hour_idx = np.repeat(
+            np.floor_divide(job_ts - model.origin_ts, HOUR).astype(np.int64)
+            % UtilizationModel.NOISE_HOURS, n_points)
+        noise = self._noise(rows, hour_idx, model)
         u = np.where(p[:, 7] > 0, np.maximum(0.0, mean + noise), mean)
         if evaluator.flap_hook is not None:
             u = self._apply_flaps(evaluator.flap_hook, rows, ts, u)
-        q_sum, survive, avail, bottleneck = fold_routes(
+        width = valid.shape[2]
+        q_sum, survive, avail, col = fold_routes(
             batch_queue_delay_ms(u, base=p[:, 2], cap=p[:, 3]),
             batch_loss_rate(u, floor=p[:, 1]),
-            batch_residual_mbps(p[:, 0], u), lengths)
+            batch_residual_mbps(p[:, 0], u), valid.reshape(-1, width))
 
         # Per route, in the float-op order of PathPerformanceModel:
         # rtt = own prop + partner prop + own queues + partner queues.
-        prop = np.array(prop)
-        burst = np.array(burst)
+        prop = self._pair_prop[pair].ravel()
+        burst = self._pair_burst[pair].ravel()
         rtt = prop + _partner(prop) + q_sum + _partner(q_sum)
         loss = np.minimum(0.95, np.maximum(0.0, 1.0 - survive))
         eff = np.minimum(0.95, loss + PathMetrics.BURST_TCP_WEIGHT * burst)
@@ -269,7 +292,8 @@ class BatchPlanner:
             rtt, eff, batch_flows_for_rtt(rtt), avail)
         if obs.enabled():
             # Mirror the scalar counters in bottleneck-link order.
-            links = np.append(self._link_ids[rows], -1)[bottleneck]
+            links = self._link_ids[self._pair_rows[pair].reshape(-1, width)]
+            links = np.where(col >= 0, links[np.arange(len(col)), col], -1)
             for value in tcp[np.argsort(links, kind="stable")].tolist():
                 obs.inc("netsim.tcp.transfers")
                 obs.observe("netsim.tcp.throughput_mbps", value)
@@ -278,58 +302,48 @@ class BatchPlanner:
     def _finish(self, jobs: List[_Job], rtt_eg: np.ndarray,
                 tcp: np.ndarray, total_loss: np.ndarray) -> None:
         """Protocol arithmetic as arrays, then one result per job."""
-        endpoint_cap = []
-        server_cap = []
-        cpu_cap = []
-        short = []
-        wiggle = []
-        for job in jobs:
-            vm = job.lane.vm
-            cap = job.server.effective_cap_mbps
-            endpoint_cap += (vm.nic.ingress_cap_mbps(),
-                             vm.nic.egress_cap_mbps())
-            server_cap += (cap, cap)
-            cpu_cap.append(vm.machine_type.cpu_throughput_cap_mbps)
-            short += (job.down_short, job.up_short)
-            wiggle += (job.down_wiggle, job.up_wiggle)
-        cpu_cap = np.array(cpu_cap)
-        rate = np.minimum(np.minimum(tcp, endpoint_cap), server_cap)
+        lanes, slots, job_ts, attempts, servers, _pairs, limits, draws = \
+            zip(*jobs)
+        limits = np.array(limits)
+        draws = np.array(draws)
+        # numpy's exponential(scale) is scale * a standard deviate and
+        # normal(loc, scale) is loc + scale * one, element by element.
+        jitter = protocol.PING_JITTER_MS * draws[:, :protocol.PING_COUNT]
+        noise = 0.0 + _NOISE_SCALES * draws[:, protocol.PING_COUNT:]
+        short = noise[:, 0::2].ravel()
+        wiggle = noise[:, 1::2].ravel()
+        server_cap = np.array([server.effective_cap_mbps
+                               for server in servers])
+        cpu_cap = limits[:, 2]
+        rate = np.minimum(np.minimum(tcp, limits[:, :2].ravel()),
+                          np.repeat(server_cap, 2))
         rate = np.minimum(rate, np.repeat(cpu_cap, 2))
         factor = np.maximum(0.05, np.minimum(1.0, 1.0 - np.abs(short)
-                                             + np.asarray(wiggle)))
+                                             + wiggle))
         mbps = np.maximum(0.05, rate * factor)
         down, up = mbps[0::2], mbps[1::2]
-        latency = np.min(rtt_eg[:, None]
-                         + np.array([job.jitter for job in jobs]), axis=1)
-        columns = zip(
-            jobs, latency.tolist(), down.tolist(), up.tolist(),
+        latency = np.min(rtt_eg[:, None] + jitter, axis=1)
+        down_bytes = transferred_bytes(down, protocol.DOWNLOAD_DURATION_S)
+        up_bytes = transferred_bytes(up, protocol.UPLOAD_DURATION_S)
+        # int() of each result's total_bytes * _PCAP_FRACTION (both
+        # truncate toward zero).
+        pcap = ((down_bytes + up_bytes) * _PCAP_FRACTION).astype(np.int64)
+        results = map(
+            SpeedTestResult,
+            [server.server_id for server in servers],
+            [lane.vm.name for lane in lanes],
+            job_ts,
+            [round(x, 2) for x in latency.tolist()],
+            [round(x, 2) for x in down.tolist()],
+            [round(x, 2) for x in up.tolist()],
             total_loss[0::2].tolist(), total_loss[1::2].tolist(),
-            transferred_bytes(down, protocol.DOWNLOAD_DURATION_S).tolist(),
-            transferred_bytes(up, protocol.UPLOAD_DURATION_S).tolist(),
+            down_bytes.tolist(), up_bytes.tolist(),
+            repeat(protocol.TEST_DURATION_S),
             np.minimum(1.0, np.maximum(down, up) / cpu_cap).tolist())
-        for (job, latency_ms, down_mbps, up_mbps, down_loss, up_loss,
-             down_bytes, up_bytes, cpu) in columns:
-            result = SpeedTestResult(
-                server_id=job.server.server_id,
-                vm_name=job.lane.vm.name,
-                ts=job.ts,
-                latency_ms=round(latency_ms, 2),
-                download_mbps=round(down_mbps, 2),
-                upload_mbps=round(up_mbps, 2),
-                download_loss_rate=down_loss,
-                upload_loss_rate=up_loss,
-                download_bytes=down_bytes,
-                upload_bytes=up_bytes,
-                duration_s=protocol.TEST_DURATION_S,
-                cpu_utilization=cpu,
-            )
-            artefacts = BrowserArtifacts(
-                result=result,
-                pcap_bytes=int(result.total_bytes * _PCAP_FRACTION),
-                capture_bytes=_CAPTURE_OVERHEAD_BYTES,
-                attempts=job.attempts,
-            )
-            self._outcomes[(job.lane.name, job.slot.slot_index)] = artefacts
+        self._outcomes.update(zip(
+            [(lane.name, slot.slot_index) for lane, slot in zip(lanes, slots)],
+            map(BrowserArtifacts, results, pcap.tolist(),
+                repeat(_CAPTURE_OVERHEAD_BYTES), attempts)))
 
     def _apply_flaps(self, hook: Any, rows: np.ndarray, ts: np.ndarray,
                      u: np.ndarray) -> np.ndarray:
@@ -361,24 +375,51 @@ class BatchPlanner:
     # static tables (profiles, capacities and routes are fixed once the
     # scenario is built, so every entry lives for the planner's lifetime)
 
-    def _route_entry(self, route: Any, topo: Any, model: UtilizationModel
-                     ) -> Tuple[Any, np.ndarray, float, float]:
-        """``(route, table rows, propagation ms, clamped burst loss)``.
+    def _pair_index(self, vm: Any, remote_pop_id: int, platform: Any,
+                    model: UtilizationModel) -> int:
+        """The route pair's index; a new key asks the platform for its
+        routes, once.  Per route: ``(table rows, propagation ms, clamped
+        burst loss)``."""
+        by_remote = self._pair_of.setdefault((vm.nic.host_pop_id, vm.tier),
+                                             {})
+        pair = by_remote.get(remote_pop_id)
+        if pair is not None:
+            return pair
+        topo = platform.topology
+        entry = []
+        for route in platform.route_pair(vm, remote_pop_id,
+                                         Direction.INGRESS):
+            burst_survive = 1.0
+            rows = []
+            for link_id, direction in route.links:
+                link = topo.link(link_id)
+                burst_survive *= (1.0 - link.burst_loss)
+                rows.append(self._row_index(link, direction, model))
+            entry.append((rows, route.propagation_delay_ms(topo),
+                          min(0.95, max(0.0, 1.0 - burst_survive))))
+        pair = by_remote[remote_pop_id] = len(self._pairs)
+        self._pairs.append(tuple(entry))
+        self._pair_rows = None
+        return pair
 
-        The route object itself is kept in the entry so its ``id()``
-        key can never be reused by another route.
-        """
-        burst_survive = 1.0
-        rows = []
-        for link_id, direction in route.links:
-            link = topo.link(link_id)
-            burst_survive *= (1.0 - link.burst_loss)
-            rows.append(self._row_index(link, direction, model))
-        entry = (route, np.array(rows, dtype=np.int64),
-                 route.propagation_delay_ms(topo),
-                 min(0.95, max(0.0, 1.0 - burst_survive)))
-        self._routes[id(route)] = entry
-        return entry
+    def _build_pair_table(self) -> None:
+        """Every pair's two routes as ``[pairs, 2, width]`` table rows
+        and a valid-point mask, padded to the longest route, plus their
+        ``[pairs, 2]`` propagation and burst-loss columns."""
+        width = max(len(rows) for entry in self._pairs
+                    for rows, _prop, _burst in entry)
+        shape = (len(self._pairs), 2, width)
+        self._pair_rows = np.zeros(shape, dtype=np.int64)
+        self._pair_valid = np.zeros(shape, dtype=bool)
+        for pair, entry in enumerate(self._pairs):
+            for side, (rows, _prop, _burst) in enumerate(entry):
+                self._pair_rows[pair, side, :len(rows)] = rows
+                self._pair_valid[pair, side, :len(rows)] = True
+        self._pair_points = self._pair_valid.sum(axis=(1, 2))
+        self._pair_prop = np.array([[prop for _rows, prop, _burst in entry]
+                                    for entry in self._pairs])
+        self._pair_burst = np.array([[burst for _rows, _prop, burst in entry]
+                                     for entry in self._pairs])
 
     def _row_index(self, link: Any, direction: int,
                    model: UtilizationModel) -> int:
@@ -400,6 +441,7 @@ class BatchPlanner:
                 self._noise_arrays.append(model.noise_array(
                     link.link_id, direction, self._noise_hours))
             self._table = None
+            self._window = None
         return row
 
     def _build_table(self) -> None:
@@ -415,16 +457,31 @@ class BatchPlanner:
         self._link_ids = np.array([link_id for link_id, _ in self._keys],
                                   dtype=np.int64)
 
-    def _noise_column(self, hour_idx: int,
-                      model: UtilizationModel) -> np.ndarray:
-        """Every row's hourly noise at *hour_idx* (0.0 for quiet rows),
-        gathered from the model's own arrays."""
-        if hour_idx >= self._noise_hours:
-            self._refresh_noise(hour_idx + 1, model)
-        column = np.zeros(len(self._params))
-        column[self._noisy_rows] = [arr[hour_idx]
-                                    for arr in self._noise_arrays]
-        return column
+    def _noise(self, rows: np.ndarray, hour_idx: np.ndarray,
+               model: UtilizationModel) -> np.ndarray:
+        """Each point's hourly noise (0.0 on quiet rows): one gather from
+        the noise window, cut again when an hour falls outside it."""
+        lo, hi = int(hour_idx.min()), int(hour_idx.max())
+        start = self._window_start
+        if (self._window is None or lo < start
+                or hi >= start + self._window.shape[1]):
+            self._cut_window(lo, hi, model)
+        return self._window[rows, hour_idx - self._window_start]
+
+    def _cut_window(self, lo: int, hi: int,
+                    model: UtilizationModel) -> None:
+        """Copy hours ``[lo, end)`` of every noisy row out of the model's
+        arrays, at least hours lo..hi and :data:`_NOISE_WINDOW_HOURS` of
+        them where the wrap allows."""
+        end = min(max(hi + 1, lo + _NOISE_WINDOW_HOURS),
+                  UtilizationModel.NOISE_HOURS)
+        if end > self._noise_hours:
+            self._refresh_noise(end, model)
+        window = np.zeros((len(self._params), end - lo))
+        for row, arr in zip(self._noisy_rows, self._noise_arrays):
+            window[row] = arr[lo:end]
+        self._window = window
+        self._window_start = lo
 
     def _refresh_noise(self, hours: int, model: UtilizationModel) -> None:
         """Re-fetch every noisy row's array, drawn to cover *hours*."""
@@ -435,38 +492,31 @@ class BatchPlanner:
 
 
 def fold_routes(queue: np.ndarray, loss: np.ndarray, residual: np.ndarray,
-                lengths: np.ndarray
+                valid: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-route ``(queue sum, survival product, min residual, bottleneck)``.
 
-    Routes lie back to back in the flat point arrays, *lengths* points
-    each.  The fold runs column by column over a padded ``[routes x
-    max_len]`` index matrix, so each route still accumulates its links
-    one at a time in route order - the scalar left fold, not numpy's
-    pairwise summation.  Padding points read queue ``+0.0``, survival
-    ``1.0`` and residual ``+inf``: exact identities.  The bottleneck is
-    the flat index of the first strict minimum residual (``argmin``
-    keeps the first occurrence), or -1 when no residual is below
-    ``+inf`` - the scalar fold's starting values.
+    *valid* is a ``[routes x width]`` mask of each route's links, and
+    the flat point arrays hold the valid points in its row-major order:
+    route by route, links in route order.  The points are scattered
+    into padded matrices, where padding reads queue ``+0.0``, survival
+    ``1.0`` and residual ``+inf``: exact identities.  ``cumsum`` and
+    ``cumprod`` along a row add one link at a time in route order - the
+    scalar left fold, not numpy's pairwise summation.  The bottleneck
+    is the column of the first strict minimum residual (``argmin`` keeps
+    the first occurrence), or -1 when no residual is below ``+inf`` -
+    the scalar fold's starting values.
     """
-    n = queue.shape[0]
-    width = int(lengths.max())
-    cols = np.arange(width)
-    starts = np.cumsum(lengths) - lengths
-    index = np.where(cols < lengths[:, None], starts[:, None] + cols, n)
-    q = np.append(queue, 0.0)[index]
-    keep = np.append(1.0 - loss, 1.0)[index]
-    r = np.append(residual, np.inf)[index]
-    q_sum = np.zeros(len(lengths))
-    survive = np.ones(len(lengths))
-    for k in range(width):
-        q_sum = q_sum + q[:, k]
-        survive = survive * keep[:, k]
-    at = np.arange(len(lengths))
+    q = np.zeros(valid.shape)
+    q[valid] = queue
+    keep = np.ones(valid.shape)
+    keep[valid] = 1.0 - loss
+    r = np.full(valid.shape, np.inf)
+    r[valid] = residual
     col = np.argmin(r, axis=1)
-    avail = r[at, col]
-    bottleneck = np.where(avail < np.inf, index[at, col], -1)
-    return q_sum, survive, avail, bottleneck
+    avail = r[np.arange(len(col)), col]
+    return (np.cumsum(q, axis=1)[:, -1], np.cumprod(keep, axis=1)[:, -1],
+            avail, np.where(avail < np.inf, col, -1))
 
 
 def _partner(per_route: np.ndarray) -> np.ndarray:

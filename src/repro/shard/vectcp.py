@@ -16,7 +16,7 @@ Twinned scalar sources:
   ``loss_rate`` / ``queue_delay_ms``
 * :meth:`repro.netsim.traffic.DiurnalProfile.mean_utilization` (one
   profile per element, with :func:`repro.simclock.is_weekend` as
-  :func:`batch_weekend_mask`)
+  :func:`batch_weekend_mask`, integer weekday arithmetic)
 * :func:`repro.speedtest.protocol.flows_for_rtt`
 
 Known exact-equivalence subtleties, all handled here:
@@ -24,12 +24,16 @@ Known exact-equivalence subtleties, all handled here:
 * Python ``%`` on positive floats equals ``np.fmod`` (not ``np.mod``).
 * ``int(x // HOUR)`` on non-negative floats equals
   ``np.floor_divide(...).astype(int64)``.
-* ``is_weekend`` goes through ``datetime`` microsecond rounding, so it
-  is vectorized only when a batch's timestamps provably share one
-  local day (with a one-second safety margin); otherwise it falls back
-  to per-element scalar calls.
+* ``is_weekend`` goes through ``datetime`` microsecond rounding, so the
+  integer weekday arithmetic decides only elements more than one
+  second from a local midnight; the few within it fall back to
+  per-element scalar calls.
 * Powers appear in multiplication form (``u*u``), matching the scalar
   code, because ``**`` routes through libm ``pow``.
+* A branch the scalar code takes for some elements (a diurnal bump's
+  window, the loss ramp) is computed for every element and picked with
+  ``np.where``: elementwise ops give each picked element the value the
+  branch computes for it alone, without boolean-mask gathers.
 """
 
 from __future__ import annotations
@@ -60,10 +64,13 @@ __all__ = [
     "batch_weekend_mask",
 ]
 
-#: Seconds of slack kept from a local-day boundary before trusting the
-#: day-uniformity shortcut for the weekend factor; datetime rounds to
+#: Seconds of slack kept from a local midnight before trusting integer
+#: day arithmetic for the weekend factor; datetime rounds to
 #: microseconds, so one full second is an enormous safety margin.
 _DAY_EDGE_MARGIN_S = 1.0
+
+#: ``datetime.weekday()`` of day 0, 1970-01-01 (a Thursday).
+_EPOCH_WEEKDAY = 3
 
 
 # ----------------------------------------------------------------------
@@ -163,10 +170,9 @@ def batch_loss_rate(utilization: np.ndarray,
     u_sq = u * u
     burst = _SUBONSET_COEF * (u_sq * u_sq)
     out = floor + burst
-    mid = (u > _LOSS_ONSET) & (u <= 1.0)
-    if np.any(mid):
-        ramp = (u[mid] - _LOSS_ONSET) / (1.0 - _LOSS_ONSET)
-        out[mid] = out[mid] + _LOSS_AT_CAPACITY * ramp * ramp
+    ramp = (u - _LOSS_ONSET) / (1.0 - _LOSS_ONSET)
+    out = np.where((u > _LOSS_ONSET) & (u <= 1.0),
+                   out + _LOSS_AT_CAPACITY * ramp * ramp, out)
     over = u > 1.0
     if np.any(over):
         overflow = (u[over] - 1.0) / u[over]
@@ -204,31 +210,23 @@ def batch_weekend_mask(ts: np.ndarray,
                        utc_offset_hours: np.ndarray) -> np.ndarray:
     """Per-element :func:`repro.simclock.is_weekend` over mixed offsets.
 
-    For each distinct UTC offset, one scalar call decides every element
-    when all of that offset's timestamps provably share a local day
-    (with the one-second margin covering datetime's microsecond
-    rounding); otherwise those elements fall back to scalar calls.
+    One pass of integer day arithmetic decides every element: the local
+    day is ``floor((ts + offset * HOUR) / DAY)`` days after 1970-01-01,
+    a Thursday.  Only an element within :data:`_DAY_EDGE_MARGIN_S` of a
+    local midnight, where datetime's microsecond rounding could carry it
+    across, falls back to the scalar call.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    utc_offset_hours = np.asarray(utc_offset_hours, dtype=np.float64)
-    weekend = np.zeros(ts.shape, dtype=bool)
-    for offset in np.unique(utc_offset_hours):
-        mask = utc_offset_hours == offset
-        shifted = ts[mask] + offset * HOUR
-        lo = float(np.min(shifted))
-        hi = float(np.max(shifted))
-        day = math.floor(lo / DAY)
-        same_day = (day == math.floor(hi / DAY)
-                    and lo - day * DAY > _DAY_EDGE_MARGIN_S
-                    and (day + 1) * DAY - hi > _DAY_EDGE_MARGIN_S)
-        if same_day:
-            weekend[mask] = is_weekend(float(np.min(ts[mask])),
-                                       float(offset))
-        else:
-            subset = ts[mask]
-            weekend[mask] = np.fromiter(
-                (is_weekend(float(t), float(offset)) for t in subset),
-                dtype=bool, count=subset.shape[0])
+    offset = np.asarray(utc_offset_hours, dtype=np.float64)
+    local = ts + offset * HOUR
+    day = np.floor_divide(local, DAY)
+    weekend = (day.astype(np.int64) + _EPOCH_WEEKDAY) % 7 >= 5
+    # Seconds past local midnight, within the margin of either end.
+    into = local - day * DAY
+    edge = np.abs(into - 0.5 * DAY) >= 0.5 * DAY - _DAY_EDGE_MARGIN_S
+    if np.any(edge):
+        weekend[edge] = [is_weekend(t, o) for t, o
+                         in zip(ts[edge].tolist(), offset[edge].tolist())]
     return weekend
 
 
@@ -248,18 +246,16 @@ def batch_mean_utilization_grid(ts: np.ndarray, base: np.ndarray,
     """
     ts = np.asarray(ts, dtype=np.float64)
     local = np.fmod(ts / HOUR + utc_offset_hours, 24.0)
+    # Every bump column at once, elementwise; the sum over a profile's
+    # bumps then adds them one at a time in bump order.
+    delta = np.abs(local[:, None] - bump_center)
+    delta = np.minimum(delta, 24.0 - delta)
+    value = np.where(delta < bump_width,
+                     bump_amplitude * 0.5
+                     * (1.0 + np.cos(math.pi * delta / bump_width)), 0.0)
     bump_sum = np.zeros(ts.shape)
-    for j in range(bump_center.shape[1]):
-        delta = np.abs(local - bump_center[:, j])
-        delta = np.minimum(delta, 24.0 - delta)
-        width = bump_width[:, j]
-        inside = delta < width
-        value = np.zeros(ts.shape)
-        if np.any(inside):
-            d = delta[inside]
-            value[inside] = (bump_amplitude[inside, j] * 0.5
-                             * (1.0 + np.cos(math.pi * d / width[inside])))
-        bump_sum = bump_sum + value
+    for j in range(value.shape[1]):
+        bump_sum = bump_sum + value[:, j]
     load = base + bump_sum
     weekend = batch_weekend_mask(ts, utc_offset_hours)
     load = np.where(weekend, load * weekend_factor, load)

@@ -10,6 +10,7 @@ from repro.core.orchestrator import (
     Orchestrator,
 )
 from repro.core.scheduler import HourlySchedule, TEST_SLOT_S
+from repro.core.scheduler import TestSlot as ScheduledSlot
 from repro.errors import SchedulingError, ValidationError
 from repro.rng import SeedTree
 from repro.simclock import CAMPAIGN_START
@@ -62,6 +63,34 @@ def test_schedule_deterministic_per_seed():
     assert [s.server_id for s in a.hour_slots(float(CAMPAIGN_START))] == \
         [s.server_id for s in b.hour_slots(float(CAMPAIGN_START))]
 
+
+
+def _scalar_hour_slots(rng, vm_name, servers, hour_start):
+    """Reference: the slot order, then one scalar jitter draw per slot."""
+    order = rng.permutation(len(servers))
+    slots = []
+    for slot_index, server_idx in enumerate(order):
+        jitter = float(rng.uniform(1.0, 8.0))
+        slots.append(ScheduledSlot(
+            ts=hour_start + slot_index * TEST_SLOT_S + jitter,
+            vm_name=vm_name, server_id=servers[int(server_idx)],
+            slot_index=slot_index))
+    return slots
+
+
+@pytest.mark.parametrize("n_servers", [1, 2, 5, 17])
+def test_hour_slots_match_one_jitter_draw_per_slot(n_servers):
+    """All of an hour's jitters come from one draw: the slots, and the
+    stream's next draw after them, equal a scalar draw per slot."""
+    servers = [f"s{i}" for i in range(n_servers)]
+    for seed in range(8):
+        schedule = HourlySchedule("vm", servers, SeedTree(seed))
+        oracle = SeedTree(seed).generator("schedule-vm")
+        for hour in range(3):
+            start = float(CAMPAIGN_START + hour * HOUR)
+            assert schedule.hour_slots(start) == \
+                _scalar_hour_slots(oracle, "vm", servers, start)
+        assert schedule._rng.random() == oracle.random()
 
 def test_misaligned_hour_rejected():
     schedule = HourlySchedule("vm", ["s1"], SeedTree(4))

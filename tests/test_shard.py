@@ -29,6 +29,8 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+import repro.shard.vectcp as vectcp
+from repro.cloud.api import CloudPlatform
 from repro.core.export import dataset_digest
 from repro.core.scheduler import TestSlot as ScheduledSlot
 from repro.engine.bus import EventBus
@@ -252,6 +254,29 @@ def test_batch_planner_refuses_unplanned_slot():
         executor._run_slot_test(lanes[0], rogue)
 
 
+def test_batch_run_routes_each_pair_key_once(monkeypatch):
+    """The planner asks the platform for a route pair the first time
+    its key (VM host PoP, remote PoP, tier) comes up, not once per
+    test."""
+    scenario = build_scenario(seed=SEED, scale=SCALE)
+    clasp = scenario.clasp
+    plan = clasp.deploy_topology(REGION,
+                                 clasp.select_topology_servers(REGION),
+                                 budget_servers=BUDGET_SERVERS)
+    keys = []
+    route_pair = CloudPlatform.route_pair
+
+    def counting(self, vm, remote_pop_id, data_direction, flow_id=0):
+        keys.append((vm.nic.host_pop_id, remote_pop_id, vm.tier))
+        return route_pair(self, vm, remote_pop_id, data_direction, flow_id)
+
+    monkeypatch.setattr(CloudPlatform, "route_pair", counting)
+    dataset = clasp.run_campaign([plan], days=DAYS, batch=True)
+    assert dataset_digest(dataset) == GOLDEN["faults_off"]
+    assert keys and len(keys) == len(set(keys))
+    assert dataset.completed_tests > len(keys)
+
+
 # ----------------------------------------------------------------------
 # route fold: the column-wise fold is the scalar per-route left fold
 
@@ -276,9 +301,11 @@ def _scalar_route_stats(start, length, link_ids, queue, loss, residual):
 def _assert_fold_matches_scalar(lengths, link_ids, queue, loss, residual):
     __tracebackhide__ = True
     lengths = np.asarray(lengths, dtype=np.int64)
-    q_sum, survive, avail, point = fold_routes(queue, loss, residual,
-                                               lengths)
-    bottleneck = np.append(link_ids, -1)[point]
+    valid = np.arange(lengths.max()) < lengths[:, None]
+    q_sum, survive, avail, col = fold_routes(queue, loss, residual, valid)
+    links = np.full(valid.shape, -1)
+    links[valid] = link_ids
+    bottleneck = np.where(col >= 0, links[np.arange(len(col)), col], -1)
     got = list(zip(q_sum.tolist(), survive.tolist(), avail.tolist(),
                    bottleneck.tolist()))
     starts = np.cumsum(lengths) - lengths
@@ -483,3 +510,41 @@ def test_batch_weekend_mask_matches_scalar():
     mask = batch_weekend_mask(ts, off)
     for i in range(ts.shape[0]):
         assert mask[i] == is_weekend(float(ts[i]), float(off[i]))
+
+
+def test_batch_weekend_mask_calls_the_scalar_only_at_midnight(monkeypatch):
+    """Day arithmetic decides every element more than the margin from a
+    local midnight, over several local days and offsets (5.5 h too); the
+    scalar call runs only within it, exact at 0.5 s and 1 s either
+    side."""
+    calls = []
+
+    def counting(ts, utc_offset_hours=0.0):
+        calls.append(ts)
+        return is_weekend(ts, utc_offset_hours)
+
+    monkeypatch.setattr(vectcp, "is_weekend", counting)
+    start = float(CAMPAIGN_START)
+    offsets = np.array([-8.0, 0.0, 5.5, 13.0])
+    rng = np.random.default_rng(4)
+    ts = start + rng.uniform(0.0, 9 * DAY, 4000)
+    off = offsets[np.arange(ts.shape[0]) % offsets.shape[0]]
+    into = np.mod(ts + off * HOUR, DAY)
+    inside = (into > 2.0) & (into < DAY - 2.0)
+    ts, off = ts[inside], off[inside]
+    mask = batch_weekend_mask(ts, off)
+    assert not calls
+    assert mask.any() and not mask.all()
+    assert mask.tolist() == [is_weekend(t, o)
+                             for t, o in zip(ts.tolist(), off.tolist())]
+
+    edge_ts, edge_off = [], []
+    for offset in offsets.tolist():
+        midnights = start + np.arange(1, 9) * DAY - offset * HOUR
+        for shift in (-1.0, -0.5, 0.5, 1.0):
+            edge_ts.extend((midnights + shift).tolist())
+            edge_off.extend([offset] * midnights.shape[0])
+    mask = batch_weekend_mask(np.array(edge_ts), np.array(edge_off))
+    assert len(calls) == len(edge_ts)
+    assert mask.tolist() == [is_weekend(t, o)
+                             for t, o in zip(edge_ts, edge_off)]
