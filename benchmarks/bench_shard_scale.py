@@ -1,7 +1,7 @@
 """Batch scaling: the campaign hot loop with the vectorized path off/on.
 
-Runs one fixed multi-region campaign through the scalar stepper and
-the vectorized batch stepper, in one process, measures wall time,
+Runs one fixed multi-region campaign through the scalar path and
+the vectorized batch path, in one process, measures wall time,
 engine events/sec, completed tests/sec and the process RSS high-water
 mark, and records both rows as the campaign point of the perf
 trajectory in ``BENCH_campaign.json`` at the repo root (schema:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""One-stop verification: lint, a CLI smoke, the tests, a bench smoke.
+"""One-stop verification: lint, CLI smokes, the tests, a bench smoke.
 
 This is what ``make check`` runs.  The lint pass runs every rule,
 per-file and cross-file (RPR010/RPR011), once over ``src/repro``.
@@ -10,7 +10,11 @@ series in its output, a ``spans.jsonl`` listing the pipeline's stage
 spans ``scenario.build``, ``selection.topology.run``,
 ``orchestrator.deploy`` and ``campaign.run`` with one call each, and
 an export manifest whose ``n_measurements`` equals the trace's
-``test-completed`` lines.  The numpy
+``test-completed`` lines.  The experiment smoke runs ``python -m
+repro.cli experiment fig3 --scale 0.05 --days 1 --profile DIR`` and
+requires exit 0 and a ``spans.jsonl`` listing ``campaign.run`` with
+one call and ``shard.plan_hour`` with 24 (one per campaign hour): the
+pipeline's campaign runs on the batch path.  The numpy
 stream-compat gate (``tests/test_rng.py -k "first_uniforms or
 chunked_normal"``) checks that ``SeedTree.first_uniforms``, which
 re-implements numpy's ``SeedSequence`` and PCG64 seeding, still equals
@@ -100,9 +104,7 @@ def _cli_smoke() -> int:
             print("cli smoke: no ALERTS series in the prom output",
                   file=sys.stderr)
             return 1
-        spans = (profile_dir / "spans.jsonl").read_text()
-        calls = {row["name"]: row["calls"]
-                 for row in map(json.loads, spans.splitlines())}
+        calls = _span_calls(profile_dir)
         manifest = json.loads((export_dir / "manifest.json").read_text())
         completed = sum(json.loads(line)["kind"] == "test-completed"
                         for line in trace_path.read_text().splitlines())
@@ -116,6 +118,39 @@ def _cli_smoke() -> int:
         if calls.get(name) != 1:
             print(f"cli smoke: spans.jsonl lists {name} with "
                   f"{calls.get(name, 0)} calls, expected 1",
+                  file=sys.stderr)
+            return 1
+    return 0
+
+
+def _span_calls(profile_dir: pathlib.Path) -> dict:
+    """``span name -> calls`` from a ``--profile`` directory."""
+    spans = (profile_dir / "spans.jsonl").read_text()
+    return {row["name"]: row["calls"]
+            for row in map(json.loads, spans.splitlines())}
+
+
+def _experiment_smoke() -> int:
+    """Run one profiled experiment; its campaign must take the batch
+    path, one planned hour per campaign hour."""
+    with tempfile.TemporaryDirectory() as scratch:
+        profile_dir = pathlib.Path(scratch, "profile")
+        argv = [sys.executable, "-m", "repro.cli", "experiment", "fig3",
+                "--scale", "0.05", "--days", "1",
+                "--profile", str(profile_dir)]
+        print(f"== experiment smoke: {' '.join(argv[1:])}", flush=True)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC)
+        proc = subprocess.run(argv, cwd=str(REPO_ROOT), env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+            return proc.returncode
+        calls = _span_calls(profile_dir)
+    for name, expected in (("campaign.run", 1), ("shard.plan_hour", 24)):
+        if calls.get(name) != expected:
+            print(f"experiment smoke: spans.jsonl lists {name} with "
+                  f"{calls.get(name, 0)} calls, expected {expected}",
                   file=sys.stderr)
             return 1
     return 0
@@ -145,6 +180,10 @@ def main() -> int:
         return status
 
     status = _cli_smoke()
+    if status != 0:
+        return status
+
+    status = _experiment_smoke()
     if status != 0:
         return status
 

@@ -23,6 +23,5 @@ __version__ = "1.0.0"
 
 from .errors import ReproError
 from .rng import SeedTree
-from .simclock import SimClock
 
-__all__ = ["ReproError", "SeedTree", "SimClock", "__version__"]
+__all__ = ["ReproError", "SeedTree", "__version__"]

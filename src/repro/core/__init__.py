@@ -10,7 +10,7 @@ from .records import MeasurementRecord, ServerMeta
 from .tsdb import Table, TimeSeriesDB
 from .orchestrator import DeploymentPlan, Orchestrator
 from .scheduler import HourlySchedule, TestSlot
-from .campaign import CampaignConfig, CampaignDataset, CampaignRunner
+from .campaign import CampaignDataset, CampaignRunner
 from .congestion import (
     CongestionEvent,
     CongestionReport,
@@ -51,7 +51,7 @@ __all__ = [
     "Table", "TimeSeriesDB",
     "DeploymentPlan", "Orchestrator",
     "HourlySchedule", "TestSlot",
-    "CampaignConfig", "CampaignDataset", "CampaignRunner",
+    "CampaignDataset", "CampaignRunner",
     "CongestionEvent", "CongestionReport",
     "hourly_variability",
     "choose_threshold_elbow", "midnight_day_index", "threshold_sweep",

@@ -8,7 +8,10 @@ assignment, wires a :class:`~repro.engine.bus.EventBus` with the
 dataset/billing observers (plus any caller-supplied ones), and plugs
 in the :class:`LaneExecutor` that knows how to run one lane-hour -
 tests, retries, artefact uploads, and preemption recovery all surface
-as typed :mod:`repro.engine.events` rather than inline mutation.
+as typed :mod:`repro.engine.events` rather than inline mutation.  On
+the batch path the executor reads each hour's slots and test outcomes
+from a :class:`repro.shard.batch.BatchPlanner` instead of the lane's
+schedule and the headless browser; the events are the same.
 
 :class:`CampaignDataset` is the analysis-facing product: a tagged
 record table plus per-server metadata (timezone, AS, business type).
@@ -25,23 +28,20 @@ the campaign, and bucket uploads retry with deterministic backoff.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..cloud.api import CloudPlatform
 from ..cloud.tiers import NetworkTier
-from ..errors import (MissingEntryError, SpeedTestError,
-                      TransientUploadError, ValidationError)
+from ..errors import MissingEntryError, SpeedTestError, TransientUploadError
 from ..engine import (BillingCharged, CampaignEngine, DatasetObserver,
                       EventBus, Lane, MetricsObserver, TestCompleted,
                       TestLost, TestRetried, UploadAttempted, VMPreempted,
                       VMReplaced)
 from ..faults import FaultInjector, FaultPlan
 from ..rng import SeedTree
-from ..simclock import CAMPAIGN_START
 from ..speedtest.browser import HeadlessBrowser
 from ..speedtest.catalog import ServerCatalog
 from ..speedtest.protocol import SpeedTestEngine
@@ -51,8 +51,8 @@ from .records import LostRecord, MeasurementRecord, ServerMeta
 from .scheduler import HourlySchedule, TestSlot
 from .tsdb import Table, TimeSeriesDB
 
-__all__ = ["BillingObserver", "CampaignConfig", "CampaignDataset",
-           "CampaignRunner", "LaneExecutor"]
+__all__ = ["BillingObserver", "CampaignDataset", "CampaignRunner",
+           "LaneExecutor"]
 
 _FIELDS = ("download", "upload", "latency", "loss_down", "loss_up")
 _TAGS = ("region", "server_id", "tier")
@@ -60,30 +60,6 @@ _TAGS = ("region", "server_id", "tier")
 
 #: Bucket storage is charged monthly (per 30 days).
 STORAGE_CHARGE_EVERY_DAYS = 30
-
-
-@dataclass
-class CampaignConfig:
-    """Campaign length and bookkeeping knobs."""
-
-    days: int = 14
-    start_ts: float = float(CAMPAIGN_START)
-    #: Bill VM hours / egress / storage while running.
-    charge_billing: bool = True
-
-    def __post_init__(self) -> None:
-        if self.days < 1:
-            raise ValidationError(f"days must be >= 1, got {self.days}")
-        if self.start_ts % HOUR != 0:
-            raise ValidationError("start_ts must be hour-aligned")
-
-    @property
-    def end_ts(self) -> float:
-        return self.start_ts + self.days * DAY
-
-    @property
-    def n_hours(self) -> int:
-        return self.days * 24
 
 
 class CampaignDataset:
@@ -187,14 +163,13 @@ class BillingObserver:
     :class:`~repro.engine.events.BillingCharged`.
     """
 
-    def __init__(self, platform: CloudPlatform, config: CampaignConfig,
+    def __init__(self, platform: CloudPlatform, start_ts: float,
                  bus: EventBus) -> None:
         self.platform = platform
-        self.config = config
         self.bus = bus
         self._provider_name = platform.provider.name
         self._pending_hour_ts: Optional[float] = None
-        self._last_storage_charge = config.start_ts
+        self._last_storage_charge = start_ts
 
     def on_event(self, event: Any) -> None:
         kind = event.kind
@@ -241,40 +216,30 @@ class BillingObserver:
 class LaneExecutor:
     """Runs one lane-hour and publishes everything that happened.
 
-    This is the :class:`~repro.engine.lanes.LaneStepper` the runner
-    plugs into the engine.  It owns no state of its own - lane state
-    lives on the :class:`~repro.engine.lanes.Lane`, campaign plumbing
-    on the runner - which is what keeps lanes independently steppable.
+    This is the stepper the runner plugs into the engine.  It owns no
+    state of its own - lane state lives on the
+    :class:`~repro.engine.lanes.Lane`, campaign plumbing on the runner.
 
-    The two protected seams - :meth:`_hour_slots` and
-    :meth:`_run_slot_test` - are where :mod:`repro.shard` plugs in
-    vectorized pre-computation without changing the event protocol.
+    Slots and test outcomes come from the lane's schedule and the
+    runner's headless browser, or, given a *planner*
+    (:class:`repro.shard.batch.BatchPlanner`), from the planner's
+    precomputed hour; either way the events are the same.
     """
 
-    def __init__(self, runner: "CampaignRunner", bus: EventBus) -> None:
+    def __init__(self, runner: "CampaignRunner", bus: EventBus,
+                 planner: Any = None) -> None:
         self.runner = runner
         self.bus = bus
-
-    # ------------------------------------------------------------------
-    # seams
-
-    def _hour_slots(self, lane: Lane, hour_start: float) -> Sequence[TestSlot]:
-        """Draw (or fetch the pre-drawn) slots for one lane-hour."""
-        return lane.schedule.hour_slots(hour_start)
-
-    def _run_slot_test(self, lane: Lane, slot: TestSlot):
-        """Run one scheduled test; raises SpeedTestError on loss."""
-        runner = self.runner
-        return runner.browser.run_test(
-            lane.vm, runner.catalog.get(slot.server_id), slot.ts)
-
-    # ------------------------------------------------------------------
+        self.planner = planner
 
     def step(self, lane: Lane, hour_start: float) -> None:
         # The slot draw happens every hour regardless of VM health so
         # the schedule stream stays aligned between fault-free and
         # faulty runs of the same seed.
-        slots = self._hour_slots(lane, hour_start)
+        if self.planner is None:
+            slots = lane.schedule.hour_slots(hour_start)
+        else:
+            slots = self.planner.slots_for(lane, hour_start)
         injector = self.runner.injector
         if injector is not None:
             if hour_start < lane.ready_ts:
@@ -310,8 +275,6 @@ class LaneExecutor:
         ``slow-start`` by :meth:`step`.
         """
         runner = self.runner
-        assert runner.injector is not None
-        assert runner.orchestrator is not None
         old_vm = lane.vm
         provider_name = runner.platform.provider.name
         runner.platform.preempt_vm(old_vm.name, hour_start)
@@ -334,10 +297,16 @@ class LaneExecutor:
     def _run_hour(self, lane: Lane,
                   slots: Sequence[TestSlot]) -> int:
         """Run one VM-hour of tests; returns artefact bytes produced."""
+        runner = self.runner
+        planner = self.planner
         artefact_bytes = 0
         for slot in slots:
             try:
-                artefacts = self._run_slot_test(lane, slot)
+                if planner is None:
+                    artefacts = runner.browser.run_test(
+                        lane.vm, runner.catalog.get(slot.server_id), slot.ts)
+                else:
+                    artefacts = planner.take_outcome(lane, slot)
             except SpeedTestError:
                 self.bus.emit(TestLost(ts=slot.ts, region=lane.region,
                                        vm_name=lane.vm.name,
@@ -414,14 +383,13 @@ class CampaignRunner:
     """
 
     def __init__(self, platform: CloudPlatform, catalog: ServerCatalog,
-                 engine: SpeedTestEngine,
-                 seeds: Optional[SeedTree] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 orchestrator: Optional[Orchestrator] = None) -> None:
+                 engine: SpeedTestEngine, seeds: SeedTree,
+                 fault_plan: Optional[FaultPlan],
+                 orchestrator: Orchestrator) -> None:
         self.platform = platform
         self.catalog = catalog
         self.engine = engine
-        self._seeds = seeds or SeedTree(0)
+        self._seeds = seeds
         self.injector: Optional[FaultInjector] = None
         if fault_plan is not None and fault_plan.enabled:
             self.injector = FaultInjector(fault_plan,
@@ -443,8 +411,6 @@ class CampaignRunner:
         self.platform.storage.set_fault_hook(self.injector.upload_fails)
         self.platform.evaluator.set_flap_hook(
             self.injector.link_flap_utilization)
-        if self.orchestrator is None:
-            self.orchestrator = Orchestrator(self.platform)
 
     # ------------------------------------------------------------------
 
@@ -489,63 +455,47 @@ class CampaignRunner:
 
     # ------------------------------------------------------------------
 
-    def compose_bus(self, cfg: CampaignConfig, dataset: CampaignDataset,
-                    observers: Sequence[Any] = ()) -> EventBus:
-        """The standard campaign bus: dataset observer, billing, the obs
-        metrics mirror, then caller *observers* - registration order is
-        dispatch order.
+    def run(self, plans: Sequence[DeploymentPlan], days: int,
+            start_ts: float, charge_billing: bool,
+            observers: Sequence[Any], batch: bool) -> CampaignDataset:
+        """Run the whole campaign and return the dataset.
+
+        The body is pure composition: build the lanes, wire the bus
+        (dataset observer, billing observer when *charge_billing*, the
+        obs metrics mirror, then the caller's *observers* - registration
+        order is dispatch order), and hand the hour loop to the engine,
+        whose constructor checks the shape before any lane steps.  With
+        *batch*, a :class:`repro.shard.batch.BatchPlanner` precomputes
+        each hour's tests as numpy batches; the dataset is byte-identical
+        either way.  With an injector attached, faults never abort the
+        run: lost hour slots are tagged in ``dataset.lost`` and
+        preempted VMs are replaced in place (same server list, fresh
+        name).
         """
+        dataset = CampaignDataset(start_ts, start_ts + days * DAY,
+                                  provider=self.platform.provider.name)
+        self.register_metadata(dataset, plans)
         bus = EventBus()
         bus.subscribe(DatasetObserver(dataset))
-        if cfg.charge_billing:
-            bus.subscribe(BillingObserver(self.platform, cfg, bus))
+        if charge_billing:
+            bus.subscribe(BillingObserver(self.platform, start_ts, bus))
         if obs.enabled():
             # Campaign events land in the same process-wide snapshot
             # as the layer instrumentation (engine.* metric names).
             bus.subscribe(MetricsObserver(registry=obs.registry()))
         for observer in observers:
             bus.subscribe(observer)
-        return bus
-
-    def run(self, plans: Sequence[DeploymentPlan],
-            config: Optional[CampaignConfig] = None,
-            observers: Sequence[Any] = (),
-            executor_factory: Optional[
-                Callable[["CampaignRunner", EventBus], Any]] = None
-            ) -> CampaignDataset:
-        """Run the whole campaign and return the dataset.
-
-        The body is pure composition: build the lanes, wire the bus
-        (dataset observer, billing observer, then any caller-supplied
-        *observers*, in that order), and hand the hour loop to the
-        engine.  With an injector attached, faults never abort the
-        run: lost hour slots are tagged in ``dataset.lost`` and
-        preempted VMs are replaced in place (same server list, fresh
-        name).
-
-        *executor_factory* swaps in an alternative
-        :class:`LaneExecutor` (the vectorized batch stepper); if the
-        produced stepper has an ``attach_engine`` method it is called
-        with the engine before the run, which is how the batch planner
-        installs its per-hour pre-computation hook.
-        """
-        cfg = config or CampaignConfig()
-        dataset = CampaignDataset(cfg.start_ts, cfg.end_ts,
-                                  provider=self.platform.provider.name)
-        self.register_metadata(dataset, plans)
-
-        bus = self.compose_bus(cfg, dataset, observers)
-        stepper = (executor_factory(self, bus) if executor_factory is not None
-                   else LaneExecutor(self, bus))
-        engine = CampaignEngine(
-            lanes=self.build_lanes(plans, cfg.start_ts),
-            stepper=stepper,
-            bus=bus,
-            start_ts=cfg.start_ts,
-            n_hours=cfg.n_hours)
-        attach = getattr(stepper, "attach_engine", None)
-        if attach is not None:
-            attach(engine)
+        lanes = self.build_lanes(plans, start_ts)
+        planner = None
+        if batch:
+            # Lazy, so the core layer has no module-level dependency
+            # on the shard layer built on top of it.
+            from ..shard.batch import BatchPlanner
+            planner = BatchPlanner(self, lanes)
+        engine = CampaignEngine(lanes=lanes,
+                                stepper=LaneExecutor(self, bus, planner),
+                                bus=bus, start_ts=start_ts,
+                                n_hours=days * 24)
         with obs.span("campaign.run"):
             engine.run()
         return dataset

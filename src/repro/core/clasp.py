@@ -12,7 +12,8 @@ paper's workflow:
 
 :class:`repro.experiments.Pipeline` runs that sequence, memoized and
 one span per stage, for the CLI, the experiments, the benches and the
-examples.
+examples.  :meth:`Clasp.run_campaign` hands its arguments straight to
+:meth:`repro.core.campaign.CampaignRunner.run`, the one campaign path.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..tools.ipinfo import IpInfoDatabase
 from ..tools.prefix2as import Prefix2AS, build_prefix2as
 from ..tools.speedchecker import Speedchecker, TupleMedian
 from ..tools.traceroute import Scamper
-from .campaign import CampaignConfig, CampaignDataset, CampaignRunner
+from .campaign import CampaignDataset, CampaignRunner
 from .orchestrator import DeploymentPlan, Orchestrator
 from .selection.differential import DifferentialSelection, DifferentialSelector
 from .selection.topology_based import TopologySelection, TopologySelector
@@ -190,21 +191,15 @@ class Clasp:
         :class:`~repro.engine.observers.MetricsObserver` or
         :class:`~repro.engine.observers.TraceObserver`.
 
-        ``batch=True`` routes the run through :mod:`repro.shard`'s
-        vectorized stepper, which precomputes each hour's tests as
-        numpy batches; the dataset is byte-identical either way.  The
-        import is lazy so the core layer has no module-level dependency
-        on the shard layer.
+        ``batch=True`` reads each hour's tests from :mod:`repro.shard`'s
+        planner, which precomputes them as numpy batches; the dataset
+        is byte-identical either way.  *days* below 1 or a *start_ts*
+        off the hour raise :class:`~repro.errors.ValidationError`
+        before any lane steps or any charge is made.
         """
-        config = CampaignConfig(days=days, start_ts=start_ts,
-                                charge_billing=charge_billing)
-        if batch:
-            from ..shard import batch_executor_factory
-            dataset = self.runner.run(
-                plans, config, observers=observers,
-                executor_factory=batch_executor_factory)
-        else:
-            dataset = self.runner.run(plans, config, observers=observers)
+        dataset = self.runner.run(plans, days=days, start_ts=start_ts,
+                                  charge_billing=charge_billing,
+                                  observers=observers, batch=batch)
         self._publish_memo_counts()
         if self.fault_injector is not None:
             for name, count in self.fault_injector.take_draw_counts().items():

@@ -44,7 +44,7 @@ the contract bit-for-bit rather than merely approximate.
 :class:`StreamingDetectorObserver` adapts the detector - or the alerts
 collector, which has the same ``advance``/``observe_record`` pair - to
 the engine's :class:`~repro.engine.bus.EventBus`; it works identically
-with the scalar and the vectorized batch stepper, which emit the same
+with the scalar and the vectorized batch path, which emit the same
 event stream.
 """
 

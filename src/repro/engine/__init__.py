@@ -22,7 +22,7 @@ from .events import (BillingCharged, CampaignEvent, CampaignFinished,
                      EVENT_KINDS, HourStarted, TestCompleted, TestLost,
                      TestRetried, UploadAttempted, VMPreempted, VMReplaced,
                      event_payload)
-from .lanes import CampaignEngine, Lane, LaneStepper
+from .lanes import CampaignEngine, Lane
 from .observers import (DatasetObserver, MetricsObserver, Observer,
                         TraceObserver)
 
@@ -36,7 +36,6 @@ __all__ = [
     "EventBus",
     "HourStarted",
     "Lane",
-    "LaneStepper",
     "MetricsObserver",
     "Observer",
     "TestCompleted",

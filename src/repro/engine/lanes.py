@@ -7,29 +7,26 @@ the earliest timestamp the current VM can serve (``ready_ts``), and
 the replacement counter that names re-provisioned VMs - so no shared
 dictionaries are threaded through the hour loop.
 
-:class:`CampaignEngine` is the loop itself: advance the simulated
-clock one hour, publish :class:`~repro.engine.events.HourStarted`,
+:class:`CampaignEngine` is the loop itself: advance simulated time
+one hour, publish :class:`~repro.engine.events.HourStarted`,
 step every lane, repeat; then publish
 :class:`~repro.engine.events.CampaignFinished`.  *How* a lane-hour
-runs (tests, retries, uploads, preemption recovery) is the
-:class:`LaneStepper`'s business - the campaign layer implements it and
-emits the remaining event taxonomy.  Because lanes are independent,
-"step every lane" is the seam where later work can fan the lanes out
-across workers without touching scheduling or analysis code.
+runs (tests, retries, uploads, preemption recovery) is the stepper's
+business: :class:`repro.core.campaign.LaneExecutor` implements it and
+emits the remaining event taxonomy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Protocol, Sequence
+from typing import Any, List, Sequence
 
 from ..errors import ValidationError
-from ..simclock import SimClock
 from ..units import HOUR
 from .bus import EventBus
 from .events import CampaignFinished, HourStarted
 
-__all__ = ["CampaignEngine", "Lane", "LaneStepper"]
+__all__ = ["CampaignEngine", "Lane"]
 
 
 @dataclass
@@ -57,20 +54,14 @@ class Lane:
         return f"{self.name}-r{self.replacements}"
 
 
-class LaneStepper(Protocol):
-    """What the campaign layer plugs into the engine."""
-
-    def step(self, lane: Lane, hour_start: float) -> None:
-        """Run one lane for the hour starting at *hour_start*."""
-
-
 class CampaignEngine:
-    """Steps every lane through every hour, publishing events."""
+    """Steps every lane through every hour, publishing events.
 
-    def __init__(self, lanes: Sequence[Lane], stepper: LaneStepper,
-                 bus: EventBus, start_ts: float, n_hours: int,
-                 hour_hook: Optional[Callable[[float, int], None]] = None
-                 ) -> None:
+    *stepper* is any object with ``step(lane, hour_start)``.
+    """
+
+    def __init__(self, lanes: Sequence[Lane], stepper: Any,
+                 bus: EventBus, start_ts: float, n_hours: int) -> None:
         if n_hours < 1:
             raise ValidationError(f"n_hours must be >= 1, got {n_hours}")
         if start_ts % HOUR != 0:
@@ -81,13 +72,6 @@ class CampaignEngine:
         self.bus = bus
         self.start_ts = float(start_ts)
         self.n_hours = int(n_hours)
-        self.clock = SimClock(self.start_ts)
-        #: Called as ``hook(hour_start, hour_index)`` after the
-        #: HourStarted event, before any lane steps.  The vectorized
-        #: batch planner uses it to pre-compute the whole hour's
-        #: transfers in one numpy pass; the engine itself stays
-        #: oblivious to what the hook does.
-        self.hour_hook = hour_hook
 
     @property
     def end_ts(self) -> float:
@@ -97,10 +81,7 @@ class CampaignEngine:
         """The whole campaign: ``for hour: step every lane``."""
         for hour_index in range(self.n_hours):
             hour_start = self.start_ts + hour_index * HOUR
-            self.clock.advance_to(hour_start)
             self.bus.emit(HourStarted(ts=hour_start, hour_index=hour_index))
-            if self.hour_hook is not None:
-                self.hour_hook(hour_start, hour_index)
             for lane in self.lanes:
                 self.stepper.step(lane, hour_start)
         self.bus.emit(CampaignFinished(ts=self.end_ts,

@@ -20,9 +20,11 @@ memoized, and runs inside exactly one :mod:`repro.obs` span, so
   :meth:`Pipeline.differential_dataset`, ``campaign.run``;
 * detect - :meth:`Pipeline.report`, ``analysis.congestion_detect``.
 
-Callers that vary a campaign's per-run arguments (observers, start
-time, batch execution, billing) call ``pipeline.clasp.run_campaign``
-on :meth:`Pipeline.topology_plans` themselves.
+The pipeline's campaigns run on the vectorized batch path, which is
+byte-identical to the scalar one.  Callers that vary a campaign's
+per-run arguments (observers, start time, batch execution, billing)
+call ``pipeline.clasp.run_campaign`` on :meth:`Pipeline.topology_plans`
+themselves.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ class Pipeline:
         """The topology-based campaign over the topology regions."""
         if self._topology_dataset is None:
             self._topology_dataset = self.clasp.run_campaign(
-                self.topology_plans(), days=self.days)
+                self.topology_plans(), days=self.days, batch=True)
         return self._topology_dataset
 
     def differential_dataset(self) -> CampaignDataset:
@@ -190,7 +192,7 @@ class Pipeline:
             plans = [self.differential_plan(r)
                      for r in self.differential_regions]
             self._differential_dataset = self.clasp.run_campaign(
-                plans, days=self.days)
+                plans, days=self.days, batch=True)
         return self._differential_dataset
 
     def report(self) -> CongestionReport:

@@ -34,11 +34,13 @@ evaluates the hour as a handful of array operations through the
   order, over per-lane caps read once an hour and each job's standard
   deviates; only the result objects are built per job.
 
-:class:`BatchLaneExecutor` plugs the planner into the campaign through
-the two :class:`~repro.core.campaign.LaneExecutor` seams and the
-engine's ``hour_hook``; the event protocol, retry accounting, and
-dataset bytes are identical to the scalar path (asserted against the
-golden digests by ``tests/test_shard.py``).
+The planner is a data source for :class:`repro.core.campaign.LaneExecutor`,
+with the scalar sources' contracts: :meth:`BatchPlanner.slots_for` is
+``HourlySchedule.hour_slots`` (the first call in an hour plans that
+hour for every lane) and :meth:`BatchPlanner.take_outcome` is
+``HeadlessBrowser.run_test``.  The event protocol, retry accounting,
+and dataset bytes are identical to the scalar path (asserted against
+the golden digests by ``tests/test_shard.py``).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ import numpy as np
 
 from .. import obs
 from ..cloud.api import Direction
-from ..core.campaign import LaneExecutor
 from ..core.scheduler import TestSlot
 from ..engine.lanes import Lane
 from ..errors import SpeedTestError, ValidationError
@@ -67,11 +68,11 @@ from .vectcp import (batch_flows_for_rtt, batch_loss_rate,
                      batch_multiflow_throughput_mbps, batch_queue_delay_ms,
                      batch_residual_mbps)
 
-__all__ = ["BatchLaneExecutor", "BatchPlanner", "batch_executor_factory",
-           "fold_routes"]
+__all__ = ["BatchPlanner", "fold_routes"]
 
 #: Outcome sentinel: every attempt of the slot failed (protocol failure,
-#: injected failure, or truncation) - the stepper re-raises.
+#: injected failure, or truncation) - :meth:`BatchPlanner.take_outcome`
+#: raises.
 _FAILED = object()
 
 #: Standard deviations of a test's four bulk-noise draws: download
@@ -96,7 +97,7 @@ _Job = Tuple[Lane, TestSlot, float, int, Any, Optional[int],
 
 
 class BatchPlanner:
-    """Precomputes one hour of test outcomes for a set of lanes.
+    """Precomputes one hour of test outcomes for every campaign lane.
 
     The planner must replicate, call for call, every RNG consumption
     the scalar path makes on a lane's streams: the schedule draw, then
@@ -108,9 +109,10 @@ class BatchPlanner:
     mid-campaign.
     """
 
-    def __init__(self, runner: Any) -> None:
+    def __init__(self, runner: Any, lanes: Sequence[Lane]) -> None:
         self.runner = runner
-        self._slots: Dict[Tuple[str, float], List[TestSlot]] = {}
+        self.lanes = lanes
+        self._slots: Dict[str, List[TestSlot]] = {}
         self._outcomes: Dict[Tuple[str, int], Any] = {}
         self._planned_hour: Optional[float] = None
         # Static tables: one parameter row per (link, direction) and
@@ -137,40 +139,49 @@ class BatchPlanner:
         self._window_start = 0
 
     # ------------------------------------------------------------------
-    # stepper-facing accessors
+    # executor-facing sources
 
-    @property
-    def active(self) -> bool:
-        return self._planned_hour is not None
+    def slots_for(self, lane: Lane, hour_start: float) -> List[TestSlot]:
+        """The lane's slots for the hour; the first call in an hour
+        plans that hour for every lane."""
+        if hour_start != self._planned_hour:
+            self.plan_hour(hour_start)
+        return self._slots[lane.name]
 
-    def slots_for(self, lane: Lane,
-                  hour_start: float) -> Optional[List[TestSlot]]:
-        """The hour's pre-drawn slots, or None when the hour is unplanned."""
-        return self._slots.get((lane.name, hour_start))
+    def take_outcome(self, lane: Lane, slot: TestSlot) -> BrowserArtifacts:
+        """Pop one slot's precomputed browser artefacts.
 
-    def take_outcome(self, lane: Lane, slot: TestSlot) -> Any:
-        """Pop the precomputed outcome of one slot (planned hours only).
-
-        Raising on a miss (rather than silently falling back to the
-        scalar path) matters: a scalar re-run would consume the lane's
-        RNG stream a second time and desynchronise every later draw.
+        Raises :class:`~repro.errors.SpeedTestError` when every attempt
+        failed, as ``HeadlessBrowser.run_test`` does, and keeps the same
+        ``speedtest.*`` counters.  Raising on a miss (rather than
+        falling back to the scalar path) matters: a scalar re-run would
+        consume the lane's RNG stream a second time and desynchronise
+        every later draw.
         """
         try:
-            return self._outcomes.pop((lane.name, slot.slot_index))
+            outcome = self._outcomes.pop((lane.name, slot.slot_index))
         except KeyError:
             raise ValidationError(
                 f"batch planner has no outcome for lane {lane.name!r} "
                 f"slot {slot.slot_index} at ts {slot.ts}") from None
+        if outcome is _FAILED:
+            obs.inc("speedtest.failures")
+            raise SpeedTestError(
+                f"test from {lane.vm.name} to {slot.server_id} failed "
+                f"(all attempts, batched)")
+        obs.inc("speedtest.tests")
+        obs.observe("speedtest.download_mbps", outcome.result.download_mbps)
+        return outcome
 
     # ------------------------------------------------------------------
 
-    def plan_hour(self, lanes: Sequence[Lane], hour_start: float) -> None:
+    def plan_hour(self, hour_start: float) -> None:
         """Precompute outcomes for every runnable lane-slot this hour."""
         self._slots.clear()
         self._outcomes.clear()
         self._planned_hour = hour_start
         with obs.span("shard.plan_hour"):
-            jobs = self._rng_prepass(lanes, hour_start)
+            jobs = self._rng_prepass(hour_start)
             if jobs:
                 self._evaluate(jobs)
         obs.inc("shard.hours_planned")
@@ -178,8 +189,7 @@ class BatchPlanner:
     # ------------------------------------------------------------------
     # phase 1: replicate the scalar RNG consumption
 
-    def _rng_prepass(self, lanes: Sequence[Lane],
-                     hour_start: float) -> List[_Job]:
+    def _rng_prepass(self, hour_start: float) -> List[_Job]:
         runner = self.runner
         engine = runner.engine
         browser = runner.browser
@@ -188,9 +198,9 @@ class BatchPlanner:
         injector = runner.injector
         get_server = runner.catalog.get
         jobs: List[_Job] = []
-        for lane in lanes:
+        for lane in self.lanes:
             slots = lane.schedule.hour_slots(hour_start)
-            self._slots[(lane.name, hour_start)] = slots
+            self._slots[lane.name] = slots
             if injector is not None:
                 if hour_start < lane.ready_ts:
                     continue
@@ -522,53 +532,3 @@ def fold_routes(queue: np.ndarray, loss: np.ndarray, residual: np.ndarray,
 def _partner(per_route: np.ndarray) -> np.ndarray:
     """Each route's value at its job's other route (pairs swapped)."""
     return per_route.reshape(-1, 2)[:, ::-1].ravel()
-
-
-class BatchLaneExecutor(LaneExecutor):
-    """A :class:`LaneExecutor` that serves pre-batched hour outcomes.
-
-    ``attach_engine`` (called by :meth:`CampaignRunner.run`) installs
-    the planner on the engine's ``hour_hook``; from then on every hour
-    is precomputed in one vectorized pass and the two executor seams
-    serve cached slots and outcomes.  Without
-    an engine attached the executor degrades to the scalar path.
-    """
-
-    def __init__(self, runner: Any, bus: Any) -> None:
-        super().__init__(runner, bus)
-        self.planner = BatchPlanner(runner)
-        self._engine: Any = None
-
-    def attach_engine(self, engine: Any) -> None:
-        self._engine = engine
-        engine.hour_hook = self._plan_hour
-
-    def _plan_hour(self, hour_start: float, hour_index: int) -> None:
-        self.planner.plan_hour(self._engine.lanes, hour_start)
-
-    # ------------------------------------------------------------------
-    # seams
-
-    def _hour_slots(self, lane: Lane, hour_start: float):
-        slots = self.planner.slots_for(lane, hour_start)
-        if slots is None:
-            return super()._hour_slots(lane, hour_start)
-        return slots
-
-    def _run_slot_test(self, lane: Lane, slot: TestSlot):
-        if not self.planner.active:
-            return super()._run_slot_test(lane, slot)
-        outcome = self.planner.take_outcome(lane, slot)
-        if outcome is _FAILED:
-            obs.inc("speedtest.failures")
-            raise SpeedTestError(
-                f"test from {lane.vm.name} to {slot.server_id} failed "
-                f"(all attempts, batched)")
-        obs.inc("speedtest.tests")
-        obs.observe("speedtest.download_mbps", outcome.result.download_mbps)
-        return outcome
-
-
-def batch_executor_factory(runner: Any, bus: Any) -> BatchLaneExecutor:
-    """``executor_factory`` for :meth:`repro.core.campaign.CampaignRunner.run`."""
-    return BatchLaneExecutor(runner, bus)

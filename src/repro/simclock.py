@@ -3,8 +3,8 @@
 The paper's campaign ran hourly cron jobs from May through September
 2020.  Re-running five months in wall-clock time is obviously not an
 option, so all components take time as an explicit simulated timestamp
-(UTC epoch seconds) and the :class:`SimClock` advances that timestamp as
-fast as the simulation can compute.
+(UTC epoch seconds), and the campaign engine advances that timestamp
+as fast as the simulation can compute.
 
 Local time matters for the analysis: congestion probability is studied
 in the *test server's* timezone ("we converted the timezone to the
@@ -15,15 +15,12 @@ location of the test servers").  :func:`local_hour` and
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
 
 from .units import DAY, HOUR
-from .errors import ValidationError
 
 __all__ = [
     "CAMPAIGN_START",
     "CAMPAIGN_END",
-    "SimClock",
     "utc_datetime",
     "hour_of_day",
     "day_index",
@@ -79,38 +76,3 @@ def format_ts(ts: float, utc_offset_hours: float = 0.0) -> str:
     """Human-readable ``YYYY-MM-DD HH:MM`` rendering of *ts*."""
     when = utc_datetime(ts + utc_offset_hours * HOUR)
     return when.strftime("%Y-%m-%d %H:%M")
-
-
-@dataclass
-class SimClock:
-    """A monotonically advancing simulated clock.
-
-    The clock never goes backwards; :meth:`advance` and :meth:`advance_to`
-    enforce that, because schedule code that accidentally rewinds time
-    produces silently corrupt longitudinal data.
-    """
-
-    now: float = field(default=float(CAMPAIGN_START))
-
-    def advance(self, seconds: float) -> float:
-        """Move the clock forward by *seconds* and return the new time."""
-        if seconds < 0:
-            raise ValidationError(f"cannot advance by negative time: {seconds}")
-        self.now += seconds
-        return self.now
-
-    def advance_to(self, ts: float) -> float:
-        """Move the clock forward to absolute time *ts*."""
-        if ts < self.now:
-            raise ValidationError(
-                f"cannot rewind clock from {self.now} to {ts}"
-            )
-        self.now = float(ts)
-        return self.now
-
-    def datetime(self) -> _dt.datetime:
-        """Aware UTC datetime of the current simulated instant."""
-        return utc_datetime(self.now)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"SimClock({format_ts(self.now)} UTC)"

@@ -7,7 +7,7 @@ The hard contracts under test:
   ``finalize()`` report equals batch ``detect()`` on the concatenated
   datasets, with a strictly monotone watermark across runs;
 * deterministic alerting - the JSON-lines notification log is
-  byte-identical with the batch stepper on and off and across a
+  byte-identical with the batch path on and off and across a
   save/restore restart mid-sequence;
 * the shipped default rule set actually exercises the state machine:
   the V_H burn-rate rule both fires and resolves on the pinned

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.cloud.tiers import NetworkTier
-from repro.core.campaign import CampaignConfig, CampaignRunner
+from repro.core.campaign import LaneExecutor
+from repro.errors import ValidationError
 from repro.simclock import CAMPAIGN_START
-from repro.units import DAY, HOUR
+from repro.units import HOUR
 
 
 @pytest.fixture(scope="module")
@@ -19,14 +20,23 @@ def campaign_rig(small_scenario, deploy_us_plan):
     return small_scenario, plan, dataset, cost_before
 
 
-def test_campaign_config_validation():
-    with pytest.raises(ValueError):
-        CampaignConfig(days=0)
-    with pytest.raises(ValueError):
-        CampaignConfig(days=1, start_ts=float(CAMPAIGN_START) + 7)
-    config = CampaignConfig(days=3)
-    assert config.end_ts == config.start_ts + 3 * DAY
-    assert config.n_hours == 72
+def test_run_campaign_validates_shape(campaign_rig, monkeypatch):
+    """``days`` below 1 and a start off the hour fail on both paths
+    before any lane steps and before any charge is made."""
+    scenario, plan, _dataset, _cost = campaign_rig
+    clasp = scenario.clasp
+    steps = []
+    monkeypatch.setattr(LaneExecutor, "step",
+                        lambda self, lane, hour_start: steps.append(lane))
+    spent = clasp.total_cost_usd()
+    for batch in (False, True):
+        for days, start_ts in ((0, float(CAMPAIGN_START)),
+                               (1, float(CAMPAIGN_START) + 7)):
+            with pytest.raises(ValidationError):
+                clasp.run_campaign([plan], days=days, start_ts=start_ts,
+                                   batch=batch)
+    assert steps == []
+    assert clasp.total_cost_usd() == spent
 
 
 def test_campaign_produces_hourly_records(campaign_rig):

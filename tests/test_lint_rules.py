@@ -381,7 +381,7 @@ def test_engine_allowed_imports_stay_silent():
     assert codes_of("""
         from repro.errors import ValidationError
         from repro.rng import SeedTree
-        from repro.simclock import SimClock
+        from repro.simclock import CAMPAIGN_START
         from repro.units import HOUR
         from .events import CampaignEvent
     """, module="repro.engine.bus") == []
@@ -446,7 +446,7 @@ def test_obs_allowed_imports_stay_silent():
     assert codes_of("""
         import time
         from repro.errors import ConfigError
-        from repro.simclock import SimClock
+        from repro.simclock import CAMPAIGN_START
         from repro.units import s_to_ms
         from .spans import Tracer
 

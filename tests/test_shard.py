@@ -9,8 +9,11 @@ campaign runs and nothing else:
   are transitively equal).
 * **Event streams** - a multi-lane, two-region campaign under each
   fault plan emits the *identical* event sequence (every payload, in
-  order) through the vectorized stepper and the inline scalar one, to
+  order) through the batch planner and the inline scalar path, to
   every subscriber on the bus.
+* **Differential campaigns** - premium and standard-tier VMs on a
+  world with the differential story applied give the same digest on
+  both paths under each fault plan.
 * **Vector oracles** - every numpy twin in :mod:`repro.shard.vectcp`
   matches its scalar counterpart elementwise with 0 ULP drift over
   dense random grids, including the link-flap hook interaction.
@@ -31,20 +34,20 @@ import pytest
 import repro.obs as obs
 import repro.shard.vectcp as vectcp
 from repro.cloud.api import CloudPlatform
+from repro.cloud.tiers import NetworkTier
 from repro.core.export import dataset_digest
 from repro.core.scheduler import TestSlot as ScheduledSlot
-from repro.engine.bus import EventBus
+from repro.core.clasp import Clasp
 from repro.engine.events import event_payload
-from repro.engine.lanes import CampaignEngine
 from repro.errors import ValidationError
+from repro.experiments import Pipeline
 from repro.experiments.scenario import build_scenario
 from repro.faults import FaultPlan
 from repro.netsim.linkstate import LinkStateEvaluator
 from repro.netsim.tcp import multiflow_throughput_mbps, pftk_throughput_mbps
 from repro.netsim.topology import LinkKind
 from repro.netsim.traffic import DiurnalProfile, UtilizationModel
-from repro.shard import (BatchLaneExecutor, batch_flows_for_rtt,
-                         batch_loss_rate, batch_mean_utilization_grid,
+from repro.shard import (batch_flows_for_rtt, batch_loss_rate, batch_mean_utilization_grid,
                          batch_multiflow_throughput_mbps,
                          batch_pftk_throughput_mbps, batch_queue_delay_ms,
                          batch_residual_mbps, batch_weekend_mask)
@@ -227,6 +230,48 @@ def test_batch_replays_heavy_fault_decisions(matrix_baseline):
 
 
 # ----------------------------------------------------------------------
+# differential campaigns: standard-tier VMs on a world with the
+# differential story applied
+
+#: ``Pipeline(seed=11, scale=0.08, days=2)``'s differential dataset
+#: digest on the scalar path.
+DIFFERENTIAL_DIGEST = ("e51ba493bd01bf17649d574b2ea9d19b"
+                       "fedea8af064ea177f0725dd46e9bdcb1")
+
+
+@pytest.fixture(scope="module")
+def speedchecker_medians():
+    """The differential study of the fault-free world, run once; its
+    pipeline's own (batch) differential campaign is the scalar one."""
+    pipeline = Pipeline(seed=11, scale=0.08, days=2)
+    assert dataset_digest(pipeline.differential_dataset()) == \
+        DIFFERENTIAL_DIGEST
+    return pipeline.clasp.speedchecker_medians()
+
+
+@pytest.mark.parametrize("faults_key", ["off", "default", "heavy"])
+def test_differential_campaign_batch_matches_scalar(
+        speedchecker_medians, monkeypatch, faults_key):
+    """Both paths give the same bytes on a differential deployment.
+
+    Every world reuses the fault-free study's medians rather than
+    re-running the study (tens of seconds under a fault plan), so both
+    paths select, story and deploy the same servers."""
+    monkeypatch.setattr(Clasp, "speedchecker_medians",
+                        lambda self: speedchecker_medians)
+    digests = []
+    for batch in (False, True):
+        pipeline = Pipeline(seed=11, scale=0.08, days=2,
+                            faults=_FAULT_PLANS[faults_key]())
+        plans = [pipeline.differential_plan(region)
+                 for region in pipeline.differential_regions]
+        dataset = pipeline.clasp.run_campaign(plans, days=2, batch=batch)
+        assert dataset.pairs(tier=NetworkTier.STANDARD)
+        digests.append(dataset_digest(dataset))
+    assert digests[0] == digests[1]
+
+
+# ----------------------------------------------------------------------
 # batch planner strictness
 
 
@@ -242,16 +287,12 @@ def test_batch_planner_refuses_unplanned_slot():
     runner = clasp.runner
     start = float(CAMPAIGN_START)
     lanes = runner.build_lanes([plan], start)
-    bus = EventBus()
-    executor = BatchLaneExecutor(runner, bus)
-    engine = CampaignEngine(lanes=lanes, stepper=executor, bus=bus,
-                            start_ts=start, n_hours=1)
-    executor.attach_engine(engine)
-    executor._plan_hour(start, 0)
+    planner = BatchPlanner(runner, lanes)
+    assert planner.slots_for(lanes[0], start)
     rogue = ScheduledSlot(ts=start, vm_name=lanes[0].vm.name,
-                     server_id="nope", slot_index=9999)
+                          server_id="nope", slot_index=9999)
     with pytest.raises(ValidationError, match="no outcome"):
-        executor._run_slot_test(lanes[0], rogue)
+        planner.take_outcome(lanes[0], rogue)
 
 
 def test_batch_run_routes_each_pair_key_once(monkeypatch):

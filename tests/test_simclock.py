@@ -1,7 +1,5 @@
 """Simulated clock and local-time helpers."""
 
-import pytest
-
 from repro import simclock
 from repro.units import DAY, HOUR
 
@@ -34,17 +32,6 @@ def test_is_weekend():
     saturday = friday + DAY
     assert not simclock.is_weekend(friday)
     assert simclock.is_weekend(saturday)
-
-
-def test_clock_advances_monotonically():
-    clock = simclock.SimClock()
-    t0 = clock.now
-    clock.advance(10)
-    assert clock.now == t0 + 10
-    with pytest.raises(ValueError):
-        clock.advance(-1)
-    with pytest.raises(ValueError):
-        clock.advance_to(t0)
 
 
 def test_format_ts():

@@ -5,7 +5,7 @@ The hard contract under test: finalizing a
 the live event bus yields a report *equal* to batch ``detect()`` on
 the dataset the same events built - same events, day records, and
 pair hours, identical floats - across fault plans, with the scalar and
-the vectorized batch stepper.
+the vectorized batch path.
 """
 
 import numpy as np
