@@ -21,7 +21,13 @@ re-implements numpy's ``SeedSequence`` and PCG64 seeding, still equals
 ``default_rng``, and that ``Generator.normal`` drawn in chunks equals
 one draw of the same total size, which the lazily grown link noise
 relies on: a numpy release that changed either fails there by name
-instead of as a golden-digest mismatch.  The batch-equivalence
+instead of as a golden-digest mismatch.  The scalar oracle gate
+(``tests/test_scalar_oracle.py``) compares the scalar link-observation
+path - ``LinkStateEvaluator.observe``, ``DiurnalProfile.mean_utilization``,
+``simclock.is_weekend`` and the path model's RTT - bit for bit against
+their straightforward reference bodies kept in the test, over every
+link kind, flapped links, links changed after memoization and every
+local midnight of a year.  The batch-equivalence
 suite (``tests/test_shard.py``, byte-identical digests and event
 streams with the vectorized path on and off), the provider
 conformance suite (``tests/test_providers.py``, every registered
@@ -190,6 +196,12 @@ def main() -> int:
     status = _run("numpy stream-compat gate", [
         sys.executable, "-m", "pytest", "-q", "-x", "tests/test_rng.py",
         "-k", "first_uniforms or chunked_normal"])
+    if status != 0:
+        return status
+
+    status = _run("scalar oracle gate", [
+        sys.executable, "-m", "pytest", "-q", "-x",
+        "tests/test_scalar_oracle.py"])
     if status != 0:
         return status
 

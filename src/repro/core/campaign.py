@@ -252,7 +252,13 @@ class LaneExecutor:
                 self._lose_slots(lane.region, preempted_name, slots,
                                  "preemption")
                 return
+            if self.planner is None:
+                injector.prefetch_test_decisions(
+                    lane.vm.name, [(slot.server_id, slot.ts)
+                                   for slot in slots])
         artefact_bytes = self._run_hour(lane, slots)
+        if injector is not None:
+            injector.drop_test_decisions()
         if artefact_bytes:
             self._upload_hour(lane, hour_start, artefact_bytes)
 

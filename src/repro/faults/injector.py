@@ -16,24 +16,40 @@ Positive decisions are logged as :class:`FaultEvent` records so tests
 and the CLI can report what was injected.
 
 Each yes/no decision is the first ``random()`` of its
-``"{kind}/{key}/{ts}"`` stream.  Link flaps are asked about per link
-observation, so they are drawn one hour at a time: the first query of a
-new hour decides that hour for every ``(link, direction)`` queried in
-the last day, through :meth:`~repro.rng.SeedTree.first_uniforms`, the
-exact vectorized twin of ``generator(label).random()``.  A key first
-seen mid-hour (or back after a day idle) takes a single-stream draw.
+``"{kind}/{key}/{ts}"`` stream.  Two hot sites draw many of those
+first uniforms at once, through
+:meth:`~repro.rng.SeedTree.first_uniforms`, the exact vectorized twin
+of ``generator(label).random()``:
+
+* **Test decisions.** :meth:`FaultInjector.prefetch_test_decisions`
+  draws a lane-hour's first-attempt ``speedtest-failure`` and
+  ``truncated-transfer`` decisions in one call, once the lane is known
+  to be runnable; :meth:`FaultInjector.drop_test_decisions` drops what
+  no query consumed at the end of the lane-hour.  Retries, at backoff
+  timestamps, take single-stream draws.
+* **Link flaps.** Flaps are asked about per link observation, so they
+  are decided one hour table at a time.  A new table for hour *h*,
+  when the table of hour *h - 1* is held, draws *h* in one call for
+  every ``(link, direction)`` that table consumed or holds a draw for
+  and that was queried within the last day: one batched draw per hour
+  on the campaign's hour-sequential walk.  Otherwise the new table
+  starts empty, and each key takes one single-stream draw when first
+  asked.  A table displaced by a jump to another hour is kept for a
+  jump back, so a random-hour pattern such as the Speedchecker study's
+  costs about one draw per distinct ``(link, direction, hour)``.
+
 Prefetched draws are private until a query consumes them, so the event
 log, :meth:`FaultInjector.summary` and the decision cache are what
-per-query draws would give.  The twin relies on
-numpy's ``SeedSequence`` and PCG64 streams staying as they are, which
-NEP 19 does not promise across releases;
+per-query draws would give.  The twin relies on numpy's
+``SeedSequence`` and PCG64 streams staying as they are, which NEP 19
+does not promise across releases;
 ``tests/test_rng.py::test_first_uniforms_matches_generator`` pins it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..rng import SeedTree
 from ..units import HOUR
@@ -42,17 +58,27 @@ from .plan import FaultKind, FaultPlan
 __all__ = ["FaultEvent", "FaultInjector"]
 
 #: One link-flap hour table: (hour index, consumed floors by
-#: (link, direction), prefetched first uniforms not yet consumed).
+#: (link, direction), prefetched first uniforms not yet consumed,
+#: whether it is the first table ever made for its hour).
 _FlapHour = Tuple[Optional[int], Dict[Tuple[int, int], Optional[float]],
-                  Dict[Tuple[int, int], float]]
+                  Dict[Tuple[int, int], float], bool]
 #: Marks a (link, direction) not yet queried in the current hour table
 #: (``None`` is a decided "no flap").
 _UNDECIDED = object()
 #: Hour tables prefetch only keys queried within this many hours.  The
-#: campaign queries its deployed paths every day, while most keys of a
-#: selection scan are never queried again; a key that returns after a
-#: longer gap takes one single-stream draw and is prefetched again.
+#: campaign queries its deployed paths every hour, while a key whose
+#: path went quiet (a lost VM, a finished scan) stops being drawn a day
+#: later; it takes one single-stream draw when it returns.
 _FLAP_IDLE_HOURS = 24
+#: A lane-hour with fewer test-decision labels than this draws them one
+#: stream at a time: one first_uniforms call costs about as much as
+#: fifteen generators.
+_PREFETCH_MIN_LABELS = 16
+
+
+def _test_key(vm_name: str, server_id: str) -> str:
+    """The decision key of a speed test from *vm_name* to *server_id*."""
+    return f"{vm_name}->{server_id}"
 
 
 @dataclass(frozen=True)
@@ -72,27 +98,39 @@ class FaultInjector:
         self._seeds = seeds
         self.events: List[FaultEvent] = []
         self._cache: Dict[Tuple[FaultKind, str, int], bool] = {}
+        # Prefetched first-attempt test decisions of the current
+        # lane-hour, by stream label.
+        self._test_draws: Dict[str, float] = {}
         # Link-flap hour tables.  Every (link, direction) ever queried,
-        # mapped to its label prefix "link-flap/{link}/{direction}/" and
-        # to the hour it was last queried in.
-        self._flap_labels: Dict[Tuple[int, int], str] = {}
+        # mapped to its decision key "{link}/{direction}" and to the
+        # hour it was last queried in; every hour that had a table.
+        self._flap_rate = plan.link_flap_per_hour if plan.enabled else 0.0
+        self._flap_keys: Dict[Tuple[int, int], str] = {}
         self._flap_seen: Dict[Tuple[int, int], int] = {}
-        # The current and previous hour: (hour index, consumed floors,
-        # prefetched first uniforms not yet consumed).
+        self._flap_hours: Set[int] = set()
+        # The current and previous hour tables (see _FlapHour), and the
+        # tables displaced by a jump, by hour.
+        self._flap_kept: Dict[int, _FlapHour] = {}
         self._flap_hour: Optional[int] = None
         self._flap_floors: Dict[Tuple[int, int], Optional[float]] = {}
         self._flap_drawn: Dict[Tuple[int, int], float] = {}
-        self._flap_prev: _FlapHour = (None, {}, {})
+        self._flap_fresh = True
+        self._flap_prev: _FlapHour = (None, {}, {}, True)
         self._flap_draws_batched = 0
         self._flap_draws_single = 0
 
     # ------------------------------------------------------------------
     # internals
 
+    @staticmethod
+    def _label(kind: FaultKind, key: str, ts: float) -> str:
+        """The stream label of the (kind, key, ts) decision."""
+        return f"{kind.value}/{key}/{int(ts)}"
+
     def _stream(self, kind: FaultKind, key: str, ts: float):
         """A fresh generator unique to (kind, key, ts) - order-free."""
-        label = f"{kind.value}/{key}/{int(ts)}"
-        return self._seeds.generator(label, allow_reuse=True)
+        return self._seeds.generator(self._label(kind, key, ts),
+                                     allow_reuse=True)
 
     def _decide(self, kind: FaultKind, key: str, ts: float,
                 rate: float) -> bool:
@@ -101,8 +139,11 @@ class FaultInjector:
         cached = self._cache.get((kind, key, int(ts)))
         if cached is not None:
             return cached
-        return self._record(kind, key, ts,
-                            self._stream(kind, key, ts).random() < rate)
+        label = self._label(kind, key, ts)
+        draw = self._test_draws.pop(label, None)
+        if draw is None:
+            draw = self._seeds.generator(label, allow_reuse=True).random()
+        return self._record(kind, key, ts, draw < rate)
 
     def _record(self, kind: FaultKind, key: str, ts: float,
                 hit: bool) -> bool:
@@ -116,44 +157,87 @@ class FaultInjector:
     def _enter_flap_hour(self, hour_index: int) -> None:
         """Make *hour_index* the current link-flap hour table.
 
-        The previous hour's table is kept, so a retry whose backoff
-        crosses an hour edge swaps tables instead of redrawing; any
-        other hour is drawn afresh, for every key queried within
-        ``_FLAP_IDLE_HOURS``, in one
-        :meth:`~repro.rng.SeedTree.first_uniforms` call.
+        At most one table per hour is held: the current one, the
+        previous one, or one kept for a jump back.  The previous hour's
+        table is swapped back in when asked again (a retry whose backoff
+        crosses an hour edge).  A table displaced by a jump is kept, so
+        a random-hour pattern reads a revisited hour from its table; the
+        hour-sequential walk drops it (its decisions stay in the cache).
         """
-        current = (self._flap_hour, self._flap_floors, self._flap_drawn)
-        if self._flap_prev[0] == hour_index:
-            _hour, self._flap_floors, self._flap_drawn = self._flap_prev
+        current = (self._flap_hour, self._flap_floors, self._flap_drawn,
+                   self._flap_fresh)
+        prev = self._flap_prev
+        if prev[0] == hour_index:
+            table = prev
         else:
-            horizon = hour_index - _FLAP_IDLE_HOURS
-            pairs = [pair for pair, seen in self._flap_seen.items()
-                     if seen >= horizon]
-            suffix = str(hour_index * HOUR)
-            labels = [self._flap_labels[pair] + suffix for pair in pairs]
-            draws = self._seeds.first_uniforms(labels).tolist()
-            self._flap_draws_batched += len(labels)
-            self._flap_floors = {}
-            self._flap_drawn = dict(zip(pairs, draws))
-        self._flap_hour = hour_index
+            if prev[0] is not None and (current[0] is None
+                                        or hour_index != current[0] + 1):
+                self._flap_kept[prev[0]] = prev
+            table = self._flap_kept.pop(hour_index, None)
+            if table is None:
+                table = self._new_flap_table(hour_index, current)
+        (self._flap_hour, self._flap_floors, self._flap_drawn,
+         self._flap_fresh) = table
         self._flap_prev = current
+
+    def _new_flap_table(self, hour_index: int,
+                        current: _FlapHour) -> _FlapHour:
+        """A table for an hour no held table covers.
+
+        When the table of the hour before is held, every key it consumed
+        or holds a draw for, and that was queried within
+        ``_FLAP_IDLE_HOURS``, is drawn for *hour_index* in one
+        :meth:`~repro.rng.SeedTree.first_uniforms` call.  The draws
+        follow the keys the hour before answered, not every key seen,
+        so a pattern that jumps between hours pays about one draw per
+        key-hour it asks.
+        """
+        fresh = hour_index not in self._flap_hours
+        self._flap_hours.add(hour_index)
+        source = next((table for table in (current, self._flap_prev)
+                       if table[0] == hour_index - 1),
+                      self._flap_kept.get(hour_index - 1))
+        drawn: Dict[Tuple[int, int], float] = {}
+        if source is not None:
+            horizon = hour_index - _FLAP_IDLE_HOURS
+            seen = self._flap_seen
+            pairs = [pair for table in (source[1], source[2])
+                     for pair in table if seen[pair] >= horizon]
+            hour_ts = hour_index * HOUR
+            keys = self._flap_keys
+            if not fresh:
+                # Keys already decided for this hour read the cache.
+                pairs = [pair for pair in pairs
+                         if (FaultKind.LINK_FLAP, keys[pair], hour_ts)
+                         not in self._cache]
+            if pairs:
+                # _label() for every key, without a call per key.
+                prefix = f"{FaultKind.LINK_FLAP.value}/"
+                suffix = f"/{hour_ts}"
+                labels = [prefix + keys[pair] + suffix for pair in pairs]
+                draws = self._seeds.first_uniforms(labels).tolist()
+                self._flap_draws_batched += len(labels)
+                drawn = dict(zip(pairs, draws))
+        return (hour_index, {}, drawn, fresh)
 
     def _consume_flap(self, pair: Tuple[int, int],
                       hour_index: int) -> Optional[float]:
         """First query of *pair* in the current hour table."""
-        key = f"{pair[0]}/{pair[1]}"
+        key = self._flap_keys.get(pair)
+        if key is None:
+            key = self._flap_keys[pair] = f"{pair[0]}/{pair[1]}"
         hour_ts = hour_index * HOUR
-        hit = self._cache.get((FaultKind.LINK_FLAP, key, hour_ts))
+        # The first table of an hour holds every decision made for it.
+        hit = None if self._flap_fresh else self._cache.get(
+            (FaultKind.LINK_FLAP, key, hour_ts))
         if hit is None:
-            draw = self._flap_drawn.get(pair)
+            draw = self._flap_drawn.pop(pair, None)
             if draw is None:
                 draw = self._stream(FaultKind.LINK_FLAP, key,
                                     hour_ts).random()
                 self._flap_draws_single += 1
             hit = self._record(FaultKind.LINK_FLAP, key, hour_ts,
-                               draw < self.plan.link_flap_per_hour)
-        if pair not in self._flap_labels:
-            self._flap_labels[pair] = f"{FaultKind.LINK_FLAP.value}/{key}/"
+                               draw < self._flap_rate)
         self._flap_seen[pair] = hour_index
         floor = self.plan.link_flap_utilization if hit else None
         self._flap_floors[pair] = floor
@@ -178,11 +262,42 @@ class FaultInjector:
                 FaultEvent(FaultKind.VM_SLOW_START, vm_name, float(ts)))
         return hours
 
+    def prefetch_test_decisions(
+            self, vm_name: str,
+            tests: Sequence[Tuple[str, float]]) -> None:
+        """Draw the first-attempt decisions of one lane-hour's tests.
+
+        *tests* lists each slot's ``(server_id, ts)``.  The
+        ``speedtest-failure`` and ``truncated-transfer`` first uniforms
+        of every slot come from one
+        :meth:`~repro.rng.SeedTree.first_uniforms` call and stay private
+        until :meth:`speedtest_fails` or :meth:`truncation_fraction`
+        consumes them; anything left from an earlier lane-hour is
+        dropped first.
+        """
+        self._test_draws = {}
+        plan = self.plan
+        if not plan.enabled:
+            return
+        kinds = [kind for kind, rate in (
+            (FaultKind.SPEEDTEST_FAILURE, plan.speedtest_failure_rate),
+            (FaultKind.TRUNCATED_TRANSFER, plan.truncated_transfer_rate))
+            if rate > 0.0]
+        labels = [self._label(kind, _test_key(vm_name, server_id), ts)
+                  for server_id, ts in tests for kind in kinds]
+        if len(labels) >= _PREFETCH_MIN_LABELS:
+            self._test_draws = dict(zip(
+                labels, self._seeds.first_uniforms(labels).tolist()))
+
+    def drop_test_decisions(self) -> None:
+        """End of a lane-hour: drop the prefetched draws nobody asked for."""
+        self._test_draws = {}
+
     def speedtest_fails(self, vm_name: str, server_id: str,
                         ts: float) -> bool:
         """Does the test from *vm_name* to *server_id* fail outright?"""
         return self._decide(FaultKind.SPEEDTEST_FAILURE,
-                            f"{vm_name}->{server_id}", ts,
+                            _test_key(vm_name, server_id), ts,
                             self.plan.speedtest_failure_rate)
 
     def truncation_fraction(self, vm_name: str, server_id: str,
@@ -192,7 +307,7 @@ class FaultInjector:
         ``None`` when the transfer runs to completion; otherwise a
         value in ``[0.2, 0.8)``.
         """
-        key = f"{vm_name}->{server_id}"
+        key = _test_key(vm_name, server_id)
         if not self._decide(FaultKind.TRUNCATED_TRANSFER, key, ts,
                             self.plan.truncated_transfer_rate):
             return None
@@ -219,7 +334,7 @@ class FaultInjector:
         Flaps are hour-granular: every evaluation within the same hour
         sees the same (single) decision.
         """
-        if not self.plan.enabled or self.plan.link_flap_per_hour <= 0.0:
+        if self._flap_rate <= 0.0:
             return None
         hour_index = int(ts // HOUR)
         if hour_index != self._flap_hour:
@@ -240,8 +355,8 @@ class FaultInjector:
         """Link-flap draws since the last call, by how they were made.
 
         ``flap_draws_batched`` counts labels drawn by hour tables (used
-        or not), ``flap_draws_single`` single-stream draws for keys
-        first seen mid-hour.
+        or not), ``flap_draws_single`` single-stream draws for keys no
+        table had drawn.
         """
         counts = {"flap_draws_batched": self._flap_draws_batched,
                   "flap_draws_single": self._flap_draws_single}

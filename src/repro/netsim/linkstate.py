@@ -20,8 +20,7 @@ along a route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .topology import Link, LinkKind
 from .traffic import UtilizationModel
@@ -62,11 +61,19 @@ _QUEUE_CAP_MS = {
 #: Share of capacity still winnable by an aggressive multi-flow test
 #: when the link is exactly saturated (contested share floor).
 _CONTESTED_SHARE = 0.12
+#: Each kind's (loss floor, queue base ms, queue cap ms), keyed by the
+#: member's ``id()``: an int key skips ``Enum``'s Python-level
+#: ``__hash__``, which three kind-keyed lookups per observation paid.
+_KIND_CONSTANTS = {id(kind): (_FLOOR_LOSS[kind], _QUEUE_BASE_MS[kind],
+                              _QUEUE_CAP_MS[kind]) for kind in LinkKind}
 
 
-@dataclass(frozen=True)
-class LinkObservation:
-    """What one direction of one link looks like at one instant."""
+class LinkObservation(NamedTuple):
+    """What one direction of one link looks like at one instant.
+
+    A named tuple: a campaign builds one per observation-memo miss, and
+    a tuple is the cheapest immutable record to construct.
+    """
 
     link_id: int
     direction: int
@@ -82,6 +89,50 @@ class LinkObservation:
     def saturated(self) -> bool:
         """True when background load alone meets or exceeds capacity."""
         return self.utilization >= 1.0
+
+
+# The three formulas below are the one scalar definition of each (the
+# static methods validate, then call them).  Conditional expressions
+# stand in for the builtin min()/max() calls: they pick the same operand
+# (min/max keep the first of equal values), without a call.
+
+
+def _residual(capacity_mbps: float, utilization: float) -> float:
+    """Bandwidth a new elastic flow set can claim (unchecked inputs)."""
+    free = capacity_mbps * (1.0 - utilization)
+    # Even on a saturated link, loss-based congestion control lets an
+    # aggressive multi-flow test carve out a contested share that
+    # shrinks as overload deepens.  Written in multiplication form
+    # (not **) so the numpy batch path reproduces it bit-for-bit.
+    over = utilization if utilization > 1.0 else 1.0
+    contested = capacity_mbps * _CONTESTED_SHARE / (over * over)
+    return contested if contested > free else free
+
+
+def _loss(utilization: float, floor: float) -> float:
+    """Packet loss fraction over a per-kind loss *floor* (unchecked)."""
+    # u^4 in multiplication form: bit-identical to the numpy twin.
+    u_sq = utilization * utilization
+    burst = _SUBONSET_COEF * (u_sq * u_sq)
+    if utilization <= _LOSS_ONSET:
+        return floor + burst
+    if utilization <= 1.0:
+        ramp = (utilization - _LOSS_ONSET) / (1.0 - _LOSS_ONSET)
+        return floor + burst + _LOSS_AT_CAPACITY * ramp * ramp
+    # Over capacity: the structural overflow fraction dominates.
+    overflow = (utilization - 1.0) / utilization
+    loss = floor + burst + _LOSS_AT_CAPACITY + overflow
+    return loss if loss < 0.9 else 0.9
+
+
+def _queue(utilization: float, base: float, cap: float) -> float:
+    """Queueing delay in ms for a per-kind service quantum and buffer
+    cap (unchecked)."""
+    if utilization >= 1.0:
+        return cap
+    u = 0.995 if utilization > 0.995 else utilization
+    mm1 = base * u / (1.0 - u)
+    return mm1 if mm1 < cap else cap
 
 
 #: Fault hook signature: ``(link_id, direction, ts)`` returning a
@@ -140,35 +191,32 @@ class LinkStateEvaluator:
             memo.clear()
             self._memo_ts = ts
             self._memo_version = version
-        key = (link.link_id, direction)
+        link_id = link.link_id
+        key = (link_id, direction)
         cached = memo.get(key)
-        if cached is not None and \
-                cached.capacity_mbps == link.capacity_mbps and \
-                cached.burst_loss == link.burst_loss:
+        capacity = link.capacity_mbps
+        burst_loss = link.burst_loss
+        if cached is not None and cached.capacity_mbps == capacity and \
+                cached.burst_loss == burst_loss:
             self._memo_hits += 1
             return cached
         self._memo_misses += 1
-        u = self._util.utilization(link.link_id, direction, ts)
+        if capacity <= 0:
+            raise ValidationError(f"capacity must be positive: {capacity}")
+        floor_loss, queue_base, queue_cap = _KIND_CONSTANTS[id(link.kind)]
+        u = self._util.utilization(link_id, direction, ts)
         if self._flap_hook is not None:
-            floor = self._flap_hook(link.link_id, direction, ts)
+            floor = self._flap_hook(link_id, direction, ts)
             if floor is not None:
                 # A flapped link direction behaves like a saturated one:
                 # heavy loss, bufferbloat queueing, near-zero residual.
-                u = max(u, floor)
-        residual = self.residual_mbps(link.capacity_mbps, u)
-        loss = self.loss_rate(u, link.kind)
-        queue = self.queue_delay_ms(u, link.kind)
-        observation = LinkObservation(
-            link_id=link.link_id,
-            direction=direction,
-            capacity_mbps=link.capacity_mbps,
-            utilization=u,
-            residual_mbps=residual,
-            loss_rate=loss,
-            queue_delay_ms=queue,
-            burst_loss=link.burst_loss,
-        )
-        memo[key] = observation
+                if floor > u:  # max(u, floor)
+                    u = floor
+        # tuple.__new__ skips the named tuple's Python-level __new__.
+        observation = memo[key] = tuple.__new__(LinkObservation, (
+            link_id, direction, capacity, u, _residual(capacity, u),
+            _loss(u, floor_loss), _queue(u, queue_base, queue_cap),
+            burst_loss))
         return observation
 
     @staticmethod
@@ -178,42 +226,18 @@ class LinkStateEvaluator:
             raise ValidationError(f"capacity must be positive: {capacity_mbps}")
         if utilization < 0:
             raise ValidationError(f"utilization must be >= 0: {utilization}")
-        free = capacity_mbps * (1.0 - utilization)
-        # Even on a saturated link, loss-based congestion control lets an
-        # aggressive multi-flow test carve out a contested share that
-        # shrinks as overload deepens.  Written in multiplication form
-        # (not **) so the numpy batch path reproduces it bit-for-bit.
-        over = max(1.0, utilization)
-        contested = capacity_mbps * _CONTESTED_SHARE / (over * over)
-        return max(free, contested)
+        return _residual(capacity_mbps, utilization)
 
     @staticmethod
     def loss_rate(utilization: float, kind: LinkKind) -> float:
         """Packet loss fraction for a link direction at utilization *u*."""
         if utilization < 0:
             raise ValidationError(f"utilization must be >= 0: {utilization}")
-        floor = _FLOOR_LOSS[kind]
-        # u^4 in multiplication form: bit-identical to the numpy twin.
-        u_sq = utilization * utilization
-        burst = _SUBONSET_COEF * (u_sq * u_sq)
-        if utilization <= _LOSS_ONSET:
-            return floor + burst
-        if utilization <= 1.0:
-            ramp = (utilization - _LOSS_ONSET) / (1.0 - _LOSS_ONSET)
-            return floor + burst + _LOSS_AT_CAPACITY * ramp * ramp
-        # Over capacity: the structural overflow fraction dominates.
-        overflow = (utilization - 1.0) / utilization
-        return min(0.9, floor + burst + _LOSS_AT_CAPACITY + overflow)
+        return _loss(utilization, _FLOOR_LOSS[kind])
 
     @staticmethod
     def queue_delay_ms(utilization: float, kind: LinkKind) -> float:
         """Queueing delay added by this link direction, in ms."""
         if utilization < 0:
             raise ValidationError(f"utilization must be >= 0: {utilization}")
-        base = _QUEUE_BASE_MS[kind]
-        cap = _QUEUE_CAP_MS[kind]
-        u = min(utilization, 0.995)
-        mm1 = base * u / (1.0 - u)
-        if utilization >= 1.0:
-            return cap
-        return min(cap, mm1)
+        return _queue(utilization, _QUEUE_BASE_MS[kind], _QUEUE_CAP_MS[kind])

@@ -11,7 +11,7 @@ and endpoint rate limits on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .linkstate import LinkObservation, LinkStateEvaluator
 from .routing import Route
@@ -74,12 +74,20 @@ class PathMetrics:
 
 
 class PathPerformanceModel:
-    """Evaluates routed paths against the time-varying traffic model."""
+    """Evaluates routed paths against the time-varying traffic model.
+
+    A route's propagation delay depends only on its links' fixed
+    delays, so it is summed once per :class:`~repro.netsim.routing.Route`
+    object and memoized for the model's lifetime (the platform caches
+    its routes, so the memo holds one entry per cached route).
+    """
 
     def __init__(self, topology: Topology,
                  evaluator: LinkStateEvaluator) -> None:
         self._topo = topology
         self._eval = evaluator
+        # id(route) -> (the route, its propagation delay in ms)
+        self._propagation: Dict[int, Tuple[Route, float]] = {}
 
     @property
     def topology(self) -> Topology:
@@ -89,6 +97,13 @@ class PathPerformanceModel:
     def evaluator(self) -> LinkStateEvaluator:
         return self._eval
 
+    def _propagation_ms(self, route: Route) -> float:
+        entry = self._propagation.get(id(route))
+        if entry is None or entry[0] is not route:
+            entry = self._propagation[id(route)] = (
+                route, route.propagation_delay_ms(self._topo))
+        return entry[1]
+
     def observe_route(self, route: Route, ts: float,
                       reverse: bool = False) -> List[LinkObservation]:
         """Observe every link of *route* in its traversal direction.
@@ -97,12 +112,11 @@ class PathPerformanceModel:
         direction, modelling the ACK/return path when no asymmetric
         reverse route is supplied.
         """
-        out: List[LinkObservation] = []
-        for link_id, direction in route.links:
-            link = self._topo.link(link_id)
-            d = direction ^ 1 if reverse else direction
-            out.append(self._eval.observe(link, d, ts))
-        return out
+        link = self._topo.link
+        observe = self._eval.observe
+        flip = 1 if reverse else 0
+        return [observe(link(link_id), direction ^ flip, ts)
+                for link_id, direction in route.links]
 
     def evaluate(self, forward_route: Route, ts: float,
                  reverse_route: Optional[Route] = None) -> PathMetrics:
@@ -114,26 +128,31 @@ class PathPerformanceModel:
         differ and the caller passes the asymmetric return route.
         """
         fwd_obs = self.observe_route(forward_route, ts)
+        fwd_prop = self._propagation_ms(forward_route)
         if reverse_route is None:
             rev_obs = self.observe_route(forward_route, ts, reverse=True)
-            rev_prop = forward_route.propagation_delay_ms(self._topo)
+            rev_prop = fwd_prop
         else:
             rev_obs = self.observe_route(reverse_route, ts)
-            rev_prop = reverse_route.propagation_delay_ms(self._topo)
-        fwd_prop = forward_route.propagation_delay_ms(self._topo)
+            rev_prop = self._propagation_ms(reverse_route)
 
-        rtt = (fwd_prop + rev_prop
-               + sum(o.queue_delay_ms for o in fwd_obs)
-               + sum(o.queue_delay_ms for o in rev_obs))
-
+        # One left fold per direction, in sum()'s and min()'s order:
+        # queues from 0, survivals from 1.0, the first least residual.
+        fwd_queue = 0
         survive = 1.0
         burst_survive = 1.0
+        avail = float("inf")
         for obs in fwd_obs:
+            fwd_queue += obs.queue_delay_ms
             survive *= (1.0 - obs.loss_rate)
             burst_survive *= (1.0 - obs.burst_loss)
+            if obs.residual_mbps < avail:
+                avail = obs.residual_mbps
+        rev_queue = 0
+        for obs in rev_obs:
+            rev_queue += obs.queue_delay_ms
+        rtt = fwd_prop + rev_prop + fwd_queue + rev_queue
         loss = 1.0 - survive
-
-        avail = min((o.residual_mbps for o in fwd_obs), default=float("inf"))
 
         return PathMetrics(
             rtt_ms=rtt,

@@ -52,10 +52,13 @@ class DiurnalBump:
     def value(self, local_hour: float) -> float:
         """Contribution of this bump at a (fractional) local hour."""
         delta = abs(local_hour - self.center_hour)
-        delta = min(delta, 24.0 - delta)  # periodic distance on the day
-        if delta >= self.width_hours:
+        wrapped = 24.0 - delta
+        if wrapped < delta:  # periodic distance on the day: min() order
+            delta = wrapped
+        width = self.width_hours
+        if delta >= width:
             return 0.0
-        return self.amplitude * 0.5 * (1.0 + math.cos(math.pi * delta / self.width_hours))
+        return self.amplitude * 0.5 * (1.0 + math.cos(math.pi * delta / width))
 
 
 #: The FCC's peak-use window is 7 pm - 11 pm local time; we centre the
@@ -82,10 +85,14 @@ class DiurnalProfile:
     def mean_utilization(self, ts: float) -> float:
         """Noise-free utilization at simulated time *ts* (UTC seconds)."""
         local = (ts / HOUR + self.utc_offset_hours) % 24.0
-        load = self.base + sum(b.value(local) for b in self.bumps)
+        # sum()'s order (0 + v1 + v2 ...), without a generator per call.
+        bumps = 0
+        for bump in self.bumps:
+            bumps += bump.value(local)
+        load = self.base + bumps
         if is_weekend(ts, self.utc_offset_hours):
             load *= self.weekend_factor
-        return max(0.0, load)
+        return load if load > 0.0 else 0.0  # max(0.0, load)
 
     @staticmethod
     def quiet(base: float = 0.25, utc_offset_hours: float = 0.0,
@@ -204,12 +211,14 @@ class UtilizationModel:
 
     def utilization(self, link_id: int, direction: int, ts: float) -> float:
         """Background utilization fraction at *ts* (can exceed 1.0)."""
-        profile = self.profile(link_id, direction)
+        key = (link_id, direction)
+        profile = self._profiles.get(key, self._default_profile)
         mean = profile.mean_utilization(ts)
         if profile.noise_sigma <= 0:
             return mean
         hour_idx = int((ts - self._origin) // HOUR) % self.NOISE_HOURS
-        noise = self._noise.get((link_id, direction))
+        noise = self._noise.get(key)
         if noise is None or hour_idx >= len(noise):
             noise = self.noise_array(link_id, direction, hour_idx + 1)
-        return max(0.0, mean + float(noise[hour_idx]))
+        u = mean + float(noise[hour_idx])
+        return u if u > 0.0 else 0.0  # max(0.0, u)

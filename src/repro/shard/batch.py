@@ -206,6 +206,9 @@ class BatchPlanner:
                     continue
                 if injector.vm_preempted(lane.vm.name, hour_start):
                     continue
+                injector.prefetch_test_decisions(
+                    lane.vm.name, [(slot.server_id, slot.ts)
+                                   for slot in slots])
             vm = lane.vm
             rng = engine.stream_for(vm.name)
             limits = (vm.nic.ingress_cap_mbps(), vm.nic.egress_cap_mbps(),
@@ -241,6 +244,8 @@ class BatchPlanner:
                     break
                 else:
                     self._outcomes[(lane.name, slot.slot_index)] = _FAILED
+            if injector is not None:
+                injector.drop_test_decisions()
         return jobs
 
     # ------------------------------------------------------------------

@@ -24,10 +24,11 @@ Known exact-equivalence subtleties, all handled here:
 * Python ``%`` on positive floats equals ``np.fmod`` (not ``np.mod``).
 * ``int(x // HOUR)`` on non-negative floats equals
   ``np.floor_divide(...).astype(int64)``.
-* ``is_weekend`` goes through ``datetime`` microsecond rounding, so the
-  integer weekday arithmetic decides only elements more than one
-  second from a local midnight; the few within it fall back to
-  per-element scalar calls.
+* ``datetime`` rounds to microseconds, so the integer weekday
+  arithmetic decides only elements more than
+  :data:`repro.simclock.DAY_EDGE_MARGIN_S` from a local midnight; the
+  few within it fall back to per-element scalar calls
+  (:func:`~repro.simclock.is_weekend` applies the same rule).
 * Powers appear in multiplication form (``u*u``), matching the scalar
   code, because ``**`` routes through libm ``pow``.
 * A branch the scalar code takes for some elements (a diurnal bump's
@@ -49,7 +50,7 @@ from ..netsim.linkstate import (_CONTESTED_SHARE, _FLOOR_LOSS,
                                 _QUEUE_BASE_MS, _QUEUE_CAP_MS, _SUBONSET_COEF)
 from ..netsim.tcp import DEFAULT_RWND_BYTES, _MIN_LOSS, _RTO_MIN_S
 from ..netsim.topology import LinkKind
-from ..simclock import is_weekend
+from ..simclock import DAY_EDGE_MARGIN_S, EPOCH_WEEKDAY, is_weekend
 from ..speedtest.protocol import FLOW_SCALE_RTT_MS, MAX_FLOWS, N_FLOWS
 from ..units import DAY, HOUR, MSS_BYTES, bytes_per_sec_to_mbps, ms_to_s
 
@@ -63,14 +64,6 @@ __all__ = [
     "batch_residual_mbps",
     "batch_weekend_mask",
 ]
-
-#: Seconds of slack kept from a local midnight before trusting integer
-#: day arithmetic for the weekend factor; datetime rounds to
-#: microseconds, so one full second is an enormous safety margin.
-_DAY_EDGE_MARGIN_S = 1.0
-
-#: ``datetime.weekday()`` of day 0, 1970-01-01 (a Thursday).
-_EPOCH_WEEKDAY = 3
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +205,7 @@ def batch_weekend_mask(ts: np.ndarray,
 
     One pass of integer day arithmetic decides every element: the local
     day is ``floor((ts + offset * HOUR) / DAY)`` days after 1970-01-01,
-    a Thursday.  Only an element within :data:`_DAY_EDGE_MARGIN_S` of a
+    a Thursday.  Only an element within :data:`DAY_EDGE_MARGIN_S` of a
     local midnight, where datetime's microsecond rounding could carry it
     across, falls back to the scalar call.
     """
@@ -220,10 +213,10 @@ def batch_weekend_mask(ts: np.ndarray,
     offset = np.asarray(utc_offset_hours, dtype=np.float64)
     local = ts + offset * HOUR
     day = np.floor_divide(local, DAY)
-    weekend = (day.astype(np.int64) + _EPOCH_WEEKDAY) % 7 >= 5
+    weekend = (day.astype(np.int64) + EPOCH_WEEKDAY) % 7 >= 5
     # Seconds past local midnight, within the margin of either end.
     into = local - day * DAY
-    edge = np.abs(into - 0.5 * DAY) >= 0.5 * DAY - _DAY_EDGE_MARGIN_S
+    edge = np.abs(into - 0.5 * DAY) >= 0.5 * DAY - DAY_EDGE_MARGIN_S
     if np.any(edge):
         weekend[edge] = [is_weekend(t, o) for t, o
                          in zip(ts[edge].tolist(), offset[edge].tolist())]

@@ -21,6 +21,8 @@ from .units import DAY, HOUR
 __all__ = [
     "CAMPAIGN_START",
     "CAMPAIGN_END",
+    "DAY_EDGE_MARGIN_S",
+    "EPOCH_WEEKDAY",
     "utc_datetime",
     "hour_of_day",
     "day_index",
@@ -37,6 +39,14 @@ CAMPAIGN_START = int((_dt.datetime(2020, 5, 1, tzinfo=_dt.timezone.utc) - _EPOCH
 
 #: End of the campaign: 2020-10-01 00:00 UTC (exclusive), i.e. 153 days.
 CAMPAIGN_END = int((_dt.datetime(2020, 10, 1, tzinfo=_dt.timezone.utc) - _EPOCH).total_seconds())
+
+#: Seconds of slack kept from a local midnight before trusting integer
+#: day arithmetic for the weekday; datetime rounds to microseconds, so
+#: one full second is an enormous safety margin.
+DAY_EDGE_MARGIN_S = 1.0
+
+#: ``datetime.weekday()`` of day 0, 1970-01-01 (a Thursday).
+EPOCH_WEEKDAY = 3
 
 
 def utc_datetime(ts: float) -> _dt.datetime:
@@ -67,9 +77,19 @@ def local_day_index(ts: float, utc_offset_hours: float,
 
 
 def is_weekend(ts: float, utc_offset_hours: float = 0.0) -> bool:
-    """True when *ts* falls on Saturday/Sunday in the given local zone."""
-    when = utc_datetime(ts + utc_offset_hours * HOUR)
-    return when.weekday() >= 5
+    """True when *ts* falls on Saturday/Sunday in the given local zone.
+
+    Integer day arithmetic decides: the local day is ``floor(local /
+    DAY)`` days after 1970-01-01.  Only an instant within
+    :data:`DAY_EDGE_MARGIN_S` of a local midnight, where datetime's
+    microsecond rounding could carry it across, asks ``datetime``.
+    """
+    local = ts + utc_offset_hours * HOUR
+    day = local // DAY
+    into = local - day * DAY
+    if DAY_EDGE_MARGIN_S < into < DAY - DAY_EDGE_MARGIN_S:
+        return (int(day) + EPOCH_WEEKDAY) % 7 >= 5
+    return utc_datetime(local).weekday() >= 5
 
 
 def format_ts(ts: float, utc_offset_hours: float = 0.0) -> str:

@@ -224,6 +224,70 @@ def test_flap_hour_tables_keep_previous_hour_and_drop_idle_keys():
                                            "flap_draws_single": 1}
 
 
+def _study_flap_queries(seed, probes=400):
+    """Queries the way the Speedchecker study issues them: each probe
+    evaluates one of a few paths (20 link directions) at an instant
+    drawn uniformly over five days, so nearly every probe jumps to
+    another hour."""
+    rnd = random.Random(seed)
+    ts0 = float(CAMPAIGN_START)
+    paths = [[(rnd.randrange(300), rnd.randrange(2)) for _ in range(20)]
+             for _ in range(12)]
+    queries = []
+    for _ in range(probes):
+        ts = ts0 + rnd.uniform(0.0, 120 * HOUR)
+        queries.extend((link_id, direction, ts)
+                       for link_id, direction in rnd.choice(paths))
+    return queries
+
+
+def test_flap_draws_on_a_random_hour_pattern_scale_with_key_hours():
+    """A random-hour pattern draws about once per distinct (link,
+    direction, hour): a table left by a jump is kept, and a new table
+    draws only what the hour before it answered."""
+    plan = dataclasses.replace(FaultPlan.heavy(), link_flap_per_hour=0.3)
+    queries = _study_flap_queries(7)
+    want_floors, want_events, want_cache = _oracle_flaps(plan, 7, queries)
+    injector = FaultInjector(plan, SeedTree(7))
+    assert [injector.link_flap_utilization(*query)
+            for query in queries] == want_floors
+    assert injector.events == want_events
+    assert injector._cache == want_cache
+    counts = injector.take_draw_counts()
+    distinct = len(want_cache)
+    # Each batched draw answers a distinct key-hour of the table before
+    # it, and each single draw one of this pattern's key-hours.
+    assert counts["flap_draws_single"] <= distinct
+    assert counts["flap_draws_batched"] <= distinct
+    assert counts["flap_draws_batched"] + counts["flap_draws_single"] \
+        <= 1.5 * distinct, (counts, distinct)
+
+
+def test_flap_hour_sequential_walk_draws_one_batch_per_hour():
+    """The campaign's walk: after the first hour (one stream per key),
+    each hour is one first_uniforms call and no single-stream draw."""
+    injector = _heavy_injector()
+    calls = []
+    first_uniforms = injector._seeds.first_uniforms
+
+    def counting(labels):
+        calls.append(len(labels))
+        return first_uniforms(labels)
+    injector._seeds.first_uniforms = counting
+    rnd = random.Random(3)
+    keys = [(link_id, direction) for link_id in range(25)
+            for direction in (0, 1)]
+    ts0 = float(CAMPAIGN_START // HOUR * HOUR)
+    for hour in range(30):
+        for link_id, direction in rnd.sample(keys, len(keys)):
+            injector.link_flap_utilization(
+                link_id, direction, ts0 + hour * HOUR + rnd.uniform(0, HOUR))
+    assert calls == [len(keys)] * 29
+    assert injector.take_draw_counts() == {
+        "flap_draws_batched": 29 * len(keys),
+        "flap_draws_single": len(keys)}
+
+
 # ----------------------------------------------------------------------
 # the fault matrix: every kind through its real injection site
 
@@ -356,3 +420,74 @@ def test_faulty_campaign_is_reproducible():
     assert dataset_digest(ds1) == dataset_digest(ds2)
     assert ds1.lost == ds2.lost
     assert ds1.retried_tests == ds2.retried_tests
+
+
+# ----------------------------------------------------------------------
+# prefetched first-attempt test decisions
+
+
+_RATES = {
+    FaultKind.VM_PREEMPTION: "vm_preemption_per_hour",
+    FaultKind.SPEEDTEST_FAILURE: "speedtest_failure_rate",
+    FaultKind.TRUNCATED_TRANSFER: "truncated_transfer_rate",
+    FaultKind.UPLOAD_FAILURE: "upload_failure_rate",
+    FaultKind.LINK_FLAP: "link_flap_per_hour",
+}
+
+
+def _heavy_campaign(batch):
+    """Two heavy-plan days of one full VM (17 servers, so each lane-hour
+    has 34 test-decision labels to prefetch)."""
+    scenario = build_scenario(seed=29, scale=0.05, stories=False,
+                              faults=FaultPlan.heavy())
+    clasp = scenario.clasp
+    ids = [s.server_id for s in scenario.catalog.servers(country="US")[:17]]
+    plan = clasp.orchestrator.deploy_topology("us-west1", ids,
+                                              float(CAMPAIGN_START))
+    dataset = clasp.run_campaign([plan], days=2, batch=batch)
+    return clasp.fault_injector, dataset
+
+
+def _event_order(event):
+    return (event.ts, event.kind.value, event.key)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
+def test_prefetched_test_decisions_match_single_stream_draws(batch,
+                                                             monkeypatch):
+    from repro.core.export import dataset_digest
+    prefetched, streams = [], []
+    prefetch = FaultInjector.prefetch_test_decisions
+    generator = SeedTree.generator
+
+    def spy(self, vm_name, tests):
+        prefetch(self, vm_name, tests)
+        prefetched.append(len(self._test_draws))
+
+    def counting(self, label, **kwargs):
+        if label.startswith(("speedtest-failure/", "truncated-transfer/")):
+            streams.append(label)
+        return generator(self, label, **kwargs)
+    monkeypatch.setattr(FaultInjector, "prefetch_test_decisions", spy)
+    monkeypatch.setattr(SeedTree, "generator", counting)
+    injector, dataset = _heavy_campaign(batch)
+    prefetched_streams = len(streams)
+    assert prefetched and min(prefetched) == 34
+    # Every consumed decision is its stream's first draw against the rate.
+    fresh = FaultInjector(injector.plan, injector._seeds)
+    for (kind, key, ts), hit in injector._cache.items():
+        rate = getattr(injector.plan, _RATES[kind])
+        assert hit == (fresh._stream(kind, key, ts).random() < rate)
+    # Nothing prefetched outlives its lane-hour.
+    assert injector._test_draws == {}
+    # The same campaign drawing every decision from its own stream.
+    monkeypatch.setattr(FaultInjector, "prefetch_test_decisions",
+                        lambda self, vm_name, tests: None)
+    streams.clear()
+    baseline, base_dataset = _heavy_campaign(batch)
+    # Only retries (and truncation fractions) still build a generator.
+    assert 0 < prefetched_streams < len(streams) / 3
+    assert injector.summary() == baseline.summary()
+    assert sorted(injector.events, key=_event_order) == \
+        sorted(baseline.events, key=_event_order)
+    assert dataset_digest(dataset) == dataset_digest(base_dataset)
