@@ -33,7 +33,8 @@ import time
 from repro.alerts import Collector, default_rules
 from repro.cloud.tiers import NetworkTier
 from repro.core.export import dataset_digest
-from repro.core.records import MeasurementRecord
+from repro.engine import ResultColumns, SlotColumns
+from repro.engine import TestBlock as BlockEvent
 from repro.report.tables import TextTable
 from repro.simclock import CAMPAIGN_START
 from repro.units import DAY, HOUR
@@ -136,18 +137,25 @@ def test_bench_alerts_overhead(emit):
         f"collector baseline over {PAIRS} pairs (budget {MAX_OVERHEAD}x)")
 
 
-def _synthetic_record(ts, k):
-    """Pair *k*'s measurement at *ts*: a flat day with an evening dip
-    on every third pair, so sealed days carry V_H events too."""
+def _synthetic_block(ts, k):
+    """Pair *k*'s measurement at *ts*, as a one-test block: a flat day
+    with an evening dip on every third pair, so sealed days carry V_H
+    events too."""
     local_hour = int((ts // HOUR) + k % 5) % 24
     dip = k % 3 == 0 and local_hour in (19, 20, 21)
     tier = NetworkTier.PREMIUM if k % 2 == 0 else NetworkTier.STANDARD
-    return MeasurementRecord(
+    server_id = f"srv-{k:02d}"
+    return BlockEvent(
         ts=ts, region=FLAT_REGIONS[k % len(FLAT_REGIONS)],
-        vm_name=f"vm-{k % len(FLAT_REGIONS)}", server_id=f"srv-{k:02d}",
-        tier=tier, download_mbps=60.0 if dip else 400.0 + k,
-        upload_mbps=90.0, latency_ms=20.0 + k % 7,
-        download_loss_rate=1e-4, upload_loss_rate=1e-4)
+        vm_name=f"vm-{k % len(FLAT_REGIONS)}", tier=tier.value,
+        provider="gcp", slots=SlotColumns([ts], [server_id], [None]),
+        results=ResultColumns(
+            ts=[ts], server_ids=[server_id], attempts=[1],
+            latency_ms=[20.0 + k % 7],
+            download_mbps=[60.0 if dip else 400.0 + k],
+            upload_mbps=[90.0], download_loss_rate=[1e-4],
+            upload_loss_rate=[1e-4], upload_bytes=[1.0],
+            artefact_bytes=[1]))
 
 
 def _feed_hourly(days):
@@ -163,8 +171,8 @@ def _feed_hourly(days):
         collector.advance(hour_ts)
         walls.append(time.perf_counter() - tick)
         for k in range(FLAT_PAIRS):
-            collector.observe_record(
-                _synthetic_record(hour_ts + 60.0 + k, k))
+            collector.observe_block(
+                _synthetic_block(hour_ts + 60.0 + k, k))
     return collector, walls
 
 

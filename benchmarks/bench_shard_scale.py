@@ -8,7 +8,11 @@ trajectory in ``BENCH_campaign.json`` at the repo root (schema:
 ``benchmarks/README.md``).  Two assertions keep the trajectory honest:
 
 * the headline speedup - events/sec with batch on must be at least
-  ``MIN_SPEEDUP``x the scalar path on the same campaign;
+  ``MIN_SPEEDUP``x the scalar path on the same campaign.  One scalar
+  and one batch run measure mostly host noise on a shared host, so
+  the gate reads the median per-pair ratio over :data:`PAIRS` pairs
+  that alternate which side runs first, and each row records its
+  side's median run;
 * the planet-scale demo - a campaign spanning 10 regions with a
   10x server budget (10x the default ``repro campaign`` shape in both
   dimensions), run batched, must complete *more* tests in *less* wall
@@ -33,6 +37,7 @@ rules do not apply to it.
 import json
 import pathlib
 import resource
+import statistics
 import time
 
 from repro.core.export import dataset_digest
@@ -50,8 +55,10 @@ REGIONS = ("us-west1", "us-west2", "us-west4",
            "us-east1", "us-east4", "us-central1")
 
 #: Acceptance floor: events/sec with batch on vs the scalar path on the
-#: same campaign.
+#: same campaign, as the median of the per-pair ratios.
 MIN_SPEEDUP = 3.0
+#: Alternating scalar/batch pairs behind the gate (one fresh world each).
+PAIRS = 5
 
 #: Planet-scale demo: 10x the regions and 10x the server budget of the
 #: default ``repro campaign`` shape (one region, ``--servers 8``), at
@@ -67,7 +74,7 @@ BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_campaign.js
 
 #: Trajectory point label - bump when re-anchoring the perf curve.
 #: Previous points stay readable in the git history of the JSON file.
-LABEL = "batch-v4 (array-form planner; fresh world per row)"
+LABEL = "batch-v5 (test blocks; median of 5 alternating pairs)"
 
 
 class _EventCounter:
@@ -111,12 +118,28 @@ def _fresh_run(batch):
     return _timed_run(pipeline.clasp, pipeline.topology_plans(), batch)
 
 
+def _median_row(rows):
+    """The run with the median wall time (PAIRS is odd)."""
+    return sorted(rows, key=lambda row: row["wall_s"])[len(rows) // 2]
+
+
 def test_bench_shard_scale(emit):
-    (baseline, base_digest), (batched, batch_digest) = [
-        _fresh_run(batch) for batch in BATCH_MODES]
-    assert batch_digest == base_digest, "batch and scalar datasets differ"
-    assert batched["tests"] == baseline["tests"]
-    speedup = batched["events_per_sec"] / baseline["events_per_sec"]
+    runs = {batch: [] for batch in BATCH_MODES}
+    speedups = []
+    digests = set()
+    for pair in range(PAIRS):
+        order = BATCH_MODES if pair % 2 == 0 else BATCH_MODES[::-1]
+        timed = {}
+        for batch in order:
+            timed[batch], digest = _fresh_run(batch)
+            digests.add(digest)
+            runs[batch].append(timed[batch])
+        assert timed[True]["tests"] == timed[False]["tests"]
+        speedups.append(timed[True]["events_per_sec"]
+                        / timed[False]["events_per_sec"])
+    assert len(digests) == 1, "batch and scalar datasets differ"
+    baseline, batched = (_median_row(runs[batch]) for batch in BATCH_MODES)
+    speedup = statistics.median(speedups)
 
     # Planet-scale demo: fresh scenario at the default demo scale so the
     # shape (10 regions x 80-server budget) matches "10x the default
@@ -139,7 +162,8 @@ def test_bench_shard_scale(emit):
         ["run", "wall s", "events/s", "tests/s", "rss MiB"],
         title=f"batch scaling: {len(REGIONS)} regions x "
               f"{BUDGET_SERVERS} servers x {DAYS} days "
-              f"({baseline['tests']} tests; speedup {speedup:.2f}x)")
+              f"({baseline['tests']} tests; median speedup {speedup:.2f}x "
+              f"over {PAIRS} alternating pairs)")
     for row in (baseline, batched):
         table.add_row(["batch on" if row["batch"] else "batch off",
                        f"{row['wall_s']:.2f}",
@@ -151,7 +175,9 @@ def test_bench_shard_scale(emit):
                    f"{demo['events_per_sec']:.0f}",
                    f"{demo['tests_per_sec']:.0f}",
                    f"{demo['peak_rss_kb'] / 1024:.0f}"])
-    emit("bench_shard_scale", table.render())
+    per_pair = ", ".join(f"{ratio:.2f}x" for ratio in speedups)
+    emit("bench_shard_scale",
+         table.render() + f"\nper-pair batch/scalar events/s: {per_pair}")
 
     # Preserve the other benches' points (cross-cloud, streaming,
     # alerts) so each bench can re-anchor its own section independently.
@@ -169,14 +195,16 @@ def test_bench_shard_scale(emit):
         },
         "rows": [baseline, batched],
         "speedup_batch_vs_scalar": round(speedup, 2),
+        "pairs": PAIRS,
+        "pair_speedups": [round(ratio, 2) for ratio in speedups],
         "planet_demo": demo_row,
     })
     BENCH_PATH.write_text(json.dumps(doc, indent=2) + "\n",
                           encoding="utf-8")
 
     assert speedup >= MIN_SPEEDUP, (
-        f"batch reached only {speedup:.2f}x the scalar events/sec "
-        f"(floor {MIN_SPEEDUP}x)")
+        f"batch reached a median {speedup:.2f}x the scalar events/sec "
+        f"over {PAIRS} pairs (floor {MIN_SPEEDUP}x)")
     # The demo must beat today's default campaign on both axes: more
     # completed tests, less wall time, despite covering 10x regions.
     assert demo["tests"] > baseline["tests"], (

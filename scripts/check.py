@@ -10,7 +10,8 @@ series in its output, a ``spans.jsonl`` listing the pipeline's stage
 spans ``scenario.build``, ``selection.topology.run``,
 ``orchestrator.deploy`` and ``campaign.run`` with one call each, and
 an export manifest whose ``n_measurements`` equals the trace's
-``test-completed`` lines.  The experiment smoke runs ``python -m
+``test-completed`` lines, and no trace line of kind ``test-block``
+(the trace writes a block's per-test expansion, never the block).  The experiment smoke runs ``python -m
 repro.cli experiment fig3 --scale 0.05 --days 1 --profile DIR`` and
 requires exit 0 and a ``spans.jsonl`` listing ``campaign.run`` with
 one call and ``shard.plan_hour`` with 24 (one per campaign hour): the
@@ -112,8 +113,14 @@ def _cli_smoke() -> int:
             return 1
         calls = _span_calls(profile_dir)
         manifest = json.loads((export_dir / "manifest.json").read_text())
-        completed = sum(json.loads(line)["kind"] == "test-completed"
-                        for line in trace_path.read_text().splitlines())
+        kinds = [json.loads(line)["kind"]
+                 for line in trace_path.read_text().splitlines()]
+    if "test-block" in kinds:
+        print("cli smoke: the trace holds a test-block line; blocks must "
+              "reach the trace as their per-test expansion",
+              file=sys.stderr)
+        return 1
+    completed = kinds.count("test-completed")
     if manifest["n_measurements"] != completed:
         print(f"cli smoke: the export holds {manifest['n_measurements']} "
               f"measurements, the trace {completed} test-completed "

@@ -119,13 +119,18 @@ class Collector:
     # ------------------------------------------------------------------
     # the pipeline
 
-    def observe_record(self, record: Any) -> None:
-        """One completed measurement: detector + throughput history."""
-        accepted = self.detector.observe_record(record)
-        self.history.record_test(self._provider, record)
-        self.registry.counter("collector.observed").inc()
-        if not accepted:
-            self.registry.counter("collector.late_dropped").inc()
+    def observe_block(self, block: Any) -> None:
+        """A lane-hour's completed tests: the detector observes each
+        row, the throughput history takes the block in one extend, and
+        the counters move once."""
+        n_tests = len(block.results.ts)
+        if not n_tests:
+            return
+        late = self.detector.observe_block(block)
+        self.history.record_tests(self._provider, block)
+        self.registry.counter("collector.observed").inc(n_tests)
+        if late:
+            self.registry.counter("collector.late_dropped").inc(late)
 
     def advance(self, ts: float) -> None:
         """One watermark step: seal, export, snapshot, evaluate.

@@ -8,7 +8,7 @@ replayable.  Three tables:
 
 ``throughput``
     one row per completed speed test, tagged
-    ``(provider, region, tier)``.
+    ``(provider, region, tier)``, written a test block at a time.
 ``vh_events``
     one row per sealed ``V_H`` congestion event, same tags - this is
     the series SLO burn-rate rules meter.
@@ -55,12 +55,13 @@ class MetricHistory:
     # ------------------------------------------------------------------
     # writes
 
-    def record_test(self, provider: str, record: Any) -> None:
-        """One completed speed test measurement."""
-        self.db.table("throughput").append(
-            record.ts, (provider, record.region, record.tier.value),
-            (record.download_mbps, record.upload_mbps,
-             record.latency_ms))
+    def record_tests(self, provider: str, block: Any) -> None:
+        """A test block's completed tests, in one columnar extend."""
+        results = block.results
+        self.db.table("throughput").extend_series(
+            (provider, block.region, block.tier), results.ts,
+            (results.download_mbps, results.upload_mbps,
+             results.latency_ms))
 
     def record_vh_event(self, provider: str, region: str, tier: str,
                         event: Any) -> None:

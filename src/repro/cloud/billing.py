@@ -10,7 +10,7 @@ decisions in the orchestrator are real decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..errors import BudgetExhaustedError, ConfigError, ValidationError
 from ..units import bytes_to_gb
@@ -34,8 +34,14 @@ class PriceBook:
     intra_region_per_gb: float = 0.0
 
     def egress_usd(self, n_bytes: float, tier: NetworkTier) -> float:
-        if n_bytes < 0:
-            raise ValidationError(f"bytes must be >= 0, got {n_bytes}")
+        return self.egress_usd_each((n_bytes,), tier)[0]
+
+    def egress_usd_each(self, byte_counts: Sequence[float],
+                        tier: NetworkTier) -> List[float]:
+        """:meth:`egress_usd` of every count, with one rate lookup."""
+        if any(n_bytes < 0 for n_bytes in byte_counts):
+            raise ValidationError(
+                f"bytes must be >= 0, got {min(byte_counts)}")
         # Accept any provider's tier enum (or a raw tier value string):
         # the rate card is keyed on serialized tier values.
         key = getattr(tier, "value", tier)
@@ -45,7 +51,7 @@ class PriceBook:
             raise ValidationError(
                 f"no egress rate for tier {key!r}; priced tiers: "
                 f"{', '.join(sorted(self.egress_per_gb))}") from None
-        return bytes_to_gb(n_bytes) * rate
+        return [bytes_to_gb(n_bytes) * rate for n_bytes in byte_counts]
 
     def storage_usd(self, n_bytes: float, months: float) -> float:
         if n_bytes < 0 or months < 0:
@@ -95,6 +101,13 @@ class CostTracker:
         usd = self.prices.egress_usd(n_bytes, tier)
         self._add("egress", usd)
         return usd
+
+    def book_egress(self, amounts_usd: Iterable[float]) -> None:
+        """Book egress charges priced by :meth:`PriceBook.egress_usd`,
+        one at a time in order, so a budget runs out at the same
+        charge as with one :meth:`charge_egress` per transfer."""
+        for usd in amounts_usd:
+            self._add("egress", usd)
 
     def charge_storage(self, n_bytes: float, months: float) -> float:
         usd = self.prices.storage_usd(n_bytes, months)

@@ -8,10 +8,12 @@ assignment, wires a :class:`~repro.engine.bus.EventBus` with the
 dataset/billing observers (plus any caller-supplied ones), and plugs
 in the :class:`LaneExecutor` that knows how to run one lane-hour -
 tests, retries, artefact uploads, and preemption recovery all surface
-as typed :mod:`repro.engine.events` rather than inline mutation.  On
-the batch path the executor reads each hour's slots and test outcomes
-from a :class:`repro.shard.batch.BatchPlanner` instead of the lane's
-schedule and the headless browser; the events are the same.
+as typed :mod:`repro.engine.events` rather than inline mutation.  A
+lane-hour's tests are published as one columnar
+:class:`~repro.engine.events.TestBlock`.  On the batch path the
+executor reads each hour's slots and test columns from a
+:class:`repro.shard.batch.BatchPlanner` instead of the lane's schedule
+and the headless browser; the blocks are the same.
 
 :class:`CampaignDataset` is the analysis-facing product: a tagged
 record table plus per-server metadata (timezone, AS, business type).
@@ -36,10 +38,10 @@ from .. import obs
 from ..cloud.api import CloudPlatform
 from ..cloud.tiers import NetworkTier
 from ..errors import MissingEntryError, SpeedTestError, TransientUploadError
-from ..engine import (BillingCharged, CampaignEngine, DatasetObserver,
-                      EventBus, Lane, MetricsObserver, TestCompleted,
-                      TestLost, TestRetried, UploadAttempted, VMPreempted,
-                      VMReplaced)
+from ..engine import (NO_RESULTS, BillingCharged, CampaignEngine,
+                      DatasetObserver, EventBus, Lane, MetricsObserver,
+                      ResultColumns, SlotColumns, TestBlock, TestLost,
+                      UploadAttempted, VMPreempted, VMReplaced)
 from ..faults import FaultInjector, FaultPlan
 from ..rng import SeedTree
 from ..speedtest.browser import HeadlessBrowser
@@ -96,13 +98,28 @@ class CampaignDataset:
         self.extend([rec])
 
     def extend(self, records: Sequence[MeasurementRecord]) -> None:
-        """Batch-append processed measurements (the hourly event flush)."""
+        """Append processed measurements (loaders and fixtures)."""
         self.table.extend(
             [(rec.ts, (rec.region, rec.server_id, rec.tier.value),
               (rec.download_mbps, rec.upload_mbps, rec.latency_ms,
                rec.download_loss_rate, rec.upload_loss_rate))
              for rec in records])
         self.completed_tests += len(records)
+
+    def extend_blocks(self, blocks: Sequence[Any]) -> None:
+        """Append the completed tests of campaign test blocks
+        (:class:`~repro.engine.events.TestBlock`) as columns: the
+        hourly flush of the dataset observer."""
+        table = self.table
+        for block in blocks:
+            region, tier, results = block.region, block.tier, block.results
+            table.extend_columns(
+                results.ts, [(region, server_id, tier)
+                             for server_id in results.server_ids],
+                (results.download_mbps, results.upload_mbps,
+                 results.latency_ms, results.download_loss_rate,
+                 results.upload_loss_rate))
+            self.completed_tests += len(results.ts)
 
     def mark_lost(self, ts: float, region: str, vm_name: str,
                   server_id: str, reason: str) -> None:
@@ -158,9 +175,13 @@ class BillingObserver:
     arrives, or at ``campaign-finished`` for the final hour - because
     the set of running VMs can change mid-hour (preemption
     replacements) and historical billing charged after replacements.
-    Per-test egress and per-upload intra-region transfer charge at
-    their events.  Every charge is republished as
-    :class:`~repro.engine.events.BillingCharged`.
+    Per-upload intra-region transfer charges at its event, and is
+    republished as :class:`~repro.engine.events.BillingCharged`, as are
+    the hourly charges.  Per-test egress arrives priced in each test
+    block's ``egress_usd`` column: the observer books it in slot order,
+    one charge at a time (so a budget runs out at the same test), and
+    the block's expansion carries the matching ``BillingCharged``
+    events.
     """
 
     def __init__(self, platform: CloudPlatform, start_ts: float,
@@ -178,20 +199,15 @@ class BillingObserver:
             self._pending_hour_ts = event.ts
         elif kind == "campaign-finished":
             self._settle_pending()
-        elif kind == "test-completed":
-            # event.tier is the serialized tier value; the rate card is
-            # keyed on exactly those values, whatever the provider.
-            usd = self.platform.costs.charge_egress(
-                event.upload_bytes, event.tier)
-            self.bus.emit(BillingCharged(ts=event.ts, category="egress",
-                                         amount_usd=usd,
-                                         provider=self._provider_name))
         elif kind == "upload-attempted" and event.ok:
             usd = self.platform.costs.charge_intra_region(event.size_bytes)
             self.bus.emit(BillingCharged(ts=event.ts,
                                          category="intra_region",
                                          amount_usd=usd,
                                          provider=self._provider_name))
+
+    def on_test_block(self, block: Any) -> None:
+        self.platform.costs.book_egress(block.egress_usd)
 
     def _settle_pending(self) -> None:
         hour_start = self._pending_hour_ts
@@ -220,17 +236,22 @@ class LaneExecutor:
     state of its own - lane state lives on the
     :class:`~repro.engine.lanes.Lane`, campaign plumbing on the runner.
 
-    Slots and test outcomes come from the lane's schedule and the
-    runner's headless browser, or, given a *planner*
-    (:class:`repro.shard.batch.BatchPlanner`), from the planner's
-    precomputed hour; either way the events are the same.
+    Every lane-hour's slots are published as one
+    :class:`~repro.engine.events.TestBlock`, built by :meth:`_emit_block`
+    from one of two sources: the lane's schedule and the runner's
+    headless browser, or, given a *planner*
+    (:class:`repro.shard.batch.BatchPlanner`), the planner's
+    precomputed hour as columns.  With *charge_billing*, the block
+    carries each completed test's egress charge.
     """
 
     def __init__(self, runner: "CampaignRunner", bus: EventBus,
-                 planner: Any = None) -> None:
+                 planner: Any = None, charge_billing: bool = False) -> None:
         self.runner = runner
         self.bus = bus
         self.planner = planner
+        self.charge_billing = charge_billing
+        self._provider_name = runner.platform.provider.name
 
     def step(self, lane: Lane, hour_start: float) -> None:
         # The slot draw happens every hour regardless of VM health so
@@ -243,34 +264,84 @@ class LaneExecutor:
         injector = self.runner.injector
         if injector is not None:
             if hour_start < lane.ready_ts:
-                self._lose_slots(lane.region, lane.vm.name, slots,
-                                 "slow-start")
+                self._emit_block(lane, lane.vm.name, hour_start, slots,
+                                 ["slow-start"] * len(slots), NO_RESULTS)
                 return
             if injector.vm_preempted(lane.vm.name, hour_start):
                 preempted_name = lane.vm.name
                 self._replace_vm(lane, hour_start)
-                self._lose_slots(lane.region, preempted_name, slots,
-                                 "preemption")
+                self._emit_block(lane, preempted_name, hour_start, slots,
+                                 ["preemption"] * len(slots), NO_RESULTS)
                 return
             if self.planner is None:
                 injector.prefetch_test_decisions(
                     lane.vm.name, [(slot.server_id, slot.ts)
                                    for slot in slots])
-        artefact_bytes = self._run_hour(lane, slots)
+        if self.planner is None:
+            outcomes, results = self._run_tests(lane, slots)
+        else:
+            outcomes, results = self.planner.take_block(lane)
         if injector is not None:
             injector.drop_test_decisions()
+        artefact_bytes = self._emit_block(lane, lane.vm.name, hour_start,
+                                          slots, outcomes, results)
         if artefact_bytes:
             self._upload_hour(lane, hour_start, artefact_bytes)
 
     # ------------------------------------------------------------------
 
-    def _lose_slots(self, region: str, vm_name: str,
-                    slots: Sequence[TestSlot], reason: str) -> None:
+    def _emit_block(self, lane: Lane, vm_name: str, hour_start: float,
+                    slots: Sequence[TestSlot],
+                    outcomes: Sequence[Optional[str]],
+                    results: ResultColumns) -> int:
+        """Publish one lane-hour as a test block; returns its artefact
+        bytes.
+
+        *outcomes* holds, per slot, ``None`` for a completed test or
+        the reason the slot was lost; *results* holds the completed
+        tests.
+        """
+        egress = None
+        if self.charge_billing:
+            egress = self.runner.platform.costs.prices.egress_usd_each(
+                results.upload_bytes, lane.vm.tier)
+        self.bus.emit(TestBlock(
+            ts=hour_start, region=lane.region, vm_name=vm_name,
+            tier=lane.vm.tier.value, provider=self._provider_name,
+            slots=SlotColumns([slot.ts for slot in slots],
+                              [slot.server_id for slot in slots], outcomes),
+            results=results, egress_usd=egress))
+        return sum(results.artefact_bytes)
+
+    def _run_tests(self, lane: Lane, slots: Sequence[TestSlot]
+                   ) -> Tuple[List[Optional[str]], ResultColumns]:
+        """Run one VM-hour of tests through the headless browser:
+        ``(per-slot outcomes, completed tests)``."""
+        runner = self.runner
+        outcomes: List[Optional[str]] = []
+        results = ResultColumns(*[[] for _ in ResultColumns._fields])
+        (test_ts, server_ids, attempts, latency, download, upload,
+         loss_down, loss_up, upload_bytes, artefact_bytes) = results
         for slot in slots:
-            self.bus.emit(TestLost(ts=slot.ts, region=region,
-                                   vm_name=vm_name,
-                                   server_id=slot.server_id,
-                                   reason=reason))
+            try:
+                artefacts = runner.browser.run_test(
+                    lane.vm, runner.catalog.get(slot.server_id), slot.ts)
+            except SpeedTestError:
+                outcomes.append("speedtest")
+                continue
+            outcomes.append(None)
+            result = artefacts.result
+            test_ts.append(result.ts)
+            server_ids.append(slot.server_id)
+            attempts.append(artefacts.attempts)
+            latency.append(result.latency_ms)
+            download.append(result.download_mbps)
+            upload.append(result.upload_mbps)
+            loss_down.append(result.download_loss_rate)
+            loss_up.append(result.upload_loss_rate)
+            upload_bytes.append(result.upload_bytes)
+            artefact_bytes.append(artefacts.upload_size_bytes)
+        return outcomes, results
 
     def _replace_vm(self, lane: Lane, hour_start: float) -> None:
         """Re-provision a preempted lane VM and record its ready time.
@@ -282,7 +353,7 @@ class LaneExecutor:
         """
         runner = self.runner
         old_vm = lane.vm
-        provider_name = runner.platform.provider.name
+        provider_name = self._provider_name
         runner.platform.preempt_vm(old_vm.name, hour_start)
         self.bus.emit(VMPreempted(ts=hour_start, region=lane.region,
                                   vm_name=old_vm.name,
@@ -299,45 +370,6 @@ class LaneExecutor:
                                  new_name=replacement.name,
                                  ready_ts=lane.ready_ts,
                                  provider=provider_name))
-
-    def _run_hour(self, lane: Lane,
-                  slots: Sequence[TestSlot]) -> int:
-        """Run one VM-hour of tests; returns artefact bytes produced."""
-        runner = self.runner
-        planner = self.planner
-        artefact_bytes = 0
-        for slot in slots:
-            try:
-                if planner is None:
-                    artefacts = runner.browser.run_test(
-                        lane.vm, runner.catalog.get(slot.server_id), slot.ts)
-                else:
-                    artefacts = planner.take_outcome(lane, slot)
-            except SpeedTestError:
-                self.bus.emit(TestLost(ts=slot.ts, region=lane.region,
-                                       vm_name=lane.vm.name,
-                                       server_id=slot.server_id,
-                                       reason="speedtest"))
-                continue
-            result = artefacts.result
-            if artefacts.attempts > 1:
-                self.bus.emit(TestRetried(ts=slot.ts, region=lane.region,
-                                          vm_name=lane.vm.name,
-                                          server_id=slot.server_id,
-                                          attempts=artefacts.attempts))
-            record = MeasurementRecord.from_result(result, lane.region,
-                                                   lane.vm.tier)
-            self.bus.emit(TestCompleted(
-                ts=result.ts, region=lane.region, vm_name=lane.vm.name,
-                server_id=slot.server_id, tier=lane.vm.tier.value,
-                latency_ms=result.latency_ms,
-                download_mbps=result.download_mbps,
-                upload_mbps=result.upload_mbps,
-                upload_bytes=result.upload_bytes,
-                artefact_bytes=artefacts.upload_size_bytes,
-                record=record))
-            artefact_bytes += artefacts.upload_size_bytes
-        return artefact_bytes
 
     def _upload_hour(self, lane: Lane, hour_start: float,
                      artefact_bytes: int) -> None:
@@ -499,7 +531,8 @@ class CampaignRunner:
             from ..shard.batch import BatchPlanner
             planner = BatchPlanner(self, lanes)
         engine = CampaignEngine(lanes=lanes,
-                                stepper=LaneExecutor(self, bus, planner),
+                                stepper=LaneExecutor(self, bus, planner,
+                                                     charge_billing),
                                 bus=bus, start_ts=start_ts,
                                 n_hours=days * 24)
         with obs.span("campaign.run"):

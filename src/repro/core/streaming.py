@@ -1,4 +1,4 @@
-"""Incremental congestion detection, one hour at a time (ROADMAP item 3).
+"""Incremental congestion detection, one hour at a time.
 
 The batch :func:`repro.core.congestion.detect` re-scans the whole
 dataset after the campaign ends.  :class:`StreamingCongestionDetector`
@@ -7,7 +7,8 @@ day buckets, ``V(s, d)`` and ``V_H`` events up to date in O(new
 observations) per hour:
 
 * every completed test appends one ``(ts, value)`` sample to its
-  pair's *open* local-day bucket;
+  pair's *open* local-day bucket (:meth:`~StreamingCongestionDetector.observe`,
+  once per row of each lane-hour's test block);
 * each hour boundary advances a watermark; any open day whose local
   midnight has passed is *sealed* (there is no lateness grace) - the
   bucket is sorted once and handed to the same
@@ -42,10 +43,11 @@ the ones that did).  Both paths share one per-day implementation -
 the contract bit-for-bit rather than merely approximate.
 
 :class:`StreamingDetectorObserver` adapts the detector - or the alerts
-collector, which has the same ``advance``/``observe_record`` pair - to
-the engine's :class:`~repro.engine.bus.EventBus`; it works identically
-with the scalar and the vectorized batch path, which emit the same
-event stream.
+collector, which has the same ``advance``/``observe_block`` pair - to
+the engine's :class:`~repro.engine.bus.EventBus`; it takes each
+lane-hour's :class:`~repro.engine.events.TestBlock` whole and works
+identically with the scalar and the vectorized batch path, which emit
+the same blocks.
 """
 
 from __future__ import annotations
@@ -170,10 +172,16 @@ class StreamingCongestionDetector:
         self.observed += 1
         return True
 
-    def observe_record(self, record: Any) -> bool:
-        """Ingest one :class:`~repro.core.records.MeasurementRecord`."""
-        pair = (record.region, record.server_id, record.tier.value)
-        return self.observe(pair, record.ts, record.download_mbps)
+    def observe_block(self, block: Any) -> int:
+        """Ingest a test block's completed tests, one :meth:`observe`
+        per row; returns how many arrived too late to keep."""
+        region, tier, results = block.region, block.tier, block.results
+        late = 0
+        for server_id, ts, value in zip(results.server_ids, results.ts,
+                                        results.download_mbps):
+            if not self.observe((region, server_id, tier), ts, value):
+                late += 1
+        return late
 
     def advance(self, ts: float) -> int:
         """Move the watermark forward, sealing every due open day.
@@ -368,23 +376,23 @@ class _Sink(Protocol):
 
     def advance(self, ts: float) -> Any: ...
 
-    def observe_record(self, record: Any) -> Any: ...
+    def observe_block(self, block: Any) -> Any: ...
 
 
 class StreamingDetectorObserver(Observer):
     """Feeds a detector (or the alerts collector) from the event bus.
 
     Subscribes like any campaign observer; hour boundaries drive the
-    sink's watermark, completed tests feed it, and campaign end
-    advances the watermark to the final boundary (sealing every
-    complete day) without finalizing - the caller decides when to
+    sink's watermark, each lane-hour's test block feeds it, and
+    campaign end advances the watermark to the final boundary (sealing
+    every complete day) without finalizing - the caller decides when to
     :meth:`~StreamingCongestionDetector.finalize`.
     """
 
     #: Kinds with no bearing on congestion or alerting state.
     IGNORED_EVENTS: ClassVar[Tuple[str, ...]] = (
-        "billing-charged", "test-lost", "test-retried",
-        "upload-attempted", "vm-preempted", "vm-replaced")
+        "billing-charged", "test-lost", "upload-attempted",
+        "vm-preempted", "vm-replaced")
 
     def __init__(self, sink: _Sink) -> None:
         self.sink = sink
@@ -392,12 +400,8 @@ class StreamingDetectorObserver(Observer):
     def on_hour_started(self, event: Any) -> None:
         self.sink.advance(event.ts)
 
-    def on_test_completed(self, event: Any) -> None:
-        if event.record is None:
-            raise ValidationError(
-                "TestCompleted event carries no record payload; the "
-                "detector cannot bucket the measurement without it")
-        self.sink.observe_record(event.record)
+    def on_test_block(self, block: Any) -> None:
+        self.sink.observe_block(block)
 
     def on_campaign_finished(self, event: Any) -> None:
         self.sink.advance(event.ts)

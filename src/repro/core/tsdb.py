@@ -169,36 +169,55 @@ class Table:
         buf.append(ts, fields)
 
     def extend(self, rows: Iterable[Row]) -> None:
-        """Append many ``(ts, tags, fields)`` rows in one batch.
-
-        Rows are grouped per tag tuple and written columnarly, so a
-        per-hour flush touches each series buffer once instead of once
-        per row.  Validation matches :meth:`append`.
-        """
-        grouped: Dict[Tuple[str, ...],
-                      Tuple[List[float], List[List[float]]]] = {}
+        """Append many ``(ts, tags, fields)`` rows, each as :meth:`append`."""
         for ts, tags, fields in rows:
-            if len(tags) != len(self.tag_names):
-                raise TSDBError(
-                    f"expected {len(self.tag_names)} tags, got {len(tags)}")
-            if len(fields) != len(self.field_names):
-                raise TSDBError(
-                    f"expected {len(self.field_names)} fields, "
-                    f"got {len(fields)}")
-            key = tuple(tags)
-            group = grouped.get(key)
-            if group is None:
-                group = grouped[key] = (
-                    [], [[] for _ in self.field_names])
-            group[0].append(ts)
-            for column, value in zip(group[1], fields):
-                column.append(value)
-        for key, (ts_values, field_columns) in grouped.items():
-            buf = self._series.get(key)
+            self.append(ts, tags, fields)
+
+    def extend_series(self, tags: Tuple[str, ...], ts: Sequence[float],
+                      fields: Sequence[Sequence[float]]) -> None:
+        """Append rows given as columns to the one series *tags*: one
+        array extend per column."""
+        if len(tags) != len(self.tag_names):
+            raise TSDBError(
+                f"expected {len(self.tag_names)} tags, got {len(tags)}")
+        if len(fields) != len(self.field_names):
+            raise TSDBError(
+                f"expected {len(self.field_names)} field columns, "
+                f"got {len(fields)}")
+        if any(len(column) != len(ts) for column in fields):
+            raise TSDBError(f"table {self.name!r}: ragged columns")
+        buf = self._series.get(tags)
+        if buf is None:
+            buf = self._series[tags] = _SeriesBuffer(len(self.field_names))
+        buf.extend(ts, fields)
+
+    def extend_columns(self, ts: Sequence[float],
+                       tags: Sequence[Tuple[str, ...]],
+                       fields: Sequence[Sequence[float]]) -> None:
+        """Append rows given as columns: row *i* is ``ts[i]`` in series
+        ``tags[i]``, with ``fields[k][i]`` for each field *k*.
+
+        No row tuples are built and no rows are grouped: each row goes
+        straight into its series' buffer.  A tag tuple's arity is
+        checked when its series is created.
+        """
+        if len(fields) != len(self.field_names):
+            raise TSDBError(
+                f"expected {len(self.field_names)} field columns, "
+                f"got {len(fields)}")
+        n_rows = len(ts)
+        if len(tags) != n_rows or any(len(column) != n_rows
+                                      for column in fields):
+            raise TSDBError(f"table {self.name!r}: ragged columns")
+        series = self._series
+        for key, row_ts, values in zip(tags, ts, zip(*fields)):
+            buf = series.get(key)
             if buf is None:
-                buf = _SeriesBuffer(len(self.field_names))
-                self._series[key] = buf
-            buf.extend(ts_values, field_columns)
+                if len(key) != len(self.tag_names):
+                    raise TSDBError(f"expected {len(self.tag_names)} tags, "
+                                    f"got {len(key)}")
+                buf = series[key] = _SeriesBuffer(len(self.field_names))
+            buf.append(row_ts, values)
 
     # ------------------------------------------------------------------
     # reads

@@ -3,9 +3,10 @@
 This package is the instrumentation seam of the campaign stack.  The
 hour loop lives here as :class:`~repro.engine.lanes.CampaignEngine`,
 which steps one independent :class:`~repro.engine.lanes.Lane` per
-(plan, VM) assignment and publishes every operational fact - tests
-completed, retries, losses, uploads, preemptions, billing - as a typed
-event on a deterministic :class:`~repro.engine.bus.EventBus`.
+(plan, VM) assignment and publishes every operational fact - each
+lane-hour's tests as one columnar block, losses, uploads, preemptions,
+billing - as a typed event on a deterministic
+:class:`~repro.engine.bus.EventBus`.
 
 The engine is deliberately domain-agnostic: it may import only
 ``repro.units``, ``repro.errors``, ``repro.rng``, and
@@ -19,7 +20,8 @@ alone.
 
 from .bus import EventBus
 from .events import (BillingCharged, CampaignEvent, CampaignFinished,
-                     EVENT_KINDS, HourStarted, TestCompleted, TestLost,
+                     EVENT_KINDS, HourStarted, NO_RESULTS, ResultColumns,
+                     SlotColumns, TestBlock, TestCompleted, TestLost,
                      TestRetried, UploadAttempted, VMPreempted, VMReplaced,
                      event_payload)
 from .lanes import CampaignEngine, Lane
@@ -37,7 +39,11 @@ __all__ = [
     "HourStarted",
     "Lane",
     "MetricsObserver",
+    "NO_RESULTS",
     "Observer",
+    "ResultColumns",
+    "SlotColumns",
+    "TestBlock",
     "TestCompleted",
     "TestLost",
     "TestRetried",

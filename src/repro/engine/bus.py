@@ -6,10 +6,19 @@ Dispatch rules (these are contracts, pinned by tests):
 * :meth:`EventBus.emit` is synchronous: when it returns, every
   subscriber has seen the event.
 * Events emitted *from inside a handler* (e.g. a billing observer
-  publishing ``BillingCharged`` while handling ``TestCompleted``) are
+  publishing ``BillingCharged`` while handling ``HourStarted``) are
   queued FIFO and dispatched after the current event finishes its full
   subscriber pass - emission order is never reordered, and no handler
   ever sees event B before event A when A was emitted first.
+* A :class:`~repro.engine.events.TestBlock` goes whole to every
+  subscriber with an ``on_test_block`` hook.  Every other subscriber
+  gets, in its place, the block's exact expansion
+  (:meth:`~repro.engine.events.TestBlock.expand`: per slot a
+  ``TestLost``, or ``[TestRetried] TestCompleted
+  [BillingCharged(egress)]``), so its event stream is the one a
+  per-test publisher would have produced.  The expansion is built once
+  per block, and only when such a subscriber exists; a block counts as
+  one emitted event.
 
 There are no threads, no async, no wall clocks: the bus adds zero
 nondeterminism to a campaign run.
@@ -18,10 +27,10 @@ nondeterminism to a campaign run.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..errors import ValidationError
-from .events import CampaignEvent
+from .events import CampaignEvent, TestBlock
 
 __all__ = ["EventBus", "Handler"]
 
@@ -32,7 +41,10 @@ class EventBus:
     """Deterministic synchronous pub/sub for campaign events."""
 
     def __init__(self) -> None:
-        self._handlers: List[Handler] = []
+        #: ``(handler, block hook or None)`` per subscriber, in
+        #: registration order.
+        self._subscribers: List[
+            Tuple[Handler, Optional[Callable[[TestBlock], None]]]] = []
         self._queue: Deque[CampaignEvent] = deque()
         self._dispatching = False
         #: Total events dispatched (handy for progress and assertions).
@@ -43,14 +55,17 @@ class EventBus:
 
         *observer* is either a callable taking one event, or an object
         with an ``on_event(event)`` method (the
-        :class:`~repro.engine.observers.Observer` contract).
+        :class:`~repro.engine.observers.Observer` contract).  An object
+        that also has ``on_test_block(block)`` receives test blocks
+        whole instead of their per-test expansion.
         """
         handler = getattr(observer, "on_event", observer)
         if not callable(handler):
             raise ValidationError(
                 f"subscriber {observer!r} is neither callable nor has "
                 f"an on_event method")
-        self._handlers.append(handler)
+        self._subscribers.append(
+            (handler, getattr(observer, "on_test_block", None)))
         return observer
 
     def emit(self, event: CampaignEvent) -> None:
@@ -69,7 +84,21 @@ class EventBus:
             while self._queue:
                 current = self._queue.popleft()
                 self.n_emitted += 1
-                for handler in tuple(self._handlers):
+                if isinstance(current, TestBlock):
+                    self._dispatch_block(current)
+                    continue
+                for handler, _hook in tuple(self._subscribers):
                     handler(current)
         finally:
             self._dispatching = False
+
+    def _dispatch_block(self, block: TestBlock) -> None:
+        expansion: Optional[List[CampaignEvent]] = None
+        for handler, hook in tuple(self._subscribers):
+            if hook is not None:
+                hook(block)
+                continue
+            if expansion is None:
+                expansion = block.expand()
+            for event in expansion:
+                handler(event)

@@ -2,11 +2,20 @@
 
 Every operational fact the engine knows is published as one of the
 frozen dataclasses below.  Events are plain data: strings, numbers,
-booleans - plus at most one opaque ``record`` payload that observers
-outside the engine may understand (the engine itself never looks
-inside it).  :func:`event_payload` flattens an event to its
+booleans.  :func:`event_payload` flattens an event to its
 JSON-serializable fields, which is the wire format the trace observer
 writes and what tests compare across runs.
+
+A lane-hour's test slots travel as one :class:`TestBlock`: the slots
+(:class:`SlotColumns`) and the completed tests (:class:`ResultColumns`)
+as columns, one event per lane-hour instead of two or three per test.
+:meth:`TestBlock.expand` is the block's exact per-test meaning - per
+slot, in slot order, either one :class:`TestLost` or ``[TestRetried]
+TestCompleted [BillingCharged(egress)]`` - and what the bus hands
+every subscriber that has no ``on_test_block`` hook.
+:data:`PER_TEST_KINDS` only ever exist inside that expansion.  The
+block's column groups are its :data:`OPAQUE_FIELDS`: the block never
+reaches the wire format, only its expansion does.
 
 ``kind`` is a stable string identifier (``"test-completed"``, ...) so
 observers can dispatch without importing every class, and so traces
@@ -16,7 +25,8 @@ stay readable after the class names refactor.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, FrozenSet, Tuple
+from typing import (Any, ClassVar, Dict, FrozenSet, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 __all__ = [
     "BillingCharged",
@@ -24,7 +34,12 @@ __all__ = [
     "CampaignFinished",
     "EVENT_KINDS",
     "HourStarted",
+    "NO_RESULTS",
     "OPAQUE_FIELDS",
+    "PER_TEST_KINDS",
+    "ResultColumns",
+    "SlotColumns",
+    "TestBlock",
     "TestCompleted",
     "TestLost",
     "TestRetried",
@@ -38,11 +53,17 @@ __all__ = [
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 #: Event fields that are *deliberately* non-scalar and therefore
-#: excluded from :func:`event_payload`.  Every non-scalar field must be
-#: declared here - ``tests/test_engine.py`` enforces it for every event
-#: class - so a payload field can never be dropped from the wire format
-#: by accident.
-OPAQUE_FIELDS: FrozenSet[str] = frozenset({"record"})
+#: excluded from :func:`event_payload`: the column groups of a
+#: :class:`TestBlock`.  Every non-scalar field must be declared here -
+#: ``tests/test_engine.py`` enforces it for every event class - so a
+#: payload field can never be dropped from the wire format by accident.
+OPAQUE_FIELDS: FrozenSet[str] = frozenset({"slots", "results",
+                                           "egress_usd"})
+
+#: Kinds that reach subscribers only inside a :class:`TestBlock`'s
+#: expansion: an observer with an ``on_test_block`` hook never sees
+#: them, and so has no handler for them.
+PER_TEST_KINDS: Tuple[str, ...] = ("test-retried", "test-completed")
 
 
 @dataclass(frozen=True)
@@ -65,12 +86,7 @@ class HourStarted(CampaignEvent):
 
 @dataclass(frozen=True)
 class TestCompleted(CampaignEvent):
-    """One speed test produced a usable measurement.
-
-    ``record`` carries the processed measurement object for dataset
-    observers; the engine treats it as opaque and it is excluded from
-    :func:`event_payload`.
-    """
+    """One speed test produced a usable measurement."""
 
     kind: ClassVar[str] = "test-completed"
 
@@ -85,7 +101,6 @@ class TestCompleted(CampaignEvent):
     upload_bytes: float
     #: Compressed artefact bytes left on disk for the bucket upload.
     artefact_bytes: int
-    record: Any = None
 
 
 @dataclass(frozen=True)
@@ -167,6 +182,94 @@ class BillingCharged(CampaignEvent):
     provider: str = "gcp"
 
 
+class SlotColumns(NamedTuple):
+    """A lane-hour's scheduled slots, one entry each, in slot order."""
+
+    ts: Sequence[float]
+    server_ids: Sequence[str]
+    #: ``None`` when the slot's test completed, else why the slot was
+    #: lost (``speedtest``, ``slow-start``, ``preemption``).
+    outcomes: Sequence[Optional[str]]
+
+
+class ResultColumns(NamedTuple):
+    """A lane-hour's completed tests, one entry each, in slot order."""
+
+    #: When each test ran: its slot's ts plus any retry backoff.
+    ts: Sequence[float]
+    server_ids: Sequence[str]
+    #: Attempts made, including the successful one.
+    attempts: Sequence[int]
+    latency_ms: Sequence[float]
+    download_mbps: Sequence[float]
+    upload_mbps: Sequence[float]
+    download_loss_rate: Sequence[float]
+    upload_loss_rate: Sequence[float]
+    #: Bytes pushed during the upload phase (what egress billing sees).
+    upload_bytes: Sequence[float]
+    #: Compressed artefact bytes left on disk for the bucket upload.
+    artefact_bytes: Sequence[int]
+
+
+#: The result columns of a lane-hour that ran no test.
+NO_RESULTS = ResultColumns(*[()] * len(ResultColumns._fields))
+
+
+@dataclass(frozen=True)
+class TestBlock(CampaignEvent):
+    """One lane-hour's test slots and results, as columns.
+
+    ``ts`` is the hour's start.  ``egress_usd`` holds each completed
+    test's egress charge when the campaign bills, else ``None``.
+    """
+
+    kind: ClassVar[str] = "test-block"
+
+    region: str
+    vm_name: str
+    tier: str
+    #: Which cloud's cost tracker the egress charges land on.
+    provider: str
+    slots: SlotColumns
+    results: ResultColumns
+    egress_usd: Optional[Sequence[float]] = None
+
+    def expand(self) -> List[CampaignEvent]:
+        """The block as per-test events, in the order they happened."""
+        events: List[CampaignEvent] = []
+        region, vm_name, tier = self.region, self.vm_name, self.tier
+        results = self.results
+        done = 0
+        for slot_ts, server_id, outcome in zip(*self.slots):
+            if outcome is not None:
+                events.append(TestLost(ts=slot_ts, region=region,
+                                       vm_name=vm_name,
+                                       server_id=server_id,
+                                       reason=outcome))
+                continue
+            attempts = results.attempts[done]
+            if attempts > 1:
+                events.append(TestRetried(ts=slot_ts, region=region,
+                                          vm_name=vm_name,
+                                          server_id=server_id,
+                                          attempts=attempts))
+            ts = results.ts[done]
+            events.append(TestCompleted(
+                ts=ts, region=region, vm_name=vm_name, server_id=server_id,
+                tier=tier, latency_ms=results.latency_ms[done],
+                download_mbps=results.download_mbps[done],
+                upload_mbps=results.upload_mbps[done],
+                upload_bytes=results.upload_bytes[done],
+                artefact_bytes=results.artefact_bytes[done]))
+            if self.egress_usd is not None:
+                events.append(BillingCharged(
+                    ts=ts, category="egress",
+                    amount_usd=self.egress_usd[done],
+                    provider=self.provider))
+            done += 1
+        return events
+
+
 @dataclass(frozen=True)
 class CampaignFinished(CampaignEvent):
     """The engine stepped every lane through every hour."""
@@ -178,8 +281,8 @@ class CampaignFinished(CampaignEvent):
 
 #: Every event kind the engine can emit, in a stable order.
 EVENT_KINDS: Tuple[str, ...] = tuple(
-    cls.kind for cls in (HourStarted, TestCompleted, TestRetried, TestLost,
-                         UploadAttempted, VMPreempted, VMReplaced,
+    cls.kind for cls in (HourStarted, TestBlock, TestCompleted, TestRetried,
+                         TestLost, UploadAttempted, VMPreempted, VMReplaced,
                          BillingCharged, CampaignFinished))
 
 

@@ -6,15 +6,22 @@ their state purely from the event stream:
 
 * :class:`DatasetObserver` - reconstructs the campaign dataset
   (measurement rows, completed/failed/retried/lost accounting) from
-  events, batching each hour's rows into one ``extend`` flush.
+  test blocks and losses, appending each hour's blocks to the table as
+  columns in one flush.
 * :class:`MetricsObserver` - per-kind event counters, latency/byte
   histograms, and billing totals, snapshotted as one plain dict.
 * :class:`TraceObserver` - a JSON-lines event trace for offline
   inspection (the ``--trace`` CLI flag).
 
+An observer with an ``on_test_block`` hook takes each lane-hour's
+:class:`~repro.engine.events.TestBlock` whole and has no per-test
+handler; the others (metrics, trace) get the block's per-test
+expansion from the bus, so their streams are per test.
+
 The dataset the :class:`DatasetObserver` mutates is passed in as an
-opaque object exposing ``extend(records)`` / ``mark_lost(...)`` plus
-the four counters - the engine never imports the core layer.
+opaque object exposing ``extend_blocks(blocks)`` / ``mark_lost(...)``
+plus the failed/retried counters - the engine never imports the core
+layer.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from collections import Counter
 from typing import (Any, Callable, ClassVar, Dict, IO, List, Optional,
                     TextIO, Tuple, Union)
 
-from ..errors import ValidationError
 from ..obs.metrics import Histogram, MetricsRegistry
 from .events import CampaignEvent, event_payload
 
@@ -42,7 +48,11 @@ class Observer:
     ``IGNORED_EVENTS`` tuple - the registry test in
     ``tests/test_engine.py`` requires every engine event kind to be
     either handled or listed there for every observer in the package,
-    so growing the taxonomy can never silently bypass an observer.
+    so growing the taxonomy can never silently bypass an observer.  A
+    ``test-block`` needs no entry: a subclass with an ``on_test_block``
+    hook takes blocks whole (and so has no handler for the
+    :data:`~repro.engine.events.PER_TEST_KINDS`), and the bus hands any
+    other subclass the block's per-test expansion.
 
     Hooks are looked up on the class, once per (class, kind), so a
     hook must be a plain method (not set per instance).
@@ -73,15 +83,16 @@ class Observer:
 
 
 class DatasetObserver(Observer):
-    """Rebuilds a campaign dataset from the event stream.
+    """Rebuilds a campaign dataset from test blocks and losses.
 
-    Completed measurements are buffered per hour and flushed in one
-    batched ``dataset.extend(records)`` call on the next hour boundary
-    (and once more at campaign end), which keeps the per-row append
-    cost off the hot loop.  Counters are event-derived: one
-    ``test-retried`` event is one retried test, one ``test-lost``
-    event is one lost slot (and a ``speedtest`` loss is also a failed
-    test, matching the historical accounting).
+    Each hour's blocks are buffered and flushed in one
+    ``dataset.extend_blocks(blocks)`` call on the next hour boundary
+    (and once more at campaign end), which appends their completed
+    tests to the table as columns.  Counters are event-derived: a
+    completed test with more than one attempt is one retried test, and
+    every lost slot - in a block, or an hour's ``upload`` loss - is one
+    lost row (a ``speedtest`` loss is also a failed test, matching the
+    historical accounting).
     """
 
     #: Infra/billing kinds that never touch dataset contents.
@@ -99,25 +110,30 @@ class DatasetObserver(Observer):
     def on_campaign_finished(self, event: CampaignEvent) -> None:
         self._flush()
 
-    def on_test_completed(self, event: Any) -> None:
-        if event.record is None:
-            raise ValidationError(
-                "TestCompleted event carries no record payload; the "
-                "dataset observer cannot rebuild the dataset without it")
-        self._pending.append(event.record)
-
-    def on_test_retried(self, event: Any) -> None:
-        self.dataset.retried_tests += 1
+    def on_test_block(self, block: Any) -> None:
+        attempts = block.results.attempts
+        if attempts:
+            self._pending.append(block)
+            self.dataset.retried_tests += sum(n > 1 for n in attempts)
+        if len(attempts) < len(block.slots.ts):
+            for ts, server_id, reason in zip(*block.slots):
+                if reason is not None:
+                    self._lose(ts, block.region, block.vm_name, server_id,
+                               reason)
 
     def on_test_lost(self, event: Any) -> None:
-        if event.reason == "speedtest":
+        self._lose(event.ts, event.region, event.vm_name, event.server_id,
+                   event.reason)
+
+    def _lose(self, ts: float, region: str, vm_name: str, server_id: str,
+              reason: str) -> None:
+        if reason == "speedtest":
             self.dataset.failed_tests += 1
-        self.dataset.mark_lost(event.ts, event.region, event.vm_name,
-                               event.server_id, event.reason)
+        self.dataset.mark_lost(ts, region, vm_name, server_id, reason)
 
     def _flush(self) -> None:
         if self._pending:
-            self.dataset.extend(self._pending)
+            self.dataset.extend_blocks(self._pending)
             self._pending.clear()
 
 

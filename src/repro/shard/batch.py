@@ -29,23 +29,26 @@ evaluates the hour as a handful of array operations through the
   the padded matrices, and queue sums and survival products accumulate
   link by link in route order - the scalar left fold, so no
   pairwise-summation drift - while ``argmin`` picks the bottleneck.
-* **Array-form results.** RTTs, losses, the TCP model, the bulk phase,
-  bytes and CPU are elementwise array chains in the scalar expression
+* **Array-form results.** RTTs, losses, the TCP model, the bulk phase
+  and bytes are elementwise array chains in the scalar expression
   order, over per-lane caps read once an hour and each job's standard
-  deviates; only the result objects are built per job.
+  deviates.  The hour's results stay columns: one list per test
+  column, cut per lane; no per-test object is built.
 
 The planner is a data source for :class:`repro.core.campaign.LaneExecutor`,
 with the scalar sources' contracts: :meth:`BatchPlanner.slots_for` is
 ``HourlySchedule.hour_slots`` (the first call in an hour plans that
-hour for every lane) and :meth:`BatchPlanner.take_outcome` is
-``HeadlessBrowser.run_test``.  The event protocol, retry accounting,
+hour for every lane) and :meth:`BatchPlanner.take_block` is the
+executor's browser loop over a lane-hour: per-slot outcomes plus the
+completed tests' columns, from which the executor builds the same
+:class:`~repro.engine.events.TestBlock`.  The blocks, retry accounting,
 and dataset bytes are identical to the scalar path (asserted against
-the golden digests by ``tests/test_shard.py``).
+the golden digests and trace bytes by ``tests/test_shard.py`` and
+``tests/test_golden.py``).
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,15 +56,14 @@ import numpy as np
 from .. import obs
 from ..cloud.api import Direction
 from ..core.scheduler import TestSlot
+from ..engine.events import NO_RESULTS, ResultColumns
 from ..engine.lanes import Lane
-from ..errors import SpeedTestError, ValidationError
+from ..errors import ValidationError
 from ..netsim.linkstate import _FLOOR_LOSS, _QUEUE_BASE_MS, _QUEUE_CAP_MS
 from ..netsim.pathmodel import PathMetrics
 from ..netsim.traffic import UtilizationModel
-from ..speedtest.browser import (BrowserArtifacts, _CAPTURE_OVERHEAD_BYTES,
-                                 _PCAP_FRACTION)
+from ..speedtest.browser import _CAPTURE_OVERHEAD_BYTES, _PCAP_FRACTION
 from ..speedtest import protocol
-from ..speedtest.protocol import SpeedTestResult
 from ..units import HOUR, transferred_bytes
 from .vectcp import (batch_flows_for_rtt, batch_loss_rate,
                      batch_mean_utilization_grid,
@@ -69,11 +71,6 @@ from .vectcp import (batch_flows_for_rtt, batch_loss_rate,
                      batch_residual_mbps)
 
 __all__ = ["BatchPlanner", "fold_routes"]
-
-#: Outcome sentinel: every attempt of the slot failed (protocol failure,
-#: injected failure, or truncation) - :meth:`BatchPlanner.take_outcome`
-#: raises.
-_FAILED = object()
 
 #: Standard deviations of a test's four bulk-noise draws: download
 #: shortfall and wiggle, then upload's.
@@ -113,7 +110,11 @@ class BatchPlanner:
         self.runner = runner
         self.lanes = lanes
         self._slots: Dict[str, List[TestSlot]] = {}
-        self._outcomes: Dict[Tuple[str, int], Any] = {}
+        #: Per planned lane: its per-slot outcomes (``None`` or
+        #: ``"speedtest"``) and its jobs' range in the hour's columns.
+        self._blocks: Dict[str, Tuple[List[Optional[str]], int, int]] = {}
+        #: The hour's completed tests, job by job.
+        self._columns: ResultColumns = NO_RESULTS
         self._planned_hour: Optional[float] = None
         # Static tables: one parameter row per (link, direction) and
         # one entry per route pair, keyed like the platform's route
@@ -148,37 +149,42 @@ class BatchPlanner:
             self.plan_hour(hour_start)
         return self._slots[lane.name]
 
-    def take_outcome(self, lane: Lane, slot: TestSlot) -> BrowserArtifacts:
-        """Pop one slot's precomputed browser artefacts.
+    def take_block(self, lane: Lane
+                   ) -> Tuple[List[Optional[str]], ResultColumns]:
+        """Pop the lane's planned hour: ``(per-slot outcomes, completed
+        tests)``, what the executor's browser loop returns.
 
-        Raises :class:`~repro.errors.SpeedTestError` when every attempt
-        failed, as ``HeadlessBrowser.run_test`` does, and keeps the same
-        ``speedtest.*`` counters.  Raising on a miss (rather than
-        falling back to the scalar path) matters: a scalar re-run would
-        consume the lane's RNG stream a second time and desynchronise
-        every later draw.
+        Keeps the ``speedtest.*`` counters ``HeadlessBrowser.run_test``
+        keeps.  Raises on a lane the hour did not plan (rather than
+        falling back to the scalar path): a scalar re-run would consume
+        the lane's RNG stream a second time and desynchronise every
+        later draw.
         """
         try:
-            outcome = self._outcomes.pop((lane.name, slot.slot_index))
+            outcomes, lo, hi = self._blocks.pop(lane.name)
         except KeyError:
             raise ValidationError(
                 f"batch planner has no outcome for lane {lane.name!r} "
-                f"slot {slot.slot_index} at ts {slot.ts}") from None
-        if outcome is _FAILED:
-            obs.inc("speedtest.failures")
-            raise SpeedTestError(
-                f"test from {lane.vm.name} to {slot.server_id} failed "
-                f"(all attempts, batched)")
-        obs.inc("speedtest.tests")
-        obs.observe("speedtest.download_mbps", outcome.result.download_mbps)
-        return outcome
+                f"in the hour at ts {self._planned_hour}") from None
+        results = ResultColumns._make(column[lo:hi]
+                                      for column in self._columns)
+        if obs.enabled():
+            failed = outcomes.count("speedtest")
+            if failed:
+                obs.inc("speedtest.failures", failed)
+            if hi > lo:
+                obs.inc("speedtest.tests", hi - lo)
+            for value in results.download_mbps:
+                obs.observe("speedtest.download_mbps", value)
+        return outcomes, results
 
     # ------------------------------------------------------------------
 
     def plan_hour(self, hour_start: float) -> None:
         """Precompute outcomes for every runnable lane-slot this hour."""
         self._slots.clear()
-        self._outcomes.clear()
+        self._blocks.clear()
+        self._columns = NO_RESULTS
         self._planned_hour = hour_start
         with obs.span("shard.plan_hour"):
             jobs = self._rng_prepass(hour_start)
@@ -210,6 +216,8 @@ class BatchPlanner:
                     lane.vm.name, [(slot.server_id, slot.ts)
                                    for slot in slots])
             vm = lane.vm
+            outcomes: List[Optional[str]] = []
+            first_job = len(jobs)
             rng = engine.stream_for(vm.name)
             limits = (vm.nic.ingress_cap_mbps(), vm.nic.egress_cap_mbps(),
                       vm.machine_type.cpu_throughput_cap_mbps)
@@ -241,9 +249,11 @@ class BatchPlanner:
                     jobs.append((lane, slot, attempt_ts, attempt + 1, server,
                                  by_remote.get(server.host_pop_id), limits,
                                  draws))
+                    outcomes.append(None)
                     break
                 else:
-                    self._outcomes[(lane.name, slot.slot_index)] = _FAILED
+                    outcomes.append("speedtest")
+            self._blocks[lane.name] = (outcomes, first_job, len(jobs))
             if injector is not None:
                 injector.drop_test_decisions()
         return jobs
@@ -316,8 +326,8 @@ class BatchPlanner:
 
     def _finish(self, jobs: List[_Job], rtt_eg: np.ndarray,
                 tcp: np.ndarray, total_loss: np.ndarray) -> None:
-        """Protocol arithmetic as arrays, then one result per job."""
-        lanes, slots, job_ts, attempts, servers, _pairs, limits, draws = \
+        """Protocol arithmetic as arrays, kept as the hour's columns."""
+        _lanes, _slots, job_ts, attempts, servers, _pairs, limits, draws = \
             zip(*jobs)
         limits = np.array(limits)
         draws = np.array(draws)
@@ -341,24 +351,20 @@ class BatchPlanner:
         down_bytes = transferred_bytes(down, protocol.DOWNLOAD_DURATION_S)
         up_bytes = transferred_bytes(up, protocol.UPLOAD_DURATION_S)
         # int() of each result's total_bytes * _PCAP_FRACTION (both
-        # truncate toward zero).
-        pcap = ((down_bytes + up_bytes) * _PCAP_FRACTION).astype(np.int64)
-        results = map(
-            SpeedTestResult,
+        # truncate toward zero), plus the fixed capture blob.
+        artefact = (((down_bytes + up_bytes) * _PCAP_FRACTION)
+                    .astype(np.int64) + _CAPTURE_OVERHEAD_BYTES)
+        # SpeedTestEngine.run reports the three UI numbers rounded to
+        # 2 decimals (Python's round, value by value).
+        self._columns = ResultColumns(
+            list(job_ts),
             [server.server_id for server in servers],
-            [lane.vm.name for lane in lanes],
-            job_ts,
+            list(attempts),
             [round(x, 2) for x in latency.tolist()],
             [round(x, 2) for x in down.tolist()],
             [round(x, 2) for x in up.tolist()],
             total_loss[0::2].tolist(), total_loss[1::2].tolist(),
-            down_bytes.tolist(), up_bytes.tolist(),
-            repeat(protocol.TEST_DURATION_S),
-            np.minimum(1.0, np.maximum(down, up) / cpu_cap).tolist())
-        self._outcomes.update(zip(
-            [(lane.name, slot.slot_index) for lane, slot in zip(lanes, slots)],
-            map(BrowserArtifacts, results, pcap.tolist(),
-                repeat(_CAPTURE_OVERHEAD_BYTES), attempts)))
+            up_bytes.tolist(), artefact.tolist())
 
     def _apply_flaps(self, hook: Any, rows: np.ndarray, ts: np.ndarray,
                      u: np.ndarray) -> np.ndarray:

@@ -28,15 +28,16 @@ from repro.alerts import (RULE_KINDS, AbsenceRule, AlertRule, BurnRateRule,
                           notifications_to_jsonlines, parse_rule,
                           parse_rules)
 from repro.alerts.engine import _aggregate
-from repro.cloud.tiers import NetworkTier
 from repro.core.campaign import CampaignDataset
 from repro.core.congestion import CongestionEvent, detect
-from repro.core.records import MeasurementRecord, ServerMeta
+from repro.core.records import ServerMeta
 from repro.errors import ConfigError, ValidationError
 from repro.experiments.scenario import build_scenario
 from repro.obs.metrics import MetricsRegistry
 from repro.simclock import CAMPAIGN_START
 from repro.units import DAY, HOUR
+
+from .fixtures_blocks import block_of
 
 START = float(CAMPAIGN_START)
 
@@ -193,12 +194,10 @@ def test_rule_kinds_registry_mirrors_evaluator(repro_subclasses):
 # evaluator: hand-built history
 
 
-def _record(ts, download=100.0, region="us-west1", server_id="srv-1"):
-    return MeasurementRecord(
-        ts=ts, region=region, vm_name="vm-1", server_id=server_id,
-        tier=NetworkTier.PREMIUM, download_mbps=download,
-        upload_mbps=95.0, latency_ms=20.0, download_loss_rate=1e-4,
-        upload_loss_rate=1e-4)
+def _block(ts, download=100.0, region="us-west1", server_id="srv-1"):
+    """One premium test, as the block its lane-hour publishes."""
+    return block_of(dict(ts=ts, server_id=server_id,
+                         download_mbps=download), region=region)
 
 
 def _vh_event(ts):
@@ -215,7 +214,7 @@ def test_threshold_rule_fires_after_streak_and_resolves():
     evaluator = RuleEvaluator([rule], history, START)
     for hour in range(4):
         ts = START + hour * HOUR
-        history.record_test("gcp", _record(ts + 60.0, download=10.0))
+        history.record_tests("gcp", _block(ts + 60.0, download=10.0))
         evaluator.evaluate(ts + HOUR)
     # Breached from the first evaluation; fires on the second.
     firing = [n for n in evaluator.notifications if n.status == "firing"]
@@ -225,7 +224,7 @@ def test_threshold_rule_fires_after_streak_and_resolves():
     assert evaluator.active_count == 1
     # A healthy window resolves it on the next evaluation.
     ts = START + 4 * HOUR
-    history.record_test("gcp", _record(ts + 60.0, download=500.0))
+    history.record_tests("gcp", _block(ts + 60.0, download=500.0))
     new = evaluator.evaluate(ts + HOUR)
     assert [n.status for n in new] == ["resolved"]
     assert evaluator.active_count == 0
@@ -241,8 +240,8 @@ def test_threshold_empty_window_never_breaches():
 
 def test_threshold_scope_filters_tags():
     history = MetricHistory()
-    history.record_test("gcp", _record(START + 60.0, download=10.0,
-                                       region="us-east1"))
+    history.record_tests("gcp", _block(START + 60.0, download=10.0,
+                                        region="us-east1"))
     rule = ThresholdRule(name="floor", region="us-west1", op="<",
                          value=50.0, window_hours=2.0)
     evaluator = RuleEvaluator([rule], history, START)
@@ -257,7 +256,7 @@ def test_absence_rule_anchors_at_start_then_resolves():
     assert evaluator.evaluate(START + 2 * HOUR) == []
     new = evaluator.evaluate(START + 4 * HOUR)
     assert [n.status for n in new] == ["firing"]
-    history.record_test("gcp", _record(START + 5 * HOUR))
+    history.record_tests("gcp", _block(START + 5 * HOUR))
     new = evaluator.evaluate(START + 6 * HOUR)
     assert [n.status for n in new] == ["resolved"]
 
@@ -363,15 +362,15 @@ def _feed_day(collector, day, server_id="srv-1", download=400.0):
     for hour in range(24):
         ts = day_start + hour * HOUR
         collector.advance(ts)
-        collector.observe_record(_record(ts + 60.0, download=download,
-                                        server_id=server_id))
+        collector.observe_block(_block(ts + 60.0, download=download,
+                                       server_id=server_id))
     collector.advance(day_start + DAY)
 
 
 def test_collector_requires_begin_run():
     collector = Collector(START)
     with pytest.raises(ValidationError):
-        collector.observe_record(_record(START + 60.0))
+        collector.observe_block(_block(START + 60.0))
 
 
 def test_collector_rejects_backwards_time():
@@ -392,17 +391,24 @@ def test_collector_snapshot_cadence():
     assert collector.state_dict()["snapshot_hours"] == 1.0
 
 
-def test_collector_observer_requires_record_payload():
+def test_collector_observer_takes_blocks_whole():
+    """One block moves the detector once per completed row, the history
+    by one extend and the counter once; lost slots and an empty block
+    move nothing."""
     collector = Collector(START)
     collector.begin_run(lambda server_id: 0.0)
     observer = collector.observer()
-
-    class FakeEvent:
-        ts = START
-        record = None
-
-    with pytest.raises(ValidationError):
-        observer.on_test_completed(FakeEvent())
+    observer.on_test_block(block_of(
+        dict(ts=START + 60.0, server_id="srv-1"),
+        dict(ts=START + 180.0, server_id="srv-2", reason="speedtest"),
+        dict(ts=START + 300.0, server_id="srv-3")))
+    observer.on_test_block(block_of(
+        dict(ts=START + 420.0, reason="slow-start")))
+    assert collector.detector.observed == 2
+    assert collector.registry.snapshot()["counters"] == {
+        "collector.observed": 2.0, "collector.runs": 1.0}
+    assert collector.history.window_count(
+        "throughput", START, START + HOUR) == 2
 
 
 def test_collector_history_rows_and_counters():
@@ -606,10 +612,10 @@ def test_collector_export_order_matches_a_full_walk_on_a_shuffled_feed():
             collector.advance(ts)
         for k in reversed(range(6)):
             dip = hour % 24 in (19, 20)
-            record = _record(ts + 60.0, server_id=f"srv-{k}",
-                             download=40.0 if dip else 400.0 + k)
+            block = _block(ts + 60.0, server_id=f"srv-{k}",
+                           download=40.0 if dip else 400.0 + k)
             for collector in collectors:
-                collector.observe_record(record)
+                collector.observe_block(block)
     for collector in collectors:
         collector.advance(START + 3 * DAY)
     assert _assert_same_outputs(product, reference) > 0

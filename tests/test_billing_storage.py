@@ -46,6 +46,28 @@ def test_budget_enforced():
     assert costs.total_usd == pytest.approx(0.95)
 
 
+def test_booked_egress_runs_out_at_the_same_charge():
+    """Pricing a block's transfers up front and booking them in order
+    spends exactly what one charge_egress per transfer spends, and a
+    budget refuses the same transfer."""
+    transfers = [3 * GB, 2 * GB, 4 * GB, 1 * GB]
+    prices = PriceBook()
+    assert prices.egress_usd_each(transfers, NetworkTier.PREMIUM) == [
+        prices.egress_usd(n, NetworkTier.PREMIUM) for n in transfers]
+    per_transfer = CostTracker(budget_usd=1.0)
+    booked = CostTracker(budget_usd=1.0)
+    with pytest.raises(BudgetExhaustedError):
+        for n_bytes in transfers:
+            per_transfer.charge_egress(n_bytes, NetworkTier.PREMIUM)
+    with pytest.raises(BudgetExhaustedError):
+        booked.book_egress(prices.egress_usd_each(transfers,
+                                                  NetworkTier.PREMIUM))
+    assert booked.spend == per_transfer.spend
+    assert booked.spend["egress"] == pytest.approx(0.60)
+    with pytest.raises(ValueError):
+        prices.egress_usd_each([1.0, -1.0], NetworkTier.PREMIUM)
+
+
 def test_budget_validation():
     with pytest.raises(ConfigError):
         CostTracker(budget_usd=0)

@@ -23,16 +23,18 @@ from repro.engine import (BillingCharged, CampaignEngine, CampaignEvent,
                           EventBus, HourStarted, Lane,
                           MetricsObserver, Observer, TraceObserver,
                           UploadAttempted, event_payload)
+from repro.engine import TestBlock as BlockEvent
 from repro.engine import TestCompleted as CompletedEvent
 from repro.engine import TestLost as LostEvent
-from repro.engine import TestRetried as RetriedEvent
-from repro.engine.events import OPAQUE_FIELDS
+from repro.engine.events import OPAQUE_FIELDS, PER_TEST_KINDS
 from repro.errors import ValidationError
 from repro.experiments.scenario import build_scenario
 from repro.faults import FaultPlan
 from repro.obs.metrics import Histogram
 from repro.simclock import CAMPAIGN_START
 from repro.units import HOUR
+
+from .fixtures_blocks import block_of
 
 T0 = float(CAMPAIGN_START)
 
@@ -81,14 +83,28 @@ def _event_problems(event_classes, event_kinds, opaque_fields):
 
 
 def _observer_problems(cls, event_kinds):
-    """Kinds an observer drops silently, and handlers that match none."""
+    """Kinds an observer drops silently, handlers that match none, and
+    per-test handlers next to a block hook.
+
+    A ``test-block`` needs no handler: an observer without
+    ``on_test_block`` gets the block's per-test expansion from the bus.
+    One with the hook never sees the per-test kinds, so a handler for
+    one of them would be dead code - a second, per-test path.
+    """
     name, problems = cls.__name__, []
     ignored = set(cls.IGNORED_EVENTS)
+    takes_blocks = hasattr(cls, _handler("test-block"))
+    covered = {"test-block"} | (set(PER_TEST_KINDS) if takes_blocks
+                                else set())
     if cls.on_event is Observer.on_event:
         problems += [f"{name} neither handles nor ignores {kind!r}"
                      for kind in event_kinds
                      if not hasattr(cls, _handler(kind))
-                     and kind not in ignored]
+                     and kind not in ignored | covered]
+    if takes_blocks:
+        problems += [f"{name}.{_handler(kind)} next to on_test_block"
+                     for kind in PER_TEST_KINDS
+                     if hasattr(cls, _handler(kind))]
     handlers = {_handler(kind) for kind in event_kinds} | {"on_event"}
     problems += [f"{name}.{attr} matches no event kind"
                  for attr in dir(cls)
@@ -129,10 +145,12 @@ def test_event_kinds_are_unique_and_stable(repro_subclasses):
         "Kindless declares no literal kind",
         "EVENT_KINDS lists 'ghost', which no class declares",
     ]
-    assert _event_problems([HourStarted, CompletedEvent],
+    assert _event_problems([HourStarted, BlockEvent],
                            ("hour-started",), frozenset()) == [
-        "TestCompleted is missing from EVENT_KINDS",
-        "TestCompleted.record is neither scalar nor in OPAQUE_FIELDS",
+        "TestBlock is missing from EVENT_KINDS",
+        "TestBlock.slots is neither scalar nor in OPAQUE_FIELDS",
+        "TestBlock.results is neither scalar nor in OPAQUE_FIELDS",
+        "TestBlock.egress_usd is neither scalar nor in OPAQUE_FIELDS",
     ]
 
     class Sloppy(DatasetObserver):
@@ -141,26 +159,67 @@ def test_event_kinds_are_unique_and_stable(repro_subclasses):
         def on_test_finished(self, event):
             pass
 
+        def on_test_completed(self, event):
+            pass
+
     assert _observer_problems(Sloppy, EVENT_KINDS) == [
         "Sloppy neither handles nor ignores 'upload-attempted'",
         "Sloppy neither handles nor ignores 'vm-preempted'",
         "Sloppy neither handles nor ignores 'vm-replaced'",
+        "Sloppy.on_test_completed next to on_test_block",
         "Sloppy.on_test_finished matches no event kind",
         "Sloppy ignores unknown kind 'ghost'",
     ]
+
+    class PerTest(Observer):
+        IGNORED_EVENTS = tuple(kind for kind in EVENT_KINDS
+                               if kind != "test-completed")
+
+    # Without a block hook, the per-test kinds need a handler or an
+    # IGNORED_EVENTS entry like any other kind.
+    assert _observer_problems(PerTest, EVENT_KINDS) == [
+        "PerTest neither handles nor ignores 'test-completed'"]
 
 
 def test_event_payload_keeps_scalars_drops_opaque():
     event = CompletedEvent(ts=T0, region="us-west1", vm_name="vm-0",
                           server_id="s1", tier="premium", latency_ms=12.5,
                           download_mbps=900.0, upload_mbps=400.0,
-                          upload_bytes=1e8, artefact_bytes=1234,
-                          record=object())
+                          upload_bytes=1e8, artefact_bytes=1234)
     payload = event_payload(event)
     assert payload["kind"] == "test-completed"
     assert payload["latency_ms"] == 12.5
-    assert "record" not in payload
     json.dumps(payload)  # must be serializable
+    block = block_of(dict(ts=T0), egress_usd=[0.5])
+    assert event_payload(block) == {
+        "kind": "test-block", "ts": T0, "region": "us-west1",
+        "vm_name": "vm-1", "tier": "premium", "provider": "gcp"}
+
+
+def test_block_expands_to_per_test_events_in_slot_order():
+    block = block_of(
+        dict(ts=T0 + 1.0, server_id="a", reason="speedtest"),
+        dict(ts=T0 + 2.0, server_id="b", attempts=2, latency_ms=9.5),
+        dict(ts=T0 + 3.0, server_id="c"),
+        egress_usd=[0.25, 0.5])
+    events = block.expand()
+    assert [(e.kind, e.ts) for e in events] == [
+        ("test-lost", T0 + 1.0), ("test-retried", T0 + 2.0),
+        ("test-completed", T0 + 2.0), ("billing-charged", T0 + 2.0),
+        ("test-completed", T0 + 3.0), ("billing-charged", T0 + 3.0)]
+    assert events[0].reason == "speedtest"
+    assert events[1].attempts == 2
+    assert event_payload(events[2]) == {
+        "kind": "test-completed", "ts": T0 + 2.0, "region": "us-west1",
+        "vm_name": "vm-1", "server_id": "b", "tier": "premium",
+        "latency_ms": 9.5, "download_mbps": 100.0, "upload_mbps": 95.0,
+        "upload_bytes": 1.0, "artefact_bytes": 1}
+    assert [(e.category, e.amount_usd, e.provider)
+            for e in events[3::2]] == [("egress", 0.25, "gcp"),
+                                       ("egress", 0.5, "gcp")]
+    # An unbilled block carries no egress charge.
+    assert [e.kind for e in block_of(dict(ts=T0)).expand()] == [
+        "test-completed"]
 
 
 # ----------------------------------------------------------------------
@@ -193,6 +252,41 @@ def test_bus_nested_emit_is_fifo():
     # its full subscriber pass, never interleaved.
     assert seen == ["hour-started", "billing-charged"]
     assert bus.n_emitted == 2
+
+
+def test_bus_hands_blocks_whole_or_expanded():
+    """A subscriber with on_test_block gets the block; every other one
+    gets its expansion, built once, in registration order."""
+    bus = EventBus()
+    calls = []
+    expansions = []
+
+    class Whole(Observer):
+        def on_test_block(self, block):
+            calls.append(("whole", block.kind))
+
+    class Counting(BlockEvent):
+        def expand(self):
+            expansions.append(1)
+            return super().expand()
+
+    bus.subscribe(lambda e: calls.append(("first", e.kind)))
+    bus.subscribe(Whole())
+    bus.subscribe(lambda e: calls.append(("last", e.kind)))
+    block = block_of(dict(ts=T0, reason="speedtest"), dict(ts=T0 + 1.0))
+    bus.emit(Counting(**{f.name: getattr(block, f.name)
+                         for f in dataclasses.fields(block)}))
+    assert calls == [("first", "test-lost"), ("first", "test-completed"),
+                     ("whole", "test-block"),
+                     ("last", "test-lost"), ("last", "test-completed")]
+    assert expansions == [1]
+    assert bus.n_emitted == 1
+    # With only block subscribers, no expansion is built at all.
+    bus = EventBus()
+    bus.subscribe(Whole())
+    bus.emit(Counting(**{f.name: getattr(block, f.name)
+                         for f in dataclasses.fields(block)}))
+    assert expansions == [1]
 
 
 def test_bus_accepts_observer_objects_and_rejects_junk():
@@ -270,52 +364,49 @@ class _FakeDataset:
         self.failed_tests = 0
         self.retried_tests = 0
 
-    def extend(self, records):
-        self.batches.append(list(records))
+    def extend_blocks(self, blocks):
+        self.batches.append([block.results.server_ids[0]
+                             for block in blocks])
 
     def mark_lost(self, ts, region, vm_name, server_id, reason):
         self.lost.append((ts, region, vm_name, server_id, reason))
 
 
-def _completed(ts, record):
+def _completed(ts):
     return CompletedEvent(ts=ts, region="r", vm_name="vm", server_id="s",
                          tier="premium", latency_ms=1.0, download_mbps=1.0,
                          upload_mbps=1.0, upload_bytes=1.0,
-                         artefact_bytes=1, record=record)
+                         artefact_bytes=1)
 
 
 def test_dataset_observer_batches_per_hour():
     ds = _FakeDataset()
     obs = DatasetObserver(ds)
     obs.on_event(HourStarted(ts=T0, hour_index=0))
-    obs.on_event(_completed(T0, "rec-a"))
-    obs.on_event(_completed(T0 + 60, "rec-b"))
+    obs.on_test_block(block_of(dict(ts=T0, server_id="a")))
+    obs.on_test_block(block_of(dict(ts=T0 + 60, server_id="b")))
+    obs.on_test_block(block_of(dict(ts=T0 + 90, reason="slow-start")))
     assert ds.batches == []  # buffered until the next hour boundary
     obs.on_event(HourStarted(ts=T0 + HOUR, hour_index=1))
-    assert ds.batches == [["rec-a", "rec-b"]]
-    obs.on_event(_completed(T0 + HOUR, "rec-c"))
+    assert ds.batches == [["a", "b"]]  # a block without tests is no row
+    obs.on_test_block(block_of(dict(ts=T0 + HOUR, server_id="c")))
     obs.on_event(CampaignFinished(ts=T0 + 2 * HOUR, n_hours=2))
-    assert ds.batches == [["rec-a", "rec-b"], ["rec-c"]]
+    assert ds.batches == [["a", "b"], ["c"]]
 
 
 def test_dataset_observer_counters_from_events():
     ds = _FakeDataset()
     obs = DatasetObserver(ds)
-    obs.on_event(RetriedEvent(ts=T0, region="r", vm_name="vm",
-                             server_id="s", attempts=2))
-    obs.on_event(LostEvent(ts=T0, region="r", vm_name="vm",
-                          server_id="s", reason="speedtest"))
+    obs.on_test_block(block_of(
+        dict(ts=T0, server_id="s", attempts=2),
+        dict(ts=T0 + 1, server_id="t", reason="speedtest"),
+        dict(ts=T0 + 2, server_id="u"), region="r", vm_name="vm"))
     obs.on_event(LostEvent(ts=T0, region="r", vm_name="vm",
                           server_id="*", reason="upload"))
     assert ds.retried_tests == 1
     assert ds.failed_tests == 1  # only speedtest losses are failures
-    assert [entry[-1] for entry in ds.lost] == ["speedtest", "upload"]
-
-
-def test_dataset_observer_requires_record_payload():
-    obs = DatasetObserver(_FakeDataset())
-    with pytest.raises(ValidationError):
-        obs.on_event(_completed(T0, record=None))
+    assert ds.lost == [(T0 + 1, "r", "vm", "t", "speedtest"),
+                       (T0, "r", "vm", "*", "upload")]
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +432,7 @@ def test_histogram_buckets_and_stats():
 
 def test_metrics_observer_counts_and_billing():
     obs = MetricsObserver()
-    obs.on_event(_completed(T0, "rec"))
+    obs.on_event(_completed(T0))
     obs.on_event(LostEvent(ts=T0, region="r", vm_name="vm",
                           server_id="s", reason="speedtest"))
     obs.on_event(BillingCharged(ts=T0, category="egress", amount_usd=2.0))
@@ -363,13 +454,12 @@ def test_trace_observer_writes_json_lines(tmp_path):
     path = tmp_path / "trace.jsonl"
     with TraceObserver(str(path)) as trace:
         trace.on_event(HourStarted(ts=T0, hour_index=0))
-        trace.on_event(_completed(T0, object()))  # opaque record
+        trace.on_event(_completed(T0))
     lines = path.read_text().splitlines()
     assert trace.n_written == len(lines) == 2
     first, second = (json.loads(line) for line in lines)
     assert first["kind"] == "hour-started"
     assert second["kind"] == "test-completed"
-    assert "record" not in second
 
 
 def test_trace_observer_accepts_write_object():

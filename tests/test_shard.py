@@ -36,9 +36,11 @@ import repro.shard.vectcp as vectcp
 from repro.cloud.api import CloudPlatform
 from repro.cloud.tiers import NetworkTier
 from repro.core.export import dataset_digest
-from repro.core.scheduler import TestSlot as ScheduledSlot
 from repro.core.clasp import Clasp
-from repro.engine.events import event_payload
+from repro.alerts import default_rules
+from repro.engine.events import BillingCharged, event_payload
+from repro.engine.events import TestCompleted as CompletedEvent
+from repro.engine.events import TestRetried as RetriedEvent
 from repro.errors import ValidationError
 from repro.experiments import Pipeline
 from repro.experiments.scenario import build_scenario
@@ -132,6 +134,65 @@ def test_batch_run_with_obs_enabled_matches_golden():
             2 * dataset.completed_tests
     finally:
         obs.disable()
+
+
+def test_obs_metrics_match_between_batch_and_scalar():
+    """With obs on, both paths publish the same engine.* counters and
+    histograms and the same speedtest test and failure counts."""
+    published = []
+    for batch in (False, True):
+        obs.enable()
+        try:
+            # Failure-heavy, so every slot outcome shows up.
+            _golden_campaign(FaultPlan(speedtest_failure_rate=0.4,
+                                       vm_preemption_per_hour=0.05),
+                             batch)
+            snapshot = obs.snapshot()
+        finally:
+            obs.disable()
+        published.append((
+            {name: value for name, value in snapshot["counters"].items()
+             if name.startswith("engine.")
+             or name in ("speedtest.tests", "speedtest.failures")},
+            {name: value for name, value in snapshot["histograms"].items()
+             if name.startswith("engine.")}))
+    scalar, batch = published
+    assert scalar[0]["speedtest.failures"] > 0
+    assert scalar[0]["engine.events.test-retried"] > 0
+    assert scalar[0]["engine.lost.preemption"] > 0
+    assert scalar[0]["engine.events.test-completed"] > 0
+    assert scalar[1]
+    assert batch == scalar
+
+
+def test_monitored_batch_run_builds_no_per_test_event(monkeypatch):
+    """A batch campaign whose subscribers all take test blocks whole
+    (dataset, billing, streaming detector, collector) constructs no
+    TestCompleted, no TestRetried and no per-test (egress)
+    BillingCharged: nobody asks for the blocks' expansion."""
+    built = []
+    for cls in (CompletedEvent, RetriedEvent, BillingCharged):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append((self.kind, getattr(self, "category", None)))
+        monkeypatch.setattr(cls, "__init__", counting)
+    scenario = build_scenario(seed=SEED, scale=SCALE,
+                              faults=FaultPlan.default())
+    clasp = scenario.clasp
+    plan = clasp.deploy_topology(REGION,
+                                 clasp.select_topology_servers(REGION),
+                                 budget_servers=BUDGET_SERVERS)
+    _detector, detector_observer = clasp.streaming_detector()
+    collector, collector_observer = clasp.collector(rules=default_rules())
+    dataset = clasp.run_campaign(
+        [plan], days=DAYS, batch=True,
+        observers=[detector_observer, collector_observer])
+    assert dataset_digest(dataset) == GOLDEN["faults_default"]
+    assert dataset.retried_tests > 0
+    assert collector.detector.observed == dataset.completed_tests
+    assert clasp.platform.costs.spend["egress"] > 0
+    assert built and set(built) == {("billing-charged", "vm_hours"),
+                                    ("billing-charged", "intra_region")}
 
 
 def test_batch_run_across_noise_growth_matches_scalar(monkeypatch):
@@ -276,9 +337,9 @@ def test_differential_campaign_batch_matches_scalar(
 
 
 def test_batch_planner_refuses_unplanned_slot():
-    """A planned hour must cover every stepped slot - a silent scalar
-    fallback would consume the lane's RNG stream twice and desync
-    every later draw, so the planner raises instead."""
+    """A planned hour must cover every stepped lane's slots - a silent
+    scalar fallback would consume the lane's RNG stream twice and
+    desync every later draw, so the planner raises instead."""
     scenario = build_scenario(seed=SEED, scale=SCALE)
     clasp = scenario.clasp
     plan = clasp.deploy_topology(REGION,
@@ -289,10 +350,12 @@ def test_batch_planner_refuses_unplanned_slot():
     lanes = runner.build_lanes([plan], start)
     planner = BatchPlanner(runner, lanes)
     assert planner.slots_for(lanes[0], start)
-    rogue = ScheduledSlot(ts=start, vm_name=lanes[0].vm.name,
-                          server_id="nope", slot_index=9999)
+    outcomes, results = planner.take_block(lanes[0])
+    assert len(outcomes) == len(planner.slots_for(lanes[0], start))
+    assert len(results.ts) == outcomes.count(None)
+    # A lane-hour's slots are taken once: a second take is unplanned.
     with pytest.raises(ValidationError, match="no outcome"):
-        planner.take_outcome(lanes[0], rogue)
+        planner.take_block(lanes[0])
 
 
 def test_batch_run_routes_each_pair_key_once(monkeypatch):

@@ -19,11 +19,13 @@ from repro.core.streaming import (StreamingCongestionDetector,
                                   StreamingDetectorObserver,
                                   dataset_offsets, iter_hourly,
                                   stream_dataset)
-from repro.errors import ConfigError, ValidationError
+from repro.errors import ConfigError
 from repro.experiments.scenario import build_scenario
 from repro.faults import FaultPlan
 from repro.simclock import CAMPAIGN_START
 from repro.units import DAY, HOUR
+
+from .fixtures_blocks import block_of
 
 # Keep in sync with tests/test_shard.py's pinned campaign shape.
 SEED, SCALE, REGION, BUDGET_SERVERS, DAYS = 11, 0.05, "us-west1", 8, 2
@@ -152,20 +154,21 @@ def test_watermark_never_rewinds():
     assert detector.watermark == dataset.start_ts + 5 * HOUR
 
 
-def test_observer_requires_record_payload():
-    from repro.engine.events import TestCompleted
-
+def test_observer_takes_blocks_whole():
+    """A block feeds the detector one observe() per completed row; its
+    lost slots, and a block of lost slots only, feed nothing."""
     dataset = _synthetic_dataset(days=1)
-    detector = StreamingCongestionDetector(
-        dataset.start_ts, dataset_offsets(dataset))
+    start = dataset.start_ts
+    detector = StreamingCongestionDetector(start, dataset_offsets(dataset))
     observer = StreamingDetectorObserver(detector)
-    event = TestCompleted(
-        ts=dataset.start_ts, region="us-west1", vm_name="vm-1",
-        server_id="srv-1", tier="premium", latency_ms=20.0,
-        download_mbps=100.0, upload_mbps=95.0, upload_bytes=1.0,
-        artefact_bytes=1, record=None)
-    with pytest.raises(ValidationError):
-        observer.on_event(event)
+    observer.on_test_block(block_of(
+        dict(ts=start + 60.0, download_mbps=300.0),
+        dict(ts=start + 180.0, reason="speedtest"),
+        dict(ts=start + 300.0, download_mbps=200.0)))
+    observer.on_test_block(block_of(dict(ts=start + 420.0,
+                                         reason="preemption")))
+    assert detector.observed == 2
+    assert not hasattr(observer, "on_test_completed")
 
 
 @pytest.mark.parametrize("key,bad", [

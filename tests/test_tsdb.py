@@ -136,6 +136,39 @@ def test_extend_matches_repeated_append():
             assert np.array_equal(left[name], right[name])
 
 
+def test_columnar_extends_match_repeated_append():
+    """extend_columns (row i into series tags[i]) and extend_series (many
+    rows into one series) store exactly what row-by-row appends do."""
+    rows = [(3.0, ("r", "s"), (6.0, 1.0)), (1.0, ("r", "t"), (2.0, 1.5)),
+            (2.0, ("r", "s"), (4.0, 0.5))]
+    one = Table("a", ("region", "server"), ("down", "up"))
+    for ts, tags, fields in rows:
+        one.append(ts, tags, fields)
+    other = Table("a", ("region", "server"), ("down", "up"))
+    other.extend_columns([r[0] for r in rows], [r[1] for r in rows],
+                         [[r[2][0] for r in rows], [r[2][1] for r in rows]])
+    assert other.dump() == one.dump()
+    series = Table("a", ("region", "server"), ("down", "up"))
+    series.extend_series(("r", "s"), [3.0, 2.0], [[6.0, 4.0], [1.0, 0.5]])
+    series.extend_series(("r", "t"), [1.0], [[2.0], [1.5]])
+    assert series.dump() == one.dump()
+    assert list(series.series(("r", "s"))["ts"]) == [2.0, 3.0]
+
+
+def test_columnar_extends_validate_shape(table):
+    with pytest.raises(TSDBError):  # one field column short
+        table.extend_columns([1.0], [("w1", "s1")], [[1.0]])
+    with pytest.raises(TSDBError):  # ragged columns
+        table.extend_columns([1.0, 2.0], [("w1", "s1")], [[1.0], [2.0]])
+    with pytest.raises(TSDBError):  # a new series with one tag short
+        table.extend_columns([1.0], [("w9",)], [[1.0], [2.0]])
+    with pytest.raises(TSDBError):
+        table.extend_series(("w1",), [1.0], [[1.0], [2.0]])
+    with pytest.raises(TSDBError):
+        table.extend_series(("w1", "s1"), [1.0], [[1.0], [2.0, 3.0]])
+    assert len(table) == 4  # nothing was written
+
+
 def test_series_view_is_cached_until_append(table):
     first = table.series(("w1", "s1"))
     again = table.series(("w1", "s1"))
